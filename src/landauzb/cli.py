@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 EXIT_OK = 0
@@ -253,6 +252,19 @@ def _flat_items(prefix: str, value):
         yield prefix.rstrip("."), value
 
 
+def _json_text(doc) -> str:
+    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+
+def _emit(path, text: str) -> None:
+    """Write text to path, or to stdout when path is None or '-'."""
+    if path in (None, "-"):
+        sys.stdout.write(text)
+    else:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+
 def write_record(path, header, columns, spectrum=None, fmt="csv"):
     """Serialize a run; `columns` is an ordered {name: array} mapping."""
     if fmt == "json":
@@ -262,7 +274,7 @@ def write_record(path, header, columns, spectrum=None, fmt="csv"):
         }
         if spectrum is not None:
             doc["spectrum"] = spectrum
-        text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
+        text = _json_text(doc)
     elif fmt == "csv":
         lines = [f"# {k} = {v!r}" for k, v in _flat_items("", header)]
         names = list(columns)
@@ -281,11 +293,7 @@ def write_record(path, header, columns, spectrum=None, fmt="csv"):
         text = "\n".join(lines) + "\n"
     else:
         raise ConfigError("format must be 'csv' or 'json'")
-    if path in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _emit(path, text)
 
 
 def read_record(path):
@@ -421,12 +429,7 @@ def cmd_sumrules(args) -> int:
         "momentum_residual": rep.momentum_residual,
         "tolerance": num["sum_rule_tol"],
     }
-    text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
-    if args.output in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _emit(args.output, _json_text(doc))
     worst = max(rep.norm_residual, rep.momentum_residual)
     if worst > num["sum_rule_tol"]:
         print(
@@ -469,12 +472,7 @@ def cmd_oracle_check(args) -> int:
             pkt.dimensionality == "3+1" and pkt.is_two_component and pkt.k0z != 0.0
         ),
     }
-    text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
-    if args.output in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _emit(args.output, _json_text(doc))
     worst = max(dev for _, dev in rows)
     if worst > _ORACLE_TOL:
         print(f"oracle deviation {worst:.3e} exceeds {_ORACLE_TOL:g}", file=sys.stderr)
@@ -509,12 +507,7 @@ def cmd_ion_map(args) -> int:
         model = args.model
     schedule = ionmap.excitation_schedule(model)
     doc = ionmap.schedule_document(schedule, trap)
-    text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
-    if args.output in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _emit(args.output, _json_text(doc))
     return EXIT_OK
 
 
@@ -536,12 +529,7 @@ def cmd_lowfield(args) -> int:
         doc["zb_amplitude_m"] = summary.zb_amplitude * units.compton_length
         doc["zb_carrier_rad_s"] = summary.zb_carrier / units.compton_time
         doc["omega_cyclotron_rad_s"] = summary.omega_cyclotron / units.compton_time
-    text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
-    if args.output in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _emit(args.output, _json_text(doc))
     return EXIT_OK
 
 
@@ -549,11 +537,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="landauzb",
         description="Relativistic wave-packet dynamics in a magnetic field",
-    )
-    parser.add_argument("--threads", type=int, default=None, help="BLAS thread count")
-    parser.add_argument(
-        "--seed", type=int, default=None,
-        help="reserved; all computation is deterministic",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -594,9 +577,6 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
 
     from . import hermite
     from .dynamics import QuadratureConvergenceError

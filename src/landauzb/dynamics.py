@@ -1,11 +1,17 @@
 """Analytic time evolution of packet positions, velocities and spectra.
 
-Every trajectory is a finite sum of oscillation terms, one intraband
+Every trajectory is a finite sum of oscillation lines, one intraband
 (cyclotron-like, frequency E_hi - E_lo) and one interband (trembling-motion,
 frequency E_hi + E_lo) per consecutive level pair, weighted by the packet's
-level-overlap amplitudes.  The 3+1 model integrates each term over the axial
+level-overlap amplitudes.  The 3+1 model integrates each line over the axial
 momentum density, which damps the motion; the 2+1 model keeps the discrete
 sum and stays persistent.
+
+Line convention: each position channel reads Re sum_lines a e^{-i w t}.  A
+cosine line has a real amplitude a, a sine line carries i a.  Velocities are
+the Heisenberg time derivatives, so a velocity line has amplitude -i w a at
+the same frequency.  `_line_blocks` derives every amplitude and `_sum_lines`
+evaluates every phase; the public functions only pick channels and parts.
 
 Natural units: lengths in Compton wavelengths, times in Compton times,
 velocities in c.  Positions are reported relative to the t = 0 centre, so
@@ -18,6 +24,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -26,26 +33,36 @@ from .packet import (
     CoefficientSet,
     DimensionalityError,
     GaussianPacket,
-    axial_grid as packet_axial_grid,
-    axial_nodes as packet_axial_nodes,
+    axial_grid,
+    axial_nodes,
 )
 from .units import FieldConfig
 
 PREF = 1.0 / (2.0 * math.sqrt(2.0))
 MAX_GRID_NODES = 1 << 16
 TIME_CHUNK = 512
+TILE_ELEMENTS = 1 << 18       # phases held at once by the line evaluator
 
 
 class QuadratureConvergenceError(RuntimeError):
-    """Axial-momentum quadrature failed its doubling test."""
+    """Axial-momentum quadrature failed its doubling test, or cannot run it."""
 
-    def __init__(self, achieved: float, target: float):
-        super().__init__(
-            f"axial quadrature changed by {achieved:.3e} relative on doubling "
-            f"(target {target:.3e}); refine manually or shorten the window"
-        )
+    def __init__(self, achieved: float, target: float, nodes_needed: int | None = None):
+        if nodes_needed is None:
+            message = (
+                f"axial quadrature changed by {achieved:.3e} relative on doubling "
+                f"(target {target:.3e}); refine manually or shorten the window"
+            )
+        else:
+            message = (
+                f"axial quadrature for this window needs {nodes_needed} k_z nodes "
+                f"for its doubling test, above the cap of {MAX_GRID_NODES} (2^16) "
+                "nodes; shorten the window"
+            )
+        super().__init__(message)
         self.achieved = achieved
         self.target = target
+        self.nodes_needed = nodes_needed
 
 
 @dataclass(frozen=True)
@@ -109,27 +126,20 @@ class SubPacketSeries:
     branch_weights: np.ndarray
 
 
-def t_factor(s1: int, s2: int, s3: int, s4: int, e_lo: float, e_hi: float) -> float:
-    """Branch weight s1 + s2/e_lo + s3/e_hi + s4*e_lo/e_hi (rest energy = 1)."""
-    return s1 + s2 / e_lo + s3 / e_hi + s4 * e_lo / e_hi
+class _Block(NamedTuple):
+    """One frequency class of lines over (level pair, k_z node)."""
+
+    freq: np.ndarray              # (pairs, K) line frequencies
+    amps: np.ndarray              # (2, pairs, K) x and y amplitudes
+    interband: bool
+    mixing: bool
+    levels: np.ndarray            # (pairs,) spectral level index of each pair
 
 
 def _energies(field: FieldConfig, n_top: int, k_z: np.ndarray) -> np.ndarray:
     """E_{n,k_z} table, shape (n_top+1, K)."""
     n = np.arange(n_top + 1, dtype=float)[:, None]
     return np.sqrt(1.0 + field.omega**2 * n + k_z[None, :] ** 2)
-
-
-def _pair_weights(coeffs: CoefficientSet) -> np.ndarray:
-    """S_n = sqrt(n+1) (U_{n,n+1} + U_{n+1,n}) for n = 0..n_max-1."""
-    upper = np.diagonal(coeffs.u, offset=1)
-    lower = np.diagonal(coeffs.u, offset=-1)
-    n = np.arange(upper.size, dtype=float)
-    return np.sqrt(n + 1.0) * (upper + lower)
-
-
-_axial_nodes = packet_axial_nodes
-_axial_grid = packet_axial_grid
 
 
 def _phase_span(packet: GaussianPacket, field: FieldConfig, n_top: int, t_max: float) -> float:
@@ -142,160 +152,99 @@ def _phase_span(packet: GaussianPacket, field: FieldConfig, n_top: int, t_max: f
     return float(np.max(np.abs(swing)) * abs(t_max))
 
 
-def _component_blocks(
+def _line_blocks(
     packet: GaussianPacket,
     coeffs: CoefficientSet,
     field: FieldConfig,
-    energies: np.ndarray,
-):
-    """Per spinor component: (weight, S, e_lo, e_hi, ratio_base) blocks.
+    nodes: np.ndarray,
+    weights: np.ndarray,
+    parts: str,
+    mixing_weight: complex | None = None,
+) -> Iterator[_Block]:
+    """Every oscillation line, one block per spinor component x class.
 
-    The second component pairs levels (n, n+1); the first component runs the
-    same derivation one level up, pairing (n+1, n+2) with the same overlap
-    weights, and flips which energy of the pair divides the cosine ratio.
+    The second component pairs levels (n, n+1) with the overlap weights
+    S_n = sqrt(n+1) (U_{n,n+1} + U_{n+1,n}); the first component runs the
+    same derivation one level up, pairing (n+1, n+2) with the same weights,
+    and flips which energy of the pair divides the cosine ratio q.  In 3+1
+    the spin-mixing rows pair (n, n+1) with U_nn k_z omega / (E_n E_{n+1})
+    and add Re/Im of mixing_weight * J to y/x; mixing_weight defaults to
+    (L/sqrt2) a2* a1, and 1 reads the bare mixing integrals J in y.
     """
-    s_pairs = _pair_weights(coeffs)
-    blocks = []
-    w2 = abs(packet.a2) ** 2
-    if w2 > 0.0:
-        blocks.append((w2, s_pairs, energies[:-2], energies[1:-1], "hi"))
-    w1 = abs(packet.a1) ** 2
-    if w1 > 0.0:
-        blocks.append((w1, s_pairs, energies[1:-1], energies[2:], "lo"))
-    return blocks
+    L = field.magnetic_length
+    energies = _energies(field, coeffs.n_max + 1, nodes)      # (n_max+2, K)
+    signs = [s for s, name in ((1.0, "intraband"), (-1.0, "interband"))
+             if parts in ("all", name)]
+    n_pairs = coeffs.n_max
+    s_pairs = np.sqrt(np.arange(1.0, n_pairs + 1.0)) * (
+        np.diagonal(coeffs.u, offset=1) + np.diagonal(coeffs.u, offset=-1)
+    )
+    for weight, shift in ((abs(packet.a2) ** 2, 0), (abs(packet.a1) ** 2, 1)):
+        if weight == 0.0:
+            continue
+        e_lo = energies[shift : shift + n_pairs]
+        e_hi = energies[shift + 1 : shift + 1 + n_pairs]
+        q = e_lo / e_hi if shift == 0 else e_hi / e_lo
+        scale = weight * PREF * L * s_pairs[:, None] * weights[None, :]
+        for sign in signs:
+            amps = np.stack([1j * scale * (-sign / e_lo - 1.0 / e_hi), scale * (1.0 + sign * q)])
+            yield _Block(e_hi - sign * e_lo, amps, sign < 0, False,
+                         np.arange(shift, shift + n_pairs))
+
+    if mixing_weight is None:
+        mixing_weight = (L / math.sqrt(2.0)) * np.conj(packet.a2) * packet.a1
+    if packet.dimensionality != "3+1" or mixing_weight == 0.0:
+        return
+    e_lo, e_hi = energies[:-1], energies[1:]
+    j = np.diagonal(coeffs.u)[:, None] * nodes * field.omega / (e_lo * e_hi) * weights
+    channel = np.array([mixing_weight.imag, mixing_weight.real])[:, None, None]
+    for sign in signs:
+        yield _Block(e_hi - sign * e_lo, channel * (sign * j), sign < 0, True,
+                     np.arange(e_lo.shape[0]))
 
 
-def _mixing_weight(packet: GaussianPacket) -> complex:
-    return np.conj(packet.a2) * packet.a1
+def _sum_lines(
+    freq: np.ndarray, amps: np.ndarray, times: np.ndarray, derivative: bool = False
+) -> np.ndarray:
+    """Complex sums sum_rows amps[c] e^{-i freq t}, shape (C, T).
+
+    With derivative=True the C time derivatives (amplitudes -i freq amps)
+    follow as C more rows.  Rows and times are walked in tiles of at most
+    TILE_ELEMENTS phases, so memory stays flat in the table size.
+    """
+    freq = np.ravel(freq)
+    amps = np.reshape(amps, (len(amps), freq.size))
+    out = np.zeros(((2 if derivative else 1) * len(amps), times.size), dtype=complex)
+    t_step = max(1, min(times.size, TIME_CHUNK))
+    r_step = max(1, TILE_ELEMENTS // t_step)
+    for r0 in range(0, freq.size, r_step):
+        w = freq[r0 : r0 + r_step]
+        a = amps[:, r0 : r0 + r_step]
+        if derivative:
+            a = np.concatenate([a, -1j * w * a])
+        for t0 in range(0, times.size, t_step):
+            # one complex exp reduces each phase once; separate cos and sin
+            # reduce twice, which costs more on long windows (w t ~ 1e10)
+            phase = np.multiply.outer(w, -1j * times[t0 : t0 + t_step])
+            out[:, t0 : t0 + phase.shape[1]] += a @ np.exp(phase, out=phase)
+    return out
 
 
-def _evaluate(
+def _series(
     packet: GaussianPacket,
     coeffs: CoefficientSet,
     field: FieldConfig,
     times: np.ndarray,
-    kz_nodes: np.ndarray,
-    kz_weights: np.ndarray,
+    rule: tuple[np.ndarray, np.ndarray],
     parts: str = "all",
-    channels: tuple[str, ...] = ("x", "y", "vx", "vy"),
-) -> dict[str, np.ndarray]:
-    """Sum the oscillation series over level pairs and axial nodes."""
-    L = field.magnetic_length
-    omega_sq = field.omega**2
-    n_top = coeffs.n_max + 1
-    energies = _energies(field, n_top, kz_nodes)        # (n_top+1, K)
-    blocks = _component_blocks(packet, coeffs, field, energies)
-    intra = parts in ("all", "intraband")
-    inter = parts in ("all", "interband")
-
-    kernels = (("y", np.cos), ("x", np.sin), ("vy", np.sin), ("vx", np.cos))
-    out = {ch: np.zeros(times.size) for ch in channels}
-    for weight, s_pairs, e_lo, e_hi, base in blocks:
-        # k_z-resolved amplitudes, shape (pairs, K)
-        il, ih = 1.0 / e_lo, 1.0 / e_hi
-        q = e_lo / e_hi if base == "hi" else e_hi / e_lo
-        div = e_hi if base == "hi" else e_lo
-        # (1-q)*(e_hi+e_lo) changes sign with the ratio orientation
-        zsign = 1.0 if base == "hi" else -1.0
-        amp = {
-            ("y", "c"): 1.0 + q,
-            ("y", "z"): 1.0 - q,
-            ("x", "c"): -(il + ih),
-            ("x", "z"): +(il - ih),
-            ("vy", "c"): -omega_sq / div,
-            ("vy", "z"): -zsign * omega_sq / div,
-            ("vx", "c"): -omega_sq * il * ih,
-            ("vx", "z"): +omega_sq * il * ih,
-        }
-        scaled = weight * PREF * L * s_pairs[:, None] * kz_weights[None, :]
-        tags = []
-        if intra:
-            tags.append(("c", e_hi - e_lo))
-        if inter:
-            tags.append(("z", e_hi + e_lo))
-        n_pairs, n_nodes = e_lo.shape
-        for t0 in range(0, times.size, TIME_CHUNK):
-            t = times[t0 : t0 + TIME_CHUNK]
-            sl = slice(t0, t0 + t.size)
-            for tag, freqs in tags:
-                if n_nodes == 1:
-                    # discrete axial momentum: vectorize across pairs
-                    phase = np.outer(freqs[:, 0], t)
-                    for ch, fn in kernels:
-                        if ch in channels:
-                            out[ch][sl] += (scaled * amp[(ch, tag)])[:, 0] @ fn(phase)
-                else:
-                    # keep the (nodes x chunk) grid per pair to bound memory
-                    want_cos = any(ch in channels and fn is np.cos for ch, fn in kernels)
-                    want_sin = any(ch in channels and fn is np.sin for ch, fn in kernels)
-                    for p in range(n_pairs):
-                        phase = np.outer(freqs[p], t)
-                        cos_g = np.cos(phase) if want_cos else None
-                        sin_g = np.sin(phase) if want_sin else None
-                        row = scaled[p]
-                        for ch, fn in kernels:
-                            if ch in channels:
-                                grid = cos_g if fn is np.cos else sin_g
-                                out[ch][sl] += (row * amp[(ch, tag)][p]) @ grid
-
-    mix_w = _mixing_weight(packet)
-    if (
-        packet.dimensionality == "3+1"
-        and mix_w != 0.0
-        and (abs(packet.k0z) > 0.0 or kz_nodes.size > 1)
-    ):
-        mix = _mixing_kernels(packet, coeffs, field, times, kz_nodes, kz_weights, parts, channels)
-        for ch in channels:
-            out[ch] += mix[ch]
-    return out
-
-
-def _mixing_kernels(
-    packet, coeffs, field, times, kz_nodes, kz_weights, parts, channels
-) -> dict[str, np.ndarray]:
-    """Cross-component contributions from the mixing integrals."""
-    L = field.magnetic_length
-    energies = _energies(field, coeffs.n_max + 1, kz_nodes)
-    e_lo, e_hi = energies[:-1], energies[1:]
-    u_diag = np.diagonal(coeffs.u)[: e_lo.shape[0]]
-    amp = (
-        u_diag[:, None]
-        * kz_nodes[None, :]
-        * field.omega
-        / (e_lo * e_hi)
-        * kz_weights[None, :]
-    )
-    mix_w = _mixing_weight(packet)
-    coef_y = (L / math.sqrt(2.0)) * mix_w.real
-    coef_x = (L / math.sqrt(2.0)) * mix_w.imag
-    intra = parts in ("all", "intraband")
-    inter = parts in ("all", "interband")
-
-    out = {ch: np.zeros(times.size) for ch in channels}
-    delta, sigma = e_hi - e_lo, e_hi + e_lo
-    n_pairs = e_lo.shape[0]
-    for t0 in range(0, times.size, TIME_CHUNK):
-        t = times[t0 : t0 + TIME_CHUNK]
-        base = np.zeros(t.size)
-        dbase = np.zeros(t.size)
-        for p in range(n_pairs):
-            if intra:
-                ph = np.outer(delta[p], t)
-                base += amp[p] @ np.cos(ph)
-                dbase -= (amp[p] * delta[p]) @ np.sin(ph)
-            if inter:
-                ph = np.outer(sigma[p], t)
-                base -= amp[p] @ np.cos(ph)
-                dbase += (amp[p] * sigma[p]) @ np.sin(ph)
-        sl = slice(t0, t0 + t.size)
-        if "y" in channels:
-            out["y"][sl] += coef_y * base
-        if "x" in channels:
-            out["x"][sl] += coef_x * base
-        if "vy" in channels:
-            out["vy"][sl] += coef_y * dbase
-        if "vx" in channels:
-            out["vx"][sl] += coef_x * dbase
+    channels: slice = slice(0, 2),
+    derivative: bool = False,
+) -> np.ndarray:
+    """Complex (x, y)[channels] line sums over every block, then derivatives."""
+    size = len(range(2)[channels]) * (2 if derivative else 1)
+    out = np.zeros((size, times.size), dtype=complex)
+    for block in _line_blocks(packet, coeffs, field, *rule, parts):
+        out += _sum_lines(block.freq, block.amps[channels], times, derivative)
     return out
 
 
@@ -315,25 +264,24 @@ def _resolve_axial_rule(
     while order <= hermite.MAX_GH_ORDER:
         ladder.append(("gauss", order))
         order *= 2
-    points = max(4096, 1 << int(math.ceil(math.log2(2.0 * span / math.pi + 64.0))))
+    first_grid = max(4096, 1 << int(math.ceil(math.log2(2.0 * span / math.pi + 64.0))))
+    points = first_grid
     while points <= MAX_GRID_NODES:
         ladder.append(("grid", points))
         points *= 2
     if len(ladder) < 2:
-        raise QuadratureConvergenceError(math.inf, rtol)
+        raise QuadratureConvergenceError(math.inf, rtol, nodes_needed=2 * first_grid)
 
     def make(step):
         kind, size = step
         if kind == "gauss":
-            return _axial_nodes(packet, size)
-        return _axial_grid(packet, size)
+            return axial_nodes(packet, size)
+        return axial_grid(packet, size)
 
     probe = times[np.unique(np.linspace(0, times.size - 1, 9).astype(int))]
 
     def probe_eval(rule):
-        return _evaluate(
-            packet, coeffs, field, probe, *rule, parts=parts, channels=("y", "x")
-        )
+        return _series(packet, coeffs, field, probe, rule, parts).real
 
     current = make(ladder[0])
     cur_val = probe_eval(current)
@@ -341,48 +289,43 @@ def _resolve_axial_rule(
     for step in ladder[1:]:
         finer = make(step)
         fin_val = probe_eval(finer)
-        scale = max(
-            float(np.max(np.abs(fin_val["y"] - fin_val["y"][0]))),
-            float(np.max(np.abs(fin_val["x"]))),
-            1e-300,
-        )
-        achieved = max(
-            float(np.max(np.abs(cur_val["y"] - fin_val["y"]))),
-            float(np.max(np.abs(cur_val["x"] - fin_val["x"]))),
-        ) / scale
+        x, y = fin_val
+        scale = max(float(np.max(np.abs(y - y[0]))), float(np.max(np.abs(x))), 1e-300)
+        achieved = float(np.max(np.abs(cur_val - fin_val))) / scale
         if achieved <= rtol:
             return current
         current, cur_val = finer, fin_val
     raise QuadratureConvergenceError(achieved, rtol)
 
 
-def _finish_trajectory(
-    packet: GaussianPacket,
-    field: FieldConfig,
-    times: np.ndarray,
-    series: dict[str, np.ndarray],
-    model: str,
-    parts: str,
-) -> Trajectory:
+def _rule(packet, coeffs, field, times, rtol, parts="all"):
+    """The axial rule: k_z = 0 for 2+1, the validated quadrature for 3+1."""
+    if packet.dimensionality == "2+1":
+        return np.zeros(1), np.ones(1)
+    return _resolve_axial_rule(packet, coeffs, field, times, rtol, parts)
+
+
+def _trajectory(packet, coeffs, field, times, parts, kz_rtol) -> Trajectory:
+    times = np.asarray(times, dtype=float)
+    rule = _rule(packet, coeffs, field, times, kz_rtol, parts)
+    x, y, vx, vy = _series(packet, coeffs, field, times, rule, parts, derivative=True).real
     y0_op = -packet.k0x * field.magnetic_length**2
     if parts == "all":
         if times[0] != 0.0:
             raise ValueError("time grids must start at t = 0")
         # x(0) vanishes identically (pure sine series); anchor y to the origin
-        subtracted = series["y"][0] - y0_op
-        x = series["x"] - series["x"][0]
-        y = series["y"] - series["y"][0]
+        subtracted = y[0] - y0_op
+        x = x - x[0]
+        y = y - y[0]
     else:
         subtracted = 0.0
-        x = series["x"]
-        y = series["y"]
     return Trajectory(
         times=times,
         x=x,
         y=y,
-        vx=series["vx"],
-        vy=series["vy"],
-        model=model,
+        vx=vx,
+        vy=vy,
+        model=packet.dimensionality,
         parts=parts,
         y_operator_initial=y0_op,
         subtracted_constant=float(subtracted),
@@ -399,11 +342,7 @@ def trajectory_2p1(
     """Packet trajectory for the 2+1 model (axial density collapsed to k_z=0)."""
     if packet.dimensionality != "2+1":
         raise DimensionalityError("trajectory_2p1 needs a 2+1 packet")
-    times = np.asarray(times, dtype=float)
-    series = _evaluate(
-        packet, coeffs, field, times, np.array([0.0]), np.array([1.0]), parts=parts
-    )
-    return _finish_trajectory(packet, field, times, series, "2+1", parts)
+    return _trajectory(packet, coeffs, field, times, parts, None)
 
 
 def trajectory_3p1(
@@ -417,10 +356,7 @@ def trajectory_3p1(
     """Packet trajectory for the 3+1 model (axial-momentum quadrature)."""
     if packet.dimensionality != "3+1":
         raise DimensionalityError("trajectory_3p1 needs a 3+1 packet")
-    times = np.asarray(times, dtype=float)
-    nodes, weights = _resolve_axial_rule(packet, coeffs, field, times, kz_rtol, parts)
-    series = _evaluate(packet, coeffs, field, times, nodes, weights, parts=parts)
-    return _finish_trajectory(packet, field, times, series, "3+1", parts)
+    return _trajectory(packet, coeffs, field, times, parts, kz_rtol)
 
 
 def velocities(
@@ -431,14 +367,9 @@ def velocities(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Average velocity series (vx, vy) in units of c."""
     times = np.asarray(times, dtype=float)
-    if packet.dimensionality == "2+1":
-        nodes, weights = np.array([0.0]), np.array([1.0])
-    else:
-        nodes, weights = _resolve_axial_rule(packet, coeffs, field, times, 1e-9)
-    series = _evaluate(
-        packet, coeffs, field, times, nodes, weights, channels=("vx", "vy")
-    )
-    return series["vx"], series["vy"]
+    rule = _rule(packet, coeffs, field, times, 1e-9)
+    _, _, vx, vy = _series(packet, coeffs, field, times, rule, derivative=True).real
+    return vx, vy
 
 
 def mixing_terms(
@@ -446,35 +377,29 @@ def mixing_terms(
     coeffs: CoefficientSet,
     field: FieldConfig,
     times: np.ndarray,
-    kz_order: int = 128,
+    kz_rtol: float = 1e-9,
 ) -> MixingSeries:
     """Spin-mixing integral series; identically zero for 2+1 and for k0z = 0.
 
     The integrand is odd in the axial wavenumber, so a symmetric density
-    kills it; only 3+1 packets with axial momentum produce cross terms.
+    kills it; only 3+1 packets with axial momentum produce cross terms.  The
+    axial rule is the one trajectory_3p1 validates for the same window.
     """
     times = np.asarray(times, dtype=float)
     if packet.dimensionality == "2+1":
         zero = np.zeros(times.size)
         return MixingSeries(times, zero, zero.copy(), zero * 0j, zero * 0j)
-    nodes, weights = _axial_nodes(packet, kz_order)
-    energies = _energies(field, coeffs.n_max + 1, nodes)
-    e_lo, e_hi = energies[:-1], energies[1:]
-    u_diag = np.diagonal(coeffs.u)[: e_lo.shape[0]]
-    amp = (
-        u_diag[:, None] * nodes[None, :] * field.omega / (e_lo * e_hi)
-    ) * weights[None, :]
-    j_plus = np.einsum(
-        "pk,pkt->t", amp, np.cos((e_hi - e_lo)[..., None] * times[None, None, :])
-    )
-    j_minus = -np.einsum(
-        "pk,pkt->t", amp, np.cos((e_hi + e_lo)[..., None] * times[None, None, :])
-    )
-    cross = 0.5 * _mixing_weight(packet) * (j_plus + j_minus)
+    rule = _resolve_axial_rule(packet, coeffs, field, times, kz_rtol)
+    j = {
+        block.interband: _sum_lines(block.freq, block.amps[1:], times)[0].real
+        for block in _line_blocks(packet, coeffs, field, *rule, "all", mixing_weight=1.0)
+        if block.mixing
+    }
+    cross = 0.5 * np.conj(packet.a2) * packet.a1 * (j[False] + j[True])
     return MixingSeries(
         times=times,
-        j_plus=j_plus,
-        j_minus=j_minus,
+        j_plus=j[False],
+        j_minus=j[True],
         lowering_cross=cross,
         raising_cross=np.conj(cross),
     )
@@ -490,41 +415,30 @@ def subpackets(
 
     In the non-relativistic limit the *_1 series carry the whole cyclotron
     rotation (with opposite winding between lowering and raising) while the
-    *_2 series vanish.
+    *_2 series vanish.  With the complex line sums X, Y of x and y, the
+    lowering operator a = (y + i x)/(sqrt2 L) splits into
+    lowering_1 = (Y + i X)/(2 sqrt2 L) and lowering_2 = conj(raising_2),
+    raising_2 = (Y - i X)/(2 sqrt2 L) and raising_1 = conj(lowering_1).
     """
     if packet.dimensionality != "2+1":
         raise DimensionalityError("subpackets are defined for the 2+1 model")
     if abs(packet.a2) != 1.0:
         raise ValueError("subpackets need a pure second-component packet")
     times = np.asarray(times, dtype=float)
-    energies = _energies(field, coeffs.n_max + 1, np.array([0.0]))[:, 0]
-    e_lo, e_hi = energies[:-2], energies[1:-1]
-    upper = np.diagonal(coeffs.u, offset=1)
-    lower = np.diagonal(coeffs.u, offset=-1)
-    n = np.arange(upper.size, dtype=float)
-    u_low = np.sqrt(n + 1.0) * upper      # weights of the lowering average
-    u_rai = np.sqrt(n + 1.0) * lower      # weights of the raising average
+    x, y = _series(packet, coeffs, field, times, (np.zeros(1), np.ones(1)))
+    lowering_1 = (PREF / field.magnetic_length) * (y + 1j * x)
+    raising_2 = (PREF / field.magnetic_length) * (y - 1j * x)
 
-    il, ih, r = 1.0 / e_lo, 1.0 / e_hi, e_lo / e_hi
-    t_pp = 1.0 + il + ih + r
-    t_pm = 1.0 + il - ih - r
-    t_mp = 1.0 - il + ih - r      # equals -T(-,+)
-    t_mm = 1.0 - il - ih + r
-    branch = np.stack([t_pp, t_pm, t_mp, t_mm], axis=1)
-
-    delta = np.outer(e_hi - e_lo, times)
-    sigma = np.outer(e_hi + e_lo, times)
-    e_mc = np.exp(-1j * delta)
-    e_mz = np.exp(-1j * sigma)
-    lowering_1 = 0.25 * ((u_low * t_pp) @ e_mc + (u_low * t_mp) @ e_mz)
-    lowering_2 = 0.25 * ((u_low * t_mm) @ np.conj(e_mc) + (u_low * t_pm) @ np.conj(e_mz))
-    raising_1 = 0.25 * ((u_rai * t_pp) @ np.conj(e_mc) + (u_rai * t_mp) @ np.conj(e_mz))
-    raising_2 = 0.25 * ((u_rai * t_mm) @ e_mc + (u_rai * t_pm) @ e_mz)
+    energies = _energies(field, coeffs.n_max + 1, np.zeros(1))[:, 0]
+    il, ih, r = 1.0 / energies[:-2], 1.0 / energies[1:-1], energies[:-2] / energies[1:-1]
+    branch = np.stack(
+        [1.0 + il + ih + r, 1.0 + il - ih - r, 1.0 - il + ih - r, 1.0 - il - ih + r], axis=1
+    )
     return SubPacketSeries(
         times=times,
         lowering_1=lowering_1,
-        lowering_2=lowering_2,
-        raising_1=raising_1,
+        lowering_2=np.conj(raising_2),
+        raising_1=np.conj(lowering_1),
         raising_2=raising_2,
         branch_weights=branch,
     )
@@ -545,42 +459,21 @@ def spectral_decomposition(
     """
     if packet.dimensionality != "2+1":
         raise DimensionalityError("spectral decomposition is a 2+1 operation")
-    L = field.magnetic_length
     if drop_below is None:
-        drop_below = 1e-12 * L
-    energies = _energies(field, coeffs.n_max + 1, np.array([0.0]))[:, 0]
-    s_pairs = _pair_weights(coeffs)
-    lines: dict[tuple[str, int], list[float]] = {}
-
-    def add(idx, kind, freq, ax, ay):
-        key = (kind, idx)
-        if key in lines:
-            lines[key][1] += ax
-            lines[key][2] += ay
-        else:
-            lines[key] = [freq, ax, ay]
-
-    for weight, e_lo, e_hi, shift, base in (
-        (abs(packet.a2) ** 2, energies[:-2], energies[1:-1], 0, "hi"),
-        (abs(packet.a1) ** 2, energies[1:-1], energies[2:], 1, "lo"),
-    ):
-        if weight == 0.0:
-            continue
-        q = e_lo / e_hi if base == "hi" else e_hi / e_lo
-        il, ih = 1.0 / e_lo, 1.0 / e_hi
-        for i, s in enumerate(s_pairs):
-            coeff = weight * PREF * L * s
-            add(i + shift, "intraband", e_hi[i] - e_lo[i], -coeff * (il[i] + ih[i]), coeff * (1 + q[i]))
-            add(i + shift, "interband", e_hi[i] + e_lo[i], +coeff * (il[i] - ih[i]), coeff * (1 - q[i]))
-
-    result = []
-    for (kind, idx), (freq, ax, ay) in sorted(lines.items(), key=lambda kv: kv[0][1]):
-        if abs(ax) < drop_below and abs(ay) < drop_below:
-            continue
-        result.append(
-            SpectralLine(n=idx, kind=kind, frequency=freq, amplitude_x=ax, amplitude_y=ay)
-        )
-    return result
+        drop_below = 1e-12 * field.magnetic_length
+    lines: dict[tuple[int, bool], list] = {}
+    for block in _line_blocks(packet, coeffs, field, np.zeros(1), np.ones(1), "all"):
+        amp_x, amp_y = block.amps[0, :, 0].imag, block.amps[1, :, 0].real
+        for n, freq, ax, ay in zip(block.levels, block.freq[:, 0], amp_x, amp_y):
+            line = lines.setdefault((int(n), block.interband), [freq, 0.0, 0.0])
+            line[1] += ax
+            line[2] += ay
+    return [
+        SpectralLine(n=n, kind="interband" if inter else "intraband",
+                     frequency=freq, amplitude_x=ax, amplitude_y=ay)
+        for (n, inter), (freq, ax, ay) in sorted(lines.items())
+        if abs(ax) >= drop_below or abs(ay) >= drop_below
+    ]
 
 
 def analytic_signal(
@@ -600,51 +493,8 @@ def analytic_signal(
     analyses can sample far more sparsely than the carrier would require.
     """
     times = np.asarray(times, dtype=float)
-    if packet.dimensionality == "2+1":
-        nodes, weights = np.array([0.0]), np.array([1.0])
-    else:
-        nodes, weights = _resolve_axial_rule(
-            packet, coeffs, field, times, kz_rtol, parts
-        )
-    L = field.magnetic_length
-    energies = _energies(field, coeffs.n_max + 1, nodes)
-    intra = parts in ("all", "intraband")
-    inter = parts in ("all", "interband")
-    out = np.zeros(times.size, dtype=complex)
-    for weight, s_pairs, e_lo, e_hi, base in _component_blocks(
-        packet, coeffs, field, energies
-    ):
-        q = e_lo / e_hi if base == "hi" else e_hi / e_lo
-        scaled = weight * PREF * L * s_pairs[:, None] * weights[None, :]
-        tags = []
-        if intra:
-            tags.append((e_hi - e_lo, 1.0 + q))
-        if inter:
-            tags.append((e_hi + e_lo, 1.0 - q))
-        for t0 in range(0, times.size, TIME_CHUNK):
-            t = times[t0 : t0 + TIME_CHUNK]
-            sl = slice(t0, t0 + t.size)
-            for freqs, amp in tags:
-                for p in range(e_lo.shape[0]):
-                    grid = np.exp(np.outer(freqs[p], -1j * t))
-                    out[sl] += (scaled[p] * amp[p]) @ grid
-    mix_w = _mixing_weight(packet)
-    if packet.dimensionality == "3+1" and mix_w != 0.0:
-        e_lo, e_hi = energies[:-1], energies[1:]
-        u_diag = np.diagonal(coeffs.u)[: e_lo.shape[0]]
-        amp = (
-            u_diag[:, None] * nodes[None, :] * field.omega / (e_lo * e_hi)
-        ) * weights[None, :]
-        coef = (L / math.sqrt(2.0)) * mix_w.real
-        for t0 in range(0, times.size, TIME_CHUNK):
-            t = times[t0 : t0 + TIME_CHUNK]
-            sl = slice(t0, t0 + t.size)
-            for p in range(e_lo.shape[0]):
-                if intra:
-                    out[sl] += coef * (amp[p] @ np.exp(np.outer(e_hi[p] - e_lo[p], -1j * t)))
-                if inter:
-                    out[sl] -= coef * (amp[p] @ np.exp(np.outer(e_hi[p] + e_lo[p], -1j * t)))
-    return out
+    rule = _rule(packet, coeffs, field, times, kz_rtol, parts)
+    return _series(packet, coeffs, field, times, rule, parts, channels=slice(1, 2))[0]
 
 
 @dataclass(frozen=True)
@@ -683,18 +533,3 @@ def lowfield_summary(packet: GaussianPacket, field: FieldConfig) -> LowFieldSumm
         axial_width=packet.d_z if packet.dimensionality == "3+1" else None,
         kappa=kappa,
     )
-
-
-def default_time_grid(
-    field: FieldConfig,
-    coeffs: CoefficientSet,
-    t_end: float,
-    per_period: int = 2000,
-    max_samples: int = 200_000,
-) -> np.ndarray:
-    """Grid resolving the fastest interband period, capped in total size."""
-    energies = _energies(field, coeffs.n_max + 1, np.array([0.0]))[:, 0]
-    fastest = float(energies[-1] + energies[-2])
-    dt = 2.0 * math.pi / fastest / per_period
-    samples = min(max_samples, max(64, int(t_end / dt) + 1))
-    return np.linspace(0.0, t_end, samples)

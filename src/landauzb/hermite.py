@@ -29,7 +29,7 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    kind: str  # 'gauss-hermite' or 'adaptive-clenshaw'
+    kind: str  # 'gauss-hermite'
 
     def __post_init__(self):
         if np.any(self.weights <= 0):
@@ -49,29 +49,6 @@ def gauss_hermite(order: int) -> QuadratureRule:
     tiny = np.nextafter(0.0, 1.0)
     weights = np.where(weights > 0.0, weights, tiny)
     return QuadratureRule(nodes=nodes, weights=weights, kind="gauss-hermite")
-
-
-def clenshaw_curtis(order: int, a: float, b: float) -> QuadratureRule:
-    """Clenshaw-Curtis rule on [a, b] (closed, order+1 nodes)."""
-    if order < 2 or order % 2:
-        raise CapacityError("Clenshaw-Curtis order must be even and >= 2")
-    n = order
-    theta = np.pi * np.arange(n + 1) / n
-    x = np.cos(theta)
-    # weights via the cosine-series formula
-    w = np.zeros(n + 1)
-    v = np.ones(n - 1)
-    for k in range(1, n // 2):
-        v -= 2.0 * np.cos(2.0 * k * theta[1:-1]) / (4.0 * k * k - 1.0)
-    v -= np.cos(n * theta[1:-1]) / (n * n - 1.0)
-    w[1:-1] = 2.0 * v / n
-    w[0] = w[-1] = 1.0 / (n * n - 1.0)
-    half = 0.5 * (b - a)
-    return QuadratureRule(
-        nodes=(0.5 * (a + b) + half * x)[::-1],
-        weights=(half * w)[::-1],
-        kind="adaptive-clenshaw",
-    )
 
 
 def psi(n: int, xi) -> np.ndarray | float:
@@ -162,30 +139,3 @@ def log_norm_constant(n: int) -> float:
     if n < 0:
         raise ValueError("level must be non-negative")
     return 0.5 * (n * math.log(2.0) + math.lgamma(n + 1) + 0.5 * math.log(math.pi))
-
-
-def gauss_hermite_adaptive(
-    f: Callable[[np.ndarray], np.ndarray],
-    start_order: int = 64,
-    rtol: float = 1e-9,
-    max_order: int = MAX_GH_ORDER,
-) -> tuple[float, float, int]:
-    """Integrate f against exp(-x^2) dx, doubling the order until converged.
-
-    Returns (value, error estimate, order used).  Raises CapacityError if
-    the estimate has not stabilized at max_order.
-    """
-    order = max(2, start_order)
-    prev = gauss_hermite(order).integrate(f)
-    err = math.inf
-    while order < max_order:
-        order = min(2 * order, max_order)
-        cur = gauss_hermite(order).integrate(f)
-        err = abs(cur - prev)
-        if err <= rtol * max(abs(cur), 1e-300):
-            return cur, err, order
-        prev = cur
-    raise CapacityError(
-        f"Gauss-Hermite did not converge to rtol={rtol} by order {max_order}; "
-        f"last change {err:.3e}"
-    )

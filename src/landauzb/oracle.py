@@ -80,36 +80,6 @@ def build(n_levels: int, field: FieldConfig, k_z: float = 0.0) -> DenseHamiltoni
     return DenseHamiltonian(n_levels=n_levels, k_z=k_z, matrix=h, field=field)
 
 
-@dataclass(frozen=True)
-class PositionOperators:
-    """Position and velocity observables on the truncated basis."""
-
-    y_op: np.ndarray       # (L/sqrt2)(a+a^+) on each spinor row
-    x_op: np.ndarray       # (L/(i sqrt2))(a-a^+), anti-symmetric * i
-    vx_op: np.ndarray      # c*alpha_x
-    vy_op: np.ndarray      # c*alpha_y
-
-
-def position_operators(n_levels: int, field: FieldConfig) -> PositionOperators:
-    size = n_levels + 1
-    a = lowering_matrix(n_levels)
-    L = field.magnetic_length
-    y1 = (L / math.sqrt(2.0)) * (a + a.T)
-    x1 = (L / (1j * math.sqrt(2.0))) * (a - a.T)
-    eye4 = np.eye(4)
-    y_op = np.kron(eye4, y1)
-    x_op = np.kron(eye4, x1)
-    # alpha matrices in the standard representation, c = 1
-    alpha_x = np.zeros((4, 4))
-    alpha_x[[0, 1, 2, 3], [3, 2, 1, 0]] = 1.0
-    alpha_y = np.zeros((4, 4), dtype=complex)
-    alpha_y[[0, 1], [3, 2]] = [-1j, 1j]
-    alpha_y[[2, 3], [1, 0]] = [-1j, 1j]
-    vx_op = np.kron(alpha_x, np.eye(size))
-    vy_op = np.kron(alpha_y, np.eye(size))
-    return PositionOperators(y_op=y_op, x_op=x_op, vx_op=vx_op, vy_op=vy_op)
-
-
 def spinor_check(idx: LandauIndex, ham: DenseHamiltonian) -> float:
     """Residual |(H - eps*E) psi| for the embedded analytic eigenspinor."""
     size = ham.n_levels + 1

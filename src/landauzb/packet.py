@@ -161,8 +161,10 @@ def _f_closed_log(
     if regime == "equal":
         # overlap of an oscillator-matched slice: (-k L)^n Gaussian
         log_c = np.array([hermite.log_norm_constant(n) for n in range(n_max + 1)])
-        with np.errstate(divide="ignore"):
-            log_kl = np.log(np.abs(k * L))
+        # log|kL| is only needed where k != 0: the n > 0 rows are masked to
+        # -inf there, and the n = 0 row must not see 0 * log 0
+        kl = np.abs(k * L)
+        log_kl = np.log(np.where(kl > 0.0, kl, 1.0))
         n = np.arange(n_max + 1, dtype=float)[:, None]
         logmag = (
             0.5 * math.log(dx)

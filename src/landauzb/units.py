@@ -150,10 +150,6 @@ class FieldConfig:
             raise UnitError("kappa must be positive")
         return cls.from_magnetic_length(math.sqrt(0.5 / kappa))
 
-    def magnetic_length_si(self, units: UnitSystem) -> float:
-        """Magnetic length in metres for the given unit system."""
-        return self.magnetic_length * units.compton_length
-
     def field_tesla(self) -> float:
         """Physical-electron field strength in tesla."""
         return self.field_strength * CRITICAL_FIELD

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -139,17 +140,17 @@ def test_mixing_zero_for_2p1(critical_field, packet_2p1, coeffs_2p1):
 
 
 def test_mixing_refined_quadrature(critical_field, mixed_packet_3p1, mixed_coeffs_3p1):
+    # flipping the relative spinor phase flips only the mixing part of y
     times = np.linspace(0.0, 20.0, 64)
-    coarse = dynamics.mixing_terms(
-        mixed_packet_3p1, mixed_coeffs_3p1, critical_field, times, kz_order=256
-    )
-    fine = dynamics.mixing_terms(
-        mixed_packet_3p1, mixed_coeffs_3p1, critical_field, times, kz_order=512
-    )
-    scale = np.max(np.abs(fine.j_plus)) + np.max(np.abs(fine.j_minus))
-    assert np.max(np.abs(coarse.j_plus - fine.j_plus)) < 1e-9 * scale
-    assert np.max(np.abs(coarse.j_minus - fine.j_minus)) < 1e-9 * scale
-    assert np.max(np.abs(coarse.lowering_cross - np.conj(coarse.raising_cross))) == 0.0
+    mix = dynamics.mixing_terms(mixed_packet_3p1, mixed_coeffs_3p1, critical_field, times)
+    flipped = dataclasses.replace(mixed_packet_3p1, a2=-mixed_packet_3p1.a2)
+    y0 = dynamics.trajectory_3p1(mixed_packet_3p1, mixed_coeffs_3p1, critical_field, times).y
+    y_pi = dynamics.trajectory_3p1(flipped, mixed_coeffs_3p1, critical_field, times).y
+    j = mix.j_plus + mix.j_minus
+    weight = abs(mixed_packet_3p1.a1 * mixed_packet_3p1.a2)
+    expected = 2.0 * (critical_field.magnetic_length / math.sqrt(2.0)) * weight * (j - j[0])
+    assert np.max(np.abs((y0 - y_pi) - expected)) < 1e-9 * np.max(np.abs(y0))
+    assert np.max(np.abs(mix.lowering_cross - np.conj(mix.raising_cross))) == 0.0
 
 
 def test_subpacket_recombination(critical_field, packet_2p1, coeffs_2p1):
@@ -204,18 +205,20 @@ def test_subpackets_need_second_component(critical_field):
         dynamics.subpackets(pkt, coeffs, critical_field, np.linspace(0, 1, 4))
 
 
-def test_spectral_reconstruction(critical_field, packet_2p1, coeffs_2p1):
-    lines = dynamics.spectral_decomposition(packet_2p1, coeffs_2p1, critical_field)
+def test_spectral_reconstruction(critical_field, packet_2p1):
+    # the two-component input merges first-component lines one pair up
     rng = np.random.default_rng(1)
     ts = rng.uniform(0.0, 50.0, 100)
-    y = sum(l.amplitude_y * np.cos(l.frequency * ts) for l in lines)
-    y -= sum(l.amplitude_y for l in lines)
-    x = sum(l.amplitude_x * np.sin(l.frequency * ts) for l in lines)
-    traj = dynamics.trajectory_2p1(
-        packet_2p1, coeffs_2p1, critical_field, np.concatenate([[0.0], ts])
-    )
-    assert np.max(np.abs(y - traj.y[1:])) < 1e-10
-    assert np.max(np.abs(x - traj.x[1:])) < 1e-10
+    for a1, a2 in ((0.0, 1.0), (0.6, 0.8j)):
+        pkt = dataclasses.replace(packet_2p1, a1=a1, a2=a2)
+        coeffs = coefficient_matrix(pkt, critical_field)
+        lines = dynamics.spectral_decomposition(pkt, coeffs, critical_field)
+        y = sum(l.amplitude_y * np.cos(l.frequency * ts) for l in lines)
+        y -= sum(l.amplitude_y for l in lines)
+        x = sum(l.amplitude_x * np.sin(l.frequency * ts) for l in lines)
+        traj = dynamics.trajectory_2p1(pkt, coeffs, critical_field, np.concatenate([[0.0], ts]))
+        assert np.max(np.abs(y - traj.y[1:])) < 1e-10
+        assert np.max(np.abs(x - traj.x[1:])) < 1e-10
 
 
 def test_spectral_lines_ordered_and_positive(critical_field, packet_2p1, coeffs_2p1):
@@ -289,12 +292,19 @@ def test_spectral_decomposition_needs_2p1(critical_field, packet_3p1, coeffs_3p1
         dynamics.spectral_decomposition(packet_3p1, coeffs_3p1, critical_field)
 
 
-def test_analytic_signal_real_part_is_series(critical_field, packet_2p1, coeffs_2p1):
+def test_analytic_signal_real_part_is_series(
+    critical_field, packet_2p1, coeffs_2p1, mixed_packet_3p1, mixed_coeffs_3p1
+):
+    # the 3+1 input adds the spin-mixing lines to the complex sum
     times = np.linspace(0.0, 40.0, 257)
-    signal = dynamics.analytic_signal(packet_2p1, coeffs_2p1, critical_field, times)
-    traj = dynamics.trajectory_2p1(packet_2p1, coeffs_2p1, critical_field, times)
-    rebuilt = signal.real - signal.real[0]
-    assert np.max(np.abs(rebuilt - traj.y)) < 1e-12
+    for pkt, coeffs, trajectory in (
+        (packet_2p1, coeffs_2p1, dynamics.trajectory_2p1),
+        (mixed_packet_3p1, mixed_coeffs_3p1, dynamics.trajectory_3p1),
+    ):
+        signal = dynamics.analytic_signal(pkt, coeffs, critical_field, times)
+        traj = trajectory(pkt, coeffs, critical_field, times)
+        rebuilt = signal.real - signal.real[0]
+        assert np.max(np.abs(rebuilt - traj.y)) < 1e-12
 
 
 def test_lowfield_summary_values():
@@ -336,12 +346,11 @@ def test_quadrature_nonconvergence_diagnostic():
                              relax_momentum_bound=True, dimensionality="3+1")
         coeffs = coefficient_matrix(pkt, field)
     times = np.linspace(0.0, 5.0e6, 16)
-    with pytest.raises(dynamics.QuadratureConvergenceError):
+    with pytest.raises(dynamics.QuadratureConvergenceError) as info:
         dynamics.trajectory_3p1(pkt, coeffs, field, times)
-
-
-def test_default_time_grid(critical_field, coeffs_2p1):
-    grid = dynamics.default_time_grid(critical_field, coeffs_2p1, 10.0)
-    assert grid[0] == 0.0
-    assert grid[-1] == 10.0
-    assert grid.size <= 200_000
+    # the ladder has no room to double: name the need and the cap, not "inf"
+    message = str(info.value)
+    assert "inf" not in message
+    assert f"needs {info.value.nodes_needed} k_z nodes" in message
+    assert info.value.nodes_needed > dynamics.MAX_GRID_NODES
+    assert "65536 (2^16)" in message

@@ -106,18 +106,6 @@ def test_gauss_hermite_order_bounds():
         hermite.gauss_hermite(hermite.MAX_GH_ORDER + 1)
 
 
-def test_adaptive_gauss_hermite_converges():
-    val, err, order = hermite.gauss_hermite_adaptive(lambda x: np.cos(3.0 * x))
-    assert math.isclose(val, math.sqrt(math.pi) * math.exp(-2.25), rel_tol=1e-9)
-    assert order <= hermite.MAX_GH_ORDER
-
-
-def test_clenshaw_curtis_basic():
-    rule = hermite.clenshaw_curtis(32, 0.0, math.pi)
-    assert np.all(rule.weights > 0)
-    assert math.isclose(rule.integrate(np.sin), 2.0, rel_tol=1e-12)
-
-
 def test_log_factorial_ratio_basics():
     assert hermite.log_factorial_ratio(7, 7) == 0.0
     assert math.isclose(hermite.log_factorial_ratio(1, 0), math.log(math.sqrt(2)), rel_tol=1e-14)

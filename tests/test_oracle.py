@@ -102,23 +102,6 @@ def test_eigenvector_matches_spinor_up_to_phase(matched_field):
     assert residual < 1e-12
 
 
-def test_position_operators_structure(matched_field):
-    n_levels = 12
-    ops = oracle.position_operators(n_levels, matched_field)
-    assert np.max(np.abs(ops.y_op - ops.y_op.T.conj())) < 1e-14
-    assert np.max(np.abs(ops.x_op - ops.x_op.T.conj())) < 1e-14
-    # truncated [X, Y] equals -i L^2 except on the last level of each row
-    comm = ops.x_op @ ops.y_op - ops.y_op @ ops.x_op
-    expected = -1j * matched_field.magnetic_length**2 * np.eye(4 * (n_levels + 1))
-    dev = np.abs(comm - expected)
-    size = n_levels + 1
-    edge = [sigma * size + n_levels for sigma in range(4)]
-    interior = np.ones(dev.shape[0], dtype=bool)
-    interior[edge] = False
-    assert np.max(dev[np.ix_(interior, interior)]) < 1e-13
-    assert np.max(dev[edge, edge]) > 1.0
-
-
 def test_evolution_starts_at_origin(critical_field, packet_2p1, coeffs_2p1):
     times = np.linspace(0.0, 5.0, 21)
     evo = oracle.evolve_expectations(

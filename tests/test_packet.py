@@ -84,6 +84,17 @@ def test_level_amplitude_parity_at_equal_width(critical_field):
         assert abs(quad) < 1e-12
 
 
+def test_level_amplitude_ground_row_at_equal_width_and_zero_momentum(critical_field):
+    # n = 0 at k_x = 0 and d_y = L used to evaluate 0 * log 0 and return NaN
+    pkt = GaussianPacket(d_x=1.5, d_y=1.0, k0x=0.3, dimensionality="2+1")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        closed = f_n(pkt, critical_field, 0, 0.0)
+    quad = f_n(pkt, critical_field, 0, 0.0, method="quadrature")
+    assert math.isfinite(closed)
+    assert abs(closed - quad) < 1e-9
+
+
 def test_level_amplitude_paths_agree(critical_field):
     pkt = GaussianPacket(d_x=1.5, d_y=1.2, d_z=1.8, k0x=0.5, dimensionality="3+1")
     closed = f_n(pkt, critical_field, 7, 0.3)
