@@ -16,6 +16,7 @@ header carries every resolved parameter.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import math
 import sys
@@ -311,7 +312,7 @@ def read_record(path):
     i = 0
     while i < len(lines) and lines[i].startswith("#"):
         key, _, val = lines[i][1:].partition("=")
-        header[key.strip()] = val.strip()
+        header[key.strip()] = ast.literal_eval(val.strip())
         i += 1
     names = lines[i].split(",")
     i += 1
@@ -353,6 +354,8 @@ def cmd_trajectory(args) -> int:
         out_cfg, {"include_velocities", "include_spectrum", "parts"}, "output"
     )
     parts = out_cfg.get("parts", "all")
+    if parts not in dynamics.PARTS:
+        raise ConfigError(f"output.parts must be one of {dynamics.PARTS}, not {parts!r}")
     if pkt.dimensionality == "2+1":
         traj = dynamics.trajectory_2p1(pkt, coeffs, field, times, parts=parts)
     else:

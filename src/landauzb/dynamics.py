@@ -12,6 +12,8 @@ cosine line has a real amplitude a, a sine line carries i a.  Velocities are
 the Heisenberg time derivatives, so a velocity line has amplitude -i w a at
 the same frequency.  `_line_blocks` derives every amplitude and `_sum_lines`
 evaluates every phase; the public functions only pick channels and parts.
+On a uniform grid t = T_c + tau_j, anchor plus offset (plus, to first order,
+the float rounding), so a line costs one exp per anchor and per offset.
 
 Natural units: lengths in Compton wavelengths, times in Compton times,
 velocities in c.  Positions are reported relative to the t = 0 centre, so
@@ -40,8 +42,8 @@ from .units import FieldConfig
 
 PREF = 1.0 / (2.0 * math.sqrt(2.0))
 MAX_GRID_NODES = 1 << 16
-TIME_CHUNK = 512
-TILE_ELEMENTS = 1 << 18       # phases held at once by the line evaluator
+TILE_ELEMENTS = 1 << 18       # stacked amplitudes and phases held at once by the line evaluator
+PARTS = ("all", "intraband", "interband")
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -203,31 +205,54 @@ def _line_blocks(
                      np.arange(e_lo.shape[0]))
 
 
+def _time_grid(times: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Anchors T_c, offsets tau_j and residuals delta with t = T_c + tau_j + delta.
+
+    J = ceil(sqrt(T)) offsets on a uniform grid, whose float rounding is delta; else J = 1.
+    """
+    size = times.size
+    if size > 1:
+        n_offsets = math.isqrt(size - 1) + 1
+        anchors = times[::n_offsets]
+        offsets = (times[-1] - times[0]) / (size - 1) * np.arange(n_offsets)
+        delta = times - np.repeat(anchors, n_offsets)[:size] - np.tile(offsets, anchors.size)[:size]
+        if np.max(np.abs(delta)) <= 64 * np.finfo(float).eps * np.max(np.abs(times)):
+            return anchors, offsets, delta
+    return times, np.zeros(1), np.zeros(size)
+
+
 def _sum_lines(
     freq: np.ndarray, amps: np.ndarray, times: np.ndarray, derivative: bool = False
 ) -> np.ndarray:
     """Complex sums sum_rows amps[c] e^{-i freq t}, shape (C, T).
 
     With derivative=True the C time derivatives (amplitudes -i freq amps)
-    follow as C more rows.  Rows and times are walked in tiles of at most
-    TILE_ELEMENTS phases, so memory stays flat in the table size.
+    follow as C more rows.  With t = T_c + tau_j + delta (`_time_grid`),
+    e^{-i w t} = e^{-i w T_c} e^{-i w tau_j} (1 - i w delta): a tile of lines
+    is one GEMM of (a e^{-i w T_c}), stacked over (row, anchor), with
+    e^{-i w tau}, plus delta times the next derivative row where delta != 0.
+    J = 1 is the direct sum.  Stacked rows count against TILE_ELEMENTS.
     """
     freq = np.ravel(freq)
     amps = np.reshape(amps, (len(amps), freq.size))
-    out = np.zeros(((2 if derivative else 1) * len(amps), times.size), dtype=complex)
-    t_step = max(1, min(times.size, TIME_CHUNK))
-    r_step = max(1, TILE_ELEMENTS // t_step)
+    anchors, offsets, delta = _time_grid(times)
+    n_out = 2 if derivative else 1
+    orders = n_out + bool(np.any(delta))
+    out = np.zeros((n_out, len(amps), times.size), dtype=complex)
+    rows = orders * len(amps) * anchors.size
+    r_step = max(1, TILE_ELEMENTS // (rows + anchors.size + offsets.size))
     for r0 in range(0, freq.size, r_step):
         w = freq[r0 : r0 + r_step]
-        a = amps[:, r0 : r0 + r_step]
-        if derivative:
-            a = np.concatenate([a, -1j * w * a])
-        for t0 in range(0, times.size, t_step):
-            # one complex exp reduces each phase once; separate cos and sin
-            # reduce twice, which costs more on long windows (w t ~ 1e10)
-            phase = np.multiply.outer(w, -1j * times[t0 : t0 + t_step])
-            out[:, t0 : t0 + phase.shape[1]] += a @ np.exp(phase, out=phase)
-    return out
+        a = amps[:, r0 : r0 + r_step] * (-1j * w) ** np.arange(orders)[:, None, None]
+        # one complex exp reduces each phase once; separate cos and sin
+        # reduce twice, which costs more on long windows (w t ~ 1e10)
+        stacked = a[:, :, None, :] * np.exp(np.multiply.outer(-1j * anchors, w))
+        sums = stacked.reshape(rows, w.size) @ np.exp(np.multiply.outer(w, -1j * offsets))
+        sums = sums.reshape(orders, len(amps), -1)[..., : times.size]
+        out += sums[:n_out]
+        if orders > n_out:
+            out += delta * sums[1:]
+    return out.reshape(-1, times.size)
 
 
 def _series(
@@ -300,6 +325,8 @@ def _resolve_axial_rule(
 
 def _rule(packet, coeffs, field, times, rtol, parts="all"):
     """The axial rule: k_z = 0 for 2+1, the validated quadrature for 3+1."""
+    if parts not in PARTS:
+        raise ValueError(f"parts must be one of {PARTS}, not {parts!r}")
     if packet.dimensionality == "2+1":
         return np.zeros(1), np.ones(1)
     return _resolve_axial_rule(packet, coeffs, field, times, rtol, parts)

@@ -12,6 +12,7 @@ from landauzb.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_TOLERANCE,
+    _flat_items,
     main,
     read_record,
 )
@@ -45,7 +46,7 @@ def test_trajectory_starts_at_origin(tmp_path):
     header, cols, _ = read_record(str(out))
     assert cols["x"][0] == 0.0
     assert cols["y"][0] == 0.0
-    assert header["model"] == "'2+1'"
+    assert header["model"] == "2+1"
 
 
 def test_trajectory_json_round_trip(tmp_path):
@@ -76,6 +77,28 @@ def test_csv_and_json_agree(tmp_path):
     _, cols_b, _ = read_record(str(b))
     for key in cols_a:
         assert np.array_equal(cols_a[key], cols_b[key])
+
+
+def test_csv_and_json_headers_read_back_alike(tmp_path):
+    cfg = write_config(tmp_path, json.loads((CONFIG_DIR / "trap_kappa_16p65.json").read_text()))
+    a, b = tmp_path / "a.csv", tmp_path / "b.json"
+    assert main(["trajectory", "--config", cfg, "--output", str(a)]) == EXIT_OK
+    assert main(["trajectory", "--config", cfg, "--output", str(b), "--format", "json"]) == EXIT_OK
+    csv_header, _, _ = read_record(str(a))
+    json_header, _, _ = read_record(str(b))
+    flat = dict(_flat_items("", json_header))
+    assert csv_header == flat
+    assert all(type(csv_header[k]) is type(v) for k, v in flat.items())
+    assert csv_header["n_max"] == 37 and csv_header["model"] == "2+1"
+
+
+def test_unknown_parts_rejected(tmp_path, capsys):
+    payload = json.loads((CONFIG_DIR / "trap_kappa_16p65.json").read_text())
+    payload["output"] = {"parts": "intra"}
+    cfg = write_config(tmp_path, payload)
+    assert main(["trajectory", "--config", cfg, "--output", str(tmp_path / "t.csv")]) == EXIT_CONFIG
+    assert "parts" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_malformed_packet_names_invariant(tmp_path, capsys):

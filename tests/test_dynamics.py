@@ -292,6 +292,19 @@ def test_spectral_decomposition_needs_2p1(critical_field, packet_3p1, coeffs_3p1
         dynamics.spectral_decomposition(packet_3p1, coeffs_3p1, critical_field)
 
 
+def test_unknown_parts_rejected(critical_field, packet_2p1, coeffs_2p1, packet_3p1, coeffs_3p1):
+    times = np.linspace(0.0, 10.0, 21)
+    calls = (
+        lambda parts: dynamics.trajectory_2p1(packet_2p1, coeffs_2p1, critical_field, times, parts),
+        lambda parts: dynamics.trajectory_3p1(packet_3p1, coeffs_3p1, critical_field, times, parts),
+        lambda parts: dynamics.analytic_signal(packet_3p1, coeffs_3p1, critical_field, times, parts),
+    )
+    for call in calls:
+        for parts in ("intra", "Interband", None):
+            with pytest.raises(ValueError, match="parts"):
+                call(parts)
+
+
 def test_analytic_signal_real_part_is_series(
     critical_field, packet_2p1, coeffs_2p1, mixed_packet_3p1, mixed_coeffs_3p1
 ):
