@@ -9,14 +9,16 @@ Commands
     lowfield      weak-field closed-form summary
 
 Exit codes: 0 success, 2 config error, 3 tolerance failure, 4 capacity error.
-One structured JSON config per run; outputs are CSV or JSON records whose
-header carries every resolved parameter.
+One structured JSON config per run; trajectory and spectrum write CSV or
+JSON records whose header carries every resolved parameter, the other
+commands JSON only (--format csv there is a config error).
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
+import dataclasses
 import json
 import math
 import sys
@@ -323,10 +325,8 @@ def read_record(path):
     columns = {name: np.array([r[j] for r in rows]) for j, name in enumerate(names)}
     spectrum = None
     if i < len(lines) - 1:
-        i += 1
-        spec_names = lines[i].split(",")
         spectrum = []
-        for line in lines[i + 1 :]:
+        for line in lines[i + 2 :]:   # past the blank line and the column names
             if not line:
                 continue
             vals = line.split(",")
@@ -339,8 +339,15 @@ def read_record(path):
                     "amplitude_y": float(vals[4]),
                 }
             )
-        del spec_names
     return header, columns, spectrum
+
+
+def _spectrum_rows(pkt, coeffs, field) -> list[dict]:
+    """The 2+1 line table as record rows (n, kind, frequency, amplitudes)."""
+    from . import dynamics
+
+    lines = dynamics.spectral_decomposition(pkt, coeffs, field)
+    return [dataclasses.asdict(line) for line in lines]
 
 
 def cmd_trajectory(args) -> int:
@@ -368,16 +375,7 @@ def cmd_trajectory(args) -> int:
         columns["vy"] = traj.vy
     spectrum = None
     if out_cfg.get("include_spectrum", False) and pkt.dimensionality == "2+1":
-        spectrum = [
-            {
-                "n": l.n,
-                "kind": l.kind,
-                "frequency": l.frequency,
-                "amplitude_x": l.amplitude_x,
-                "amplitude_y": l.amplitude_y,
-            }
-            for l in dynamics.spectral_decomposition(pkt, coeffs, field)
-        ]
+        spectrum = _spectrum_rows(pkt, coeffs, field)
     header = _header(
         cfg, field, units, pkt, coeffs,
         extra={
@@ -391,23 +389,11 @@ def cmd_trajectory(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    from . import dynamics
-
     cfg = load_config(args.config)
     field, units, trap, pkt, num, coeffs = _build_everything(cfg)
     if pkt.dimensionality != "2+1":
         raise ConfigError("spectrum is defined for the 2+1 model")
-    lines = dynamics.spectral_decomposition(pkt, coeffs, field)
-    spectrum = [
-        {
-            "n": l.n,
-            "kind": l.kind,
-            "frequency": l.frequency,
-            "amplitude_x": l.amplitude_x,
-            "amplitude_y": l.amplitude_y,
-        }
-        for l in lines
-    ]
+    spectrum = _spectrum_rows(pkt, coeffs, field)
     header = _header(cfg, field, units, pkt, coeffs, extra={"lines": len(spectrum)})
     if args.format == "csv":
         write_record(args.output, header, {"t": []}, spectrum, fmt="csv")
@@ -474,8 +460,17 @@ def cmd_oracle_check(args) -> int:
         "mixing_active": bool(
             pkt.dimensionality == "3+1" and pkt.is_two_component and pkt.k0z != 0.0
         ),
+        "kz_residual": evolved.kz_residual,
+        "norm_drift": evolved.norm_drift,
+        "energy_drift": evolved.energy_drift,
+        "guiding_shift": evolved.guiding_shift,
     }
     _emit(args.output, _json_text(doc))
+    # an uncertified reference makes the channel deviations meaningless
+    if evolved.kz_residual > _ORACLE_TOL:
+        print(f"oracle k_z half-grid residual {evolved.kz_residual:.3e} exceeds "
+              f"{_ORACLE_TOL:g}", file=sys.stderr)
+        return EXIT_TOLERANCE
     worst = max(dev for _, dev in rows)
     if worst > _ORACLE_TOL:
         print(f"oracle deviation {worst:.3e} exceeds {_ORACLE_TOL:g}", file=sys.stderr)
@@ -543,17 +538,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, fmt="csv"):
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--output", default=None, help="output path ('-' = stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument("--format", choices=("csv", "json"), default=fmt)
         return p
 
     common(sub.add_parser("trajectory", help="positions/velocities time series"))
     common(sub.add_parser("spectrum", help="discrete line table (2+1)"))
-    common(sub.add_parser("sumrules", help="overlap sum-rule residuals"))
-    common(sub.add_parser("oracle-check", help="series vs dense evolution"))
-    common(sub.add_parser("lowfield", help="weak-field closed-form summary"))
+    common(sub.add_parser("sumrules", help="overlap sum-rule residuals"), "json")
+    common(sub.add_parser("oracle-check", help="series vs dense evolution"), "json")
+    common(sub.add_parser("lowfield", help="weak-field closed-form summary"), "json")
 
     ion = sub.add_parser("ion-map", help="trap settings -> simulated parameters")
     ion.add_argument("--config", default=None)
@@ -568,6 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_RECORD_COMMANDS = ("trajectory", "spectrum")   # the others write JSON only
 _COMMANDS = {
     "trajectory": cmd_trajectory,
     "spectrum": cmd_spectrum,
@@ -582,13 +578,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
 
     from . import hermite
-    from .dynamics import QuadratureConvergenceError
     from .oracle import TruncationLeakError
-    from .packet import PacketError, TruncationError
+    from .packet import PacketError, QuadratureConvergenceError, TruncationError
     from .units import UnitError
 
     try:
         from .ionmap import TrapError
+        if args.command not in _RECORD_COMMANDS and args.format != "json":
+            raise ConfigError(f"{args.command} writes JSON only; --format {args.format} "
+                              "is not supported")
         return _COMMANDS[args.command](args)
     except (ConfigError, PacketError, UnitError, TrapError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

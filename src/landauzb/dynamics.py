@@ -30,41 +30,22 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from . import hermite
+from .landau import landau_energies
+# MAX_GRID_NODES and QuadratureConvergenceError stay importable from here
 from .packet import (
+    MAX_GRID_NODES,
     CoefficientSet,
     DimensionalityError,
     GaussianPacket,
+    QuadratureConvergenceError,
     axial_grid,
-    axial_nodes,
+    axial_ladder,
 )
 from .units import FieldConfig
 
 PREF = 1.0 / (2.0 * math.sqrt(2.0))
-MAX_GRID_NODES = 1 << 16
 TILE_ELEMENTS = 1 << 18       # stacked amplitudes and phases held at once by the line evaluator
 PARTS = ("all", "intraband", "interband")
-
-
-class QuadratureConvergenceError(RuntimeError):
-    """Axial-momentum quadrature failed its doubling test, or cannot run it."""
-
-    def __init__(self, achieved: float, target: float, nodes_needed: int | None = None):
-        if nodes_needed is None:
-            message = (
-                f"axial quadrature changed by {achieved:.3e} relative on doubling "
-                f"(target {target:.3e}); refine manually or shorten the window"
-            )
-        else:
-            message = (
-                f"axial quadrature for this window needs {nodes_needed} k_z nodes "
-                f"for its doubling test, above the cap of {MAX_GRID_NODES} (2^16) "
-                "nodes; shorten the window"
-            )
-        super().__init__(message)
-        self.achieved = achieved
-        self.target = target
-        self.nodes_needed = nodes_needed
 
 
 @dataclass(frozen=True)
@@ -138,22 +119,6 @@ class _Block(NamedTuple):
     levels: np.ndarray            # (pairs,) spectral level index of each pair
 
 
-def _energies(field: FieldConfig, n_top: int, k_z: np.ndarray) -> np.ndarray:
-    """E_{n,k_z} table, shape (n_top+1, K)."""
-    n = np.arange(n_top + 1, dtype=float)[:, None]
-    return np.sqrt(1.0 + field.omega**2 * n + k_z[None, :] ** 2)
-
-
-def _phase_span(packet: GaussianPacket, field: FieldConfig, n_top: int, t_max: float) -> float:
-    """Largest interband phase swing across the axial density support."""
-    edge = np.array([abs(packet.k0z) + 8.5 / packet.d_z])
-    centre = np.array([packet.k0z])
-    e_edge = _energies(field, n_top, edge)
-    e_mid = _energies(field, n_top, centre)
-    swing = (e_edge[1:] + e_edge[:-1]) - (e_mid[1:] + e_mid[:-1])
-    return float(np.max(np.abs(swing)) * abs(t_max))
-
-
 def _line_blocks(
     packet: GaussianPacket,
     coeffs: CoefficientSet,
@@ -174,7 +139,7 @@ def _line_blocks(
     (L/sqrt2) a2* a1, and 1 reads the bare mixing integrals J in y.
     """
     L = field.magnetic_length
-    energies = _energies(field, coeffs.n_max + 1, nodes)      # (n_max+2, K)
+    energies = landau_energies(coeffs.n_max + 1, nodes, field)  # (n_max+2, K)
     signs = [s for s, name in ((1.0, "intraband"), (-1.0, "interband"))
              if parts in ("all", name)]
     n_pairs = coeffs.n_max
@@ -281,38 +246,17 @@ def _resolve_axial_rule(
     rtol: float,
     parts: str = "all",
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Pick and validate the axial quadrature by an order-doubling probe."""
-    t_max = float(np.max(np.abs(times)))
-    span = _phase_span(packet, field, coeffs.n_max + 1, t_max)
-    ladder: list[tuple[str, int]] = []
-    order = max(64, 1 << int(math.ceil(math.log2(span / 2.0 + 48.0))))
-    while order <= hermite.MAX_GH_ORDER:
-        ladder.append(("gauss", order))
-        order *= 2
-    first_grid = max(4096, 1 << int(math.ceil(math.log2(2.0 * span / math.pi + 64.0))))
-    points = first_grid
-    while points <= MAX_GRID_NODES:
-        ladder.append(("grid", points))
-        points *= 2
-    if len(ladder) < 2:
-        raise QuadratureConvergenceError(math.inf, rtol, nodes_needed=2 * first_grid)
-
-    def make(step):
-        kind, size = step
-        if kind == "gauss":
-            return axial_nodes(packet, size)
-        return axial_grid(packet, size)
-
+    """Walk the trapezoid k_z ladder until one doubling moves the probe <= rtol."""
+    ladder = axial_ladder(packet, field, coeffs.n_max + 1, float(np.max(np.abs(times))))
     probe = times[np.unique(np.linspace(0, times.size - 1, 9).astype(int))]
 
     def probe_eval(rule):
         return _series(packet, coeffs, field, probe, rule, parts).real
 
-    current = make(ladder[0])
+    current = axial_grid(packet, ladder[0])
     cur_val = probe_eval(current)
-    achieved = math.inf
-    for step in ladder[1:]:
-        finer = make(step)
+    for points in ladder[1:]:
+        finer = axial_grid(packet, points)
         fin_val = probe_eval(finer)
         x, y = fin_val
         scale = max(float(np.max(np.abs(y - y[0]))), float(np.max(np.abs(x))), 1e-300)
@@ -456,7 +400,7 @@ def subpackets(
     lowering_1 = (PREF / field.magnetic_length) * (y + 1j * x)
     raising_2 = (PREF / field.magnetic_length) * (y - 1j * x)
 
-    energies = _energies(field, coeffs.n_max + 1, np.zeros(1))[:, 0]
+    energies = landau_energies(coeffs.n_max + 1, 0.0, field)
     il, ih, r = 1.0 / energies[:-2], 1.0 / energies[1:-1], energies[:-2] / energies[1:-1]
     branch = np.stack(
         [1.0 + il + ih + r, 1.0 + il - ih - r, 1.0 - il + ih - r, 1.0 - il - ih + r], axis=1

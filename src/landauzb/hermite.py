@@ -83,9 +83,13 @@ def psi_table(n_max: int, xi: np.ndarray) -> np.ndarray:
     return table
 
 
-def normalized_hermite_table(n_max: int, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def normalized_hermite_table(
+    n_max: int, z: np.ndarray, sign: float = -1.0
+) -> tuple[np.ndarray, np.ndarray]:
     """H_n(z)/C_n for n <= n_max as (mantissa, exponent) with value = m * 2**e.
 
+    sign = +1 flips the sign of the recurrence's second term and gives G_n(z)/C_n
+    instead, with H_n(iz) = i^n G_n(z) (G_{n+1} = 2z G_n + 2n G_{n-1}, all real).
     The unweighted ratio grows like exp(z^2/2) at large |z|; mantissas are
     renormalized with frexp each step so any |z| is representable.
     """
@@ -100,28 +104,7 @@ def normalized_hermite_table(n_max: int, z: np.ndarray) -> tuple[np.ndarray, np.
         a = z * math.sqrt(2.0 / (k + 1)) * m[k]
         b = math.sqrt(k / (k + 1.0)) * m[k - 1]
         shift = e[k - 1] - e[k]
-        nxt = a - b * np.exp2(shift.astype(float))
-        m[k + 1], de = np.frexp(nxt)
-        e[k + 1] = e[k] + de
-    return m, e
-
-
-def modified_hermite_table(n_max: int, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """G_n(y)/C_n with H_n(iy) = i^n G_n(y), as (mantissa, exponent) pairs.
-
-    G obeys G_{n+1} = 2y G_n + 2n G_{n-1}; all values real.
-    """
-    y = np.asarray(y, dtype=float)
-    m = np.empty((n_max + 1, y.size))
-    e = np.zeros((n_max + 1, y.size), dtype=np.int64)
-    m[0] = np.pi ** -0.25
-    if n_max >= 1:
-        m[1], e[1] = np.frexp(math.sqrt(2.0) * y * m[0])
-    for k in range(1, n_max):
-        a = y * math.sqrt(2.0 / (k + 1)) * m[k]
-        b = math.sqrt(k / (k + 1.0)) * m[k - 1]
-        shift = e[k - 1] - e[k]
-        nxt = a + b * np.exp2(shift.astype(float))
+        nxt = a + sign * b * np.exp2(shift.astype(float))
         m[k + 1], de = np.frexp(nxt)
         e[k + 1] = e[k] + de
     return m, e

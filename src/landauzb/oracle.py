@@ -5,7 +5,7 @@ matrix over four spinor rows times oscillator levels 0..N, diagonalized
 once per wavenumber node, and expectation values of the position/velocity
 operators are propagated by eigenphases.  Nothing here touches the closed
 forms of the overlap matrix or the oscillation series; the only shared
-ingredient is the level amplitude F_n.
+ingredients are the level amplitude F_n and the k_z node choice.
 
 Basis index: sigma * (N+1) + m for spinor row sigma in 0..3, level m.
 """
@@ -107,6 +107,8 @@ class EvolvedExpectations:
     guiding_shift: float       # integral dk_x k_x L^2 |c|^2, approx +k0x L^2
     norm_drift: float          # max deviation of an evolved vector norm
     energy_drift: float        # max deviation of <H> along the same vector
+    kz_residual: float         # full vs half-grid k_z rule: positions relative
+                               # to max(|x|, |y|), velocities in c; 0 for 2+1
 
 
 def _density_from_nodes(
@@ -157,6 +159,11 @@ def _check_leakage(rho: np.ndarray, n_levels: int, guard: int) -> None:
         )
 
 
+def _peak(series: np.ndarray) -> float:
+    """Largest |Re| or |Im| of a complex series (two real channels)."""
+    return max(float(np.max(np.abs(series.real))), float(np.max(np.abs(series.imag))))
+
+
 def evolve_expectations(
     pkt: packet_mod.GaussianPacket,
     field: FieldConfig,
@@ -168,17 +175,24 @@ def evolve_expectations(
     """Dense-evolution expectations of position and velocity.
 
     2+1 packets run a single diagonalization at k_z = 0; 3+1 packets add an
-    outer Gauss-Hermite quadrature over the axial momentum density, with the
-    order picked from the interband phase swing unless given.  Output
-    positions are relative to the t=0 centre (trajectory starts at the
-    origin), matching the analytic-series convention.
+    outer trapezoid rule over the axial momentum density, with kz_order
+    nodes or, unless given, the first rung of `packet.axial_ladder`.  The
+    even-index nodes with doubled weights are the same rule at twice the
+    spacing; their second accumulator gives kz_residual in the same loop.
+    Output positions are relative to the t=0 centre (trajectory starts at
+    the origin), matching the analytic-series convention.
     """
     times = np.asarray(times, dtype=float)
     if pkt.dimensionality == "2+1":
         kz_nodes = np.array([0.0])
-        kz_weights = np.array([1.0])
+        weights = np.ones((2, 1))
     else:
-        kz_nodes, kz_weights = _pick_axial_rule(pkt, field, times, kz_order)
+        if kz_order is None:
+            t_max = float(np.max(np.abs(times)))
+            kz_order = packet_mod.axial_ladder(pkt, field, n_levels, t_max)[0]
+        kz_nodes, kz_weights = packet_mod.axial_grid(pkt, kz_order)
+        half = np.where(np.arange(kz_order) % 2 == 0, 2.0 * kz_weights, 0.0)
+        weights = np.stack([kz_weights, half])
 
     rho, shift = _density_from_nodes(pkt, field, n_levels)
     _check_leakage(rho, n_levels, guard)
@@ -190,14 +204,15 @@ def evolve_expectations(
     v_op = np.kron(raise_spin, np.eye(size))
     L = field.magnetic_length
 
-    alpha = np.zeros(times.size, dtype=complex)   # <A(t)>; <A^+(t)> = conj
-    vel = np.zeros(times.size, dtype=complex)     # <v_x> + i <v_y>
-    alpha0 = 0.0 + 0.0j
+    # row 0 the full rule, row 1 its half-grid partner
+    alpha = np.zeros((2, times.size), dtype=complex)   # <A(t)>; <A^+(t)> = conj
+    vel = np.zeros((2, times.size), dtype=complex)     # <v_x> + i <v_y>
+    alpha0 = np.zeros(2, dtype=complex)
     norm_drift = 0.0
     energy_drift = 0.0
     probe_times = times[:: max(1, times.size // 8)]
     probe_col = int(np.argmax(np.linalg.norm(rho, axis=0)))
-    for k_z, wk in zip(kz_nodes, kz_weights):
+    for k_z, wk in zip(kz_nodes, weights.T):
         ham = build(n_levels, field, k_z=k_z)
         evals, vecs = np.linalg.eigh(ham.matrix)
         p_rho = vecs.T.conj() @ rho @ vecs
@@ -206,7 +221,7 @@ def evolve_expectations(
             q = vecs.T @ (op @ vecs)                         # vecs real
             w = p_rho.T * q                                  # W_ij = rho_ji q_ij
             g = w @ phases
-            out += wk * np.sum(np.conj(phases) * g, axis=0)
+            out += np.outer(wk, np.sum(np.conj(phases) * g, axis=0))
             if op is a_op:
                 alpha0 += wk * w.sum()
 
@@ -223,50 +238,18 @@ def evolve_expectations(
                 energy_drift = max(energy_drift, abs(energy - energy0))
 
     scale = L * math.sqrt(2.0)
-    y_raw = scale * np.real(alpha)
-    x_raw = scale * np.imag(alpha)
+    pos = scale * (alpha - alpha0[:, None])            # y + i x per rule
+    pos_scale = max(_peak(pos[0]), 1e-300)
+    kz_residual = max(_peak(pos[0] - pos[1]) / pos_scale, _peak(vel[0] - vel[1]))
     return EvolvedExpectations(
         times=times,
-        x=x_raw - scale * float(np.imag(alpha0)),
-        y=y_raw - scale * float(np.real(alpha0)),
-        vx=np.real(vel),
-        vy=np.imag(vel),
-        y_operator_initial=scale * float(np.real(alpha0)),
+        x=pos[0].imag,
+        y=pos[0].real,
+        vx=vel[0].real,
+        vy=vel[0].imag,
+        y_operator_initial=scale * float(alpha0[0].real),
         guiding_shift=shift,
         norm_drift=norm_drift,
         energy_drift=energy_drift,
+        kz_residual=kz_residual,
     )
-
-
-def _pick_axial_rule(
-    pkt: packet_mod.GaussianPacket,
-    field: FieldConfig,
-    times: np.ndarray,
-    kz_order: int | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Hermite for modest interband phase swings, trapezoid beyond."""
-    if kz_order is not None:
-        return packet_mod.axial_nodes(pkt, kz_order)
-    edge = abs(pkt.k0z) + 8.5 / pkt.d_z
-    t_max = float(np.max(np.abs(times)))
-    # the lowest pair has the steepest k_z dependence
-    swing = max(
-        abs(
-            landau_energy(n + 1, edge, field)
-            + landau_energy(n, edge, field)
-            - landau_energy(n + 1, pkt.k0z, field)
-            - landau_energy(n, pkt.k0z, field)
-        )
-        for n in (0, 1, 2)
-    )
-    span = swing * t_max
-    order = 1 << max(7, int(math.ceil(math.log2(span / 2.0 + 64.0))))
-    if order <= hermite.MAX_GH_ORDER:
-        return packet_mod.axial_nodes(pkt, order)
-    points = 1 << max(11, int(math.ceil(math.log2(2.0 * span / math.pi + 64.0))))
-    if points > (1 << 16):
-        raise ValueError(
-            f"time window needs {points} axial nodes (> {1 << 16}); "
-            "shorten the window or fix kz_order explicitly"
-        )
-    return packet_mod.axial_grid(pkt, points)

@@ -20,12 +20,17 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from . import hermite
+from .landau import landau_energies
 from .units import FieldConfig
 
 EQUAL_WIDTH_WINDOW = 1e-6   # |d_y - L|/L below which the closed form is singular
 DEFAULT_N_MAX = 400
 DEFAULT_TAIL_TOL = 1e-10
 AUTO_TAIL = 1e-12
+AXIAL_HALF_WIDTH = 8.5      # k_z grid half-width in units of 1/d_z
+AXIAL_FLOOR = 64            # fewest k_z nodes on any grid
+AXIAL_MARGIN = 32.0         # nodes added to the phase-span estimate of the first rung
+MAX_GRID_NODES = 1 << 16
 
 
 class PacketError(ValueError):
@@ -42,6 +47,32 @@ class TruncationError(ValueError):
 
 class DimensionalityError(ValueError):
     """Operation undefined for this packet dimensionality."""
+
+
+class QuadratureConvergenceError(RuntimeError):
+    """Axial-momentum quadrature failed its doubling test, or cannot run it."""
+
+    def __init__(
+        self,
+        achieved: float = math.inf,
+        target: float | None = None,
+        nodes_needed: int | None = None,
+    ):
+        if nodes_needed is None:
+            message = (
+                f"axial quadrature changed by {achieved:.3e} relative on doubling "
+                f"(target {target:.3e}); refine manually or shorten the window"
+            )
+        else:
+            message = (
+                f"axial quadrature for this window needs {nodes_needed} k_z nodes "
+                f"for its doubling test, above the cap of {MAX_GRID_NODES} (2^16) "
+                "nodes; shorten the window"
+            )
+        super().__init__(message)
+        self.achieved = achieved
+        self.target = target
+        self.nodes_needed = nodes_needed
 
 
 @dataclass(frozen=True)
@@ -193,7 +224,7 @@ def _f_closed_log(
         mant, expo = hermite.normalized_hermite_table(n_max, -k * c_arg)
     else:
         c_tilde = L**3 / math.sqrt(-diff * plus)   # |c|, c imaginary here
-        mant, expo = hermite.modified_hermite_table(n_max, k * c_tilde)
+        mant, expo = hermite.normalized_hermite_table(n_max, k * c_tilde, sign=1.0)
 
     with np.errstate(divide="ignore"):
         log_h = np.where(mant == 0.0, -np.inf, np.log(np.abs(mant))) + expo * math.log(2.0)
@@ -403,27 +434,46 @@ def coefficient_matrix(
     )
 
 
-def axial_nodes(packet: GaussianPacket, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Hermite nodes/weights for integrals against |g_z|^2 dk_z."""
-    if packet.dimensionality != "3+1":
-        raise DimensionalityError("axial nodes require a 3+1 packet")
-    rule = hermite.gauss_hermite(order)
-    return packet.k0z + rule.nodes / packet.d_z, rule.weights / math.sqrt(math.pi)
-
-
 def axial_grid(packet: GaussianPacket, points: int) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform trapezoid rule against |g_z|^2, for highly oscillatory windows."""
+    """Uniform k_z rule against |g_z|^2 dk_z, nested under doubling.
+
+    Nodes k0z + h (j - points/2), j < points, with h = 17/(d_z points), cover
+    k0z +- 8.5/d_z, where the density is e^{-72}: the rule converges
+    exponentially in `points`, and for even `points` its even-index nodes with
+    doubled weights are exactly the rule with points/2 nodes.  (Symmetric
+    grids without the centre node are not nested this way: for a k_z-even
+    integrand their even-index half has the same error as the full grid.)
+    """
     if packet.dimensionality != "3+1":
         raise DimensionalityError("axial nodes require a 3+1 packet")
-    span = 8.5 / packet.d_z
-    k = np.linspace(packet.k0z - span, packet.k0z + span, points)
+    step = 2.0 * AXIAL_HALF_WIDTH / (packet.d_z * points)
+    k = packet.k0z + step * (np.arange(points) - points // 2)
     density = math.sqrt(packet.d_z**2 / math.pi) * np.exp(
         -packet.d_z**2 * (k - packet.k0z) ** 2
     )
-    w = np.full(points, k[1] - k[0])
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return k, density * w
+    return k, density * step
+
+
+def axial_ladder(
+    packet: GaussianPacket, field: FieldConfig, n_top: int, t_max: float
+) -> list[int]:
+    """Trapezoid k_z node counts to try, coarsest first, for |t| <= t_max.
+
+    The first rung resolves the largest interband phase swing, over levels
+    0..n_top, between the centre and the edge of the axial density; each
+    further rung doubles it, up to MAX_GRID_NODES.  Raises
+    QuadratureConvergenceError when not even one doubling fits under the cap.
+    """
+    if packet.dimensionality != "3+1":
+        raise DimensionalityError("axial nodes require a 3+1 packet")
+    edge = abs(packet.k0z) + AXIAL_HALF_WIDTH / packet.d_z
+    energies = landau_energies(n_top, np.array([edge, packet.k0z]), field)
+    pair_sums = energies[1:] + energies[:-1]
+    span = float(np.max(np.abs(pair_sums[:, 0] - pair_sums[:, 1]))) * abs(t_max)
+    first = max(AXIAL_FLOOR, 1 << math.ceil(math.log2(2.0 * span / math.pi + AXIAL_MARGIN)))
+    if 2 * first > MAX_GRID_NODES:
+        raise QuadratureConvergenceError(nodes_needed=2 * first)
+    return [first << i for i in range((MAX_GRID_NODES // first).bit_length())]
 
 
 @dataclass(frozen=True)
@@ -465,7 +515,7 @@ def u_closed_equal_width(
     p = math.sqrt(p_sq)
     w = dx * dx * k0x / p
     # H_{m+n}(-i w) (-i)^{m+n} = (-1)^{m+n} G_{m+n}(w)
-    mant, expo = hermite.modified_hermite_table(m + n if m + n else 1, np.array([w]))
+    mant, expo = hermite.normalized_hermite_table(max(m + n, 1), np.array([w]), sign=1.0)
     log_g_over_c = (
         math.log(abs(mant[m + n, 0])) + expo[m + n, 0] * math.log(2.0)
         if mant[m + n, 0] != 0.0

@@ -190,6 +190,51 @@ def test_oracle_check_mixing_channel(tmp_path):
     assert max(doc["channels"].values()) < 1e-6
 
 
+def small_3p1_config():
+    # the mixed 3+1 packet of configs/mixing_3p1.json over a short window
+    cfg = json.loads((CONFIG_DIR / "mixing_3p1.json").read_text())
+    cfg["time"] = {"t_end": 4.0, "samples": 17}
+    return cfg
+
+
+def test_oracle_check_reports_run_diagnostics(tmp_path):
+    cfg = write_config(tmp_path, small_3p1_config())
+    out = tmp_path / "oracle.json"
+    assert main(["oracle-check", "--config", cfg, "--output", str(out),
+                 "--format", "json"]) == EXIT_OK
+    doc = json.loads(out.read_text())
+    assert 0.0 < doc["kz_residual"] <= 1e-6
+    assert doc["norm_drift"] < 1e-12
+    assert doc["energy_drift"] < 1e-12
+    assert math.isclose(doc["guiding_shift"], 0.55, rel_tol=1e-9)   # k0x L^2
+
+
+def test_oracle_check_coarse_axial_rule_is_a_tolerance_failure(tmp_path, capsys, monkeypatch):
+    from landauzb import oracle
+
+    evolve = oracle.evolve_expectations
+    monkeypatch.setattr(oracle, "evolve_expectations",
+                        lambda *args, **kwargs: evolve(*args, **kwargs, kz_order=8))
+    cfg = write_config(tmp_path, small_3p1_config())
+    out = tmp_path / "oracle.json"
+    assert main(["oracle-check", "--config", cfg, "--output", str(out)]) == EXIT_TOLERANCE
+    assert json.loads(out.read_text())["kz_residual"] > 1e-6
+    assert "k_z half-grid residual" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["sumrules", "oracle-check", "lowfield", "ion-map"])
+def test_csv_format_rejected_by_json_commands(tmp_path, capsys, command):
+    out = tmp_path / "out.csv"
+    config = str(CONFIG_DIR / "ion_trap.json")
+    argv = [command, "--config", config, "--output", str(out)]
+    assert main(argv + ["--format", "csv"]) == EXIT_CONFIG
+    assert command in capsys.readouterr().err
+    assert not out.exists()
+    if command != "oracle-check":
+        assert main(argv + ["--format", "json"]) == EXIT_OK
+        json.loads(out.read_text())
+
+
 def test_ion_map_reference_settings(tmp_path):
     out = tmp_path / "ion.json"
     code = main(["ion-map", "--config", str(CONFIG_DIR / "ion_trap.json"),

@@ -121,3 +121,16 @@ def test_log_factorial_ratio_large_arguments():
     val = hermite.log_factorial_ratio(1000, 0)
     assert np.isfinite(val)
     assert val > 0
+
+
+def test_normalized_hermite_table_both_signs():
+    # sign -1: H_n(z)/C_n; sign +1: G_n(y)/C_n with H_n(iy) = i^n G_n(y)
+    z = np.array([-1.3, 0.0, 0.4, 2.5])
+    for sign, values in (
+        (-1.0, [np.ones_like(z), 2 * z, 4 * z**2 - 2, 8 * z**3 - 12 * z]),
+        (1.0, [np.ones_like(z), 2 * z, 4 * z**2 + 2, 8 * z**3 + 12 * z]),
+    ):
+        mant, expo = hermite.normalized_hermite_table(3, z, sign=sign)
+        for n, ref in enumerate(values):
+            scaled = ref / math.exp(hermite.log_norm_constant(n))
+            assert np.allclose(mant[n] * 2.0 ** expo[n], scaled, rtol=1e-14, atol=1e-15)

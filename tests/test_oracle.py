@@ -5,7 +5,7 @@ import pytest
 
 from landauzb import FieldConfig, GaussianPacket
 from landauzb.landau import LandauIndex, jl_spinor, landau_energy
-from landauzb import oracle
+from landauzb import dynamics, oracle
 from landauzb.packet import coefficient_matrix
 
 
@@ -137,3 +137,49 @@ def test_truncation_leak_refused(critical_field):
     times = np.linspace(0.0, 1.0, 3)
     with pytest.raises(oracle.TruncationLeakError):
         oracle.evolve_expectations(pkt, critical_field, times, n_levels=15)
+
+
+@pytest.fixture(scope="module")
+def axial_packet(critical_field):
+    # k0z = 0: the integrand is even in k_z, the case a symmetric grid's
+    # even-index half cannot check
+    pkt = GaussianPacket(d_x=1.2, d_y=1.0, d_z=1.8, k0x=0.5, dimensionality="3+1")
+    return pkt, coefficient_matrix(pkt, critical_field)
+
+
+def test_3p1_short_window_matches_series(critical_field, axial_packet):
+    # 100 t_c: the window where a Gauss-Hermite k_z rule of 512 nodes missed
+    # the series by 1.7e-3
+    pkt, coeffs = axial_packet
+    times = np.linspace(0.0, 100.0, 11)
+    traj = dynamics.trajectory_3p1(pkt, coeffs, critical_field, times)
+    evo = oracle.evolve_expectations(pkt, critical_field, times, n_levels=coeffs.n_max + 20)
+    scale = max(np.max(np.abs(evo.x)), np.max(np.abs(evo.y)))
+    assert max(np.max(np.abs(traj.x - evo.x)), np.max(np.abs(traj.y - evo.y))) / scale < 1e-6
+    assert max(np.max(np.abs(traj.vx - evo.vx)), np.max(np.abs(traj.vy - evo.vy))) < 1e-6
+    assert evo.kz_residual < 1e-6
+
+
+def test_coarse_axial_rule_trips_the_residual(critical_field, axial_packet):
+    pkt, coeffs = axial_packet
+    times = np.linspace(0.0, 100.0, 3)
+    evo = oracle.evolve_expectations(
+        pkt, critical_field, times, n_levels=coeffs.n_max + 20, kz_order=128
+    )
+    assert evo.kz_residual > 1e-4
+
+
+def test_2p1_has_no_axial_residual(critical_field, packet_2p1, coeffs_2p1):
+    times = np.linspace(0.0, 2.0, 9)
+    evo = oracle.evolve_expectations(
+        packet_2p1, critical_field, times, n_levels=coeffs_2p1.n_max + 20
+    )
+    assert evo.kz_residual == 0.0
+
+
+def test_window_beyond_the_node_cap_raises(critical_field, axial_packet):
+    pkt, coeffs = axial_packet
+    times = np.linspace(0.0, 5.0e6, 16)
+    with pytest.raises(dynamics.QuadratureConvergenceError) as info:
+        oracle.evolve_expectations(pkt, critical_field, times, n_levels=coeffs.n_max + 20)
+    assert info.value.nodes_needed > dynamics.MAX_GRID_NODES

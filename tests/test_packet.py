@@ -8,12 +8,15 @@ from hypothesis import given, settings, strategies as st
 from landauzb import FieldConfig
 from landauzb.hermite import CapacityError, gauss_hermite
 from landauzb.packet import (
+    MAX_GRID_NODES,
     ClosedFormUnavailable,
     DimensionalityError,
     GaussianPacket,
     PacketError,
+    QuadratureConvergenceError,
     TruncationError,
-    axial_nodes,
+    axial_grid,
+    axial_ladder,
     coefficient_matrix,
     f_n,
     f_table,
@@ -62,13 +65,34 @@ def test_g_xy_normalization(packet_2p1):
 def test_g_z_profile(packet_3p1):
     peak = g_z(packet_3p1, packet_3p1.k0z)
     assert math.isclose(peak, (packet_3p1.d_z**2 / math.pi) ** 0.25, rel_tol=1e-14)
-    rule = gauss_hermite(64)
     # normalization and second moment of |g_z|^2
-    kz, w = axial_nodes(packet_3p1, 64)
+    kz, w = axial_grid(packet_3p1, 64)
     assert math.isclose(w.sum(), 1.0, rel_tol=1e-12)
     second = np.dot(w, (kz - packet_3p1.k0z) ** 2)
     assert math.isclose(second, 1.0 / (2.0 * packet_3p1.d_z**2), rel_tol=1e-12)
-    del rule
+
+
+def test_axial_grid_nests_under_doubling(mixed_packet_3p1):
+    # the even-index nodes with doubled weights are the rule at half the size
+    for points in (64, 1024):
+        kz, w = axial_grid(mixed_packet_3p1, 2 * points)
+        kz_half, w_half = axial_grid(mixed_packet_3p1, points)
+        assert np.allclose(kz[::2], kz_half, rtol=0.0, atol=1e-14)
+        assert np.allclose(2.0 * w[::2], w_half, rtol=1e-13, atol=0.0)
+
+
+def test_axial_ladder_doubles_to_the_cap(critical_field, packet_3p1):
+    short = axial_ladder(packet_3p1, critical_field, 40, 1.0)
+    assert short[0] == 64                       # the floor
+    assert short == [64 << i for i in range(11)]
+    assert short[-1] == MAX_GRID_NODES
+    # 200 t_c of the critical-field packet starts at 1024 nodes
+    assert axial_ladder(packet_3p1, critical_field, 40, 200.0)[0] == 1024
+    with pytest.raises(QuadratureConvergenceError) as info:
+        axial_ladder(packet_3p1, critical_field, 40, 1.0e6)
+    assert info.value.nodes_needed > MAX_GRID_NODES
+    with pytest.raises(DimensionalityError):
+        axial_ladder(GaussianPacket(d_x=1.0, d_y=1.0), critical_field, 40, 1.0)
 
 
 def test_g_z_rejected_for_2p1(packet_2p1):
