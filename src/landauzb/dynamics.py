@@ -140,23 +140,31 @@ def _line_blocks(
     """
     L = field.magnetic_length
     energies = landau_energies(coeffs.n_max + 1, nodes, field)  # (n_max+2, K)
-    signs = [s for s, name in ((1.0, "intraband"), (-1.0, "interband"))
-             if parts in ("all", name)]
     n_pairs = coeffs.n_max
     s_pairs = np.sqrt(np.arange(1.0, n_pairs + 1.0)) * (
         np.diagonal(coeffs.u, offset=1) + np.diagonal(coeffs.u, offset=-1)
     )
+    # every energy difference is built from E_hi - E_lo = omega^2/(E_hi + E_lo),
+    # inline (a named (pairs, K) array held across a yield costs peak memory)
+    omega_sq = field.omega**2
     for weight, shift in ((abs(packet.a2) ** 2, 0), (abs(packet.a1) ** 2, 1)):
         if weight == 0.0:
             continue
         e_lo = energies[shift : shift + n_pairs]
         e_hi = energies[shift + 1 : shift + 1 + n_pairs]
-        q = e_lo / e_hi if shift == 0 else e_hi / e_lo
         scale = weight * PREF * L * s_pairs[:, None] * weights[None, :]
-        for sign in signs:
-            amps = np.stack([1j * scale * (-sign / e_lo - 1.0 / e_hi), scale * (1.0 + sign * q)])
-            yield _Block(e_hi - sign * e_lo, amps, sign < 0, False,
-                         np.arange(shift, shift + n_pairs))
+        levels = np.arange(shift, shift + n_pairs)
+        if parts != "interband":
+            q = e_lo / e_hi if shift == 0 else e_hi / e_lo
+            amps = np.stack([-1j * scale * (1.0 / e_lo + 1.0 / e_hi), scale * (1.0 + q)])
+            yield _Block(omega_sq / (e_hi + e_lo), amps, False, False, levels)
+        if parts != "intraband":
+            # 1/E_lo - 1/E_hi, and 1 - q = (E_hi - E_lo)/E_hi or -(E_hi - E_lo)/E_lo
+            amps = np.stack([
+                1j * scale * (omega_sq / ((e_hi + e_lo) * e_lo * e_hi)),
+                scale * (omega_sq / ((e_hi + e_lo) * (e_hi if shift == 0 else -e_lo))),
+            ])
+            yield _Block(e_hi + e_lo, amps, True, False, levels)
 
     if mixing_weight is None:
         mixing_weight = (L / math.sqrt(2.0)) * np.conj(packet.a2) * packet.a1
@@ -165,9 +173,11 @@ def _line_blocks(
     e_lo, e_hi = energies[:-1], energies[1:]
     j = np.diagonal(coeffs.u)[:, None] * nodes * field.omega / (e_lo * e_hi) * weights
     channel = np.array([mixing_weight.imag, mixing_weight.real])[:, None, None]
-    for sign in signs:
-        yield _Block(e_hi - sign * e_lo, channel * (sign * j), sign < 0, True,
-                     np.arange(e_lo.shape[0]))
+    levels = np.arange(e_lo.shape[0])
+    if parts != "interband":
+        yield _Block(omega_sq / (e_hi + e_lo), channel * j, False, True, levels)
+    if parts != "intraband":
+        yield _Block(e_hi + e_lo, channel * -j, True, True, levels)
 
 
 def _time_grid(times: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -84,30 +84,40 @@ def psi_table(n_max: int, xi: np.ndarray) -> np.ndarray:
 
 
 def normalized_hermite_table(
-    n_max: int, z: np.ndarray, sign: float = -1.0
+    n_max: int, z: np.ndarray, s: float = 1.0
 ) -> tuple[np.ndarray, np.ndarray]:
-    """H_n(z)/C_n for n <= n_max as (mantissa, exponent) with value = m * 2**e.
+    """K_n(z; s)/C_n for n <= n_max as (mantissa, log scale), value = m * e^scale.
 
-    sign = +1 flips the sign of the recurrence's second term and gives G_n(z)/C_n
-    instead, with H_n(iz) = i^n G_n(z) (G_{n+1} = 2z G_n + 2n G_{n-1}, all real).
-    The unweighted ratio grows like exp(z^2/2) at large |z|; mantissas are
-    renormalized with frexp each step so any |z| is representable.
+    K_n(z; s) = s^{n/2} H_n(z/sqrt(s)) obeys K_{n+1} = 2z K_n - 2n s K_{n-1}
+    (DLMF 18.9), real for every real s: s = 1 gives H_n, s = -1 gives G_n with
+    H_n(iz) = i^n G_n(z), s = 0 gives (2z)^n.  For |s| <= 1 a step grows the
+    table by at most |z| + 1, so renormalizing the last two rows once per
+    900/log2(2 + max|z|) steps cannot overflow; entries ~700 e-folds below
+    their column's peak may underflow to 0.
     """
+    if not -1.0 <= s <= 1.0:
+        raise ValueError(f"s must lie in [-1, 1], got {s!r}")
     z = np.asarray(z, dtype=float)
     m = np.empty((n_max + 1, z.size))
-    e = np.zeros((n_max + 1, z.size), dtype=np.int64)
+    scale = np.zeros((n_max + 1, z.size))
     m[0] = np.pi ** -0.25
     if n_max >= 1:
-        m[1], e[1] = np.frexp(math.sqrt(2.0) * z * m[0])
+        np.multiply(z, math.sqrt(2.0) * m[0], out=m[1])
+    block = max(1, int(900.0 / math.log2(2.0 + float(np.max(np.abs(z), initial=0.0)))))
+    peak, work = np.empty(z.size), np.empty(z.size)
     for k in range(1, n_max):
-        # same recurrence as psi_table; terms carry different exponents
-        a = z * math.sqrt(2.0 / (k + 1)) * m[k]
-        b = math.sqrt(k / (k + 1.0)) * m[k - 1]
-        shift = e[k - 1] - e[k]
-        nxt = a + sign * b * np.exp2(shift.astype(float))
-        m[k + 1], de = np.frexp(nxt)
-        e[k + 1] = e[k] + de
-    return m, e
+        if k % block == 0:
+            # rows k-1 and k share one scale; the new one runs to the next block
+            np.maximum(np.abs(m[k - 1], out=peak), np.abs(m[k], out=work), out=peak)
+            peak[peak == 0.0] = 1.0
+            m[k - 1 : k + 1] /= peak
+            scale[k - 1 : k + block + 1] = scale[k - 1] + np.log(peak)
+        # same recurrence as psi_table, scaled by s in its second term
+        np.multiply(z, math.sqrt(2.0 / (k + 1)), out=m[k + 1])
+        m[k + 1] *= m[k]
+        np.multiply(m[k - 1], s * math.sqrt(k / (k + 1.0)), out=work)
+        m[k + 1] -= work
+    return m, scale
 
 
 def log_factorial_ratio(m: int, n: int) -> float:

@@ -5,7 +5,9 @@ matrix over four spinor rows times oscillator levels 0..N, diagonalized
 once per wavenumber node, and expectation values of the position/velocity
 operators are propagated by eigenphases.  Nothing here touches the closed
 forms of the overlap matrix or the oscillation series; the only shared
-ingredients are the level amplitude F_n and the k_z node choice.
+ingredients are the level amplitude F_n and the node choices: the k_x
+Gauss-Hermite rule of `packet.kx_rule` and the k_z grid of
+`packet.axial_ladder`.
 
 Basis index: sigma * (N+1) + m for spinor row sigma in 0..3, level m.
 """
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import hermite, packet as packet_mod
+from . import packet as packet_mod
 from .landau import LandauIndex, jl_spinor, landau_energy
 from .units import FieldConfig
 
@@ -117,17 +119,11 @@ def _density_from_nodes(
     n_levels: int,
 ) -> tuple[np.ndarray, float]:
     """Quadrature density rho = integral dk_x |c(k_x)><c(k_x)| and the
-    guiding-centre shift integral dk_x k_x L^2 |c|^2, built from the oracle's
-    own k_x rule."""
+    guiding-centre shift integral dk_x k_x L^2 |c|^2, on the shared
+    `packet.kx_rule` nodes with the oracle's own density assembly."""
     size = n_levels + 1
-    d_sq = field.magnetic_length**4 / (field.magnetic_length**2 + pkt.d_y**2)
-    alpha = math.sqrt(pkt.d_x**2 + d_sq)
-    centre = pkt.d_x**2 * pkt.k0x / alpha**2
-    order = 256 if n_levels < 256 else hermite.MAX_GH_ORDER
-    rule = hermite.gauss_hermite(order)
-    k_nodes = centre + rule.nodes / alpha
-    psi_prev = hermite.psi_table(order - 1, rule.nodes)[order - 1]
-    wtilde = np.exp(-math.log(order) - 2.0 * np.log(np.abs(psi_prev)) - math.log(alpha))
+    k_nodes, log_w = packet_mod.kx_rule(pkt, field, n_levels)
+    wtilde = np.exp(log_w)
 
     f_vals = packet_mod.f_table(pkt, field, n_levels, k_nodes)  # (N+1, K)
     weighted = f_vals * np.sqrt(wtilde)[None, :]

@@ -5,10 +5,12 @@ the packet with the oscillator level n at conserved wavenumber k_x, and the
 level-overlap matrix U_{m,n} = integral F_m*(k_x) F_n(k_x) dk_x collects the
 amplitudes that weight every oscillation term of the dynamics.
 
-Lengths in Compton wavelengths, wavenumbers in their inverse.  The closed
-forms multiply factors that individually overflow near n ~ 400 (the packet /
-level mismatch is a huge exponential times a tiny one), so amplitudes are
-assembled in log magnitude + sign and only the fused result is exponentiated.
+Lengths in Compton wavelengths, wavenumbers in their inverse.  F_n has one
+closed form at every packet width (narrow, equal and wide alike): a Gaussian
+in k_x times the scaled Hermite kernel K_n(x; r) = r^{n/2} H_n(x/sqrt r),
+which is real and regular for every real r.  Its factors overflow separately
+near n ~ 400, so the kernel is carried as a mantissa times e^scale and only
+the fused result is exponentiated.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from . import hermite
 from .landau import landau_energies
 from .units import FieldConfig
 
-EQUAL_WIDTH_WINDOW = 1e-6   # |d_y - L|/L below which the closed form is singular
+EQUAL_WIDTH_WINDOW = 1e-6   # |d_y - L|/L below which the U cross-checks switch forms
 DEFAULT_N_MAX = 400
 DEFAULT_TAIL_TOL = 1e-10
 AUTO_TAIL = 1e-12
@@ -38,7 +40,7 @@ class PacketError(ValueError):
 
 
 class ClosedFormUnavailable(ValueError):
-    """Closed-form amplitude rejected near d_y = L; use the quadrature path."""
+    """A closed-form U cross-check does not cover this packet width."""
 
 
 class TruncationError(ValueError):
@@ -163,78 +165,27 @@ def g_z(packet: GaussianPacket, k_z):
     return out
 
 
-def _width_regime(packet: GaussianPacket, length: float) -> str:
-    gap = abs(packet.d_y - length) / length
-    if packet.d_y == length:
-        return "equal"
-    if gap < EQUAL_WIDTH_WINDOW:
-        return "window"
-    return "narrow" if packet.d_y < length else "wide"
-
-
 def _f_closed_log(
     packet: GaussianPacket, field: FieldConfig, n_max: int, k_x: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """log|F_n(k_x)| and sign, shape (n_max+1, K); closed-form evaluation."""
+    """F_n(k_x) = m e^scale for n <= n_max as (m, scale), shape (n_max+1, K) each.
+
+    F_n = sqrt(2 L d_x d_y/P) e^{-d_x^2 (k - k0x)^2/2 - L^4 k^2/(2P)} K_n(x; r)/C_n
+    with P = L^2 + d_y^2, r = (L^2 - d_y^2)/P and x = -k L^3/P, where the
+    scaled Hermite kernel K_n(x; r) = r^{n/2} H_n(x/sqrt r) is real and regular
+    for every width: r = 0 (d_y = L) gives (-k L)^n.
+    """
     L = field.magnetic_length
-    dx, dy, k0x = packet.d_x, packet.d_y, packet.k0x
-    k = np.asarray(k_x, dtype=float)
-    regime = _width_regime(packet, L)
-
-    if regime == "window":
-        raise ClosedFormUnavailable(
-            "closed-form amplitude singular for |d_y - L|/L < "
-            f"{EQUAL_WIDTH_WINDOW:g}; use the quadrature path or d_y = L exactly"
-        )
-
-    gauss = -0.5 * dx**2 * (k - k0x) ** 2
-
-    if regime == "equal":
-        # overlap of an oscillator-matched slice: (-k L)^n Gaussian
-        log_c = np.array([hermite.log_norm_constant(n) for n in range(n_max + 1)])
-        # log|kL| is only needed where k != 0: the n > 0 rows are masked to
-        # -inf there, and the n = 0 row must not see 0 * log 0
-        kl = np.abs(k * L)
-        log_kl = np.log(np.where(kl > 0.0, kl, 1.0))
-        n = np.arange(n_max + 1, dtype=float)[:, None]
-        logmag = (
-            0.5 * math.log(dx)
-            + gauss[None, :]
-            - 0.25 * (k * L) ** 2
-            + n * log_kl[None, :]
-            - log_c[:, None]
-        )
-        sign = np.where((-k)[None, :] >= 0.0, 1.0, -1.0) ** n
-        sign = np.where(np.arange(n_max + 1)[:, None] == 0, 1.0, sign)
-        zero = (k == 0.0)[None, :] & (np.arange(n_max + 1)[:, None] > 0)
-        logmag = np.where(zero, -np.inf, logmag)
-        return logmag, sign
-
-    # factored differences avoid cancellation as d_y -> L
-    diff = (L - dy) * (L + dy)          # L^2 - d_y^2, sign carries the regime
+    dx, dy = packet.d_x, packet.d_y
     plus = L * L + dy * dy
-    d_sq = L**4 / plus                  # D^2
-    gauss = gauss - 0.5 * d_sq * k * k
-    log_pref = 0.5 * math.log(2.0 * L * dx * dy / plus)
-    log_half_ratio = 0.5 * math.log(abs(diff) / plus)   # log |r|^(1/2)
-    n = np.arange(n_max + 1, dtype=float)[:, None]
-
-    if regime == "narrow":
-        c_arg = L**3 / math.sqrt(diff * plus)      # c parameter, real here
-        mant, expo = hermite.normalized_hermite_table(n_max, -k * c_arg)
-    else:
-        c_tilde = L**3 / math.sqrt(-diff * plus)   # |c|, c imaginary here
-        mant, expo = hermite.normalized_hermite_table(n_max, k * c_tilde, sign=1.0)
-
-    with np.errstate(divide="ignore"):
-        log_h = np.where(mant == 0.0, -np.inf, np.log(np.abs(mant))) + expo * math.log(2.0)
-    logmag = log_pref + n * log_half_ratio + gauss[None, :] + log_h
-    sign = np.sign(mant)
-    sign = np.where(sign == 0.0, 1.0, sign)
-    if regime == "wide":
-        # A_n ~ (i)^n and H_n(i y) = i^n G_n combine to (-1)^n, all real
-        sign = sign * np.where(np.arange(n_max + 1)[:, None] % 2 == 0, 1.0, -1.0)
-    return logmag, sign
+    r = (L - dy) * (L + dy) / plus      # factored: no cancellation as d_y -> L
+    mant, scale = hermite.normalized_hermite_table(n_max, -k_x * (L**3 / plus), r)
+    scale += (
+        0.5 * math.log(2.0 * L * dx * dy / plus)
+        - 0.5 * dx**2 * (k_x - packet.k0x) ** 2
+        - 0.5 * (L**4 / plus) * k_x * k_x
+    )
+    return mant, scale
 
 
 def f_n(
@@ -247,18 +198,15 @@ def f_n(
 ):
     """Level amplitude F_n(k_x) = <n, k_x | f>.
 
-    method 'closed' evaluates the analytic form (rejected in a narrow window
-    around d_y = L where its auxiliary parameter diverges); 'quadrature'
-    integrates the defining overlap and is always available.
+    method 'closed' evaluates the scaled-Hermite closed form, one formula for
+    every d_y (see the module docstring); 'quadrature' integrates the
+    defining overlap, an independent cross-check.
     """
     k = np.atleast_1d(np.asarray(k_x, dtype=float))
-    if method == "closed":
-        logmag, sign = _f_closed_log(packet, field, n, k)
-        vals = sign[n] * np.exp(logmag[n])
-    elif method == "quadrature":
+    if method == "quadrature":
         vals = _f_quadrature(packet, field, n, k, rtol=quad_rtol)[n]
     else:
-        raise ValueError("method must be 'closed' or 'quadrature'")
+        vals = f_table(packet, field, n, k, method)[n]
     if np.isscalar(k_x):
         return float(vals[0])
     return vals
@@ -274,8 +222,8 @@ def f_table(
     """F_n(k_x) for all n <= n_max; shape (n_max+1, K)."""
     k = np.asarray(k_x, dtype=float)
     if method == "closed":
-        logmag, sign = _f_closed_log(packet, field, n_max, k)
-        return sign * np.exp(logmag)
+        mant, scale = _f_closed_log(packet, field, n_max, k)
+        return mant * np.exp(scale)
     if method == "quadrature":
         return _f_quadrature(packet, field, n_max, k)
     raise ValueError("method must be 'closed' or 'quadrature'")
@@ -322,6 +270,34 @@ def _f_quadrature(
     return cur
 
 
+def kx_rule(
+    packet: GaussianPacket,
+    field: FieldConfig,
+    n_max: int,
+    order: int | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Hermite k_x nodes and log fused weights for F_m F_n, m, n <= n_max.
+
+    Centred on the Gaussian of F_m F_n, the rule is exact for the closed form
+    when order > n_max; order defaults to 256 below 256 levels, else
+    MAX_GH_ORDER.  The fused weights w_i e^{u_i^2}/alpha use the node identity.
+    """
+    if order is None:
+        order = 256 if n_max < 256 else hermite.MAX_GH_ORDER
+    if order < n_max + 1:
+        raise ValueError(
+            f"kx_order={order} is below exactness ({n_max + 1}) for n_max={n_max}"
+        )
+    L = field.magnetic_length
+    d_sq = L**4 / (L * L + packet.d_y**2)
+    alpha = math.sqrt(packet.d_x**2 + d_sq)
+    centre = packet.d_x**2 * packet.k0x / alpha**2
+    rule = hermite.gauss_hermite(order)
+    psi_prev = hermite.psi_table(order - 1, rule.nodes)[order - 1]
+    log_w = -math.log(order) - 2.0 * np.log(np.abs(psi_prev)) - math.log(alpha)
+    return centre + rule.nodes / alpha, log_w
+
+
 @dataclass(frozen=True)
 class CoefficientSet:
     """Level-overlap matrix with its quadrature nodes and truncation record."""
@@ -365,46 +341,9 @@ def coefficient_matrix(
             f"n_max={n_build} exceeds the supported level cap {hermite.N_CAP}"
         )
 
-    L = field.magnetic_length
-    work_packet = packet
-    if _width_regime(packet, L) == "window":
-        warnings.warn(
-            "d_y within the singular window around L; computing coefficients "
-            "at d_y = L exactly",
-            stacklevel=2,
-        )
-        work_packet = GaussianPacket(
-            d_x=packet.d_x,
-            d_y=L,
-            d_z=packet.d_z,
-            k0x=packet.k0x,
-            k0z=packet.k0z,
-            a1=packet.a1,
-            a2=packet.a2,
-            dimensionality=packet.dimensionality,
-            relax_momentum_bound=True,
-        )
-
-    if kx_order is None:
-        kx_order = 256 if n_build < 256 else hermite.MAX_GH_ORDER
-    if kx_order < n_build + 1:
-        raise ValueError(
-            f"kx_order={kx_order} is below exactness ({n_build + 1}) for "
-            f"n_max={n_build}"
-        )
-
-    d_sq = L**4 / (L * L + work_packet.d_y**2)
-    alpha = math.sqrt(work_packet.d_x**2 + d_sq)
-    centre = work_packet.d_x**2 * work_packet.k0x / alpha**2
-
-    rule = hermite.gauss_hermite(kx_order)
-    k_nodes = centre + rule.nodes / alpha
-    # fused weights w_i e^{u_i^2}/alpha, stable via the node identity
-    psi_prev = hermite.psi_table(kx_order - 1, rule.nodes)[kx_order - 1]
-    log_wtilde = -math.log(kx_order) - 2.0 * np.log(np.abs(psi_prev)) - math.log(alpha)
-
-    logmag, sign = _f_closed_log(work_packet, field, n_build, k_nodes)
-    z = sign * np.exp(logmag + 0.5 * log_wtilde[None, :])
+    k_nodes, log_w = kx_rule(packet, field, n_build, kx_order)
+    mant, scale = _f_closed_log(packet, field, n_build, k_nodes)
+    z = mant * np.exp(scale + 0.5 * log_w)
     u_full = z @ z.T
 
     if auto:
@@ -426,11 +365,11 @@ def coefficient_matrix(
     return CoefficientSet(
         n_max=cut,
         u=u,
-        f_nodes=sign[: cut + 1] * np.exp(logmag[: cut + 1]),
+        f_nodes=mant[: cut + 1] * np.exp(scale[: cut + 1]),
         nodes=k_nodes,
-        node_weights=np.exp(log_wtilde),
+        node_weights=np.exp(log_w),
         tail_mass=tail,
-        kx_order=kx_order,
+        kx_order=k_nodes.size,
     )
 
 
@@ -514,28 +453,22 @@ def u_closed_equal_width(
     p_sq = dx * dx + 0.5 * L * L
     p = math.sqrt(p_sq)
     w = dx * dx * k0x / p
-    # H_{m+n}(-i w) (-i)^{m+n} = (-1)^{m+n} G_{m+n}(w)
-    mant, expo = hermite.normalized_hermite_table(max(m + n, 1), np.array([w]), sign=1.0)
-    log_g_over_c = (
-        math.log(abs(mant[m + n, 0])) + expo[m + n, 0] * math.log(2.0)
-        if mant[m + n, 0] != 0.0
-        else -math.inf
-    )
-    # rescale by C_{m+n}/(C_m C_n) in logs
+    # H_{m+n}(-i w) (-i)^{m+n} = (-1)^{m+n} G_{m+n}(w), G_n = K_n(.; -1)
+    mant, scale = hermite.normalized_hermite_table(m + n, np.array([w]), s=-1.0)
+    # rescale G_{m+n}/C_{m+n} by C_{m+n}/(C_m C_n) in logs
     log_c = (
         hermite.log_norm_constant(m + n)
         - hermite.log_norm_constant(m)
         - hermite.log_norm_constant(n)
     )
-    logmag = (
+    log_rest = (
         math.log(2.0 * math.sqrt(math.pi) * dx / L)
         + (m + n + 1) * math.log(L / (2.0 * p))
         - dx * dx * k0x * k0x * L * L / (2.0 * p_sq)
-        + log_g_over_c
+        + scale[m + n, 0]
         + log_c
     )
-    sign = (-1.0) ** (m + n) * math.copysign(1.0, mant[m + n, 0]) if mant[m + n, 0] else 1.0
-    return sign * math.exp(logmag)
+    return (-1.0) ** (m + n) * float(mant[m + n, 0]) * math.exp(log_rest)
 
 
 def u_closed_general(
@@ -550,8 +483,7 @@ def u_closed_general(
     cross-check of the quadrature path, not a production assembly route.
     """
     L = field.magnetic_length
-    regime = _width_regime(packet, L)
-    if regime in ("equal", "window"):
+    if abs(packet.d_y - L) < EQUAL_WIDTH_WINDOW * L:
         raise ClosedFormUnavailable("general closed form needs d_y away from L")
     dx, dy, k0x = packet.d_x, packet.d_y, packet.k0x
     diff = (L - dy) * (L + dy)          # L^2 - d_y^2

@@ -190,6 +190,16 @@ def test_oracle_check_mixing_channel(tmp_path):
     assert max(doc["channels"].values()) < 1e-6
 
 
+def test_oracle_check_near_equal_width(tmp_path):
+    # d_y within 1e-6 of L: the closed form must hold there as at any width
+    payload = json.loads((CONFIG_DIR / "ion_trap.json").read_text())
+    payload["packet"]["d_y"] = 1.0000001
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "oracle.json"
+    assert main(["oracle-check", "--config", cfg, "--output", str(out)]) == EXIT_OK
+    assert max(json.loads(out.read_text())["channels"].values()) < 1e-6
+
+
 def small_3p1_config():
     # the mixed 3+1 packet of configs/mixing_3p1.json over a short window
     cfg = json.loads((CONFIG_DIR / "mixing_3p1.json").read_text())

@@ -7,7 +7,7 @@ import pytest
 
 from landauzb import FieldConfig, GaussianPacket
 from landauzb import dynamics, oracle
-from landauzb.packet import DimensionalityError, coefficient_matrix
+from landauzb.packet import DimensionalityError, axial_grid, coefficient_matrix
 from landauzb.units import COMPTON_LENGTH
 
 
@@ -318,6 +318,22 @@ def test_analytic_signal_real_part_is_series(
         traj = trajectory(pkt, coeffs, critical_field, times)
         rebuilt = signal.real - signal.real[0]
         assert np.max(np.abs(rebuilt - traj.y)) < 1e-12
+
+
+def test_weak_field_interband_lines_are_cancellation_free():
+    # the packet of configs/lowfield_zb_3p1.json (20 T, 3+1): E_hi - E_lo is
+    # ~1e-9 of E, so 1/E_lo - 1/E_hi and 1 - q formed by subtraction carry
+    # rounding noise that no k_z rule converges past (1.4e-9 of the peak)
+    field = FieldConfig.from_tesla(20.0)
+    pkt = GaussianPacket(d_x=20000.0, d_y=18000.0, d_z=15000.0,
+                         k0x=3.367308812035271e-05, dimensionality="3+1")
+    coeffs = coefficient_matrix(pkt, field)
+    times = np.linspace(0.0, 20000.0, 2001)
+    coarse, fine = (
+        dynamics._series(pkt, coeffs, field, times, axial_grid(pkt, n), "interband")
+        for n in (64, 1024)
+    )
+    assert np.max(np.abs(coarse - fine)) <= 1e-10 * np.max(np.abs(fine))
 
 
 def test_lowfield_summary_values():

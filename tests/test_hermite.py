@@ -124,13 +124,37 @@ def test_log_factorial_ratio_large_arguments():
 
 
 def test_normalized_hermite_table_both_signs():
-    # sign -1: H_n(z)/C_n; sign +1: G_n(y)/C_n with H_n(iy) = i^n G_n(y)
+    # K_n(z; s) = s^{n/2} H_n(z/sqrt s): s = 1 gives H_n, s = -1 gives G_n with
+    # H_n(iz) = i^n G_n(z), s = 0 gives (2z)^n
     z = np.array([-1.3, 0.0, 0.4, 2.5])
-    for sign, values in (
-        (-1.0, [np.ones_like(z), 2 * z, 4 * z**2 - 2, 8 * z**3 - 12 * z]),
-        (1.0, [np.ones_like(z), 2 * z, 4 * z**2 + 2, 8 * z**3 + 12 * z]),
-    ):
-        mant, expo = hermite.normalized_hermite_table(3, z, sign=sign)
+    for s in (1.0, -1.0, 0.0, 0.37, -1e-9):
+        values = [np.ones_like(z), 2 * z, 4 * z**2 - 2 * s, 8 * z**3 - 12 * s * z]
+        mant, scale = hermite.normalized_hermite_table(3, z, s=s)
         for n, ref in enumerate(values):
             scaled = ref / math.exp(hermite.log_norm_constant(n))
-            assert np.allclose(mant[n] * 2.0 ** expo[n], scaled, rtol=1e-14, atol=1e-15)
+            assert np.allclose(mant[n] * np.exp(scale[n]), scaled, rtol=1e-14, atol=1e-15)
+
+
+def test_normalized_hermite_table_matches_extended_precision():
+    # the same recurrence at 50 digits; large z means short renormalization
+    # blocks, and z = 2.5e5 (blocks of 50) puts a block edge on the last rows
+    mpmath = pytest.importorskip("mpmath")
+    n_max = 450
+    z = np.array([0.0, 1e-30, 0.3, 40.0, 1e5, 2.5e5])
+    with mpmath.workdps(50):
+        c1 = [mpmath.sqrt(mpmath.mpf(2) / (k + 1)) for k in range(n_max)]
+        c2 = [mpmath.sqrt(mpmath.mpf(k) / (k + 1)) for k in range(n_max)]
+        for s in (1.0, 0.5, 1e-16, 0.0, -1e-16, -1.0):
+            mant, scale = hermite.normalized_hermite_table(n_max, z, s=s)
+            for j, zj in enumerate(z):
+                x = mpmath.mpf(float(zj))
+                ref = [mpmath.pi ** mpmath.mpf(-0.25)]
+                ref.append(mpmath.sqrt(2) * x * ref[0])
+                for k in range(1, n_max):
+                    ref.append(x * c1[k] * ref[k] - s * c2[k] * ref[k - 1])
+                peak = max(abs(v) for v in ref)
+                err = max(
+                    abs(mant[n, j] * mpmath.exp(scale[n, j]) - ref[n])
+                    for n in range(n_max + 1)
+                )
+                assert err <= 1e-12 * peak, (s, zj, float(err / peak))

@@ -126,7 +126,7 @@ def test_level_amplitude_paths_agree(critical_field):
     assert math.isclose(closed, quad, rel_tol=1e-8)
 
 
-@pytest.mark.parametrize("d_y", [0.7, 1.35])
+@pytest.mark.parametrize("d_y", [0.7, 1.35, 1.0, 1.0 + 1e-8])
 def test_level_amplitude_paths_agree_both_regimes(critical_field, d_y):
     pkt = GaussianPacket(d_x=1.2, d_y=d_y, k0x=0.4, dimensionality="2+1")
     k = np.array([-0.4, 0.05, 0.3, 1.1])
@@ -136,13 +136,18 @@ def test_level_amplitude_paths_agree_both_regimes(critical_field, d_y):
     assert np.max(np.abs(closed - quad)) < 1e-8 * scale
 
 
-def test_closed_form_rejected_near_equal_width(critical_field):
-    pkt = GaussianPacket(d_x=1.2, d_y=1.0 + 1e-8, k0x=0.4, dimensionality="2+1")
-    with pytest.raises(ClosedFormUnavailable):
-        f_n(pkt, critical_field, 3, 0.2)
-    # the quadrature path stays available
-    val = f_n(pkt, critical_field, 3, 0.2, method="quadrature")
-    assert np.isfinite(val)
+def test_closed_form_agrees_with_quadrature_near_equal_width(critical_field):
+    # one closed form at every width: no singular window around d_y = L
+    k = np.array([-0.4, 0.0, 0.2, 1.1])
+    for d_y in (1.0 - 1e-8, 1.0 + 1e-8):
+        pkt = GaussianPacket(d_x=1.2, d_y=d_y, k0x=0.4, dimensionality="2+1")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            closed = f_table(pkt, critical_field, 30, k)
+            single = f_n(pkt, critical_field, 3, 0.2)
+        quad = f_table(pkt, critical_field, 30, k, method="quadrature")
+        assert np.max(np.abs(closed - quad)) <= 1e-12 * np.max(np.abs(quad))
+        assert abs(single - f_n(pkt, critical_field, 3, 0.2, method="quadrature")) <= 1e-12
 
 
 def test_high_level_amplitude_finite(critical_field):
@@ -230,12 +235,19 @@ def test_general_closed_form_needs_distinct_widths(critical_field):
         u_closed_general(pkt, critical_field, 2, 2)
 
 
-def test_equal_width_window_snaps_with_warning(critical_field):
+def test_equal_width_window_computes_the_given_packet(critical_field):
     pkt = GaussianPacket(d_x=1.2, d_y=1.0 + 3e-7, k0x=0.3, dimensionality="2+1")
-    with pytest.warns(UserWarning, match="d_y = L"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         coeffs = coefficient_matrix(pkt, critical_field)
     rep = sum_rules(coeffs, pkt, critical_field)
     assert rep.norm_residual < 1e-10
+    assert rep.momentum_residual < 1e-10
+    equal = coefficient_matrix(
+        GaussianPacket(d_x=1.2, d_y=1.0, k0x=0.3, dimensionality="2+1"),
+        critical_field, n_max=coeffs.n_max,
+    )
+    assert not np.array_equal(coeffs.u, equal.u)
 
 
 def test_auto_truncation_matches_manual(critical_field, packet_2p1):
@@ -247,15 +259,17 @@ def test_auto_truncation_matches_manual(critical_field, packet_2p1):
 @settings(max_examples=15, deadline=None)
 @given(
     d_x=st.floats(min_value=0.7, max_value=2.5),
-    d_y=st.floats(min_value=0.7, max_value=2.5),
+    d_y=st.one_of(
+        st.floats(min_value=0.7, max_value=2.5),
+        st.floats(min_value=-1e-6, max_value=1e-6).map(lambda eps: 1.0 + eps),
+    ),
     k0x=st.floats(min_value=0.0, max_value=0.9),
 )
 def test_sum_rules_property(d_x, d_y, k0x):
+    # d_y = L (1 + eps), |eps| <= 1e-6, takes the one closed form like any width
     field = FieldConfig.from_magnetic_length(1.0)
     pkt = GaussianPacket(d_x=d_x, d_y=d_y, k0x=k0x, dimensionality="2+1")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        coeffs = coefficient_matrix(pkt, field)
+    coeffs = coefficient_matrix(pkt, field)
     rep = sum_rules(coeffs, pkt, field)
     assert rep.norm_residual < 1e-10
     assert rep.momentum_residual < 1e-10
