@@ -29,9 +29,9 @@ EXIT_TOLERANCE = 3
 EXIT_CAPACITY = 4
 
 _TWO_PI = 2.0 * math.pi
-_AMU = 1.66053906660e-27
 _SUM_RULE_TOL = 1e-10
 _ORACLE_TOL = 1e-6
+_REQUIRED = object()    # default of a config key that must be given
 
 
 class ConfigError(ValueError):
@@ -39,6 +39,8 @@ class ConfigError(ValueError):
 
 
 def _reject_unknown(section: dict, allowed: set[str], where: str) -> None:
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a JSON object")
     unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
@@ -50,12 +52,41 @@ def _require(section: dict, key: str, where: str):
     return section[key]
 
 
+def _is_number(value) -> bool:
+    """A finite JSON number; booleans and strings are not numbers."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _number(section: dict, key: str, where: str, default=None, integer=False):
+    """section[key] as a float (an int when `integer`), else `default`.
+
+    A required key passes default=_REQUIRED.  A value that is not a finite
+    number, or not an integer where one is asked for, is a config error that
+    names the key.
+    """
+    if key not in section:
+        return _require(section, key, where) if default is _REQUIRED else default
+    value = section[key]
+    if integer and not (isinstance(value, int) and not isinstance(value, bool)):
+        raise ConfigError(f"{where}.{key} must be an integer, not {value!r}")
+    if not _is_number(value):
+        raise ConfigError(f"{where}.{key} must be a finite number, not {value!r}")
+    return int(value) if integer else float(value)
+
+
+def _flag(section: dict, key: str, where: str, default: bool) -> bool:
+    value = section.get(key, default)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where}.{key} must be true or false, not {value!r}")
+    return value
+
+
 def _as_complex(value, where: str) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
-    raise ConfigError(f"{where} must be a number or [re, im] pair")
+    parts = value if isinstance(value, (list, tuple)) and len(value) == 2 else (value, 0.0)
+    if not all(_is_number(part) for part in parts):
+        raise ConfigError(f"{where} must be a number or [re, im] pair")
+    return complex(float(parts[0]), float(parts[1]))
 
 
 def load_config(path: str) -> dict:
@@ -95,38 +126,34 @@ def resolve_field(cfg: dict):
     if "b_tesla" in section:
         if units_kind != "physical":
             raise ConfigError("b_tesla requires units = 'physical'")
-        field = FieldConfig.from_tesla(float(section["b_tesla"]))
+        field = FieldConfig.from_tesla(_number(section, "b_tesla", "field"))
     elif "kappa" in section:
-        field = FieldConfig.from_kappa(float(section["kappa"]))
+        field = FieldConfig.from_kappa(_number(section, "kappa", "field"))
     else:
-        field = FieldConfig.from_magnetic_length(float(section["magnetic_length"]))
+        field = FieldConfig.from_magnetic_length(_number(section, "magnetic_length", "field"))
     units = UnitSystem.electron() if units_kind == "physical" else None
     return field, units, None
 
 
 def resolve_trap(section: dict):
     from . import ionmap
+    from .units import ATOMIC_MASS
 
     _reject_unknown(
         section,
         {"eta", "omega_tilde_hz", "omega_hz", "delta_angstrom", "ion_mass_amu", "nu_hz"},
         "trap",
     )
-    eta = float(_require(section, "eta", "trap"))
-    omega_tilde = _TWO_PI * float(_require(section, "omega_tilde_hz", "trap"))
-    omega = _TWO_PI * float(_require(section, "omega_hz", "trap"))
-    delta = section.get("delta_angstrom")
-    ion_mass = section.get("ion_mass_amu")
-    nu = section.get("nu_hz")
+    delta = _number(section, "delta_angstrom", "trap")
+    ion_mass = _number(section, "ion_mass_amu", "trap")
+    nu = _number(section, "nu_hz", "trap")
     return ionmap.TrapParams(
-        eta=eta,
-        omega_tilde=omega_tilde,
-        omega_carrier=omega,
-        delta=None if delta is None else float(delta) * 1e-10,
-        ion_mass=None if ion_mass is None else float(ion_mass) * _AMU,
-        trap_freqs=None if nu is None else (
-            _TWO_PI * float(nu), _TWO_PI * float(nu), _TWO_PI * float(nu)
-        ),
+        eta=_number(section, "eta", "trap", _REQUIRED),
+        omega_tilde=_TWO_PI * _number(section, "omega_tilde_hz", "trap", _REQUIRED),
+        omega_carrier=_TWO_PI * _number(section, "omega_hz", "trap", _REQUIRED),
+        delta=None if delta is None else delta * 1e-10,
+        ion_mass=None if ion_mass is None else ion_mass * ATOMIC_MASS,
+        trap_freqs=None if nu is None else (_TWO_PI * nu,) * 3,
     )
 
 
@@ -153,17 +180,17 @@ def resolve_packet(cfg: dict, field):
         raise ConfigError("packet unit must be lambda_c, magnetic_length or delta")
     a1 = _as_complex(section.get("a1", 0.0), "packet.a1")
     a2 = _as_complex(section.get("a2", 1.0), "packet.a2")
-    d_z = section.get("d_z")
+    d_z = _number(section, "d_z", "packet")
     return GaussianPacket(
-        d_x=float(_require(section, "d_x", "packet")) * scale,
-        d_y=float(_require(section, "d_y", "packet")) * scale,
-        d_z=None if d_z is None else float(d_z) * scale,
-        k0x=float(section.get("k0x", 0.0)) / scale,
-        k0z=float(section.get("k0z", 0.0)) / scale,
+        d_x=_number(section, "d_x", "packet", _REQUIRED) * scale,
+        d_y=_number(section, "d_y", "packet", _REQUIRED) * scale,
+        d_z=None if d_z is None else d_z * scale,
+        k0x=_number(section, "k0x", "packet", 0.0) / scale,
+        k0z=_number(section, "k0z", "packet", 0.0) / scale,
         a1=a1,
         a2=a2,
         dimensionality=model,
-        relax_momentum_bound=bool(section.get("relax_momentum_bound", False)),
+        relax_momentum_bound=_flag(section, "relax_momentum_bound", "packet", False),
     )
 
 
@@ -172,31 +199,41 @@ def resolve_times(cfg: dict):
 
     section = _require(cfg, "time", "config")
     _reject_unknown(section, {"t_start", "t_end", "samples"}, "time")
-    t_start = float(section.get("t_start", 0.0))
-    if t_start != 0.0:
+    if _number(section, "t_start", "time", 0.0) != 0.0:
         raise ConfigError("time.t_start must be 0 (trajectories start at the origin)")
-    t_end = float(_require(section, "t_end", "time"))
-    samples = int(_require(section, "samples", "time"))
+    t_end = _number(section, "t_end", "time", _REQUIRED)
+    samples = _number(section, "samples", "time", _REQUIRED, integer=True)
     if t_end <= 0 or samples < 2:
         raise ConfigError("time needs t_end > 0 and samples >= 2")
     return np.linspace(0.0, t_end, samples)
 
 
 def resolve_numerics(cfg: dict) -> dict:
+    from .packet import DEFAULT_N_MAX
+
     section = cfg.get("numerics", {})
     _reject_unknown(
         section,
         {"n_max", "tail_tol", "kx_order", "kz_rtol", "oracle_guard", "sum_rule_tol"},
         "numerics",
     )
-    return {
-        "n_max": section.get("n_max"),
-        "tail_tol": float(section.get("tail_tol", 1e-10)),
-        "kx_order": section.get("kx_order"),
-        "kz_rtol": float(section.get("kz_rtol", 1e-9)),
-        "oracle_guard": int(section.get("oracle_guard", 20)),
-        "sum_rule_tol": float(section.get("sum_rule_tol", _SUM_RULE_TOL)),
+    num = {
+        "n_max": _number(section, "n_max", "numerics", integer=True),
+        "tail_tol": _number(section, "tail_tol", "numerics", 1e-10),
+        "kx_order": _number(section, "kx_order", "numerics", integer=True),
+        "kz_rtol": _number(section, "kz_rtol", "numerics", 1e-9),
+        "oracle_guard": _number(section, "oracle_guard", "numerics", 20, integer=True),
+        "sum_rule_tol": _number(section, "sum_rule_tol", "numerics", _SUM_RULE_TOL),
     }
+    for key in ("n_max", "oracle_guard"):
+        if num[key] is not None and num[key] < 0:
+            raise ConfigError(f"numerics.{key} must be non-negative, not {num[key]}")
+    # the k_x rule is exact for the levels built only above their count
+    levels = (DEFAULT_N_MAX if num["n_max"] is None else num["n_max"]) + 1
+    if num["kx_order"] is not None and num["kx_order"] < levels:
+        raise ConfigError(f"numerics.kx_order = {num['kx_order']} is below exactness: "
+                          f"the {levels} levels built need at least {levels} nodes")
+    return num
 
 
 def _build_everything(cfg: dict):
@@ -370,11 +407,11 @@ def cmd_trajectory(args) -> int:
             pkt, coeffs, field, times, parts=parts, kz_rtol=num["kz_rtol"]
         )
     columns = {"t": traj.times, "x": traj.x, "y": traj.y}
-    if out_cfg.get("include_velocities", True):
+    if _flag(out_cfg, "include_velocities", "output", True):
         columns["vx"] = traj.vx
         columns["vy"] = traj.vy
     spectrum = None
-    if out_cfg.get("include_spectrum", False) and pkt.dimensionality == "2+1":
+    if _flag(out_cfg, "include_spectrum", "output", False) and pkt.dimensionality == "2+1":
         spectrum = _spectrum_rows(pkt, coeffs, field)
     header = _header(
         cfg, field, units, pkt, coeffs,
@@ -481,28 +518,35 @@ def cmd_oracle_check(args) -> int:
 def cmd_ion_map(args) -> int:
     from . import ionmap
 
+    flags = {"--model": args.model, "--eta": args.eta,
+             "--omega-tilde-hz": args.omega_tilde_hz, "--omega-hz": args.omega_hz,
+             "--target-kappa": args.target_kappa, "--delta-angstrom": args.delta_angstrom}
     if args.config:
+        given = [flag for flag, value in flags.items() if value is not None]
+        if given:
+            raise ConfigError(f"ion-map reads the trap and model from --config; "
+                              f"{', '.join(given)} would be ignored")
         cfg = load_config(args.config)
         trap = resolve_trap(_require(cfg, "trap", "config"))
         model = cfg.get("model", "2+1")
     else:
         if args.eta is None or args.omega_tilde_hz is None:
             raise ConfigError("ion-map needs --config or --eta plus --omega-tilde-hz")
+        if (args.omega_hz is None) == (args.target_kappa is None):
+            raise ConfigError("ion-map needs exactly one of --omega-hz and --target-kappa")
         if args.target_kappa is not None:
             omega = ionmap.invert_kappa(
                 args.target_kappa, args.eta, _TWO_PI * args.omega_tilde_hz
             )
-        elif args.omega_hz is not None:
-            omega = _TWO_PI * args.omega_hz
         else:
-            raise ConfigError("ion-map needs --omega-hz or --target-kappa")
+            omega = _TWO_PI * args.omega_hz
         trap = ionmap.TrapParams(
             eta=args.eta,
             omega_tilde=_TWO_PI * args.omega_tilde_hz,
             omega_carrier=omega,
-            delta=args.delta_angstrom * 1e-10 if args.delta_angstrom else 96e-10,
+            delta=96e-10 if args.delta_angstrom is None else args.delta_angstrom * 1e-10,
         )
-        model = args.model
+        model = args.model or "2+1"
     schedule = ionmap.excitation_schedule(model)
     doc = ionmap.schedule_document(schedule, trap)
     _emit(args.output, _json_text(doc))
@@ -554,7 +598,8 @@ def build_parser() -> argparse.ArgumentParser:
     ion.add_argument("--config", default=None)
     ion.add_argument("--output", default=None)
     ion.add_argument("--format", choices=("csv", "json"), default="json")
-    ion.add_argument("--model", choices=("2+1", "3+1"), default="2+1")
+    ion.add_argument("--model", choices=("2+1", "3+1"), default=None,
+                     help="default 2+1")
     ion.add_argument("--eta", type=float, default=None)
     ion.add_argument("--omega-tilde-hz", type=float, default=None)
     ion.add_argument("--omega-hz", type=float, default=None)

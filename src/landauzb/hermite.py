@@ -1,19 +1,19 @@
-"""Stable oscillator eigenfunctions and quadrature rules.
+"""Stable oscillator eigenfunctions and Gauss-Hermite rules.
 
-The weighted Hermite functions psi_n(x) = H_n(x) exp(-x^2/2) / C_n with
-C_n = sqrt(2^n n! sqrt(pi)) are evaluated by the normalized three-term
-recurrence; raw H_n overflows double precision near n ~ 300, the normalized
-form stays O(1) up to the configured cap.
+psi_n(x) = H_n(x) exp(-x^2/2) / C_n, C_n = sqrt(2^n n! sqrt(pi)), comes from one
+normalized three-term recurrence carried as a mantissa times e^scale: raw H_n
+overflows near n ~ 300 and the Gaussian underflows far out, their product does
+neither.  Gauss-Hermite rules are built from numpy alone and cached per order.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import roots_hermite
 
 N_CAP = 450
 MAX_GH_ORDER = 512
@@ -25,30 +25,47 @@ class CapacityError(ValueError):
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes and positive weights of a fixed quadrature rule."""
+    """Gauss-Hermite nodes and positive weights for the weight e^{-x^2}.
+
+    log_fused = log(w_i e^{x_i^2}) = -log N - 2 log|psi_{N-1}(x_i)| stays finite
+    where w_i underflows.  Rules are cached and shared, so arrays are read-only.
+    """
 
     nodes: np.ndarray
     weights: np.ndarray
-    kind: str  # 'gauss-hermite'
+    log_fused: np.ndarray
 
     def __post_init__(self):
         if np.any(self.weights <= 0):
             raise ValueError("quadrature weights must be positive")
+        for values in (self.nodes, self.weights, self.log_fused):
+            values.flags.writeable = False
 
     def integrate(self, f: Callable[[np.ndarray], np.ndarray]) -> float:
         return float(np.dot(self.weights, f(self.nodes)))
 
 
+@functools.cache
 def gauss_hermite(order: int) -> QuadratureRule:
-    """Gauss-Hermite rule for weight exp(-x^2), exact through degree 2N-1."""
+    """Gauss-Hermite rule for weight exp(-x^2), exact through degree 2N-1.
+
+    Golub-Welsch (Math. Comp. 23:221, 1969): the Jacobi matrix's eigenvalues,
+    then two Newton steps on h_N = H_N/C_N (h_N' = sqrt(2N) h_{N-1}), symmetrized.
+    """
     if not 2 <= order <= MAX_GH_ORDER:
         raise CapacityError(f"Gauss-Hermite order must be in [2, {MAX_GH_ORDER}]")
-    nodes, weights = roots_hermite(order)
+    x = np.linalg.eigvalsh(np.diag(np.sqrt(np.arange(1, order) / 2.0), 1), UPLO="U")
+    for _ in range(2):
+        mant, scale = normalized_hermite_table(order, x)
+        ratio = mant[order] / mant[order - 1] * np.exp(scale[order] - scale[order - 1])
+        x = x - ratio / math.sqrt(2.0 * order)
+    x = 0.5 * (x - x[::-1])
+    mant, scale = normalized_hermite_table(order - 1, x)
+    log_fused = x * x - 2.0 * (np.log(np.abs(mant[-1])) + scale[-1]) - math.log(order)
     # beyond order ~370 the outermost weights (~e^{-node^2}) drop below the
     # float64 floor; clamp to the smallest subnormal to keep them positive
-    tiny = np.nextafter(0.0, 1.0)
-    weights = np.where(weights > 0.0, weights, tiny)
-    return QuadratureRule(nodes=nodes, weights=weights, kind="gauss-hermite")
+    weights = np.maximum(np.exp(log_fused - x * x), np.nextafter(0.0, 1.0))
+    return QuadratureRule(nodes=x, weights=weights, log_fused=log_fused)
 
 
 def psi(n: int, xi) -> np.ndarray | float:
@@ -65,22 +82,16 @@ def psi(n: int, xi) -> np.ndarray | float:
 def psi_table(n_max: int, xi: np.ndarray) -> np.ndarray:
     """All psi_n(xi) for n <= n_max; shape (n_max+1, len(xi)).
 
-    The table form is also used internally above the public psi() cap, e.g.
-    for quadrature weights, so it only enforces the hard recurrence limit.
+    normalized_hermite_table with the Gaussian folded into its log scale, so it
+    cannot underflow first.  Used above the psi() cap too: only the hard limit holds.
     """
     if n_max < 0 or n_max > 2 * MAX_GH_ORDER:
         raise CapacityError(f"level n_max={n_max} outside [0, {2 * MAX_GH_ORDER}]")
     x = np.asarray(xi, dtype=float)
-    table = np.empty((n_max + 1, x.size))
-    table[0] = np.pi ** -0.25 * np.exp(-0.5 * x * x)
-    if n_max >= 1:
-        table[1] = math.sqrt(2.0) * x * table[0]
-    for k in range(1, n_max):
-        table[k + 1] = (
-            x * math.sqrt(2.0 / (k + 1)) * table[k]
-            - math.sqrt(k / (k + 1.0)) * table[k - 1]
-        )
-    return table
+    mant, scale = normalized_hermite_table(n_max, x)
+    scale -= 0.5 * x * x
+    mant *= np.exp(scale, out=scale)
+    return mant
 
 
 def normalized_hermite_table(
@@ -112,7 +123,7 @@ def normalized_hermite_table(
             peak[peak == 0.0] = 1.0
             m[k - 1 : k + 1] /= peak
             scale[k - 1 : k + block + 1] = scale[k - 1] + np.log(peak)
-        # same recurrence as psi_table, scaled by s in its second term
+        # the Hermite recurrence, scaled by s in its second term
         np.multiply(z, math.sqrt(2.0 / (k + 1)), out=m[k + 1])
         m[k + 1] *= m[k]
         np.multiply(m[k - 1], s * math.sqrt(k / (k + 1.0)), out=work)

@@ -280,7 +280,7 @@ def kx_rule(
 
     Centred on the Gaussian of F_m F_n, the rule is exact for the closed form
     when order > n_max; order defaults to 256 below 256 levels, else
-    MAX_GH_ORDER.  The fused weights w_i e^{u_i^2}/alpha use the node identity.
+    MAX_GH_ORDER.  The fused weights are the rule's w_i e^{u_i^2}, over alpha.
     """
     if order is None:
         order = 256 if n_max < 256 else hermite.MAX_GH_ORDER
@@ -293,20 +293,15 @@ def kx_rule(
     alpha = math.sqrt(packet.d_x**2 + d_sq)
     centre = packet.d_x**2 * packet.k0x / alpha**2
     rule = hermite.gauss_hermite(order)
-    psi_prev = hermite.psi_table(order - 1, rule.nodes)[order - 1]
-    log_w = -math.log(order) - 2.0 * np.log(np.abs(psi_prev)) - math.log(alpha)
-    return centre + rule.nodes / alpha, log_w
+    return centre + rule.nodes / alpha, rule.log_fused - math.log(alpha)
 
 
 @dataclass(frozen=True)
 class CoefficientSet:
-    """Level-overlap matrix with its quadrature nodes and truncation record."""
+    """Level-overlap matrix with its truncation record."""
 
     n_max: int
     u: np.ndarray                 # (n_max+1, n_max+1), real symmetric
-    f_nodes: np.ndarray           # F_n at the k_x quadrature nodes
-    nodes: np.ndarray             # k_x quadrature nodes
-    node_weights: np.ndarray      # transformed weights for dk_x integration
     tail_mass: float
     kx_order: int
 
@@ -362,15 +357,7 @@ def coefficient_matrix(
             f"(> {tail_tol:g}); increase n_max"
         )
 
-    return CoefficientSet(
-        n_max=cut,
-        u=u,
-        f_nodes=mant[: cut + 1] * np.exp(scale[: cut + 1]),
-        nodes=k_nodes,
-        node_weights=np.exp(log_w),
-        tail_mass=tail,
-        kx_order=k_nodes.size,
-    )
+    return CoefficientSet(n_max=cut, u=u, tail_mass=tail, kx_order=k_nodes.size)
 
 
 def axial_grid(packet: GaussianPacket, points: int) -> tuple[np.ndarray, np.ndarray]:

@@ -14,13 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import scipy.constants as _const
-
-# SI scales of the physical electron (CODATA via scipy.constants)
-HBAR = _const.hbar
-ELECTRON_MASS = _const.m_e
-SPEED_OF_LIGHT = _const.c
-ELEMENTARY_CHARGE = _const.e
+# SI scales: c, e and h are exact in the 2019 SI; the masses are CODATA 2022
+SPEED_OF_LIGHT = 299792458.0                  # m/s
+ELEMENTARY_CHARGE = 1.602176634e-19           # C
+HBAR = 6.62607015e-34 / (2.0 * math.pi)       # J s
+ELECTRON_MASS = 9.1093837139e-31              # kg
+ATOMIC_MASS = 1.66053906892e-27               # kg, the atomic mass constant
 
 COMPTON_LENGTH = HBAR / (ELECTRON_MASS * SPEED_OF_LIGHT)      # m
 COMPTON_TIME = HBAR / (ELECTRON_MASS * SPEED_OF_LIGHT**2)     # s

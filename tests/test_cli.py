@@ -276,6 +276,53 @@ def test_ion_map_target_kappa(tmp_path):
     )
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--model", "3+1"), ("--eta", "0.06"), ("--omega-tilde-hz", "68000"),
+    ("--omega-hz", "1000"), ("--target-kappa", "1.0"), ("--delta-angstrom", "96"),
+])
+def test_ion_map_flags_beside_config_rejected(tmp_path, capsys, flag, value):
+    out = tmp_path / "ion.json"
+    code = main(["ion-map", "--config", str(CONFIG_DIR / "ion_trap.json"),
+                 flag, value, "--output", str(out)])
+    assert code == EXIT_CONFIG
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra", [
+    ["--omega-hz", "1000", "--target-kappa", "1.0"],
+    ["--omega-hz", "1000", "--delta-angstrom", "0"],
+])
+def test_ion_map_conflicting_or_invalid_flags_rejected(tmp_path, extra):
+    out = tmp_path / "ion.json"
+    code = main(["ion-map", "--eta", "0.06", "--omega-tilde-hz", "68000", *extra,
+                 "--output", str(out)])
+    assert code == EXIT_CONFIG
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("numerics", "kx_order", 300),      # below exactness for the 401 levels built
+    ("numerics", "kx_order", "256"),
+    ("numerics", "n_max", 30.5),
+    ("numerics", "n_max", "40"),
+    ("numerics", "n_max", -1),
+    ("numerics", "oracle_guard", -1),
+    ("time", "samples", "abc"),
+    ("time", "samples", 10.7),
+    ("trap", "eta", "x"),
+    ("output", "include_velocities", "no"),
+])
+def test_bad_config_value_names_its_key(tmp_path, capsys, section, key, value):
+    payload = json.loads((CONFIG_DIR / "ion_trap.json").read_text())
+    payload.setdefault(section, {})[key] = value
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "t.csv"
+    assert main(["trajectory", "--config", cfg, "--output", str(out)]) == EXIT_CONFIG
+    assert f"{section}.{key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_lowfield_command(tmp_path):
     out = tmp_path / "low.json"
     code = main(["lowfield", "--config", str(CONFIG_DIR / "lowfield_zb_3p1.json"),
@@ -299,6 +346,16 @@ def test_trap_trajectory_persistent(tmp_path):
     assert late >= 0.5 * early
     kinds = {line["kind"] for line in spectrum}
     assert kinds == {"intraband", "interband"}
+
+
+def test_import_leaves_scipy_out():
+    # numpy is the only runtime dependency
+    code = ("import sys, landauzb, landauzb.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", code],
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def test_entry_point_subprocess(tmp_path):

@@ -32,6 +32,22 @@ def test_psi_capacity_error():
         hermite.psi(451, 0.0)
 
 
+def test_psi_table_far_tail_matches_extended_precision():
+    # e^{-x^2/2} = e^{-800} underflows on its own; psi_1000(40) does not
+    mpmath = pytest.importorskip("mpmath")
+    xi = np.array([40.0, 39.0])
+    table = hermite.psi_table(1000, xi)
+    with mpmath.workdps(40):
+        for j, xj in enumerate(xi):
+            x = mpmath.mpf(float(xj))
+            prev = mpmath.pi ** mpmath.mpf(-0.25) * mpmath.exp(-x * x / 2)
+            cur = mpmath.sqrt(2) * x * prev
+            for k in range(1, 1000):
+                prev, cur = cur, (x * mpmath.sqrt(mpmath.mpf(2) / (k + 1)) * cur
+                                  - mpmath.sqrt(mpmath.mpf(k) / (k + 1)) * prev)
+            assert abs(table[1000, j] - cur) <= 1e-12 * abs(cur), (xj, table[1000, j], float(cur))
+
+
 def test_three_term_recurrence_residual():
     xi = np.linspace(-20.0, 20.0, 801)
     table = hermite.psi_table(401, xi)
@@ -97,6 +113,31 @@ def test_gauss_hermite_cosine_transform():
     rule = hermite.gauss_hermite(64)
     val = rule.integrate(lambda x: np.cos(3.0 * x))
     assert math.isclose(val, math.sqrt(math.pi) * math.exp(-2.25), rel_tol=1e-10)
+
+
+@pytest.mark.parametrize("order", [64, 256, 512])
+def test_gauss_hermite_nodes_match_long_double_newton(order):
+    # one Newton step on H_N/C_N in 80-bit arithmetic moves no node by more
+    # than about an ulp of the largest one (|x| < 32)
+    if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
+        pytest.skip("long double is no wider than double on this platform")
+    x = hermite.gauss_hermite(order).nodes.astype(np.longdouble)
+    prev = np.full_like(x, np.pi ** -0.25)
+    cur = np.sqrt(np.longdouble(2)) * x * prev
+    for k in range(1, order):
+        k1 = np.longdouble(k + 1)
+        prev, cur = cur, x * np.sqrt(2 / k1) * cur - np.sqrt(k / k1) * prev
+    step = cur / (np.sqrt(np.longdouble(2 * order)) * prev)
+    assert float(np.max(np.abs(step))) <= 5e-15
+
+
+def test_gauss_hermite_rule_is_cached_read_only():
+    rule = hermite.gauss_hermite(64)
+    assert hermite.gauss_hermite(64) is rule
+    for values in (rule.nodes, rule.weights, rule.log_fused):
+        with pytest.raises(ValueError):
+            values[0] = 1.0
+    assert np.allclose(np.exp(rule.log_fused - rule.nodes**2), rule.weights, rtol=1e-15, atol=0)
 
 
 def test_gauss_hermite_order_bounds():

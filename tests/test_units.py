@@ -3,14 +3,29 @@ import math
 import pytest
 
 from landauzb.units import (
+    ATOMIC_MASS,
     COMPTON_LENGTH,
     COMPTON_TIME,
     CRITICAL_FIELD,
+    ELECTRON_MASS,
+    ELEMENTARY_CHARGE,
+    HBAR,
     SPEED_OF_LIGHT,
     FieldConfig,
     UnitError,
     UnitSystem,
 )
+
+
+def test_constants_match_scipy():
+    # the literals are CODATA 2022 as scipy.constants carries it; a changed
+    # value there shows here
+    constants = pytest.importorskip("scipy.constants")
+    assert SPEED_OF_LIGHT == constants.c
+    assert ELEMENTARY_CHARGE == constants.e
+    assert HBAR == constants.hbar
+    assert ELECTRON_MASS == constants.m_e
+    assert ATOMIC_MASS == constants.physical_constants["atomic mass constant"][0]
 
 
 def test_electron_units_speed_consistency():
