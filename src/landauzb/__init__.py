@@ -1,7 +1,7 @@
 """Relativistic electron wave packets in a uniform magnetic field.
 
 Exact Landau-level trajectories, velocities and frequency spectra for the
-2+1 and 3+1 models, a dense brute-force evolution oracle that certifies the
+2+1 and 3+1 models, a brute-force evolution oracle that certifies the
 analytic series, and the translation layer between trapped-ion settings and
 the simulated parameters.
 """

@@ -4,7 +4,7 @@ Commands
     trajectory    sampled positions (and optionally velocities, spectrum)
     spectrum      discrete line table of a 2+1 run
     sumrules      overlap-matrix sum-rule residuals
-    oracle-check  analytic series vs dense-evolution comparison
+    oracle-check  analytic series vs brute-force evolution
     ion-map       trap settings -> simulated parameters and laser schedule
     lowfield      weak-field closed-form summary
 
@@ -115,6 +115,9 @@ def resolve_field(cfg: dict):
     units_kind = cfg.get("units", "natural")
     if units_kind not in ("natural", "physical", "trap"):
         raise ConfigError("units must be 'natural', 'physical' or 'trap'")
+    unread = "field" if units_kind == "trap" else "trap"
+    if unread in cfg:
+        raise ConfigError(f"units '{units_kind}' leave the {unread} section unread; remove it")
     if units_kind == "trap":
         trap = resolve_trap(_require(cfg, "trap", "config"))
         units, field = ionmap.simulated_units(trap)
@@ -591,7 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("trajectory", help="positions/velocities time series"))
     common(sub.add_parser("spectrum", help="discrete line table (2+1)"))
     common(sub.add_parser("sumrules", help="overlap sum-rule residuals"), "json")
-    common(sub.add_parser("oracle-check", help="series vs dense evolution"), "json")
+    common(sub.add_parser("oracle-check", help="series vs brute-force evolution"), "json")
     common(sub.add_parser("lowfield", help="weak-field closed-form summary"), "json")
 
     ion = sub.add_parser("ion-map", help="trap settings -> simulated parameters")

@@ -1,19 +1,22 @@
 """Brute-force evolution in the truncated spinor (x) oscillator basis.
 
-Certifies the analytic series: the Hamiltonian is assembled as a dense
-matrix over four spinor rows times oscillator levels 0..N, diagonalized
-once per wavenumber node, and expectation values of the position/velocity
-operators are propagated by eigenphases.  Nothing here touches the closed
-forms of the overlap matrix or the oscillation series; the only shared
-ingredients are the level amplitude F_n and the node choices: the k_x
-Gauss-Hermite rule of `packet.kx_rule` and the k_z grid of
-`packet.axial_ladder`.
+Certifies the analytic series.  The Hamiltonian is assembled as a matrix over
+four spinor rows times oscillator levels 0..N at each wavenumber node; its
+nonzero pattern splits into small invariant blocks (connected components,
+checked at every node), diagonalized by one batched `eigh` per chunk of
+nodes.  The density enters as a low-rank factor C of rho = C C^+, and the
+observables are summed over the block pairs they link, one phase e^{-iEt}
+per eigenvalue.  Nothing here touches the closed forms of the overlap
+matrix, the spectrum or the oscillation series; the only shared ingredients
+are the level amplitude F_n and the node choices: the k_x rule of
+`packet.kx_rule` and the k_z grid of `packet.axial_ladder`.
 
 Basis index: sigma * (N+1) + m for spinor row sigma in 0..3, level m.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -25,6 +28,7 @@ from .units import FieldConfig
 
 GUARD_BAND = 20
 LEAK_TOL = 1e-10
+CHUNK_ELEMENTS = 100_000   # phases per batched eigh: bounds the working set
 
 
 class TruncationLeakError(ValueError):
@@ -45,22 +49,13 @@ class DenseHamiltonian:
         return self.matrix.shape[0]
 
 
-def lowering_matrix(n_levels: int) -> np.ndarray:
-    """<m|a|m'> = sqrt(m') delta_{m,m'-1} on levels 0..n_levels."""
-    size = n_levels + 1
-    mat = np.zeros((size, size))
-    idx = np.arange(1, size)
-    mat[idx - 1, idx] = np.sqrt(idx)
-    return mat
-
-
 def build(n_levels: int, field: FieldConfig, k_z: float = 0.0) -> DenseHamiltonian:
     """Assemble the Hamiltonian: diagonal +-mc^2 blocks, ladder off-blocks.
 
     The off-diagonal 2x2 spin block is  k_z*sigma_z - omega*[[0,a],[a^+,0]].
     """
     size = n_levels + 1
-    a = lowering_matrix(n_levels)
+    a = np.diag(np.sqrt(np.arange(1.0, size)), 1)      # <m|a|m'> = sqrt(m') delta_{m,m'-1}
     eye = np.eye(size)
     omega = field.omega
 
@@ -113,40 +108,58 @@ class EvolvedExpectations:
                                # to max(|x|, |y|), velocities in c; 0 for 2+1
 
 
+def _components(pattern: np.ndarray) -> list[np.ndarray]:
+    """Connected components of a boolean matrix's pattern graph, by union-find:
+    ascending index arrays, ordered by their smallest index."""
+    root = list(range(pattern.shape[0]))
+
+    def find(i):
+        while root[i] != i:
+            root[i] = i = root[root[i]]
+        return i
+
+    for i, j in zip(*np.nonzero(pattern | pattern.T)):
+        a, b = find(i), find(j)
+        root[max(a, b)] = min(a, b)
+    labels = np.array([find(i) for i in range(len(root))])
+    return [np.flatnonzero(labels == r) for r in np.unique(labels)]
+
+
+def _block_stack(matrix: np.ndarray, index: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Blocks of `matrix` over padded `index`; raises on a nonzero outside them."""
+    out = matrix[index[:, :, None], index[:, None, :]] * (mask[:, :, None] & mask[:, None, :])
+    if np.count_nonzero(out) != np.count_nonzero(matrix):
+        raise ValueError("matrix has nonzero elements outside its invariant blocks")
+    return out
+
+
 def _density_from_nodes(
     pkt: packet_mod.GaussianPacket,
     field: FieldConfig,
     n_levels: int,
 ) -> tuple[np.ndarray, float]:
-    """Quadrature density rho = integral dk_x |c(k_x)><c(k_x)| and the
-    guiding-centre shift integral dk_x k_x L^2 |c|^2, on the shared
-    `packet.kx_rule` nodes with the oracle's own density assembly."""
+    """Factor C of the quadrature density rho = integral dk_x |c(k_x)><c(k_x)|
+    = C C^+ and the guiding-centre shift integral dk_x k_x L^2 |c|^2, on the
+    shared `packet.kx_rule` nodes with the oracle's own density assembly.
+    Modes of rho below eps times its largest are dropped: rho's own rounding."""
     size = n_levels + 1
     k_nodes, log_w = packet_mod.kx_rule(pkt, field, n_levels)
     wtilde = np.exp(log_w)
 
     f_vals = packet_mod.f_table(pkt, field, n_levels, k_nodes)  # (N+1, K)
-    weighted = f_vals * np.sqrt(wtilde)[None, :]
-    rho_osc = weighted @ weighted.T                              # (N+1, N+1)
-
-    rho = np.zeros((4 * size, 4 * size), dtype=complex)
-    amps = (pkt.a1, pkt.a2)
-    for i, ai in enumerate(amps):
-        for j, aj in enumerate(amps):
-            if ai == 0 or aj == 0:
-                continue
-            rho[i * size : (i + 1) * size, j * size : (j + 1) * size] = (
-                ai * np.conj(aj)
-            ) * rho_osc
+    u, s, _ = np.linalg.svd(f_vals * np.sqrt(wtilde)[None, :], full_matrices=False)
+    keep = s > math.sqrt(np.finfo(float).eps) * s[0]
+    amps = np.array([pkt.a1, pkt.a2, 0.0, 0.0])
+    factor = (amps[:, None, None] * (u[:, keep] * s[keep])).reshape(4 * size, -1)
     shift = field.magnetic_length**2 * float(
         np.dot(wtilde, k_nodes * np.sum(f_vals**2, axis=0))
     )
-    return rho, shift
+    return factor, shift
 
 
-def _check_leakage(rho: np.ndarray, n_levels: int, guard: int) -> None:
+def _check_leakage(rho_diag: np.ndarray, n_levels: int, guard: int) -> None:
     size = n_levels + 1
-    diag = np.real(np.diagonal(rho)).reshape(4, size)
+    diag = rho_diag.reshape(4, size)
     tail = float(diag[:, max(0, size - guard) :].sum())
     if tail > LEAK_TOL:
         raise TruncationLeakError(
@@ -168,7 +181,7 @@ def evolve_expectations(
     guard: int = GUARD_BAND,
     kz_order: int | None = None,
 ) -> EvolvedExpectations:
-    """Dense-evolution expectations of position and velocity.
+    """Block-evolution expectations of position and velocity.
 
     2+1 packets run a single diagonalization at k_z = 0; 3+1 packets add an
     outer trapezoid rule over the axial momentum density, with kz_order
@@ -190,50 +203,64 @@ def evolve_expectations(
         half = np.where(np.arange(kz_order) % 2 == 0, 2.0 * kz_weights, 0.0)
         weights = np.stack([kz_weights, half])
 
-    rho, shift = _density_from_nodes(pkt, field, n_levels)
-    _check_leakage(rho, n_levels, guard)
+    factor, shift = _density_from_nodes(pkt, field, n_levels)
+    _check_leakage(np.sum(np.abs(factor) ** 2, axis=1), n_levels, guard)
+    # by decreasing |k_z|: the first node sets the block pattern (finer at k_z = 0)
+    order = np.argsort(-np.abs(kz_nodes), kind="stable")
+    hams = (build(n_levels, field, k_z=kz_nodes[i]).matrix for i in order)
+    first = next(hams)
+    hams = itertools.chain([first], hams)
+    blocks = _components(first != 0)
+    width = max(b.size for b in blocks)
+    index = np.array([np.pad(b, (0, width - b.size)) for b in blocks])
+    mask = np.arange(width) < np.array([b.size for b in blocks])[:, None]
+    label, slot = np.zeros((2, factor.shape[0]), dtype=int)
+    label[index[mask]], slot[index[mask]] = np.nonzero(mask)
+    c_blocks = factor[index] * mask[..., None]                      # (B, w, r)
+    probe = c_blocks[..., :1] / np.linalg.norm(factor[:, 0])       # drift probe
+
     size = n_levels + 1
-    a_op = np.kron(np.eye(4), lowering_matrix(n_levels))
-    # alpha_x + i alpha_y: one complex observable carries both velocities
-    raise_spin = np.zeros((4, 4))
-    raise_spin[0, 3] = raise_spin[2, 1] = 2.0
-    v_op = np.kron(raise_spin, np.eye(size))
-    L = field.magnetic_length
+    m = np.arange(size)
+    lower = (np.arange(4)[:, None] * size + m[1:] - 1).ravel()     # <sigma, m-1| a |sigma, m>
+    # spinor rows: alpha_x + i alpha_y = 2 (|0><3| + |2><1|) carries both velocities
+    ops = []
+    for rows, cols, values in (
+        (lower, lower + 1, np.tile(np.sqrt(m[1:]), 4)),
+        (np.r_[m, 2 * size + m], np.r_[3 * size + m, size + m], np.full(2 * size, 2.0)),
+    ):  # block pairs (bra, ket) the operator links, and its elements there
+        keys, which = np.unique(label[rows] * len(blocks) + label[cols], return_inverse=True)
+        elems = np.zeros((keys.size, width, width))
+        elems[which, slot[rows], slot[cols]] = values
+        ops.append((keys // len(blocks), keys % len(blocks), elems))
 
-    # row 0 the full rule, row 1 its half-grid partner
-    alpha = np.zeros((2, times.size), dtype=complex)   # <A(t)>; <A^+(t)> = conj
-    vel = np.zeros((2, times.size), dtype=complex)     # <v_x> + i <v_y>
-    alpha0 = np.zeros(2, dtype=complex)
-    norm_drift = 0.0
-    energy_drift = 0.0
-    probe_times = times[:: max(1, times.size // 8)]
-    probe_col = int(np.argmax(np.linalg.norm(rho, axis=0)))
-    for k_z, wk in zip(kz_nodes, weights.T):
-        ham = build(n_levels, field, k_z=k_z)
-        evals, vecs = np.linalg.eigh(ham.matrix)
-        p_rho = vecs.T.conj() @ rho @ vecs
-        phases = np.exp(-1j * np.outer(evals, times))        # (d, T)
-        for op, out in ((a_op, alpha), (v_op, vel)):
-            q = vecs.T @ (op @ vecs)                         # vecs real
-            w = p_rho.T * q                                  # W_ij = rho_ji q_ij
-            g = w @ phases
-            out += np.outer(wk, np.sum(np.conj(phases) * g, axis=0))
-            if op is a_op:
-                alpha0 += wk * w.sum()
+    # [<A(t)>, <v_x + i v_y>(t)] x [full rule, half-grid partner]; <A^+> = conj
+    out = np.zeros((2, 2, times.size), dtype=complex)
+    out0 = np.zeros((2, 2), dtype=complex)             # the same at t = 0
+    norm_drift = energy_drift = 0.0
+    stride = max(1, times.size // 8)
+    step = max(1, CHUNK_ELEMENTS // (factor.shape[0] * times.size))    # nodes per chunk
+    for start in range(0, order.size, step):
+        wk = weights[:, order[start : start + step]]                    # (2, c)
+        h = np.stack([_block_stack(next(hams), index, mask) for _ in range(wk.shape[1])])
+        evals, vecs = np.linalg.eigh(h)                                 # (c, B, w, w)
+        coef = vecs.swapaxes(-1, -2) @ c_blocks                         # V^T C
+        phases = np.exp(-1j * evals[..., None] * times)                 # (c, B, w, T)
+        for (bra, ket, elems), acc, acc0 in zip(ops, out, out0):
+            q = vecs[:, bra].swapaxes(-1, -2) @ elems @ vecs[:, ket]    # eigenbasis
+            w = q * (coef[:, bra].conj() @ coef[:, ket].swapaxes(-1, -2))  # W_ij = q_ij rho_ji
+            # conj(val) = sum_ij conj(phase_i) W_ij phase_j, one (c, P, w, T) temporary at a time
+            val = np.einsum("cpit,cpit->ct", np.conjugate(w @ phases[:, ket]), phases[:, bra])
+            acc += wk @ val.conj()
+            acc0 += wk @ w.sum(axis=(1, 2, 3))
+        vec_t = vecs @ ((vecs.swapaxes(-1, -2) @ probe) * phases[..., ::stride])
+        norm = np.sqrt(np.sum(np.abs(vec_t) ** 2, axis=(1, 2)))
+        energy = np.einsum("cbit,cbij,cbjt->ct", vec_t.conj(), h, vec_t).real
+        energy0 = np.einsum("bi,cbij,bj->c", probe[..., 0].conj(), h, probe[..., 0]).real
+        norm_drift = max(norm_drift, float(np.max(np.abs(norm - 1.0))))
+        energy_drift = max(energy_drift, float(np.max(np.abs(energy - energy0[:, None]))))
 
-        probe = rho[:, probe_col].copy()
-        pn = np.linalg.norm(probe)
-        if pn > 0:
-            probe /= pn
-            d = vecs.T.conj() @ probe
-            energy0 = np.real(np.vdot(probe, ham.matrix @ probe))
-            for t in probe_times:
-                vec_t = vecs @ (d * np.exp(-1j * evals * t))
-                norm_drift = max(norm_drift, abs(np.linalg.norm(vec_t) - 1.0))
-                energy = np.real(np.vdot(vec_t, ham.matrix @ vec_t))
-                energy_drift = max(energy_drift, abs(energy - energy0))
-
-    scale = L * math.sqrt(2.0)
+    (alpha, vel), alpha0 = out, out0[0]
+    scale = field.magnetic_length * math.sqrt(2.0)
     pos = scale * (alpha - alpha0[:, None])            # y + i x per rule
     pos_scale = max(_peak(pos[0]), 1e-300)
     kz_residual = max(_peak(pos[0] - pos[1]) / pos_scale, _peak(vel[0] - vel[1]))

@@ -118,6 +118,36 @@ def test_unknown_keys_rejected(tmp_path, capsys):
     assert "typo_key" in capsys.readouterr().err
 
 
+TRAP_SECTION = {"eta": 0.06, "omega_tilde_hz": 68000.0, "omega_hz": 1000.0, "delta_angstrom": 96.0}
+
+
+@pytest.mark.parametrize("command", ["trajectory", "sumrules", "oracle-check", "lowfield"])
+@pytest.mark.parametrize("config, section, value", [
+    ("ion_trap", "field", {"magnetic_length": 123.0}),
+    ("relativistic_3p1", "trap", TRAP_SECTION),
+    ("lowfield_zb_3p1", "trap", TRAP_SECTION),
+])
+def test_section_the_units_do_not_read_rejected(tmp_path, capsys, command, config, section, value):
+    # trap units never read a field section; natural and physical units read
+    # no trap section outside ion-map
+    payload = json.loads((CONFIG_DIR / f"{config}.json").read_text())
+    payload[section] = value
+    cfg = write_config(tmp_path, payload)
+    assert main([command, "--config", cfg, "--output", str(tmp_path / "out.json"),
+                 "--format", "json"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{section} section" in err and payload["units"] in err
+
+
+def test_ion_map_reads_a_trap_section_under_natural_units(tmp_path):
+    payload = json.loads((CONFIG_DIR / "relativistic_3p1.json").read_text())
+    payload["trap"] = TRAP_SECTION
+    out = tmp_path / "ion.json"
+    assert main(["ion-map", "--config", write_config(tmp_path, payload),
+                 "--output", str(out)]) == EXIT_OK
+    assert json.loads(out.read_text())["laser_pairs_total"] > 0
+
+
 def test_missing_config_file(capsys):
     assert main(["trajectory", "--config", "/nonexistent.json"]) == EXIT_CONFIG
 
@@ -188,6 +218,8 @@ def test_oracle_check_mixing_channel(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["mixing_active"] is True
     assert max(doc["channels"].values()) < 1e-6
+    assert 0.0 < doc["kz_residual"] <= 1e-6
+    assert max(doc["norm_drift"], doc["energy_drift"]) < 1e-12
 
 
 def test_oracle_check_near_equal_width(tmp_path):

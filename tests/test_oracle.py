@@ -6,6 +6,7 @@ import pytest
 from landauzb import FieldConfig, GaussianPacket
 from landauzb.landau import LandauIndex, jl_spinor, landau_energy
 from landauzb import dynamics, oracle
+from landauzb import packet as packet_mod
 from landauzb.packet import coefficient_matrix
 
 
@@ -183,3 +184,147 @@ def test_window_beyond_the_node_cap_raises(critical_field, axial_packet):
     with pytest.raises(dynamics.QuadratureConvergenceError) as info:
         oracle.evolve_expectations(pkt, critical_field, times, n_levels=coeffs.n_max + 20)
     assert info.value.nodes_needed > dynamics.MAX_GRID_NODES
+
+
+def test_components_recover_permuted_blocks():
+    # a symmetric block-diagonal matrix of mixed block sizes, rows permuted
+    rng = np.random.default_rng(7)
+    sizes = [3, 1, 4, 2, 5, 1, 2, 4]
+    mat = np.zeros((sum(sizes), sum(sizes)))
+    start = 0
+    for n in sizes:
+        blk = rng.uniform(0.5, 1.5, (n, n))
+        mat[start : start + n, start : start + n] = blk + blk.T
+        start += n
+    perm = rng.permutation(mat.shape[0])
+    found = oracle._components(mat[np.ix_(perm, perm)] != 0)
+    inverse = np.argsort(perm)    # where each original index landed
+    starts = np.cumsum([0] + sizes[:-1])
+    expected = sorted((np.sort(inverse[s : s + n]) for s, n in zip(starts, sizes)),
+                      key=lambda b: b[0])
+    assert [b.tolist() for b in found] == [b.tolist() for b in expected]
+
+
+def test_block_stack_rejects_an_element_outside_the_blocks(matched_field):
+    blocks = oracle._components(oracle.build(6, matched_field, k_z=0.4).matrix != 0)
+    width = max(b.size for b in blocks)
+    index = np.array([np.pad(b, (0, width - b.size)) for b in blocks])
+    mask = np.arange(width) < np.array([b.size for b in blocks])[:, None]
+    assert sorted(b.size for b in blocks) == [2, 2] + [4] * 6
+    # the k_z = 0 pattern is finer and lies inside the same blocks
+    zero = oracle.build(6, matched_field, k_z=0.0).matrix
+    stack = oracle._block_stack(zero, index, mask)
+    assert np.count_nonzero(stack) == np.count_nonzero(zero)
+    bad = zero.copy()
+    bad[0, 1] = 1e-300    # levels 0 and 1 of spinor row 0 share no block
+    with pytest.raises(ValueError, match="outside"):
+        oracle._block_stack(bad, index, mask)
+
+
+def dense_operators(pkt, field, n_levels):
+    """Dense rho = integral dk_x |c><c|, A = 1 (x) a and alpha_x + i alpha_y."""
+    size = n_levels + 1
+    k_nodes, log_w = packet_mod.kx_rule(pkt, field, n_levels)
+    weighted = packet_mod.f_table(pkt, field, n_levels, k_nodes) * np.exp(0.5 * log_w)
+    amps = np.array([pkt.a1, pkt.a2, 0.0, 0.0])
+    rho = np.kron(np.outer(amps, amps.conj()), weighted @ weighted.T)
+    a_op = np.kron(np.eye(4), np.diag(np.sqrt(np.arange(1.0, size)), 1))
+    raise_spin = np.zeros((4, 4))
+    raise_spin[0, 3] = raise_spin[2, 1] = 2.0
+    return rho, a_op, np.kron(raise_spin, np.eye(size))
+
+
+def dense_reference(pkt, field, times, n_levels, kz_order=None):
+    """Dense evolution: eigh of the full matrix, d x d operator transforms.
+
+    The oracle's former propagation, kept here as a reference for the block
+    path: rho and both observables as dense Kronecker products, one
+    eigendecomposition per k_z node, expectation values from
+    sum_ij rho_ji q_ij e^{i (E_i - E_j) t}.
+    """
+    rho, a_op, v_op = dense_operators(pkt, field, n_levels)
+    if pkt.dimensionality == "2+1":
+        nodes, weights = [0.0], [1.0]
+    else:
+        nodes, weights = packet_mod.axial_grid(pkt, kz_order)
+    alpha, vel = np.zeros((2, times.size), dtype=complex)
+    alpha0 = 0.0
+    for k_z, wk in zip(nodes, weights):
+        evals, vecs = np.linalg.eigh(oracle.build(n_levels, field, k_z=k_z).matrix)
+        p_rho = vecs.T @ rho @ vecs
+        phases = np.exp(-1j * np.outer(evals, times))
+        for op, out in ((a_op, alpha), (v_op, vel)):
+            w = p_rho.T * (vecs.T @ op @ vecs)
+            out += wk * np.sum(np.conj(phases) * (w @ phases), axis=0)
+        alpha0 += wk * np.sum(p_rho.T * (vecs.T @ a_op @ vecs))
+    pos = field.magnetic_length * math.sqrt(2.0) * (alpha - alpha0)
+    return pos.imag, pos.real, vel.real, vel.imag
+
+
+def assert_matches_dense(evo, ref, rtol=1e-12):
+    x, y, vx, vy = ref
+    pos_scale = max(np.max(np.abs(x)), np.max(np.abs(y)))
+    vel_scale = max(np.max(np.abs(vx)), np.max(np.abs(vy)))
+    assert max(np.max(np.abs(evo.x - x)), np.max(np.abs(evo.y - y))) <= rtol * pos_scale
+    assert max(np.max(np.abs(evo.vx - vx)), np.max(np.abs(evo.vy - vy))) <= rtol * vel_scale
+
+
+def test_block_oracle_matches_dense_reference_2p1(matched_field):
+    pkt = GaussianPacket(d_x=1.2, d_y=1.0, k0x=0.5, a1=0.6, a2=0.8j, dimensionality="2+1")
+    times = np.linspace(0.0, 30.0, 61)
+    evo = oracle.evolve_expectations(pkt, matched_field, times, n_levels=10, guard=0)
+    assert_matches_dense(evo, dense_reference(pkt, matched_field, times, 10))
+
+
+@pytest.mark.parametrize("k0z, kz_order", [(0.0, 16), (0.0, 33), (0.3, 16), (0.3, 33)])
+def test_block_oracle_matches_dense_reference_3p1(matched_field, k0z, kz_order):
+    # k0z = 0 grids hold the k_z = 0 node, whose pattern is finer
+    amp = math.sqrt(0.5)
+    pkt = GaussianPacket(d_x=1.2, d_y=1.0, d_z=1.5, k0x=0.5, k0z=k0z,
+                         a1=amp, a2=amp * np.exp(0.7j), dimensionality="3+1")
+    assert (0.0 in packet_mod.axial_grid(pkt, kz_order)[0]) == (k0z == 0.0)
+    times = np.linspace(0.0, 10.0, 21)
+    evo = oracle.evolve_expectations(pkt, matched_field, times, n_levels=10, guard=0,
+                                     kz_order=kz_order)
+    assert_matches_dense(evo, dense_reference(pkt, matched_field, times, 10, kz_order))
+
+
+def test_block_oracle_tracks_extended_precision_in_a_weak_field():
+    # 20 T: the positive-energy levels crowd within omega^2 ~ 1e-8 of each
+    # other and L sqrt(2) ~ 2e4 magnifies <a>, so float64 rounding shows in
+    # x(t).  At one k_z != 0 node, the evolution of the same float64 inputs
+    # in 40 digits (4x4 blocks diagonalized in mpmath) is the truth; the
+    # block oracle keeps within 5e-8 of the scale where the dense reference
+    # is off by 1e-7.
+    mpmath = pytest.importorskip("mpmath")
+    field = FieldConfig.from_tesla(20.0)
+    pkt = GaussianPacket(d_x=2.0e4, d_y=1.8e4, d_z=1.5e4, k0x=3.367308812035271e-05,
+                         k0z=2e-4, a1=0.0, a2=1.0, dimensionality="3+1")
+    n_levels, times = 46, np.array([0.0, 7000.0, 20000.0])
+    evo = oracle.evolve_expectations(pkt, field, times, n_levels=n_levels, kz_order=1)
+    (k_z,), (weight,) = packet_mod.axial_grid(pkt, 1)
+    ham = oracle.build(n_levels, field, k_z=k_z).matrix
+    rho, a_op, _ = dense_operators(pkt, field, n_levels)
+    alpha = [mpmath.mpc(0)] * times.size
+    with mpmath.workdps(40):
+        eig = {}
+        for b in oracle._components(ham != 0):
+            vals, vecs = mpmath.eigsy(mpmath.matrix(ham[np.ix_(b, b)].tolist()))
+            eig[b[0]] = (b, vals, vecs)
+        owner = {i: first for first, (b, _, _) in eig.items() for i in b}
+        pairs = {(owner[i], owner[j]) for i, j in zip(*np.nonzero(a_op))}
+
+        def transform(mat, bra, ket):    # V_bra^T mat V_ket
+            block = mat[np.ix_(eig[bra][0], eig[ket][0])]
+            return eig[bra][2].T * mpmath.matrix(block.tolist()) * eig[ket][2]
+
+        for bra, ket in pairs:
+            q, r = transform(a_op, bra, ket), transform(rho, ket, bra)
+            for k, t in enumerate(times):
+                alpha[k] += sum(
+                    r[j, i] * q[i, j] * mpmath.expj((eig[bra][1][i] - eig[ket][1][j]) * t)
+                    for i in range(q.rows) for j in range(q.cols)
+                )
+    scale = weight * field.magnetic_length * math.sqrt(2.0)
+    x = scale * np.array([float(mpmath.im(a - alpha[0])) for a in alpha])
+    assert np.max(np.abs(evo.x - x)) <= 5e-8 * np.max(np.abs(x))
