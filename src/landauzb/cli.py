@@ -9,8 +9,11 @@ Commands
     lowfield      weak-field closed-form summary
 
 Exit codes: 0 success, 2 config error, 3 tolerance failure, 4 capacity error.
-One structured JSON config per run; trajectory and spectrum write CSV or
-JSON records whose header carries every resolved parameter, the other
+One structured JSON config per run, each key declared once in `SCHEMA`.
+Every command checks the whole config, and an error names `section.key`;
+a section is required only by the commands that read it, and
+`output.include_spectrum` is 2+1 only.  trajectory and spectrum write CSV
+or JSON records whose header carries every resolved parameter, the other
 commands JSON only (--format csv there is a config error).
 """
 
@@ -22,6 +25,15 @@ import dataclasses
 import json
 import math
 import sys
+from typing import Callable, NamedTuple
+
+import numpy as np
+
+from . import __version__, dynamics, hermite, ionmap, oracle, packet
+from .ionmap import TrapError
+from .oracle import TruncationLeakError
+from .packet import PacketError, QuadratureConvergenceError, TruncationError
+from .units import ATOMIC_MASS, FieldConfig, UnitError, UnitSystem
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -29,7 +41,6 @@ EXIT_TOLERANCE = 3
 EXIT_CAPACITY = 4
 
 _TWO_PI = 2.0 * math.pi
-_SUM_RULE_TOL = 1e-10
 _ORACLE_TOL = 1e-6
 _REQUIRED = object()    # default of a config key that must be given
 
@@ -38,122 +49,169 @@ class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
 
 
-def _reject_unknown(section: dict, allowed: set[str], where: str) -> None:
-    if not isinstance(section, dict):
-        raise ConfigError(f"{where} must be a JSON object")
-    unknown = set(section) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
-
-
-def _require(section: dict, key: str, where: str):
-    if key not in section:
-        raise ConfigError(f"missing key {key!r} in {where}")
-    return section[key]
-
-
 def _is_number(value) -> bool:
     """A finite JSON number; booleans and strings are not numbers."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
+    return type(value) in (int, float) and math.isfinite(value)
 
 
-def _number(section: dict, key: str, where: str, default=None, integer=False):
-    """section[key] as a float (an int when `integer`), else `default`.
-
-    A required key passes default=_REQUIRED.  A value that is not a finite
-    number, or not an integer where one is asked for, is a config error that
-    names the key.
-    """
-    if key not in section:
-        return _require(section, key, where) if default is _REQUIRED else default
-    value = section[key]
-    if integer and not (isinstance(value, int) and not isinstance(value, bool)):
-        raise ConfigError(f"{where}.{key} must be an integer, not {value!r}")
-    if not _is_number(value):
-        raise ConfigError(f"{where}.{key} must be a finite number, not {value!r}")
-    return int(value) if integer else float(value)
-
-
-def _flag(section: dict, key: str, where: str, default: bool) -> bool:
-    value = section.get(key, default)
-    if not isinstance(value, bool):
-        raise ConfigError(f"{where}.{key} must be true or false, not {value!r}")
-    return value
-
-
-def _as_complex(value, where: str) -> complex:
-    parts = value if isinstance(value, (list, tuple)) and len(value) == 2 else (value, 0.0)
+def _complex(value) -> complex | None:
+    """A number or [re, im] pair as a complex; None for anything else."""
+    parts = value if isinstance(value, list) and len(value) == 2 else (value, 0.0)
     if not all(_is_number(part) for part in parts):
-        raise ConfigError(f"{where} must be a number or [re, im] pair")
+        return None
     return complex(float(parts[0]), float(parts[1]))
 
 
+class _Kind(NamedTuple):
+    """What a config value must be: a test, its typed form, and the words for it."""
+
+    accepts: Callable[[object], bool]
+    convert: Callable
+    text: str
+
+
+def _one_of(values: tuple) -> _Kind:
+    return _Kind(lambda value: value in values, str, f"one of {values}")
+
+
+NUMBER = _Kind(_is_number, float, "a finite number")
+POSITIVE = _Kind(lambda v: _is_number(v) and v > 0, float, "a positive number")
+ZERO = _Kind(lambda v: _is_number(v) and v == 0, float,
+             "0 (trajectories start at the origin)")
+INTEGER = _Kind(lambda v: type(v) is int, int, "an integer")
+COUNT = _Kind(lambda v: type(v) is int and v >= 0, int, "a non-negative integer")
+SAMPLES = _Kind(lambda v: type(v) is int and v >= 2, int, "an integer of at least 2")
+FLAG = _Kind(lambda v: isinstance(v, bool), bool, "true or false")
+COMPLEX = _Kind(lambda v: _complex(v) is not None, _complex, "a number or [re, im] pair")
+
+# key -> (kind, default) at the config root, section -> key -> (kind, default)
+# below it.  Every section the file holds is checked by every command; a
+# default of None means "not given", for the resolvers to decide.
+SCHEMA = {
+    "model": (_one_of(("2+1", "3+1")), "2+1"),
+    "units": (_one_of(("natural", "physical", "trap")), "natural"),
+    "field": {   # exactly one key, see resolve_field
+        "magnetic_length": (NUMBER, None),
+        "b_tesla": (NUMBER, None),
+        "kappa": (NUMBER, None),
+    },
+    "trap": {
+        "eta": (NUMBER, _REQUIRED),
+        "omega_tilde_hz": (NUMBER, _REQUIRED),
+        "omega_hz": (NUMBER, _REQUIRED),
+        "delta_angstrom": (NUMBER, None),
+        "ion_mass_amu": (NUMBER, None),
+        "nu_hz": (NUMBER, None),
+    },
+    "packet": {
+        "d_x": (NUMBER, _REQUIRED),
+        "d_y": (NUMBER, _REQUIRED),
+        "d_z": (NUMBER, None),
+        "k0x": (NUMBER, 0.0),
+        "k0z": (NUMBER, 0.0),
+        "a1": (COMPLEX, 0j),
+        "a2": (COMPLEX, 1 + 0j),
+        "unit": (_one_of(("lambda_c", "magnetic_length", "delta")), "lambda_c"),
+        "relax_momentum_bound": (FLAG, False),
+    },
+    "numerics": {
+        "n_max": (COUNT, None),
+        "tail_tol": (NUMBER, packet.DEFAULT_TAIL_TOL),
+        "kx_order": (INTEGER, None),
+        "kz_rtol": (NUMBER, 1e-9),
+        "oracle_guard": (COUNT, oracle.GUARD_BAND),
+        "sum_rule_tol": (NUMBER, 1e-10),
+    },
+    "time": {
+        "t_start": (ZERO, 0.0),
+        "t_end": (POSITIVE, _REQUIRED),
+        "samples": (SAMPLES, _REQUIRED),
+    },
+    "output": {
+        "include_velocities": (FLAG, True),
+        "include_spectrum": (FLAG, False),
+        "parts": (_one_of(dynamics.PARTS), "all"),
+    },
+}
+
+
+def _checked(raw, schema: dict, where: str = "") -> dict:
+    """`raw` checked against `schema`, typed, with its defaults filled in.
+
+    A nested dict in `schema` is a section: checked when `raw` holds it, left
+    out when not (see `_section`).  `where` names `raw` in messages.
+    """
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where or 'config root'} must be a JSON object")
+    prefix = f"{where}." if where else ""
+    unknown = [prefix + key for key in raw if key not in schema]
+    if unknown:
+        raise ConfigError(f"unknown keys: {', '.join(unknown)}")
+    out = {}
+    for key, spec in schema.items():
+        if isinstance(spec, dict):
+            if key in raw:
+                out[key] = _checked(raw[key], spec, prefix + key)
+            continue
+        kind, default = spec
+        if key not in raw:
+            if default is _REQUIRED:
+                raise ConfigError(f"missing key {prefix + key}")
+            out[key] = default
+        elif not kind.accepts(raw[key]):
+            raise ConfigError(f"{prefix + key} must be {kind.text}, not {raw[key]!r}")
+        else:
+            out[key] = kind.convert(raw[key])
+    return out
+
+
+def _section(cfg: dict, name: str) -> dict:
+    """Section `name` of a loaded config, or its defaults when the file has none."""
+    return cfg[name] if name in cfg else _checked({}, SCHEMA[name], name)
+
+
 def load_config(path: str) -> dict:
+    """The config at `path`, checked whole against SCHEMA."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            raw = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be a JSON object")
-    _reject_unknown(
-        cfg,
-        {"model", "units", "field", "trap", "packet", "numerics", "time", "output"},
-        "config root",
-    )
-    return cfg
+    return _checked(raw, SCHEMA)
 
 
 def resolve_field(cfg: dict):
-    """FieldConfig, UnitSystem and the simulated length scale, from a config."""
-    from . import ionmap
-    from .units import FieldConfig, UnitSystem
-
-    units_kind = cfg.get("units", "natural")
-    if units_kind not in ("natural", "physical", "trap"):
-        raise ConfigError("units must be 'natural', 'physical' or 'trap'")
+    """FieldConfig and UnitSystem (None for natural units) of a loaded config."""
+    units_kind = cfg["units"]
     unread = "field" if units_kind == "trap" else "trap"
     if unread in cfg:
         raise ConfigError(f"units '{units_kind}' leave the {unread} section unread; remove it")
     if units_kind == "trap":
-        trap = resolve_trap(_require(cfg, "trap", "config"))
-        units, field = ionmap.simulated_units(trap)
-        return field, units, trap
-    section = _require(cfg, "field", "config")
-    _reject_unknown(section, {"magnetic_length", "b_tesla", "kappa"}, "field")
-    if sum(k in section for k in ("magnetic_length", "b_tesla", "kappa")) != 1:
-        raise ConfigError("field needs exactly one of magnetic_length, b_tesla, kappa")
-    if "b_tesla" in section:
+        units, field = ionmap.simulated_units(resolve_trap(_section(cfg, "trap")))
+        return field, units
+    section = _section(cfg, "field")
+    if sum(value is not None for value in section.values()) != 1:
+        raise ConfigError(f"field needs exactly one of {', '.join(section)}")
+    if section["b_tesla"] is not None:
         if units_kind != "physical":
             raise ConfigError("b_tesla requires units = 'physical'")
-        field = FieldConfig.from_tesla(_number(section, "b_tesla", "field"))
-    elif "kappa" in section:
-        field = FieldConfig.from_kappa(_number(section, "kappa", "field"))
+        field = FieldConfig.from_tesla(section["b_tesla"])
+    elif section["kappa"] is not None:
+        field = FieldConfig.from_kappa(section["kappa"])
     else:
-        field = FieldConfig.from_magnetic_length(_number(section, "magnetic_length", "field"))
+        field = FieldConfig.from_magnetic_length(section["magnetic_length"])
     units = UnitSystem.electron() if units_kind == "physical" else None
-    return field, units, None
+    return field, units
 
 
 def resolve_trap(section: dict):
-    from . import ionmap
-    from .units import ATOMIC_MASS
-
-    _reject_unknown(
-        section,
-        {"eta", "omega_tilde_hz", "omega_hz", "delta_angstrom", "ion_mass_amu", "nu_hz"},
-        "trap",
-    )
-    delta = _number(section, "delta_angstrom", "trap")
-    ion_mass = _number(section, "ion_mass_amu", "trap")
-    nu = _number(section, "nu_hz", "trap")
+    delta, ion_mass, nu = section["delta_angstrom"], section["ion_mass_amu"], section["nu_hz"]
     return ionmap.TrapParams(
-        eta=_number(section, "eta", "trap", _REQUIRED),
-        omega_tilde=_TWO_PI * _number(section, "omega_tilde_hz", "trap", _REQUIRED),
-        omega_carrier=_TWO_PI * _number(section, "omega_hz", "trap", _REQUIRED),
+        eta=section["eta"],
+        omega_tilde=_TWO_PI * section["omega_tilde_hz"],
+        omega_carrier=_TWO_PI * section["omega_hz"],
         delta=None if delta is None else delta * 1e-10,
         ion_mass=None if ion_mass is None else ion_mass * ATOMIC_MASS,
         trap_freqs=None if nu is None else (_TWO_PI * nu,) * 3,
@@ -161,78 +219,35 @@ def resolve_trap(section: dict):
 
 
 def resolve_packet(cfg: dict, field):
-    from .packet import GaussianPacket
-
-    model = cfg.get("model", "2+1")
-    if model not in ("2+1", "3+1"):
-        raise ConfigError("model must be '2+1' or '3+1'")
-    section = _require(cfg, "packet", "config")
-    _reject_unknown(
-        section,
-        {"d_x", "d_y", "d_z", "k0x", "k0z", "a1", "a2", "unit", "relax_momentum_bound"},
-        "packet",
-    )
-    unit = section.get("unit", "lambda_c")
-    if unit == "lambda_c":
-        scale = 1.0
-    elif unit == "magnetic_length":
-        scale = field.magnetic_length
-    elif unit == "delta":
-        scale = field.magnetic_length / math.sqrt(2.0)
-    else:
-        raise ConfigError("packet unit must be lambda_c, magnetic_length or delta")
-    a1 = _as_complex(section.get("a1", 0.0), "packet.a1")
-    a2 = _as_complex(section.get("a2", 1.0), "packet.a2")
-    d_z = _number(section, "d_z", "packet")
-    return GaussianPacket(
-        d_x=_number(section, "d_x", "packet", _REQUIRED) * scale,
-        d_y=_number(section, "d_y", "packet", _REQUIRED) * scale,
+    section = _section(cfg, "packet")
+    scale = {
+        "lambda_c": 1.0,
+        "magnetic_length": field.magnetic_length,
+        "delta": field.magnetic_length / math.sqrt(2.0),
+    }[section["unit"]]
+    d_z = section["d_z"]
+    return packet.GaussianPacket(
+        d_x=section["d_x"] * scale,
+        d_y=section["d_y"] * scale,
         d_z=None if d_z is None else d_z * scale,
-        k0x=_number(section, "k0x", "packet", 0.0) / scale,
-        k0z=_number(section, "k0z", "packet", 0.0) / scale,
-        a1=a1,
-        a2=a2,
-        dimensionality=model,
-        relax_momentum_bound=_flag(section, "relax_momentum_bound", "packet", False),
+        k0x=section["k0x"] / scale,
+        k0z=section["k0z"] / scale,
+        a1=section["a1"],
+        a2=section["a2"],
+        dimensionality=cfg["model"],
+        relax_momentum_bound=section["relax_momentum_bound"],
     )
 
 
 def resolve_times(cfg: dict):
-    import numpy as np
-
-    section = _require(cfg, "time", "config")
-    _reject_unknown(section, {"t_start", "t_end", "samples"}, "time")
-    if _number(section, "t_start", "time", 0.0) != 0.0:
-        raise ConfigError("time.t_start must be 0 (trajectories start at the origin)")
-    t_end = _number(section, "t_end", "time", _REQUIRED)
-    samples = _number(section, "samples", "time", _REQUIRED, integer=True)
-    if t_end <= 0 or samples < 2:
-        raise ConfigError("time needs t_end > 0 and samples >= 2")
-    return np.linspace(0.0, t_end, samples)
+    section = _section(cfg, "time")
+    return np.linspace(0.0, section["t_end"], section["samples"])
 
 
 def resolve_numerics(cfg: dict) -> dict:
-    from .packet import DEFAULT_N_MAX
-
-    section = cfg.get("numerics", {})
-    _reject_unknown(
-        section,
-        {"n_max", "tail_tol", "kx_order", "kz_rtol", "oracle_guard", "sum_rule_tol"},
-        "numerics",
-    )
-    num = {
-        "n_max": _number(section, "n_max", "numerics", integer=True),
-        "tail_tol": _number(section, "tail_tol", "numerics", 1e-10),
-        "kx_order": _number(section, "kx_order", "numerics", integer=True),
-        "kz_rtol": _number(section, "kz_rtol", "numerics", 1e-9),
-        "oracle_guard": _number(section, "oracle_guard", "numerics", 20, integer=True),
-        "sum_rule_tol": _number(section, "sum_rule_tol", "numerics", _SUM_RULE_TOL),
-    }
-    for key in ("n_max", "oracle_guard"):
-        if num[key] is not None and num[key] < 0:
-            raise ConfigError(f"numerics.{key} must be non-negative, not {num[key]}")
+    num = _section(cfg, "numerics")
     # the k_x rule is exact for the levels built only above their count
-    levels = (DEFAULT_N_MAX if num["n_max"] is None else num["n_max"]) + 1
+    levels = (packet.DEFAULT_N_MAX if num["n_max"] is None else num["n_max"]) + 1
     if num["kx_order"] is not None and num["kx_order"] < levels:
         raise ConfigError(f"numerics.kx_order = {num['kx_order']} is below exactness: "
                           f"the {levels} levels built need at least {levels} nodes")
@@ -240,24 +255,20 @@ def resolve_numerics(cfg: dict) -> dict:
 
 
 def _build_everything(cfg: dict):
-    from .packet import coefficient_matrix
-
-    field, units, trap = resolve_field(cfg)
+    field, units = resolve_field(cfg)
     pkt = resolve_packet(cfg, field)
     num = resolve_numerics(cfg)
-    coeffs = coefficient_matrix(
+    coeffs = packet.coefficient_matrix(
         pkt, field, n_max=num["n_max"], tail_tol=num["tail_tol"], kx_order=num["kx_order"]
     )
-    return field, units, trap, pkt, num, coeffs
+    return field, units, pkt, num, coeffs
 
 
 def _header(cfg, field, units, pkt, coeffs, extra=None) -> dict:
-    from . import __version__
-
     head = {
         "generator": f"landauzb {__version__}",
         "model": pkt.dimensionality,
-        "units": cfg.get("units", "natural"),
+        "units": cfg["units"],
         "length_unit": "lambda_c",
         "time_unit": "t_c",
         "velocity_unit": "c",
@@ -341,8 +352,6 @@ def write_record(path, header, columns, spectrum=None, fmt="csv"):
 
 def read_record(path):
     """Parse a record written by write_record; returns (header, columns, spectrum)."""
-    import numpy as np
-
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     if text.lstrip().startswith("{"):
@@ -384,25 +393,18 @@ def read_record(path):
 
 def _spectrum_rows(pkt, coeffs, field) -> list[dict]:
     """The 2+1 line table as record rows (n, kind, frequency, amplitudes)."""
-    from . import dynamics
-
     lines = dynamics.spectral_decomposition(pkt, coeffs, field)
     return [dataclasses.asdict(line) for line in lines]
 
 
 def cmd_trajectory(args) -> int:
-    from . import dynamics
-
     cfg = load_config(args.config)
-    field, units, trap, pkt, num, coeffs = _build_everything(cfg)
+    out_cfg = _section(cfg, "output")
+    if out_cfg["include_spectrum"] and cfg["model"] != "2+1":
+        raise ConfigError("output.include_spectrum is defined for the 2+1 model only")
+    field, units, pkt, num, coeffs = _build_everything(cfg)
     times = resolve_times(cfg)
-    out_cfg = cfg.get("output", {})
-    _reject_unknown(
-        out_cfg, {"include_velocities", "include_spectrum", "parts"}, "output"
-    )
-    parts = out_cfg.get("parts", "all")
-    if parts not in dynamics.PARTS:
-        raise ConfigError(f"output.parts must be one of {dynamics.PARTS}, not {parts!r}")
+    parts = out_cfg["parts"]
     if pkt.dimensionality == "2+1":
         traj = dynamics.trajectory_2p1(pkt, coeffs, field, times, parts=parts)
     else:
@@ -410,11 +412,11 @@ def cmd_trajectory(args) -> int:
             pkt, coeffs, field, times, parts=parts, kz_rtol=num["kz_rtol"]
         )
     columns = {"t": traj.times, "x": traj.x, "y": traj.y}
-    if _flag(out_cfg, "include_velocities", "output", True):
+    if out_cfg["include_velocities"]:
         columns["vx"] = traj.vx
         columns["vy"] = traj.vy
     spectrum = None
-    if _flag(out_cfg, "include_spectrum", "output", False) and pkt.dimensionality == "2+1":
+    if out_cfg["include_spectrum"]:
         spectrum = _spectrum_rows(pkt, coeffs, field)
     header = _header(
         cfg, field, units, pkt, coeffs,
@@ -430,7 +432,7 @@ def cmd_trajectory(args) -> int:
 
 def cmd_spectrum(args) -> int:
     cfg = load_config(args.config)
-    field, units, trap, pkt, num, coeffs = _build_everything(cfg)
+    field, units, pkt, num, coeffs = _build_everything(cfg)
     if pkt.dimensionality != "2+1":
         raise ConfigError("spectrum is defined for the 2+1 model")
     spectrum = _spectrum_rows(pkt, coeffs, field)
@@ -443,11 +445,9 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_sumrules(args) -> int:
-    from .packet import sum_rules
-
     cfg = load_config(args.config)
-    field, units, trap, pkt, num, coeffs = _build_everything(cfg)
-    rep = sum_rules(coeffs, pkt, field)
+    field, units, pkt, num, coeffs = _build_everything(cfg)
+    rep = packet.sum_rules(coeffs, pkt, field)
     doc = {
         "n_max": coeffs.n_max,
         "tail_mass": rep.tail_mass,
@@ -471,12 +471,8 @@ def cmd_sumrules(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
-    import numpy as np
-
-    from . import dynamics, oracle
-
     cfg = load_config(args.config)
-    field, units, trap, pkt, num, coeffs = _build_everything(cfg)
+    field, units, pkt, num, coeffs = _build_everything(cfg)
     times = resolve_times(cfg)
     if pkt.dimensionality == "2+1":
         traj = dynamics.trajectory_2p1(pkt, coeffs, field, times)
@@ -519,8 +515,6 @@ def cmd_oracle_check(args) -> int:
 
 
 def cmd_ion_map(args) -> int:
-    from . import ionmap
-
     flags = {"--model": args.model, "--eta": args.eta,
              "--omega-tilde-hz": args.omega_tilde_hz, "--omega-hz": args.omega_hz,
              "--target-kappa": args.target_kappa, "--delta-angstrom": args.delta_angstrom}
@@ -530,8 +524,8 @@ def cmd_ion_map(args) -> int:
             raise ConfigError(f"ion-map reads the trap and model from --config; "
                               f"{', '.join(given)} would be ignored")
         cfg = load_config(args.config)
-        trap = resolve_trap(_require(cfg, "trap", "config"))
-        model = cfg.get("model", "2+1")
+        trap = resolve_trap(_section(cfg, "trap"))
+        model = cfg["model"]
     else:
         if args.eta is None or args.omega_tilde_hz is None:
             raise ConfigError("ion-map needs --config or --eta plus --omega-tilde-hz")
@@ -557,10 +551,8 @@ def cmd_ion_map(args) -> int:
 
 
 def cmd_lowfield(args) -> int:
-    from . import dynamics
-
     cfg = load_config(args.config)
-    field, units, trap, pkt, num, coeffs = _build_everything(cfg)
+    field, units, pkt, num, coeffs = _build_everything(cfg)
     summary = dynamics.lowfield_summary(pkt, field)
     doc = {
         "kappa": summary.kappa,
@@ -624,14 +616,7 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-
-    from . import hermite
-    from .oracle import TruncationLeakError
-    from .packet import PacketError, QuadratureConvergenceError, TruncationError
-    from .units import UnitError
-
     try:
-        from .ionmap import TrapError
         if args.command not in _RECORD_COMMANDS and args.format != "json":
             raise ConfigError(f"{args.command} writes JSON only; --format {args.format} "
                               "is not supported")

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import packet as packet_mod
-from .landau import LandauIndex, jl_spinor, landau_energy
 from .units import FieldConfig
 
 GUARD_BAND = 20
@@ -75,20 +74,6 @@ def build(n_levels: int, field: FieldConfig, k_z: float = 0.0) -> DenseHamiltoni
         if i != j:
             h[j * size : (j + 1) * size, i * size : (i + 1) * size] = blk.T
     return DenseHamiltonian(n_levels=n_levels, k_z=k_z, matrix=h, field=field)
-
-
-def spinor_check(idx: LandauIndex, ham: DenseHamiltonian) -> float:
-    """Residual |(H - eps*E) psi| for the embedded analytic eigenspinor."""
-    size = ham.n_levels + 1
-    w = jl_spinor(idx, ham.field)
-    vec = np.zeros(4 * size, dtype=complex)
-    for sigma, (comp, level) in enumerate(zip(w.components, w.levels)):
-        if level >= 0 and comp != 0.0:
-            if level > ham.n_levels:
-                raise ValueError("spinor level exceeds the truncated basis")
-            vec[sigma * size + level] = comp
-    energy = idx.epsilon * landau_energy(idx.n, idx.k_z, ham.field)
-    return float(np.linalg.norm(ham.matrix @ vec - energy * vec))
 
 
 @dataclass(frozen=True)

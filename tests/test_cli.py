@@ -333,7 +333,7 @@ def test_ion_map_conflicting_or_invalid_flags_rejected(tmp_path, extra):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("section, key, value", [
+BAD_VALUES = [
     ("numerics", "kx_order", 300),      # below exactness for the 401 levels built
     ("numerics", "kx_order", "256"),
     ("numerics", "n_max", 30.5),
@@ -342,16 +342,41 @@ def test_ion_map_conflicting_or_invalid_flags_rejected(tmp_path, extra):
     ("numerics", "oracle_guard", -1),
     ("time", "samples", "abc"),
     ("time", "samples", 10.7),
+    ("time", "t_start", 5),
     ("trap", "eta", "x"),
     ("output", "include_velocities", "no"),
+    ("output", "parts", "bogus"),
+    ("output", "bogus", True),          # an unknown key
+]
+
+
+# every command checks the whole config, including sections it never reads;
+# the trajectory cases keep their original ids
+@pytest.mark.parametrize("command, section, key, value", [
+    pytest.param(command, *case, id="-".join(
+        map(str, case if command == "trajectory" else (command, *case))))
+    for command in ("trajectory", "spectrum", "sumrules", "lowfield", "oracle-check")
+    for case in BAD_VALUES
 ])
-def test_bad_config_value_names_its_key(tmp_path, capsys, section, key, value):
+def test_bad_config_value_names_its_key(tmp_path, capsys, command, section, key, value):
     payload = json.loads((CONFIG_DIR / "ion_trap.json").read_text())
     payload.setdefault(section, {})[key] = value
     cfg = write_config(tmp_path, payload)
-    out = tmp_path / "t.csv"
-    assert main(["trajectory", "--config", cfg, "--output", str(out)]) == EXIT_CONFIG
+    out = tmp_path / "t.json"
+    assert main([command, "--config", cfg, "--output", str(out),
+                 "--format", "json"]) == EXIT_CONFIG
     assert f"{section}.{key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_spectrum_in_a_3p1_trajectory_rejected(tmp_path, capsys):
+    # the line table is 2+1 only; a 3+1 run used to drop the request silently
+    payload = small_3p1_config()
+    payload["output"] = {"include_spectrum": True}
+    out = tmp_path / "t.csv"
+    assert main(["trajectory", "--config", write_config(tmp_path, payload),
+                 "--output", str(out)]) == EXIT_CONFIG
+    assert "output.include_spectrum" in capsys.readouterr().err
     assert not out.exists()
 
 

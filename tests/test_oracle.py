@@ -1,3 +1,4 @@
+import ast
 import math
 
 import numpy as np
@@ -23,6 +24,43 @@ def expected_spectrum(field, k_z, n_top):
         mult = 1 if n == 0 else 2
         values += [(e, mult), (-e, mult)]
     return values
+
+
+def embedded_spinor(idx, ham):
+    """The analytic eigenspinor of `idx` as a vector of the truncated basis."""
+    size = ham.n_levels + 1
+    w = jl_spinor(idx, ham.field)
+    vec = np.zeros(4 * size, dtype=complex)
+    for sigma, (comp, level) in enumerate(zip(w.components, w.levels)):
+        if level >= 0 and comp != 0.0:
+            if level > ham.n_levels:
+                raise ValueError("spinor level exceeds the truncated basis")
+            vec[sigma * size + level] = comp
+    return vec
+
+
+def spinor_check(idx, ham) -> float:
+    """Residual |(H - eps*E) psi| for the embedded analytic eigenspinor."""
+    vec = embedded_spinor(idx, ham)
+    energy = idx.epsilon * landau_energy(idx.n, idx.k_z, ham.field)
+    return float(np.linalg.norm(ham.matrix @ vec - energy * vec))
+
+
+def test_oracle_imports_no_series_module():
+    # the oracle certifies the series, so it may share only F_n (packet) and
+    # the units, never the analytic spinors, energies or series evaluator
+    tree = ast.parse(open(oracle.__file__, encoding="utf-8").read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            imported |= ({node.module.split(".")[0]} if node.module
+                         else {alias.name for alias in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.module.startswith("landauzb."):
+            imported.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            imported |= {alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("landauzb.")}
+    assert imported <= {"packet", "units"}, imported
 
 
 def test_minimal_hamiltonian_spectrum():
@@ -54,13 +92,13 @@ def test_spinor_residuals_random(matched_field):
         idx = LandauIndex(
             n=n, k_z=0.3, epsilon=int(rng.choice([-1, 1])), s=int(rng.choice([-1, 1]))
         )
-        worst = max(worst, oracle.spinor_check(idx, ham))
+        worst = max(worst, spinor_check(idx, ham))
     assert worst < 1e-10
 
 
 def test_spinor_residual_ground_state(matched_field):
     ham = oracle.build(30, matched_field, k_z=0.0)
-    assert oracle.spinor_check(LandauIndex(n=0, epsilon=+1, s=-1), ham) < 1e-12
+    assert spinor_check(LandauIndex(n=0, epsilon=+1, s=-1), ham) < 1e-12
 
 
 def test_degenerate_pair_spans_eigenspace(matched_field):
@@ -74,16 +112,8 @@ def test_degenerate_pair_spans_eigenspace(matched_field):
     dense = vecs[:, sel]
     proj_dense = dense @ dense.T.conj()
 
-    size = ham.n_levels + 1
-    analytic = []
-    for s in (-1, +1):
-        w = jl_spinor(LandauIndex(n=n, k_z=k_z, epsilon=eps, s=s), matched_field)
-        vec = np.zeros(4 * size, dtype=complex)
-        for sigma, (comp, level) in enumerate(zip(w.components, w.levels)):
-            if level >= 0:
-                vec[sigma * size + level] = comp
-        analytic.append(vec)
-    analytic = np.stack(analytic, axis=1)
+    analytic = np.stack([embedded_spinor(LandauIndex(n=n, k_z=k_z, epsilon=eps, s=s), ham)
+                         for s in (-1, +1)], axis=1)
     proj_analytic = analytic @ analytic.T.conj()
     assert np.max(np.abs(proj_dense - proj_analytic)) < 1e-10
 
@@ -92,15 +122,7 @@ def test_eigenvector_matches_spinor_up_to_phase(matched_field):
     # the s=+1, negative-branch state at n=2 from the dense null space
     idx = LandauIndex(n=2, k_z=0.0, epsilon=-1, s=+1)
     ham = oracle.build(30, matched_field, k_z=0.0)
-    w = jl_spinor(idx, matched_field)
-    size = ham.n_levels + 1
-    vec = np.zeros(4 * size, dtype=complex)
-    for sigma, (comp, level) in enumerate(zip(w.components, w.levels)):
-        if level >= 0:
-            vec[sigma * size + level] = comp
-    energy = -landau_energy(2, 0.0, matched_field)
-    residual = np.linalg.norm(ham.matrix @ vec - energy * vec)
-    assert residual < 1e-12
+    assert spinor_check(idx, ham) < 1e-12
 
 
 def test_evolution_starts_at_origin(critical_field, packet_2p1, coeffs_2p1):
