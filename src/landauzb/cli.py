@@ -118,7 +118,7 @@ SCHEMA = {
         "n_max": (COUNT, None),
         "tail_tol": (NUMBER, packet.DEFAULT_TAIL_TOL),
         "kx_order": (INTEGER, None),
-        "kz_rtol": (NUMBER, 1e-9),
+        "kz_rtol": (NUMBER, dynamics.DEFAULT_KZ_RTOL),
         "oracle_guard": (COUNT, oracle.GUARD_BAND),
         "sum_rule_tol": (NUMBER, 1e-10),
     },

@@ -46,6 +46,7 @@ from .units import FieldConfig
 PREF = 1.0 / (2.0 * math.sqrt(2.0))
 TILE_ELEMENTS = 1 << 18       # stacked amplitudes and phases held at once by the line evaluator
 PARTS = ("all", "intraband", "interband")
+DEFAULT_KZ_RTOL = 1e-9        # axial-rule doubling tolerance, relative to the signal peak
 
 
 @dataclass(frozen=True)
@@ -332,7 +333,7 @@ def trajectory_3p1(
     field: FieldConfig,
     times: np.ndarray,
     parts: str = "all",
-    kz_rtol: float = 1e-9,
+    kz_rtol: float = DEFAULT_KZ_RTOL,
 ) -> Trajectory:
     """Packet trajectory for the 3+1 model (axial-momentum quadrature)."""
     if packet.dimensionality != "3+1":
@@ -348,7 +349,7 @@ def velocities(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Average velocity series (vx, vy) in units of c."""
     times = np.asarray(times, dtype=float)
-    rule = _rule(packet, coeffs, field, times, 1e-9)
+    rule = _rule(packet, coeffs, field, times, DEFAULT_KZ_RTOL)
     _, _, vx, vy = _series(packet, coeffs, field, times, rule, derivative=True).real
     return vx, vy
 
@@ -358,7 +359,7 @@ def mixing_terms(
     coeffs: CoefficientSet,
     field: FieldConfig,
     times: np.ndarray,
-    kz_rtol: float = 1e-9,
+    kz_rtol: float = DEFAULT_KZ_RTOL,
 ) -> MixingSeries:
     """Spin-mixing integral series; identically zero for 2+1 and for k0z = 0.
 
@@ -463,7 +464,7 @@ def analytic_signal(
     field: FieldConfig,
     times: np.ndarray,
     parts: str = "all",
-    kz_rtol: float = 1e-9,
+    kz_rtol: float = DEFAULT_KZ_RTOL,
 ) -> np.ndarray:
     """Complex analytic signal A(t) of the transverse-position series.
 

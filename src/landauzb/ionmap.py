@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .units import HBAR, FieldConfig, UnitSystem
 
-_DELTA_CONSISTENCY = 1e-9
+_ISOTROPY_RTOL = 1e-9       # relative spread of trap frequencies read as isotropic
 _DELTA_OVERRIDE = 1e-6
 
 
@@ -49,7 +49,7 @@ class TrapParams:
             if any(not nu > 0.0 for nu in self.trap_freqs):
                 raise TrapError("trap frequencies must be strictly positive")
             nx, ny, nz = self.trap_freqs
-            if abs(nx - ny) > 1e-9 * nx or abs(nx - nz) > 1e-9 * nx:
+            if abs(nx - ny) > _ISOTROPY_RTOL * nx or abs(nx - nz) > _ISOTROPY_RTOL * nx:
                 warnings.warn(
                     "anisotropic trap: the mapping assumes equal ground-state "
                     "spreads along all three axes",

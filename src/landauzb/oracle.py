@@ -5,11 +5,15 @@ four spinor rows times oscillator levels 0..N at each wavenumber node; its
 nonzero pattern splits into small invariant blocks (connected components,
 checked at every node), diagonalized by one batched `eigh` per chunk of
 nodes.  The density enters as a low-rank factor C of rho = C C^+, and the
-observables are summed over the block pairs they link, one phase e^{-iEt}
-per eigenvalue.  Nothing here touches the closed forms of the overlap
-matrix, the spectrum or the oscillation series; the only shared ingredients
-are the level amplitude F_n and the node choices: the k_x rule of
-`packet.kx_rule` and the k_z grid of `packet.axial_ladder`.
+observables are summed over the block pairs they link.  On a uniform time
+grid each eigenvalue's phases e^{-iEt} are anchors times offsets,
+e^{-iE T_a} e^{-iE tau_b}, with a first-order factor (1 - iE delta) for the
+grid's float rounding delta = t - T_a - tau_b: about 2 sqrt(T) complex exp
+per eigenvalue instead of T.  Any other grid takes one exp per sample.
+Nothing here touches the closed forms of the overlap matrix, the spectrum
+or the oscillation series, not even the series' own time split; the only
+shared ingredients are the level amplitude F_n and the node choices: the
+k_x rule of `packet.kx_rule` and the k_z grid of `packet.axial_ladder`.
 
 Basis index: sigma * (N+1) + m for spinor row sigma in 0..3, level m.
 """
@@ -153,6 +157,25 @@ def _check_leakage(rho_diag: np.ndarray, n_levels: int, guard: int) -> None:
         )
 
 
+def _split_times(times: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Anchors T_a, offsets tau_b and residuals delta with t = T_a + tau_b + delta.
+
+    A uniform grid of T samples takes J = ceil(sqrt(T)) offsets b * step and
+    every J-th sample as an anchor; the product grid is trimmed to T and delta
+    is the float grid's rounding.  Any other grid takes J = 1: the samples
+    themselves, with no residual.
+    """
+    count = times.size
+    if count > 1:
+        n_offsets = math.isqrt(count - 1) + 1
+        anchors = times[::n_offsets]
+        offsets = np.arange(n_offsets) * ((times[-1] - times[0]) / (count - 1))
+        delta = times - (anchors[:, None] + offsets).ravel()[:count]
+        if np.max(np.abs(delta)) <= 64 * np.finfo(float).eps * np.max(np.abs(times)):
+            return anchors, offsets, delta
+    return times, np.zeros(1), np.zeros(count)
+
+
 def _peak(series: np.ndarray) -> float:
     """Largest |Re| or |Im| of a complex series (two real channels)."""
     return max(float(np.max(np.abs(series.real))), float(np.max(np.abs(series.imag))))
@@ -222,6 +245,7 @@ def evolve_expectations(
     out = np.zeros((2, 2, times.size), dtype=complex)
     out0 = np.zeros((2, 2), dtype=complex)             # the same at t = 0
     norm_drift = energy_drift = 0.0
+    anchors, offsets, delta = _split_times(times)
     stride = max(1, times.size // 8)
     step = max(1, CHUNK_ELEMENTS // (factor.shape[0] * times.size))    # nodes per chunk
     for start in range(0, order.size, step):
@@ -229,7 +253,12 @@ def evolve_expectations(
         h = np.stack([_block_stack(next(hams), index, mask) for _ in range(wk.shape[1])])
         evals, vecs = np.linalg.eigh(h)                                 # (c, B, w, w)
         coef = vecs.swapaxes(-1, -2) @ c_blocks                         # V^T C
-        phases = np.exp(-1j * evals[..., None] * times)                 # (c, B, w, T)
+        # e^{-iEt} = e^{-iE T_a} e^{-iE tau_b} (1 - iE delta): (c, B, w, T)
+        rate = -1j * evals[..., None]
+        phases = np.exp(rate[..., None] * anchors[:, None]) * np.exp(rate * offsets)[..., None, :]
+        phases = phases.reshape(*evals.shape, -1)[..., : times.size]
+        if delta.any():
+            phases *= 1.0 + rate * delta
         for (bra, ket, elems), acc, acc0 in zip(ops, out, out0):
             q = vecs[:, bra].swapaxes(-1, -2) @ elems @ vecs[:, ket]    # eigenbasis
             w = q * (coef[:, bra].conj() @ coef[:, ket].swapaxes(-1, -2))  # W_ij = q_ij rho_ji
@@ -237,7 +266,8 @@ def evolve_expectations(
             val = np.einsum("cpit,cpit->ct", np.conjugate(w @ phases[:, ket]), phases[:, bra])
             acc += wk @ val.conj()
             acc0 += wk @ w.sum(axis=(1, 2, 3))
-        vec_t = vecs @ ((vecs.swapaxes(-1, -2) @ probe) * phases[..., ::stride])
+        # direct phases: the drifts check the evolution independently of the split
+        vec_t = vecs @ ((vecs.swapaxes(-1, -2) @ probe) * np.exp(rate * times[::stride]))
         norm = np.sqrt(np.sum(np.abs(vec_t) ** 2, axis=(1, 2)))
         energy = np.einsum("cbit,cbij,cbjt->ct", vec_t.conj(), h, vec_t).real
         energy0 = np.einsum("bi,cbij,bj->c", probe[..., 0].conj(), h, probe[..., 0]).real

@@ -7,12 +7,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from landauzb import dynamics
 from landauzb.cli import (
     EXIT_CAPACITY,
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_TOLERANCE,
     _flat_items,
+    _section,
+    load_config,
     main,
     read_record,
 )
@@ -367,6 +370,11 @@ def test_bad_config_value_names_its_key(tmp_path, capsys, command, section, key,
                  "--format", "json"]) == EXIT_CONFIG
     assert f"{section}.{key}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_kz_rtol_default_is_the_library_default(tmp_path):
+    cfg = load_config(write_config(tmp_path, small_config()))
+    assert _section(cfg, "numerics")["kz_rtol"] == dynamics.DEFAULT_KZ_RTOL
 
 
 def test_spectrum_in_a_3p1_trajectory_rejected(tmp_path, capsys):

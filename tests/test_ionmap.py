@@ -69,6 +69,18 @@ def test_anisotropy_flagged():
         )
 
 
+@pytest.mark.parametrize("spread, warns", [(1e-10, False), (1e-8, True)])
+def test_anisotropy_threshold(spread, warns):
+    nu = TWO_PI * 1.0e6
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ionmap.TrapParams(
+            eta=0.06, omega_tilde=TWO_PI * 68e3, omega_carrier=TWO_PI * 1000.0,
+            ion_mass=CA40_MASS, trap_freqs=(nu, nu * (1.0 + spread), nu),
+        )
+    assert any("anisotropic" in str(w.message) for w in caught) == warns
+
+
 def test_kappa_reference_values():
     assert math.isclose(ionmap.kappa(reference_trap(1000.0)), 16.65, rel_tol=6e-4)
     assert math.isclose(ionmap.kappa(reference_trap(12000.0)), 0.116, rel_tol=4e-3)

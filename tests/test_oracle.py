@@ -350,3 +350,77 @@ def test_block_oracle_tracks_extended_precision_in_a_weak_field():
     scale = weight * field.magnetic_length * math.sqrt(2.0)
     x = scale * np.array([float(mpmath.im(a - alpha[0])) for a in alpha])
     assert np.max(np.abs(evo.x - x)) <= 5e-8 * np.max(np.abs(x))
+
+
+def phase_test_packet(dims):
+    amp = math.sqrt(0.5)
+    if dims == "2+1":
+        return GaussianPacket(d_x=1.2, d_y=1.0, k0x=0.5, a1=0.6, a2=0.8j, dimensionality="2+1")
+    return GaussianPacket(d_x=1.2, d_y=1.0, d_z=1.5, k0x=0.5, k0z=0.3,
+                          a1=amp, a2=amp * np.exp(0.7j), dimensionality="3+1")
+
+
+# uniform grids whose float samples miss the anchor + offset product (delta != 0),
+# and a geometric grid, which the split must leave to one exp per sample (J = 1)
+PHASE_GRIDS = {
+    "step-0.1": np.linspace(0.0, 30.0, 301),
+    "span-100pi": np.linspace(0.0, 100.0 * np.pi, 127),
+    "geometric": np.geomspace(1e-2, 50.0, 40),
+}
+
+
+@pytest.mark.parametrize("dims", ["2+1", "3+1"])
+@pytest.mark.parametrize("grid", list(PHASE_GRIDS))
+def test_factorized_phases_match_dense_reference(matched_field, grid, dims):
+    times = PHASE_GRIDS[grid]
+    _, offsets, delta = oracle._split_times(times)
+    if grid == "geometric":
+        assert offsets.size == 1
+    else:
+        assert offsets.size == math.ceil(math.sqrt(times.size)) and np.any(delta)
+    pkt, kz_order = phase_test_packet(dims), (16 if dims == "3+1" else None)
+    evo = oracle.evolve_expectations(pkt, matched_field, times, n_levels=10, guard=0,
+                                     kz_order=kz_order)
+    assert_matches_dense(evo, dense_reference(pkt, matched_field, times, 10, kz_order))
+
+
+def test_first_order_phase_correction_over_a_long_window(matched_field):
+    # a grid summed step by step, up to omega t = 2200 with lines up to
+    # 2E ~ 9 omega: delta reaches 13 eps t_max.  Without the (1 - iE delta)
+    # factor the velocities miss the dense reference by 8e-12 of their peak;
+    # with it by 4e-13, where the two paths' eigenvalue rounding sets the floor
+    times = np.cumsum(np.full(1001, 2.2)) - 2.2
+    _, offsets, delta = oracle._split_times(times)
+    assert offsets.size > 1
+    assert np.max(np.abs(delta)) > 10 * np.finfo(float).eps * times[-1]
+    pkt = phase_test_packet("2+1")
+    evo = oracle.evolve_expectations(pkt, matched_field, times, n_levels=10, guard=0)
+    assert_matches_dense(evo, dense_reference(pkt, matched_field, times, 10))
+
+
+def test_phases_cost_anchors_plus_offsets(matched_field, monkeypatch):
+    # per k_z node, each eigenvalue takes ceil(T/J) anchor phases, J offset
+    # phases and ceil(T/stride) direct drift-probe phases: a silent fallback
+    # to one exp per sample (a split tolerance too tight, say) fails here
+    pkt, kz_order, n_levels = phase_test_packet("3+1"), 16, 10
+    times = PHASE_GRIDS["step-0.1"]
+    assert np.any(oracle._split_times(times)[2])
+    counted = []
+    real_exp = np.exp
+
+    def counting_exp(x, *args, **kwargs):
+        if np.iscomplexobj(x):
+            counted.append(np.size(x))
+        return real_exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(oracle.np, "exp", counting_exp)
+    oracle.evolve_expectations(pkt, matched_field, times, n_levels=n_levels, guard=0,
+                               kz_order=kz_order)
+    monkeypatch.undo()
+    nodes = packet_mod.axial_grid(pkt, kz_order)[0]
+    edge = oracle.build(n_levels, matched_field, k_z=nodes[np.argmax(np.abs(nodes))])
+    blocks = oracle._components(edge.matrix != 0)
+    size, n_offsets, stride = times.size, math.ceil(math.sqrt(times.size)), times.size // 8
+    per_node = len(blocks) * max(b.size for b in blocks) * (
+        -(-size // n_offsets) + n_offsets + -(-size // stride))
+    assert 0 < sum(counted) <= nodes.size * per_node
