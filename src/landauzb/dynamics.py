@@ -15,6 +15,15 @@ evaluates every phase; the public functions only pick channels and parts.
 On a uniform grid t = T_c + tau_j, anchor plus offset (plus, to first order,
 the float rounding), so a line costs one exp per anchor and per offset.
 
+Axial rule: the energies depend on k_z only through k_z^2, so for a packet
+with k0z = 0 every cyclotron and trembling line is even in k_z and the
+spin-mixing rows are odd.  The mixing rows then cancel and are not summed,
+and the signed k_z grid folds onto its k_z >= 0 half (`_fold`): K/2 + 1
+nodes for K.  The rule is picked by a nine-sample doubling probe over the
+nested ladder of `packet.axial_ladder`; each finer rung sums only its new
+odd-index nodes.  `mixing_terms` alone keeps the signed grid, so the
+k0z = 0 cancellation stays a computed one.
+
 Natural units: lengths in Compton wavelengths, times in Compton times,
 velocities in c.  Positions are reported relative to the t = 0 centre, so
 every trajectory starts at the origin; the raw position-operator offset
@@ -137,7 +146,8 @@ def _line_blocks(
     and flips which energy of the pair divides the cosine ratio q.  In 3+1
     the spin-mixing rows pair (n, n+1) with U_nn k_z omega / (E_n E_{n+1})
     and add Re/Im of mixing_weight * J to y/x; mixing_weight defaults to
-    (L/sqrt2) a2* a1, and 1 reads the bare mixing integrals J in y.
+    (L/sqrt2) a2* a1, or to 0 (no rows) when k0z = 0, and 1 reads the bare
+    mixing integrals J in y.
     """
     L = field.magnetic_length
     energies = landau_energies(coeffs.n_max + 1, nodes, field)  # (n_max+2, K)
@@ -169,6 +179,10 @@ def _line_blocks(
 
     if mixing_weight is None:
         mixing_weight = (L / math.sqrt(2.0)) * np.conj(packet.a2) * packet.a1
+        if packet.k0z == 0.0:
+            # odd in k_z: the k0z = 0 density cancels them pair by pair, while
+            # the folded rule of `_fold` would double them
+            mixing_weight = 0.0
     if packet.dimensionality != "3+1" or mixing_weight == 0.0:
         return
     e_lo, e_hi = energies[:-1], energies[1:]
@@ -249,6 +263,27 @@ def _series(
     return out
 
 
+def _fold(
+    packet: GaussianPacket, rule: tuple[np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The k_z >= 0 half of a k0z = 0 grid, each mirror weight added in; else the grid.
+
+    The grid h (j - K/2), j < K, holds node -m h and node m h (m < K/2) as
+    exact float negatives with equal weights, and the unpaired edge -K/2 h.
+    Every line but the spin-mixing rows (skipped at k0z = 0) is even in k_z,
+    so h [0, 1, ..., K/2] with weights [w_0, 2 w_1, ..., 2 w_{K/2-1}, w_edge]
+    sums the same lines on K/2 + 1 nodes.  Its even-index nodes with doubled
+    weights are the folded rule of half the size, like the grid's own.
+    """
+    if packet.k0z != 0.0:
+        return rule
+    nodes, weights = rule
+    half = nodes.size // 2
+    folded = 2.0 * weights[half::-1]
+    folded[[0, -1]] = weights[[half, 0]]
+    return -nodes[half::-1], folded
+
+
 def _resolve_axial_rule(
     packet: GaussianPacket,
     coeffs: CoefficientSet,
@@ -256,35 +291,40 @@ def _resolve_axial_rule(
     times: np.ndarray,
     rtol: float,
     parts: str = "all",
-) -> tuple[np.ndarray, np.ndarray]:
-    """Walk the trapezoid k_z ladder until one doubling moves the probe <= rtol."""
+) -> int:
+    """The first k_z ladder rung whose doubling moves the nine-sample probe <= rtol.
+
+    The rungs are folded (`_fold`) and nested: a finer rung's even-index
+    nodes carry the coarser rule at half weight, so it costs only its
+    odd-index nodes, S_2K = S_K / 2 + S_odd.
+    """
     ladder = axial_ladder(packet, field, coeffs.n_max + 1, float(np.max(np.abs(times))))
     probe = times[np.unique(np.linspace(0, times.size - 1, 9).astype(int))]
 
     def probe_eval(rule):
         return _series(packet, coeffs, field, probe, rule, parts).real
 
-    current = axial_grid(packet, ladder[0])
-    cur_val = probe_eval(current)
-    for points in ladder[1:]:
-        finer = axial_grid(packet, points)
-        fin_val = probe_eval(finer)
+    cur_val = probe_eval(_fold(packet, axial_grid(packet, ladder[0])))
+    for current, points in zip(ladder, ladder[1:]):
+        nodes, weights = _fold(packet, axial_grid(packet, points))
+        fin_val = 0.5 * cur_val + probe_eval((nodes[1::2], weights[1::2]))
         x, y = fin_val
         scale = max(float(np.max(np.abs(y - y[0]))), float(np.max(np.abs(x))), 1e-300)
         achieved = float(np.max(np.abs(cur_val - fin_val))) / scale
         if achieved <= rtol:
             return current
-        current, cur_val = finer, fin_val
+        cur_val = fin_val
     raise QuadratureConvergenceError(achieved, rtol)
 
 
 def _rule(packet, coeffs, field, times, rtol, parts="all"):
-    """The axial rule: k_z = 0 for 2+1, the validated quadrature for 3+1."""
+    """The axial rule: k_z = 0 for 2+1, the validated, folded quadrature for 3+1."""
     if parts not in PARTS:
         raise ValueError(f"parts must be one of {PARTS}, not {parts!r}")
     if packet.dimensionality == "2+1":
         return np.zeros(1), np.ones(1)
-    return _resolve_axial_rule(packet, coeffs, field, times, rtol, parts)
+    points = _resolve_axial_rule(packet, coeffs, field, times, rtol, parts)
+    return _fold(packet, axial_grid(packet, points))
 
 
 def _trajectory(packet, coeffs, field, times, parts, kz_rtol) -> Trajectory:
@@ -371,7 +411,8 @@ def mixing_terms(
     if packet.dimensionality == "2+1":
         zero = np.zeros(times.size)
         return MixingSeries(times, zero, zero.copy(), zero * 0j, zero * 0j)
-    rule = _resolve_axial_rule(packet, coeffs, field, times, kz_rtol)
+    # the signed grid: at k0z = 0 the cancellation is computed, not assumed
+    rule = axial_grid(packet, _resolve_axial_rule(packet, coeffs, field, times, kz_rtol))
     j = {
         block.interband: _sum_lines(block.freq, block.amps[1:], times)[0].real
         for block in _line_blocks(packet, coeffs, field, *rule, "all", mixing_weight=1.0)

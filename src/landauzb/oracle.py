@@ -269,7 +269,7 @@ def evolve_expectations(
         # direct phases: the drifts check the evolution independently of the split
         vec_t = vecs @ ((vecs.swapaxes(-1, -2) @ probe) * np.exp(rate * times[::stride]))
         norm = np.sqrt(np.sum(np.abs(vec_t) ** 2, axis=(1, 2)))
-        energy = np.einsum("cbit,cbij,cbjt->ct", vec_t.conj(), h, vec_t).real
+        energy = np.einsum("cbit,cbit->ct", vec_t.conj(), h @ vec_t).real
         energy0 = np.einsum("bi,cbij,bj->c", probe[..., 0].conj(), h, probe[..., 0]).real
         norm_drift = max(norm_drift, float(np.max(np.abs(norm - 1.0))))
         energy_drift = max(energy_drift, float(np.max(np.abs(energy - energy0[:, None]))))

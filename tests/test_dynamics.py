@@ -1,14 +1,17 @@
 import dataclasses
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from landauzb import FieldConfig, GaussianPacket
-from landauzb import dynamics, oracle
-from landauzb.packet import DimensionalityError, axial_grid, coefficient_matrix
+from landauzb import cli, dynamics, oracle
+from landauzb.packet import DimensionalityError, axial_grid, axial_ladder, coefficient_matrix
 from landauzb.units import COMPTON_LENGTH
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def max_rel_dev(traj, evolved):
@@ -85,6 +88,121 @@ def test_3p1_mixing_matches_oracle(critical_field, mixed_packet_3p1, mixed_coeff
     assert np.max(np.abs(traj.vy - evolved.vy)) < 1e-8
 
 
+@pytest.fixture(scope="module")
+def axial_pair_3p1(critical_field):
+    """The two-component k0z = 0 3+1 packet of criterion 9."""
+    amp = complex(math.sqrt(0.5))
+    pkt = GaussianPacket(d_x=1.5, d_y=1.3, d_z=1.5, k0x=0.5, k0z=0.0,
+                         a1=amp, a2=amp, dimensionality="3+1")
+    return pkt, coefficient_matrix(pkt, critical_field)
+
+
+def test_3p1_two_component_axial_symmetric_matches_oracle(critical_field, axial_pair_3p1):
+    # the series folds the k_z grid and skips the mixing rows; the oracle
+    # integrates every row over the signed grid
+    pkt, coeffs = axial_pair_3p1
+    times = np.linspace(0.0, 20.0, 161)
+    traj = dynamics.trajectory_3p1(pkt, coeffs, critical_field, times)
+    evolved = oracle.evolve_expectations(pkt, critical_field, times, n_levels=coeffs.n_max + 20)
+    assert max_rel_dev(traj, evolved) < 1e-6
+    assert np.max(np.abs(traj.vx - evolved.vx)) < 1e-6
+    assert np.max(np.abs(traj.vy - evolved.vy)) < 1e-6
+
+
+def test_folded_rule_matches_signed_rule(critical_field, axial_pair_3p1):
+    # doubled mixing rows on the folded rule would show here: the signed
+    # grid cancels them pair by pair
+    pkt, coeffs = axial_pair_3p1
+    times = np.linspace(0.0, 40.0, 161)
+    signed = axial_grid(pkt, 256)
+    folded = dynamics._fold(pkt, signed)
+    assert folded[0].size == 129 and np.all(folded[0] >= 0.0)
+    for parts in dynamics.PARTS:
+        for derivative in (False, True):
+            ref = dynamics._series(pkt, coeffs, critical_field, times, signed, parts,
+                                   derivative=derivative)
+            out = dynamics._series(pkt, coeffs, critical_field, times, folded, parts,
+                                   derivative=derivative)
+            peak = np.max(np.abs(ref), axis=1, keepdims=True)
+            assert np.max(np.abs(out - ref) / peak) < 1e-13
+
+
+def test_fold_is_identity_with_axial_momentum(mixed_packet_3p1):
+    rule = axial_grid(mixed_packet_3p1, 256)
+    assert dynamics._fold(mixed_packet_3p1, rule) is rule
+
+
+def test_folded_rule_nests_bit_for_bit(packet_3p1):
+    # even-index nodes of the folded 2K rule, weights doubled, are the folded K rule
+    for points in (64, 1024):
+        kz, w = dynamics._fold(packet_3p1, axial_grid(packet_3p1, 2 * points))
+        kz_half, w_half = dynamics._fold(packet_3p1, axial_grid(packet_3p1, points))
+        assert np.array_equal(kz[::2], kz_half)
+        assert np.array_equal(2.0 * w[::2], w_half)
+
+
+def _envelope_signals():
+    """(label, packet, field, times, parts, kz_rtol) of the two envelope workloads."""
+    field = FieldConfig.from_kappa((0.06 * 68000.0 / 12000.0) ** 2)
+    L = field.magnetic_length
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        persistence = GaussianPacket(d_x=L, d_y=L, d_z=L, k0x=math.sqrt(2.0) / L,
+                                     dimensionality="3+1", relax_momentum_bound=True)
+    weak = FieldConfig.from_tesla(20.0)
+    decay = GaussianPacket(d_x=2.0e4, d_y=1.8e4, d_z=1.5e4, k0x=8.72e7 * COMPTON_LENGTH,
+                           dimensionality="3+1")
+    edges = np.geomspace(2.0e9, 2.0e10, 8)
+    return [
+        ("persistence", persistence, field, np.linspace(0.0, 1200.0, 401), "all", 1e-7),
+        ("decay", decay, weak, np.linspace(edges[5], edges[6], 257), "interband", 1e-6),
+    ]
+
+
+def test_accepted_axial_rungs_are_unchanged():
+    # the accepted rung before folding, per bundled 3+1 config and envelope signal
+    expected = {
+        "relativistic_3p1": 1024, "collapse_revival_3p1": 8192, "mixing_3p1": 256,
+        "lowfield_zb_3p1": 64, "persistence": 8192, "decay": 4096,
+    }
+    cases = []
+    for name in ("relativistic_3p1", "collapse_revival_3p1", "mixing_3p1", "lowfield_zb_3p1"):
+        cfg = cli.load_config(str(CONFIG_DIR / f"{name}.json"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            field, _, pkt, num, _ = cli._build_everything(cfg)
+        cases.append((name, pkt, field, cli.resolve_times(cfg),
+                      cli._section(cfg, "output")["parts"], num["kz_rtol"]))
+    found = {}
+    for label, pkt, field, times, parts, rtol in cases + _envelope_signals():
+        coeffs = coefficient_matrix(pkt, field)
+        found[label] = dynamics._resolve_axial_rule(pkt, coeffs, field, times, rtol, parts)
+    assert found == expected
+
+
+def test_axial_symmetric_probe_evaluates_only_new_nodes(critical_field, packet_3p1, coeffs_3p1,
+                                                        monkeypatch):
+    # the probe sums the folded first rung whole and each finer rung K on its
+    # K/4 new nodes; the final sum runs on the folded accepted rung
+    times = np.linspace(0.0, 200.0, 401)
+    ladder = axial_ladder(packet_3p1, critical_field, coeffs_3p1.n_max + 1, 200.0)
+    accepted = dynamics._resolve_axial_rule(packet_3p1, coeffs_3p1, critical_field, times,
+                                            dynamics.DEFAULT_KZ_RTOL)
+    seen = []
+    sum_lines = dynamics._sum_lines
+
+    def counting(freq, amps, times, derivative=False):
+        seen.append(freq.shape[1])
+        return sum_lines(freq, amps, times, derivative)
+
+    monkeypatch.setattr(dynamics, "_sum_lines", counting)
+    dynamics.analytic_signal(packet_3p1, coeffs_3p1, critical_field, times)
+    probed = ladder[: ladder.index(accepted) + 2]
+    per_series = [probed[0] // 2 + 1] + [points // 4 for points in probed[1:]] + [accepted // 2 + 1]
+    blocks = len(seen) // len(per_series)
+    assert seen == [nodes for nodes in per_series for _ in range(blocks)]
+
+
 def test_velocity_below_light_speed(critical_field, packet_2p1, coeffs_2p1):
     times = np.linspace(0.0, 60.0, 601)
     vx, vy = dynamics.velocities(packet_2p1, coeffs_2p1, critical_field, times)
@@ -130,6 +248,9 @@ def test_mixing_zero_without_axial_momentum(critical_field):
     mix = dynamics.mixing_terms(pkt, coeffs, critical_field, times)
     assert np.max(np.abs(mix.j_plus)) < 1e-12
     assert np.max(np.abs(mix.j_minus)) < 1e-12
+    # a cancellation over the signed grid, not a zero put in: the unpaired
+    # edge node and the rounding of the pair sums leave a trace
+    assert np.max(np.abs(mix.j_plus)) > 0.0
 
 
 def test_mixing_zero_for_2p1(critical_field, packet_2p1, coeffs_2p1):
