@@ -78,7 +78,6 @@ NUMBER = _Kind(_is_number, float, "a finite number")
 POSITIVE = _Kind(lambda v: _is_number(v) and v > 0, float, "a positive number")
 ZERO = _Kind(lambda v: _is_number(v) and v == 0, float,
              "0 (trajectories start at the origin)")
-INTEGER = _Kind(lambda v: type(v) is int, int, "an integer")
 COUNT = _Kind(lambda v: type(v) is int and v >= 0, int, "a non-negative integer")
 SAMPLES = _Kind(lambda v: type(v) is int and v >= 2, int, "an integer of at least 2")
 FLAG = _Kind(lambda v: isinstance(v, bool), bool, "true or false")
@@ -116,11 +115,10 @@ SCHEMA = {
     },
     "numerics": {
         "n_max": (COUNT, None),
-        "tail_tol": (NUMBER, packet.DEFAULT_TAIL_TOL),
-        "kx_order": (INTEGER, None),
-        "kz_rtol": (NUMBER, dynamics.DEFAULT_KZ_RTOL),
+        "tail_tol": (POSITIVE, packet.DEFAULT_TAIL_TOL),
+        "kz_rtol": (POSITIVE, dynamics.DEFAULT_KZ_RTOL),
         "oracle_guard": (COUNT, oracle.GUARD_BAND),
-        "sum_rule_tol": (NUMBER, 1e-10),
+        "sum_rule_tol": (POSITIVE, 1e-10),
     },
     "time": {
         "t_start": (ZERO, 0.0),
@@ -244,23 +242,11 @@ def resolve_times(cfg: dict):
     return np.linspace(0.0, section["t_end"], section["samples"])
 
 
-def resolve_numerics(cfg: dict) -> dict:
-    num = _section(cfg, "numerics")
-    # the k_x rule is exact for the levels built only above their count
-    levels = (packet.DEFAULT_N_MAX if num["n_max"] is None else num["n_max"]) + 1
-    if num["kx_order"] is not None and num["kx_order"] < levels:
-        raise ConfigError(f"numerics.kx_order = {num['kx_order']} is below exactness: "
-                          f"the {levels} levels built need at least {levels} nodes")
-    return num
-
-
 def _build_everything(cfg: dict):
     field, units = resolve_field(cfg)
     pkt = resolve_packet(cfg, field)
-    num = resolve_numerics(cfg)
-    coeffs = packet.coefficient_matrix(
-        pkt, field, n_max=num["n_max"], tail_tol=num["tail_tol"], kx_order=num["kx_order"]
-    )
+    num = _section(cfg, "numerics")
+    coeffs = packet.coefficient_matrix(pkt, field, n_max=num["n_max"], tail_tol=num["tail_tol"])
     return field, units, pkt, num, coeffs
 
 

@@ -271,22 +271,19 @@ def _f_quadrature(
 
 
 def kx_rule(
-    packet: GaussianPacket,
-    field: FieldConfig,
-    n_max: int,
-    order: int | None = None,
+    packet: GaussianPacket, field: FieldConfig, n_max: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Hermite k_x nodes and log fused weights for F_m F_n, m, n <= n_max.
 
     Centred on the Gaussian of F_m F_n, the rule is exact for the closed form
-    when order > n_max; order defaults to 256 below 256 levels, else
+    when its order exceeds n_max: 256 nodes below 256 levels, else
     MAX_GH_ORDER.  The fused weights are the rule's w_i e^{u_i^2}, over alpha.
     """
-    if order is None:
-        order = 256 if n_max < 256 else hermite.MAX_GH_ORDER
-    if order < n_max + 1:
-        raise ValueError(
-            f"kx_order={order} is below exactness ({n_max + 1}) for n_max={n_max}"
+    order = 256 if n_max < 256 else hermite.MAX_GH_ORDER
+    if n_max >= order:
+        raise hermite.CapacityError(
+            f"{n_max + 1} levels exceed the {order}-node k_x rule, which is exact "
+            f"for at most {order} levels"
         )
     L = field.magnetic_length
     d_sq = L**4 / (L * L + packet.d_y**2)
@@ -320,7 +317,6 @@ def coefficient_matrix(
     field: FieldConfig,
     n_max: int | None = None,
     tail_tol: float = DEFAULT_TAIL_TOL,
-    kx_order: int | None = None,
 ) -> CoefficientSet:
     """Overlap matrix U over the quadrature of F_m F_n products.
 
@@ -336,7 +332,7 @@ def coefficient_matrix(
             f"n_max={n_build} exceeds the supported level cap {hermite.N_CAP}"
         )
 
-    k_nodes, log_w = kx_rule(packet, field, n_build, kx_order)
+    k_nodes, log_w = kx_rule(packet, field, n_build)
     mant, scale = _f_closed_log(packet, field, n_build, k_nodes)
     z = mant * np.exp(scale + 0.5 * log_w)
     u_full = z @ z.T

@@ -192,6 +192,20 @@ def test_capacity_exit_code(tmp_path):
     assert main(["sumrules", "--config", path]) == EXIT_CAPACITY
 
 
+def test_oracle_levels_beyond_the_kx_rule_are_a_capacity_error(tmp_path, capsys):
+    # the series' cut plus the guard band asks the oracle for more levels
+    # than the largest (512-node) k_x rule integrates exactly
+    payload = json.loads((CONFIG_DIR / "ion_trap.json").read_text())
+    payload["numerics"] = {"oracle_guard": 600}
+    out = tmp_path / "check.json"
+    code = main(["oracle-check", "--config", write_config(tmp_path, payload),
+                 "--output", str(out)])
+    assert code == EXIT_CAPACITY
+    err = capsys.readouterr().err
+    assert "levels exceed the 512-node k_x rule" in err
+    assert not out.exists()
+
+
 def test_spectrum_command(tmp_path):
     cfg = write_config(tmp_path, small_config())
     out = tmp_path / "spec.json"
@@ -337,8 +351,12 @@ def test_ion_map_conflicting_or_invalid_flags_rejected(tmp_path, extra):
 
 
 BAD_VALUES = [
-    ("numerics", "kx_order", 300),      # below exactness for the 401 levels built
+    ("numerics", "kx_order", 300),      # not a key: the k_x rule follows from the levels
     ("numerics", "kx_order", "256"),
+    ("numerics", "kz_rtol", 0),
+    ("numerics", "kz_rtol", -1e-9),
+    ("numerics", "tail_tol", -1),
+    ("numerics", "sum_rule_tol", 0),
     ("numerics", "n_max", 30.5),
     ("numerics", "n_max", "40"),
     ("numerics", "n_max", -1),

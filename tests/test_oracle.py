@@ -424,3 +424,32 @@ def test_phases_cost_anchors_plus_offsets(matched_field, monkeypatch):
     per_node = len(blocks) * max(b.size for b in blocks) * (
         -(-size // n_offsets) + n_offsets + -(-size // stride))
     assert 0 < sum(counted) <= nodes.size * per_node
+
+
+def test_pencil_reproduces_the_build_at_every_node(matched_field):
+    # H_0 + k_z H_z from two builds equals the build at each node exactly,
+    # the k_z = 0 node and the unpaired edge node included
+    pkt = GaussianPacket(d_x=1.2, d_y=1.0, d_z=1.5, k0x=0.5, dimensionality="3+1")
+    nodes = packet_mod.axial_grid(pkt, 16)[0]
+    assert 0.0 in nodes and -nodes[0] > np.max(nodes)
+    h_0 = oracle.build(10, matched_field).matrix
+    h_z = oracle.build(10, matched_field, k_z=1.0).matrix - h_0
+    for k_z in nodes:
+        assert np.array_equal(h_0 + k_z * h_z, oracle.build(10, matched_field, k_z=k_z).matrix)
+
+
+@pytest.mark.parametrize("dims", ["2+1", "3+1"])
+def test_two_builds_per_call(matched_field, monkeypatch, dims):
+    # H_0 and H_z, whatever the number of k_z nodes
+    calls = []
+    real_build = oracle.build
+
+    def counting_build(*args, **kwargs):
+        calls.append(kwargs.get("k_z", 0.0))
+        return real_build(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "build", counting_build)
+    pkt, kz_order = phase_test_packet(dims), (16 if dims == "3+1" else None)
+    oracle.evolve_expectations(pkt, matched_field, np.linspace(0.0, 10.0, 21), n_levels=10,
+                               guard=0, kz_order=kz_order)
+    assert sorted(calls) == [0.0, 1.0]

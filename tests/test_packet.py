@@ -22,6 +22,7 @@ from landauzb.packet import (
     f_table,
     g_xy,
     g_z,
+    kx_rule,
     sum_rules,
     u_closed_equal_width,
     u_closed_general,
@@ -203,8 +204,9 @@ def test_truncation_error_advises(critical_field):
 def test_capacity_guard(critical_field, packet_2p1):
     with pytest.raises(CapacityError):
         coefficient_matrix(packet_2p1, critical_field, n_max=451)
-    with pytest.raises(ValueError, match="exactness"):
-        coefficient_matrix(packet_2p1, critical_field, n_max=40, kx_order=16)
+    assert kx_rule(packet_2p1, critical_field, 511)[0].size == 512
+    with pytest.raises(CapacityError, match="513 levels exceed the 512-node"):
+        kx_rule(packet_2p1, critical_field, 512)
 
 
 def test_equal_width_closed_form_matches_quadrature(critical_field):
