@@ -25,7 +25,6 @@ from . import hermite
 from .landau import landau_energies
 from .units import FieldConfig
 
-EQUAL_WIDTH_WINDOW = 1e-6   # |d_y - L|/L below which the U cross-checks switch forms
 DEFAULT_N_MAX = 400
 DEFAULT_TAIL_TOL = 1e-10
 AUTO_TAIL = 1e-12
@@ -39,12 +38,8 @@ class PacketError(ValueError):
     """Invalid packet definition."""
 
 
-class ClosedFormUnavailable(ValueError):
-    """A closed-form U cross-check does not cover this packet width."""
-
-
 class TruncationError(ValueError):
-    """Level truncation leaves too much packet mass uncaptured."""
+    """Level truncation leaves too much packet mass or momentum uncaptured."""
 
 
 class DimensionalityError(ValueError):
@@ -320,40 +315,52 @@ def coefficient_matrix(
 ) -> CoefficientSet:
     """Overlap matrix U over the quadrature of F_m F_n products.
 
-    The k_x rule is exact for the closed-form amplitudes (Gaussian times
-    polynomials), so the only truncation is the level cutoff; with n_max
-    omitted the cutoff is placed where the running diagonal tail drops
-    below 1e-12 (starting from the 400-level default).
+    F_m F_n is a Gaussian times a polynomial of degree m + n, so an order-N
+    k_x rule is exact for levels below N and the only truncation is the
+    level cutoff.  With n_max omitted the cutoff is placed where the running
+    diagonal sum first reaches 1 - AUTO_TAIL: levels are built in rungs of
+    64, 128, 256 and 401 (the 256-node rule, then MAX_GH_ORDER), and a rung
+    is doubled only while the crossing lies beyond it.  Each rung's diagonal
+    is exact, so the cut is the one the 401-level build would place.  A cut
+    whose tail mass exceeds tail_tol raises TruncationError, and so does an
+    automatic cut whose momentum sum-rule residual exceeds it.
     """
     auto = n_max is None
-    n_build = DEFAULT_N_MAX if auto else n_max
-    if n_build > hermite.N_CAP:
+    rungs = (63, 127, 255, DEFAULT_N_MAX) if auto else (n_max,)
+    if rungs[-1] > hermite.N_CAP:
         raise hermite.CapacityError(
-            f"n_max={n_build} exceeds the supported level cap {hermite.N_CAP}"
+            f"n_max={n_max} exceeds the supported level cap {hermite.N_CAP}"
         )
 
-    k_nodes, log_w = kx_rule(packet, field, n_build)
-    mant, scale = _f_closed_log(packet, field, n_build, k_nodes)
-    z = mant * np.exp(scale + 0.5 * log_w)
-    u_full = z @ z.T
-
-    if auto:
-        diag = np.diagonal(u_full)
-        running = np.cumsum(diag)
-        captured = np.nonzero(running >= 1.0 - AUTO_TAIL)[0]
-        cut = int(captured[0]) if captured.size else n_build
-        cut = max(cut, 1)
-    else:
-        cut = n_build
-    u = np.ascontiguousarray(u_full[: cut + 1, : cut + 1])
+    for cut in rungs:
+        k_nodes, log_w = kx_rule(packet, field, cut)
+        mant, scale = _f_closed_log(packet, field, cut, k_nodes)
+        z = mant * np.exp(scale + 0.5 * log_w)
+        if auto:
+            running = np.cumsum(np.einsum("ij,ij->i", z, z))
+            captured = np.flatnonzero(running >= 1.0 - AUTO_TAIL)
+            if captured.size:
+                cut = max(int(captured[0]), 1)
+                break
+    z = z[: cut + 1]
+    u = z @ z.T
     tail = 1.0 - math.fsum(np.diagonal(u).tolist())
     if tail > tail_tol:
         raise TruncationError(
             f"level truncation at n_max={cut} leaves tail mass {tail:.3e} "
             f"(> {tail_tol:g}); increase n_max"
         )
-
-    return CoefficientSet(n_max=cut, u=u, tail_mass=tail, kx_order=k_nodes.size)
+    coeffs = CoefficientSet(n_max=cut, u=u, tail_mass=tail, kx_order=k_nodes.size)
+    if auto:
+        # a cut past the last rung rests on tail_tol alone, and there the
+        # momentum rule misses about sqrt(n_max) times the tail mass
+        drift = sum_rules(coeffs, packet, field).momentum_residual
+        if drift > tail_tol:
+            raise TruncationError(
+                f"level truncation at n_max={cut} leaves momentum residual "
+                f"{drift:.3e} (> {tail_tol:g}); increase n_max"
+            )
+    return coeffs
 
 
 def axial_grid(packet: GaussianPacket, points: int) -> tuple[np.ndarray, np.ndarray]:
@@ -423,107 +430,3 @@ def sum_rules(
         momentum_residual=abs(mom - expected),
         tail_mass=coeffs.tail_mass,
     )
-
-
-def u_closed_equal_width(
-    packet: GaussianPacket, field: FieldConfig, m: int, n: int
-) -> float:
-    """Closed-form U_{m,n} for d_y = L (cross-check path)."""
-    L = field.magnetic_length
-    if abs(packet.d_y - L) / L > EQUAL_WIDTH_WINDOW:
-        raise ClosedFormUnavailable("equal-width closed form needs d_y = L")
-    dx, k0x = packet.d_x, packet.k0x
-    p_sq = dx * dx + 0.5 * L * L
-    p = math.sqrt(p_sq)
-    w = dx * dx * k0x / p
-    # H_{m+n}(-i w) (-i)^{m+n} = (-1)^{m+n} G_{m+n}(w), G_n = K_n(.; -1)
-    mant, scale = hermite.normalized_hermite_table(m + n, np.array([w]), s=-1.0)
-    # rescale G_{m+n}/C_{m+n} by C_{m+n}/(C_m C_n) in logs
-    log_c = (
-        hermite.log_norm_constant(m + n)
-        - hermite.log_norm_constant(m)
-        - hermite.log_norm_constant(n)
-    )
-    log_rest = (
-        math.log(2.0 * math.sqrt(math.pi) * dx / L)
-        + (m + n + 1) * math.log(L / (2.0 * p))
-        - dx * dx * k0x * k0x * L * L / (2.0 * p_sq)
-        + scale[m + n, 0]
-        + log_c
-    )
-    return (-1.0) ** (m + n) * float(mant[m + n, 0]) * math.exp(log_rest)
-
-
-def u_closed_general(
-    packet: GaussianPacket, field: FieldConfig, m: int, n: int
-) -> float:
-    """General closed-form U_{m,n} via the finite binomial sum.
-
-    The scaled Hermite kernel s^{D/2} H_D(x/sqrt(s)) is expanded as a
-    polynomial in s and x, which removes every square-root branch; the
-    auxiliary parameters then enter only through their squares, real in all
-    width regimes.  Alternating and unstable as m+n grows; a small-index
-    cross-check of the quadrature path, not a production assembly route.
-    """
-    L = field.magnetic_length
-    if abs(packet.d_y - L) < EQUAL_WIDTH_WINDOW * L:
-        raise ClosedFormUnavailable("general closed form needs d_y away from L")
-    dx, dy, k0x = packet.d_x, packet.d_y, packet.k0x
-    diff = (L - dy) * (L + dy)          # L^2 - d_y^2
-    plus = L * L + dy * dy
-    d_sq = L**4 / plus                  # D^2
-    q_sq = 1.0 / (dx * dx + d_sq)       # Q^2
-    w_par = dx * math.sqrt(d_sq * q_sq) * k0x
-    y_par = dx * dx * k0x * math.sqrt(q_sq)
-    inv_c_sq = diff * plus / L**6       # 1/c^2, signed
-    s = 1.0 - q_sq / inv_c_sq           # 1 - (cQ)^2, real in all regimes
-    qy_sq = q_sq * y_par * y_par        # (QY)^2
-
-    qy = math.sqrt(qy_sq) * math.copysign(1.0, y_par) if y_par else 0.0
-    terms: list[float] = []
-    for l in range(min(m, n) + 1):
-        # 2^l l! C(m,l) C(n,l) in logs
-        log_l = (
-            l * math.log(2.0)
-            - math.lgamma(l + 1)
-            + math.lgamma(m + 1)
-            - math.lgamma(m - l + 1)
-            + math.lgamma(n + 1)
-            - math.lgamma(n - l + 1)
-        )
-        deg = m + n - 2 * l
-        for j in range(deg // 2 + 1):
-            p = deg - 2 * j             # power of the (-2QY) factor
-            if p and qy == 0.0:
-                continue
-            log_j = (
-                math.lgamma(deg + 1)
-                - math.lgamma(j + 1)
-                - math.lgamma(p + 1)
-                + p * (math.log(2.0) + (math.log(abs(qy)) if p else 0.0))
-                + (l + j) * math.log(abs(inv_c_sq))
-                + (j * math.log(abs(s)) if j else 0.0)
-            )
-            sign = (
-                (-1.0) ** j
-                * (-math.copysign(1.0, qy)) ** p
-                * math.copysign(1.0, inv_c_sq) ** (l + j)
-                * (math.copysign(1.0, s) ** j)
-            )
-            terms.append(sign * math.exp(log_l + log_j))
-    total = math.fsum(terms)
-
-    log_amp = (
-        math.log(2.0 * math.pi) + 2.0 * math.log(dy) - math.log(plus)
-        + (m + n) * (3.0 * math.log(L) - math.log(plus))
-    )
-    log_pref = (
-        math.log(L * dx)
-        + 0.5 * math.log(q_sq)
-        + 0.5 * math.log(math.pi)
-        - w_par * w_par
-        - math.log(math.pi * dy)
-        - hermite.log_norm_constant(m)
-        - hermite.log_norm_constant(n)
-    )
-    return math.exp(log_pref + log_amp) * total

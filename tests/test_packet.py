@@ -1,15 +1,15 @@
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from landauzb import FieldConfig
+from landauzb import FieldConfig, cli, packet
 from landauzb.hermite import CapacityError, gauss_hermite
 from landauzb.packet import (
     MAX_GRID_NODES,
-    ClosedFormUnavailable,
     DimensionalityError,
     GaussianPacket,
     PacketError,
@@ -24,9 +24,18 @@ from landauzb.packet import (
     g_z,
     kx_rule,
     sum_rules,
-    u_closed_equal_width,
-    u_closed_general,
 )
+from u_reference import ClosedFormUnavailable, full_build, u_closed_equal_width, u_closed_general
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+# (d_x/L, d_y/L, k0x L) at kappa = 1/2 (L = 1) with the cut each places past
+# the first rung of 64 levels; the last two take the 512-node rung of 401
+CLIMBING = [((5.0, 2.0, 8.0), 160), ((1.0, 3.0, 6.0), 235),
+            ((0.3, 1.0, 9.0), 346), ((2.0, 0.2, 12.0), 390)]
+# (k0x L, cut) at d_x = d_y = L: crossings on the last level of a rung and
+# on the first level of the next
+RUNG_EDGES = [(4.375, 63), (4.531, 64), (9.062, 127), (9.141, 128),
+              (15.664, 255), (15.703, 256)]
 
 
 def test_packet_validation():
@@ -273,5 +282,136 @@ def test_sum_rules_property(d_x, d_y, k0x):
     pkt = GaussianPacket(d_x=d_x, d_y=d_y, k0x=k0x, dimensionality="2+1")
     coeffs = coefficient_matrix(pkt, field)
     rep = sum_rules(coeffs, pkt, field)
+    assert rep.norm_residual < 1e-10
+    assert rep.momentum_residual < 1e-10
+
+
+def bundled(path):
+    cfg = cli.load_config(str(path))
+    field, _ = cli.resolve_field(cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # the trap configs relax the velocity bound
+        return cli.resolve_packet(cfg, field), field
+
+
+def scaled_packet(d_x, d_y, k0x, field=None):
+    """Packet of widths d_x L, d_y L and momentum k0x/L; L = 1 by default."""
+    L = 1.0 if field is None else field.magnetic_length
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # k0x beyond the nominal velocity bound
+        return GaussianPacket(d_x=d_x * L, d_y=d_y * L, k0x=k0x / L,
+                              relax_momentum_bound=True, dimensionality="2+1")
+
+
+def assert_matches_full_build(ladder, full):
+    assert ladder.n_max == full.n_max
+    assert np.max(np.abs(ladder.u - full.u)) <= 1e-14
+    assert abs(ladder.tail_mass - full.tail_mass) <= 1e-14
+
+
+def built_levels(monkeypatch):
+    """Level counts of every F_n table built from now on, in call order."""
+    seen = []
+    closed_log = packet._f_closed_log
+
+    def counting(pkt, field, n_max, k_x):
+        seen.append(n_max + 1)
+        return closed_log(pkt, field, n_max, k_x)
+
+    monkeypatch.setattr(packet, "_f_closed_log", counting)
+    return seen
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda path: path.stem)
+def test_ladder_matches_full_build_on_bundled_configs(path, monkeypatch):
+    pkt, field = bundled(path)
+    seen = built_levels(monkeypatch)
+    ladder = coefficient_matrix(pkt, field)
+    assert seen == [64]
+    assert_matches_full_build(ladder, full_build(pkt, field))
+    assert ladder.kx_order == 256
+
+
+@pytest.mark.parametrize("widths, cut", CLIMBING + [((1.0, 1.0, k0x), cut) for k0x, cut in RUNG_EDGES])
+def test_ladder_matches_full_build_past_the_first_rung(critical_field, widths, cut):
+    pkt = scaled_packet(*widths)
+    ladder = coefficient_matrix(pkt, critical_field)
+    assert ladder.n_max == cut
+    assert_matches_full_build(ladder, full_build(pkt, critical_field))
+    assert ladder.kx_order == (256 if cut < 256 else 512)
+
+
+def test_ladder_and_full_build_truncate_alike(critical_field):
+    # this packet needs more than the 401 levels of the top rung
+    pkt = scaled_packet(8.0, 8.0, 1.5)
+    for build in (coefficient_matrix, full_build):
+        with pytest.raises(TruncationError, match="at n_max=400 leaves"):
+            build(pkt, critical_field)
+
+
+def test_truncation_counts_the_momentum_rule(critical_field):
+    # 401 levels leave tail mass 4.3e-11, under tail_tol, but the momentum
+    # rule, which misses about sqrt(400) times the tail, is off by 5.2e-10
+    pkt = scaled_packet(2.0, 0.2, 16.0)
+    with pytest.raises(TruncationError, match="momentum residual 5.1"):
+        coefficient_matrix(pkt, critical_field)
+    coeffs = coefficient_matrix(pkt, critical_field, tail_tol=1e-9)
+    assert coeffs.n_max == 400
+    assert coeffs.tail_mass < 1e-10
+    # an explicit n_max keeps the tail-mass check alone
+    assert np.array_equal(coefficient_matrix(pkt, critical_field, n_max=400).u, coeffs.u)
+
+
+@pytest.mark.parametrize("n_max", [40, 255, 256, 400])
+def test_explicit_n_max_builds_every_level(critical_field, packet_2p1, n_max):
+    coeffs = coefficient_matrix(packet_2p1, critical_field, n_max=n_max)
+    k_nodes, log_w = kx_rule(packet_2p1, critical_field, n_max)
+    mant, scale = packet._f_closed_log(packet_2p1, critical_field, n_max, k_nodes)
+    z = mant * np.exp(scale + 0.5 * log_w)
+    assert coeffs.n_max == n_max
+    assert coeffs.kx_order == (256 if n_max < 256 else 512)
+    assert np.array_equal(coeffs.u, z @ z.T)
+
+
+@pytest.mark.parametrize("widths, rungs", [
+    ((1.0, 1.0, 4.375), [64]),                  # cut 63: the first rung's last level
+    ((1.0, 1.0, 4.531), [64, 128]),             # cut 64
+    (CLIMBING[0][0], [64, 128, 256]),           # cut 160
+    (CLIMBING[-1][0], [64, 128, 256, 401]),     # cut 390
+])
+def test_ladder_doubles_only_past_the_crossing(critical_field, widths, rungs, monkeypatch):
+    seen = built_levels(monkeypatch)
+    coefficient_matrix(scaled_packet(*widths), critical_field)
+    assert seen == rungs
+
+
+WIDTH = st.one_of(
+    st.floats(min_value=0.2, max_value=0.95),                               # narrow
+    st.floats(min_value=-1e-6, max_value=1e-6).map(lambda eps: 1.0 + eps),  # equal
+    st.floats(min_value=1.05, max_value=6.0),                               # wide
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kappa=st.floats(min_value=math.log(1e-4), max_value=math.log(20.0)).map(math.exp),
+    d_x=WIDTH,
+    d_y=WIDTH,
+    k0x=st.floats(min_value=0.0, max_value=10.0),
+)
+def test_ladder_property_over_field_and_widths(kappa, d_x, d_y, k0x):
+    # widths and momentum in units of L: kappa changes only the packet's scale
+    field = FieldConfig.from_kappa(kappa)
+    pkt = scaled_packet(d_x, d_y, k0x, field)
+    try:
+        full = full_build(pkt, field)
+    except TruncationError:
+        with pytest.raises(TruncationError):
+            coefficient_matrix(pkt, field)
+        return
+    ladder = coefficient_matrix(pkt, field)
+    assert ladder.n_max == full.n_max
+    assert np.max(np.abs(ladder.u - full.u)) <= 1e-14
+    rep = sum_rules(ladder, pkt, field)
     assert rep.norm_residual < 1e-10
     assert rep.momentum_residual < 1e-10

@@ -1,0 +1,155 @@
+"""References for the level-overlap matrix U_{m,n} = integral F_m F_n dk_x.
+
+`full_build` is the automatic cutoff placed on one 401-level build on the
+512-node k_x rule, with the same truncation check: the reference for
+`coefficient_matrix`'s level ladder.
+Two closed forms cross-check the k_x quadrature element by element: one for
+equal widths (d_y = L) through a single Hermite value, and one for distinct
+widths through a finite binomial sum.  Each covers its own width window only.
+"""
+
+import math
+
+import numpy as np
+
+from landauzb import hermite
+from landauzb.packet import (
+    AUTO_TAIL,
+    DEFAULT_N_MAX,
+    DEFAULT_TAIL_TOL,
+    CoefficientSet,
+    GaussianPacket,
+    TruncationError,
+    _f_closed_log,
+    kx_rule,
+    sum_rules,
+)
+from landauzb.units import FieldConfig
+
+EQUAL_WIDTH_WINDOW = 1e-6   # |d_y - L|/L below which the U cross-checks switch forms
+
+
+class ClosedFormUnavailable(ValueError):
+    """A closed-form U cross-check does not cover this packet width."""
+
+
+def full_build(
+    packet: GaussianPacket, field: FieldConfig, tail_tol: float = DEFAULT_TAIL_TOL
+) -> CoefficientSet:
+    """The automatic cutoff over the full 401 x 401 U on the 512-node rule."""
+    k_nodes, log_w = kx_rule(packet, field, DEFAULT_N_MAX)
+    mant, scale = _f_closed_log(packet, field, DEFAULT_N_MAX, k_nodes)
+    z = mant * np.exp(scale + 0.5 * log_w)
+    u_full = z @ z.T
+    captured = np.nonzero(np.cumsum(np.diagonal(u_full)) >= 1.0 - AUTO_TAIL)[0]
+    cut = max(int(captured[0]) if captured.size else DEFAULT_N_MAX, 1)
+    u = np.ascontiguousarray(u_full[: cut + 1, : cut + 1])
+    tail = 1.0 - math.fsum(np.diagonal(u).tolist())
+    coeffs = CoefficientSet(n_max=cut, u=u, tail_mass=tail, kx_order=k_nodes.size)
+    if max(tail, sum_rules(coeffs, packet, field).momentum_residual) > tail_tol:
+        raise TruncationError(f"level truncation at n_max={cut} leaves too much")
+    return coeffs
+
+
+def u_closed_equal_width(
+    packet: GaussianPacket, field: FieldConfig, m: int, n: int
+) -> float:
+    """Closed-form U_{m,n} for d_y = L (cross-check path)."""
+    L = field.magnetic_length
+    if abs(packet.d_y - L) / L > EQUAL_WIDTH_WINDOW:
+        raise ClosedFormUnavailable("equal-width closed form needs d_y = L")
+    dx, k0x = packet.d_x, packet.k0x
+    p_sq = dx * dx + 0.5 * L * L
+    p = math.sqrt(p_sq)
+    w = dx * dx * k0x / p
+    # H_{m+n}(-i w) (-i)^{m+n} = (-1)^{m+n} G_{m+n}(w), G_n = K_n(.; -1)
+    mant, scale = hermite.normalized_hermite_table(m + n, np.array([w]), s=-1.0)
+    # rescale G_{m+n}/C_{m+n} by C_{m+n}/(C_m C_n) in logs
+    log_c = (
+        hermite.log_norm_constant(m + n)
+        - hermite.log_norm_constant(m)
+        - hermite.log_norm_constant(n)
+    )
+    log_rest = (
+        math.log(2.0 * math.sqrt(math.pi) * dx / L)
+        + (m + n + 1) * math.log(L / (2.0 * p))
+        - dx * dx * k0x * k0x * L * L / (2.0 * p_sq)
+        + scale[m + n, 0]
+        + log_c
+    )
+    return (-1.0) ** (m + n) * float(mant[m + n, 0]) * math.exp(log_rest)
+
+
+def u_closed_general(
+    packet: GaussianPacket, field: FieldConfig, m: int, n: int
+) -> float:
+    """General closed-form U_{m,n} via the finite binomial sum.
+
+    The scaled Hermite kernel s^{D/2} H_D(x/sqrt(s)) is expanded as a
+    polynomial in s and x, which removes every square-root branch; the
+    auxiliary parameters then enter only through their squares, real in all
+    width regimes.  Alternating and unstable as m+n grows; a small-index
+    cross-check of the quadrature path, not a production assembly route.
+    """
+    L = field.magnetic_length
+    if abs(packet.d_y - L) < EQUAL_WIDTH_WINDOW * L:
+        raise ClosedFormUnavailable("general closed form needs d_y away from L")
+    dx, dy, k0x = packet.d_x, packet.d_y, packet.k0x
+    diff = (L - dy) * (L + dy)          # L^2 - d_y^2
+    plus = L * L + dy * dy
+    d_sq = L**4 / plus                  # D^2
+    q_sq = 1.0 / (dx * dx + d_sq)       # Q^2
+    w_par = dx * math.sqrt(d_sq * q_sq) * k0x
+    y_par = dx * dx * k0x * math.sqrt(q_sq)
+    inv_c_sq = diff * plus / L**6       # 1/c^2, signed
+    s = 1.0 - q_sq / inv_c_sq           # 1 - (cQ)^2, real in all regimes
+    qy_sq = q_sq * y_par * y_par        # (QY)^2
+
+    qy = math.sqrt(qy_sq) * math.copysign(1.0, y_par) if y_par else 0.0
+    terms: list[float] = []
+    for l in range(min(m, n) + 1):
+        # 2^l l! C(m,l) C(n,l) in logs
+        log_l = (
+            l * math.log(2.0)
+            - math.lgamma(l + 1)
+            + math.lgamma(m + 1)
+            - math.lgamma(m - l + 1)
+            + math.lgamma(n + 1)
+            - math.lgamma(n - l + 1)
+        )
+        deg = m + n - 2 * l
+        for j in range(deg // 2 + 1):
+            p = deg - 2 * j             # power of the (-2QY) factor
+            if p and qy == 0.0:
+                continue
+            log_j = (
+                math.lgamma(deg + 1)
+                - math.lgamma(j + 1)
+                - math.lgamma(p + 1)
+                + p * (math.log(2.0) + (math.log(abs(qy)) if p else 0.0))
+                + (l + j) * math.log(abs(inv_c_sq))
+                + (j * math.log(abs(s)) if j else 0.0)
+            )
+            sign = (
+                (-1.0) ** j
+                * (-math.copysign(1.0, qy)) ** p
+                * math.copysign(1.0, inv_c_sq) ** (l + j)
+                * (math.copysign(1.0, s) ** j)
+            )
+            terms.append(sign * math.exp(log_l + log_j))
+    total = math.fsum(terms)
+
+    log_amp = (
+        math.log(2.0 * math.pi) + 2.0 * math.log(dy) - math.log(plus)
+        + (m + n) * (3.0 * math.log(L) - math.log(plus))
+    )
+    log_pref = (
+        math.log(L * dx)
+        + 0.5 * math.log(q_sq)
+        + 0.5 * math.log(math.pi)
+        - w_par * w_par
+        - math.log(math.pi * dy)
+        - hermite.log_norm_constant(m)
+        - hermite.log_norm_constant(n)
+    )
+    return math.exp(log_pref + log_amp) * total
