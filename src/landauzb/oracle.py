@@ -3,20 +3,18 @@
 Certifies the analytic series.  The Hamiltonian is a matrix over four spinor
 rows times oscillator levels 0..N, linear in the axial wavenumber: the pencil
 H(k_z) = H_0 + k_z H_z, built once per call.  The union of the nonzero
-patterns of H_0 and H_z splits into small invariant blocks (connected
-components), one pattern for both models; the block check runs once on H_0
-and once on H_z, and covers every node, since the pattern of H(k_z) lies in
-that union.  The blocks are diagonalized by one batched `eigh` per chunk of
-nodes.  The density enters as a low-rank factor C of rho = C C^+, and the
-observables are summed over the block pairs they link.  On a uniform time
-grid each eigenvalue's phases e^{-iEt} are anchors times offsets,
-e^{-iE T_a} e^{-iE tau_b}, with a first-order factor (1 - iE delta) for the
-grid's float rounding delta = t - T_a - tau_b: about 2 sqrt(T) complex exp
-per eigenvalue instead of T.  Any other grid takes one exp per sample.
-Nothing here touches the closed forms of the overlap matrix, the spectrum
-or the oscillation series, not even the series' own time split; the only
-shared ingredients are the level amplitude F_n and the node choices: the
-k_x rule of `packet.kx_rule` and the k_z grid of `packet.axial_ladder`.
+patterns of H_0 and H_z splits into small invariant blocks, and each block
+squares to a scalar, H_b^2 = S0 + k_z S1 + k_z^2 S2 = E_b(k_z)^2 I; both
+checks run once per call, on H_0, H_z and S0, S1, S2, and cover every node.
+No block is diagonalized: e^{-iH_b t} = e^{-iE_b t} P+ + e^{+iE_b t} P- with
+P+- = (I +- H_b/E_b)/2, so an observable summed over the block pairs it
+links takes four weights tr(P_bra A P_ket rho) per pair, polynomials in k_z
+over E_bra E_ket.  The density enters as a low-rank factor C of rho = C C^+.
+On a uniform time grid each block's phase e^{-iEt} is anchors times offsets
+with a first-order factor (1 - iE delta) for the grid's float rounding
+delta: about 2 sqrt(T) complex exp per block instead of T; e^{+iEt} is the
+conjugate.  The series' closed forms stay untouched: only the level amplitude
+F_n and the node choices of `packet.kx_rule` and `packet.axial_ladder` are shared.
 
 Basis index: sigma * (N+1) + m for spinor row sigma in 0..3, level m.
 """
@@ -33,7 +31,9 @@ from .units import FieldConfig
 
 GUARD_BAND = 20
 LEAK_TOL = 1e-10
-CHUNK_ELEMENTS = 100_000   # phases per batched eigh: bounds the working set
+KZ_TOL = 1e-6              # kz_residual above which the automatic k_z rule doubles once
+CHUNK_ELEMENTS = 100_000   # phases per chunk of k_z nodes: bounds the working set
+EPS = np.finfo(float).eps
 
 
 class TruncationLeakError(ValueError):
@@ -148,17 +148,6 @@ def _density_from_nodes(
     return factor, shift
 
 
-def _check_leakage(rho_diag: np.ndarray, n_levels: int, guard: int) -> None:
-    size = n_levels + 1
-    diag = rho_diag.reshape(4, size)
-    tail = float(diag[:, max(0, size - guard) :].sum())
-    if tail > LEAK_TOL:
-        raise TruncationLeakError(
-            f"packet mass {tail:.3e} within {guard} levels of the truncation "
-            f"edge (> {LEAK_TOL:g}); raise the level count"
-        )
-
-
 def _split_times(times: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Anchors T_a, offsets tau_b and residuals delta with t = T_a + tau_b + delta.
 
@@ -193,18 +182,18 @@ def evolve_expectations(
 ) -> EvolvedExpectations:
     """Block-evolution expectations of position and velocity.
 
-    2+1 packets run a single diagonalization at k_z = 0; 3+1 packets add an
-    outer trapezoid rule over the axial momentum density, with kz_order
-    nodes or, unless given, the first rung of `packet.axial_ladder`.  The
-    even-index nodes with doubled weights are the same rule at twice the
-    spacing; their second accumulator gives kz_residual in the same loop.
-    Output positions are relative to the t=0 centre (trajectory starts at
-    the origin), matching the analytic-series convention.
+    2+1 packets run the single node k_z = 0; 3+1 packets add an outer
+    trapezoid rule over the axial momentum density, with kz_order nodes or,
+    unless given, the first rung of `packet.axial_ladder`, doubled once if its
+    kz_residual exceeds KZ_TOL.  The even-index nodes with doubled weights are
+    the same rule at twice the spacing; their second accumulator gives
+    kz_residual in the same loop.  Output positions
+    are relative to the t=0 centre (trajectory starts at the origin),
+    matching the analytic-series convention.
     """
-    times = np.asarray(times, dtype=float)
+    times, auto = np.asarray(times, dtype=float), kz_order is None
     if pkt.dimensionality == "2+1":
-        kz_nodes = np.array([0.0])
-        weights = np.ones((2, 1))
+        kz_nodes, weights = np.zeros(1), np.ones((2, 1))
     else:
         if kz_order is None:
             t_max = float(np.max(np.abs(times)))
@@ -214,7 +203,11 @@ def evolve_expectations(
         weights = np.stack([kz_weights, half])
 
     factor, shift = _density_from_nodes(pkt, field, n_levels)
-    _check_leakage(np.sum(np.abs(factor) ** 2, axis=1), n_levels, guard)
+    size = n_levels + 1
+    tail = float(np.sum(np.abs(factor.reshape(4, size, -1)[:, max(0, size - guard) :]) ** 2))
+    if tail > LEAK_TOL:
+        raise TruncationLeakError(f"packet mass {tail:.3e} within {guard} levels of the "
+                                  f"truncation edge (> {LEAK_TOL:g}); raise the level count")
     # H(k_z) = H_0 + k_z H_z: the build's only k_z entries are +-k_z, so the
     # difference is exact, and every node's pattern lies inside the union
     h_0 = build(n_levels, field).matrix
@@ -228,8 +221,13 @@ def evolve_expectations(
     c_blocks = factor[index] * mask[..., None]                      # (B, w, r)
     probe = c_blocks[..., :1] / np.linalg.norm(factor[:, 0])       # drift probe
     h_0, h_z = _block_stack(h_0, index, mask), _block_stack(h_z, index, mask)
+    # H_b(k)^2 = S0 + k S1 + k^2 S2 is E_b(k)^2 I at every k if each S_i is e_i I
+    squares = np.stack([h_0 @ h_0, h_0 @ h_z + h_z @ h_0, h_z @ h_z])     # (3, B, w, w)
+    e_sq = np.trace(squares, axis1=-2, axis2=-1) / mask.sum(axis=1)      # (3, B)
+    pencil = np.stack([np.eye(width) * mask[:, :, None], h_0, h_z])     # I, H_0, H_z
+    if np.max(np.abs(squares - e_sq[..., None, None] * pencil[0])) > 8 * EPS * np.max(e_sq):
+        raise ValueError("an invariant block does not square to a multiple of the identity")
 
-    size = n_levels + 1
     m = np.arange(size)
     lower = (np.arange(4)[:, None] * size + m[1:] - 1).ravel()     # <sigma, m-1| a |sigma, m>
     # spinor rows: alpha_x + i alpha_y = 2 (|0><3| + |2><1|) carries both velocities
@@ -241,55 +239,57 @@ def evolve_expectations(
         keys, which = np.unique(label[rows] * len(blocks) + label[cols], return_inverse=True)
         elems = np.zeros((keys.size, width, width))
         elems[which, slot[rows], slot[cols]] = values
-        ops.append((keys // len(blocks), keys % len(blocks), elems))
+        bra, ket = keys // len(blocks), keys % len(blocks)
+        # tr(L A R rho_kb) for L, R in the bra's and ket's pencil, rho_kb = C_ket C_bra^+
+        rho = c_blocks[ket] @ c_blocks[bra].conj().swapaxes(-1, -2)
+        ops.append((bra, ket, np.einsum("lpij,rpji->lrp", pencil[:, bra] @ elems,
+                                        pencil[:, ket] @ rho)))
 
     # [<A(t)>, <v_x + i v_y>(t)] x [full rule, half-grid partner]; <A^+> = conj
     out = np.zeros((2, 2, times.size), dtype=complex)
-    out0 = np.zeros((2, 2), dtype=complex)             # the same at t = 0
     norm_drift = energy_drift = 0.0
     anchors, offsets, delta = _split_times(times)
-    stride = max(1, times.size // 8)
+    probe_t = times[:: max(1, times.size // 8)]
     step = max(1, CHUNK_ELEMENTS // (factor.shape[0] * times.size))    # nodes per chunk
     for start in range(0, kz_nodes.size, step):
-        wk = weights[:, start : start + step]                           # (2, c)
-        h = h_0 + kz_nodes[start : start + step, None, None, None] * h_z
-        evals, vecs = np.linalg.eigh(h)                                 # (c, B, w, w)
-        coef = vecs.swapaxes(-1, -2) @ c_blocks                         # V^T C
-        # e^{-iEt} = e^{-iE T_a} e^{-iE tau_b} (1 - iE delta): (c, B, w, T)
-        rate = -1j * evals[..., None]
+        wk, k = weights[:, start : start + step], kz_nodes[start : start + step, None]
+        energy = np.sqrt(e_sq[0] + k * e_sq[1] + k * k * e_sq[2])       # (c, B)
+        # e^{-iEt} = e^{-iE T_a} e^{-iE tau_b} (1 - iE delta): (c, B, T)
+        rate = -1j * energy[..., None]
         phases = np.exp(rate[..., None] * anchors[:, None]) * np.exp(rate * offsets)[..., None, :]
-        phases = phases.reshape(*evals.shape, -1)[..., : times.size]
-        if delta.any():
-            phases *= 1.0 + rate * delta
-        for (bra, ket, elems), acc, acc0 in zip(ops, out, out0):
-            q = vecs[:, bra].swapaxes(-1, -2) @ elems @ vecs[:, ket]    # eigenbasis
-            w = q * (coef[:, bra].conj() @ coef[:, ket].swapaxes(-1, -2))  # W_ij = q_ij rho_ji
-            # conj(val) = sum_ij conj(phase_i) W_ij phase_j, one (c, P, w, T) temporary at a time
-            val = np.einsum("cpit,cpit->ct", np.conjugate(w @ phases[:, ket]), phases[:, bra])
-            acc += wk @ val.conj()
-            acc0 += wk @ w.sum(axis=(1, 2, 3))
-        # direct phases: the drifts check the evolution independently of the split
-        vec_t = vecs @ ((vecs.swapaxes(-1, -2) @ probe) * np.exp(rate * times[::stride]))
+        phases = phases.reshape(*energy.shape, -1)[..., : times.size] * (1.0 + rate * delta)
+        for (bra, ket, tr), acc in zip(ops, out):
+            e_bra, e_ket = energy[:, bra], energy[:, ket]       # W_su = (c + u a + s b + su d)/4
+            a, b = (tr[0, 1] + k * tr[0, 2]) / e_ket, (tr[1, 0] + k * tr[2, 0]) / e_bra
+            d = (tr[1, 1] + k * (tr[1, 2] + tr[2, 1]) + k * k * tr[2, 2]) / (e_bra * e_ket)
+            # sum_su conj(phi^s_bra) W_su phi^u_ket with phi^- = conj(phi^+): W++ and
+            # conj(W--) weigh conj(phi_bra) phi_ket, W-+ and conj(W+-) phi_bra phi_ket
+            w = 0.25 * np.stack([tr[0, 0] + a + b + d, np.conj(tr[0, 0] - a - b + d),
+                                 tr[0, 0] + a - b - d, np.conj(tr[0, 0] - a + b - d)], axis=1)
+            bra_t, ket_t = phases[:, bra], phases[:, ket]                # (c, P, T) copies
+            x = w[:, :2] @ (bra_t.conj() * ket_t)
+            bra_t *= ket_t
+            y = w[:, 2:] @ bra_t
+            acc += wk @ (x[:, 0] + x[:, 1].conj() + y[:, 0] + y[:, 1].conj())
+        # direct phases: v(t) = p cos Et - i (H p / E) sin Et, the drifts from h @ v
+        h = h_0 + k[..., None, None] * h_z
+        turn = np.exp(rate * probe_t)[:, :, None]                       # (c, B, 1, T')
+        vec_t = probe * turn.real + 1j * (h @ probe / energy[..., None, None]) * turn.imag
         norm = np.sqrt(np.sum(np.abs(vec_t) ** 2, axis=(1, 2)))
-        energy = np.einsum("cbit,cbit->ct", vec_t.conj(), h @ vec_t).real
+        energy_t = np.einsum("cbit,cbit->ct", vec_t.conj(), h @ vec_t).real
         energy0 = np.einsum("bi,cbij,bj->c", probe[..., 0].conj(), h, probe[..., 0]).real
         norm_drift = max(norm_drift, float(np.max(np.abs(norm - 1.0))))
-        energy_drift = max(energy_drift, float(np.max(np.abs(energy - energy0[:, None]))))
+        energy_drift = max(energy_drift, float(np.max(np.abs(energy_t - energy0[:, None]))))
 
-    (alpha, vel), alpha0 = out, out0[0]
+    (alpha, vel), alpha0 = out, weights.sum(axis=1) * ops[0][2][0, 0].sum()  # tr(A rho)
     scale = field.magnetic_length * math.sqrt(2.0)
     pos = scale * (alpha - alpha0[:, None])            # y + i x per rule
     pos_scale = max(_peak(pos[0]), 1e-300)
     kz_residual = max(_peak(pos[0] - pos[1]) / pos_scale, _peak(vel[0] - vel[1]))
+    if auto and kz_residual > KZ_TOL:    # a converged rung's half grid may not be: go one up
+        return evolve_expectations(pkt, field, times, n_levels, guard, 2 * len(kz_nodes))
     return EvolvedExpectations(
-        times=times,
-        x=pos[0].imag,
-        y=pos[0].real,
-        vx=vel[0].real,
-        vy=vel[0].imag,
-        y_operator_initial=scale * float(alpha0[0].real),
-        guiding_shift=shift,
-        norm_drift=norm_drift,
-        energy_drift=energy_drift,
-        kz_residual=kz_residual,
+        times=times, x=pos[0].imag, y=pos[0].real, vx=vel[0].real, vy=vel[0].imag,
+        y_operator_initial=scale * float(alpha0[0].real), guiding_shift=shift,
+        norm_drift=norm_drift, energy_drift=energy_drift, kz_residual=kz_residual,
     )

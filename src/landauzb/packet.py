@@ -321,9 +321,9 @@ def coefficient_matrix(
     diagonal sum first reaches 1 - AUTO_TAIL: levels are built in rungs of
     64, 128, 256 and 401 (the 256-node rule, then MAX_GH_ORDER), and a rung
     is doubled only while the crossing lies beyond it.  Each rung's diagonal
-    is exact, so the cut is the one the 401-level build would place.  A cut
-    whose tail mass exceeds tail_tol raises TruncationError, and so does an
-    automatic cut whose momentum sum-rule residual exceeds it.
+    is exact, so the cut is the one the 401-level build would place.  A cut,
+    automatic or explicit, whose tail mass or momentum sum-rule residual
+    exceeds tail_tol raises TruncationError.
     """
     auto = n_max is None
     rungs = (63, 127, 255, DEFAULT_N_MAX) if auto else (n_max,)
@@ -351,15 +351,14 @@ def coefficient_matrix(
             f"(> {tail_tol:g}); increase n_max"
         )
     coeffs = CoefficientSet(n_max=cut, u=u, tail_mass=tail, kx_order=k_nodes.size)
-    if auto:
-        # a cut past the last rung rests on tail_tol alone, and there the
-        # momentum rule misses about sqrt(n_max) times the tail mass
-        drift = sum_rules(coeffs, packet, field).momentum_residual
-        if drift > tail_tol:
-            raise TruncationError(
-                f"level truncation at n_max={cut} leaves momentum residual "
-                f"{drift:.3e} (> {tail_tol:g}); increase n_max"
-            )
+    # the momentum rule misses about sqrt(n_max) times the tail mass, so a
+    # cut can pass tail_tol and still fail it
+    drift = sum_rules(coeffs, packet, field).momentum_residual
+    if drift > tail_tol:
+        raise TruncationError(
+            f"level truncation at n_max={cut} leaves momentum residual "
+            f"{drift:.3e} (> {tail_tol:g}); increase n_max"
+        )
     return coeffs
 
 

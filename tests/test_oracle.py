@@ -1,8 +1,10 @@
 import ast
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from landauzb import FieldConfig, GaussianPacket
 from landauzb.landau import LandauIndex, jl_spinor, landau_energy
@@ -399,9 +401,9 @@ def test_first_order_phase_correction_over_a_long_window(matched_field):
 
 
 def test_phases_cost_anchors_plus_offsets(matched_field, monkeypatch):
-    # per k_z node, each eigenvalue takes ceil(T/J) anchor phases, J offset
-    # phases and ceil(T/stride) direct drift-probe phases: a silent fallback
-    # to one exp per sample (a split tolerance too tight, say) fails here
+    # per k_z node, each block takes ceil(T/J) anchor phases, J offset phases
+    # and ceil(T/stride) direct drift-probe phases: a silent fallback to one
+    # exp per sample (a split tolerance too tight, say) or per eigenvalue fails
     pkt, kz_order, n_levels = phase_test_packet("3+1"), 16, 10
     times = PHASE_GRIDS["step-0.1"]
     assert np.any(oracle._split_times(times)[2])
@@ -421,8 +423,8 @@ def test_phases_cost_anchors_plus_offsets(matched_field, monkeypatch):
     edge = oracle.build(n_levels, matched_field, k_z=nodes[np.argmax(np.abs(nodes))])
     blocks = oracle._components(edge.matrix != 0)
     size, n_offsets, stride = times.size, math.ceil(math.sqrt(times.size)), times.size // 8
-    per_node = len(blocks) * max(b.size for b in blocks) * (
-        -(-size // n_offsets) + n_offsets + -(-size // stride))
+    # one phase per block, not per eigenvalue: e^{+iEt} is the conjugate of e^{-iEt}
+    per_node = len(blocks) * (-(-size // n_offsets) + n_offsets + -(-size // stride))
     assert 0 < sum(counted) <= nodes.size * per_node
 
 
@@ -453,3 +455,127 @@ def test_two_builds_per_call(matched_field, monkeypatch, dims):
     oracle.evolve_expectations(pkt, matched_field, np.linspace(0.0, 10.0, 21), n_levels=10,
                                guard=0, kz_order=kz_order)
     assert sorted(calls) == [0.0, 1.0]
+
+
+def patched_build(monkeypatch, change):
+    """Let change(matrix, k_z) edit every `oracle.build` matrix for the rest of a test."""
+    real_build = oracle.build
+
+    def build(n_levels, field, k_z=0.0):
+        ham = real_build(n_levels, field, k_z=k_z)
+        change(ham.matrix, k_z)
+        return ham
+
+    monkeypatch.setattr(oracle, "build", build)
+
+
+def scale_mass_entry(matrix, k_z):
+    matrix[0, 0] *= 1.001    # same pattern, but that block's square is no longer scalar
+
+
+def unsigned_axial_term(matrix, k_z):
+    # k_z sigma_z -> k_z 1 in the spin block: H_z^2 = I and H_0^2 stay scalar,
+    # but H_0 H_z + H_z H_0 does not, so only the check on S1 can see it
+    size = matrix.shape[0] // 4
+    matrix[size : 2 * size, 3 * size :] *= -1.0
+    matrix[3 * size :, size : 2 * size] *= -1.0
+
+
+@pytest.mark.parametrize("change", [scale_mass_entry, unsigned_axial_term])
+@pytest.mark.parametrize("dims", ["2+1", "3+1"])
+def test_block_that_does_not_square_to_a_scalar_raises(matched_field, monkeypatch, change, dims):
+    patched_build(monkeypatch, change)
+    pkt, kz_order = phase_test_packet(dims), (16 if dims == "3+1" else None)
+    with pytest.raises(ValueError, match="square"):
+        oracle.evolve_expectations(pkt, matched_field, np.linspace(0.0, 10.0, 21),
+                                   n_levels=10, guard=0, kz_order=kz_order)
+
+
+def test_square_linear_in_k_z_matches_dense_reference(matched_field, monkeypatch):
+    # the physical pencil has S1 = 0, so E^2 has no term linear in k_z; every
+    # node shifted by 1/4 gives e1 != 0, and the block path must follow it
+    real_build = oracle.build
+    monkeypatch.setattr(oracle, "build", lambda n, field, k_z=0.0: real_build(n, field, k_z + 0.25))
+    pkt, times = phase_test_packet("3+1"), np.linspace(0.0, 10.0, 21)
+    evo = oracle.evolve_expectations(pkt, matched_field, times, n_levels=10, guard=0, kz_order=16)
+    assert_matches_dense(evo, dense_reference(pkt, matched_field, times, 10, 16))
+
+
+@pytest.mark.parametrize("dims", ["2+1", "3+1"])
+def test_block_path_runs_without_eigh(matched_field, monkeypatch, dims):
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("the oracle diagonalized a block")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    pkt, kz_order = phase_test_packet(dims), (16 if dims == "3+1" else None)
+    evo = oracle.evolve_expectations(pkt, matched_field, np.linspace(0.0, 10.0, 21),
+                                     n_levels=10, guard=0, kz_order=kz_order)
+    assert evo.norm_drift < 1e-13 and evo.energy_drift < 1e-13
+
+
+def series_deviation(traj, evo):
+    """Positions relative to the oracle's peak, velocities in c.  The peak is
+    floored at 1e-6 lambda_c: a packet with no transverse motion (k0x = 0 and
+    one spinor component) has a peak of pure rounding."""
+    scale = max(np.max(np.abs(evo.x)), np.max(np.abs(evo.y)), 1e-6)
+    pos = max(np.max(np.abs(traj.x - evo.x)), np.max(np.abs(traj.y - evo.y))) / scale
+    return max(pos, np.max(np.abs(traj.vx - evo.vx)), np.max(np.abs(traj.vy - evo.vy)))
+
+
+def field_and_phase_packets(kappa, d_x, k0x, theta, phase):
+    """2+1 and 3+1 packets of widths and momenta in units of L, complex spinor
+    amplitudes with relative phase `phase`, and the 2+1 packet's coefficients."""
+    field = FieldConfig.from_kappa(kappa)
+    L = field.magnetic_length
+    amps = dict(a1=math.cos(theta) * np.exp(0.4j), a2=math.sin(theta) * np.exp(1j * (0.4 + phase)))
+    shape = dict(d_x=d_x * L, d_y=1.25 * L, k0x=k0x / L, relax_momentum_bound=True, **amps)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # k0x beyond the nominal velocity bound
+        flat = GaussianPacket(dimensionality="2+1", **shape)
+        axial = GaussianPacket(d_z=1.5 * L, k0z=0.4 / L, dimensionality="3+1", **shape)
+    return field, flat, axial, coefficient_matrix(flat, field)
+
+
+def test_automatic_axial_rule_certifies_itself():
+    # L = 1 over 5 t_c: the 64-node first rung matches the series to 2e-12,
+    # but its 32-node half grid is off by 3.6e-6, which kz_residual reported
+    # and `oracle-check` refused; the automatic rule now takes 128 nodes
+    field, _, axial, coeffs = field_and_phase_packets(0.5, 1.0, 0.7, 0.6435, 1.5708)
+    times = np.linspace(0.0, 5.0, 11)
+    assert packet_mod.axial_ladder(axial, field, coeffs.n_max + 20, 5.0)[0] == 64
+    first = oracle.evolve_expectations(axial, field, times, n_levels=coeffs.n_max + 20,
+                                       kz_order=64)
+    assert first.kz_residual > oracle.KZ_TOL
+    evo = oracle.evolve_expectations(axial, field, times, n_levels=coeffs.n_max + 20)
+    assert evo.kz_residual < 1e-12
+    traj = dynamics.trajectory_3p1(axial, coeffs, field, times)
+    assert max(series_deviation(traj, evo), series_deviation(traj, first)) < 1e-8
+
+
+D_X = st.one_of(
+    st.floats(min_value=0.5, max_value=0.95),                               # narrow
+    st.floats(min_value=-1e-6, max_value=1e-6).map(lambda eps: 1.0 + eps),  # equal
+    st.floats(min_value=1.05, max_value=2.5),                               # wide
+)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    kappa=st.floats(min_value=math.log(1e-4), max_value=math.log(20.0)).map(math.exp),
+    d_x=D_X,
+    k0x=st.floats(min_value=0.0, max_value=1.0),
+    theta=st.floats(min_value=0.0, max_value=0.5 * math.pi),
+    phase=st.floats(min_value=0.0, max_value=2.0 * math.pi),
+)
+def test_oracle_matches_series_over_field_and_spinor_phase(kappa, d_x, k0x, theta, phase):
+    # the half-grid residual of a converged rule reads up to ~2e-7 just below a
+    # rung boundary of `packet.axial_ladder`, so it is held to KZ_TOL, and the
+    # rule itself to the series at 1e-8
+    field, flat, axial, coeffs = field_and_phase_packets(kappa, d_x, k0x, theta, phase)
+    times = np.linspace(0.0, 20.0, 41)
+    evo = oracle.evolve_expectations(flat, field, times, n_levels=coeffs.n_max + 20)
+    assert series_deviation(dynamics.trajectory_2p1(flat, coeffs, field, times), evo) < 1e-8
+    times = np.linspace(0.0, 5.0, 11)
+    evo = oracle.evolve_expectations(axial, field, times, n_levels=coeffs.n_max + 20)
+    assert series_deviation(dynamics.trajectory_3p1(axial, coeffs, field, times), evo) < 1e-8
+    assert evo.kz_residual <= oracle.KZ_TOL

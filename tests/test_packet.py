@@ -358,8 +358,11 @@ def test_truncation_counts_the_momentum_rule(critical_field):
     coeffs = coefficient_matrix(pkt, critical_field, tail_tol=1e-9)
     assert coeffs.n_max == 400
     assert coeffs.tail_mass < 1e-10
-    # an explicit n_max keeps the tail-mass check alone
-    assert np.array_equal(coefficient_matrix(pkt, critical_field, n_max=400).u, coeffs.u)
+    # an explicit n_max is held to the momentum rule too
+    with pytest.raises(TruncationError, match="momentum residual 5.1"):
+        coefficient_matrix(pkt, critical_field, n_max=400)
+    assert np.array_equal(coefficient_matrix(pkt, critical_field, n_max=400, tail_tol=1e-9).u,
+                          coeffs.u)
 
 
 @pytest.mark.parametrize("n_max", [40, 255, 256, 400])
