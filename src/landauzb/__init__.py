@@ -11,12 +11,11 @@ from .landau import (
     LandauIndex,
     SpinorWeights,
     landau_energy,
-    mode_frequencies,
     jl_spinor,
     ladder_matrix_element,
     heisenberg_ladder_element,
 )
-from .hermite import QuadratureRule, psi, gauss_hermite, log_factorial_ratio
+from .hermite import QuadratureRule, gauss_hermite
 from .packet import (
     GaussianPacket,
     CoefficientSet,
@@ -61,14 +60,11 @@ __all__ = [
     "LandauIndex",
     "SpinorWeights",
     "landau_energy",
-    "mode_frequencies",
     "jl_spinor",
     "ladder_matrix_element",
     "heisenberg_ladder_element",
     "QuadratureRule",
-    "psi",
     "gauss_hermite",
-    "log_factorial_ratio",
     "GaussianPacket",
     "CoefficientSet",
     "g_xy",

@@ -71,7 +71,6 @@ class Trajectory:
     parts: str                    # 'all', 'intraband' or 'interband'
     y_operator_initial: float     # raw <Y>(0) = -k0x L^2
     subtracted_constant: float    # series(0) + k0x L^2; ~0 when sum rules hold
-    length_unit: str = "lambda_c"
 
 
 @dataclass(frozen=True)
@@ -107,8 +106,7 @@ class SubPacketSeries:
 
     lowering_1/2 split the lowering-operator average by interband character
     of the evolution factor; raising_1/2 do the same for the raising
-    operator.  branch_weights[:, i] holds the four per-pair energy factors
-    (T_pp, T_pm, T_mp, T_mm) used in the series.
+    operator.
     """
 
     times: np.ndarray
@@ -116,7 +114,6 @@ class SubPacketSeries:
     lowering_2: np.ndarray
     raising_1: np.ndarray
     raising_2: np.ndarray
-    branch_weights: np.ndarray
 
 
 class _Block(NamedTuple):
@@ -451,19 +448,12 @@ def subpackets(
     x, y = _series(packet, coeffs, field, times, (np.zeros(1), np.ones(1)))
     lowering_1 = (PREF / field.magnetic_length) * (y + 1j * x)
     raising_2 = (PREF / field.magnetic_length) * (y - 1j * x)
-
-    energies = landau_energies(coeffs.n_max + 1, 0.0, field)
-    il, ih, r = 1.0 / energies[:-2], 1.0 / energies[1:-1], energies[:-2] / energies[1:-1]
-    branch = np.stack(
-        [1.0 + il + ih + r, 1.0 + il - ih - r, 1.0 - il + ih - r, 1.0 - il - ih + r], axis=1
-    )
     return SubPacketSeries(
         times=times,
         lowering_1=lowering_1,
         lowering_2=np.conj(raising_2),
         raising_1=np.conj(lowering_1),
         raising_2=raising_2,
-        branch_weights=branch,
     )
 
 

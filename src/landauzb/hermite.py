@@ -11,11 +11,9 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-N_CAP = 450
 MAX_GH_ORDER = 512
 
 
@@ -41,9 +39,6 @@ class QuadratureRule:
         for values in (self.nodes, self.weights, self.log_fused):
             values.flags.writeable = False
 
-    def integrate(self, f: Callable[[np.ndarray], np.ndarray]) -> float:
-        return float(np.dot(self.weights, f(self.nodes)))
-
 
 @functools.cache
 def gauss_hermite(order: int) -> QuadratureRule:
@@ -68,22 +63,11 @@ def gauss_hermite(order: int) -> QuadratureRule:
     return QuadratureRule(nodes=x, weights=weights, log_fused=log_fused)
 
 
-def psi(n: int, xi) -> np.ndarray | float:
-    """Normalized weighted Hermite function psi_n at xi (scalar or array)."""
-    if n < 0 or n > N_CAP:
-        raise CapacityError(f"level n={n} outside [0, {N_CAP}]")
-    x = np.asarray(xi, dtype=float)
-    out = psi_table(n, x.ravel())[n].reshape(x.shape)
-    if np.isscalar(xi) or x.ndim == 0:
-        return float(out)
-    return out
-
-
 def psi_table(n_max: int, xi: np.ndarray) -> np.ndarray:
     """All psi_n(xi) for n <= n_max; shape (n_max+1, len(xi)).
 
     normalized_hermite_table with the Gaussian folded into its log scale, so it
-    cannot underflow first.  Used above the psi() cap too: only the hard limit holds.
+    cannot underflow first.
     """
     if n_max < 0 or n_max > 2 * MAX_GH_ORDER:
         raise CapacityError(f"level n_max={n_max} outside [0, {2 * MAX_GH_ORDER}]")
@@ -129,17 +113,3 @@ def normalized_hermite_table(
         np.multiply(m[k - 1], s * math.sqrt(k / (k + 1.0)), out=work)
         m[k + 1] -= work
     return m, scale
-
-
-def log_factorial_ratio(m: int, n: int) -> float:
-    """ln(C_m / C_n) without overflow; C_n = sqrt(2^n n! sqrt(pi))."""
-    if m < 0 or n < 0:
-        raise ValueError("levels must be non-negative")
-    return 0.5 * ((m - n) * math.log(2.0) + math.lgamma(m + 1) - math.lgamma(n + 1))
-
-
-def log_norm_constant(n: int) -> float:
-    """ln C_n."""
-    if n < 0:
-        raise ValueError("level must be non-negative")
-    return 0.5 * (n * math.log(2.0) + math.lgamma(n + 1) + 0.5 * math.log(math.pi))

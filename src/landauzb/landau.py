@@ -71,19 +71,6 @@ def landau_energies(n_max: int, k_z, field: FieldConfig) -> np.ndarray:
     return np.sqrt(1.0 + field.omega**2 * n[(...,) + (None,) * kz.ndim] + kz * kz)
 
 
-def mode_frequencies(n: int, k_z: float, field: FieldConfig) -> tuple[float, float]:
-    """Intraband (cyclotron-like) and interband frequencies of the n,n+1 pair.
-
-    Returns (omega_c_n, omega_z_n) = ((E_{n+1}-E_n)/hbar, (E_{n+1}+E_n)/hbar).
-    """
-    e_lo = landau_energy(n, k_z, field)
-    e_hi = landau_energy(n + 1, k_z, field)
-    # difference via the exact identity E_{n+1}^2 - E_n^2 = (hbar*omega)^2,
-    # which stays accurate when the energies are nearly equal
-    omega_c = field.omega**2 / (e_hi + e_lo)
-    return omega_c, e_hi + e_lo
-
-
 def jl_spinor(idx: LandauIndex, field: FieldConfig) -> SpinorWeights:
     """Johnson-Lippman eigenspinor weights for the state (n, k_z, eps, s)."""
     n, k_z, eps, s = idx.n, idx.k_z, idx.epsilon, idx.s

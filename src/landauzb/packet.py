@@ -183,86 +183,21 @@ def _f_closed_log(
     return mant, scale
 
 
-def f_n(
-    packet: GaussianPacket,
-    field: FieldConfig,
-    n: int,
-    k_x,
-    method: str = "closed",
-    quad_rtol: float = 1e-9,
-):
-    """Level amplitude F_n(k_x) = <n, k_x | f>.
-
-    method 'closed' evaluates the scaled-Hermite closed form, one formula for
-    every d_y (see the module docstring); 'quadrature' integrates the
-    defining overlap, an independent cross-check.
-    """
+def f_n(packet: GaussianPacket, field: FieldConfig, n: int, k_x):
+    """Level amplitude F_n(k_x) = <n, k_x | f>, by the closed form above."""
     k = np.atleast_1d(np.asarray(k_x, dtype=float))
-    if method == "quadrature":
-        vals = _f_quadrature(packet, field, n, k, rtol=quad_rtol)[n]
-    else:
-        vals = f_table(packet, field, n, k, method)[n]
+    vals = f_table(packet, field, n, k)[n]
     if np.isscalar(k_x):
         return float(vals[0])
     return vals
 
 
 def f_table(
-    packet: GaussianPacket,
-    field: FieldConfig,
-    n_max: int,
-    k_x: np.ndarray,
-    method: str = "closed",
+    packet: GaussianPacket, field: FieldConfig, n_max: int, k_x: np.ndarray
 ) -> np.ndarray:
     """F_n(k_x) for all n <= n_max; shape (n_max+1, K)."""
-    k = np.asarray(k_x, dtype=float)
-    if method == "closed":
-        mant, scale = _f_closed_log(packet, field, n_max, k)
-        return mant * np.exp(scale)
-    if method == "quadrature":
-        return _f_quadrature(packet, field, n_max, k)
-    raise ValueError("method must be 'closed' or 'quadrature'")
-
-
-def _f_quadrature(
-    packet: GaussianPacket,
-    field: FieldConfig,
-    n_max: int,
-    k_x: np.ndarray,
-    start_order: int = 64,
-    rtol: float = 1e-9,
-) -> np.ndarray:
-    """Overlap integral over the slice coordinate, order-doubling GH rule."""
-    L = field.magnetic_length
-    b = L * L / (2.0 * packet.d_y**2)
-    pref = math.sqrt(L * packet.d_x / (math.pi * packet.d_y)) * np.exp(
-        -0.5 * packet.d_x**2 * (k_x - packet.k0x) ** 2
-    )
-
-    def evaluate(order: int) -> np.ndarray:
-        rule = hermite.gauss_hermite(order)
-        # integrand centre sits at xi = -k_x L for every node
-        xi = (-k_x * L)[:, None] + rule.nodes[None, :] / math.sqrt(b)
-        table = hermite.psi_table(n_max, xi.ravel()).reshape(
-            n_max + 1, k_x.size, order
-        )
-        return (table @ rule.weights) / math.sqrt(b) * pref[None, :]
-
-    order = start_order
-    prev = evaluate(order)
-    while order < hermite.MAX_GH_ORDER:
-        order = min(2 * order, hermite.MAX_GH_ORDER)
-        cur = evaluate(order)
-        scale = max(float(np.max(np.abs(cur))), 1e-300)
-        if float(np.max(np.abs(cur - prev))) <= rtol * scale:
-            return cur
-        prev = cur
-    warnings.warn(
-        "level-amplitude quadrature hit the maximum order before the "
-        "doubling test converged; returning the highest-order estimate",
-        stacklevel=2,
-    )
-    return cur
+    mant, scale = _f_closed_log(packet, field, n_max, np.asarray(k_x, dtype=float))
+    return mant * np.exp(scale)
 
 
 def kx_rule(
@@ -323,15 +258,11 @@ def coefficient_matrix(
     is doubled only while the crossing lies beyond it.  Each rung's diagonal
     is exact, so the cut is the one the 401-level build would place.  A cut,
     automatic or explicit, whose tail mass or momentum sum-rule residual
-    exceeds tail_tol raises TruncationError.
+    exceeds tail_tol raises TruncationError; n_max >= 512 raises
+    CapacityError (see kx_rule).
     """
     auto = n_max is None
     rungs = (63, 127, 255, DEFAULT_N_MAX) if auto else (n_max,)
-    if rungs[-1] > hermite.N_CAP:
-        raise hermite.CapacityError(
-            f"n_max={n_max} exceeds the supported level cap {hermite.N_CAP}"
-        )
-
     for cut in rungs:
         k_nodes, log_w = kx_rule(packet, field, cut)
         mant, scale = _f_closed_log(packet, field, cut, k_nodes)

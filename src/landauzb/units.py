@@ -28,11 +28,9 @@ REST_ENERGY = ELECTRON_MASS * SPEED_OF_LIGHT**2               # J
 # Field at which the magnetic length equals the Compton wavelength.
 CRITICAL_FIELD = ELECTRON_MASS**2 * SPEED_OF_LIGHT**2 / (ELEMENTARY_CHARGE * HBAR)
 
-_REL_TOL = 1e-12
-
 
 class UnitError(ValueError):
-    """Inconsistent or non-positive unit scales."""
+    """Non-positive or undefined unit scales."""
 
 
 @dataclass(frozen=True)
@@ -42,20 +40,16 @@ class UnitSystem:
     rest_energy    -- J per unit energy (mc^2)
     compton_length -- m per unit length (hbar/mc)
     compton_time   -- s per unit time (hbar/mc^2)
-    mode           -- 'physical-electron' or 'simulated'
     """
 
     rest_energy: float
     compton_length: float
     compton_time: float
-    mode: str = "physical-electron"
 
     def __post_init__(self):
         for name in ("rest_energy", "compton_length", "compton_time"):
             if not getattr(self, name) > 0.0:
                 raise UnitError(f"{name} must be strictly positive")
-        if self.mode not in ("physical-electron", "simulated"):
-            raise UnitError(f"unknown unit mode {self.mode!r}")
 
     @property
     def speed(self) -> float:
@@ -67,22 +61,10 @@ class UnitSystem:
         """Effective hbar, J*s."""
         return self.rest_energy * self.compton_time
 
-    @property
-    def mass(self) -> float:
-        """Effective mass, kg."""
-        return self.rest_energy / self.speed**2
-
-    def check_speed(self, expected: float, rel_tol: float = _REL_TOL) -> None:
-        if not math.isclose(self.speed, expected, rel_tol=rel_tol):
-            raise UnitError(
-                f"compton_length/compton_time = {self.speed!r} but expected "
-                f"effective speed {expected!r}"
-            )
-
     @classmethod
     def electron(cls) -> "UnitSystem":
         """The physical electron in SI."""
-        return cls(REST_ENERGY, COMPTON_LENGTH, COMPTON_TIME, "physical-electron")
+        return cls(REST_ENERGY, COMPTON_LENGTH, COMPTON_TIME)
 
     @classmethod
     def simulated(cls, rest_energy: float, speed: float) -> "UnitSystem":
@@ -90,34 +72,36 @@ class UnitSystem:
         if rest_energy <= 0 or speed <= 0:
             raise UnitError("rest energy and speed must be positive")
         t_c = HBAR / rest_energy
-        return cls(rest_energy, speed * t_c, t_c, "simulated")
+        return cls(rest_energy, speed * t_c, t_c)
 
 
 @dataclass(frozen=True)
 class FieldConfig:
-    """Uniform magnetic field along z, in natural units.
-
-    magnetic_length -- L = sqrt(hbar/eB), in Compton wavelengths
-    field_strength  -- B in units of the critical field (L = lambda_c there)
-    omega           -- sqrt(2)*c/L, in 1/t_c
-    omega_cyclotron -- eB/m = hbar/(m L^2), in 1/t_c
+    """Uniform magnetic field along z, in natural units, set by its magnetic
+    length L = sqrt(hbar/eB) in Compton wavelengths; every other scale
+    derives from L.
     """
 
     magnetic_length: float
-    field_strength: float
-    omega: float
-    omega_cyclotron: float
 
     def __post_init__(self):
-        L = self.magnetic_length
-        if not L > 0.0:
+        if not self.magnetic_length > 0.0:
             raise UnitError("magnetic_length must be strictly positive")
-        if not math.isclose(self.omega * L, math.sqrt(2.0), rel_tol=_REL_TOL):
-            raise UnitError("omega*L must equal sqrt(2)*c")
-        if not math.isclose(self.omega_cyclotron, 1.0 / L**2, rel_tol=_REL_TOL):
-            raise UnitError("omega_cyclotron must equal hbar/(m L^2)")
-        if not math.isclose(self.field_strength, 1.0 / L**2, rel_tol=_REL_TOL):
-            raise UnitError("field_strength must equal (lambda_c/L)^2 critical fields")
+
+    @property
+    def field_strength(self) -> float:
+        """B in units of the critical field (L = lambda_c there)."""
+        return 1.0 / self.magnetic_length**2
+
+    @property
+    def omega(self) -> float:
+        """sqrt(2)*c/L, in 1/t_c."""
+        return math.sqrt(2.0) / self.magnetic_length
+
+    @property
+    def omega_cyclotron(self) -> float:
+        """eB/m = hbar/(m L^2), in 1/t_c."""
+        return 1.0 / self.magnetic_length**2
 
     @property
     def kappa(self) -> float:
@@ -126,14 +110,7 @@ class FieldConfig:
 
     @classmethod
     def from_magnetic_length(cls, length: float) -> "FieldConfig":
-        if length <= 0:
-            raise UnitError("magnetic length must be positive")
-        return cls(
-            magnetic_length=length,
-            field_strength=1.0 / length**2,
-            omega=math.sqrt(2.0) / length,
-            omega_cyclotron=1.0 / length**2,
-        )
+        return cls(length)
 
     @classmethod
     def from_tesla(cls, b_tesla: float) -> "FieldConfig":
@@ -148,7 +125,3 @@ class FieldConfig:
         if kappa <= 0:
             raise UnitError("kappa must be positive")
         return cls.from_magnetic_length(math.sqrt(0.5 / kappa))
-
-    def field_tesla(self) -> float:
-        """Physical-electron field strength in tesla."""
-        return self.field_strength * CRITICAL_FIELD

@@ -187,7 +187,7 @@ def test_sumrules_truncation_failure(tmp_path, capsys):
 
 def test_capacity_exit_code(tmp_path):
     cfg = small_config()
-    cfg["numerics"] = {"n_max": 451}
+    cfg["numerics"] = {"n_max": 512}
     path = write_config(tmp_path, cfg)
     assert main(["sumrules", "--config", path]) == EXIT_CAPACITY
 

@@ -1,10 +1,12 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from landauzb import FieldConfig
+from landauzb import FieldConfig, GaussianPacket, coefficient_matrix
+from landauzb.dynamics import spectral_decomposition
 from landauzb.landau import (
     BranchEdgeError,
     LandauIndex,
@@ -13,7 +15,6 @@ from landauzb.landau import (
     ladder_matrix_element,
     landau_energies,
     landau_energy,
-    mode_frequencies,
 )
 from landauzb.units import COMPTON_TIME
 
@@ -55,10 +56,25 @@ def test_energies_table_matches_scalar(critical_field):
     assert math.isclose(table[7, 1], landau_energy(7, 0.4, critical_field), rel_tol=1e-15)
 
 
+def line_frequencies(field, d_x, d_y, k0x):
+    """Intraband and interband line frequencies by level, as the 2+1 series
+    (k_z = 0) sums them, for the levels this packet populates."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # the high-field packet exceeds |k0| < 1
+        pkt = GaussianPacket(d_x=d_x, d_y=d_y, k0x=k0x, relax_momentum_bound=True)
+    coeffs = coefficient_matrix(pkt, field)
+    lines = spectral_decomposition(pkt, coeffs, field)
+    return tuple(
+        {line.n: line.frequency for line in lines if line.kind == kind}
+        for kind in ("intraband", "interband")
+    )
+
+
 def test_mode_frequencies_low_field_limit():
     field = FieldConfig.from_magnetic_length(1000.0)
+    intra, inter = line_frequencies(field, 1000.0, 300.0, 0.005)
     for n in (0, 10, 50):
-        omega_c, omega_z = mode_frequencies(n, 0.0, field)
+        omega_c, omega_z = intra[n], inter[n]
         assert math.isclose(omega_c, field.omega_cyclotron, rel_tol=1e-3)
         assert math.isclose(omega_z, 2.0, rel_tol=1e-3)
         assert omega_z > omega_c > 0
@@ -67,15 +83,16 @@ def test_mode_frequencies_low_field_limit():
 def test_interband_frequency_si_value():
     # 2 mc^2 / hbar for the physical electron
     field = FieldConfig.from_magnetic_length(1000.0)
-    _, omega_z = mode_frequencies(0, 0.0, field)
-    assert math.isclose(omega_z / COMPTON_TIME, 1.5527e21, rel_tol=1e-3)
+    _, inter = line_frequencies(field, 1000.0, 300.0, 0.005)
+    assert math.isclose(inter[0] / COMPTON_TIME, 1.5527e21, rel_tol=1e-3)
 
 
 def test_mode_frequencies_high_field_limit():
     field = FieldConfig.from_magnetic_length(1e-3)
     omega = field.omega
+    intra, inter = line_frequencies(field, 1e-3, 1e-3, 2500.0)
     for n in (1, 4, 9):
-        omega_c, omega_z = mode_frequencies(n, 0.0, field)
+        omega_c, omega_z = intra[n], inter[n]
         assert math.isclose(omega_c, omega * (math.sqrt(n + 1) - math.sqrt(n)), rel_tol=1e-5)
         assert math.isclose(omega_z, omega * (math.sqrt(n + 1) + math.sqrt(n)), rel_tol=1e-6)
 

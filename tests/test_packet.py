@@ -25,7 +25,13 @@ from landauzb.packet import (
     kx_rule,
     sum_rules,
 )
-from u_reference import ClosedFormUnavailable, full_build, u_closed_equal_width, u_closed_general
+from u_reference import (
+    ClosedFormUnavailable,
+    f_quadrature,
+    full_build,
+    u_closed_equal_width,
+    u_closed_general,
+)
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 # (d_x/L, d_y/L, k0x L) at kappa = 1/2 (L = 1) with the cut each places past
@@ -114,7 +120,7 @@ def test_level_amplitude_parity_at_equal_width(critical_field):
     pkt = GaussianPacket(d_x=1.3, d_y=1.0, k0x=0.0, dimensionality="2+1")
     for n in (1, 3, 7, 12):
         assert f_n(pkt, critical_field, n, 0.0) == 0.0
-        quad = f_n(pkt, critical_field, n, 0.0, method="quadrature")
+        quad = f_quadrature(pkt, critical_field, n, [0.0])[n, 0]
         assert abs(quad) < 1e-12
 
 
@@ -124,7 +130,7 @@ def test_level_amplitude_ground_row_at_equal_width_and_zero_momentum(critical_fi
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         closed = f_n(pkt, critical_field, 0, 0.0)
-    quad = f_n(pkt, critical_field, 0, 0.0, method="quadrature")
+    quad = f_quadrature(pkt, critical_field, 0, [0.0])[0, 0]
     assert math.isfinite(closed)
     assert abs(closed - quad) < 1e-9
 
@@ -132,7 +138,7 @@ def test_level_amplitude_ground_row_at_equal_width_and_zero_momentum(critical_fi
 def test_level_amplitude_paths_agree(critical_field):
     pkt = GaussianPacket(d_x=1.5, d_y=1.2, d_z=1.8, k0x=0.5, dimensionality="3+1")
     closed = f_n(pkt, critical_field, 7, 0.3)
-    quad = f_n(pkt, critical_field, 7, 0.3, method="quadrature")
+    quad = f_quadrature(pkt, critical_field, 7, [0.3])[7, 0]
     assert math.isclose(closed, quad, rel_tol=1e-8)
 
 
@@ -141,7 +147,7 @@ def test_level_amplitude_paths_agree_both_regimes(critical_field, d_y):
     pkt = GaussianPacket(d_x=1.2, d_y=d_y, k0x=0.4, dimensionality="2+1")
     k = np.array([-0.4, 0.05, 0.3, 1.1])
     closed = f_table(pkt, critical_field, 30, k)
-    quad = f_table(pkt, critical_field, 30, k, method="quadrature")
+    quad = f_quadrature(pkt, critical_field, 30, k)
     scale = np.max(np.abs(quad))
     assert np.max(np.abs(closed - quad)) < 1e-8 * scale
 
@@ -155,9 +161,17 @@ def test_closed_form_agrees_with_quadrature_near_equal_width(critical_field):
             warnings.simplefilter("error")
             closed = f_table(pkt, critical_field, 30, k)
             single = f_n(pkt, critical_field, 3, 0.2)
-        quad = f_table(pkt, critical_field, 30, k, method="quadrature")
+        quad = f_quadrature(pkt, critical_field, 30, k)
         assert np.max(np.abs(closed - quad)) <= 1e-12 * np.max(np.abs(quad))
-        assert abs(single - f_n(pkt, critical_field, 3, 0.2, method="quadrature")) <= 1e-12
+        assert abs(single - f_quadrature(pkt, critical_field, 3, [0.2])[3, 0]) <= 1e-12
+
+
+def test_level_amplitude_reference_raises_unconverged(critical_field):
+    # d_y = 3 L: the doubling test fails at order 512, so the reference
+    # returns no value it has not certified
+    pkt = GaussianPacket(d_x=1.0, d_y=3.0, k0x=0.5, dimensionality="2+1")
+    with pytest.raises(RuntimeError, match="did not converge"):
+        f_quadrature(pkt, critical_field, 100, [0.2])
 
 
 def test_high_level_amplitude_finite(critical_field):
@@ -212,7 +226,14 @@ def test_truncation_error_advises(critical_field):
 
 def test_capacity_guard(critical_field, packet_2p1):
     with pytest.raises(CapacityError):
-        coefficient_matrix(packet_2p1, critical_field, n_max=451)
+        coefficient_matrix(packet_2p1, critical_field, n_max=512)
+    # the one level cap is the 512-node k_x rule's: 512 levels still hold
+    # both sum rules
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        pkt = GaussianPacket(d_x=2.0, d_y=0.2, k0x=16.0, relax_momentum_bound=True)
+    rep = sum_rules(coefficient_matrix(pkt, critical_field, n_max=511), pkt, critical_field)
+    assert max(rep.norm_residual, rep.momentum_residual) <= 1e-10
     assert kx_rule(packet_2p1, critical_field, 511)[0].size == 512
     with pytest.raises(CapacityError, match="513 levels exceed the 512-node"):
         kx_rule(packet_2p1, critical_field, 512)

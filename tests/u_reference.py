@@ -1,5 +1,8 @@
-"""References for the level-overlap matrix U_{m,n} = integral F_m F_n dk_x.
+"""References for the level amplitudes F_n and the overlap matrix
+U_{m,n} = integral F_m F_n dk_x.
 
+`f_quadrature` integrates the defining overlap of F_n over the slice
+coordinate: the independent cross-check of the closed form in `packet`.
 `full_build` is the automatic cutoff placed on one 401-level build on the
 512-node k_x rule, with the same truncation check: the reference for
 `coefficient_matrix`'s level ladder.
@@ -31,6 +34,57 @@ EQUAL_WIDTH_WINDOW = 1e-6   # |d_y - L|/L below which the U cross-checks switch 
 
 class ClosedFormUnavailable(ValueError):
     """A closed-form U cross-check does not cover this packet width."""
+
+
+def log_norm_constant(n: int) -> float:
+    """ln C_n, C_n = sqrt(2^n n! sqrt(pi))."""
+    if n < 0:
+        raise ValueError("level must be non-negative")
+    return 0.5 * (n * math.log(2.0) + math.lgamma(n + 1) + 0.5 * math.log(math.pi))
+
+
+def f_quadrature(
+    packet: GaussianPacket,
+    field: FieldConfig,
+    n_max: int,
+    k_x: np.ndarray,
+    start_order: int = 64,
+    rtol: float = 1e-9,
+) -> np.ndarray:
+    """F_n(k_x) for n <= n_max by the overlap integral over the slice coordinate.
+
+    The Gauss-Hermite order doubles from start_order until two estimates
+    agree to rtol of their peak; RuntimeError if that fails at MAX_GH_ORDER.
+    """
+    k_x = np.asarray(k_x, dtype=float)
+    L = field.magnetic_length
+    b = L * L / (2.0 * packet.d_y**2)
+    pref = math.sqrt(L * packet.d_x / (math.pi * packet.d_y)) * np.exp(
+        -0.5 * packet.d_x**2 * (k_x - packet.k0x) ** 2
+    )
+
+    def evaluate(order: int) -> np.ndarray:
+        rule = hermite.gauss_hermite(order)
+        # integrand centre sits at xi = -k_x L for every node
+        xi = (-k_x * L)[:, None] + rule.nodes[None, :] / math.sqrt(b)
+        table = hermite.psi_table(n_max, xi.ravel()).reshape(
+            n_max + 1, k_x.size, order
+        )
+        return (table @ rule.weights) / math.sqrt(b) * pref[None, :]
+
+    order = start_order
+    prev = evaluate(order)
+    while order < hermite.MAX_GH_ORDER:
+        order = min(2 * order, hermite.MAX_GH_ORDER)
+        cur = evaluate(order)
+        scale = max(float(np.max(np.abs(cur))), 1e-300)
+        if float(np.max(np.abs(cur - prev))) <= rtol * scale:
+            return cur
+        prev = cur
+    raise RuntimeError(
+        "level-amplitude quadrature did not converge by order "
+        f"{hermite.MAX_GH_ORDER} (doubling test, rtol {rtol:g})"
+    )
 
 
 def full_build(
@@ -66,9 +120,9 @@ def u_closed_equal_width(
     mant, scale = hermite.normalized_hermite_table(m + n, np.array([w]), s=-1.0)
     # rescale G_{m+n}/C_{m+n} by C_{m+n}/(C_m C_n) in logs
     log_c = (
-        hermite.log_norm_constant(m + n)
-        - hermite.log_norm_constant(m)
-        - hermite.log_norm_constant(n)
+        log_norm_constant(m + n)
+        - log_norm_constant(m)
+        - log_norm_constant(n)
     )
     log_rest = (
         math.log(2.0 * math.sqrt(math.pi) * dx / L)
@@ -149,7 +203,7 @@ def u_closed_general(
         + 0.5 * math.log(math.pi)
         - w_par * w_par
         - math.log(math.pi * dy)
-        - hermite.log_norm_constant(m)
-        - hermite.log_norm_constant(n)
+        - log_norm_constant(m)
+        - log_norm_constant(n)
     )
     return math.exp(log_pref + log_amp) * total
