@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import ast
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -556,7 +557,9 @@ def cmd_lowfield(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; `parse_args` leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="landauzb",
         description="Relativistic wave-packet dynamics in a magnetic field",

@@ -12,8 +12,10 @@ cosine line has a real amplitude a, a sine line carries i a.  Velocities are
 the Heisenberg time derivatives, so a velocity line has amplitude -i w a at
 the same frequency.  `_line_blocks` derives every amplitude and `_sum_lines`
 evaluates every phase; the public functions only pick channels and parts.
-On a uniform grid t = T_c + tau_j, anchor plus offset (plus, to first order,
-the float rounding), so a line costs one exp per anchor and per offset.
+On a uniform grid t = start + c J h + j h, two arithmetic progressions (plus,
+to first order, the float rounding), so a line's phases are repeated
+products of three exps: e^{-i w start}, e^{-i w J h} and e^{-i w h} (the
+first is 1 on a grid from t = 0).
 
 Axial rule: the energies depend on k_z only through k_z^2, so for a packet
 with k0z = 0 every cyclotron and trembling line is even in k_z and the
@@ -192,20 +194,26 @@ def _line_blocks(
         yield _Block(e_hi + e_lo, channel * -j, True, True, levels)
 
 
-def _time_grid(times: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Anchors T_c, offsets tau_j and residuals delta with t = T_c + tau_j + delta.
+def _time_grid(times: np.ndarray) -> tuple[float, float, int, np.ndarray]:
+    """Progressions (start, step, J) and residuals delta: t_k = start + c J step + j step + delta_k.
 
-    J = ceil(sqrt(T)) offsets on a uniform grid, whose float rounding is delta; else J = 1.
+    Sample k = c J + j.  On a uniform grid J = ceil(sqrt(T)) and delta is the
+    grid's float rounding, measured exactly against the progressions (the
+    Veltkamp split makes every integer-times-step product exact).  On any
+    other grid J = 1, delta = 0 and each sample is its own anchor.
     """
     size = times.size
     if size > 1:
         n_offsets = math.isqrt(size - 1) + 1
-        anchors = times[::n_offsets]
-        offsets = (times[-1] - times[0]) / (size - 1) * np.arange(n_offsets)
-        delta = times - np.repeat(anchors, n_offsets)[:size] - np.tile(offsets, anchors.size)[:size]
+        start, step = float(times[0]), float(times[-1] - times[0]) / (size - 1)
+        delta = times - start
+        for k, x in zip(np.divmod(np.arange(size), n_offsets), (n_offsets * step, step)):
+            head = x * 134217729.0            # 2^27 + 1: head keeps 26 bits, x - head the rest
+            head -= head - x
+            delta = delta - k * head - k * (x - head)
         if np.max(np.abs(delta)) <= 64 * np.finfo(float).eps * np.max(np.abs(times)):
-            return anchors, offsets, delta
-    return times, np.zeros(1), np.zeros(size)
+            return start, step, n_offsets, delta
+    return 0.0, 0.0, 1, np.zeros(size)
 
 
 def _sum_lines(
@@ -214,31 +222,50 @@ def _sum_lines(
     """Complex sums sum_rows amps[c] e^{-i freq t}, shape (C, T).
 
     With derivative=True the C time derivatives (amplitudes -i freq amps)
-    follow as C more rows.  With t = T_c + tau_j + delta (`_time_grid`),
-    e^{-i w t} = e^{-i w T_c} e^{-i w tau_j} (1 - i w delta): a tile of lines
-    is one GEMM of (a e^{-i w T_c}), stacked over (row, anchor), with
-    e^{-i w tau}, plus delta times the next derivative row where delta != 0.
-    J = 1 is the direct sum.  Stacked rows count against TILE_ELEMENTS.
+    follow as C more rows.  With t = start + c J h + j h + delta (`_time_grid`),
+    e^{-i w t} = e^{-i w start} (e^{-i w J h})^c (e^{-i w h})^j (1 - i w delta):
+    a tile of lines is one GEMM of a e^{-i w start} (e^{-i w J h})^c, stacked
+    over (row, anchor c), with the offset table (e^{-i w h})^j, plus delta
+    times the next derivative row where delta != 0.  Both tables grow by
+    repeated products, each row from the previous one, so a line costs three
+    complex exps per tile (two from t = 0); J = 1 is the direct sum, one exp
+    per sample.  Stacked rows count against TILE_ELEMENTS.
     """
     freq = np.ravel(freq)
     amps = np.reshape(amps, (len(amps), freq.size))
-    anchors, offsets, delta = _time_grid(times)
+    start, step, n_offsets, delta = _time_grid(times)
+    n_anchors = -(-times.size // n_offsets)
     n_out = 2 if derivative else 1
     orders = n_out + bool(np.any(delta))
-    out = np.zeros((n_out, len(amps), times.size), dtype=complex)
-    rows = orders * len(amps) * anchors.size
-    r_step = max(1, TILE_ELEMENTS // (rows + anchors.size + offsets.size))
+    rows = orders * len(amps) * n_anchors
+    r_step = min(freq.size, max(1, TILE_ELEMENTS // (rows + n_anchors + n_offsets)))
+    stacked = np.empty((rows, r_step), dtype=complex)
+    table = np.ones((n_offsets, r_step), dtype=complex)
+    sums = np.zeros((rows, n_offsets), dtype=complex)
     for r0 in range(0, freq.size, r_step):
         w = freq[r0 : r0 + r_step]
-        a = amps[:, r0 : r0 + r_step] * (-1j * w) ** np.arange(orders)[:, None, None]
-        # one complex exp reduces each phase once; separate cos and sin
-        # reduce twice, which costs more on long windows (w t ~ 1e10)
-        stacked = a[:, :, None, :] * np.exp(np.multiply.outer(-1j * anchors, w))
-        sums = stacked.reshape(rows, w.size) @ np.exp(np.multiply.outer(w, -1j * offsets))
-        sums = sums.reshape(orders, len(amps), -1)[..., : times.size]
-        out += sums[:n_out]
-        if orders > n_out:
-            out += delta * sums[1:]
+        tile, offsets = stacked[:, : w.size], table[:, : w.size]
+        s = tile.reshape(orders, len(amps), n_anchors, w.size)
+        a = amps[:, None, r0 : r0 + w.size]
+        if n_offsets == 1:
+            np.multiply(a, np.exp(np.multiply.outer(-1j * times, w)), out=s[0])
+        else:
+            # three complex exps per line (two from t = 0) reduce w start,
+            # w J h and w h once each; every product after them adds about
+            # eps, so a chain of at most J or ceil(T/J) rows stays at the
+            # eps w t floor
+            s[0, :, 0] = a[:, 0] * np.exp(-1j * start * w) if start else a[:, 0]
+            ratio = np.exp(-1j * (n_offsets * step) * w)
+            for c in range(1, n_anchors):
+                np.multiply(s[0, :, c - 1], ratio, out=s[0, :, c])
+            offsets[1] = np.exp(-1j * step * w)
+            for j in range(2, n_offsets):
+                np.multiply(offsets[j - 1], offsets[1], out=offsets[j])
+        for m in range(1, orders):
+            np.multiply(s[m - 1], -1j * w, out=s[m])
+        sums += tile @ offsets.T
+    sums = sums.reshape(orders, len(amps), -1)[..., : times.size]
+    out = sums[:n_out] + delta * sums[1:] if orders > n_out else sums
     return out.reshape(-1, times.size)
 
 

@@ -450,3 +450,24 @@ def test_entry_point_subprocess(tmp_path):
     )
     assert result.returncode == 0
     assert result.stdout.startswith("#")
+
+
+def test_main_reuses_one_parser_across_commands(tmp_path):
+    # the cached parser carries nothing from one call to the next: two
+    # subcommands in one process write the bytes of two separate runs, and
+    # a bad flag between them is still a usage error (exit code 2)
+    cfg = write_config(tmp_path, small_config(time={"t_end": 2.0, "samples": 9}))
+    commands = [["trajectory", "--config", cfg, "--format", "json"],
+                ["sumrules", "--config", cfg]]
+    for m, argv in enumerate(commands):
+        assert main(argv + ["--output", str(tmp_path / f"inproc{m}")]) == EXIT_OK
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--no-such-flag"])
+        assert exc.value.code == EXIT_CONFIG
+    for m, argv in enumerate(commands):
+        result = subprocess.run(
+            [sys.executable, "-m", "landauzb.cli", *argv, "--output", str(tmp_path / f"spawn{m}")],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert (tmp_path / f"inproc{m}").read_bytes() == (tmp_path / f"spawn{m}").read_bytes()

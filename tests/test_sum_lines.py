@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from landauzb import dynamics
 from landauzb.dynamics import _sum_lines, _time_grid
 
 EPS = np.finfo(float).eps
@@ -42,7 +43,7 @@ def test_uniform_grid_matches_direct_sum(samples, derivative):
     rng = np.random.default_rng(samples)
     freq, amps = lines(rng, 700, channels=3)
     times = np.linspace(0.0, 20.0, samples)
-    assert _time_grid(times)[1].size == math.ceil(math.sqrt(samples))
+    assert _time_grid(times)[2] == math.ceil(math.sqrt(samples))
     got = _sum_lines(freq, amps, times, derivative)
     assert got.shape == ((6 if derivative else 3), samples)
     assert peak_deviation(got, direct_sum(freq, amps, times, derivative)) <= 1e-13
@@ -55,9 +56,45 @@ def test_nonuniform_grids_take_the_direct_sum(derivative):
     full = np.linspace(0.0, 30.0, 1000)
     probe = full[np.unique(np.linspace(0, full.size - 1, 9).astype(int))]
     for times in (probe, np.geomspace(0.5, 40.0, 60)):
-        assert _time_grid(times)[1].size == 1
+        assert _time_grid(times)[2] == 1
         got = _sum_lines(freq, amps, times, derivative)
         assert peak_deviation(got, direct_sum(freq, amps, times, derivative)) <= 1e-13
+
+
+def count_complex_exps(monkeypatch, *args):
+    """_sum_lines(*args), and the number of complex elements np.exp was asked for."""
+    counted = []
+    real_exp = np.exp
+
+    def counting_exp(x, *rest, **kwargs):
+        if np.iscomplexobj(x):
+            counted.append(np.size(x))
+        return real_exp(x, *rest, **kwargs)
+
+    monkeypatch.setattr(dynamics.np, "exp", counting_exp)
+    _sum_lines(*args)
+    monkeypatch.undo()
+    return sum(counted)
+
+
+@pytest.mark.parametrize("derivative", [False, True])
+def test_phases_cost_three_exps_per_line(derivative, monkeypatch):
+    # a uniform grid builds the anchor and offset phases by repeated products
+    # from three exps per line (start, anchor step, offset step), two when
+    # it starts at t = 0: a silent fallback to one exp per anchor or per
+    # offset (20 + 21 here) fails
+    rng = np.random.default_rng(11)
+    freq, amps = lines(rng, 5000, channels=2)
+    times = np.linspace(0.0, 30.0, 401)
+    n_offsets = _time_grid(times)[2]
+    assert n_offsets == 21 and np.any(_time_grid(times)[3])
+    n_anchors = -(-times.size // n_offsets)
+    assert freq.size > dynamics.TILE_ELEMENTS // (2 * len(amps) * n_anchors)   # two tiles or more
+    assert 0 < count_complex_exps(monkeypatch, freq, amps, times, derivative) <= 2 * freq.size
+    assert 0 < count_complex_exps(monkeypatch, freq, amps, times + 7.0, derivative) <= 3 * freq.size
+    # a non-uniform grid takes one exp per sample
+    times = np.geomspace(0.5, 40.0, 60)
+    assert 0 < count_complex_exps(monkeypatch, freq, amps, times, derivative) <= times.size * freq.size
 
 
 def longdouble_phases(freq, times):
@@ -85,7 +122,7 @@ def test_decay_window_rounding_correction():
     weights = np.hanning(freq.size + 2)[1:-1]
     phases = longdouble_phases(freq, times)
     amps = (weights * np.conj(phases[:, 0]))[None, :]
-    assert np.any(_time_grid(times)[2])
+    assert np.any(_time_grid(times)[3])
     want = amps @ phases
     assert np.min(np.abs(want)) > 0.9 * np.max(np.abs(want))
     assert peak_deviation(_sum_lines(freq, amps, times), want) <= 1e-6
@@ -93,7 +130,7 @@ def test_decay_window_rounding_correction():
 
 @st.composite
 def grids(draw):
-    samples = draw(st.integers(1, 600))
+    samples = draw(st.integers(1, 2401))
     t_max = 10.0 ** draw(st.floats(-2.0, 10.0))
     start = draw(st.sampled_from([0.0, 0.25, 0.7])) * t_max
     times = np.linspace(start, t_max, samples)
