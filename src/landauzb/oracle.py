@@ -13,8 +13,13 @@ over E_bra E_ket.  The density enters as a low-rank factor C of rho = C C^+.
 On a uniform time grid each block's phase e^{-iEt} is anchors times offsets
 with a first-order factor (1 - iE delta) for the grid's float rounding
 delta: about 2 sqrt(T) complex exp per block instead of T; e^{+iEt} is the
-conjugate.  The series' closed forms stay untouched: only the level amplitude
-F_n and the node choices of `packet.kx_rule` and `packet.axial_ladder` are shared.
+conjugate.  A k0z = 0 packet whose S1 is zero (checked at run time) has E_b
+and the axial density even in k_z: the oracle drops the k-odd trace terms,
+which cancel between +-k_z, and sums K//2 + 1 nodes |j| h with the mirror
+weights added.  The norm and energy drifts of the dominant density mode are
+read from the same phase tables, at both signs of a folded node.  The
+series' closed forms stay untouched: only the level amplitude F_n and the
+node choices of `packet.kx_rule` and `packet.axial_ladder` are shared.
 
 Basis index: sigma * (N+1) + m for spinor row sigma in 0..3, level m.
 """
@@ -32,7 +37,9 @@ from .units import FieldConfig
 GUARD_BAND = 20
 LEAK_TOL = 1e-10
 KZ_TOL = 1e-6              # kz_residual above which the automatic k_z rule doubles once
-CHUNK_ELEMENTS = 100_000   # phases per chunk of k_z nodes: bounds the working set
+CHUNK_ELEMENTS = 100_000   # nodes x basis rows 4(N+1) x samples per chunk: bounds the
+                           # working set; the phase table (nodes x blocks x samples)
+                           # is about a quarter of it
 EPS = np.finfo(float).eps
 
 
@@ -191,7 +198,9 @@ def evolve_expectations(
     kz_residual in the same loop.  It compares the rule with that half, so it
     bounds the half rule's error and can overstate the returned rule's by
     orders of magnitude: 2e-7 on rules that match the series to 1e-12 at
-    kappa = 0.34.  Output positions are relative to the t=0 centre
+    kappa = 0.34.  A k0z = 0 rule runs folded onto k_z >= 0 when S1 = 0, both
+    accumulators with their mirror weights added; the doubling is of the
+    signed rule.  Output positions are relative to the t=0 centre
     (trajectory starts at the origin), matching the analytic-series convention.
     """
     times, auto = np.asarray(times, dtype=float), kz_order is None
@@ -222,7 +231,7 @@ def evolve_expectations(
     label, slot = np.zeros((2, factor.shape[0]), dtype=int)
     label[index[mask]], slot[index[mask]] = np.nonzero(mask)
     c_blocks = factor[index] * mask[..., None]                      # (B, w, r)
-    probe = c_blocks[..., :1] / np.linalg.norm(factor[:, 0])       # drift probe
+    probe = c_blocks[..., 0] / np.linalg.norm(factor[:, 0])        # drift probe p: (B, w)
     h_0, h_z = _block_stack(h_0, index, mask), _block_stack(h_z, index, mask)
     # H_b(k)^2 = S0 + k S1 + k^2 S2 is E_b(k)^2 I at every k if each S_i is e_i I
     squares = np.stack([h_0 @ h_0, h_0 @ h_z + h_z @ h_0, h_z @ h_z])     # (3, B, w, w)
@@ -248,11 +257,33 @@ def evolve_expectations(
         ops.append((bra, ket, np.einsum("lpij,rpji->lrp", pencil[:, bra] @ elems,
                                         pencil[:, ket] @ rho)))
 
+    # k0z = 0 and S1 = 0: E_b and the axial density are both even in k_z, so the
+    # k-odd trace terms cancel between +-k_z.  Sum the even part on the nodes
+    # |j| h with the mirror weights of both rules added; an even rule's unpaired
+    # edge -K/2 h (density e^{-72}) lands on +K/2 h.  The probe runs both signs.
+    signs = np.ones(1)
+    if pkt.dimensionality == "3+1" and pkt.k0z == 0.0 and not np.any(e_sq[1]):
+        bucket = np.abs(np.arange(kz_nodes.size) - kz_nodes.size // 2)
+        folded, nodes = np.zeros((2, bucket.max() + 1)), np.zeros(bucket.max() + 1)
+        np.add.at(folded, (slice(None), bucket), weights)
+        nodes[bucket] = np.abs(kz_nodes)        # exact: the node -j h is -(j h)
+        kz_nodes, weights = nodes, folded
+        for _, _, tr in ops:
+            tr[0, 2] = tr[2, 0] = tr[1, 2] = tr[2, 1] = 0.0
+        signs = np.array([1.0, -1.0])
+
     # [<A(t)>, <v_x + i v_y>(t)] x [full rule, half-grid partner]; <A^+> = conj
     out = np.zeros((2, 2, times.size), dtype=complex)
     norm_drift = energy_drift = 0.0
     anchors, offsets, delta = _split_times(times)
-    probe_t = times[:: max(1, times.size // 8)]
+    rounded = np.any(delta)        # exact grids, linspace(0, 200, 101) say, skip the factor
+    # drift probe on the dominant density mode p: v(t) = p cos Et - i (H p / E) sin Et
+    # = [p, i H_0 p, i H_z p] @ [cos, -sin / E, -k sin / E], re and im rows apart
+    probe_i = np.arange(0, times.size, max(1, times.size // 8))
+    h_probe = np.einsum("sbij,bj->sbi", np.stack([h_0, h_z]), probe)      # H_0 p, H_z p
+    e_probe = np.einsum("bi,sbi->s", probe.conj(), h_probe).real        # <p|H_0|p>, <p|H_z|p>
+    lift = np.stack([probe, 1j * h_probe[0], 1j * h_probe[1]], axis=-1)   # (B, w, 3)
+    lift = np.stack([lift.real, lift.imag], axis=2).reshape(len(blocks), 2 * width, 3)
     step = max(1, CHUNK_ELEMENTS // (factor.shape[0] * times.size))    # nodes per chunk
     for start in range(0, kz_nodes.size, step):
         wk, k = weights[:, start : start + step], kz_nodes[start : start + step, None]
@@ -260,7 +291,9 @@ def evolve_expectations(
         # e^{-iEt} = e^{-iE T_a} e^{-iE tau_b} (1 - iE delta): (c, B, T)
         rate = -1j * energy[..., None]
         phases = np.exp(rate[..., None] * anchors[:, None]) * np.exp(rate * offsets)[..., None, :]
-        phases = phases.reshape(*energy.shape, -1)[..., : times.size] * (1.0 + rate * delta)
+        phases = phases.reshape(*energy.shape, -1)[..., : times.size]
+        if rounded:
+            phases = phases * (1.0 + rate * delta)
         for (bra, ket, tr), acc in zip(ops, out):
             e_bra, e_ket = energy[:, bra], energy[:, ket]       # W_su = (c + u a + s b + su d)/4
             a, b = (tr[0, 1] + k * tr[0, 2]) / e_ket, (tr[1, 0] + k * tr[2, 0]) / e_bra
@@ -274,15 +307,20 @@ def evolve_expectations(
             bra_t *= ket_t
             y = w[:, 2:] @ bra_t
             acc += wk @ (x[:, 0] + x[:, 1].conj() + y[:, 0] + y[:, 1].conj())
-        # direct phases: v(t) = p cos Et - i (H p / E) sin Et, the drifts from h @ v
-        h = h_0 + k[..., None, None] * h_z
-        turn = np.exp(rate * probe_t)[:, :, None]                       # (c, B, 1, T')
-        vec_t = probe * turn.real + 1j * (h @ probe / energy[..., None, None]) * turn.imag
-        norm = np.sqrt(np.sum(np.abs(vec_t) ** 2, axis=(1, 2)))
-        energy_t = np.einsum("cbit,cbit->ct", vec_t.conj(), h @ vec_t).real
-        energy0 = np.einsum("bi,cbij,bj->c", probe[..., 0].conj(), h, probe[..., 0]).real
-        norm_drift = max(norm_drift, float(np.max(np.abs(norm - 1.0))))
-        energy_drift = max(energy_drift, float(np.max(np.abs(energy_t - energy0[:, None]))))
+        # v at the probe samples from the table, on a (B, w, [re, im] x c' T') layout;
+        # <v|H v> = <v|H_0 v> + k <v|H_z v> with the real blocks.  E is even in k,
+        # so a folded run's -k shares the table
+        kk = np.outer(signs, k).ravel()                                 # (c') = signs x c
+        turn = np.tile(phases[..., probe_i].transpose(1, 0, 2), (1, signs.size, 1))
+        sin_e = turn.imag / np.tile(energy.T, signs.size)[..., None]    # (B, c', T')
+        table = np.stack([turn.real, sin_e, kk[:, None] * sin_e], axis=1)
+        vec = (lift @ table.reshape(len(blocks), 3, -1)).reshape(len(blocks), width, -1)
+        norm2, e_0, e_z = (np.einsum("bij,bij->j", vec, u).reshape(2, kk.size, -1).sum(axis=0)
+                           for u in (vec, h_0 @ vec, h_z @ vec))
+        energy0 = e_probe[0] + kk * e_probe[1]
+        norm_drift = max(norm_drift, float(np.max(np.abs(np.sqrt(norm2) - 1.0))))
+        energy_drift = max(energy_drift, float(np.max(np.abs(e_0 + kk[:, None] * e_z
+                                                                - energy0[:, None]))))
 
     (alpha, vel), alpha0 = out, weights.sum(axis=1) * ops[0][2][0, 0].sum()  # tr(A rho)
     scale = field.magnetic_length * math.sqrt(2.0)
@@ -290,7 +328,7 @@ def evolve_expectations(
     pos_scale = max(_peak(pos[0]), 1e-300)
     kz_residual = max(_peak(pos[0] - pos[1]) / pos_scale, _peak(vel[0] - vel[1]))
     if auto and kz_residual > KZ_TOL:    # a converged rung's half grid may not be: go one up
-        return evolve_expectations(pkt, field, times, n_levels, guard, 2 * len(kz_nodes))
+        return evolve_expectations(pkt, field, times, n_levels, guard, 2 * kz_order)
     return EvolvedExpectations(
         times=times, x=pos[0].imag, y=pos[0].real, vx=vel[0].real, vy=vel[0].imag,
         y_operator_initial=scale * float(alpha0[0].real), guiding_shift=shift,

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import math
 import warnings
 
@@ -300,12 +301,24 @@ def test_block_oracle_matches_dense_reference_2p1(matched_field):
     assert_matches_dense(evo, dense_reference(pkt, matched_field, times, 10))
 
 
-@pytest.mark.parametrize("k0z, kz_order", [(0.0, 16), (0.0, 33), (0.3, 16), (0.3, 33)])
-def test_block_oracle_matches_dense_reference_3p1(matched_field, k0z, kz_order):
-    # k0z = 0 grids hold the k_z = 0 node, whose pattern is finer
-    amp = math.sqrt(0.5)
+EQUAL_AMPS = (math.sqrt(0.5), math.sqrt(0.5) * np.exp(0.7j))
+COMPLEX_AMPS = (0.6 * np.exp(0.4j), 0.8 * np.exp(1.9j))
+
+
+@pytest.mark.parametrize(
+    "k0z, kz_order, amps",
+    [(0.0, 16, EQUAL_AMPS), (0.0, 33, EQUAL_AMPS), (0.3, 16, EQUAL_AMPS), (0.3, 33, EQUAL_AMPS),
+     (0.0, 16, COMPLEX_AMPS), (0.0, 33, COMPLEX_AMPS)],
+    ids=["0.0-16", "0.0-33", "0.3-16", "0.3-33", "0.0-16-complex", "0.0-33-complex"],
+)
+def test_block_oracle_matches_dense_reference_3p1(matched_field, k0z, kz_order, amps):
+    # k0z = 0 grids hold the k_z = 0 node, whose pattern is finer, and the
+    # oracle folds them onto k_z >= 0: the spin-mixing terms of complex a1, a2
+    # that cancel between +-k_z on the dense reference's signed grid must not
+    # survive the fold, on an even rule (unpaired edge) and an odd one
+    a1, a2 = amps
     pkt = GaussianPacket(d_x=1.2, d_y=1.0, d_z=1.5, k0x=0.5, k0z=k0z,
-                         a1=amp, a2=amp * np.exp(0.7j), dimensionality="3+1")
+                         a1=a1, a2=a2, dimensionality="3+1")
     assert (0.0 in packet_mod.axial_grid(pkt, kz_order)[0]) == (k0z == 0.0)
     times = np.linspace(0.0, 10.0, 21)
     evo = oracle.evolve_expectations(pkt, matched_field, times, n_levels=10, guard=0,
@@ -401,31 +414,36 @@ def test_first_order_phase_correction_over_a_long_window(matched_field):
 
 
 def test_phases_cost_anchors_plus_offsets(matched_field, monkeypatch):
-    # per k_z node, each block takes ceil(T/J) anchor phases, J offset phases
-    # and ceil(T/stride) direct drift-probe phases: a silent fallback to one
-    # exp per sample (a split tolerance too tight, say) or per eigenvalue fails
-    pkt, kz_order, n_levels = phase_test_packet("3+1"), 16, 10
+    # per k_z node, each block takes ceil(T/J) anchor phases and J offset
+    # phases, and the drift probe reads its phases from the same table: a
+    # silent fallback to one exp per sample (a split tolerance too tight, say)
+    # or per eigenvalue fails.  A k0z = 0 packet runs K//2 + 1 folded nodes, so
+    # a fold that falls back to the K signed nodes fails too
+    kz_order, n_levels = 16, 10
     times = PHASE_GRIDS["step-0.1"]
     assert np.any(oracle._split_times(times)[2])
-    counted = []
+    signed = phase_test_packet("3+1")
+    folded = dataclasses.replace(signed, k0z=0.0)
     real_exp = np.exp
-
-    def counting_exp(x, *args, **kwargs):
-        if np.iscomplexobj(x):
-            counted.append(np.size(x))
-        return real_exp(x, *args, **kwargs)
-
-    monkeypatch.setattr(oracle.np, "exp", counting_exp)
-    oracle.evolve_expectations(pkt, matched_field, times, n_levels=n_levels, guard=0,
-                               kz_order=kz_order)
-    monkeypatch.undo()
-    nodes = packet_mod.axial_grid(pkt, kz_order)[0]
+    nodes = packet_mod.axial_grid(signed, kz_order)[0]
     edge = oracle.build(n_levels, matched_field, k_z=nodes[np.argmax(np.abs(nodes))])
     blocks = oracle._components(edge.matrix != 0)
-    size, n_offsets, stride = times.size, math.ceil(math.sqrt(times.size)), times.size // 8
+    size, n_offsets = times.size, math.ceil(math.sqrt(times.size))
     # one phase per block, not per eigenvalue: e^{+iEt} is the conjugate of e^{-iEt}
-    per_node = len(blocks) * (-(-size // n_offsets) + n_offsets + -(-size // stride))
-    assert 0 < sum(counted) <= nodes.size * per_node
+    per_node = len(blocks) * (-(-size // n_offsets) + n_offsets)
+    for pkt, node_count in ((signed, kz_order), (folded, kz_order // 2 + 1)):
+        counted = []
+
+        def counting_exp(x, *args, **kwargs):
+            if np.iscomplexobj(x):
+                counted.append(np.size(x))
+            return real_exp(x, *args, **kwargs)
+
+        monkeypatch.setattr(oracle.np, "exp", counting_exp)
+        oracle.evolve_expectations(pkt, matched_field, times, n_levels=n_levels, guard=0,
+                                   kz_order=kz_order)
+        monkeypatch.undo()
+        assert 0 < sum(counted) <= node_count * per_node
 
 
 def test_pencil_reproduces_the_build_at_every_node(matched_field):
@@ -493,12 +511,16 @@ def test_block_that_does_not_square_to_a_scalar_raises(matched_field, monkeypatc
 
 def test_square_linear_in_k_z_matches_dense_reference(matched_field, monkeypatch):
     # the physical pencil has S1 = 0, so E^2 has no term linear in k_z; every
-    # node shifted by 1/4 gives e1 != 0, and the block path must follow it
+    # node shifted by 1/4 gives e1 != 0, and the block path must follow it.
+    # E is then not even in k_z, so a k0z = 0 packet must keep the signed grid
     real_build = oracle.build
     monkeypatch.setattr(oracle, "build", lambda n, field, k_z=0.0: real_build(n, field, k_z + 0.25))
-    pkt, times = phase_test_packet("3+1"), np.linspace(0.0, 10.0, 21)
-    evo = oracle.evolve_expectations(pkt, matched_field, times, n_levels=10, guard=0, kz_order=16)
-    assert_matches_dense(evo, dense_reference(pkt, matched_field, times, 10, 16))
+    times = np.linspace(0.0, 10.0, 21)
+    signed = phase_test_packet("3+1")
+    for pkt in (signed, dataclasses.replace(signed, k0z=0.0)):
+        evo = oracle.evolve_expectations(pkt, matched_field, times, n_levels=10, guard=0,
+                                         kz_order=16)
+        assert_matches_dense(evo, dense_reference(pkt, matched_field, times, 10, 16))
 
 
 @pytest.mark.parametrize("dims", ["2+1", "3+1"])
@@ -522,17 +544,17 @@ def series_deviation(traj, evo):
     return max(pos, np.max(np.abs(traj.vx - evo.vx)), np.max(np.abs(traj.vy - evo.vy)))
 
 
-def field_and_phase_packets(kappa, d_x, k0x, theta, phase):
+def field_and_phase_packets(kappa, d_x, k0x, theta, phase, d_y=1.25, k0z=0.4):
     """2+1 and 3+1 packets of widths and momenta in units of L, complex spinor
     amplitudes with relative phase `phase`, and the 2+1 packet's coefficients."""
     field = FieldConfig.from_kappa(kappa)
     L = field.magnetic_length
     amps = dict(a1=math.cos(theta) * np.exp(0.4j), a2=math.sin(theta) * np.exp(1j * (0.4 + phase)))
-    shape = dict(d_x=d_x * L, d_y=1.25 * L, k0x=k0x / L, relax_momentum_bound=True, **amps)
+    shape = dict(d_x=d_x * L, d_y=d_y * L, k0x=k0x / L, relax_momentum_bound=True, **amps)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")     # k0x beyond the nominal velocity bound
         flat = GaussianPacket(dimensionality="2+1", **shape)
-        axial = GaussianPacket(d_z=1.5 * L, k0z=0.4 / L, dimensionality="3+1", **shape)
+        axial = GaussianPacket(d_z=1.5 * L, k0z=k0z / L, dimensionality="3+1", **shape)
     return field, flat, axial, coefficient_matrix(flat, field)
 
 
@@ -552,6 +574,21 @@ def test_automatic_axial_rule_certifies_itself():
     assert max(series_deviation(traj, evo), series_deviation(traj, first)) < 1e-8
 
 
+def test_folded_automatic_rule_doubles_the_signed_rule():
+    # k0z = 0 at kappa = 0.6: the 64-node rung's half grid reads 1.2e-6, so the
+    # automatic rule goes one up, to 128 signed nodes (65 folded), not to twice
+    # the folded node count
+    field, _, axial, coeffs = field_and_phase_packets(0.6, 1.0, 0.7, 0.6435, 1.5708, k0z=0.0)
+    times, n_levels = np.linspace(0.0, 5.0, 11), coeffs.n_max + 20
+    assert packet_mod.axial_ladder(axial, field, n_levels, 5.0)[0] == 64
+    first = oracle.evolve_expectations(axial, field, times, n_levels=n_levels, kz_order=64)
+    assert first.kz_residual > oracle.KZ_TOL
+    evo = oracle.evolve_expectations(axial, field, times, n_levels=n_levels)
+    explicit = oracle.evolve_expectations(axial, field, times, n_levels=n_levels, kz_order=128)
+    assert np.array_equal(evo.x, explicit.x) and np.array_equal(evo.vy, explicit.vy)
+    assert evo.kz_residual < 1e-12
+
+
 D_X = st.one_of(
     st.floats(min_value=0.5, max_value=0.95),                               # narrow
     st.floats(min_value=-1e-6, max_value=1e-6).map(lambda eps: 1.0 + eps),  # equal
@@ -566,12 +603,17 @@ D_X = st.one_of(
     k0x=st.floats(min_value=0.0, max_value=1.0),
     theta=st.floats(min_value=0.0, max_value=0.5 * math.pi),
     phase=st.floats(min_value=0.0, max_value=2.0 * math.pi),
+    d_y=D_X,
+    k0z=st.sampled_from([0.0, 0.4]),
 )
-def test_oracle_matches_series_over_field_and_spinor_phase(kappa, d_x, k0x, theta, phase):
+def test_oracle_matches_series_over_field_and_spinor_phase(kappa, d_x, k0x, theta, phase,
+                                                           d_y, k0z):
     # the half-grid residual of a converged rule reads up to ~2e-7 just below a
     # rung boundary of `packet.axial_ladder`, so it is held to KZ_TOL, and the
-    # rule itself to the series at 1e-8
-    field, flat, axial, coeffs = field_and_phase_packets(kappa, d_x, k0x, theta, phase)
+    # rule itself to the series at 1e-8.  k0z = 0 runs both sides folded, with
+    # the spin-mixing terms of complex a1, a2 cancelled rather than summed
+    field, flat, axial, coeffs = field_and_phase_packets(kappa, d_x, k0x, theta, phase,
+                                                         d_y, k0z)
     times = np.linspace(0.0, 20.0, 41)
     evo = oracle.evolve_expectations(flat, field, times, n_levels=coeffs.n_max + 20)
     assert series_deviation(dynamics.trajectory_2p1(flat, coeffs, field, times), evo) < 1e-8
