@@ -21,10 +21,11 @@ Axial rule: the energies depend on k_z only through k_z^2, so for a packet
 with k0z = 0 every cyclotron and trembling line is even in k_z and the
 spin-mixing rows are odd.  The mixing rows then cancel and are not summed,
 and the signed k_z grid folds onto its k_z >= 0 half (`_fold`): K/2 + 1
-nodes for K.  The rule is picked by a nine-sample doubling probe over the
-nested ladder of `packet.axial_ladder`; each finer rung sums only its new
-odd-index nodes.  `mixing_terms` alone keeps the signed grid, so the
-k0z = 0 cancellation stays a computed one.
+nodes for K.  `_axial_sums` walks the nested ladder of `packet.axial_ladder`
+on the full time grid, summing only each rung's new odd-index nodes, and
+certifies a rung against its even-index half on every sample, as the oracle
+does.  `mixing_terms` alone keeps the signed grid, so the k0z = 0
+cancellation stays a computed one.
 
 Natural units: lengths in Compton wavelengths, times in Compton times,
 velocities in c.  Positions are reported relative to the t = 0 centre, so
@@ -308,57 +309,57 @@ def _fold(
     return -nodes[half::-1], folded
 
 
-def _resolve_axial_rule(
+def _axial_sums(
     packet: GaussianPacket,
     coeffs: CoefficientSet,
     field: FieldConfig,
     times: np.ndarray,
     rtol: float,
     parts: str = "all",
-) -> int:
-    """The first k_z ladder rung whose doubling moves the nine-sample probe <= rtol.
+    channels: slice = slice(0, 2),
+    derivative: bool = False,
+) -> tuple[int, np.ndarray]:
+    """(K, `_series` sums on the axial rule of K nodes); K = 1, k_z = 0, for 2+1.
 
-    The rungs are folded (`_fold`) and nested: a finer rung's even-index
-    nodes carry the coarser rule at half weight, so it costs only its
-    odd-index nodes, S_2K = S_K / 2 + S_odd.
+    The 3+1 rungs K of `axial_ladder` are folded (`_fold`) and nested: the
+    even-index nodes of K carry the rule of K/2 at half weight, so K costs
+    only its odd-index nodes, S_K = S_{K/2} / 2 + S_odd, starting from
+    S_{ladder[0]/2}.  The first K with |S_K - S_{K/2}| <= rtol of
+    max(|y - y[0]|, |x|), on every sample of the position channels, is kept.
     """
-    ladder = axial_ladder(packet, field, coeffs.n_max + 1, float(np.max(np.abs(times))))
-    probe = times[np.unique(np.linspace(0, times.size - 1, 9).astype(int))]
-
-    def probe_eval(rule):
-        return _series(packet, coeffs, field, probe, rule, parts).real
-
-    cur_val = probe_eval(_fold(packet, axial_grid(packet, ladder[0])))
-    for current, points in zip(ladder, ladder[1:]):
-        nodes, weights = _fold(packet, axial_grid(packet, points))
-        fin_val = 0.5 * cur_val + probe_eval((nodes[1::2], weights[1::2]))
-        x, y = fin_val
-        scale = max(float(np.max(np.abs(y - y[0]))), float(np.max(np.abs(x))), 1e-300)
-        achieved = float(np.max(np.abs(cur_val - fin_val))) / scale
-        if achieved <= rtol:
-            return current
-        cur_val = fin_val
-    raise QuadratureConvergenceError(achieved, rtol)
-
-
-def _rule(packet, coeffs, field, times, rtol, parts="all"):
-    """The axial rule: k_z = 0 for 2+1, the validated, folded quadrature for 3+1."""
     if parts not in PARTS:
         raise ValueError(f"parts must be one of {PARTS}, not {parts!r}")
     if packet.dimensionality == "2+1":
-        return np.zeros(1), np.ones(1)
-    points = _resolve_axial_rule(packet, coeffs, field, times, rtol, parts)
-    return _fold(packet, axial_grid(packet, points))
+        rule = np.zeros(1), np.ones(1)
+        return 1, _series(packet, coeffs, field, times, rule, parts, channels, derivative)
+    ladder = axial_ladder(packet, field, coeffs.n_max + 1, float(np.max(np.abs(times))))
+
+    def rung_sum(points, nodes=slice(None)):
+        kz, weights = _fold(packet, axial_grid(packet, points))
+        return _series(packet, coeffs, field, times, (kz[nodes], weights[nodes]), parts,
+                       channels, derivative)
+
+    n_pos = len(range(2)[channels])
+    coarse = rung_sum(ladder[0] // 2)
+    for points in ladder:
+        fine = 0.5 * coarse + rung_sum(points, slice(1, None, 2))
+        pos = fine[:n_pos].real       # (x, y) or (y,)
+        scale = max(np.max(np.abs(pos[-1] - pos[-1, 0])), np.max(np.abs(pos[:-1]), initial=1e-300))
+        achieved = float(np.max(np.abs(pos - coarse[:n_pos].real)) / scale)
+        if achieved <= rtol:
+            return points, fine
+        coarse = fine
+    raise QuadratureConvergenceError(achieved, rtol)
 
 
 def _trajectory(packet, coeffs, field, times, parts, kz_rtol) -> Trajectory:
     times = np.asarray(times, dtype=float)
-    rule = _rule(packet, coeffs, field, times, kz_rtol, parts)
-    x, y, vx, vy = _series(packet, coeffs, field, times, rule, parts, derivative=True).real
+    if parts == "all" and times[0] != 0.0:
+        raise ValueError("time grids must start at t = 0")
+    _, sums = _axial_sums(packet, coeffs, field, times, kz_rtol, parts, derivative=True)
+    x, y, vx, vy = sums.real
     y0_op = -packet.k0x * field.magnetic_length**2
     if parts == "all":
-        if times[0] != 0.0:
-            raise ValueError("time grids must start at t = 0")
         # x(0) vanishes identically (pure sine series); anchor y to the origin
         subtracted = y[0] - y0_op
         x = x - x[0]
@@ -413,9 +414,8 @@ def velocities(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Average velocity series (vx, vy) in units of c."""
     times = np.asarray(times, dtype=float)
-    rule = _rule(packet, coeffs, field, times, DEFAULT_KZ_RTOL)
-    _, _, vx, vy = _series(packet, coeffs, field, times, rule, derivative=True).real
-    return vx, vy
+    _, sums = _axial_sums(packet, coeffs, field, times, DEFAULT_KZ_RTOL, derivative=True)
+    return sums[2].real, sums[3].real
 
 
 def mixing_terms(
@@ -428,15 +428,16 @@ def mixing_terms(
     """Spin-mixing integral series; identically zero for 2+1 and for k0z = 0.
 
     The integrand is odd in the axial wavenumber, so a symmetric density
-    kills it; only 3+1 packets with axial momentum produce cross terms.  The
-    axial rule is the one trajectory_3p1 validates for the same window.
+    kills it; only 3+1 packets with axial momentum produce cross terms.  It
+    sums the signed grid of the K that trajectory_3p1 certifies for the same
+    window (x and y on every sample, against the rule's even-index half).
     """
     times = np.asarray(times, dtype=float)
     if packet.dimensionality == "2+1":
         zero = np.zeros(times.size)
         return MixingSeries(times, zero, zero.copy(), zero * 0j, zero * 0j)
     # the signed grid: at k0z = 0 the cancellation is computed, not assumed
-    rule = axial_grid(packet, _resolve_axial_rule(packet, coeffs, field, times, kz_rtol))
+    rule = axial_grid(packet, _axial_sums(packet, coeffs, field, times, kz_rtol)[0])
     j = {
         block.interband: _sum_lines(block.freq, block.amps[1:], times)[0].real
         for block in _line_blocks(packet, coeffs, field, *rule, "all", mixing_weight=1.0)
@@ -533,8 +534,7 @@ def analytic_signal(
     analyses can sample far more sparsely than the carrier would require.
     """
     times = np.asarray(times, dtype=float)
-    rule = _rule(packet, coeffs, field, times, kz_rtol, parts)
-    return _series(packet, coeffs, field, times, rule, parts, channels=slice(1, 2))[0]
+    return _axial_sums(packet, coeffs, field, times, kz_rtol, parts, slice(1, 2))[1][0]
 
 
 @dataclass(frozen=True)

@@ -160,9 +160,12 @@ def _envelope_signals():
 
 
 def test_accepted_axial_rungs_are_unchanged():
-    # the accepted rung before folding, per bundled 3+1 config and envelope signal
+    # the accepted rung before folding, per bundled 3+1 config (the trajectory's
+    # x and y) and envelope signal (analytic_signal's y); relativistic_3p1's
+    # 512-node half rule misses 1e-9 (1.2e-9), so its 1024-node rung is not
+    # certified and the rule climbs to 2048
     expected = {
-        "relativistic_3p1": 1024, "collapse_revival_3p1": 8192, "mixing_3p1": 256,
+        "relativistic_3p1": 2048, "collapse_revival_3p1": 8192, "mixing_3p1": 256,
         "lowfield_zb_3p1": 64, "persistence": 8192, "decay": 4096,
     }
     cases = []
@@ -172,35 +175,56 @@ def test_accepted_axial_rungs_are_unchanged():
             warnings.simplefilter("ignore")
             field, _, pkt, num, _ = cli._build_everything(cfg)
         cases.append((name, pkt, field, cli.resolve_times(cfg),
-                      cli._section(cfg, "output")["parts"], num["kz_rtol"]))
+                      cli._section(cfg, "output")["parts"], num["kz_rtol"], slice(0, 2)))
+    cases += [(*signal, slice(1, 2)) for signal in _envelope_signals()]
     found = {}
-    for label, pkt, field, times, parts, rtol in cases + _envelope_signals():
+    for label, pkt, field, times, parts, rtol, channels in cases:
         coeffs = coefficient_matrix(pkt, field)
-        found[label] = dynamics._resolve_axial_rule(pkt, coeffs, field, times, rtol, parts)
+        found[label] = dynamics._axial_sums(pkt, coeffs, field, times, rtol, parts, channels)[0]
     assert found == expected
 
 
-def test_axial_symmetric_probe_evaluates_only_new_nodes(critical_field, packet_3p1, coeffs_3p1,
-                                                        monkeypatch):
-    # the probe sums the folded first rung whole and each finer rung K on its
-    # K/4 new nodes; the final sum runs on the folded accepted rung
+def test_axial_rungs_are_summed_once_on_the_full_grid(critical_field, packet_3p1, coeffs_3p1,
+                                                      monkeypatch):
+    # the folded rule of ladder[0] // 2 nodes is summed whole and each rung K
+    # on its K/4 new nodes, every sample each time; the accepted sum is the
+    # result, so the summed nodes are the accepted folded rule's, each once
     times = np.linspace(0.0, 200.0, 401)
     ladder = axial_ladder(packet_3p1, critical_field, coeffs_3p1.n_max + 1, 200.0)
-    accepted = dynamics._resolve_axial_rule(packet_3p1, coeffs_3p1, critical_field, times,
-                                            dynamics.DEFAULT_KZ_RTOL)
-    seen = []
-    sum_lines = dynamics._sum_lines
+    sum_lines, line_blocks = dynamics._sum_lines, dynamics._line_blocks
+    seen, nodes = [], []
 
-    def counting(freq, amps, times, derivative=False):
+    def counting(freq, amps, grid, derivative=False):
+        assert np.array_equal(grid, times)
         seen.append(freq.shape[1])
-        return sum_lines(freq, amps, times, derivative)
+        return sum_lines(freq, amps, grid, derivative)
+
+    def recording(packet, coeffs, field, kz, *args, **kwargs):
+        nodes.append(kz)
+        return line_blocks(packet, coeffs, field, kz, *args, **kwargs)
 
     monkeypatch.setattr(dynamics, "_sum_lines", counting)
-    dynamics.analytic_signal(packet_3p1, coeffs_3p1, critical_field, times)
-    probed = ladder[: ladder.index(accepted) + 2]
-    per_series = [probed[0] // 2 + 1] + [points // 4 for points in probed[1:]] + [accepted // 2 + 1]
-    blocks = len(seen) // len(per_series)
-    assert seen == [nodes for nodes in per_series for _ in range(blocks)]
+    monkeypatch.setattr(dynamics, "_line_blocks", recording)
+    for call in (dynamics.analytic_signal, dynamics.trajectory_3p1):
+        seen.clear()
+        nodes.clear()
+        call(packet_3p1, coeffs_3p1, critical_field, times)
+        rungs = [ladder[0] // 2] + ladder[: len(nodes) - 1]
+        per_rung = [ladder[0] // 4 + 1] + [points // 4 for points in rungs[1:]]
+        blocks = len(seen) // len(per_rung)
+        assert seen == [count for count in per_rung for _ in range(blocks)]
+        accepted = dynamics._fold(packet_3p1, axial_grid(packet_3p1, rungs[-1]))[0]
+        assert np.array_equal(np.sort(np.concatenate(nodes)), accepted)
+
+
+def test_trajectory_checks_its_grid_before_any_axial_sum(critical_field, packet_3p1,
+                                                         coeffs_3p1, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a k_z sum ran before the time grid was checked")
+
+    monkeypatch.setattr(dynamics, "_sum_lines", refuse)
+    with pytest.raises(ValueError, match="start at t = 0"):
+        dynamics.trajectory_3p1(packet_3p1, coeffs_3p1, critical_field, np.linspace(1.0, 2.0, 11))
 
 
 def test_velocity_below_light_speed(critical_field, packet_2p1, coeffs_2p1):

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from landauzb import FieldConfig, GaussianPacket
 from landauzb.landau import LandauIndex, jl_spinor, landau_energy
@@ -606,6 +606,14 @@ D_X = st.one_of(
     d_y=D_X,
     k0z=st.sampled_from([0.0, 0.4]),
 )
+# kappa 0.2-0.6, where the first rung of `packet.axial_ladder` sits near a
+# rung boundary; the derandomized draws cluster at kappa = 1
+@example(kappa=0.2, d_x=1.0, k0x=0.7, theta=0.6435, phase=1.5708, d_y=1.25, k0z=0.0)
+@example(kappa=0.2, d_x=1.0, k0x=0.7, theta=0.6435, phase=1.5708, d_y=1.25, k0z=0.4)
+@example(kappa=0.35, d_x=1.0, k0x=0.7, theta=0.6435, phase=1.5708, d_y=1.25, k0z=0.0)
+@example(kappa=0.35, d_x=1.0, k0x=0.7, theta=0.6435, phase=1.5708, d_y=1.25, k0z=0.4)
+@example(kappa=0.6, d_x=1.0, k0x=0.7, theta=0.6435, phase=1.5708, d_y=1.25, k0z=0.0)
+@example(kappa=0.6, d_x=1.0, k0x=0.7, theta=0.6435, phase=1.5708, d_y=1.25, k0z=0.4)
 def test_oracle_matches_series_over_field_and_spinor_phase(kappa, d_x, k0x, theta, phase,
                                                            d_y, k0z):
     # the half-grid residual of a converged rule reads up to ~2e-7 just below a
