@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import ast
-import dataclasses
 import functools
 import json
 import math
@@ -308,29 +307,21 @@ def _emit(path, text: str) -> None:
 
 def write_record(path, header, columns, spectrum=None, fmt="csv"):
     """Serialize a run; `columns` is an ordered {name: array} mapping."""
+    values = {k: list(map(repr, np.asarray(v, dtype=float).tolist())) for k, v in columns.items()}
     if fmt == "json":
-        doc = {
-            "header": header,
-            "columns": {k: [repr(float(x)) for x in v] for k, v in columns.items()},
-        }
+        doc = {"header": header, "columns": values}
         if spectrum is not None:
             doc["spectrum"] = spectrum
         text = _json_text(doc)
     elif fmt == "csv":
         lines = [f"# {k} = {v!r}" for k, v in _flat_items("", header)]
-        names = list(columns)
-        lines.append(",".join(names))
-        arrays = [columns[k] for k in names]
-        for row in zip(*arrays):
-            lines.append(",".join(repr(float(x)) for x in row))
+        lines.append(",".join(values))
+        lines += map(",".join, zip(*values.values()))
         if spectrum is not None:
-            lines.append("")
-            lines.append("n,kind,frequency,amplitude_x,amplitude_y")
-            for line in spectrum:
-                lines.append(
-                    f"{line['n']},{line['kind']},{float(line['frequency'])!r},"
-                    f"{float(line['amplitude_x'])!r},{float(line['amplitude_y'])!r}"
-                )
+            lines += ["", "n,kind,frequency,amplitude_x,amplitude_y"]
+            lines += (f"{line['n']},{line['kind']},{float(line['frequency'])!r},"
+                      f"{float(line['amplitude_x'])!r},{float(line['amplitude_y'])!r}"
+                      for line in spectrum)
         text = "\n".join(lines) + "\n"
     else:
         raise ConfigError("format must be 'csv' or 'json'")
@@ -343,45 +334,31 @@ def read_record(path):
         text = fh.read()
     if text.lstrip().startswith("{"):
         doc = json.loads(text)
-        cols = {k: np.array([float(x) for x in v]) for k, v in doc["columns"].items()}
+        cols = {k: np.array(v, dtype=float) for k, v in doc["columns"].items()}
         return doc["header"], cols, doc.get("spectrum")
+    table, _, spec = text.partition("\n\n")     # the spectrum follows a blank line
+    lines = table.splitlines()
+    n_head = sum(line.startswith("#") for line in lines)
     header = {}
-    lines = text.splitlines()
-    i = 0
-    while i < len(lines) and lines[i].startswith("#"):
-        key, _, val = lines[i][1:].partition("=")
+    for line in lines[:n_head]:
+        key, _, val = line[1:].partition("=")
         header[key.strip()] = ast.literal_eval(val.strip())
-        i += 1
-    names = lines[i].split(",")
-    i += 1
-    rows = []
-    while i < len(lines) and lines[i]:
-        rows.append([float(x) for x in lines[i].split(",")])
-        i += 1
-    columns = {name: np.array([r[j] for r in rows]) for j, name in enumerate(names)}
+    names = lines[n_head].split(",")
+    rows = np.array([row.split(",") for row in lines[n_head + 1 :]], dtype=float)
+    columns = dict(zip(names, rows.reshape(-1, len(names)).T))
     spectrum = None
-    if i < len(lines) - 1:
-        spectrum = []
-        for line in lines[i + 2 :]:   # past the blank line and the column names
-            if not line:
-                continue
-            vals = line.split(",")
-            spectrum.append(
-                {
-                    "n": int(vals[0]),
-                    "kind": vals[1],
-                    "frequency": float(vals[2]),
-                    "amplitude_x": float(vals[3]),
-                    "amplitude_y": float(vals[4]),
-                }
-            )
+    if spec:
+        spectrum = [
+            {"n": int(n), "kind": kind, "frequency": float(freq),
+             "amplitude_x": float(amp_x), "amplitude_y": float(amp_y)}
+            for n, kind, freq, amp_x, amp_y in (row.split(",") for row in spec.splitlines()[1:])
+        ]
     return header, columns, spectrum
 
 
 def _spectrum_rows(pkt, coeffs, field) -> list[dict]:
     """The 2+1 line table as record rows (n, kind, frequency, amplitudes)."""
-    lines = dynamics.spectral_decomposition(pkt, coeffs, field)
-    return [dataclasses.asdict(line) for line in lines]
+    return [dict(vars(line)) for line in dynamics.spectral_decomposition(pkt, coeffs, field)]
 
 
 def cmd_trajectory(args) -> int:

@@ -489,19 +489,17 @@ def spectral_decomposition(
     packet: GaussianPacket,
     coeffs: CoefficientSet,
     field: FieldConfig,
-    drop_below: float | None = None,
 ) -> list[SpectralLine]:
     """Discrete line spectrum of a 2+1 trajectory.
 
     Convention: y(t) = sum_lines A_y cos(w t) + const, x(t) = sum A_x sin(w t),
     with the constant fixed by the start-at-origin anchor.  First-component
     contributions land one pair up, at the same frequencies with different
-    amplitudes, and are merged into the matching lines.
+    amplitudes, and are merged into the matching lines.  Lines with both
+    amplitudes below 1e-12 L are dropped.
     """
     if packet.dimensionality != "2+1":
         raise DimensionalityError("spectral decomposition is a 2+1 operation")
-    if drop_below is None:
-        drop_below = 1e-12 * field.magnetic_length
     lines: dict[tuple[int, bool], list] = {}
     for block in _line_blocks(packet, coeffs, field, np.zeros(1), np.ones(1), "all"):
         amp_x, amp_y = block.amps[0, :, 0].imag, block.amps[1, :, 0].real
@@ -513,7 +511,7 @@ def spectral_decomposition(
         SpectralLine(n=n, kind="interband" if inter else "intraband",
                      frequency=freq, amplitude_x=ax, amplitude_y=ay)
         for (n, inter), (freq, ax, ay) in sorted(lines.items())
-        if abs(ax) >= drop_below or abs(ay) >= drop_below
+        if max(abs(ax), abs(ay)) >= 1e-12 * field.magnetic_length
     ]
 
 

@@ -413,9 +413,32 @@ def test_first_order_phase_correction_over_a_long_window(matched_field):
     assert_matches_dense(evo, dense_reference(pkt, matched_field, times, 10))
 
 
+@pytest.mark.parametrize("dims", ["2+1", "3+1"])
+def test_drifts_read_the_phase_table(matched_field, monkeypatch, dims):
+    # a residual delta off by 1e-6 gives the factor (1 - iE delta) a modulus of
+    # sqrt(1 + E^2 1e-12): the sums take that table, and the drifts must see it
+    times = PHASE_GRIDS["step-0.1"]
+    pkt, kz_order = phase_test_packet(dims), (16 if dims == "3+1" else None)
+
+    def run():
+        return oracle.evolve_expectations(pkt, matched_field, times, n_levels=10, guard=0,
+                                          kz_order=kz_order)
+
+    assert run().norm_drift < 1e-13
+    real_split = oracle._split_times
+
+    def shifted_split(t):
+        anchors, offsets, delta = real_split(t)
+        return anchors, offsets, delta + 1e-6
+
+    monkeypatch.setattr(oracle, "_split_times", shifted_split)
+    evo = run()
+    assert evo.norm_drift > 1e-12 and evo.energy_drift > 1e-12
+
+
 def test_phases_cost_anchors_plus_offsets(matched_field, monkeypatch):
     # per k_z node, each block takes ceil(T/J) anchor phases and J offset
-    # phases, and the drift probe reads its phases from the same table: a
+    # phases, and the drifts read |phi| from the same table: a
     # silent fallback to one exp per sample (a split tolerance too tight, say)
     # or per eigenvalue fails.  A k0z = 0 packet runs K//2 + 1 folded nodes, so
     # a fold that falls back to the K signed nodes fails too
