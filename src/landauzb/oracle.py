@@ -10,18 +10,21 @@ No block is diagonalized: e^{-iH_b t} = e^{-iE_b t} P+ + e^{+iE_b t} P- with
 P+- = (I +- H_b/E_b)/2, so an observable summed over the block pairs it
 links takes four weights tr(P_bra A P_ket rho) per pair, polynomials in k_z
 over E_bra E_ket.  The density enters as a low-rank factor C of rho = C C^+.
-On a uniform time grid each block's phase e^{-iEt} is anchors times offsets
-with a first-order factor (1 - iE delta) for the grid's float rounding
-delta: about 2 sqrt(T) complex exp per block instead of T; e^{+iEt} is the
-conjugate.  A k0z = 0 packet whose S1 is zero (checked at run time) has E_b
+On a uniform time grid t = t_0 + a J h + j h + delta each block's phase
+e^{-iEt} is an anchor times an offset, both tables grown by repeated products
+from e^{-iE t_0}, e^{-iEJh} and e^{-iEh}, with a first-order factor
+(1 - iE delta) for the grid's float rounding delta; e^{+iEt} is the
+conjugate.  No table spans all T samples: a chunk of nodes reduces each
+operator's pair sums with one batched real GEMM of anchor rows by offset
+rows.  A k0z = 0 packet whose S1 is zero (checked at run time) has E_b
 and the axial density even in k_z: the oracle drops the k-odd trace terms,
 which cancel between +-k_z, and sums K//2 + 1 nodes |j| h with the mirror
 weights added.  The norm and energy drifts bound the propagator for every
 state: U_b = phi P+ + conj(phi) P- gives U_b^+ U_b = |phi|^2 I up to the
-square residual, so they read |phi| off the same phase tables and add that
-residual.  The series' closed forms stay untouched: only the level amplitude
-F_n and the node choices of `packet.kx_rule` and `packet.axial_ladder` are
-shared.
+square residual, so they bound |phi| from the whole anchor and offset
+tables and the largest |E delta|, and add that residual.  The series'
+closed forms stay untouched: only the level amplitude F_n and the node
+choices of `packet.kx_rule` and `packet.axial_ladder` are shared.
 
 Basis index: sigma * (N+1) + m for spinor row sigma in 0..3, level m.
 """
@@ -39,9 +42,9 @@ from .units import FieldConfig
 GUARD_BAND = 20
 LEAK_TOL = 1e-10
 KZ_TOL = 1e-6              # kz_residual above which the automatic k_z rule doubles once
-CHUNK_ELEMENTS = 100_000   # nodes x basis rows 4(N+1) x samples per chunk: bounds the
-                           # working set; the phase table (nodes x blocks x samples)
-                           # is about a quarter of it
+CHUNK_ELEMENTS = 60_000    # nodes x basis rows 4(N+1) x (anchor rows + offsets) per
+                           # chunk: bounds the working set; one operator's pair tables
+                           # are about three quarters of it
 EPS = np.finfo(float).eps
 
 
@@ -110,20 +113,21 @@ class EvolvedExpectations:
 
 
 def _components(pattern: np.ndarray) -> list[np.ndarray]:
-    """Connected components of a boolean matrix's pattern graph, by union-find:
-    ascending index arrays, ordered by their smallest index."""
-    root = list(range(pattern.shape[0]))
-
-    def find(i):
-        while root[i] != i:
-            root[i] = i = root[root[i]]
-        return i
-
-    for i, j in zip(*np.nonzero(pattern | pattern.T)):
-        a, b = find(i), find(j)
-        root[max(a, b)] = min(a, b)
-    labels = np.array([find(i) for i in range(len(root))])
-    return [np.flatnonzero(labels == r) for r in np.unique(labels)]
+    """Connected components of a boolean matrix's pattern graph: ascending
+    index arrays, ordered by their smallest index.  Every vertex takes the
+    smallest label among its own and its neighbours', then its label's label,
+    until no label moves: each component ends on its smallest index."""
+    rows, cols = np.nonzero(pattern | pattern.T)
+    label = np.arange(pattern.shape[0])
+    while True:
+        low = label.copy()
+        np.minimum.at(low, rows, label[cols])
+        low = low[low]
+        if np.array_equal(low, label):
+            break
+        label = low
+    order = np.argsort(label, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
 
 
 def _block_stack(matrix: np.ndarray, index: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -159,21 +163,26 @@ def _density_from_nodes(
 
 
 def _split_times(times: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Anchors T_a, offsets tau_b and residuals delta with t = T_a + tau_b + delta.
+    """Anchors t_0 + a J h, offsets j h and residuals delta: t_k = anchor + offset + delta_k.
 
-    A uniform grid of T samples takes J = ceil(sqrt(T)) offsets b * step and
-    every J-th sample as an anchor; the product grid is trimmed to T and delta
-    is the float grid's rounding.  Any other grid takes J = 1: the samples
-    themselves, with no residual.
+    Sample k = a J + j.  A uniform grid of T samples takes J = ceil(sqrt(T))
+    offsets, and delta is the float grid's rounding, measured exactly against
+    t_0 + a (J h) + j h: a Veltkamp split of J h and of h keeps every
+    integer-times-step product exact.  Any other grid takes J = 1: the
+    samples themselves, with no residual.
     """
     count = times.size
     if count > 1:
         n_offsets = math.isqrt(count - 1) + 1
-        anchors = times[::n_offsets]
-        offsets = np.arange(n_offsets) * ((times[-1] - times[0]) / (count - 1))
-        delta = times - (anchors[:, None] + offsets).ravel()[:count]
-        if np.max(np.abs(delta)) <= 64 * np.finfo(float).eps * np.max(np.abs(times)):
-            return anchors, offsets, delta
+        start, step = float(times[0]), float(times[-1] - times[0]) / (count - 1)
+        delta = times - start
+        for i, x in zip(np.divmod(np.arange(count), n_offsets), (n_offsets * step, step)):
+            head = x * 134217729.0            # 2^27 + 1: head keeps 26 bits, x - head the rest
+            head -= head - x
+            delta = delta - i * head - i * (x - head)
+        if np.max(np.abs(delta)) <= 64 * EPS * np.max(np.abs(times)):
+            anchors = start + np.arange(-(-count // n_offsets)) * (n_offsets * step)
+            return anchors, np.arange(n_offsets) * step, delta
     return times, np.zeros(1), np.zeros(count)
 
 
@@ -227,9 +236,11 @@ def evolve_expectations(
     h_0 = build(n_levels, field).matrix
     h_z = build(n_levels, field, k_z=1.0).matrix - h_0
     blocks = _components((h_0 != 0) | (h_z != 0))
-    width = max(b.size for b in blocks)
-    index = np.array([np.pad(b, (0, width - b.size)) for b in blocks])
-    mask = np.arange(width) < np.array([b.size for b in blocks])[:, None]
+    sizes = np.fromiter(map(len, blocks), int, len(blocks))
+    width = int(sizes.max())
+    mask = np.arange(width) < sizes[:, None]
+    index = np.zeros(mask.shape, dtype=int)
+    index[mask] = np.concatenate(blocks)              # row-major: block by block
     label, slot = np.zeros((2, factor.shape[0]), dtype=int)
     label[index[mask]], slot[index[mask]] = np.nonzero(mask)
     c_blocks = factor[index] * mask[..., None]                      # (B, w, r)
@@ -272,46 +283,81 @@ def evolve_expectations(
         for _, _, tr in ops:
             tr[0, 2] = tr[2, 0] = tr[1, 2] = tr[2, 1] = 0.0
 
-    # [<A(t)>, <v_x + i v_y>(t)] x [full rule, half-grid partner]; <A^+> = conj
-    out = np.zeros((2, 2, times.size), dtype=complex)
-    norm_drift = energy_drift = 0.0
+    # [<A(t)>, <v_x + i v_y>(t)] x [full rule, half-grid partner] x [sum, delta
+    # coefficient] x anchor x [Re, Im] x offset; <A^+> = conj
     anchors, offsets, delta = _split_times(times)
-    rounded = np.any(delta)        # exact grids, linspace(0, 200, 101) say, skip the factor
-    probe_i = np.arange(0, times.size, max(1, times.size // 8))
-    step = max(1, CHUNK_ELEMENTS // (factor.shape[0] * times.size))    # nodes per chunk
+    n_anchors, n_offsets = anchors.size, offsets.size
+    orders = 1 + bool(np.any(delta))    # exact grids, linspace(0, 200, 101) say, skip delta
+    sums = np.zeros((2, 2, orders, n_anchors, 2, n_offsets))
+    reach = float(np.max(np.abs(delta), initial=0.0))
+    norm_drift = energy_drift = 0.0
+    step = max(1, CHUNK_ELEMENTS // (factor.shape[0] * (orders * n_anchors + n_offsets)))
     for start in range(0, kz_nodes.size, step):
         wk, k = weights[:, start : start + step], kz_nodes[start : start + step, None]
         energy = np.sqrt(e_sq[0] + k * e_sq[1] + k * k * e_sq[2])       # (c, B)
-        # e^{-iEt} = e^{-iE T_a} e^{-iE tau_b} (1 - iE delta): (c, B, T)
-        rate = -1j * energy[..., None]
-        phases = np.exp(rate[..., None] * anchors[:, None]) * np.exp(rate * offsets)[..., None, :]
-        phases = phases.reshape(*energy.shape, -1)[..., : times.size]
-        if rounded:
-            phases = phases * (1.0 + rate * delta)
-        for (bra, ket, tr), acc in zip(ops, out):
-            e_bra, e_ket = energy[:, bra], energy[:, ket]       # W_su = (c + u a + s b + su d)/4
+        rate = -1j * energy
+        # e^{-iEt} = e^{-iE t_0} (e^{-iEJh})^a (e^{-iEh})^j (1 - iE delta): anchor
+        # (c, N_a, B) and offset (c, J, B) tables, each row a product of the last
+        head = np.empty((len(k), n_anchors, len(blocks)), dtype=complex)
+        tail = np.ones((len(k), n_offsets, len(blocks)), dtype=complex)
+        if n_offsets == 1:
+            head[:] = np.exp(rate[:, None] * anchors[:, None])
+        else:
+            head[:, 0] = np.exp(rate * anchors[0]) if anchors[0] else 1.0
+            ratio = np.exp(rate * (n_offsets * offsets[1]))
+            for i in range(1, n_anchors):
+                np.multiply(head[:, i - 1], ratio, out=head[:, i])
+            tail[:, 1] = np.exp(rate * offsets[1])
+            for j in range(2, n_offsets):
+                np.multiply(tail[:, j - 1], tail[:, 1], out=tail[:, j])
+        head_c = head.conj()
+        for (bra, ket, tr), acc in zip(ops, sums):
+            # np.take keeps gathers C-ordered, where x[..., idx] puts idx outermost
+            e_bra, e_ket = np.take(energy, bra, axis=1), np.take(energy, ket, axis=1)
             a, b = (tr[0, 1] + k * tr[0, 2]) / e_ket, (tr[1, 0] + k * tr[2, 0]) / e_bra
             d = (tr[1, 1] + k * (tr[1, 2] + tr[2, 1]) + k * k * tr[2, 2]) / (e_bra * e_ket)
-            # sum_su conj(phi^s_bra) W_su phi^u_ket with phi^- = conj(phi^+): W++ and
-            # conj(W--) weigh conj(phi_bra) phi_ket, W-+ and conj(W+-) phi_bra phi_ket
-            w = 0.25 * np.stack([tr[0, 0] + a + b + d, np.conj(tr[0, 0] - a - b + d),
-                                 tr[0, 0] + a - b - d, np.conj(tr[0, 0] - a + b - d)], axis=1)
-            bra_t, ket_t = phases[:, bra], phases[:, ket]                # (c, P, T) copies
-            x = w[:, :2] @ (bra_t.conj() * ket_t)
-            bra_t *= ket_t
-            y = w[:, 2:] @ bra_t
-            acc += wk @ (x[:, 0] + x[:, 1].conj() + y[:, 0] + y[:, 1].conj())
+            # W_su = (c + u a + s b + su d)/4, and sum_su conj(phi^s_bra) W_su phi^u_ket
+            # with phi^- = conj(phi^+) is W z + W' conj(z) = (W + W') Re z +
+            # i (W - W') Im z for z = D = conj(phi_bra) phi_ket (W++, W--) and for
+            # z = S = phi_bra phi_ket (W-+, W+-): W + W' = (c +- d)/2, W - W' =
+            # (a +- b)/2.  With z = z_a z_j, x Re z + y Im z has real part
+            # Re(conj(z_a) r) for r = conj(Re x + i Re y) z_j, imaginary part
+            # likewise: a real GEMM of the anchor rows with two offset rows
+            q, p = np.stack([tr[0, 0] + d, tr[0, 0] - d], 1), np.stack([a + b, a - b], 1)
+            beta = 0.5 * np.stack([q.real + 1j * p.imag, q.imag - 1j * p.real], 1)[:, :, None]
+            left = np.empty((len(k), orders, n_anchors, 2, len(bra)), dtype=complex)
+            right = np.empty((len(k), 2, n_offsets, 2, len(bra)), dtype=complex)
+            zb, zk = np.take(head, bra, axis=-1), np.take(head_c, ket, axis=-1)
+            np.multiply(zb, zk, out=left[:, 0, :, 0])                  # conj(D_a)
+            np.multiply(zb.conj(), zk, out=left[:, 0, :, 1])           # conj(S_a)
+            zb, zk = np.take(tail, bra, axis=-1), np.take(tail, ket, axis=-1)
+            np.multiply(zb.conj(), zk, out=right[:, 0, :, 0])          # D_j
+            np.multiply(zb, zk, out=right[:, 0, :, 1])                 # S_j
+            np.multiply(right[:, 0], beta[:, 1], out=right[:, 1])
+            right[:, 0] *= beta[:, 0]
+            if orders > 1:
+                # z (1 - i Omega delta) with Omega = E_ket -+ E_bra: the delta
+                # coefficient's anchor rows are i Omega conj(z_a)
+                omega = np.stack([e_ket - e_bra, e_ket + e_bra], 1)[:, None]
+                np.multiply(left[:, 0], 1j * omega, out=left[:, 1])
+            grid = (left.view(float).reshape(len(k), -1, 4 * len(bra))
+                    @ right.view(float).reshape(len(k), 2 * n_offsets, -1).swapaxes(1, 2))
+            acc += (wk @ grid.reshape(len(k), -1)).reshape(acc.shape)
         # U_b = phi P+ + conj(phi) P- gives U_b^+ U_b = |phi|^2 I and U_b^+ H_b U_b =
-        # |phi|^2 H_b up to the square residual: the drifts read |phi| off the table
-        modulus = np.abs(phases[..., probe_i])                          # (c, B, T')
-        norm_drift = max(norm_drift, float(np.max(np.abs(modulus - 1.0))))
-        energy_drift = max(energy_drift, float(np.max(energy[..., None]
-                                                      * np.abs(modulus * modulus - 1.0))))
+        # |phi|^2 H_b up to the square residual.  |phi| = |anchor| |offset| |1 - iE delta|
+        # is within u of 1, with the tables' own largest ||phi| - 1| per block
+        dev_a, dev_j = (np.max(np.abs(np.abs(t) - 1.0), axis=1) for t in (head, tail))
+        m = energy * reach                # |1 - i m| - 1 = m^2 / (1 + hypot(1, m))
+        u = dev_a + dev_j + dev_a * dev_j + (1 + dev_a) * (1 + dev_j) * m * m / (1 + np.hypot(1, m))
+        norm_drift = max(norm_drift, float(np.max(u)))
+        energy_drift = max(energy_drift, float(np.max(energy * u * (2.0 + u))))
     # the square residual R_b = H_b^2 - E_b^2 I, of norm <= w max|R_b|, adds
     # (Im phi)^2 R_b / E_b^2 to U_b^+ U_b and H_b times that to U_b^+ H_b U_b;
     # E_b >= 1, so to first order the norm moves by half of it, <H> by all of it
     norm_drift += 0.5 * width * residual
     energy_drift += width * residual
+    sums = (sums[..., 0, :] + 1j * sums[..., 1, :]).reshape(2, 2, orders, -1)[..., : times.size]
+    out = sums[:, :, 0] + delta * sums[:, :, 1] if orders > 1 else sums[:, :, 0]
 
     (alpha, vel), alpha0 = out, weights.sum(axis=1) * ops[0][2][0, 0].sum()  # tr(A rho)
     scale = field.magnetic_length * math.sqrt(2.0)

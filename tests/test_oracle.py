@@ -436,37 +436,59 @@ def test_drifts_read_the_phase_table(matched_field, monkeypatch, dims):
     assert evo.norm_drift > 1e-12 and evo.energy_drift > 1e-12
 
 
+@pytest.mark.parametrize("dims", ["2+1", "3+1"])
+def test_drifts_cover_every_offset_column(matched_field, monkeypatch, dims):
+    # on the 101-sample certify grid (J = 11 offsets) a delta shifted only on
+    # the last offset column, samples k = 10, 21, ..., 98, must show in both
+    # drifts: a probe of every twelfth sample never reads that column
+    times = np.linspace(0.0, 200.0, 101)
+    n_offsets = oracle._split_times(times)[1].size
+    assert n_offsets == 11
+    pkt, kz_order = phase_test_packet(dims), (16 if dims == "3+1" else None)
+    real_split = oracle._split_times
+
+    def shifted_split(t):
+        anchors, offsets, delta = real_split(t)
+        return anchors, offsets, delta + 1e-6 * (np.arange(t.size) % n_offsets == n_offsets - 1)
+
+    monkeypatch.setattr(oracle, "_split_times", shifted_split)
+    evo = oracle.evolve_expectations(pkt, matched_field, times, n_levels=10, guard=0,
+                                     kz_order=kz_order)
+    assert evo.norm_drift > 1e-12 and evo.energy_drift > 1e-12
+
+
 def test_phases_cost_anchors_plus_offsets(matched_field, monkeypatch):
-    # per k_z node, each block takes ceil(T/J) anchor phases and J offset
-    # phases, and the drifts read |phi| from the same table: a
-    # silent fallback to one exp per sample (a split tolerance too tight, say)
-    # or per eigenvalue fails.  A k0z = 0 packet runs K//2 + 1 folded nodes, so
-    # a fold that falls back to the K signed nodes fails too
+    # per k_z node each block takes e^{-iEJh} and e^{-iEh}, plus e^{-iE t_0} off
+    # t = 0, and its anchor and offset phases follow by repeated products: a
+    # silent fallback to one exp per anchor or per offset, or per sample (a
+    # split tolerance too tight, say), or per eigenvalue fails.  A k0z = 0
+    # packet runs K//2 + 1 folded nodes, so a fold that falls back to the K
+    # signed nodes fails too.  A geometric grid takes one exp per sample
     kz_order, n_levels = 16, 10
-    times = PHASE_GRIDS["step-0.1"]
-    assert np.any(oracle._split_times(times)[2])
+    uniform = PHASE_GRIDS["step-0.1"]
+    assert np.any(oracle._split_times(uniform)[2])
     signed = phase_test_packet("3+1")
     folded = dataclasses.replace(signed, k0z=0.0)
     real_exp = np.exp
     nodes = packet_mod.axial_grid(signed, kz_order)[0]
     edge = oracle.build(n_levels, matched_field, k_z=nodes[np.argmax(np.abs(nodes))])
-    blocks = oracle._components(edge.matrix != 0)
-    size, n_offsets = times.size, math.ceil(math.sqrt(times.size))
+    blocks = len(oracle._components(edge.matrix != 0))
+    geometric = PHASE_GRIDS["geometric"]
     # one phase per block, not per eigenvalue: e^{+iEt} is the conjugate of e^{-iEt}
-    per_node = len(blocks) * (-(-size // n_offsets) + n_offsets)
-    for pkt, node_count in ((signed, kz_order), (folded, kz_order // 2 + 1)):
-        counted = []
+    for times, per_block in ((uniform, 2), (uniform + 5.0, 3), (geometric, geometric.size)):
+        for pkt, node_count in ((signed, kz_order), (folded, kz_order // 2 + 1)):
+            counted = []
 
-        def counting_exp(x, *args, **kwargs):
-            if np.iscomplexobj(x):
-                counted.append(np.size(x))
-            return real_exp(x, *args, **kwargs)
+            def counting_exp(x, *args, **kwargs):
+                if np.iscomplexobj(x):
+                    counted.append(np.size(x))
+                return real_exp(x, *args, **kwargs)
 
-        monkeypatch.setattr(oracle.np, "exp", counting_exp)
-        oracle.evolve_expectations(pkt, matched_field, times, n_levels=n_levels, guard=0,
-                                   kz_order=kz_order)
-        monkeypatch.undo()
-        assert 0 < sum(counted) <= node_count * per_node
+            monkeypatch.setattr(oracle.np, "exp", counting_exp)
+            oracle.evolve_expectations(pkt, matched_field, times, n_levels=n_levels, guard=0,
+                                       kz_order=kz_order)
+            monkeypatch.undo()
+            assert 0 < sum(counted) <= node_count * blocks * per_block
 
 
 def test_pencil_reproduces_the_build_at_every_node(matched_field):
