@@ -309,10 +309,14 @@ def write_record(path, header, columns, spectrum=None, fmt="csv"):
     """Serialize a run; `columns` is an ordered {name: array} mapping."""
     values = {k: list(map(repr, np.asarray(v, dtype=float).tolist())) for k, v in columns.items()}
     if fmt == "json":
-        doc = {"header": header, "columns": values}
+        doc = {"header": header}
         if spectrum is not None:
             doc["spectrum"] = spectrum
-        text = _json_text(doc)
+        # "columns" (first in key order) as json's slow indent=1 encoder writes it
+        cols = [f"  {json.dumps(k)}: " + ('[\n   "' + '",\n   "'.join(v) + '"\n  ]' if v else "[]")
+                for k, v in sorted(values.items())]
+        text = ('{\n "columns": ' + ("{\n" + ",\n".join(cols) + "\n }" if cols else "{}")
+                + ",\n" + _json_text(doc)[2:])
     elif fmt == "csv":
         lines = [f"# {k} = {v!r}" for k, v in _flat_items("", header)]
         lines.append(",".join(values))
@@ -337,15 +341,14 @@ def read_record(path):
         cols = {k: np.array(v, dtype=float) for k, v in doc["columns"].items()}
         return doc["header"], cols, doc.get("spectrum")
     table, _, spec = text.partition("\n\n")     # the spectrum follows a blank line
-    lines = table.splitlines()
-    n_head = sum(line.startswith("#") for line in lines)
+    n_head = table.startswith("#") + table.count("\n#")    # the "# key = value" lines lead
+    *head, names, body = (table + "\n").split("\n", n_head + 1)
     header = {}
-    for line in lines[:n_head]:
+    for line in head:
         key, _, val = line[1:].partition("=")
         header[key.strip()] = ast.literal_eval(val.strip())
-    names = lines[n_head].split(",")
-    rows = np.array([row.split(",") for row in lines[n_head + 1 :]], dtype=float)
-    columns = dict(zip(names, rows.reshape(-1, len(names)).T))
+    rows = np.fromiter(map(float, body.replace(",", " ").split()), dtype=float)
+    columns = dict(zip(names.split(","), rows.reshape(-1, names.count(",") + 1).T))
     spectrum = None
     if spec:
         spectrum = [

@@ -10,8 +10,9 @@ sum and stays persistent.
 Line convention: each position channel reads Re sum_lines a e^{-i w t}.  A
 cosine line has a real amplitude a, a sine line carries i a.  Velocities are
 the Heisenberg time derivatives, so a velocity line has amplitude -i w a at
-the same frequency.  `_line_blocks` derives every amplitude and `_sum_lines`
-evaluates every phase; the public functions only pick channels and parts.
+the same frequency.  `_line_blocks` derives every amplitude, all sources of
+a level pair and class in one row, `_sum_lines` evaluates every phase, and
+the public functions only pick channels and parts.
 On a uniform grid t = start + c J h + j h, two arithmetic progressions (plus,
 to first order, the float rounding), so a line's phases are repeated
 products of three exps: e^{-i w start}, e^{-i w J h} and e^{-i w h} (the
@@ -125,8 +126,7 @@ class _Block(NamedTuple):
     freq: np.ndarray              # (pairs, K) line frequencies
     amps: np.ndarray              # (2, pairs, K) x and y amplitudes
     interband: bool
-    mixing: bool
-    levels: np.ndarray            # (pairs,) spectral level index of each pair
+    levels: np.ndarray            # (pairs,) lower level n of each pair (n, n+1)
 
 
 def _line_blocks(
@@ -136,63 +136,64 @@ def _line_blocks(
     nodes: np.ndarray,
     weights: np.ndarray,
     parts: str,
-    mixing_weight: complex | None = None,
+    sources: tuple[float, float, complex] | None = None,
 ) -> Iterator[_Block]:
-    """Every oscillation line, one block per spinor component x class.
+    """Every oscillation line, one block per class and one row per level pair (n, n+1).
 
-    The second component pairs levels (n, n+1) with the overlap weights
-    S_n = sqrt(n+1) (U_{n,n+1} + U_{n+1,n}); the first component runs the
-    same derivation one level up, pairing (n+1, n+2) with the same weights,
-    and flips which energy of the pair divides the cosine ratio q.  In 3+1
-    the spin-mixing rows pair (n, n+1) with U_nn k_z omega / (E_n E_{n+1})
-    and add Re/Im of mixing_weight * J to y/x; mixing_weight defaults to
-    (L/sqrt2) a2* a1, or to 0 (no rows) when k0z = 0, and 1 reads the bare
-    mixing integrals J in y.
+    A row sums the sources weighted by sources = (w_second, w_first, w_mixing)
+    at its frequency.  The second component pairs levels (n, n+1) with the
+    overlap weights S_n = sqrt(n+1) (U_{n,n+1} + U_{n+1,n}); the first runs
+    the same derivation one level up (S_{n-1} in row n) and flips which
+    energy of the pair divides the cosine ratio q.  The 3+1 spin-mixing rows
+    add Re/Im of w_mixing * J to y/x, with J_n = U_nn k_z omega / (E_n E_{n+1}).
+    Rows: [0, n_max) for the second component alone, [1, n_max] for the
+    first alone, else [0, n_max].  The weights default to |a2|^2, |a1|^2 and
+    (L/sqrt2) a2* a1, the last 0 in 2+1 and at k0z = 0; (0, 0, 1) reads the
+    bare mixing integrals J in y.
     """
     L = field.magnetic_length
-    energies = landau_energies(coeffs.n_max + 1, nodes, field)  # (n_max+2, K)
     n_pairs = coeffs.n_max
-    s_pairs = np.sqrt(np.arange(1.0, n_pairs + 1.0)) * (
-        np.diagonal(coeffs.u, offset=1) + np.diagonal(coeffs.u, offset=-1)
-    )
+    if sources is None:
+        # the mixing rows are odd in k_z: the k0z = 0 density cancels them pair
+        # by pair, while the folded rule of `_fold` would double them
+        mixing = packet.dimensionality == "3+1" and packet.k0z != 0.0
+        sources = (abs(packet.a2) ** 2, abs(packet.a1) ** 2,
+                   mixing * (L / math.sqrt(2.0)) * np.conj(packet.a2) * packet.a1)
+    w_second, w_first, w_mixing = sources
+    lo = 0 if w_second or w_mixing else 1
+    hi = n_pairs + 1 if w_first or w_mixing else n_pairs
+    energies = landau_energies(hi, nodes, field)[lo:]    # (hi - lo + 1, K)
+    e_lo, e_hi = energies[:-1], energies[1:]
+    u = coeffs.u
+    s_pairs = np.sqrt(np.arange(1.0, n_pairs + 1.0)) * (np.diagonal(u, 1) + np.diagonal(u, -1))
+    if w_mixing:
+        j = np.diagonal(u)[:, None] * nodes * field.omega / (e_lo * e_hi) * weights
+        channel = np.array([w_mixing.imag, w_mixing.real])[:, None, None]
     # every energy difference is built from E_hi - E_lo = omega^2/(E_hi + E_lo),
     # inline (a named (pairs, K) array held across a yield costs peak memory)
     omega_sq = field.omega**2
-    for weight, shift in ((abs(packet.a2) ** 2, 0), (abs(packet.a1) ** 2, 1)):
-        if weight == 0.0:
+    for interband in (False, True):
+        if parts == ("intraband" if interband else "interband"):
             continue
-        e_lo = energies[shift : shift + n_pairs]
-        e_hi = energies[shift + 1 : shift + 1 + n_pairs]
-        scale = weight * PREF * L * s_pairs[:, None] * weights[None, :]
-        levels = np.arange(shift, shift + n_pairs)
-        if parts != "interband":
-            q = e_lo / e_hi if shift == 0 else e_hi / e_lo
-            amps = np.stack([-1j * scale * (1.0 / e_lo + 1.0 / e_hi), scale * (1.0 + q)])
-            yield _Block(omega_sq / (e_hi + e_lo), amps, False, False, levels)
-        if parts != "intraband":
-            # 1/E_lo - 1/E_hi, and 1 - q = (E_hi - E_lo)/E_hi or -(E_hi - E_lo)/E_lo
-            amps = np.stack([
-                1j * scale * (omega_sq / ((e_hi + e_lo) * e_lo * e_hi)),
-                scale * (omega_sq / ((e_hi + e_lo) * (e_hi if shift == 0 else -e_lo))),
-            ])
-            yield _Block(e_hi + e_lo, amps, True, False, levels)
-
-    if mixing_weight is None:
-        mixing_weight = (L / math.sqrt(2.0)) * np.conj(packet.a2) * packet.a1
-        if packet.k0z == 0.0:
-            # odd in k_z: the k0z = 0 density cancels them pair by pair, while
-            # the folded rule of `_fold` would double them
-            mixing_weight = 0.0
-    if packet.dimensionality != "3+1" or mixing_weight == 0.0:
-        return
-    e_lo, e_hi = energies[:-1], energies[1:]
-    j = np.diagonal(coeffs.u)[:, None] * nodes * field.omega / (e_lo * e_hi) * weights
-    channel = np.array([mixing_weight.imag, mixing_weight.real])[:, None, None]
-    levels = np.arange(e_lo.shape[0])
-    if parts != "interband":
-        yield _Block(omega_sq / (e_hi + e_lo), channel * j, False, True, levels)
-    if parts != "intraband":
-        yield _Block(e_hi + e_lo, channel * -j, True, True, levels)
+        amps = np.zeros((2,) + e_lo.shape, dtype=complex)   # x sines imaginary, y cosines real
+        for weight, shift in ((w_second, 0), (w_first, 1)):
+            if weight == 0.0:
+                continue
+            rows = slice(shift - lo, shift - lo + n_pairs)
+            lo_e, hi_e = e_lo[rows], e_hi[rows]
+            scale = weight * PREF * L * s_pairs[:, None] * weights[None, :]
+            if interband:
+                # 1/E_lo - 1/E_hi, and 1 - q = (E_hi - E_lo)/E_hi or -(E_hi - E_lo)/E_lo
+                amps.imag[0, rows] += scale * (omega_sq / ((hi_e + lo_e) * lo_e * hi_e))
+                amps.real[1, rows] += scale * (
+                    omega_sq / ((hi_e + lo_e) * (hi_e if shift == 0 else -lo_e)))
+            else:
+                amps.imag[0, rows] -= scale * (1.0 / lo_e + 1.0 / hi_e)
+                amps.real[1, rows] += scale * (1.0 + (lo_e / hi_e if shift == 0 else hi_e / lo_e))
+        if w_mixing:
+            amps.real[...] += channel * (-j if interband else j)
+        freq = e_hi + e_lo if interband else omega_sq / (e_hi + e_lo)
+        yield _Block(freq, amps, interband, np.arange(lo, hi))
 
 
 def _time_grid(times: np.ndarray) -> tuple[float, float, int, np.ndarray]:
@@ -429,8 +430,9 @@ def mixing_terms(
 
     The integrand is odd in the axial wavenumber, so a symmetric density
     kills it; only 3+1 packets with axial momentum produce cross terms.  It
-    sums the signed grid of the K that trajectory_3p1 certifies for the same
-    window (x and y on every sample, against the rule's even-index half).
+    sums the mixing rows alone on the signed grid of the K that
+    trajectory_3p1 certifies for the same window (x and y on every sample,
+    against the rule's even-index half).
     """
     times = np.asarray(times, dtype=float)
     if packet.dimensionality == "2+1":
@@ -440,8 +442,7 @@ def mixing_terms(
     rule = axial_grid(packet, _axial_sums(packet, coeffs, field, times, kz_rtol)[0])
     j = {
         block.interband: _sum_lines(block.freq, block.amps[1:], times)[0].real
-        for block in _line_blocks(packet, coeffs, field, *rule, "all", mixing_weight=1.0)
-        if block.mixing
+        for block in _line_blocks(packet, coeffs, field, *rule, "all", (0.0, 0.0, 1.0))
     }
     cross = 0.5 * np.conj(packet.a2) * packet.a1 * (j[False] + j[True])
     return MixingSeries(
@@ -495,24 +496,20 @@ def spectral_decomposition(
     Convention: y(t) = sum_lines A_y cos(w t) + const, x(t) = sum A_x sin(w t),
     with the constant fixed by the start-at-origin anchor.  First-component
     contributions land one pair up, at the same frequencies with different
-    amplitudes, and are merged into the matching lines.  Lines with both
+    amplitudes, and share the rows of `_line_blocks`.  Lines with both
     amplitudes below 1e-12 L are dropped.
     """
     if packet.dimensionality != "2+1":
         raise DimensionalityError("spectral decomposition is a 2+1 operation")
-    lines: dict[tuple[int, bool], list] = {}
-    for block in _line_blocks(packet, coeffs, field, np.zeros(1), np.ones(1), "all"):
-        amp_x, amp_y = block.amps[0, :, 0].imag, block.amps[1, :, 0].real
-        for n, freq, ax, ay in zip(block.levels, block.freq[:, 0], amp_x, amp_y):
-            line = lines.setdefault((int(n), block.interband), [freq, 0.0, 0.0])
-            line[1] += ax
-            line[2] += ay
-    return [
-        SpectralLine(n=n, kind="interband" if inter else "intraband",
+    lines = [
+        SpectralLine(n=int(n), kind="interband" if block.interband else "intraband",
                      frequency=freq, amplitude_x=ax, amplitude_y=ay)
-        for (n, inter), (freq, ax, ay) in sorted(lines.items())
+        for block in _line_blocks(packet, coeffs, field, np.zeros(1), np.ones(1), "all")
+        for n, freq, ax, ay in zip(block.levels, block.freq[:, 0], block.amps[0, :, 0].imag,
+                                   block.amps[1, :, 0].real)
         if max(abs(ax), abs(ay)) >= 1e-12 * field.magnetic_length
     ]
+    return sorted(lines, key=lambda line: (line.n, line.kind == "interband"))
 
 
 def analytic_signal(

@@ -18,6 +18,7 @@ from landauzb.cli import (
     load_config,
     main,
     read_record,
+    write_record,
 )
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -80,6 +81,32 @@ def test_csv_and_json_agree(tmp_path):
     _, cols_b, _ = read_record(str(b))
     for key in cols_a:
         assert np.array_equal(cols_a[key], cols_b[key])
+
+
+SPECTRUM_ROWS = [{"n": 0, "kind": "intraband", "frequency": 0.5, "amplitude_x": -1e-3,
+                  "amplitude_y": 2.0},
+                 {"n": 3, "kind": "interband", "frequency": 2.25, "amplitude_x": 0.0,
+                  "amplitude_y": -7.5e-17}]
+
+
+@pytest.mark.parametrize("spectrum", [None, SPECTRUM_ROWS])
+@pytest.mark.parametrize("columns", [
+    {"t": np.linspace(0.0, 1.0, 5), "y": [math.nan, math.inf, -0.0, 1e-300, -3.0],
+     "empty": [], "\u00e9\"q": [0.1]},
+    {"t": []},
+    {},
+])
+def test_json_record_text_is_json_dumps(tmp_path, columns, spectrum):
+    # the columns member is written by hand; the text must stay that of json.dumps
+    header = {"model": "2+1", "n_max": 3, "field": {"kappa": 0.25, "units": "natural"},
+              "note": "line\nbreak", "tail": None}
+    out = tmp_path / "record.json"
+    write_record(str(out), header, columns, spectrum, fmt="json")
+    doc = {"header": header,
+           "columns": {k: [repr(float(v)) for v in col] for k, col in columns.items()}}
+    if spectrum is not None:
+        doc["spectrum"] = spectrum
+    assert out.read_text(encoding="utf-8") == json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
 
 def test_csv_and_json_headers_read_back_alike(tmp_path):

@@ -185,18 +185,21 @@ def test_accepted_axial_rungs_are_unchanged():
 
 
 def test_axial_rungs_are_summed_once_on_the_full_grid(critical_field, packet_3p1, coeffs_3p1,
+                                                      mixed_packet_3p1, mixed_coeffs_3p1,
                                                       monkeypatch):
-    # the folded rule of ladder[0] // 2 nodes is summed whole and each rung K
-    # on its K/4 new nodes, every sample each time; the accepted sum is the
-    # result, so the summed nodes are the accepted folded rule's, each once
+    # the rule of ladder[0] // 2 nodes (folded at k0z = 0) is summed whole and
+    # each rung on its new odd-index nodes, every sample each time, in one
+    # call per line class with one row per level pair: n_max rows for the
+    # second component alone, n_max + 1 once the first component and the
+    # spin-mixing rows (k0z != 0) share them.  The accepted sum is the
+    # result, so the summed nodes are the accepted rule's, each once
     times = np.linspace(0.0, 200.0, 401)
-    ladder = axial_ladder(packet_3p1, critical_field, coeffs_3p1.n_max + 1, 200.0)
     sum_lines, line_blocks = dynamics._sum_lines, dynamics._line_blocks
     seen, nodes = [], []
 
     def counting(freq, amps, grid, derivative=False):
         assert np.array_equal(grid, times)
-        seen.append(freq.shape[1])
+        seen.append(freq.shape)
         return sum_lines(freq, amps, grid, derivative)
 
     def recording(packet, coeffs, field, kz, *args, **kwargs):
@@ -205,16 +208,20 @@ def test_axial_rungs_are_summed_once_on_the_full_grid(critical_field, packet_3p1
 
     monkeypatch.setattr(dynamics, "_sum_lines", counting)
     monkeypatch.setattr(dynamics, "_line_blocks", recording)
-    for call in (dynamics.analytic_signal, dynamics.trajectory_3p1):
-        seen.clear()
-        nodes.clear()
-        call(packet_3p1, coeffs_3p1, critical_field, times)
-        rungs = [ladder[0] // 2] + ladder[: len(nodes) - 1]
-        per_rung = [ladder[0] // 4 + 1] + [points // 4 for points in rungs[1:]]
-        blocks = len(seen) // len(per_rung)
-        assert seen == [count for count in per_rung for _ in range(blocks)]
-        accepted = dynamics._fold(packet_3p1, axial_grid(packet_3p1, rungs[-1]))[0]
-        assert np.array_equal(np.sort(np.concatenate(nodes)), accepted)
+    for packet, coeffs, rows in ((packet_3p1, coeffs_3p1, coeffs_3p1.n_max),
+                                 (mixed_packet_3p1, mixed_coeffs_3p1, mixed_coeffs_3p1.n_max + 1)):
+        ladder = axial_ladder(packet, critical_field, coeffs.n_max + 1, 200.0)
+        for call in (dynamics.analytic_signal, dynamics.trajectory_3p1):
+            seen.clear()
+            nodes.clear()
+            call(packet, coeffs, critical_field, times)
+            rungs = [ladder[0] // 2] + ladder[: len(nodes) - 1]
+            sizes = [dynamics._fold(packet, axial_grid(packet, points))[0].size
+                     for points in rungs]
+            per_rung = sizes[:1] + [size // 2 for size in sizes[1:]]
+            assert seen == [(rows, count) for count in per_rung for _ in range(2)]
+            accepted = dynamics._fold(packet, axial_grid(packet, rungs[-1]))[0]
+            assert np.array_equal(np.sort(np.concatenate(nodes)), accepted)
 
 
 def test_trajectory_checks_its_grid_before_any_axial_sum(critical_field, packet_3p1,
