@@ -32,7 +32,6 @@ from .dynamics import (
     MixingSeries,
     trajectory_2p1,
     trajectory_3p1,
-    velocities,
     mixing_terms,
     subpackets,
     spectral_decomposition,
@@ -78,7 +77,6 @@ __all__ = [
     "MixingSeries",
     "trajectory_2p1",
     "trajectory_3p1",
-    "velocities",
     "mixing_terms",
     "subpackets",
     "spectral_decomposition",

@@ -10,9 +10,9 @@ sum and stays persistent.
 Line convention: each position channel reads Re sum_lines a e^{-i w t}.  A
 cosine line has a real amplitude a, a sine line carries i a.  Velocities are
 the Heisenberg time derivatives, so a velocity line has amplitude -i w a at
-the same frequency.  `_line_blocks` derives every amplitude, all sources of
-a level pair and class in one row, `_sum_lines` evaluates every phase, and
-the public functions only pick channels and parts.
+the same frequency.  `_line_blocks` derives the amplitudes of the channels
+a caller reads, x (0) and y (1), all sources of a level pair and class in one
+row, and `_sum_lines` evaluates every phase.
 On a uniform grid t = start + c J h + j h, two arithmetic progressions (plus,
 to first order, the float rounding), so a line's phases are repeated
 products of three exps: e^{-i w start}, e^{-i w J h} and e^{-i w h} (the
@@ -124,7 +124,7 @@ class _Block(NamedTuple):
     """One frequency class of lines over (level pair, k_z node)."""
 
     freq: np.ndarray              # (pairs, K) line frequencies
-    amps: np.ndarray              # (2, pairs, K) x and y amplitudes
+    amps: np.ndarray              # (channels, pairs, K) amplitudes of the requested channels
     interband: bool
     levels: np.ndarray            # (pairs,) lower level n of each pair (n, n+1)
 
@@ -136,10 +136,12 @@ def _line_blocks(
     nodes: np.ndarray,
     weights: np.ndarray,
     parts: str,
+    channels: tuple[int, ...] = (0, 1),
     sources: tuple[float, float, complex] | None = None,
 ) -> Iterator[_Block]:
     """Every oscillation line, one block per class and one row per level pair (n, n+1).
 
+    Only the amplitudes of `channels` are built, in that order: 0 is x, 1 is y.
     A row sums the sources weighted by sources = (w_second, w_first, w_mixing)
     at its frequency.  The second component pairs levels (n, n+1) with the
     overlap weights S_n = sqrt(n+1) (U_{n,n+1} + U_{n+1,n}); the first runs
@@ -168,28 +170,30 @@ def _line_blocks(
     s_pairs = np.sqrt(np.arange(1.0, n_pairs + 1.0)) * (np.diagonal(u, 1) + np.diagonal(u, -1))
     if w_mixing:
         j = np.diagonal(u)[:, None] * nodes * field.omega / (e_lo * e_hi) * weights
-        channel = np.array([w_mixing.imag, w_mixing.real])[:, None, None]
+        channel = np.array([w_mixing.imag, w_mixing.real])[list(channels), None, None]
     # every energy difference is built from E_hi - E_lo = omega^2/(E_hi + E_lo),
     # inline (a named (pairs, K) array held across a yield costs peak memory)
     omega_sq = field.omega**2
     for interband in (False, True):
         if parts == ("intraband" if interband else "interband"):
             continue
-        amps = np.zeros((2,) + e_lo.shape, dtype=complex)   # x sines imaginary, y cosines real
+        amps = np.zeros((len(channels),) + e_lo.shape, dtype=complex)
+        x, y = (amps[channels.index(c)] if c in channels else None for c in (0, 1))
         for weight, shift in ((w_second, 0), (w_first, 1)):
             if weight == 0.0:
                 continue
             rows = slice(shift - lo, shift - lo + n_pairs)
             lo_e, hi_e = e_lo[rows], e_hi[rows]
             scale = weight * PREF * L * s_pairs[:, None] * weights[None, :]
-            if interband:
-                # 1/E_lo - 1/E_hi, and 1 - q = (E_hi - E_lo)/E_hi or -(E_hi - E_lo)/E_lo
-                amps.imag[0, rows] += scale * (omega_sq / ((hi_e + lo_e) * lo_e * hi_e))
-                amps.real[1, rows] += scale * (
-                    omega_sq / ((hi_e + lo_e) * (hi_e if shift == 0 else -lo_e)))
-            else:
-                amps.imag[0, rows] -= scale * (1.0 / lo_e + 1.0 / hi_e)
-                amps.real[1, rows] += scale * (1.0 + (lo_e / hi_e if shift == 0 else hi_e / lo_e))
+            # x sines imaginary, y cosines real; for interband lines 1/E_lo - 1/E_hi
+            # and 1 - q = (E_hi - E_lo)/E_hi or -(E_hi - E_lo)/E_lo
+            if x is not None:
+                x.imag[rows] += scale * (omega_sq / ((hi_e + lo_e) * lo_e * hi_e) if interband
+                                         else -(1.0 / lo_e + 1.0 / hi_e))
+            if y is not None:
+                y.real[rows] += scale * (
+                    omega_sq / ((hi_e + lo_e) * (hi_e if shift == 0 else -lo_e)) if interband
+                    else 1.0 + (lo_e / hi_e if shift == 0 else hi_e / lo_e))
         if w_mixing:
             amps.real[...] += channel * (-j if interband else j)
         freq = e_hi + e_lo if interband else omega_sq / (e_hi + e_lo)
@@ -278,14 +282,13 @@ def _series(
     times: np.ndarray,
     rule: tuple[np.ndarray, np.ndarray],
     parts: str = "all",
-    channels: slice = slice(0, 2),
+    channels: tuple[int, ...] = (0, 1),
     derivative: bool = False,
 ) -> np.ndarray:
-    """Complex (x, y)[channels] line sums over every block, then derivatives."""
-    size = len(range(2)[channels]) * (2 if derivative else 1)
-    out = np.zeros((size, times.size), dtype=complex)
-    for block in _line_blocks(packet, coeffs, field, *rule, parts):
-        out += _sum_lines(block.freq, block.amps[channels], times, derivative)
+    """Complex line sums of `channels` (0 is x, 1 is y) over every block, then derivatives."""
+    out = np.zeros((len(channels) * (2 if derivative else 1), times.size), dtype=complex)
+    for block in _line_blocks(packet, coeffs, field, *rule, parts, channels):
+        out += _sum_lines(block.freq, block.amps, times, derivative)
     return out
 
 
@@ -317,7 +320,7 @@ def _axial_sums(
     times: np.ndarray,
     rtol: float,
     parts: str = "all",
-    channels: slice = slice(0, 2),
+    channels: tuple[int, ...] = (0, 1),
     derivative: bool = False,
 ) -> tuple[int, np.ndarray]:
     """(K, `_series` sums on the axial rule of K nodes); K = 1, k_z = 0, for 2+1.
@@ -326,7 +329,8 @@ def _axial_sums(
     even-index nodes of K carry the rule of K/2 at half weight, so K costs
     only its odd-index nodes, S_K = S_{K/2} / 2 + S_odd, starting from
     S_{ladder[0]/2}.  The first K with |S_K - S_{K/2}| <= rtol of
-    max(|y - y[0]|, |x|), on every sample of the position channels, is kept.
+    max(|y - y[0]|, |x|), on every sample of the position channels, is kept;
+    `channels` is (0, 1) or (1,), y last.
     """
     if parts not in PARTS:
         raise ValueError(f"parts must be one of {PARTS}, not {parts!r}")
@@ -340,13 +344,12 @@ def _axial_sums(
         return _series(packet, coeffs, field, times, (kz[nodes], weights[nodes]), parts,
                        channels, derivative)
 
-    n_pos = len(range(2)[channels])
     coarse = rung_sum(ladder[0] // 2)
     for points in ladder:
         fine = 0.5 * coarse + rung_sum(points, slice(1, None, 2))
-        pos = fine[:n_pos].real       # (x, y) or (y,)
+        pos = fine[: len(channels)].real       # (x, y) or (y,)
         scale = max(np.max(np.abs(pos[-1] - pos[-1, 0])), np.max(np.abs(pos[:-1]), initial=1e-300))
-        achieved = float(np.max(np.abs(pos - coarse[:n_pos].real)) / scale)
+        achieved = float(np.max(np.abs(pos - coarse[: len(channels)].real)) / scale)
         if achieved <= rtol:
             return points, fine
         coarse = fine
@@ -407,18 +410,6 @@ def trajectory_3p1(
     return _trajectory(packet, coeffs, field, times, parts, kz_rtol)
 
 
-def velocities(
-    packet: GaussianPacket,
-    coeffs: CoefficientSet,
-    field: FieldConfig,
-    times: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Average velocity series (vx, vy) in units of c."""
-    times = np.asarray(times, dtype=float)
-    _, sums = _axial_sums(packet, coeffs, field, times, DEFAULT_KZ_RTOL, derivative=True)
-    return sums[2].real, sums[3].real
-
-
 def mixing_terms(
     packet: GaussianPacket,
     coeffs: CoefficientSet,
@@ -441,8 +432,8 @@ def mixing_terms(
     # the signed grid: at k0z = 0 the cancellation is computed, not assumed
     rule = axial_grid(packet, _axial_sums(packet, coeffs, field, times, kz_rtol)[0])
     j = {
-        block.interband: _sum_lines(block.freq, block.amps[1:], times)[0].real
-        for block in _line_blocks(packet, coeffs, field, *rule, "all", (0.0, 0.0, 1.0))
+        block.interband: _sum_lines(block.freq, block.amps, times)[0].real
+        for block in _line_blocks(packet, coeffs, field, *rule, "all", (1,), (0.0, 0.0, 1.0))
     }
     cross = 0.5 * np.conj(packet.a2) * packet.a1 * (j[False] + j[True])
     return MixingSeries(
@@ -529,7 +520,7 @@ def analytic_signal(
     analyses can sample far more sparsely than the carrier would require.
     """
     times = np.asarray(times, dtype=float)
-    return _axial_sums(packet, coeffs, field, times, kz_rtol, parts, slice(1, 2))[1][0]
+    return _axial_sums(packet, coeffs, field, times, kz_rtol, parts, (1,))[1][0]
 
 
 @dataclass(frozen=True)

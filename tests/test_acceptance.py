@@ -317,14 +317,15 @@ def test_criterion_7_velocity_consistency(relativistic_pair, trap_pair):
     data = relativistic_pair
     h = 1e-3
     samples = np.linspace(0.5, 199.0, 40)
-    stencil = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * h)
-    offsets = np.array([-2.0, -1.0, 1.0, 2.0]) * h
+    # offset 0 is each sample itself, where the same call reads vx, vy
+    stencil = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * h)
+    offsets = np.array([-2.0, -1.0, 0.0, 1.0, 2.0]) * h
     grid = np.concatenate([[0.0], (samples[:, None] + offsets[None, :]).ravel()])
     traj = dynamics.trajectory_3p1(data["packet"], data["coeffs"], data["field"], grid)
-    vx, vy = dynamics.velocities(data["packet"], data["coeffs"], data["field"], samples)
+    x, y, vx, vy = (series[1:].reshape(-1, 5) for series in (traj.x, traj.y, traj.vx, traj.vy))
     fd_dev = max(
-        float(np.max(np.abs(traj.x[1:].reshape(-1, 4) @ stencil - vx))),
-        float(np.max(np.abs(traj.y[1:].reshape(-1, 4) @ stencil - vy))),
+        float(np.max(np.abs(x @ stencil - vx[:, 2]))),
+        float(np.max(np.abs(y @ stencil - vy[:, 2]))),
     )
 
     speed = max(

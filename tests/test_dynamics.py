@@ -127,6 +127,30 @@ def test_folded_rule_matches_signed_rule(critical_field, axial_pair_3p1):
             assert np.max(np.abs(out - ref) / peak) < 1e-13
 
 
+def test_line_blocks_build_only_the_requested_channels(critical_field, packet_3p1, coeffs_3p1,
+                                                       axial_pair_3p1, mixed_packet_3p1,
+                                                       mixed_coeffs_3p1):
+    # x alone, y alone and both in either order are the matching rows of the
+    # full table bit for bit, at the same frequencies and levels
+    cases = [(packet_3p1, coeffs_3p1, None), (*axial_pair_3p1, None),
+             (mixed_packet_3p1, mixed_coeffs_3p1, None),
+             (mixed_packet_3p1, mixed_coeffs_3p1, (0.0, 0.0, 1.0))]
+    for pkt, coeffs, sources in cases:
+        rule = axial_grid(pkt, 64)
+        for parts in dynamics.PARTS:
+            full = list(dynamics._line_blocks(pkt, coeffs, critical_field, *rule, parts,
+                                              (0, 1), sources))
+            assert len(full) == (2 if parts == "all" else 1)
+            for channels in ((0,), (1,), (0, 1), (1, 0)):
+                blocks = dynamics._line_blocks(pkt, coeffs, critical_field, *rule, parts,
+                                               channels, sources)
+                for ref, block in zip(full, blocks, strict=True):
+                    assert block.interband == ref.interband
+                    assert np.array_equal(block.freq, ref.freq)
+                    assert np.array_equal(block.levels, ref.levels)
+                    assert np.array_equal(block.amps, ref.amps[list(channels)])
+
+
 def test_fold_is_identity_with_axial_momentum(mixed_packet_3p1):
     rule = axial_grid(mixed_packet_3p1, 256)
     assert dynamics._fold(mixed_packet_3p1, rule) is rule
@@ -175,8 +199,8 @@ def test_accepted_axial_rungs_are_unchanged():
             warnings.simplefilter("ignore")
             field, _, pkt, num, _ = cli._build_everything(cfg)
         cases.append((name, pkt, field, cli.resolve_times(cfg),
-                      cli._section(cfg, "output")["parts"], num["kz_rtol"], slice(0, 2)))
-    cases += [(*signal, slice(1, 2)) for signal in _envelope_signals()]
+                      cli._section(cfg, "output")["parts"], num["kz_rtol"], (0, 1)))
+    cases += [(*signal, (1,)) for signal in _envelope_signals()]
     found = {}
     for label, pkt, field, times, parts, rtol, channels in cases:
         coeffs = coefficient_matrix(pkt, field)
@@ -192,10 +216,12 @@ def test_axial_rungs_are_summed_once_on_the_full_grid(critical_field, packet_3p1
     # call per line class with one row per level pair: n_max rows for the
     # second component alone, n_max + 1 once the first component and the
     # spin-mixing rows (k0z != 0) share them.  The accepted sum is the
-    # result, so the summed nodes are the accepted rule's, each once
+    # result, so the summed nodes are the accepted rule's, each once.  A block
+    # holds only the channels its caller reads: y for analytic_signal and the
+    # signed mixing pass, x and y for a trajectory
     times = np.linspace(0.0, 200.0, 401)
     sum_lines, line_blocks = dynamics._sum_lines, dynamics._line_blocks
-    seen, nodes = [], []
+    seen, nodes, channels = [], [], []
 
     def counting(freq, amps, grid, derivative=False):
         assert np.array_equal(grid, times)
@@ -204,17 +230,21 @@ def test_axial_rungs_are_summed_once_on_the_full_grid(critical_field, packet_3p1
 
     def recording(packet, coeffs, field, kz, *args, **kwargs):
         nodes.append(kz)
-        return line_blocks(packet, coeffs, field, kz, *args, **kwargs)
+        for block in line_blocks(packet, coeffs, field, kz, *args, **kwargs):
+            channels.append(len(block.amps))
+            yield block
 
     monkeypatch.setattr(dynamics, "_sum_lines", counting)
     monkeypatch.setattr(dynamics, "_line_blocks", recording)
     for packet, coeffs, rows in ((packet_3p1, coeffs_3p1, coeffs_3p1.n_max),
                                  (mixed_packet_3p1, mixed_coeffs_3p1, mixed_coeffs_3p1.n_max + 1)):
         ladder = axial_ladder(packet, critical_field, coeffs.n_max + 1, 200.0)
-        for call in (dynamics.analytic_signal, dynamics.trajectory_3p1):
+        for call, n_channels in ((dynamics.analytic_signal, 1), (dynamics.trajectory_3p1, 2)):
             seen.clear()
             nodes.clear()
+            channels.clear()
             call(packet, coeffs, critical_field, times)
+            assert channels == [n_channels] * len(seen)
             rungs = [ladder[0] // 2] + ladder[: len(nodes) - 1]
             sizes = [dynamics._fold(packet, axial_grid(packet, points))[0].size
                      for points in rungs]
@@ -222,6 +252,10 @@ def test_axial_rungs_are_summed_once_on_the_full_grid(critical_field, packet_3p1
             assert seen == [(rows, count) for count in per_rung for _ in range(2)]
             accepted = dynamics._fold(packet, axial_grid(packet, rungs[-1]))[0]
             assert np.array_equal(np.sort(np.concatenate(nodes)), accepted)
+    # the mixing walk certifies x and y, then its signed pass sums y alone
+    channels.clear()
+    dynamics.mixing_terms(mixed_packet_3p1, mixed_coeffs_3p1, critical_field, times)
+    assert channels[-2:] == [1, 1] and set(channels[:-2]) == {2}
 
 
 def test_trajectory_checks_its_grid_before_any_axial_sum(critical_field, packet_3p1,
@@ -236,23 +270,21 @@ def test_trajectory_checks_its_grid_before_any_axial_sum(critical_field, packet_
 
 def test_velocity_below_light_speed(critical_field, packet_2p1, coeffs_2p1):
     times = np.linspace(0.0, 60.0, 601)
-    vx, vy = dynamics.velocities(packet_2p1, coeffs_2p1, critical_field, times)
-    assert np.max(np.hypot(vx, vy)) <= 1.0 + 1e-9
+    traj = dynamics.trajectory_2p1(packet_2p1, coeffs_2p1, critical_field, times)
+    assert np.max(np.hypot(traj.vx, traj.vy)) <= 1.0 + 1e-9
 
 
 def test_velocities_match_finite_differences(critical_field, packet_2p1, coeffs_2p1):
     h = 1e-3
     samples = np.linspace(0.5, 30.0, 40)
-    vx, vy = dynamics.velocities(packet_2p1, coeffs_2p1, critical_field, samples)
-    # fourth-order central stencil on the positions
-    stencil = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * h)
-    offsets = np.array([-2.0, -1.0, 1.0, 2.0]) * h
+    # fourth-order central stencil on the positions; offset 0 reads the velocity
+    stencil = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * h)
+    offsets = np.array([-2.0, -1.0, 0.0, 1.0, 2.0]) * h
     grid = np.concatenate([[0.0], (samples[:, None] + offsets[None, :]).ravel()])
     traj = dynamics.trajectory_2p1(packet_2p1, coeffs_2p1, critical_field, grid)
-    x = traj.x[1:].reshape(-1, 4)
-    y = traj.y[1:].reshape(-1, 4)
-    assert np.max(np.abs(x @ stencil - vx)) < 1e-6
-    assert np.max(np.abs(y @ stencil - vy)) < 1e-6
+    x, y, vx, vy = (series[1:].reshape(-1, 5) for series in (traj.x, traj.y, traj.vx, traj.vy))
+    assert np.max(np.abs(x @ stencil - vx[:, 2])) < 1e-6
+    assert np.max(np.abs(y @ stencil - vy[:, 2])) < 1e-6
 
 
 def test_low_field_circle(tmp_path):
