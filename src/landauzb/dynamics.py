@@ -298,7 +298,8 @@ def _fold(
     """The k_z >= 0 half of a k0z = 0 grid, each mirror weight added in; else the grid.
 
     The grid h (j - K/2), j < K, holds node -m h and node m h (m < K/2) as
-    exact float negatives with equal weights, and the unpaired edge -K/2 h.
+    exact float negatives with equal weights, and the unpaired edge -K/2 h,
+    whose weight (density e^{-72}) lies past `packet.AXIAL_CUT` and is 0.
     Every line but the spin-mixing rows (skipped at k0z = 0) is even in k_z,
     so h [0, 1, ..., K/2] with weights [w_0, 2 w_1, ..., 2 w_{K/2-1}, w_edge]
     sums the same lines on K/2 + 1 nodes.  Its even-index nodes with doubled
@@ -328,9 +329,10 @@ def _axial_sums(
     The 3+1 rungs K of `axial_ladder` are folded (`_fold`) and nested: the
     even-index nodes of K carry the rule of K/2 at half weight, so K costs
     only its odd-index nodes, S_K = S_{K/2} / 2 + S_odd, starting from
-    S_{ladder[0]/2}.  The first K with |S_K - S_{K/2}| <= rtol of
-    max(|y - y[0]|, |x|), on every sample of the position channels, is kept;
-    `channels` is (0, 1) or (1,), y last.
+    S_{ladder[0]/2}; nodes of weight 0 (past `packet.AXIAL_CUT`) are skipped.
+    The first K with |S_K - S_{K/2}| <= rtol of max(|y - y[0]|, |x|), on
+    every sample of the position channels, is kept; `channels` is (0, 1) or
+    (1,), y last.
     """
     if parts not in PARTS:
         raise ValueError(f"parts must be one of {PARTS}, not {parts!r}")
@@ -340,8 +342,9 @@ def _axial_sums(
     ladder = axial_ladder(packet, field, coeffs.n_max + 1, float(np.max(np.abs(times))))
 
     def rung_sum(points, nodes=slice(None)):
-        kz, weights = _fold(packet, axial_grid(packet, points))
-        return _series(packet, coeffs, field, times, (kz[nodes], weights[nodes]), parts,
+        kz, weights = (v[nodes] for v in _fold(packet, axial_grid(packet, points)))
+        kept = weights != 0.0
+        return _series(packet, coeffs, field, times, (kz[kept], weights[kept]), parts,
                        channels, derivative)
 
     coarse = rung_sum(ladder[0] // 2)
@@ -430,10 +433,12 @@ def mixing_terms(
         zero = np.zeros(times.size)
         return MixingSeries(times, zero, zero.copy(), zero * 0j, zero * 0j)
     # the signed grid: at k0z = 0 the cancellation is computed, not assumed
-    rule = axial_grid(packet, _axial_sums(packet, coeffs, field, times, kz_rtol)[0])
+    kz, weights = axial_grid(packet, _axial_sums(packet, coeffs, field, times, kz_rtol)[0])
+    kept = weights != 0.0
     j = {
         block.interband: _sum_lines(block.freq, block.amps, times)[0].real
-        for block in _line_blocks(packet, coeffs, field, *rule, "all", (1,), (0.0, 0.0, 1.0))
+        for block in _line_blocks(packet, coeffs, field, kz[kept], weights[kept], "all", (1,),
+                                  (0.0, 0.0, 1.0))
     }
     cross = 0.5 * np.conj(packet.a2) * packet.a1 * (j[False] + j[True])
     return MixingSeries(

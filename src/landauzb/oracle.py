@@ -24,7 +24,8 @@ state: U_b = phi P+ + conj(phi) P- gives U_b^+ U_b = |phi|^2 I up to the
 square residual, so they bound |phi| from the whole anchor and offset
 tables and the largest |E delta|, and add that residual.  The series'
 closed forms stay untouched: only the level amplitude F_n and the node
-choices of `packet.kx_rule` and `packet.axial_ladder` are shared.
+choices of `packet.kx_rule`, `packet.axial_ladder` and `packet.axial_grid`
+(which weighs nodes past `packet.AXIAL_CUT` 0, skipped here) are shared.
 
 Basis index: sigma * (N+1) + m for spinor row sigma in 0..3, level m.
 """
@@ -273,7 +274,7 @@ def evolve_expectations(
     # k0z = 0 and S1 = 0: E_b and the axial density are both even in k_z, so the
     # k-odd trace terms cancel between +-k_z.  Sum the even part on the nodes
     # |j| h with the mirror weights of both rules added; an even rule's unpaired
-    # edge -K/2 h (density e^{-72}) lands on +K/2 h.
+    # edge -K/2 h (weight 0, past packet.AXIAL_CUT) lands on +K/2 h.
     if pkt.dimensionality == "3+1" and pkt.k0z == 0.0 and not np.any(e_sq[1]):
         bucket = np.abs(np.arange(kz_nodes.size) - kz_nodes.size // 2)
         folded, nodes = np.zeros((2, bucket.max() + 1)), np.zeros(bucket.max() + 1)
@@ -282,6 +283,8 @@ def evolve_expectations(
         kz_nodes, weights = nodes, folded
         for _, _, tr in ops:
             tr[0, 2] = tr[2, 0] = tr[1, 2] = tr[2, 1] = 0.0
+    kept = np.any(weights != 0.0, axis=0)       # a node either rule weighs
+    kz_nodes, weights = kz_nodes[kept], weights[:, kept]
 
     # [<A(t)>, <v_x + i v_y>(t)] x [full rule, half-grid partner] x [sum, delta
     # coefficient] x anchor x [Re, Im] x offset; <A^+> = conj

@@ -215,10 +215,12 @@ def test_axial_rungs_are_summed_once_on_the_full_grid(critical_field, packet_3p1
     # each rung on its new odd-index nodes, every sample each time, in one
     # call per line class with one row per level pair: n_max rows for the
     # second component alone, n_max + 1 once the first component and the
-    # spin-mixing rows (k0z != 0) share them.  The accepted sum is the
-    # result, so the summed nodes are the accepted rule's, each once.  A block
-    # holds only the channels its caller reads: y for analytic_signal and the
-    # signed mixing pass, x and y for a trajectory
+    # spin-mixing rows (k0z != 0) share them.  Nodes of weight 0 (past
+    # packet.AXIAL_CUT) are never summed, so a rung costs its nonzero-weight
+    # nodes only.  The accepted sum is the result, so the summed nodes are the
+    # accepted rule's nonzero-weight nodes, each once.  A block holds only the
+    # channels its caller reads: y for analytic_signal and the signed mixing
+    # pass, x and y for a trajectory
     times = np.linspace(0.0, 200.0, 401)
     sum_lines, line_blocks = dynamics._sum_lines, dynamics._line_blocks
     seen, nodes, channels = [], [], []
@@ -228,11 +230,16 @@ def test_axial_rungs_are_summed_once_on_the_full_grid(critical_field, packet_3p1
         seen.append(freq.shape)
         return sum_lines(freq, amps, grid, derivative)
 
-    def recording(packet, coeffs, field, kz, *args, **kwargs):
+    def recording(packet, coeffs, field, kz, weights, *args, **kwargs):
+        assert kz.size == weights.size and np.all(weights != 0.0), "a zero-weight node is summed"
         nodes.append(kz)
-        for block in line_blocks(packet, coeffs, field, kz, *args, **kwargs):
+        for block in line_blocks(packet, coeffs, field, kz, weights, *args, **kwargs):
             channels.append(len(block.amps))
             yield block
+
+    def weighed(points, index=slice(None)):
+        kz, weights = dynamics._fold(packet, axial_grid(packet, points))
+        return kz[index][weights[index] != 0.0]
 
     monkeypatch.setattr(dynamics, "_sum_lines", counting)
     monkeypatch.setattr(dynamics, "_line_blocks", recording)
@@ -246,16 +253,20 @@ def test_axial_rungs_are_summed_once_on_the_full_grid(critical_field, packet_3p1
             call(packet, coeffs, critical_field, times)
             assert channels == [n_channels] * len(seen)
             rungs = [ladder[0] // 2] + ladder[: len(nodes) - 1]
-            sizes = [dynamics._fold(packet, axial_grid(packet, points))[0].size
-                     for points in rungs]
-            per_rung = sizes[:1] + [size // 2 for size in sizes[1:]]
+            per_rung = [weighed(rungs[0]).size]
+            per_rung += [weighed(points, slice(1, None, 2)).size for points in rungs[1:]]
             assert seen == [(rows, count) for count in per_rung for _ in range(2)]
             accepted = dynamics._fold(packet, axial_grid(packet, rungs[-1]))[0]
-            assert np.array_equal(np.sort(np.concatenate(nodes)), accepted)
-    # the mixing walk certifies x and y, then its signed pass sums y alone
+            assert np.array_equal(np.sort(np.concatenate(nodes)), weighed(rungs[-1]))
+            assert weighed(rungs[-1]).size < accepted.size
+    # the mixing walk certifies x and y, as the trajectory did, then its signed
+    # pass sums y alone on that rung's nonzero-weight nodes
     channels.clear()
+    nodes.clear()
     dynamics.mixing_terms(mixed_packet_3p1, mixed_coeffs_3p1, critical_field, times)
     assert channels[-2:] == [1, 1] and set(channels[:-2]) == {2}
+    kz, weights = axial_grid(mixed_packet_3p1, rungs[-1])
+    assert np.array_equal(nodes[-1], kz[weights != 0.0])
 
 
 def test_trajectory_checks_its_grid_before_any_axial_sum(critical_field, packet_3p1,

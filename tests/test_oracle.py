@@ -461,22 +461,27 @@ def test_phases_cost_anchors_plus_offsets(matched_field, monkeypatch):
     # per k_z node each block takes e^{-iEJh} and e^{-iEh}, plus e^{-iE t_0} off
     # t = 0, and its anchor and offset phases follow by repeated products: a
     # silent fallback to one exp per anchor or per offset, or per sample (a
-    # split tolerance too tight, say), or per eigenvalue fails.  A k0z = 0
-    # packet runs K//2 + 1 folded nodes, so a fold that falls back to the K
-    # signed nodes fails too.  A geometric grid takes one exp per sample
+    # split tolerance too tight, say), or per eigenvalue fails.  Only nodes of
+    # nonzero weight run: 13 of the 16 signed nodes, and for a k0z = 0 packet
+    # 7 of the K//2 + 1 folded ones, so a loop over zero-weight nodes fails, and
+    # so does a fold that falls back to the signed nodes.  A geometric grid
+    # takes one exp per sample
     kz_order, n_levels = 16, 10
     uniform = PHASE_GRIDS["step-0.1"]
     assert np.any(oracle._split_times(uniform)[2])
     signed = phase_test_packet("3+1")
     folded = dataclasses.replace(signed, k0z=0.0)
     real_exp = np.exp
-    nodes = packet_mod.axial_grid(signed, kz_order)[0]
+    nodes, weights = packet_mod.axial_grid(signed, kz_order)
+    kept = (np.arange(kz_order) - kz_order // 2)[weights != 0.0]     # j - K/2
+    kept_counts = [(signed, kept.size), (folded, np.unique(np.abs(kept)).size)]
+    assert [count for _, count in kept_counts] == [13, 7]
     edge = oracle.build(n_levels, matched_field, k_z=nodes[np.argmax(np.abs(nodes))])
     blocks = len(oracle._components(edge.matrix != 0))
     geometric = PHASE_GRIDS["geometric"]
     # one phase per block, not per eigenvalue: e^{+iEt} is the conjugate of e^{-iEt}
     for times, per_block in ((uniform, 2), (uniform + 5.0, 3), (geometric, geometric.size)):
-        for pkt, node_count in ((signed, kz_order), (folded, kz_order // 2 + 1)):
+        for pkt, node_count in kept_counts:
             counted = []
 
             def counting_exp(x, *args, **kwargs):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from landauzb import FieldConfig, cli, packet
+from landauzb import FieldConfig, cli, dynamics, packet
 from landauzb.hermite import CapacityError, gauss_hermite
 from landauzb.packet import (
     MAX_GRID_NODES,
@@ -95,6 +95,37 @@ def test_axial_grid_nests_under_doubling(mixed_packet_3p1):
         kz_half, w_half = axial_grid(mixed_packet_3p1, points)
         assert np.allclose(kz[::2], kz_half, rtol=0.0, atol=1e-14)
         assert np.allclose(2.0 * w[::2], w_half, rtol=1e-13, atol=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d_z=st.floats(min_value=math.log(1e-2), max_value=math.log(1e5)).map(math.exp),
+    k0z=st.one_of(st.just(0.0), st.floats(min_value=-0.9, max_value=0.9)),
+    log_points=st.integers(min_value=2, max_value=16),
+)
+def test_axial_grid_floor_property(d_z, k0z, log_points):
+    # the weight floor zeroes exactly the nodes with d_z^2 (k - k0z)^2 past
+    # ln(1024/eps); left unzeroed they would carry at most 1e-19 of the mass.
+    # Zeroing keeps the even-index half bit for bit the rule of half the size,
+    # and a k0z = 0 grid mirror-symmetric, so its fold is the mirror sum
+    points = 1 << log_points
+    pkt = GaussianPacket(d_x=1.0, d_y=1.0, d_z=d_z, k0z=k0z, dimensionality="3+1")
+    kz, w = axial_grid(pkt, points)
+    exponent = d_z**2 * (kz - k0z) ** 2
+    assert np.array_equal(w == 0.0, exponent > math.log(1024.0 / np.finfo(float).eps))
+    assert np.all(w >= 0.0) and np.count_nonzero(w) > points // 2
+    step = 17.0 / (d_z * points)
+    unzeroed = d_z / math.sqrt(math.pi) * np.exp(-exponent) * step
+    assert np.sum(unzeroed[w == 0.0]) <= 1e-19 * np.sum(unzeroed)
+    kz_half, w_half = axial_grid(pkt, points // 2)
+    assert np.array_equal(kz[::2], kz_half) and np.array_equal(2.0 * w[::2], w_half)
+    if k0z == 0.0:
+        centre = points // 2
+        assert np.array_equal(w[centre + 1 :], w[centre - 1 : 0 : -1]) and w[0] == 0.0
+        nodes, folded = dynamics._fold(pkt, (kz, w))
+        assert np.array_equal(nodes, -kz[centre::-1])
+        assert np.array_equal(folded[1:-1], 2.0 * w[centre + 1 :])
+        assert folded[0] == w[centre] and folded[-1] == 0.0
 
 
 def test_axial_ladder_doubles_to_the_cap(critical_field, packet_3p1):
