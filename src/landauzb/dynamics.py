@@ -22,11 +22,9 @@ Axial rule: the energies depend on k_z only through k_z^2, so for a packet
 with k0z = 0 every cyclotron and trembling line is even in k_z and the
 spin-mixing rows are odd.  The mixing rows then cancel and are not summed,
 and the signed k_z grid folds onto its k_z >= 0 half (`_fold`): K/2 + 1
-nodes for K.  `_axial_sums` walks the nested ladder of `packet.axial_ladder`
-on the full time grid, summing only each rung's new odd-index nodes, and
-certifies a rung against its even-index half on every sample, as the oracle
-does.  `mixing_terms` alone keeps the signed grid, so the k0z = 0
-cancellation stays a computed one.
+nodes for K.  `_axial_sums` sums the rule certified by the aliasing bound of
+`packet.axial_nodes`, each node once and nested over its half.  `mixing_terms`
+alone keeps the signed grid, so the k0z = 0 cancellation stays a computed one.
 
 Natural units: lengths in Compton wavelengths, times in Compton times,
 velocities in c.  Positions are reported relative to the t = 0 centre, so
@@ -45,21 +43,14 @@ import numpy as np
 
 from .landau import landau_energies
 # MAX_GRID_NODES and QuadratureConvergenceError stay importable from here
-from .packet import (
-    MAX_GRID_NODES,
-    CoefficientSet,
-    DimensionalityError,
-    GaussianPacket,
-    QuadratureConvergenceError,
-    axial_grid,
-    axial_ladder,
-)
+from .packet import (AXIAL_FLOOR, MAX_GRID_NODES, CoefficientSet, DimensionalityError,
+                     GaussianPacket, QuadratureConvergenceError, axial_grid, axial_nodes)
 from .units import FieldConfig
 
 PREF = 1.0 / (2.0 * math.sqrt(2.0))
 TILE_ELEMENTS = 1 << 18       # stacked amplitudes and phases held at once by the line evaluator
 PARTS = ("all", "intraband", "interband")
-DEFAULT_KZ_RTOL = 1e-9        # axial-rule doubling tolerance, relative to the signal peak
+DEFAULT_KZ_RTOL = 1e-9        # aliasing-bound target of the k_z rule, relative to the signal peak
 
 
 @dataclass(frozen=True)
@@ -284,12 +275,13 @@ def _series(
     parts: str = "all",
     channels: tuple[int, ...] = (0, 1),
     derivative: bool = False,
-) -> np.ndarray:
-    """Complex line sums of `channels` (0 is x, 1 is y) over every block, then derivatives."""
-    out = np.zeros((len(channels) * (2 if derivative else 1), times.size), dtype=complex)
+) -> tuple[np.ndarray, float]:
+    """(Complex line sums of `channels` (0 is x, 1 is y), then derivatives; sum of |amps|)."""
+    out, mass = 0.0, 0.0
     for block in _line_blocks(packet, coeffs, field, *rule, parts, channels):
-        out += _sum_lines(block.freq, block.amps, times, derivative)
-    return out
+        out = out + _sum_lines(block.freq, block.amps, times, derivative)
+        mass += float(np.sum(np.abs(block.amps)))
+    return out, mass
 
 
 def _fold(
@@ -326,37 +318,37 @@ def _axial_sums(
 ) -> tuple[int, np.ndarray]:
     """(K, `_series` sums on the axial rule of K nodes); K = 1, k_z = 0, for 2+1.
 
-    The 3+1 rungs K of `axial_ladder` are folded (`_fold`) and nested: the
-    even-index nodes of K carry the rule of K/2 at half weight, so K costs
-    only its odd-index nodes, S_K = S_{K/2} / 2 + S_odd, starting from
-    S_{ladder[0]/2}; nodes of weight 0 (past `packet.AXIAL_CUT`) are skipped.
-    The first K with |S_K - S_{K/2}| <= rtol of max(|y - y[0]|, |x|), on
-    every sample of the position channels, is kept; `channels` is (0, 1) or
-    (1,), y last.
-    """
+    K is the rule of `packet.axial_nodes` for an error of rtol times the amplitude
+    mass A, folded (`_fold`) and summed once over its nonzero-weight nodes, nested:
+    S_K = S_{K/2} / 2 + S_odd.  K doubles the same way while the bound, checked on
+    rtol times the scale max(|y - y[0]|, |x|) of the position channels (0, 1) or
+    (1,), needs more.  If it covers K/2 too, or the target lies below the rounding
+    eps A, |S_K - S_{K/2}| > rtol raises QuadratureConvergenceError at once."""
     if parts not in PARTS:
         raise ValueError(f"parts must be one of {PARTS}, not {parts!r}")
     if packet.dimensionality == "2+1":
         rule = np.zeros(1), np.ones(1)
-        return 1, _series(packet, coeffs, field, times, rule, parts, channels, derivative)
-    ladder = axial_ladder(packet, field, coeffs.n_max + 1, float(np.max(np.abs(times))))
+        return 1, _series(packet, coeffs, field, times, rule, parts, channels, derivative)[0]
 
-    def rung_sum(points, nodes=slice(None)):
-        kz, weights = (v[nodes] for v in _fold(packet, axial_grid(packet, points)))
+    def rung_sum(points, index=slice(None)):
+        kz, weights = (v[index] for v in _fold(packet, axial_grid(packet, points)))
         kept = weights != 0.0
         return _series(packet, coeffs, field, times, (kz[kept], weights[kept]), parts,
                        channels, derivative)
 
-    coarse = rung_sum(ladder[0] // 2)
-    for points in ladder:
-        fine = 0.5 * coarse + rung_sum(points, slice(1, None, 2))
+    needed = max(AXIAL_FLOOR, axial_nodes(packet, field, times, 1.0 / rtol))
+    points = needed // 2
+    fine, mass = rung_sum(points)
+    while points < needed:
+        odd, odd_mass = rung_sum(2 * points, slice(1, None, 2))
+        points, coarse, fine, mass = 2 * points, fine, 0.5 * fine + odd, 0.5 * mass + odd_mass
         pos = fine[: len(channels)].real       # (x, y) or (y,)
         scale = max(np.max(np.abs(pos[-1] - pos[-1, 0])), np.max(np.abs(pos[:-1]), initial=1e-300))
-        achieved = float(np.max(np.abs(pos - coarse[: len(channels)].real)) / scale)
-        if achieved <= rtol:
-            return points, fine
-        coarse = fine
-    raise QuadratureConvergenceError(achieved, rtol)
+        needed = axial_nodes(packet, field, times, mass / (rtol * scale))
+    achieved = float(np.max(np.abs(pos - coarse[: len(channels)].real)) / scale)
+    if achieved > rtol and (2 * needed <= points or mass * np.finfo(float).eps > rtol * scale):
+        raise QuadratureConvergenceError(achieved, rtol)
+    return points, fine
 
 
 def _trajectory(packet, coeffs, field, times, parts, kz_rtol) -> Trajectory:
@@ -423,17 +415,17 @@ def mixing_terms(
     """Spin-mixing integral series; identically zero for 2+1 and for k0z = 0.
 
     The integrand is odd in the axial wavenumber, so a symmetric density
-    kills it; only 3+1 packets with axial momentum produce cross terms.  It
-    sums the mixing rows alone on the signed grid of the K that
-    trajectory_3p1 certifies for the same window (x and y on every sample,
-    against the rule's even-index half).
+    kills it; only 3+1 packets with axial momentum produce cross terms.  The
+    mixing rows alone are summed once, on the signed grid `packet.axial_nodes`
+    gives for kz_rtol times their amplitude mass (their k0z = 0 sum is rounding).
     """
     times = np.asarray(times, dtype=float)
     if packet.dimensionality == "2+1":
         zero = np.zeros(times.size)
         return MixingSeries(times, zero, zero.copy(), zero * 0j, zero * 0j)
     # the signed grid: at k0z = 0 the cancellation is computed, not assumed
-    kz, weights = axial_grid(packet, _axial_sums(packet, coeffs, field, times, kz_rtol)[0])
+    points = max(AXIAL_FLOOR, axial_nodes(packet, field, times, 1.0 / kz_rtol))
+    kz, weights = axial_grid(packet, points)
     kept = weights != 0.0
     j = {
         block.interband: _sum_lines(block.freq, block.amps, times)[0].real
@@ -441,13 +433,7 @@ def mixing_terms(
                                   (0.0, 0.0, 1.0))
     }
     cross = 0.5 * np.conj(packet.a2) * packet.a1 * (j[False] + j[True])
-    return MixingSeries(
-        times=times,
-        j_plus=j[False],
-        j_minus=j[True],
-        lowering_cross=cross,
-        raising_cross=np.conj(cross),
-    )
+    return MixingSeries(times, j[False], j[True], cross, np.conj(cross))
 
 
 def subpackets(
@@ -470,7 +456,7 @@ def subpackets(
     if abs(packet.a2) != 1.0:
         raise ValueError("subpackets need a pure second-component packet")
     times = np.asarray(times, dtype=float)
-    x, y = _series(packet, coeffs, field, times, (np.zeros(1), np.ones(1)))
+    (x, y), _ = _series(packet, coeffs, field, times, (np.zeros(1), np.ones(1)))
     lowering_1 = (PREF / field.magnetic_length) * (y + 1j * x)
     raising_2 = (PREF / field.magnetic_length) * (y - 1j * x)
     return SubPacketSeries(

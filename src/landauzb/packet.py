@@ -48,25 +48,16 @@ class DimensionalityError(ValueError):
 
 
 class QuadratureConvergenceError(RuntimeError):
-    """Axial-momentum quadrature failed its doubling test, or cannot run it."""
+    """Axial-momentum quadrature misses its target, or needs more nodes than the cap."""
 
-    def __init__(
-        self,
-        achieved: float = math.inf,
-        target: float | None = None,
-        nodes_needed: int | None = None,
-    ):
+    def __init__(self, achieved: float = math.inf, target: float | None = None,
+                 nodes_needed: int | None = None):
         if nodes_needed is None:
-            message = (
-                f"axial quadrature changed by {achieved:.3e} relative on doubling "
-                f"(target {target:.3e}); refine manually or shorten the window"
-            )
+            message = (f"axial quadrature changed by {achieved:.3e} relative on doubling "
+                       f"(target {target:.3e}); refine manually or shorten the window")
         else:
-            message = (
-                f"axial quadrature for this window needs {nodes_needed} k_z nodes "
-                f"for its doubling test, above the cap of {MAX_GRID_NODES} (2^16) "
-                "nodes; shorten the window"
-            )
+            message = (f"axial quadrature for this window needs {nodes_needed} k_z nodes, "
+                       f"above the cap of {MAX_GRID_NODES} (2^16) nodes; shorten the window")
         super().__init__(message)
         self.achieved = achieved
         self.target = target
@@ -320,7 +311,7 @@ def axial_grid(packet: GaussianPacket, points: int) -> tuple[np.ndarray, np.ndar
 def axial_ladder(
     packet: GaussianPacket, field: FieldConfig, n_top: int, t_max: float
 ) -> list[int]:
-    """Trapezoid k_z node counts to try, coarsest first, for |t| <= t_max.
+    """The oracle's trapezoid k_z node counts, coarsest first, for |t| <= t_max.
 
     The first rung resolves the largest interband phase swing, over levels
     0..n_top, between the centre and the edge of the axial density; each
@@ -337,6 +328,29 @@ def axial_ladder(
     if 2 * first > MAX_GRID_NODES:
         raise QuadratureConvergenceError(nodes_needed=2 * first)
     return [first << i for i in range((MAX_GRID_NODES // first).bit_length())]
+
+
+def axial_nodes(packet: GaussianPacket, field: FieldConfig, times, ratio: float) -> int:
+    """Fewest k_z nodes K, a power of two, whose rule aliases under 1/ratio of |amplitudes|.
+
+    The rule of spacing h = 17/(d_z K) (`axial_grid`) adds copies shifted by 2 pi m/h
+    (Poisson summation; Trefethen & Weideman, SIAM Rev. 56:385, 2014).  Moved to
+    Im k_z = y within the strip |y| < 1 (E_0 branches at +-i), a copy of lines of
+    amplitude mass A is at most A e^{d_z^2 y^2 - (2 pi/h - v t) y}: t = max |times|, and
+    v = k (1/E_0 + 1/E_1) is the largest line slope, at the weighed nodes' edge
+    k = |k0z| + sqrt(AXIAL_CUT)/d_z.  With c = 2 sqrt(ln ratio), y = c/(2 d_z) gives
+    A/ratio once 2 pi/h - v t >= c d_z; if c > 2 d_z, y = 1 needs c^2/4 + d_z^2.
+    Callers raise K to AXIAL_FLOOR; K > MAX_GRID_NODES raises QuadratureConvergenceError.
+    """
+    d_z, edge = packet.d_z, abs(packet.k0z) + math.sqrt(AXIAL_CUT) / packet.d_z
+    slope = edge * np.sum(1.0 / landau_energies(1, edge, field))
+    c = 2.0 * math.sqrt(math.log(max(ratio, 1.0)))
+    tail = c * d_z if c <= 2.0 * d_z else c * c / 4.0 + d_z * d_z
+    bound = AXIAL_HALF_WIDTH / (math.pi * d_z) * (slope * float(np.max(np.abs(times))) + tail)
+    nodes = 1 << (math.ceil(min(bound, 2.0**62)) - 1).bit_length()   # ratio may be inf
+    if nodes > MAX_GRID_NODES:
+        raise QuadratureConvergenceError(nodes_needed=nodes)
+    return nodes
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ import pytest
 
 from landauzb import FieldConfig, GaussianPacket
 from landauzb import cli, dynamics, oracle
-from landauzb.packet import DimensionalityError, axial_grid, axial_ladder, coefficient_matrix
+from landauzb.packet import DimensionalityError, axial_grid, axial_nodes, coefficient_matrix
 from landauzb.units import COMPTON_LENGTH
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -119,10 +119,10 @@ def test_folded_rule_matches_signed_rule(critical_field, axial_pair_3p1):
     assert folded[0].size == 129 and np.all(folded[0] >= 0.0)
     for parts in dynamics.PARTS:
         for derivative in (False, True):
-            ref = dynamics._series(pkt, coeffs, critical_field, times, signed, parts,
-                                   derivative=derivative)
-            out = dynamics._series(pkt, coeffs, critical_field, times, folded, parts,
-                                   derivative=derivative)
+            ref, _ = dynamics._series(pkt, coeffs, critical_field, times, signed, parts,
+                                      derivative=derivative)
+            out, _ = dynamics._series(pkt, coeffs, critical_field, times, folded, parts,
+                                      derivative=derivative)
             peak = np.max(np.abs(ref), axis=1, keepdims=True)
             assert np.max(np.abs(out - ref) / peak) < 1e-13
 
@@ -183,15 +183,9 @@ def _envelope_signals():
     ]
 
 
-def test_accepted_axial_rungs_are_unchanged():
-    # the accepted rung before folding, per bundled 3+1 config (the trajectory's
-    # x and y) and envelope signal (analytic_signal's y); relativistic_3p1's
-    # 512-node half rule misses 1e-9 (1.2e-9), so its 1024-node rung is not
-    # certified and the rule climbs to 2048
-    expected = {
-        "relativistic_3p1": 2048, "collapse_revival_3p1": 8192, "mixing_3p1": 256,
-        "lowfield_zb_3p1": 64, "persistence": 8192, "decay": 4096,
-    }
+def _bundled_3p1_cases():
+    """(label, packet, field, times, parts, kz_rtol, channels) of every bundled 3+1
+    config (the trajectory's x and y) and envelope signal (analytic_signal's y)."""
     cases = []
     for name in ("relativistic_3p1", "collapse_revival_3p1", "mixing_3p1", "lowfield_zb_3p1"):
         cfg = cli.load_config(str(CONFIG_DIR / f"{name}.json"))
@@ -200,28 +194,42 @@ def test_accepted_axial_rungs_are_unchanged():
             field, _, pkt, num, _ = cli._build_everything(cfg)
         cases.append((name, pkt, field, cli.resolve_times(cfg),
                       cli._section(cfg, "output")["parts"], num["kz_rtol"], (0, 1)))
-    cases += [(*signal, (1,)) for signal in _envelope_signals()]
+    return cases + [(*signal, (1,)) for signal in _envelope_signals()]
+
+
+def test_accepted_axial_rungs_follow_the_aliasing_bound():
+    # the accepted rule before folding: the smallest rung within kz_rtol of
+    # the converged sum, except mixing_3p1, whose bound (145 nodes) lies past
+    # 128, and lowfield_zb_3p1, raised from 32 to the 64-node floor
+    expected = {
+        "relativistic_3p1": 1024, "collapse_revival_3p1": 4096, "mixing_3p1": 256,
+        "lowfield_zb_3p1": 64, "persistence": 4096, "decay": 4096,
+    }
     found = {}
-    for label, pkt, field, times, parts, rtol, channels in cases:
+    for label, pkt, field, times, parts, rtol, channels in _bundled_3p1_cases():
         coeffs = coefficient_matrix(pkt, field)
         found[label] = dynamics._axial_sums(pkt, coeffs, field, times, rtol, parts, channels)[0]
     assert found == expected
 
 
-def test_axial_rungs_are_summed_once_on_the_full_grid(critical_field, packet_3p1, coeffs_3p1,
-                                                      mixed_packet_3p1, mixed_coeffs_3p1,
-                                                      monkeypatch):
-    # the rule of ladder[0] // 2 nodes (folded at k0z = 0) is summed whole and
-    # each rung on its new odd-index nodes, every sample each time, in one
-    # call per line class with one row per level pair: n_max rows for the
-    # second component alone, n_max + 1 once the first component and the
-    # spin-mixing rows (k0z != 0) share them.  Nodes of weight 0 (past
-    # packet.AXIAL_CUT) are never summed, so a rung costs its nonzero-weight
-    # nodes only.  The accepted sum is the result, so the summed nodes are the
-    # accepted rule's nonzero-weight nodes, each once.  A block holds only the
-    # channels its caller reads: y for analytic_signal and the signed mixing
-    # pass, x and y for a trajectory
-    times = np.linspace(0.0, 200.0, 401)
+def test_accepted_axial_rule_is_within_kz_rtol_of_twice_its_nodes():
+    # the doubling residual, checked here instead of on every call: the
+    # returned position sums lie within kz_rtol of the rule with twice the
+    # nodes, on every sample, relative to the scale the bound is checked on
+    for label, pkt, field, times, parts, rtol, channels in _bundled_3p1_cases():
+        coeffs = coefficient_matrix(pkt, field)
+        points, sums = dynamics._axial_sums(pkt, coeffs, field, times, rtol, parts, channels)
+        kz, weights = dynamics._fold(pkt, axial_grid(pkt, 2 * points))
+        kept = weights != 0.0
+        finer, _ = dynamics._series(pkt, coeffs, field, times, (kz[kept], weights[kept]), parts,
+                                    channels)
+        pos = sums.real
+        scale = max(np.max(np.abs(pos[-1] - pos[-1, 0])), np.max(np.abs(pos[:-1]), initial=0.0))
+        assert np.max(np.abs(pos - finer.real)) <= rtol * scale, label
+
+
+def _recording(monkeypatch, times):
+    """Patch `_sum_lines` and `_line_blocks` to record (sum shapes, nodes, channels)."""
     sum_lines, line_blocks = dynamics._sum_lines, dynamics._line_blocks
     seen, nodes, channels = [], [], []
 
@@ -237,36 +245,128 @@ def test_axial_rungs_are_summed_once_on_the_full_grid(critical_field, packet_3p1
             channels.append(len(block.amps))
             yield block
 
+    monkeypatch.setattr(dynamics, "_sum_lines", counting)
+    monkeypatch.setattr(dynamics, "_line_blocks", recording)
+    return seen, nodes, channels
+
+
+def test_axial_rungs_are_summed_once_on_the_full_grid(critical_field, packet_3p1, coeffs_3p1,
+                                                      mixed_packet_3p1, mixed_coeffs_3p1,
+                                                      monkeypatch):
+    # the accepted rule of K nodes (folded at k0z = 0) is summed once, nested:
+    # its half, the rule of K/2, then its odd-index nodes, every sample each
+    # time, in one call per line class with one row per level pair: n_max rows
+    # for the second component alone, n_max + 1 once the first component and
+    # the spin-mixing rows (k0z != 0) share them.  Nodes of weight 0 (past
+    # packet.AXIAL_CUT) are never summed, and no rule above K is.  A block
+    # holds only the channels its caller reads: y for analytic_signal, x and
+    # y for a trajectory
+    times = np.linspace(0.0, 200.0, 401)
+    rungs = {}
+    for packet, coeffs in ((packet_3p1, coeffs_3p1), (mixed_packet_3p1, mixed_coeffs_3p1)):
+        for channels in ((1,), (0, 1)):
+            rungs[packet, channels] = dynamics._axial_sums(
+                packet, coeffs, critical_field, times, dynamics.DEFAULT_KZ_RTOL, "all", channels)[0]
+    seen, nodes, channels = _recording(monkeypatch, times)
+
     def weighed(points, index=slice(None)):
         kz, weights = dynamics._fold(packet, axial_grid(packet, points))
         return kz[index][weights[index] != 0.0]
 
-    monkeypatch.setattr(dynamics, "_sum_lines", counting)
-    monkeypatch.setattr(dynamics, "_line_blocks", recording)
     for packet, coeffs, rows in ((packet_3p1, coeffs_3p1, coeffs_3p1.n_max),
                                  (mixed_packet_3p1, mixed_coeffs_3p1, mixed_coeffs_3p1.n_max + 1)):
-        ladder = axial_ladder(packet, critical_field, coeffs.n_max + 1, 200.0)
-        for call, n_channels in ((dynamics.analytic_signal, 1), (dynamics.trajectory_3p1, 2)):
+        for call, n_channels in ((dynamics.analytic_signal, (1,)), (dynamics.trajectory_3p1, (0, 1))):
             seen.clear()
             nodes.clear()
             channels.clear()
             call(packet, coeffs, critical_field, times)
-            assert channels == [n_channels] * len(seen)
-            rungs = [ladder[0] // 2] + ladder[: len(nodes) - 1]
-            per_rung = [weighed(rungs[0]).size]
-            per_rung += [weighed(points, slice(1, None, 2)).size for points in rungs[1:]]
-            assert seen == [(rows, count) for count in per_rung for _ in range(2)]
-            accepted = dynamics._fold(packet, axial_grid(packet, rungs[-1]))[0]
-            assert np.array_equal(np.sort(np.concatenate(nodes)), weighed(rungs[-1]))
-            assert weighed(rungs[-1]).size < accepted.size
-    # the mixing walk certifies x and y, as the trajectory did, then its signed
-    # pass sums y alone on that rung's nonzero-weight nodes
-    channels.clear()
-    nodes.clear()
-    dynamics.mixing_terms(mixed_packet_3p1, mixed_coeffs_3p1, critical_field, times)
-    assert channels[-2:] == [1, 1] and set(channels[:-2]) == {2}
-    kz, weights = axial_grid(mixed_packet_3p1, rungs[-1])
-    assert np.array_equal(nodes[-1], kz[weights != 0.0])
+            points = rungs[packet, n_channels]
+            assert points == 1024
+            assert channels == [len(n_channels)] * 4
+            half, odd = weighed(points // 2).size, weighed(points, slice(1, None, 2)).size
+            assert seen == [(rows, half)] * 2 + [(rows, odd)] * 2
+            assert np.array_equal(np.sort(np.concatenate(nodes)), weighed(points))
+            assert weighed(points).size < dynamics._fold(packet, axial_grid(packet, points))[0].size
+
+
+def test_axial_rule_doubles_while_the_returned_scale_needs_more_nodes(monkeypatch):
+    # kappa = 2, d_z = L over 1 t_c: the amplitude mass is 2.06 times the
+    # scale of the returned sums, so the bound checked on that scale asks for
+    # 256 nodes, above the 128 chosen for rtol times the mass.  The rule
+    # doubles, nested, and each node of the 256-node rule is summed once
+    field = FieldConfig.from_kappa(2.0)
+    L = field.magnetic_length
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # k0x beyond the nominal velocity bound
+        pkt = GaussianPacket(d_x=1.5 * L, d_y=1.5 * L, d_z=L, k0x=0.7 / L, k0z=0.3,
+                             dimensionality="3+1", relax_momentum_bound=True)
+    coeffs = coefficient_matrix(pkt, field)
+    times = np.linspace(0.0, 1.0, 41)
+    assert axial_nodes(pkt, field, times, 1e9) == 128
+    _, nodes, _ = _recording(monkeypatch, times)
+    assert dynamics._axial_sums(pkt, coeffs, field, times, 1e-9)[0] == 256
+    kz, weights = axial_grid(pkt, 256)
+    kz, kept = kz[weights != 0.0], np.arange(256)[weights != 0.0]
+    assert [n.size for n in nodes] == [np.sum(kept % 4 == 0), np.sum(kept % 4 == 2),
+                                       np.sum(kept % 2 == 1)]
+    assert np.array_equal(np.sort(np.concatenate(nodes)), kz)
+
+
+def test_mixing_terms_sums_only_the_two_signed_mixing_blocks(monkeypatch):
+    # the mixing rows alone, on the signed grid of the rule the aliasing bound
+    # gives the window (the trajectory's rule for mixing_3p1), one call per
+    # class and y alone; no x/y trajectory sum runs to choose it
+    cfg = cli.load_config(str(CONFIG_DIR / "mixing_3p1.json"))
+    field, _, pkt, num, coeffs = cli._build_everything(cfg)
+    times = cli.resolve_times(cfg)
+    points = dynamics._axial_sums(pkt, coeffs, field, times, num["kz_rtol"])[0]
+    assert points == 256
+    seen, nodes, channels = _recording(monkeypatch, times)
+    dynamics.mixing_terms(pkt, coeffs, field, times, num["kz_rtol"])
+    kz, weights = axial_grid(pkt, points)
+    assert len(nodes) == 1 and np.array_equal(nodes[0], kz[weights != 0.0])
+    assert channels == [1, 1]
+    assert seen == [(coeffs.n_max + 1, nodes[0].size)] * 2
+
+
+@pytest.mark.parametrize("parts, rtol", [("all", 1e-9), ("interband", 1e-14)])
+def test_axial_rule_that_cannot_reach_kz_rtol_raises_at_once(parts, rtol, monkeypatch):
+    # lowfield_zb_3p1's rule is raised from 32 nodes to the 64-node floor.  With
+    # parts "all", y - y[0] is a 6e-5 remainder of intraband lines of 7.4e3, so
+    # 1e-9 of it lies below their rounding; at 1e-14 the interband bound covers
+    # the 32-node half.  Either way more nodes cannot help, and the half
+    # residual (2.3e-7; 2.4e-14) raises after 64 nodes, not at the 65536-node
+    # cap
+    cfg = cli.load_config(str(CONFIG_DIR / "lowfield_zb_3p1.json"))
+    field, _, pkt, _, coeffs = cli._build_everything(cfg)
+    times = cli.resolve_times(cfg)
+    seen, nodes, _ = _recording(monkeypatch, times)
+    with pytest.raises(dynamics.QuadratureConvergenceError) as info:
+        dynamics.analytic_signal(pkt, coeffs, field, times, parts, rtol)
+    assert info.value.target == rtol and info.value.achieved > rtol
+    kz, weights = dynamics._fold(pkt, axial_grid(pkt, 64))
+    assert np.array_equal(np.sort(np.concatenate(nodes)), kz[weights != 0.0])
+
+
+def test_axial_rule_covers_narrow_axial_packets():
+    # d_z = 0.39 lambda_c at kappa = 7.3: the Gaussian copies alone asked for
+    # 92 nodes, and the 128-node rule missed 1e-9 (3.9e-9); the branch points
+    # of E_0 at k_z = +-i bound the copies to the strip |Im k_z| < 1, which
+    # asks for 256
+    field = FieldConfig.from_kappa(7.337390641135939)
+    L = field.magnetic_length
+    amps = dict(a1=math.cos(0.585) * np.exp(0.4j), a2=math.sin(0.585) * np.exp(1j * (0.4 + 4.706)))
+    pkt = GaussianPacket(d_x=1.25 * L, d_y=1.274 * L, d_z=1.5 * L, k0x=0.796 / L,
+                         dimensionality="3+1", relax_momentum_bound=True, **amps)
+    coeffs = coefficient_matrix(pkt, field)
+    times = np.linspace(0.0, 5.0, 201)
+    points, sums = dynamics._axial_sums(pkt, coeffs, field, times, 1e-9, "interband")
+    assert points == 256
+    kz, weights = dynamics._fold(pkt, axial_grid(pkt, 4096))
+    kept = weights != 0.0
+    ref, _ = dynamics._series(pkt, coeffs, field, times, (kz[kept], weights[kept]), "interband")
+    scale = max(np.max(np.abs(ref.real[1] - ref.real[1, 0])), np.max(np.abs(ref.real[0])))
+    assert np.max(np.abs(sums.real - ref.real)) <= 1e-9 * scale
 
 
 def test_trajectory_checks_its_grid_before_any_axial_sum(critical_field, packet_3p1,
@@ -525,7 +625,7 @@ def test_weak_field_interband_lines_are_cancellation_free():
     coeffs = coefficient_matrix(pkt, field)
     times = np.linspace(0.0, 20000.0, 2001)
     coarse, fine = (
-        dynamics._series(pkt, coeffs, field, times, axial_grid(pkt, n), "interband")
+        dynamics._series(pkt, coeffs, field, times, axial_grid(pkt, n), "interband")[0]
         for n in (64, 1024)
     )
     assert np.max(np.abs(coarse - fine)) <= 1e-10 * np.max(np.abs(fine))

@@ -664,6 +664,18 @@ D_X = st.one_of(
 @example(kappa=0.35, d_x=1.0, k0x=0.7, theta=0.6435, phase=1.5708, d_y=1.25, k0z=0.4)
 @example(kappa=0.6, d_x=1.0, k0x=0.7, theta=0.6435, phase=1.5708, d_y=1.25, k0z=0.0)
 @example(kappa=0.6, d_x=1.0, k0x=0.7, theta=0.6435, phase=1.5708, d_y=1.25, k0z=0.4)
+# just below and above the kappa where the series' aliasing bound for this
+# 5 t_c window crosses 32 nodes (0.0851 at k0z = 0.4, 0.0892 at k0z = 0), below
+# which the 64-node floor covers its half, and 64 nodes (2.502; 2.538), above
+# which the rule doubles to 128
+@example(kappa=0.083, d_x=1.0, k0x=0.7, theta=0.6435, phase=1.5708, d_y=1.25, k0z=0.0)
+@example(kappa=0.083, d_x=1.0, k0x=0.7, theta=0.6435, phase=1.5708, d_y=1.25, k0z=0.4)
+@example(kappa=0.092, d_x=1.0, k0x=0.7, theta=0.6435, phase=1.5708, d_y=1.25, k0z=0.0)
+@example(kappa=0.092, d_x=1.0, k0x=0.7, theta=0.6435, phase=1.5708, d_y=1.25, k0z=0.4)
+@example(kappa=2.48, d_x=1.0, k0x=0.7, theta=0.6435, phase=1.5708, d_y=1.25, k0z=0.0)
+@example(kappa=2.48, d_x=1.0, k0x=0.7, theta=0.6435, phase=1.5708, d_y=1.25, k0z=0.4)
+@example(kappa=2.56, d_x=1.0, k0x=0.7, theta=0.6435, phase=1.5708, d_y=1.25, k0z=0.0)
+@example(kappa=2.56, d_x=1.0, k0x=0.7, theta=0.6435, phase=1.5708, d_y=1.25, k0z=0.4)
 # the first component alone (series rows from pair 1 on), and a relative phase
 # that gives the spin-mixing rows a weight with real and imaginary parts
 @example(kappa=0.2, d_x=1.0, k0x=0.7, theta=0.0, phase=1.5708, d_y=1.25, k0z=0.4)
