@@ -12,7 +12,9 @@ cosine line has a real amplitude a, a sine line carries i a.  Velocities are
 the Heisenberg time derivatives, so a velocity line has amplitude -i w a at
 the same frequency.  `_line_blocks` derives the amplitudes of the channels
 a caller reads, x (0) and y (1), all sources of a level pair and class in one
-row, and `_sum_lines` evaluates every phase.
+row, and `_sum_lines` evaluates every phase.  Interband lines are summed as a
+beat r = (E_hi - 1) + (E_lo - 1) on an exact carrier of two rest energies, so
+a phase rounds by about eps r t, not eps (2 + r) t.
 On a uniform grid t = start + c J h + j h, two arithmetic progressions (plus,
 to first order, the float rounding), so a line's phases are repeated
 products of three exps: e^{-i w start}, e^{-i w J h} and e^{-i w h} (the
@@ -48,7 +50,7 @@ from .packet import (AXIAL_FLOOR, MAX_GRID_NODES, CoefficientSet, Dimensionality
 from .units import FieldConfig
 
 PREF = 1.0 / (2.0 * math.sqrt(2.0))
-TILE_ELEMENTS = 1 << 18       # stacked amplitudes and phases held at once by the line evaluator
+TILE_ELEMENTS = 1 << 17       # line evaluator's tiles: 2 MiB, one core's share of a 4 MiB L2
 PARTS = ("all", "intraband", "interband")
 DEFAULT_KZ_RTOL = 1e-9        # aliasing-bound target of the k_z rule, relative to the signal peak
 
@@ -114,10 +116,11 @@ class SubPacketSeries:
 class _Block(NamedTuple):
     """One frequency class of lines over (level pair, k_z node)."""
 
-    freq: np.ndarray              # (pairs, K) line frequencies
+    freq: np.ndarray              # (pairs, K) line frequencies less `carrier`
     amps: np.ndarray              # (channels, pairs, K) amplitudes of the requested channels
     interband: bool
     levels: np.ndarray            # (pairs,) lower level n of each pair (n, n+1)
+    carrier: float                # 2 (two rest energies) for interband lines, else 0
 
 
 def _line_blocks(
@@ -187,8 +190,12 @@ def _line_blocks(
                     else 1.0 + (lo_e / hi_e if shift == 0 else hi_e / lo_e))
         if w_mixing:
             amps.real[...] += channel * (-j if interband else j)
-        freq = e_hi + e_lo if interband else omega_sq / (e_hi + e_lo)
-        yield _Block(freq, amps, interband, np.arange(lo, hi))
+        n = np.arange(lo, hi)[:, None]
+        # interband lines less the carrier: E - 1 = (omega^2 n + k_z^2)/(1 + E) has no cancellation
+        freq = (((omega_sq * (n + 1.0) + nodes**2) / (1.0 + e_hi)
+                 + (omega_sq * n + nodes**2) / (1.0 + e_lo)) if interband
+                else omega_sq / (e_hi + e_lo))
+        yield _Block(freq, amps, interband, n[:, 0], 2.0 * interband)
 
 
 def _time_grid(times: np.ndarray) -> tuple[float, float, int, np.ndarray]:
@@ -214,12 +221,15 @@ def _time_grid(times: np.ndarray) -> tuple[float, float, int, np.ndarray]:
 
 
 def _sum_lines(
-    freq: np.ndarray, amps: np.ndarray, times: np.ndarray, derivative: bool = False
+    freq: np.ndarray, amps: np.ndarray, times: np.ndarray, derivative: bool = False,
+    carrier: float = 0.0,
 ) -> np.ndarray:
-    """Complex sums sum_rows amps[c] e^{-i freq t}, shape (C, T).
+    """Complex sums sum_rows amps[c] e^{-i (freq + carrier) t}, shape (C, T).
 
-    With derivative=True the C time derivatives (amplitudes -i freq amps)
-    follow as C more rows.  With t = start + c J h + j h + delta (`_time_grid`),
+    With derivative=True the C time derivatives (amplitudes -i (freq + carrier)
+    amps) follow as C more rows.  The tables below hold freq alone: their sums
+    S take e^{-i carrier t} of the exact samples at the end, and S' gains
+    -i carrier S.  With t = start + c J h + j h + delta (`_time_grid`),
     e^{-i w t} = e^{-i w start} (e^{-i w J h})^c (e^{-i w h})^j (1 - i w delta):
     a tile of lines is one GEMM of a e^{-i w start} (e^{-i w J h})^c, stacked
     over (row, anchor c), with the offset table (e^{-i w h})^j, plus delta
@@ -237,7 +247,8 @@ def _sum_lines(
     rows = orders * len(amps) * n_anchors
     r_step = min(freq.size, max(1, TILE_ELEMENTS // (rows + n_anchors + n_offsets)))
     stacked = np.empty((rows, r_step), dtype=complex)
-    table = np.ones((n_offsets, r_step), dtype=complex)
+    table = np.empty((n_offsets, r_step), dtype=complex)
+    table[0] = 1.0
     sums = np.zeros((rows, n_offsets), dtype=complex)
     for r0 in range(0, freq.size, r_step):
         w = freq[r0 : r0 + r_step]
@@ -263,6 +274,9 @@ def _sum_lines(
         sums += tile @ offsets.T
     sums = sums.reshape(orders, len(amps), -1)[..., : times.size]
     out = sums[:n_out] + delta * sums[1:] if orders > n_out else sums
+    if carrier:                   # 2 t is exact, so delta needs no carrier term
+        out[1:] -= 1j * carrier * out[:-1]          # derivative rows, if any
+        out *= np.exp(-1j * (carrier * times))
     return out.reshape(-1, times.size)
 
 
@@ -279,7 +293,7 @@ def _series(
     """(Complex line sums of `channels` (0 is x, 1 is y), then derivatives; sum of |amps|)."""
     out, mass = 0.0, 0.0
     for block in _line_blocks(packet, coeffs, field, *rule, parts, channels):
-        out = out + _sum_lines(block.freq, block.amps, times, derivative)
+        out = out + _sum_lines(block.freq, block.amps, times, derivative, block.carrier)
         mass += float(np.sum(np.abs(block.amps)))
     return out, mass
 
@@ -428,7 +442,7 @@ def mixing_terms(
     kz, weights = axial_grid(packet, points)
     kept = weights != 0.0
     j = {
-        block.interband: _sum_lines(block.freq, block.amps, times)[0].real
+        block.interband: _sum_lines(block.freq, block.amps, times, carrier=block.carrier)[0].real
         for block in _line_blocks(packet, coeffs, field, kz[kept], weights[kept], "all", (1,),
                                   (0.0, 0.0, 1.0))
     }
@@ -485,7 +499,7 @@ def spectral_decomposition(
         raise DimensionalityError("spectral decomposition is a 2+1 operation")
     lines = [
         SpectralLine(n=int(n), kind="interband" if block.interband else "intraband",
-                     frequency=freq, amplitude_x=ax, amplitude_y=ay)
+                     frequency=block.carrier + freq, amplitude_x=ax, amplitude_y=ay)
         for block in _line_blocks(packet, coeffs, field, np.zeros(1), np.ones(1), "all")
         for n, freq, ax, ay in zip(block.levels, block.freq[:, 0], block.amps[0, :, 0].imag,
                                    block.amps[1, :, 0].real)

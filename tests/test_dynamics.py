@@ -8,8 +8,10 @@ import pytest
 
 from landauzb import FieldConfig, GaussianPacket
 from landauzb import cli, dynamics, oracle
+from landauzb.landau import landau_energies, landau_energy
 from landauzb.packet import DimensionalityError, axial_grid, axial_nodes, coefficient_matrix
 from landauzb.units import COMPTON_LENGTH
+from test_sum_lines import longdouble_phases
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -228,15 +230,42 @@ def test_accepted_axial_rule_is_within_kz_rtol_of_twice_its_nodes():
         assert np.max(np.abs(pos - finer.real)) <= rtol * scale, label
 
 
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="needs an extended-precision np.longdouble")
+@pytest.mark.parametrize("label, tol", [("decay", 1e-8), ("lowfield_zb_3p1", 1e-13)])
+def test_interband_lines_track_extended_precision_energies(label, tol):
+    # the interband lines at the accepted rule, against the same lines with E
+    # and every phase formed in np.longdouble.  With E_{n+1} + E_n in float64
+    # each phase carried about eps (E_{n+1} + E_n) t of rounding: 5e-6 rad in
+    # the sixth 20 T decay window (t ~ 1.2e10), 1.3e-6 of its peak and above
+    # its kz_rtol, and 1.2e-12 of the peak on lowfield_zb_3p1 (t to 2e4).  On
+    # the exact 2 mc^2 carrier the beat (E_{n+1} - 1) + (E_n - 1) keeps every
+    # digit, so the floor is about eps r t: 9e-10 and 3e-15
+    cases = {case[0]: case for case in _bundled_3p1_cases()}
+    _, pkt, field, times, parts, rtol, channels = cases[label]
+    coeffs = coefficient_matrix(pkt, field)
+    points = dynamics._axial_sums(pkt, coeffs, field, times, rtol, parts, channels)[0]
+    kz, weights = dynamics._fold(pkt, axial_grid(pkt, points))
+    kz, weights = kz[weights != 0.0], weights[weights != 0.0]
+    got, _ = dynamics._series(pkt, coeffs, field, times, (kz, weights), parts, channels)
+    (block,) = dynamics._line_blocks(pkt, coeffs, field, kz, weights, parts, channels)
+    levels = np.arange(block.levels[0], block.levels[-1] + 2, dtype=np.longdouble)[:, None]
+    energy = np.sqrt(1 + np.longdouble(field.omega) ** 2 * levels + kz.astype(np.longdouble) ** 2)
+    freq, amps = (energy[1:] + energy[:-1]).ravel(), block.amps.reshape(len(channels), -1)
+    want = sum(amps[:, i : i + 4096] @ longdouble_phases(freq[i : i + 4096], times)
+               for i in range(0, freq.size, 4096))
+    assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+
+
 def _recording(monkeypatch, times):
     """Patch `_sum_lines` and `_line_blocks` to record (sum shapes, nodes, channels)."""
     sum_lines, line_blocks = dynamics._sum_lines, dynamics._line_blocks
     seen, nodes, channels = [], [], []
 
-    def counting(freq, amps, grid, derivative=False):
+    def counting(freq, amps, grid, derivative=False, carrier=0.0):
         assert np.array_equal(grid, times)
         seen.append(freq.shape)
-        return sum_lines(freq, amps, grid, derivative)
+        return sum_lines(freq, amps, grid, derivative, carrier)
 
     def recording(packet, coeffs, field, kz, weights, *args, **kwargs):
         assert kz.size == weights.size and np.all(weights != 0.0), "a zero-weight node is summed"
@@ -329,14 +358,33 @@ def test_mixing_terms_sums_only_the_two_signed_mixing_blocks(monkeypatch):
     assert seen == [(coeffs.n_max + 1, nodes[0].size)] * 2
 
 
-@pytest.mark.parametrize("parts, rtol", [("all", 1e-9), ("interband", 1e-14)])
+def test_mixing_terms_match_the_full_frequency_sum():
+    # the interband mixing block is summed on its 2 mc^2 carrier; the same
+    # lines at E_{n+1} + E_n, summed without one, agree to 1e-13 of the peak
+    # (mixing_3p1 runs to 30 t_c, where float64 phases still hold 1e-14 rad)
+    cfg = cli.load_config(str(CONFIG_DIR / "mixing_3p1.json"))
+    field, _, pkt, num, coeffs = cli._build_everything(cfg)
+    times = cli.resolve_times(cfg)
+    mix = dynamics.mixing_terms(pkt, coeffs, field, times, num["kz_rtol"])
+    kz, weights = axial_grid(pkt, 256)
+    kz, weights = kz[weights != 0.0], weights[weights != 0.0]
+    energies = landau_energies(coeffs.n_max + 1, kz, field)
+    for block in dynamics._line_blocks(pkt, coeffs, field, kz, weights, "all", (1,),
+                                       (0.0, 0.0, 1.0)):
+        freq = energies[1:] + energies[:-1] if block.interband else block.freq
+        want = dynamics._sum_lines(freq, block.amps, times)[0].real
+        got = mix.j_minus if block.interband else mix.j_plus
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("parts, rtol", [("all", 1e-9), ("interband", 7e-16)])
 def test_axial_rule_that_cannot_reach_kz_rtol_raises_at_once(parts, rtol, monkeypatch):
     # lowfield_zb_3p1's rule is raised from 32 nodes to the 64-node floor.  With
     # parts "all", y - y[0] is a 6e-5 remainder of intraband lines of 7.4e3, so
-    # 1e-9 of it lies below their rounding; at 1e-14 the interband bound covers
-    # the 32-node half.  Either way more nodes cannot help, and the half
-    # residual (2.3e-7; 2.4e-14) raises after 64 nodes, not at the 65536-node
-    # cap
+    # 1e-9 of it lies below their rounding; at 7e-16 the interband bound covers
+    # the 32-node half, and the rules from 32 to 1024 nodes lie 8e-16 to 2e-15
+    # from the 4096-node one.  Either way more nodes cannot help, and the half
+    # residual (2.3e-7; 1.5e-15) raises after 64 nodes, not at the 65536-node cap
     cfg = cli.load_config(str(CONFIG_DIR / "lowfield_zb_3p1.json"))
     field, _, pkt, _, coeffs = cli._build_everything(cfg)
     times = cli.resolve_times(cfg)
@@ -526,6 +574,25 @@ def test_spectral_lines_ordered_and_positive(critical_field, packet_2p1, coeffs_
     for level, pair in by_level.items():
         if len(pair) == 2:
             assert pair["interband"] > pair["intraband"]
+
+
+def test_spectral_frequencies_are_level_energy_sums():
+    # interband lines are built less their 2 mc^2 carrier and get it back here:
+    # every frequency lies within 2 ulp of E_{n+1} +- E_n, from weak to strong fields
+    for kappa in (1e-5, 1.0, 16.6464):
+        field = FieldConfig.from_kappa(kappa)
+        L = field.magnetic_length
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            pkt = GaussianPacket(d_x=0.9 * L, d_y=L, k0x=1.2 / L, a1=0.6, a2=0.8,
+                                 relax_momentum_bound=True, dimensionality="2+1")
+            coeffs = coefficient_matrix(pkt, field)
+        lines = dynamics.spectral_decomposition(pkt, coeffs, field)
+        assert {l.kind for l in lines} == {"intraband", "interband"}
+        for line in lines:
+            e_hi, e_lo = landau_energy(line.n + 1, 0.0, field), landau_energy(line.n, 0.0, field)
+            want = e_hi + e_lo if line.kind == "interband" else e_hi - e_lo
+            assert abs(line.frequency - want) <= 2 * np.spacing(e_hi + e_lo), (kappa, line)
 
 
 def test_interband_lines_approach_pair_creation_frequency():

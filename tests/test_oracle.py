@@ -680,6 +680,17 @@ D_X = st.one_of(
 # that gives the spin-mixing rows a weight with real and imaginary parts
 @example(kappa=0.2, d_x=1.0, k0x=0.7, theta=0.0, phase=1.5708, d_y=1.25, k0z=0.4)
 @example(kappa=0.6, d_x=1.0, k0x=0.7, theta=0.6435, phase=0.5, d_y=1.25, k0z=0.4)
+# narrow (d_y = 0.5 L) and equal (d_y = L) widths in the kappa 0.2-0.6 band: the
+# oracle shares no line code with the series, so these check the interband
+# lines summed on their 2 mc^2 carrier
+@example(kappa=0.2, d_x=1.0, k0x=0.7, theta=0.6435, phase=1.5708, d_y=0.5, k0z=0.0)
+@example(kappa=0.2, d_x=1.0, k0x=0.7, theta=0.6435, phase=1.5708, d_y=0.5, k0z=0.4)
+@example(kappa=0.6, d_x=1.0, k0x=0.7, theta=0.6435, phase=1.5708, d_y=0.5, k0z=0.0)
+@example(kappa=0.6, d_x=1.0, k0x=0.7, theta=0.6435, phase=1.5708, d_y=0.5, k0z=0.4)
+@example(kappa=0.2, d_x=1.0, k0x=0.7, theta=0.6435, phase=1.5708, d_y=1.0, k0z=0.0)
+@example(kappa=0.2, d_x=1.0, k0x=0.7, theta=0.6435, phase=1.5708, d_y=1.0, k0z=0.4)
+@example(kappa=0.6, d_x=1.0, k0x=0.7, theta=0.6435, phase=1.5708, d_y=1.0, k0z=0.0)
+@example(kappa=0.6, d_x=1.0, k0x=0.7, theta=0.6435, phase=1.5708, d_y=1.0, k0z=0.4)
 def test_oracle_matches_series_over_field_and_spinor_phase(kappa, d_x, k0x, theta, phase,
                                                            d_y, k0z):
     # the half-grid residual of a converged rule reads up to ~2e-7 just below a

@@ -61,6 +61,21 @@ def test_nonuniform_grids_take_the_direct_sum(derivative):
         assert peak_deviation(got, direct_sum(freq, amps, times, derivative)) <= 1e-13
 
 
+@pytest.mark.parametrize("derivative", [False, True])
+def test_carrier_matches_direct_sum_at_the_full_frequency(derivative):
+    # interband lines are summed as their slow part on a 2 mc^2 carrier,
+    # e^{-i (w + 2) t} = e^{-i w t} e^{-2 i t}: a derivative row gains -2i times
+    # its line sum, and the grid's rounding delta is corrected on w alone
+    rng = np.random.default_rng(5)
+    freq, amps = lines(rng, 700, channels=2, low=1e-3, high=0.5)
+    uniform = np.linspace(0.0, 30.0, 401)
+    for times, n_offsets in ((uniform, 21), (uniform + 7.0, 21), (np.geomspace(0.5, 40.0, 60), 1)):
+        _, _, offsets, delta = _time_grid(times)
+        assert offsets == n_offsets and (offsets == 1 or np.any(delta))
+        got = _sum_lines(freq, amps, times, derivative, 2.0)
+        assert peak_deviation(got, direct_sum(freq + 2.0, amps, times, derivative)) <= 1e-13
+
+
 def count_complex_exps(monkeypatch, *args):
     """_sum_lines(*args), and the number of complex elements np.exp was asked for."""
     counted = []
@@ -92,6 +107,9 @@ def test_phases_cost_three_exps_per_line(derivative, monkeypatch):
     assert freq.size > dynamics.TILE_ELEMENTS // (2 * len(amps) * n_anchors)   # two tiles or more
     assert 0 < count_complex_exps(monkeypatch, freq, amps, times, derivative) <= 2 * freq.size
     assert 0 < count_complex_exps(monkeypatch, freq, amps, times + 7.0, derivative) <= 3 * freq.size
+    # a carrier adds one exp per sample, whatever the number of lines
+    assert 0 < count_complex_exps(monkeypatch, freq, amps, times, derivative,
+                                  2.0) <= 2 * freq.size + times.size
     # a non-uniform grid takes one exp per sample
     times = np.geomspace(0.5, 40.0, 60)
     assert 0 < count_complex_exps(monkeypatch, freq, amps, times, derivative) <= times.size * freq.size
@@ -152,21 +170,25 @@ def grids(draw):
     count=st.integers(1, 40),
     channels=st.integers(1, 3),
     derivative=st.booleans(),
+    carrier=st.sampled_from([0.0, 2.0]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_sweep_matches_direct_sum(times, phase_scale, count, channels, derivative, seed):
+def test_sweep_matches_direct_sum(times, phase_scale, count, channels, derivative, carrier,
+                                  seed):
     """Uniform, ulp-perturbed and jittered grids; w t_max from 1e-3 to 1e10.
 
     Each line's phase w t carries a rounding of order eps w t in either
     evaluator, so a row may differ by sum_f |A_rf| (1e-13 + 16 eps w_f t_max)
-    for its amplitudes A (a, or -i w a for a derivative row).
+    for its amplitudes A (a, or -i w a for a derivative row), with w the full
+    frequency (line plus carrier) of the direct sum.
     """
     rng = np.random.default_rng(seed)
     t_max = float(np.max(np.abs(times))) or 1.0
     freq, amps = lines(rng, count, channels, 0.5, 1.0)
     freq *= 10.0**phase_scale / t_max
-    got = _sum_lines(freq, amps, times, derivative)
-    want = direct_sum(freq, amps, times, derivative)
-    rows = np.concatenate([amps, -1j * freq * amps] if derivative else [amps])
-    bound = np.abs(rows) @ (1e-13 + 16 * EPS * freq * t_max)
+    got = _sum_lines(freq, amps, times, derivative, carrier)
+    full = freq + carrier
+    want = direct_sum(full, amps, times, derivative)
+    rows = np.concatenate([amps, -1j * full * amps] if derivative else [amps])
+    bound = np.abs(rows) @ (1e-13 + 16 * EPS * full * t_max)
     assert np.all(np.max(np.abs(got - want), axis=1) <= bound)
