@@ -25,8 +25,10 @@ with k0z = 0 every cyclotron and trembling line is even in k_z and the
 spin-mixing rows are odd.  The mixing rows then cancel and are not summed,
 and the signed k_z grid folds onto its k_z >= 0 half (`_fold`): K/2 + 1
 nodes for K.  `_axial_sums` sums the rule certified by the aliasing bound of
-`packet.axial_nodes`, each node once and nested over its half.  `mixing_terms`
-alone keeps the signed grid, so the k0z = 0 cancellation stays a computed one.
+`packet.axial_nodes`, K = m 2^e nodes with m in 5..8 and 8 | K, each node once
+and nested over its half: the folded rule of K/2 is every other node of K's.
+`mixing_terms` alone keeps the signed grid, so the k0z = 0 cancellation stays a
+computed one.
 
 Natural units: lengths in Compton wavelengths, times in Compton times,
 velocities in c.  Positions are reported relative to the t = 0 centre, so

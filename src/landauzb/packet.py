@@ -296,8 +296,9 @@ def axial_grid(packet: GaussianPacket, points: int) -> tuple[np.ndarray, np.ndar
     k_z-even integrand their even-index half has the same error as the full
     grid.)
     Nodes past d_z |k - k0z| = sqrt(AXIAL_CUT) ~ 6.56, each below 2.2e-19 of
-    the peak density and together at most 2.2e-20 of a power-of-two rule's
-    mass, weigh exactly 0, so every k_z sum skips them; the nesting holds.
+    the peak density and together at most 3.6e-20 of the mass of an
+    `axial_nodes` rule, weigh exactly 0, so every k_z sum skips them; the
+    nesting holds.
     """
     if packet.dimensionality != "3+1":
         raise DimensionalityError("axial nodes require a 3+1 packet")
@@ -331,7 +332,7 @@ def axial_ladder(
 
 
 def axial_nodes(packet: GaussianPacket, field: FieldConfig, times, ratio: float) -> int:
-    """Fewest k_z nodes K, a power of two, whose rule aliases under 1/ratio of |amplitudes|.
+    """Fewest k_z nodes K = m 2^e, m in 5..8 and 8 | K, whose rule aliases under 1/ratio.
 
     The rule of spacing h = 17/(d_z K) (`axial_grid`) adds copies shifted by 2 pi m/h
     (Poisson summation; Trefethen & Weideman, SIAM Rev. 56:385, 2014).  Moved to
@@ -340,6 +341,8 @@ def axial_nodes(packet: GaussianPacket, field: FieldConfig, times, ratio: float)
     v = k (1/E_0 + 1/E_1) is the largest line slope, at the weighed nodes' edge
     k = |k0z| + sqrt(AXIAL_CUT)/d_z.  With c = 2 sqrt(ln ratio), y = c/(2 d_z) gives
     A/ratio once 2 pi/h - v t >= c d_z; if c > 2 d_z, y = 1 needs c^2/4 + d_z^2.
+    K is that bound rounded up to a two-bit mantissa m (at most 25 % or 7 nodes over
+    it); 8 | K keeps the rule of K/2 nested in it and in its fold (`dynamics._fold`).
     Callers raise K to AXIAL_FLOOR; K > MAX_GRID_NODES raises QuadratureConvergenceError.
     """
     d_z, edge = packet.d_z, abs(packet.k0z) + math.sqrt(AXIAL_CUT) / packet.d_z
@@ -347,7 +350,9 @@ def axial_nodes(packet: GaussianPacket, field: FieldConfig, times, ratio: float)
     c = 2.0 * math.sqrt(math.log(max(ratio, 1.0)))
     tail = c * d_z if c <= 2.0 * d_z else c * c / 4.0 + d_z * d_z
     bound = AXIAL_HALF_WIDTH / (math.pi * d_z) * (slope * float(np.max(np.abs(times))) + tail)
-    nodes = 1 << (math.ceil(min(bound, 2.0**62)) - 1).bit_length()   # ratio may be inf
+    need = max(1, math.ceil(min(bound, 2.0**62)))     # ratio may be inf
+    grain = 1 << max(3, (need - 1).bit_length() - 3)  # 2^e
+    nodes = grain * -(-need // grain)
     if nodes > MAX_GRID_NODES:
         raise QuadratureConvergenceError(nodes_needed=nodes)
     return nodes

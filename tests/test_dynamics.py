@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from landauzb import FieldConfig, GaussianPacket
 from landauzb import cli, dynamics, oracle
@@ -159,8 +160,9 @@ def test_fold_is_identity_with_axial_momentum(mixed_packet_3p1):
 
 
 def test_folded_rule_nests_bit_for_bit(packet_3p1):
-    # even-index nodes of the folded 2K rule, weights doubled, are the folded K rule
-    for points in (64, 1024):
+    # even-index nodes of the folded 2K rule, weights doubled, are the folded K
+    # rule, for every K = m 2^e (m in 5..8) that `packet.axial_nodes` gives
+    for points in (m << e for m in range(5, 9) for e in (3, 7)):
         kz, w = dynamics._fold(packet_3p1, axial_grid(packet_3p1, 2 * points))
         kz_half, w_half = dynamics._fold(packet_3p1, axial_grid(packet_3p1, points))
         assert np.array_equal(kz[::2], kz_half)
@@ -200,12 +202,12 @@ def _bundled_3p1_cases():
 
 
 def test_accepted_axial_rungs_follow_the_aliasing_bound():
-    # the accepted rule before folding: the smallest rung within kz_rtol of
-    # the converged sum, except mixing_3p1, whose bound (145 nodes) lies past
-    # 128, and lowfield_zb_3p1, raised from 32 to the 64-node floor
+    # the accepted rule before folding: the bound (597, 2978, 145, 2972 and
+    # 2289 nodes) rounded up to m 2^e, m in 5..8, and lowfield_zb_3p1 raised
+    # from 32 to the 64-node floor
     expected = {
-        "relativistic_3p1": 1024, "collapse_revival_3p1": 4096, "mixing_3p1": 256,
-        "lowfield_zb_3p1": 64, "persistence": 4096, "decay": 4096,
+        "relativistic_3p1": 640, "collapse_revival_3p1": 3072, "mixing_3p1": 160,
+        "lowfield_zb_3p1": 64, "persistence": 3072, "decay": 2560,
     }
     found = {}
     for label, pkt, field, times, parts, rtol, channels in _bundled_3p1_cases():
@@ -228,6 +230,42 @@ def test_accepted_axial_rule_is_within_kz_rtol_of_twice_its_nodes():
         pos = sums.real
         scale = max(np.max(np.abs(pos[-1] - pos[-1, 0])), np.max(np.abs(pos[:-1]), initial=0.0))
         assert np.max(np.abs(pos - finer.real)) <= rtol * scale, label
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kappa=st.floats(min_value=math.log(1e-3), max_value=math.log(20.0)).map(math.exp),
+    d_z=st.floats(min_value=math.log(0.2), max_value=math.log(5.0)).map(math.exp),
+    k0z=st.one_of(st.just(0.0), st.floats(min_value=-0.8, max_value=0.8)),
+    t_max=st.floats(min_value=0.0, max_value=math.log(200.0)).map(math.exp),
+    rtol=st.floats(min_value=math.log(1e-11), max_value=math.log(1e-6)).map(math.exp),
+    parts=st.sampled_from(dynamics.PARTS),
+    k0x=st.floats(min_value=0.0, max_value=0.9),
+    theta=st.floats(min_value=0.0, max_value=0.5 * math.pi),
+    phase=st.floats(min_value=0.0, max_value=2.0 * math.pi),
+)
+def test_accepted_axial_rule_is_within_kz_rtol_of_four_times_its_nodes(kappa, d_z, k0z, t_max,
+                                                                       rtol, parts, k0x, theta,
+                                                                       phase):
+    # random 3+1 trajectories (widths and momenta in units of L): the rule the
+    # aliasing bound accepts, rounded up to m 2^e nodes, lies within kz_rtol of
+    # the rule with four times its nodes, relative to the scale it is checked on
+    field = FieldConfig.from_kappa(kappa)
+    L = field.magnetic_length
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # momenta beyond the nominal velocity bound
+        pkt = GaussianPacket(d_x=1.2 * L, d_y=1.4 * L, d_z=d_z * L, k0x=k0x / L, k0z=k0z / L,
+                             a1=math.cos(theta), a2=math.sin(theta) * np.exp(1j * phase),
+                             dimensionality="3+1", relax_momentum_bound=True)
+    coeffs = coefficient_matrix(pkt, field)
+    times = np.linspace(0.0, t_max, 41)
+    points, sums = dynamics._axial_sums(pkt, coeffs, field, times, rtol, parts)
+    kz, weights = dynamics._fold(pkt, axial_grid(pkt, 4 * points))
+    kept = weights != 0.0
+    finer, _ = dynamics._series(pkt, coeffs, field, times, (kz[kept], weights[kept]), parts)
+    x, y = sums.real
+    scale = max(np.max(np.abs(y - y[0])), np.max(np.abs(x)))
+    assert np.max(np.abs(sums.real - finer.real)) <= rtol * scale
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
@@ -302,15 +340,17 @@ def test_axial_rungs_are_summed_once_on_the_full_grid(critical_field, packet_3p1
         kz, weights = dynamics._fold(packet, axial_grid(packet, points))
         return kz[index][weights[index] != 0.0]
 
-    for packet, coeffs, rows in ((packet_3p1, coeffs_3p1, coeffs_3p1.n_max),
-                                 (mixed_packet_3p1, mixed_coeffs_3p1, mixed_coeffs_3p1.n_max + 1)):
+    # the bounds ask for 597 and 732 nodes
+    for packet, coeffs, rows, rule in (
+            (packet_3p1, coeffs_3p1, coeffs_3p1.n_max, 640),
+            (mixed_packet_3p1, mixed_coeffs_3p1, mixed_coeffs_3p1.n_max + 1, 768)):
         for call, n_channels in ((dynamics.analytic_signal, (1,)), (dynamics.trajectory_3p1, (0, 1))):
             seen.clear()
             nodes.clear()
             channels.clear()
             call(packet, coeffs, critical_field, times)
             points = rungs[packet, n_channels]
-            assert points == 1024
+            assert points == rule
             assert channels == [len(n_channels)] * 4
             half, odd = weighed(points // 2).size, weighed(points, slice(1, None, 2)).size
             assert seen == [(rows, half)] * 2 + [(rows, odd)] * 2
@@ -321,7 +361,7 @@ def test_axial_rungs_are_summed_once_on_the_full_grid(critical_field, packet_3p1
 def test_axial_rule_doubles_while_the_returned_scale_needs_more_nodes(monkeypatch):
     # kappa = 2, d_z = L over 1 t_c: the amplitude mass is 2.06 times the
     # scale of the returned sums, so the bound checked on that scale asks for
-    # 256 nodes, above the 128 chosen for rtol times the mass.  The rule
+    # 160 nodes, above the 128 chosen for rtol times the mass.  The rule
     # doubles, nested, and each node of the 256-node rule is summed once
     field = FieldConfig.from_kappa(2.0)
     L = field.magnetic_length
@@ -349,7 +389,7 @@ def test_mixing_terms_sums_only_the_two_signed_mixing_blocks(monkeypatch):
     field, _, pkt, num, coeffs = cli._build_everything(cfg)
     times = cli.resolve_times(cfg)
     points = dynamics._axial_sums(pkt, coeffs, field, times, num["kz_rtol"])[0]
-    assert points == 256
+    assert points == 160
     seen, nodes, channels = _recording(monkeypatch, times)
     dynamics.mixing_terms(pkt, coeffs, field, times, num["kz_rtol"])
     kz, weights = axial_grid(pkt, points)
@@ -366,7 +406,8 @@ def test_mixing_terms_match_the_full_frequency_sum():
     field, _, pkt, num, coeffs = cli._build_everything(cfg)
     times = cli.resolve_times(cfg)
     mix = dynamics.mixing_terms(pkt, coeffs, field, times, num["kz_rtol"])
-    kz, weights = axial_grid(pkt, 256)
+    kz, weights = axial_grid(pkt, max(dynamics.AXIAL_FLOOR,
+                                      axial_nodes(pkt, field, times, 1.0 / num["kz_rtol"])))
     kz, weights = kz[weights != 0.0], weights[weights != 0.0]
     energies = landau_energies(coeffs.n_max + 1, kz, field)
     for block in dynamics._line_blocks(pkt, coeffs, field, kz, weights, "all", (1,),
@@ -400,7 +441,7 @@ def test_axial_rule_covers_narrow_axial_packets():
     # d_z = 0.39 lambda_c at kappa = 7.3: the Gaussian copies alone asked for
     # 92 nodes, and the 128-node rule missed 1e-9 (3.9e-9); the branch points
     # of E_0 at k_z = +-i bound the copies to the strip |Im k_z| < 1, which
-    # asks for 256
+    # asks for 224
     field = FieldConfig.from_kappa(7.337390641135939)
     L = field.magnetic_length
     amps = dict(a1=math.cos(0.585) * np.exp(0.4j), a2=math.sin(0.585) * np.exp(1j * (0.4 + 4.706)))
@@ -409,7 +450,7 @@ def test_axial_rule_covers_narrow_axial_packets():
     coeffs = coefficient_matrix(pkt, field)
     times = np.linspace(0.0, 5.0, 201)
     points, sums = dynamics._axial_sums(pkt, coeffs, field, times, 1e-9, "interband")
-    assert points == 256
+    assert points == 224
     kz, weights = dynamics._fold(pkt, axial_grid(pkt, 4096))
     kept = weights != 0.0
     ref, _ = dynamics._series(pkt, coeffs, field, times, (kz[kept], weights[kept]), "interband")

@@ -17,6 +17,7 @@ from landauzb.packet import (
     TruncationError,
     axial_grid,
     axial_ladder,
+    axial_nodes,
     coefficient_matrix,
     f_n,
     f_table,
@@ -101,14 +102,16 @@ def test_axial_grid_nests_under_doubling(mixed_packet_3p1):
 @given(
     d_z=st.floats(min_value=math.log(1e-2), max_value=math.log(1e5)).map(math.exp),
     k0z=st.one_of(st.just(0.0), st.floats(min_value=-0.9, max_value=0.9)),
-    log_points=st.integers(min_value=2, max_value=16),
+    mantissa=st.integers(min_value=5, max_value=8),
+    power=st.integers(min_value=2, max_value=13),
 )
-def test_axial_grid_floor_property(d_z, k0z, log_points):
+def test_axial_grid_floor_property(d_z, k0z, mantissa, power):
     # the weight floor zeroes exactly the nodes with d_z^2 (k - k0z)^2 past
     # ln(1024/eps); left unzeroed they would carry at most 1e-19 of the mass.
     # Zeroing keeps the even-index half bit for bit the rule of half the size,
-    # and a k0z = 0 grid mirror-symmetric, so its fold is the mirror sum
-    points = 1 << log_points
+    # and a k0z = 0 grid mirror-symmetric, so its fold is the mirror sum.
+    # Sizes m 2^e, m in 5..8, as `packet.axial_nodes` gives them
+    points = mantissa << power
     pkt = GaussianPacket(d_x=1.0, d_y=1.0, d_z=d_z, k0z=k0z, dimensionality="3+1")
     kz, w = axial_grid(pkt, points)
     exponent = d_z**2 * (kz - k0z) ** 2
@@ -126,6 +129,55 @@ def test_axial_grid_floor_property(d_z, k0z, log_points):
         assert np.array_equal(nodes, -kz[centre::-1])
         assert np.array_equal(folded[1:-1], 2.0 * w[centre + 1 :])
         assert folded[0] == w[centre] and folded[-1] == 0.0
+
+
+# node counts m 2^e, m in 5..8, that 8 divides, with 0 below the smallest
+RULE_SIZES = [0] + sorted({m << e for m in range(5, 9) for e in range(40) if (m << e) % 8 == 0})
+
+
+def aliasing_bound(pkt, field, t_max, ratio):
+    """The node count `axial_nodes` rounds up, from the formula of its docstring."""
+    edge = abs(pkt.k0z) + math.sqrt(packet.AXIAL_CUT) / pkt.d_z
+    slope = edge * sum(1.0 / math.sqrt(1.0 + field.omega**2 * n + edge**2) for n in (0, 1))
+    c = 2.0 * math.sqrt(math.log(ratio))
+    tail = c * pkt.d_z if c <= 2.0 * pkt.d_z else c * c / 4.0 + pkt.d_z**2
+    return 17.0 / (2.0 * math.pi * pkt.d_z) * (slope * t_max + tail)
+
+
+def axial_rule(pkt, field, t_max, ratio):
+    """`axial_nodes` for the window [0, t_max], or the count it raises with above the cap."""
+    try:
+        return axial_nodes(pkt, field, np.array([0.0, t_max]), ratio)
+    except QuadratureConvergenceError as info:
+        return info.nodes_needed
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kappa=st.floats(min_value=math.log(1e-3), max_value=math.log(20.0)).map(math.exp),
+    d_z=st.floats(min_value=math.log(0.2), max_value=math.log(5.0)).map(math.exp),
+    k0z=st.one_of(st.just(0.0), st.floats(min_value=-0.8, max_value=0.8)),
+    t_max=st.floats(min_value=0.0, max_value=math.log(200.0)).map(math.exp),
+    ratio=st.floats(min_value=0.0, max_value=math.log(1e14)).map(math.exp),
+    more=st.floats(min_value=1.0, max_value=64.0),
+)
+def test_axial_nodes_round_the_bound_to_a_two_bit_mantissa(kappa, d_z, k0z, t_max, ratio, more):
+    # K = m 2^e with m in 5..8 and 8 | K, the smallest at least the bound: at
+    # most 25 % over it, or 7 nodes where the grain is 8.  K never falls as the
+    # target ratio or the window grows
+    field = FieldConfig.from_kappa(kappa)
+    L = field.magnetic_length
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # k0z beyond the nominal velocity bound
+        pkt = GaussianPacket(d_x=L, d_y=L, d_z=d_z * L, k0z=k0z / L, dimensionality="3+1",
+                             relax_momentum_bound=True)
+    nodes = axial_rule(pkt, field, t_max, ratio)
+    bound = aliasing_bound(pkt, field, t_max, ratio)
+    assert nodes in RULE_SIZES
+    assert RULE_SIZES[RULE_SIZES.index(nodes) - 1] < bound * (1.0 + 1e-12)
+    assert bound * (1.0 - 1e-12) <= nodes < 1.25 * bound + 8.0
+    assert axial_rule(pkt, field, t_max, more * ratio) >= nodes
+    assert axial_rule(pkt, field, more * t_max, ratio) >= nodes
 
 
 def test_axial_ladder_doubles_to_the_cap(critical_field, packet_3p1):
