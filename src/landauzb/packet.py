@@ -343,6 +343,7 @@ def axial_nodes(packet: GaussianPacket, field: FieldConfig, times, ratio: float)
     A/ratio once 2 pi/h - v t >= c d_z; if c > 2 d_z, y = 1 needs c^2/4 + d_z^2.
     K is that bound rounded up to a two-bit mantissa m (at most 25 % or 7 nodes over
     it); 8 | K keeps the rule of K/2 nested in it and in its fold (`dynamics._fold`).
+    A doubling after the sum (`dynamics._axial_sums`) can reach 2.5 times the bound.
     Callers raise K to AXIAL_FLOOR; K > MAX_GRID_NODES raises QuadratureConvergenceError.
     """
     d_z, edge = packet.d_z, abs(packet.k0z) + math.sqrt(AXIAL_CUT) / packet.d_z

@@ -232,6 +232,31 @@ def test_accepted_axial_rule_is_within_kz_rtol_of_twice_its_nodes():
         assert np.max(np.abs(pos - finer.real)) <= rtol * scale, label
 
 
+def _error_against_four_times_the_nodes(kappa, d_x, d_y, d_z, k0x, k0z, theta, phase, t_max,
+                                       rtol, parts, channels):
+    """|accepted sum - the rule of four times its nodes| over rtol times the scale.
+
+    A random 3+1 trajectory, widths and momenta in units of L, on 41 samples
+    of [0, t_max]; the scale is the one `_axial_sums` checks its bound on."""
+    field = FieldConfig.from_kappa(kappa)
+    L = field.magnetic_length
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # momenta beyond the nominal velocity bound
+        pkt = GaussianPacket(d_x=d_x * L, d_y=d_y * L, d_z=d_z * L, k0x=k0x / L, k0z=k0z / L,
+                             a1=math.cos(theta), a2=math.sin(theta) * np.exp(1j * phase),
+                             dimensionality="3+1", relax_momentum_bound=True)
+    coeffs = coefficient_matrix(pkt, field)
+    times = np.linspace(0.0, t_max, 41)
+    points, sums = dynamics._axial_sums(pkt, coeffs, field, times, rtol, parts, channels)
+    kz, weights = dynamics._fold(pkt, axial_grid(pkt, 4 * points))
+    kept = weights != 0.0
+    finer, _ = dynamics._series(pkt, coeffs, field, times, (kz[kept], weights[kept]), parts,
+                                channels)
+    pos = sums.real
+    scale = max(np.max(np.abs(pos[-1] - pos[-1, 0])), np.max(np.abs(pos[:-1]), initial=0.0))
+    return np.max(np.abs(pos - finer.real)) / (rtol * scale)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     kappa=st.floats(min_value=math.log(1e-3), max_value=math.log(20.0)).map(math.exp),
@@ -240,32 +265,50 @@ def test_accepted_axial_rule_is_within_kz_rtol_of_twice_its_nodes():
     t_max=st.floats(min_value=0.0, max_value=math.log(200.0)).map(math.exp),
     rtol=st.floats(min_value=math.log(1e-11), max_value=math.log(1e-6)).map(math.exp),
     parts=st.sampled_from(dynamics.PARTS),
-    k0x=st.floats(min_value=0.0, max_value=0.9),
+    channels=st.sampled_from([(0, 1), (1,)]),
+    k0x=st.floats(min_value=0.05, max_value=0.9),
     theta=st.floats(min_value=0.0, max_value=0.5 * math.pi),
     phase=st.floats(min_value=0.0, max_value=2.0 * math.pi),
 )
 def test_accepted_axial_rule_is_within_kz_rtol_of_four_times_its_nodes(kappa, d_z, k0z, t_max,
-                                                                       rtol, parts, k0x, theta,
-                                                                       phase):
-    # random 3+1 trajectories (widths and momenta in units of L): the rule the
-    # aliasing bound accepts, rounded up to m 2^e nodes, lies within kz_rtol of
-    # the rule with four times its nodes, relative to the scale it is checked on
-    field = FieldConfig.from_kappa(kappa)
-    L = field.magnetic_length
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")     # momenta beyond the nominal velocity bound
-        pkt = GaussianPacket(d_x=1.2 * L, d_y=1.4 * L, d_z=d_z * L, k0x=k0x / L, k0z=k0z / L,
-                             a1=math.cos(theta), a2=math.sin(theta) * np.exp(1j * phase),
-                             dimensionality="3+1", relax_momentum_bound=True)
-    coeffs = coefficient_matrix(pkt, field)
-    times = np.linspace(0.0, t_max, 41)
-    points, sums = dynamics._axial_sums(pkt, coeffs, field, times, rtol, parts)
-    kz, weights = dynamics._fold(pkt, axial_grid(pkt, 4 * points))
-    kept = weights != 0.0
-    finer, _ = dynamics._series(pkt, coeffs, field, times, (kz[kept], weights[kept]), parts)
-    x, y = sums.real
-    scale = max(np.max(np.abs(y - y[0])), np.max(np.abs(x)))
-    assert np.max(np.abs(sums.real - finer.real)) <= rtol * scale
+                                                                       rtol, parts, channels,
+                                                                       k0x, theta, phase):
+    # the rule the aliasing bound accepts, rounded up to m 2^e nodes, lies
+    # within kz_rtol of the rule with four times its nodes, for the (x, y) of
+    # a trajectory and the y alone of `analytic_signal`.  k0x > 0: a packet at
+    # rest in the plane with k0z ~ 0 moves by rounding alone, and the call
+    # raises, as it should, on a target below eps A
+    assert _error_against_four_times_the_nodes(kappa, 1.2, 1.4, d_z, k0x, k0z, theta, phase,
+                                               t_max, rtol, parts, channels) <= 1.0
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="_axial_sums neither meets nor raises on kz_rtol when the series' "
+                   "rounding floor lies between eps A and kz_rtol times the scale")
+@pytest.mark.parametrize("kappa, d_x, d_y, d_z, k0x, k0z, theta, phase, t_max, rtol", [
+    (0.003835705500308189, 1.0864197627621115, 1.2161910216430953, 1.8966393040865457,
+     0.20307887165601493, -3.482829234627565, 0.8080425855952975, 0.2581649830458832,
+     1.1174972739766085, 1.124860466615714e-11),
+    (0.002165071572823182, 1.331320260949813, 0.8392930068816971, 0.2929526378706123,
+     0.5335567937272743, 0.0, 0.8599087866640873, 6.151317348710243,
+     1.7771895339034203, 1.4433821760339345e-11),
+    (0.0017147119496202761, 1.7252683947301737, 1.8153095228797436, 0.3737736112879071,
+     0.6631843870523574, 0.0, 0.5479051843786105, 4.15115827819151,
+     1.1028321687174998, 3.7343903170866746e-11),
+])
+def test_weak_field_intraband_y_misses_kz_rtol_silently(kappa, d_x, d_y, d_z, k0x, k0z, theta,
+                                                        phase, t_max, rtol):
+    # three random y-alone intraband signals in weak fields: the 64-node rule
+    # lies 2.5-5.5 kz_rtol from four times its nodes, where the 32- to
+    # 1024-node rules spread by rounding of 2-10 kz_rtol, yet eps A is only
+    # 0.5-0.9 of kz_rtol times the scale, so the call neither meets kz_rtol
+    # nor raises.  Either would make these cases pass
+    try:
+        error = _error_against_four_times_the_nodes(kappa, d_x, d_y, d_z, k0x, k0z, theta, phase,
+                                                    t_max, rtol, "intraband", (1,))
+    except dynamics.QuadratureConvergenceError:
+        return
+    assert error <= 1.0
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,

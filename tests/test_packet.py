@@ -102,16 +102,20 @@ def test_axial_grid_nests_under_doubling(mixed_packet_3p1):
 @given(
     d_z=st.floats(min_value=math.log(1e-2), max_value=math.log(1e5)).map(math.exp),
     k0z=st.one_of(st.just(0.0), st.floats(min_value=-0.9, max_value=0.9)),
-    mantissa=st.integers(min_value=5, max_value=8),
-    power=st.integers(min_value=2, max_value=13),
+    points=st.one_of(
+        st.integers(min_value=2, max_value=16).map(lambda e: 1 << e),
+        st.builds(lambda m, e: m << e, st.integers(min_value=5, max_value=7),
+                  st.integers(min_value=3, max_value=13)),
+    ),
 )
-def test_axial_grid_floor_property(d_z, k0z, mantissa, power):
+def test_axial_grid_floor_property(d_z, k0z, points):
     # the weight floor zeroes exactly the nodes with d_z^2 (k - k0z)^2 past
     # ln(1024/eps); left unzeroed they would carry at most 1e-19 of the mass.
     # Zeroing keeps the even-index half bit for bit the rule of half the size,
     # and a k0z = 0 grid mirror-symmetric, so its fold is the mirror sum.
-    # Sizes m 2^e, m in 5..8, as `packet.axial_nodes` gives them
-    points = mantissa << power
+    # Sizes: powers of two 4..65536 (`axial_ladder`, an explicit kz_order) and
+    # m 2^e with m in 5..7 and e >= 3, the others `packet.axial_nodes` gives
+    # above the 64-node floor its callers raise it to
     pkt = GaussianPacket(d_x=1.0, d_y=1.0, d_z=d_z, k0z=k0z, dimensionality="3+1")
     kz, w = axial_grid(pkt, points)
     exponent = d_z**2 * (kz - k0z) ** 2
