@@ -471,7 +471,7 @@ def cmd_oracle_check(args) -> int:
     _emit(args.output, _json_text(doc))
     # an uncertified reference makes the channel deviations meaningless
     if evolved.kz_residual > _ORACLE_TOL:
-        print(f"oracle k_z half-grid residual {evolved.kz_residual:.3e} exceeds "
+        print(f"oracle k_z aliasing bound {evolved.kz_residual:.3e} exceeds "
               f"{_ORACLE_TOL:g}", file=sys.stderr)
         return EXIT_TOLERANCE
     worst = max(dev for _, dev in rows)

@@ -339,7 +339,11 @@ def _axial_sums(
     S_K = S_{K/2} / 2 + S_odd.  K doubles the same way while the bound, checked on
     rtol times the scale max(|y - y[0]|, |x|) of the position channels (0, 1) or
     (1,), needs more.  If it covers K/2 too, or the target lies below the rounding
-    eps A, |S_K - S_{K/2}| > rtol raises QuadratureConvergenceError at once."""
+    floor F eps A, |S_K - S_{K/2}| > rtol raises QuadratureConvergenceError at once.
+    F = 2 (ceil(T/J) + J + 4) counts the roundings of about eps behind one term
+    a z(t) of a sample in `_sum_lines`: three exps, ceil(T/J) - 1 anchor and J - 2
+    offset products, the amplitude's, the GEMM's and the carrier's exp and product
+    (4 in all where J = 1), twice for y - y[0]."""
     if parts not in PARTS:
         raise ValueError(f"parts must be one of {PARTS}, not {parts!r}")
     if packet.dimensionality == "2+1":
@@ -362,7 +366,10 @@ def _axial_sums(
         scale = max(np.max(np.abs(pos[-1] - pos[-1, 0])), np.max(np.abs(pos[:-1]), initial=1e-300))
         needed = axial_nodes(packet, field, times, mass / (rtol * scale))
     achieved = float(np.max(np.abs(pos - coarse[: len(channels)].real)) / scale)
-    if achieved > rtol and (2 * needed <= points or mass * np.finfo(float).eps > rtol * scale):
+    n_offsets = _time_grid(times)[2]
+    rounds = 4 + (-(-times.size // n_offsets) + n_offsets if n_offsets > 1 else 0)
+    floor = 2.0 * rounds * np.finfo(float).eps * mass          # F eps A
+    if achieved > rtol and (2 * needed <= points or floor > rtol * scale):
         raise QuadratureConvergenceError(achieved, rtol)
     return points, fine
 

@@ -22,10 +22,11 @@ which cancel between +-k_z, and sums K//2 + 1 nodes |j| h with the mirror
 weights added.  The norm and energy drifts bound the propagator for every
 state: U_b = phi P+ + conj(phi) P- gives U_b^+ U_b = |phi|^2 I up to the
 square residual, so they bound |phi| from the whole anchor and offset
-tables and the largest |E delta|, and add that residual.  The series'
-closed forms stay untouched: only the level amplitude F_n and the node
-choices of `packet.kx_rule`, `packet.axial_ladder` and `packet.axial_grid`
-(which weighs nodes past `packet.AXIAL_CUT` 0, skipped here) are shared.
+tables and the largest |E delta|, and add that residual.  The series' code
+stays untouched: only F_n, `packet.kx_rule` and `packet.axial_grid` (which
+weighs nodes past `packet.AXIAL_CUT` 0, skipped here) are shared.  The k_z
+rule is sized and certified from the oracle's own block energies and trace
+weights (`_aliasing`): a bound shared with the series would alias both alike.
 
 Basis index: sigma * (N+1) + m for spinor row sigma in 0..3, level m.
 """
@@ -42,7 +43,7 @@ from .units import FieldConfig
 
 GUARD_BAND = 20
 LEAK_TOL = 1e-10
-KZ_TOL = 1e-6              # kz_residual above which the automatic k_z rule doubles once
+KZ_ALIAS = 1e-9            # automatic k_z rule's aliasing bound over the trace weights' mass
 CHUNK_ELEMENTS = 60_000    # nodes x basis rows 4(N+1) x (anchor rows + offsets) per
                            # chunk: bounds the working set; one operator's pair tables
                            # are about three quarters of it
@@ -108,8 +109,7 @@ class EvolvedExpectations:
     guiding_shift: float       # integral dk_x k_x L^2 |c|^2, approx +k0x L^2
     norm_drift: float          # bound on | ||U psi|| - 1 |: max ||phi| - 1| + square residual
     energy_drift: float        # bound on |<H>(t) - <H>(0)|: max E ||phi|^2 - 1| + residual
-    kz_residual: float         # rule vs its even-index half: bounds the half
-                               # rule's error, may overstate the rule's; positions
+    kz_residual: float         # bound on the k_z rule's aliasing, not its rounding: positions
                                # relative to max(|x|, |y|), velocities in c; 0 for 2+1
 
 
@@ -187,9 +187,43 @@ def _split_times(times: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return times, np.zeros(1), np.zeros(count)
 
 
-def _peak(series: np.ndarray) -> float:
-    """Largest |Re| or |Im| of a complex series (two real channels)."""
-    return max(float(np.max(np.abs(series.real))), float(np.max(np.abs(series.imag))))
+def _aliasing(pkt: packet_mod.GaussianPacket, e_sq: np.ndarray, pairs: list, t_max: float,
+              kz_order: int | None) -> tuple[int, float]:
+    """(K, G): the k_z rule's node count and its aliasing over the trace weights' mass.
+
+    The rule of spacing h = 17/(d_z K) (`packet.axial_grid`) adds copies of the
+    integrand's Fourier transform at 2 pi m/h, m != 0 (Poisson summation; Trefethen &
+    Weideman, SIAM Rev. 56:385, 2014).  Moved to Im k_z = +-y, short of the nearest
+    complex zero of any S0 + k S1 + k^2 S2 (E_b and 1/E_b are analytic there), the
+    density grows by e^{d_z^2 y^2} and a pair's phase by at most e^{v y t}: v is the
+    largest |E_bra'| + |E_ket'| over the linked block pairs, and E_b is convex, so
+    |E_b'| peaks at an end of the weighed nodes.  The copies sum to G = 2 e^{d_z^2 y^2
+    - X y} / (1 - e^{-2 pi y/h}) of the mass, X = 2 pi/h - v t_max, at y = X/(2 d_z^2)
+    or the strip's edge, and G <= 2.  Without kz_order, K is the fewest nodes with G
+    <= KZ_ALIAS, the last factor (below 1 + 1e-9 there) aside; K > MAX_GRID_NODES
+    raises QuadratureConvergenceError."""
+    d_z = pkt.d_z
+    e_0, e_1, e_2 = e_sq[:, e_sq[2] > 0]    # E_b^2 >= 0: with no k^2 term, E_b is constant
+    strip = float(np.min(np.sqrt(np.maximum(4.0 * e_0 * e_2 - e_1 * e_1, 0.0)) / (2.0 * e_2),
+                         initial=np.inf))
+    k = pkt.k0z + np.array([[-1.0], [1.0]]) * math.sqrt(packet_mod.AXIAL_CUT) / d_z
+    slope = np.max(np.abs(e_sq[1] + 2.0 * k * e_sq[2])
+                   / (2.0 * np.sqrt(e_sq[0] + k * e_sq[1] + k * k * e_sq[2])), axis=0)
+    v_t = t_max * max(float(np.max(slope[bra] + slope[ket])) for bra, ket in pairs)
+    if kz_order is None:
+        # ln(2/G) = X^2/(4 d_z^2) inside the strip, else X s - d_z^2 s^2 at its edge s
+        log_g = math.log(2.0 / KZ_ALIAS)
+        x = (2.0 * d_z * math.sqrt(log_g) if math.sqrt(log_g) <= d_z * strip
+             else log_g / strip + d_z * d_z * strip)
+        need = packet_mod.AXIAL_HALF_WIDTH / (math.pi * d_z) * (v_t + x)
+        if not need <= packet_mod.MAX_GRID_NODES:
+            raise packet_mod.QuadratureConvergenceError(nodes_needed=math.ceil(min(need, 2.0**62)))
+        kz_order = math.ceil(need)
+    freq = math.pi * d_z * kz_order / packet_mod.AXIAL_HALF_WIDTH       # 2 pi/h
+    x = freq - v_t
+    y = min(strip, x / (2.0 * d_z * d_z))
+    alias = 2.0 * math.exp(d_z * d_z * y * y - x * y) / -math.expm1(-freq * y) if x > 0.0 else 2.0
+    return kz_order, min(2.0, alias)
 
 
 def evolve_expectations(
@@ -203,29 +237,15 @@ def evolve_expectations(
     """Block-evolution expectations of position and velocity.
 
     2+1 packets run the single node k_z = 0; 3+1 packets add an outer
-    trapezoid rule over the axial momentum density, with kz_order nodes or,
-    unless given, the first rung of `packet.axial_ladder`, doubled once if its
-    kz_residual exceeds KZ_TOL.  The even-index nodes with doubled weights are
-    the same rule at twice the spacing; their second accumulator gives
-    kz_residual in the same loop.  It compares the rule with that half, so it
-    bounds the half rule's error and can overstate the returned rule's by
-    orders of magnitude: 2e-7 on rules that match the series to 1e-12 at
-    kappa = 0.34.  A k0z = 0 rule runs folded onto k_z >= 0 when S1 = 0, both
-    accumulators with their mirror weights added; the doubling is of the
-    signed rule.  Output positions are relative to the t=0 centre
-    (trajectory starts at the origin), matching the analytic-series convention.
+    trapezoid rule over the axial momentum density, of kz_order nodes or the
+    fewest whose aliasing bound (`_aliasing`) meets KZ_ALIAS.  kz_residual is
+    that bound times the mass the sums run over, for either rule: positions
+    relative to max(|x|, |y|), velocities in c.  It bounds aliasing, not
+    float64 rounding.  A k0z = 0 rule runs folded onto k_z >= 0 when S1 = 0.
+    Positions are relative to the t=0 centre, as in the analytic series.
     """
-    times, auto = np.asarray(times, dtype=float), kz_order is None
-    if pkt.dimensionality == "2+1":
-        kz_nodes, weights = np.zeros(1), np.ones((2, 1))
-    else:
-        if kz_order is None:
-            t_max = float(np.max(np.abs(times)))
-            kz_order = packet_mod.axial_ladder(pkt, field, n_levels, t_max)[0]
-        kz_nodes, kz_weights = packet_mod.axial_grid(pkt, kz_order)
-        half = np.where(np.arange(kz_order) % 2 == 0, 2.0 * kz_weights, 0.0)
-        weights = np.stack([kz_weights, half])
-
+    times = np.asarray(times, dtype=float)
+    t_max = float(np.max(np.abs(times)))
     factor, shift = _density_from_nodes(pkt, field, n_levels)
     size = n_levels + 1
     tail = float(np.sum(np.abs(factor.reshape(4, size, -1)[:, max(0, size - guard) :]) ** 2))
@@ -271,32 +291,37 @@ def evolve_expectations(
         ops.append((bra, ket, np.einsum("lpij,rpji->lrp", pencil[:, bra] @ elems,
                                         pencil[:, ket] @ rho)))
 
+    if pkt.dimensionality == "2+1":
+        kz_nodes, weights, alias = np.zeros(1), np.ones(1), 0.0
+    else:
+        kz_order, alias = _aliasing(pkt, e_sq, [op[:2] for op in ops], t_max, kz_order)
+        kz_nodes, weights = packet_mod.axial_grid(pkt, kz_order)
     # k0z = 0 and S1 = 0: E_b and the axial density are both even in k_z, so the
     # k-odd trace terms cancel between +-k_z.  Sum the even part on the nodes
-    # |j| h with the mirror weights of both rules added; an even rule's unpaired
-    # edge -K/2 h (weight 0, past packet.AXIAL_CUT) lands on +K/2 h.
+    # |j| h with the mirror weights added; an even rule's unpaired edge -K/2 h
+    # (weight 0, past packet.AXIAL_CUT) lands on +K/2 h.
     if pkt.dimensionality == "3+1" and pkt.k0z == 0.0 and not np.any(e_sq[1]):
         bucket = np.abs(np.arange(kz_nodes.size) - kz_nodes.size // 2)
-        folded, nodes = np.zeros((2, bucket.max() + 1)), np.zeros(bucket.max() + 1)
-        np.add.at(folded, (slice(None), bucket), weights)
+        nodes = np.zeros(bucket.max() + 1)
         nodes[bucket] = np.abs(kz_nodes)        # exact: the node -j h is -(j h)
-        kz_nodes, weights = nodes, folded
+        kz_nodes, weights = nodes, np.bincount(bucket, weights)
         for _, _, tr in ops:
             tr[0, 2] = tr[2, 0] = tr[1, 2] = tr[2, 1] = 0.0
-    kept = np.any(weights != 0.0, axis=0)       # a node either rule weighs
-    kz_nodes, weights = kz_nodes[kept], weights[:, kept]
+    kept = weights != 0.0
+    kz_nodes, weights = kz_nodes[kept], weights[kept]
 
-    # [<A(t)>, <v_x + i v_y>(t)] x [full rule, half-grid partner] x [sum, delta
-    # coefficient] x anchor x [Re, Im] x offset; <A^+> = conj
+    # [<A(t)>, <v_x + i v_y>(t)] x [sum, delta coefficient] x anchor x [Re, Im] x
+    # offset; <A^+> = conj.  mass: the largest the sums of each operator can be
     anchors, offsets, delta = _split_times(times)
     n_anchors, n_offsets = anchors.size, offsets.size
     orders = 1 + bool(np.any(delta))    # exact grids, linspace(0, 200, 101) say, skip delta
-    sums = np.zeros((2, 2, orders, n_anchors, 2, n_offsets))
+    sums = np.zeros((2, orders, n_anchors, 2, n_offsets))
+    mass = np.zeros(2)
     reach = float(np.max(np.abs(delta), initial=0.0))
     norm_drift = energy_drift = 0.0
     step = max(1, CHUNK_ELEMENTS // (factor.shape[0] * (orders * n_anchors + n_offsets)))
     for start in range(0, kz_nodes.size, step):
-        wk, k = weights[:, start : start + step], kz_nodes[start : start + step, None]
+        wk, k = weights[start : start + step], kz_nodes[start : start + step, None]
         energy = np.sqrt(e_sq[0] + k * e_sq[1] + k * k * e_sq[2])       # (c, B)
         rate = -1j * energy
         # e^{-iEt} = e^{-iE t_0} (e^{-iEJh})^a (e^{-iEh})^j (1 - iE delta): anchor
@@ -314,7 +339,7 @@ def evolve_expectations(
             for j in range(2, n_offsets):
                 np.multiply(tail[:, j - 1], tail[:, 1], out=tail[:, j])
         head_c = head.conj()
-        for (bra, ket, tr), acc in zip(ops, sums):
+        for i, (bra, ket, tr) in enumerate(ops):
             # np.take keeps gathers C-ordered, where x[..., idx] puts idx outermost
             e_bra, e_ket = np.take(energy, bra, axis=1), np.take(energy, ket, axis=1)
             a, b = (tr[0, 1] + k * tr[0, 2]) / e_ket, (tr[1, 0] + k * tr[2, 0]) / e_bra
@@ -328,6 +353,14 @@ def evolve_expectations(
             # likewise: a real GEMM of the anchor rows with two offset rows
             q, p = np.stack([tr[0, 0] + d, tr[0, 0] - d], 1), np.stack([a + b, a - b], 1)
             beta = 0.5 * np.stack([q.real + 1j * p.imag, q.imag - 1j * p.real], 1)[:, :, None]
+            # mass: a pair's term has real and imaginary parts Re(w z) with |w| = |beta_0|,
+            # |beta_1|; positions take z - 1, at most min(2, |Omega| t_max) in size,
+            # with Omega = E_ket -+ E_bra for z = D, S
+            omega = np.stack([e_ket - e_bra, e_ket + e_bra], 1)[:, None]
+            size = np.abs(beta[:, :, 0])                        # (c, 2, 2, P)
+            if i == 0:
+                size *= np.minimum(2.0, t_max * np.abs(omega))
+            mass[i] += np.einsum("c,cjzp->", wk, size)
             left = np.empty((len(k), orders, n_anchors, 2, len(bra)), dtype=complex)
             right = np.empty((len(k), 2, n_offsets, 2, len(bra)), dtype=complex)
             zb, zk = np.take(head, bra, axis=-1), np.take(head_c, ket, axis=-1)
@@ -339,13 +372,12 @@ def evolve_expectations(
             np.multiply(right[:, 0], beta[:, 1], out=right[:, 1])
             right[:, 0] *= beta[:, 0]
             if orders > 1:
-                # z (1 - i Omega delta) with Omega = E_ket -+ E_bra: the delta
-                # coefficient's anchor rows are i Omega conj(z_a)
-                omega = np.stack([e_ket - e_bra, e_ket + e_bra], 1)[:, None]
+                # z (1 - i Omega delta): the delta coefficient's anchor rows are
+                # i Omega conj(z_a)
                 np.multiply(left[:, 0], 1j * omega, out=left[:, 1])
             grid = (left.view(float).reshape(len(k), -1, 4 * len(bra))
                     @ right.view(float).reshape(len(k), 2 * n_offsets, -1).swapaxes(1, 2))
-            acc += (wk @ grid.reshape(len(k), -1)).reshape(acc.shape)
+            sums[i] += (wk @ grid.reshape(len(k), -1)).reshape(sums[i].shape)
         # U_b = phi P+ + conj(phi) P- gives U_b^+ U_b = |phi|^2 I and U_b^+ H_b U_b =
         # |phi|^2 H_b up to the square residual.  |phi| = |anchor| |offset| |1 - iE delta|
         # is within u of 1, with the tables' own largest ||phi| - 1| per block
@@ -359,18 +391,16 @@ def evolve_expectations(
     # E_b >= 1, so to first order the norm moves by half of it, <H> by all of it
     norm_drift += 0.5 * width * residual
     energy_drift += width * residual
-    sums = (sums[..., 0, :] + 1j * sums[..., 1, :]).reshape(2, 2, orders, -1)[..., : times.size]
-    out = sums[:, :, 0] + delta * sums[:, :, 1] if orders > 1 else sums[:, :, 0]
+    sums = (sums[..., 0, :] + 1j * sums[..., 1, :]).reshape(2, orders, -1)[..., : times.size]
+    out = sums[:, 0] + delta * sums[:, 1] if orders > 1 else sums[:, 0]
 
-    (alpha, vel), alpha0 = out, weights.sum(axis=1) * ops[0][2][0, 0].sum()  # tr(A rho)
+    (alpha, vel), alpha0 = out, weights.sum() * ops[0][2][0, 0].sum()  # tr(A rho)
     scale = field.magnetic_length * math.sqrt(2.0)
-    pos = scale * (alpha - alpha0[:, None])            # y + i x per rule
-    pos_scale = max(_peak(pos[0]), 1e-300)
-    kz_residual = max(_peak(pos[0] - pos[1]) / pos_scale, _peak(vel[0] - vel[1]))
-    if auto and kz_residual > KZ_TOL:    # a converged rung's half grid may not be: go one up
-        return evolve_expectations(pkt, field, times, n_levels, guard, 2 * kz_order)
+    pos = scale * (alpha - alpha0)                     # y + i x
+    pos_scale = max(float(np.max(np.abs(pos.real))), float(np.max(np.abs(pos.imag))), 1e-300)
+    kz_residual = alias * max(scale * mass[0] / pos_scale, mass[1])
     return EvolvedExpectations(
-        times=times, x=pos[0].imag, y=pos[0].real, vx=vel[0].real, vy=vel[0].imag,
-        y_operator_initial=scale * float(alpha0[0].real), guiding_shift=shift,
+        times=times, x=pos.imag, y=pos.real, vx=vel.real, vy=vel.imag,
+        y_operator_initial=scale * float(alpha0.real), guiding_shift=shift,
         norm_drift=norm_drift, energy_drift=energy_drift, kz_residual=kz_residual,
     )

@@ -30,8 +30,7 @@ DEFAULT_TAIL_TOL = 1e-10
 AUTO_TAIL = 1e-12
 AXIAL_HALF_WIDTH = 8.5      # k_z grid half-width in units of 1/d_z
 AXIAL_CUT = math.log(1024.0 / np.finfo(float).eps)  # d_z^2 (k - k0z)^2 above which a node weighs 0
-AXIAL_FLOOR = 64            # fewest k_z nodes on any grid
-AXIAL_MARGIN = 32.0         # nodes added to the phase-span estimate of the first rung
+AXIAL_FLOOR = 64            # fewest k_z nodes of a series rule
 MAX_GRID_NODES = 1 << 16
 
 
@@ -307,28 +306,6 @@ def axial_grid(packet: GaussianPacket, points: int) -> tuple[np.ndarray, np.ndar
     exponent = packet.d_z**2 * (k - packet.k0z) ** 2
     density = math.sqrt(packet.d_z**2 / math.pi) * np.exp(-exponent)
     return k, np.where(exponent > AXIAL_CUT, 0.0, density * step)
-
-
-def axial_ladder(
-    packet: GaussianPacket, field: FieldConfig, n_top: int, t_max: float
-) -> list[int]:
-    """The oracle's trapezoid k_z node counts, coarsest first, for |t| <= t_max.
-
-    The first rung resolves the largest interband phase swing, over levels
-    0..n_top, between the centre and the edge of the axial density; each
-    further rung doubles it, up to MAX_GRID_NODES.  Raises
-    QuadratureConvergenceError when not even one doubling fits under the cap.
-    """
-    if packet.dimensionality != "3+1":
-        raise DimensionalityError("axial nodes require a 3+1 packet")
-    edge = abs(packet.k0z) + AXIAL_HALF_WIDTH / packet.d_z
-    energies = landau_energies(n_top, np.array([edge, packet.k0z]), field)
-    pair_sums = energies[1:] + energies[:-1]
-    span = float(np.max(np.abs(pair_sums[:, 0] - pair_sums[:, 1]))) * abs(t_max)
-    first = max(AXIAL_FLOOR, 1 << math.ceil(math.log2(2.0 * span / math.pi + AXIAL_MARGIN)))
-    if 2 * first > MAX_GRID_NODES:
-        raise QuadratureConvergenceError(nodes_needed=2 * first)
-    return [first << i for i in range((MAX_GRID_NODES // first).bit_length())]
 
 
 def axial_nodes(packet: GaussianPacket, field: FieldConfig, times, ratio: float) -> int:

@@ -305,7 +305,7 @@ def test_oracle_check_coarse_axial_rule_is_a_tolerance_failure(tmp_path, capsys,
     out = tmp_path / "oracle.json"
     assert main(["oracle-check", "--config", cfg, "--output", str(out)]) == EXIT_TOLERANCE
     assert json.loads(out.read_text())["kz_residual"] > 1e-6
-    assert "k_z half-grid residual" in capsys.readouterr().err
+    assert "k_z aliasing bound" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["sumrules", "oracle-check", "lowfield", "ion-map"])

@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,9 +10,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from landauzb import FieldConfig, GaussianPacket
 from landauzb.landau import LandauIndex, jl_spinor, landau_energy
-from landauzb import dynamics, oracle
+from landauzb import cli, dynamics, oracle
 from landauzb import packet as packet_mod
 from landauzb.packet import coefficient_matrix
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +67,23 @@ def test_oracle_imports_no_series_module():
             imported |= {alias.name.split(".")[1] for alias in node.names
                          if alias.name.startswith("landauzb.")}
     assert imported <= {"packet", "units"}, imported
+
+
+def test_oracle_never_reads_the_series_axial_bound():
+    # a k_z rule too coarse for both sides would alias both alike, and criterion
+    # 2 could not see it: the oracle sizes its rule from its own block energies
+    tree = ast.parse(open(oracle.__file__, encoding="utf-8").read())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)                   # getattr(packet, "axial_nodes")
+    assert "axial_nodes" not in names
 
 
 def test_minimal_hamiltonian_spectrum():
@@ -209,6 +229,61 @@ def test_window_beyond_the_node_cap_raises(critical_field, axial_packet):
     with pytest.raises(dynamics.QuadratureConvergenceError) as info:
         oracle.evolve_expectations(pkt, critical_field, times, n_levels=coeffs.n_max + 20)
     assert info.value.nodes_needed > dynamics.MAX_GRID_NODES
+
+
+def automatic_rule(pkt, field, times, n_levels):
+    """(node count of the oracle's automatic k_z rule, the call's expectations)."""
+    sizes, grid = [], packet_mod.axial_grid
+
+    def spy(packet, points):
+        sizes.append(points)
+        return grid(packet, points)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(packet_mod, "axial_grid", spy)
+        evo = oracle.evolve_expectations(pkt, field, times, n_levels=n_levels)
+    return sizes[0], evo
+
+
+def test_automatic_axial_rule_is_the_fewest_nodes_under_the_bound(critical_field, axial_packet):
+    # the critical-field blocks have S1 = 0, S2 = 1 and S0 = 1 + omega^2 n: the
+    # strip ends at the zero k = i of E_0^2, and the linked pairs' largest slope
+    # is k (1/E_0 + 1/E_1) at the weighed edge k = sqrt(AXIAL_CUT)/d_z.  d_z = 1.8
+    # exceeds sqrt(ln(2/KZ_ALIAS)), so y sits at the strip's edge and 2 pi/h - v t
+    # must reach ln(2/KZ_ALIAS) + d_z^2.  Over 200 t_c that is 599 nodes (the
+    # series takes 640)
+    pkt, coeffs = axial_packet
+    edge = math.sqrt(packet_mod.AXIAL_CUT) / pkt.d_z
+    slope = edge * (1.0 / math.hypot(1.0, edge) + 1.0 / math.hypot(1.0, critical_field.omega, edge))
+
+    def bound(t_max):
+        tail = math.log(2.0 / oracle.KZ_ALIAS) + pkt.d_z**2
+        return 8.5 / (math.pi * pkt.d_z) * (slope * t_max + tail)
+
+    times = np.linspace(0.0, 200.0, 3)
+    nodes, evo = automatic_rule(pkt, critical_field, times, coeffs.n_max + 20)
+    assert nodes == math.ceil(bound(200.0)) == 599
+    assert evo.kz_residual <= 1e-6
+    # k0z = 0: the rule is sized signed and then folded, as an explicit one is
+    explicit = oracle.evolve_expectations(pkt, critical_field, times, n_levels=coeffs.n_max + 20,
+                                          kz_order=nodes)
+    assert np.array_equal(evo.x, explicit.x) and np.array_equal(evo.vy, explicit.vy)
+    with pytest.raises(dynamics.QuadratureConvergenceError) as info:
+        oracle.evolve_expectations(pkt, critical_field, np.linspace(0.0, 5.0e6, 16),
+                                   n_levels=coeffs.n_max + 20)
+    assert info.value.nodes_needed == math.ceil(bound(5.0e6))
+
+
+@pytest.mark.parametrize("kz_order", [2, 8])
+def test_explicit_small_axial_rule_runs_and_reports_its_aliasing(critical_field, axial_packet,
+                                                                   kz_order):
+    # an explicit rule is summed as given, however coarse: 2 nodes (one of them
+    # weighed) is the bench's warm-up rule.  Its bound reads far above the gate
+    pkt, coeffs = axial_packet
+    evo = oracle.evolve_expectations(pkt, critical_field, np.linspace(0.0, 1.0, 3),
+                                     n_levels=coeffs.n_max + 20, kz_order=kz_order)
+    assert all(np.all(np.isfinite(v)) for v in (evo.x, evo.y, evo.vx, evo.vy))
+    assert 1e-6 < evo.kz_residual < np.inf
 
 
 def test_components_recover_permuted_blocks():
@@ -608,37 +683,6 @@ def field_and_phase_packets(kappa, d_x, k0x, theta, phase, d_y=1.25, k0z=0.4):
     return field, flat, axial, coefficient_matrix(flat, field)
 
 
-def test_automatic_axial_rule_certifies_itself():
-    # L = 1 over 5 t_c: the 64-node first rung matches the series to 2e-12,
-    # but its 32-node half grid is off by 3.6e-6, which kz_residual reported
-    # and `oracle-check` refused; the automatic rule now takes 128 nodes
-    field, _, axial, coeffs = field_and_phase_packets(0.5, 1.0, 0.7, 0.6435, 1.5708)
-    times = np.linspace(0.0, 5.0, 11)
-    assert packet_mod.axial_ladder(axial, field, coeffs.n_max + 20, 5.0)[0] == 64
-    first = oracle.evolve_expectations(axial, field, times, n_levels=coeffs.n_max + 20,
-                                       kz_order=64)
-    assert first.kz_residual > oracle.KZ_TOL
-    evo = oracle.evolve_expectations(axial, field, times, n_levels=coeffs.n_max + 20)
-    assert evo.kz_residual < 1e-12
-    traj = dynamics.trajectory_3p1(axial, coeffs, field, times)
-    assert max(series_deviation(traj, evo), series_deviation(traj, first)) < 1e-8
-
-
-def test_folded_automatic_rule_doubles_the_signed_rule():
-    # k0z = 0 at kappa = 0.6: the 64-node rung's half grid reads 1.2e-6, so the
-    # automatic rule goes one up, to 128 signed nodes (65 folded), not to twice
-    # the folded node count
-    field, _, axial, coeffs = field_and_phase_packets(0.6, 1.0, 0.7, 0.6435, 1.5708, k0z=0.0)
-    times, n_levels = np.linspace(0.0, 5.0, 11), coeffs.n_max + 20
-    assert packet_mod.axial_ladder(axial, field, n_levels, 5.0)[0] == 64
-    first = oracle.evolve_expectations(axial, field, times, n_levels=n_levels, kz_order=64)
-    assert first.kz_residual > oracle.KZ_TOL
-    evo = oracle.evolve_expectations(axial, field, times, n_levels=n_levels)
-    explicit = oracle.evolve_expectations(axial, field, times, n_levels=n_levels, kz_order=128)
-    assert np.array_equal(evo.x, explicit.x) and np.array_equal(evo.vy, explicit.vy)
-    assert evo.kz_residual < 1e-12
-
-
 D_X = st.one_of(
     st.floats(min_value=0.5, max_value=0.95),                               # narrow
     st.floats(min_value=-1e-6, max_value=1e-6).map(lambda eps: 1.0 + eps),  # equal
@@ -656,26 +700,32 @@ D_X = st.one_of(
     d_y=D_X,
     k0z=st.sampled_from([0.0, 0.4]),
 )
-# kappa 0.2-0.6, where the first rung of `packet.axial_ladder` sits near a
-# rung boundary; the derandomized draws cluster at kappa = 1
-@example(kappa=0.2, d_x=1.0, k0x=0.7, theta=0.6435, phase=1.5708, d_y=1.25, k0z=0.0)
-@example(kappa=0.2, d_x=1.0, k0x=0.7, theta=0.6435, phase=1.5708, d_y=1.25, k0z=0.4)
-@example(kappa=0.35, d_x=1.0, k0x=0.7, theta=0.6435, phase=1.5708, d_y=1.25, k0z=0.0)
-@example(kappa=0.35, d_x=1.0, k0x=0.7, theta=0.6435, phase=1.5708, d_y=1.25, k0z=0.4)
-@example(kappa=0.6, d_x=1.0, k0x=0.7, theta=0.6435, phase=1.5708, d_y=1.25, k0z=0.0)
-@example(kappa=0.6, d_x=1.0, k0x=0.7, theta=0.6435, phase=1.5708, d_y=1.25, k0z=0.4)
+# the oracle's automatic rule is the ceiling of its aliasing bound, one node at a
+# time; for this 5 t_c window it crosses 64 nodes (the series' floor) at kappa
+# 0.5813 (k0z = 0) and 0.5787 (k0z = 0.4), bisected.  Just below, its 64 nodes
+# meet KZ_ALIAS with no slack; just above, it takes 65.  The derandomized draws
+# cluster at kappa = 1
+@example(kappa=0.575, d_x=1.0, k0x=0.7, theta=0.6435, phase=1.5708, d_y=1.25, k0z=0.0)
+@example(kappa=0.575, d_x=1.0, k0x=0.7, theta=0.6435, phase=1.5708, d_y=1.25, k0z=0.4)
+@example(kappa=0.585, d_x=1.0, k0x=0.7, theta=0.6435, phase=1.5708, d_y=1.25, k0z=0.0)
+@example(kappa=0.585, d_x=1.0, k0x=0.7, theta=0.6435, phase=1.5708, d_y=1.25, k0z=0.4)
 # just below and above the kappa where the series' aliasing bound for this
 # 5 t_c window crosses 32 nodes (0.0851 at k0z = 0.4, 0.0892 at k0z = 0), below
-# which the 64-node floor covers its half, and 64 nodes (2.502; 2.538), above
-# which the rule doubles to 128
+# which the 64-node floor covers its half; and on either side of its rule's
+# crossings from 64 to 80 nodes (kappa 0.607-0.610) and from 128 to 160
+# (kappa 2.636-2.644), at both k0z
 @example(kappa=0.083, d_x=1.0, k0x=0.7, theta=0.6435, phase=1.5708, d_y=1.25, k0z=0.0)
 @example(kappa=0.083, d_x=1.0, k0x=0.7, theta=0.6435, phase=1.5708, d_y=1.25, k0z=0.4)
 @example(kappa=0.092, d_x=1.0, k0x=0.7, theta=0.6435, phase=1.5708, d_y=1.25, k0z=0.0)
 @example(kappa=0.092, d_x=1.0, k0x=0.7, theta=0.6435, phase=1.5708, d_y=1.25, k0z=0.4)
-@example(kappa=2.48, d_x=1.0, k0x=0.7, theta=0.6435, phase=1.5708, d_y=1.25, k0z=0.0)
-@example(kappa=2.48, d_x=1.0, k0x=0.7, theta=0.6435, phase=1.5708, d_y=1.25, k0z=0.4)
-@example(kappa=2.56, d_x=1.0, k0x=0.7, theta=0.6435, phase=1.5708, d_y=1.25, k0z=0.0)
-@example(kappa=2.56, d_x=1.0, k0x=0.7, theta=0.6435, phase=1.5708, d_y=1.25, k0z=0.4)
+@example(kappa=0.60, d_x=1.0, k0x=0.7, theta=0.6435, phase=1.5708, d_y=1.25, k0z=0.0)
+@example(kappa=0.60, d_x=1.0, k0x=0.7, theta=0.6435, phase=1.5708, d_y=1.25, k0z=0.4)
+@example(kappa=0.62, d_x=1.0, k0x=0.7, theta=0.6435, phase=1.5708, d_y=1.25, k0z=0.0)
+@example(kappa=0.62, d_x=1.0, k0x=0.7, theta=0.6435, phase=1.5708, d_y=1.25, k0z=0.4)
+@example(kappa=2.62, d_x=1.0, k0x=0.7, theta=0.6435, phase=1.5708, d_y=1.25, k0z=0.0)
+@example(kappa=2.62, d_x=1.0, k0x=0.7, theta=0.6435, phase=1.5708, d_y=1.25, k0z=0.4)
+@example(kappa=2.66, d_x=1.0, k0x=0.7, theta=0.6435, phase=1.5708, d_y=1.25, k0z=0.0)
+@example(kappa=2.66, d_x=1.0, k0x=0.7, theta=0.6435, phase=1.5708, d_y=1.25, k0z=0.4)
 # the first component alone (series rows from pair 1 on), and a relative phase
 # that gives the spin-mixing rows a weight with real and imaginary parts
 @example(kappa=0.2, d_x=1.0, k0x=0.7, theta=0.0, phase=1.5708, d_y=1.25, k0z=0.4)
@@ -693,10 +743,9 @@ D_X = st.one_of(
 @example(kappa=0.6, d_x=1.0, k0x=0.7, theta=0.6435, phase=1.5708, d_y=1.0, k0z=0.4)
 def test_oracle_matches_series_over_field_and_spinor_phase(kappa, d_x, k0x, theta, phase,
                                                            d_y, k0z):
-    # the half-grid residual of a converged rule reads up to ~2e-7 just below a
-    # rung boundary of `packet.axial_ladder`, so it is held to KZ_TOL, and the
-    # rule itself to the series at 1e-8.  k0z = 0 runs both sides folded, with
-    # the spin-mixing terms of complex a1, a2 cancelled rather than summed
+    # the oracle's aliasing bound is held to the 1e-6 gate of `oracle-check`, and
+    # its rule to the series at 1e-8.  k0z = 0 runs both sides folded, with the
+    # spin-mixing terms of complex a1, a2 cancelled rather than summed
     field, flat, axial, coeffs = field_and_phase_packets(kappa, d_x, k0x, theta, phase,
                                                          d_y, k0z)
     times = np.linspace(0.0, 20.0, 41)
@@ -705,4 +754,70 @@ def test_oracle_matches_series_over_field_and_spinor_phase(kappa, d_x, k0x, thet
     times = np.linspace(0.0, 5.0, 11)
     evo = oracle.evolve_expectations(axial, field, times, n_levels=coeffs.n_max + 20)
     assert series_deviation(dynamics.trajectory_3p1(axial, coeffs, field, times), evo) < 1e-8
-    assert evo.kz_residual <= oracle.KZ_TOL
+    assert evo.kz_residual <= 1e-6
+
+
+def twice_the_nodes_deviation(pkt, field, times, n_levels):
+    """(automatic rule's nodes, its kz_residual, |S_K - S_2K| in kz_residual's units:
+    positions relative to max(|x|, |y|), velocities in c)."""
+    nodes, evo = automatic_rule(pkt, field, times, n_levels)
+    fine = oracle.evolve_expectations(pkt, field, times, n_levels=n_levels, kz_order=2 * nodes)
+    scale = max(np.max(np.abs(evo.x)), np.max(np.abs(evo.y)))
+    pos = max(np.max(np.abs(evo.x - fine.x)), np.max(np.abs(evo.y - fine.y))) / scale
+    vel = max(np.max(np.abs(evo.vx - fine.vx)), np.max(np.abs(evo.vy - fine.vy)))
+    return nodes, evo.kz_residual, max(pos, vel)
+
+
+@pytest.mark.parametrize("name, nodes", [
+    ("relativistic_3p1", 599), ("collapse_revival_3p1", 2980), ("mixing_3p1", 147),
+    pytest.param("lowfield_zb_3p1", 26, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="the oracle's float64 rounding, 1-2e-9 of the scale on every rule from 32 "
+               "nodes on, lies above the 3.8e-10 aliasing bound of its 26-node rule")),
+])
+def test_automatic_axial_rule_is_within_its_bound_of_twice_its_nodes(name, nodes):
+    # the bound kz_residual reports covers the rule against twice its nodes, and
+    # meets the 1e-6 gate of `oracle-check`, on every bundled 3+1 config.  On the
+    # critical-field window of criterion 2 the rule is 599 nodes.  Every fourth
+    # sample keeps each window, and so its rule, at a quarter of the cost
+    cfg = cli.load_config(str(CONFIG_DIR / f"{name}.json"))
+    field, _, pkt, num, coeffs = cli._build_everything(cfg)
+    found, residual, deviation = twice_the_nodes_deviation(
+        pkt, field, cli.resolve_times(cfg)[::4], coeffs.n_max + num["oracle_guard"])
+    assert found == nodes
+    assert residual <= 1e-6
+    assert deviation <= residual
+
+
+def _random_axial_packets(count, seed=2026):
+    """3+1 packets and windows drawn in the ranges of the series' random sweep
+    (`test_dynamics::test_accepted_axial_rule_is_within_kz_rtol_of_four_times_its_nodes`)."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for _ in range(count):
+        kappa = math.exp(rng.uniform(math.log(1e-3), math.log(20.0)))
+        d_z = math.exp(rng.uniform(math.log(0.2), math.log(5.0)))
+        k0z = 0.0 if rng.random() < 0.5 else rng.uniform(-0.8, 0.8)
+        t_max = math.exp(rng.uniform(0.0, math.log(200.0)))
+        k0x, theta = rng.uniform(0.05, 0.9), rng.uniform(0.0, 0.5 * math.pi)
+        phase = rng.uniform(0.0, 2.0 * math.pi)
+        cases.append((kappa, d_z, k0z, t_max, k0x, theta, phase))
+    return cases
+
+
+@pytest.mark.parametrize("kappa, d_z, k0z, t_max, k0x, theta, phase", _random_axial_packets(30),
+                         ids=[f"packet{i}" for i in range(30)])
+def test_automatic_axial_rule_is_within_its_bound_over_random_packets(kappa, d_z, k0z, t_max,
+                                                                      k0x, theta, phase):
+    # widths and momenta in units of L, 41 samples of [0, t_max]
+    field = FieldConfig.from_kappa(kappa)
+    L = field.magnetic_length
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # momenta beyond the nominal velocity bound
+        pkt = GaussianPacket(d_x=1.2 * L, d_y=1.4 * L, d_z=d_z * L, k0x=k0x / L, k0z=k0z / L,
+                             a1=math.cos(theta), a2=math.sin(theta) * np.exp(1j * phase),
+                             dimensionality="3+1", relax_momentum_bound=True)
+    n_levels = coefficient_matrix(pkt, field).n_max + 20
+    _, residual, deviation = twice_the_nodes_deviation(pkt, field, np.linspace(0.0, t_max, 41),
+                                                       n_levels)
+    assert deviation <= residual <= 1e-6

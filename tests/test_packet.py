@@ -9,14 +9,12 @@ from hypothesis import given, settings, strategies as st
 from landauzb import FieldConfig, cli, dynamics, packet
 from landauzb.hermite import CapacityError, gauss_hermite
 from landauzb.packet import (
-    MAX_GRID_NODES,
     DimensionalityError,
     GaussianPacket,
     PacketError,
     QuadratureConvergenceError,
     TruncationError,
     axial_grid,
-    axial_ladder,
     axial_nodes,
     coefficient_matrix,
     f_n,
@@ -113,7 +111,7 @@ def test_axial_grid_floor_property(d_z, k0z, points):
     # ln(1024/eps); left unzeroed they would carry at most 1e-19 of the mass.
     # Zeroing keeps the even-index half bit for bit the rule of half the size,
     # and a k0z = 0 grid mirror-symmetric, so its fold is the mirror sum.
-    # Sizes: powers of two 4..65536 (`axial_ladder`, an explicit kz_order) and
+    # Sizes: powers of two 4..65536, as an explicit oracle kz_order may be, and
     # m 2^e with m in 5..7 and e >= 3, the others `packet.axial_nodes` gives
     # above the 64-node floor its callers raise it to
     pkt = GaussianPacket(d_x=1.0, d_y=1.0, d_z=d_z, k0z=k0z, dimensionality="3+1")
@@ -182,20 +180,6 @@ def test_axial_nodes_round_the_bound_to_a_two_bit_mantissa(kappa, d_z, k0z, t_ma
     assert bound * (1.0 - 1e-12) <= nodes < 1.25 * bound + 8.0
     assert axial_rule(pkt, field, t_max, more * ratio) >= nodes
     assert axial_rule(pkt, field, more * t_max, ratio) >= nodes
-
-
-def test_axial_ladder_doubles_to_the_cap(critical_field, packet_3p1):
-    short = axial_ladder(packet_3p1, critical_field, 40, 1.0)
-    assert short[0] == 64                       # the floor
-    assert short == [64 << i for i in range(11)]
-    assert short[-1] == MAX_GRID_NODES
-    # 200 t_c of the critical-field packet starts at 1024 nodes
-    assert axial_ladder(packet_3p1, critical_field, 40, 200.0)[0] == 1024
-    with pytest.raises(QuadratureConvergenceError) as info:
-        axial_ladder(packet_3p1, critical_field, 40, 1.0e6)
-    assert info.value.nodes_needed > MAX_GRID_NODES
-    with pytest.raises(DimensionalityError):
-        axial_ladder(GaussianPacket(d_x=1.0, d_y=1.0), critical_field, 40, 1.0)
 
 
 def test_g_z_rejected_for_2p1(packet_2p1):
