@@ -307,7 +307,7 @@ def _fold(
 
     The grid h (j - K/2), j < K, holds node -m h and node m h (m < K/2) as
     exact float negatives with equal weights, and the unpaired edge -K/2 h,
-    whose weight (density e^{-72}) lies past `packet.AXIAL_CUT` and is 0.
+    whose weight (density eps/1024 of the peak) moves to +K/2 h.
     Every line but the spin-mixing rows (skipped at k0z = 0) is even in k_z,
     so h [0, 1, ..., K/2] with weights [w_0, 2 w_1, ..., 2 w_{K/2-1}, w_edge]
     sums the same lines on K/2 + 1 nodes.  Its even-index nodes with doubled
@@ -320,6 +320,13 @@ def _fold(
     folded = 2.0 * weights[half::-1]
     folded[[0, -1]] = weights[[half, 0]]
     return -nodes[half::-1], folded
+
+
+def _first_rule(packet: GaussianPacket, field: FieldConfig, times, rtol: float) -> int:
+    """The first k_z rule's nodes: `packet.axial_nodes` for rtol, at least AXIAL_FLOOR."""
+    if not 0.0 < rtol < math.inf:
+        raise ValueError(f"kz_rtol must be a positive finite number, not {rtol!r}")
+    return max(AXIAL_FLOOR, axial_nodes(packet, field, times, 1.0 / rtol))
 
 
 def _axial_sums(
@@ -335,7 +342,7 @@ def _axial_sums(
     """(K, `_series` sums on the axial rule of K nodes); K = 1, k_z = 0, for 2+1.
 
     K is the rule of `packet.axial_nodes` for an error of rtol times the amplitude
-    mass A, folded (`_fold`) and summed once over its nonzero-weight nodes, nested:
+    mass A, folded (`_fold`) and summed once over its nodes, nested:
     S_K = S_{K/2} / 2 + S_odd.  K doubles the same way while the bound, checked on
     rtol times the scale max(|y - y[0]|, |x|) of the position channels (0, 1) or
     (1,), needs more.  If it covers K/2 too, or the target lies below the rounding
@@ -351,12 +358,10 @@ def _axial_sums(
         return 1, _series(packet, coeffs, field, times, rule, parts, channels, derivative)[0]
 
     def rung_sum(points, index=slice(None)):
-        kz, weights = (v[index] for v in _fold(packet, axial_grid(packet, points)))
-        kept = weights != 0.0
-        return _series(packet, coeffs, field, times, (kz[kept], weights[kept]), parts,
-                       channels, derivative)
+        rule = tuple(v[index] for v in _fold(packet, axial_grid(packet, points)))
+        return _series(packet, coeffs, field, times, rule, parts, channels, derivative)
 
-    needed = max(AXIAL_FLOOR, axial_nodes(packet, field, times, 1.0 / rtol))
+    needed = _first_rule(packet, field, times, rtol)
     points = needed // 2
     fine, mass = rung_sum(points)
     while points < needed:
@@ -447,13 +452,10 @@ def mixing_terms(
         zero = np.zeros(times.size)
         return MixingSeries(times, zero, zero.copy(), zero * 0j, zero * 0j)
     # the signed grid: at k0z = 0 the cancellation is computed, not assumed
-    points = max(AXIAL_FLOOR, axial_nodes(packet, field, times, 1.0 / kz_rtol))
-    kz, weights = axial_grid(packet, points)
-    kept = weights != 0.0
+    rule = axial_grid(packet, _first_rule(packet, field, times, kz_rtol))
     j = {
         block.interband: _sum_lines(block.freq, block.amps, times, carrier=block.carrier)[0].real
-        for block in _line_blocks(packet, coeffs, field, kz[kept], weights[kept], "all", (1,),
-                                  (0.0, 0.0, 1.0))
+        for block in _line_blocks(packet, coeffs, field, *rule, "all", (1,), (0.0, 0.0, 1.0))
     }
     cross = 0.5 * np.conj(packet.a2) * packet.a1 * (j[False] + j[True])
     return MixingSeries(times, j[False], j[True], cross, np.conj(cross))
@@ -476,7 +478,7 @@ def subpackets(
     """
     if packet.dimensionality != "2+1":
         raise DimensionalityError("subpackets are defined for the 2+1 model")
-    if abs(packet.a2) != 1.0:
+    if packet.a1 != 0:
         raise ValueError("subpackets need a pure second-component packet")
     times = np.asarray(times, dtype=float)
     (x, y), _ = _series(packet, coeffs, field, times, (np.zeros(1), np.ones(1)))

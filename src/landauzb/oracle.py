@@ -23,10 +23,9 @@ weights added.  The norm and energy drifts bound the propagator for every
 state: U_b = phi P+ + conj(phi) P- gives U_b^+ U_b = |phi|^2 I up to the
 square residual, so they bound |phi| from the whole anchor and offset
 tables and the largest |E delta|, and add that residual.  The series' code
-stays untouched: only F_n, `packet.kx_rule` and `packet.axial_grid` (which
-weighs nodes past `packet.AXIAL_CUT` 0, skipped here) are shared.  The k_z
-rule is sized and certified from the oracle's own block energies and trace
-weights (`_aliasing`): a bound shared with the series would alias both alike.
+stays untouched: only F_n, `packet.kx_rule` and `packet.axial_grid` are
+shared.  The k_z rule is sized and certified from the oracle's own block
+energies and trace weights (`_aliasing`): a shared bound would alias both alike.
 
 Basis index: sigma * (N+1) + m for spinor row sigma in 0..3, level m.
 """
@@ -191,22 +190,25 @@ def _aliasing(pkt: packet_mod.GaussianPacket, e_sq: np.ndarray, pairs: list, t_m
               kz_order: int | None) -> tuple[int, float]:
     """(K, G): the k_z rule's node count and its aliasing over the trace weights' mass.
 
-    The rule of spacing h = 17/(d_z K) (`packet.axial_grid`) adds copies of the
-    integrand's Fourier transform at 2 pi m/h, m != 0 (Poisson summation; Trefethen &
-    Weideman, SIAM Rev. 56:385, 2014).  Moved to Im k_z = +-y, short of the nearest
-    complex zero of any S0 + k S1 + k^2 S2 (E_b and 1/E_b are analytic there), the
-    density grows by e^{d_z^2 y^2} and a pair's phase by at most e^{v y t}: v is the
-    largest |E_bra'| + |E_ket'| over the linked block pairs, and E_b is convex, so
-    |E_b'| peaks at an end of the weighed nodes.  The copies sum to G = 2 e^{d_z^2 y^2
-    - X y} / (1 - e^{-2 pi y/h}) of the mass, X = 2 pi/h - v t_max, at y = X/(2 d_z^2)
-    or the strip's edge, and G <= 2.  Without kz_order, K is the fewest nodes with G
-    <= KZ_ALIAS, the last factor (below 1 + 1e-9 there) aside; K > MAX_GRID_NODES
-    raises QuadratureConvergenceError."""
+    The rule of spacing h = 2 AXIAL_HALF_WIDTH/(d_z K) (`packet.axial_grid`) adds
+    copies of the integrand's Fourier transform at 2 pi m/h, m != 0 (Poisson
+    summation; Trefethen & Weideman, SIAM Rev. 56:385, 2014).  Moved to Im k_z = +-y,
+    short of the nearest complex zero of any S0 + k S1 + k^2 S2 (E_b and 1/E_b are
+    analytic there), the density grows by e^{d_z^2 y^2} and a pair's phase by at most
+    e^{v y t}: v is the largest |E_bra'| + |E_ket'| over the linked block pairs, and
+    E_b is convex, so |E_b'| peaks at an end of the grid.  The copies sum to
+    G = 2 e^{d_z^2 y^2 - X y} / (1 - e^{-2 pi y/h}) of the mass, X = 2 pi/h - v t_max,
+    at y = X/(2 d_z^2) or the strip's edge, and G <= 2.  Without kz_order, K is the
+    fewest nodes with G <= KZ_ALIAS, the last factor (below 1 + 1e-9 there) aside;
+    K > MAX_GRID_NODES raises QuadratureConvergenceError, and a kz_order that is no
+    positive integer ValueError."""
+    if kz_order is not None and not (isinstance(kz_order, (int, np.integer)) and kz_order > 0):
+        raise ValueError(f"kz_order must be a positive integer, not {kz_order!r}")
     d_z = pkt.d_z
     e_0, e_1, e_2 = e_sq[:, e_sq[2] > 0]    # E_b^2 >= 0: with no k^2 term, E_b is constant
     strip = float(np.min(np.sqrt(np.maximum(4.0 * e_0 * e_2 - e_1 * e_1, 0.0)) / (2.0 * e_2),
                          initial=np.inf))
-    k = pkt.k0z + np.array([[-1.0], [1.0]]) * math.sqrt(packet_mod.AXIAL_CUT) / d_z
+    k = pkt.k0z + np.array([[-1.0], [1.0]]) * packet_mod.AXIAL_HALF_WIDTH / d_z
     slope = np.max(np.abs(e_sq[1] + 2.0 * k * e_sq[2])
                    / (2.0 * np.sqrt(e_sq[0] + k * e_sq[1] + k * k * e_sq[2])), axis=0)
     v_t = t_max * max(float(np.max(slope[bra] + slope[ket])) for bra, ket in pairs)
@@ -299,7 +301,7 @@ def evolve_expectations(
     # k0z = 0 and S1 = 0: E_b and the axial density are both even in k_z, so the
     # k-odd trace terms cancel between +-k_z.  Sum the even part on the nodes
     # |j| h with the mirror weights added; an even rule's unpaired edge -K/2 h
-    # (weight 0, past packet.AXIAL_CUT) lands on +K/2 h.
+    # (density eps/1024 of the peak) lands on +K/2 h.
     if pkt.dimensionality == "3+1" and pkt.k0z == 0.0 and not np.any(e_sq[1]):
         bucket = np.abs(np.arange(kz_nodes.size) - kz_nodes.size // 2)
         nodes = np.zeros(bucket.max() + 1)
@@ -307,8 +309,6 @@ def evolve_expectations(
         kz_nodes, weights = nodes, np.bincount(bucket, weights)
         for _, _, tr in ops:
             tr[0, 2] = tr[2, 0] = tr[1, 2] = tr[2, 1] = 0.0
-    kept = weights != 0.0
-    kz_nodes, weights = kz_nodes[kept], weights[kept]
 
     # [<A(t)>, <v_x + i v_y>(t)] x [sum, delta coefficient] x anchor x [Re, Im] x
     # offset; <A^+> = conj.  mass: the largest the sums of each operator can be

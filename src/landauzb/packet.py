@@ -28,8 +28,8 @@ from .units import FieldConfig
 DEFAULT_N_MAX = 400
 DEFAULT_TAIL_TOL = 1e-10
 AUTO_TAIL = 1e-12
-AXIAL_HALF_WIDTH = 8.5      # k_z grid half-width in units of 1/d_z
-AXIAL_CUT = math.log(1024.0 / np.finfo(float).eps)  # d_z^2 (k - k0z)^2 above which a node weighs 0
+# k_z grid half-width in units of 1/d_z: the density there is eps/1024 of its peak
+AXIAL_HALF_WIDTH = math.sqrt(math.log(1024.0 / np.finfo(float).eps))
 AXIAL_FLOOR = 64            # fewest k_z nodes of a series rule
 MAX_GRID_NODES = 1 << 16
 
@@ -287,43 +287,39 @@ def coefficient_matrix(
 def axial_grid(packet: GaussianPacket, points: int) -> tuple[np.ndarray, np.ndarray]:
     """Uniform k_z rule against |g_z|^2 dk_z, nested under doubling.
 
-    Nodes k0z + h (j - points/2), j < points, with h = 17/(d_z points), cover
-    k0z +- 8.5/d_z, where the density is e^{-72}: the rule converges
-    exponentially in `points`, and for `points` divisible by 4 its even-index
-    nodes with doubled weights are exactly the rule with points/2 nodes.
-    (Symmetric grids without the centre node are not nested this way: for a
-    k_z-even integrand their even-index half has the same error as the full
-    grid.)
-    Nodes past d_z |k - k0z| = sqrt(AXIAL_CUT) ~ 6.56, each below 2.2e-19 of
-    the peak density and together at most 3.6e-20 of the mass of an
-    `axial_nodes` rule, weigh exactly 0, so every k_z sum skips them; the
-    nesting holds.
+    Nodes k0z + h (j - points/2), j < points, with h = 2 AXIAL_HALF_WIDTH/(d_z points),
+    start at k0z - AXIAL_HALF_WIDTH/d_z, where the density is eps/1024 of its peak,
+    and every weight is positive: the rule converges exponentially in `points`,
+    and for `points` divisible by 4 its even-index nodes with doubled weights are
+    exactly the rule with points/2 nodes.  (Symmetric grids without the centre
+    node are not nested this way: for a k_z-even integrand their even-index half
+    has the same error as the full grid.)
     """
     if packet.dimensionality != "3+1":
         raise DimensionalityError("axial nodes require a 3+1 packet")
     step = 2.0 * AXIAL_HALF_WIDTH / (packet.d_z * points)
     k = packet.k0z + step * (np.arange(points) - points // 2)
-    exponent = packet.d_z**2 * (k - packet.k0z) ** 2
-    density = math.sqrt(packet.d_z**2 / math.pi) * np.exp(-exponent)
-    return k, np.where(exponent > AXIAL_CUT, 0.0, density * step)
+    density = math.sqrt(packet.d_z**2 / math.pi) * np.exp(-packet.d_z**2 * (k - packet.k0z) ** 2)
+    return k, density * step
 
 
 def axial_nodes(packet: GaussianPacket, field: FieldConfig, times, ratio: float) -> int:
     """Fewest k_z nodes K = m 2^e, m in 5..8 and 8 | K, whose rule aliases under 1/ratio.
 
-    The rule of spacing h = 17/(d_z K) (`axial_grid`) adds copies shifted by 2 pi m/h
-    (Poisson summation; Trefethen & Weideman, SIAM Rev. 56:385, 2014).  Moved to
-    Im k_z = y within the strip |y| < 1 (E_0 branches at +-i), a copy of lines of
-    amplitude mass A is at most A e^{d_z^2 y^2 - (2 pi/h - v t) y}: t = max |times|, and
-    v = k (1/E_0 + 1/E_1) is the largest line slope, at the weighed nodes' edge
-    k = |k0z| + sqrt(AXIAL_CUT)/d_z.  With c = 2 sqrt(ln ratio), y = c/(2 d_z) gives
-    A/ratio once 2 pi/h - v t >= c d_z; if c > 2 d_z, y = 1 needs c^2/4 + d_z^2.
+    The rule of spacing h = 2 AXIAL_HALF_WIDTH/(d_z K) (`axial_grid`) adds copies
+    shifted by 2 pi m/h (Poisson summation; Trefethen & Weideman, SIAM Rev. 56:385,
+    2014).  Moved to Im k_z = y within the strip |y| < 1 (E_0 branches at +-i), a
+    copy of lines of amplitude mass A is at most A e^{d_z^2 y^2 - (2 pi/h - v t) y}:
+    t = max |times|, and v = k (1/E_0 + 1/E_1) is the largest line slope, at the
+    grid's edge k = |k0z| + AXIAL_HALF_WIDTH/d_z.  With c = 2 sqrt(ln ratio),
+    y = c/(2 d_z) gives A/ratio once 2 pi/h - v t >= c d_z; if c > 2 d_z, y = 1
+    needs c^2/4 + d_z^2.
     K is that bound rounded up to a two-bit mantissa m (at most 25 % or 7 nodes over
     it); 8 | K keeps the rule of K/2 nested in it and in its fold (`dynamics._fold`).
     A doubling after the sum (`dynamics._axial_sums`) can reach 2.5 times the bound.
     Callers raise K to AXIAL_FLOOR; K > MAX_GRID_NODES raises QuadratureConvergenceError.
     """
-    d_z, edge = packet.d_z, abs(packet.k0z) + math.sqrt(AXIAL_CUT) / packet.d_z
+    d_z, edge = packet.d_z, abs(packet.k0z) + AXIAL_HALF_WIDTH / packet.d_z
     slope = edge * np.sum(1.0 / landau_energies(1, edge, field))
     c = 2.0 * math.sqrt(math.log(max(ratio, 1.0)))
     tail = c * d_z if c <= 2.0 * d_z else c * c / 4.0 + d_z * d_z

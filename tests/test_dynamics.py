@@ -202,12 +202,12 @@ def _bundled_3p1_cases():
 
 
 def test_accepted_axial_rungs_follow_the_aliasing_bound():
-    # the accepted rule before folding: the bound (597, 2978, 145, 2972 and
-    # 2289 nodes) rounded up to m 2^e, m in 5..8, and lowfield_zb_3p1 raised
-    # from 32 to the 64-node floor
+    # the accepted rule before folding: the bound (461, 2297, 112, 2293 and
+    # 1766 nodes) rounded up to m 2^e, m in 5..8, and lowfield_zb_3p1 raised
+    # from 24 to the 64-node floor
     expected = {
-        "relativistic_3p1": 640, "collapse_revival_3p1": 3072, "mixing_3p1": 160,
-        "lowfield_zb_3p1": 64, "persistence": 3072, "decay": 2560,
+        "relativistic_3p1": 512, "collapse_revival_3p1": 2560, "mixing_3p1": 112,
+        "lowfield_zb_3p1": 64, "persistence": 2560, "decay": 1792,
     }
     found = {}
     for label, pkt, field, times, parts, rtol, channels in _bundled_3p1_cases():
@@ -223,9 +223,8 @@ def test_accepted_axial_rule_is_within_kz_rtol_of_twice_its_nodes():
     for label, pkt, field, times, parts, rtol, channels in _bundled_3p1_cases():
         coeffs = coefficient_matrix(pkt, field)
         points, sums = dynamics._axial_sums(pkt, coeffs, field, times, rtol, parts, channels)
-        kz, weights = dynamics._fold(pkt, axial_grid(pkt, 2 * points))
-        kept = weights != 0.0
-        finer, _ = dynamics._series(pkt, coeffs, field, times, (kz[kept], weights[kept]), parts,
+        finer, _ = dynamics._series(pkt, coeffs, field, times,
+                                    dynamics._fold(pkt, axial_grid(pkt, 2 * points)), parts,
                                     channels)
         pos = sums.real
         scale = max(np.max(np.abs(pos[-1] - pos[-1, 0])), np.max(np.abs(pos[:-1]), initial=0.0))
@@ -248,10 +247,8 @@ def _error_against_four_times_the_nodes(kappa, d_x, d_y, d_z, k0x, k0z, theta, p
     coeffs = coefficient_matrix(pkt, field)
     times = np.linspace(0.0, t_max, 41)
     points, sums = dynamics._axial_sums(pkt, coeffs, field, times, rtol, parts, channels)
-    kz, weights = dynamics._fold(pkt, axial_grid(pkt, 4 * points))
-    kept = weights != 0.0
-    finer, _ = dynamics._series(pkt, coeffs, field, times, (kz[kept], weights[kept]), parts,
-                                channels)
+    finer, _ = dynamics._series(pkt, coeffs, field, times,
+                                dynamics._fold(pkt, axial_grid(pkt, 4 * points)), parts, channels)
     pos = sums.real
     scale = max(np.max(np.abs(pos[-1] - pos[-1, 0])), np.max(np.abs(pos[:-1]), initial=0.0))
     return np.max(np.abs(pos - finer.real)) / (rtol * scale)
@@ -325,7 +322,6 @@ def test_interband_lines_track_extended_precision_energies(label, tol):
     coeffs = coefficient_matrix(pkt, field)
     points = dynamics._axial_sums(pkt, coeffs, field, times, rtol, parts, channels)[0]
     kz, weights = dynamics._fold(pkt, axial_grid(pkt, points))
-    kz, weights = kz[weights != 0.0], weights[weights != 0.0]
     got, _ = dynamics._series(pkt, coeffs, field, times, (kz, weights), parts, channels)
     (block,) = dynamics._line_blocks(pkt, coeffs, field, kz, weights, parts, channels)
     levels = np.arange(block.levels[0], block.levels[-1] + 2, dtype=np.longdouble)[:, None]
@@ -347,7 +343,7 @@ def _recording(monkeypatch, times):
         return sum_lines(freq, amps, grid, derivative, carrier)
 
     def recording(packet, coeffs, field, kz, weights, *args, **kwargs):
-        assert kz.size == weights.size and np.all(weights != 0.0), "a zero-weight node is summed"
+        assert kz.size == weights.size and np.all(weights > 0.0), "a node of no weight is summed"
         nodes.append(kz)
         for block in line_blocks(packet, coeffs, field, kz, weights, *args, **kwargs):
             channels.append(len(block.amps))
@@ -365,10 +361,9 @@ def test_axial_rungs_are_summed_once_on_the_full_grid(critical_field, packet_3p1
     # its half, the rule of K/2, then its odd-index nodes, every sample each
     # time, in one call per line class with one row per level pair: n_max rows
     # for the second component alone, n_max + 1 once the first component and
-    # the spin-mixing rows (k0z != 0) share them.  Nodes of weight 0 (past
-    # packet.AXIAL_CUT) are never summed, and no rule above K is.  A block
-    # holds only the channels its caller reads: y for analytic_signal, x and
-    # y for a trajectory
+    # the spin-mixing rows (k0z != 0) share them.  Every node of the grid is
+    # summed, and no rule above K is.  A block holds only the channels its
+    # caller reads: y for analytic_signal, x and y for a trajectory
     times = np.linspace(0.0, 200.0, 401)
     rungs = {}
     for packet, coeffs in ((packet_3p1, coeffs_3p1), (mixed_packet_3p1, mixed_coeffs_3p1)):
@@ -377,14 +372,13 @@ def test_axial_rungs_are_summed_once_on_the_full_grid(critical_field, packet_3p1
                 packet, coeffs, critical_field, times, dynamics.DEFAULT_KZ_RTOL, "all", channels)[0]
     seen, nodes, channels = _recording(monkeypatch, times)
 
-    def weighed(points, index=slice(None)):
-        kz, weights = dynamics._fold(packet, axial_grid(packet, points))
-        return kz[index][weights[index] != 0.0]
+    def grid(points, index=slice(None)):
+        return dynamics._fold(packet, axial_grid(packet, points))[0][index]
 
-    # the bounds ask for 597 and 732 nodes
+    # the bounds ask for 461 and 565 nodes
     for packet, coeffs, rows, rule in (
-            (packet_3p1, coeffs_3p1, coeffs_3p1.n_max, 640),
-            (mixed_packet_3p1, mixed_coeffs_3p1, mixed_coeffs_3p1.n_max + 1, 768)):
+            (packet_3p1, coeffs_3p1, coeffs_3p1.n_max, 512),
+            (mixed_packet_3p1, mixed_coeffs_3p1, mixed_coeffs_3p1.n_max + 1, 640)):
         for call, n_channels in ((dynamics.analytic_signal, (1,)), (dynamics.trajectory_3p1, (0, 1))):
             seen.clear()
             nodes.clear()
@@ -393,17 +387,16 @@ def test_axial_rungs_are_summed_once_on_the_full_grid(critical_field, packet_3p1
             points = rungs[packet, n_channels]
             assert points == rule
             assert channels == [len(n_channels)] * 4
-            half, odd = weighed(points // 2).size, weighed(points, slice(1, None, 2)).size
+            half, odd = grid(points // 2).size, grid(points, slice(1, None, 2)).size
             assert seen == [(rows, half)] * 2 + [(rows, odd)] * 2
-            assert np.array_equal(np.sort(np.concatenate(nodes)), weighed(points))
-            assert weighed(points).size < dynamics._fold(packet, axial_grid(packet, points))[0].size
+            assert np.array_equal(np.sort(np.concatenate(nodes)), grid(points))
 
 
 def test_axial_rule_doubles_while_the_returned_scale_needs_more_nodes(monkeypatch):
     # kappa = 2, d_z = L over 1 t_c: the amplitude mass is 2.06 times the
     # scale of the returned sums, so the bound checked on that scale asks for
-    # 160 nodes, above the 128 chosen for rtol times the mass.  The rule
-    # doubles, nested, and each node of the 256-node rule is summed once
+    # 112 nodes, above the 96 chosen for rtol times the mass.  The rule
+    # doubles, nested, and each node of the 192-node rule is summed once
     field = FieldConfig.from_kappa(2.0)
     L = field.magnetic_length
     with warnings.catch_warnings():
@@ -412,14 +405,11 @@ def test_axial_rule_doubles_while_the_returned_scale_needs_more_nodes(monkeypatc
                              dimensionality="3+1", relax_momentum_bound=True)
     coeffs = coefficient_matrix(pkt, field)
     times = np.linspace(0.0, 1.0, 41)
-    assert axial_nodes(pkt, field, times, 1e9) == 128
+    assert axial_nodes(pkt, field, times, 1e9) == 96
     _, nodes, _ = _recording(monkeypatch, times)
-    assert dynamics._axial_sums(pkt, coeffs, field, times, 1e-9)[0] == 256
-    kz, weights = axial_grid(pkt, 256)
-    kz, kept = kz[weights != 0.0], np.arange(256)[weights != 0.0]
-    assert [n.size for n in nodes] == [np.sum(kept % 4 == 0), np.sum(kept % 4 == 2),
-                                       np.sum(kept % 2 == 1)]
-    assert np.array_equal(np.sort(np.concatenate(nodes)), kz)
+    assert dynamics._axial_sums(pkt, coeffs, field, times, 1e-9)[0] == 192
+    assert [n.size for n in nodes] == [48, 48, 96]
+    assert np.array_equal(np.sort(np.concatenate(nodes)), axial_grid(pkt, 192)[0])
 
 
 def test_mixing_terms_sums_only_the_two_signed_mixing_blocks(monkeypatch):
@@ -430,11 +420,10 @@ def test_mixing_terms_sums_only_the_two_signed_mixing_blocks(monkeypatch):
     field, _, pkt, num, coeffs = cli._build_everything(cfg)
     times = cli.resolve_times(cfg)
     points = dynamics._axial_sums(pkt, coeffs, field, times, num["kz_rtol"])[0]
-    assert points == 160
+    assert points == 112
     seen, nodes, channels = _recording(monkeypatch, times)
     dynamics.mixing_terms(pkt, coeffs, field, times, num["kz_rtol"])
-    kz, weights = axial_grid(pkt, points)
-    assert len(nodes) == 1 and np.array_equal(nodes[0], kz[weights != 0.0])
+    assert len(nodes) == 1 and np.array_equal(nodes[0], axial_grid(pkt, points)[0])
     assert channels == [1, 1]
     assert seen == [(coeffs.n_max + 1, nodes[0].size)] * 2
 
@@ -447,9 +436,7 @@ def test_mixing_terms_match_the_full_frequency_sum():
     field, _, pkt, num, coeffs = cli._build_everything(cfg)
     times = cli.resolve_times(cfg)
     mix = dynamics.mixing_terms(pkt, coeffs, field, times, num["kz_rtol"])
-    kz, weights = axial_grid(pkt, max(dynamics.AXIAL_FLOOR,
-                                      axial_nodes(pkt, field, times, 1.0 / num["kz_rtol"])))
-    kz, weights = kz[weights != 0.0], weights[weights != 0.0]
+    kz, weights = axial_grid(pkt, dynamics._first_rule(pkt, field, times, num["kz_rtol"]))
     energies = landau_energies(coeffs.n_max + 1, kz, field)
     for block in dynamics._line_blocks(pkt, coeffs, field, kz, weights, "all", (1,),
                                        (0.0, 0.0, 1.0)):
@@ -474,15 +461,15 @@ def test_axial_rule_that_cannot_reach_kz_rtol_raises_at_once(parts, rtol, monkey
     with pytest.raises(dynamics.QuadratureConvergenceError) as info:
         dynamics.analytic_signal(pkt, coeffs, field, times, parts, rtol)
     assert info.value.target == rtol and info.value.achieved > rtol
-    kz, weights = dynamics._fold(pkt, axial_grid(pkt, 64))
-    assert np.array_equal(np.sort(np.concatenate(nodes)), kz[weights != 0.0])
+    assert np.array_equal(np.sort(np.concatenate(nodes)),
+                          dynamics._fold(pkt, axial_grid(pkt, 64))[0])
 
 
 def test_axial_rule_covers_narrow_axial_packets():
-    # d_z = 0.39 lambda_c at kappa = 7.3: the Gaussian copies alone asked for
-    # 92 nodes, and the 128-node rule missed 1e-9 (3.9e-9); the branch points
+    # d_z = 0.39 lambda_c at kappa = 7.3: the Gaussian copies alone ask for
+    # 71 nodes, and the 80-node rule misses 1e-9 (1.8e-7); the branch points
     # of E_0 at k_z = +-i bound the copies to the strip |Im k_z| < 1, which
-    # asks for 224
+    # asks for 164, rounded up to 192
     field = FieldConfig.from_kappa(7.337390641135939)
     L = field.magnetic_length
     amps = dict(a1=math.cos(0.585) * np.exp(0.4j), a2=math.sin(0.585) * np.exp(1j * (0.4 + 4.706)))
@@ -491,10 +478,9 @@ def test_axial_rule_covers_narrow_axial_packets():
     coeffs = coefficient_matrix(pkt, field)
     times = np.linspace(0.0, 5.0, 201)
     points, sums = dynamics._axial_sums(pkt, coeffs, field, times, 1e-9, "interband")
-    assert points == 224
-    kz, weights = dynamics._fold(pkt, axial_grid(pkt, 4096))
-    kept = weights != 0.0
-    ref, _ = dynamics._series(pkt, coeffs, field, times, (kz[kept], weights[kept]), "interband")
+    assert points == 192
+    ref, _ = dynamics._series(pkt, coeffs, field, times, dynamics._fold(pkt, axial_grid(pkt, 4096)),
+                              "interband")
     scale = max(np.max(np.abs(ref.real[1] - ref.real[1, 0])), np.max(np.abs(ref.real[0])))
     assert np.max(np.abs(sums.real - ref.real)) <= 1e-9 * scale
 
@@ -630,6 +616,20 @@ def test_subpackets_need_second_component(critical_field):
         dynamics.subpackets(pkt, coeffs, critical_field, np.linspace(0, 1, 4))
 
 
+def test_subpackets_accept_a_second_component_of_any_phase(critical_field, packet_2p1,
+                                                          coeffs_2p1):
+    # |cos t + i sin t| rounds to 1 - 1.1e-16 at this t, and about 1.3 % of
+    # unit phases round off 1 so: a pure second-component packet is a1 = 0
+    turn = 0.6244862155388472
+    phased = dataclasses.replace(packet_2p1, a2=complex(math.cos(turn), math.sin(turn)))
+    assert abs(phased.a2) != 1.0
+    times = np.linspace(0.0, 20.0, 41)
+    got = dynamics.subpackets(phased, coeffs_2p1, critical_field, times)
+    want = dynamics.subpackets(packet_2p1, coeffs_2p1, critical_field, times)
+    scale = np.max(np.abs(want.lowering_1))
+    assert np.max(np.abs(got.lowering_1 - want.lowering_1)) <= 1e-14 * scale
+
+
 def test_spectral_reconstruction(critical_field, packet_2p1):
     # the two-component input merges first-component lines one pair up
     rng = np.random.default_rng(1)
@@ -747,6 +747,18 @@ def test_unknown_parts_rejected(critical_field, packet_2p1, coeffs_2p1, packet_3
         for parts in ("intra", "Interband", None):
             with pytest.raises(ValueError, match="parts"):
                 call(parts)
+
+
+@pytest.mark.parametrize("kz_rtol", [0.0, -1e-9, math.nan, math.inf])
+def test_out_of_range_kz_rtol_rejected(critical_field, mixed_packet_3p1, mixed_coeffs_3p1,
+                                       kz_rtol):
+    # 0 divided by zero, a negative target raised a convergence error (or
+    # passed, in mixing_terms), NaN failed an integer conversion, and inf
+    # returned the 64-node floor rule as if certified
+    times = np.linspace(0.0, 10.0, 21)
+    for call in (dynamics.trajectory_3p1, dynamics.analytic_signal, dynamics.mixing_terms):
+        with pytest.raises(ValueError, match="kz_rtol"):
+            call(mixed_packet_3p1, mixed_coeffs_3p1, critical_field, times, kz_rtol=kz_rtol)
 
 
 def test_analytic_signal_real_part_is_series(

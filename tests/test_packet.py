@@ -104,33 +104,40 @@ def test_axial_grid_nests_under_doubling(mixed_packet_3p1):
         st.integers(min_value=2, max_value=16).map(lambda e: 1 << e),
         st.builds(lambda m, e: m << e, st.integers(min_value=5, max_value=7),
                   st.integers(min_value=3, max_value=13)),
+        st.integers(min_value=1, max_value=4095).map(lambda n: 2 * n + 1),
     ),
 )
 def test_axial_grid_floor_property(d_z, k0z, points):
-    # the weight floor zeroes exactly the nodes with d_z^2 (k - k0z)^2 past
-    # ln(1024/eps); left unzeroed they would carry at most 1e-19 of the mass.
-    # Zeroing keeps the even-index half bit for bit the rule of half the size,
-    # and a k0z = 0 grid mirror-symmetric, so its fold is the mirror sum.
-    # Sizes: powers of two 4..65536, as an explicit oracle kz_order may be, and
-    # m 2^e with m in 5..7 and e >= 3, the others `packet.axial_nodes` gives
-    # above the 64-node floor its callers raise it to
+    # the grid ends where the density is eps/1024 of its peak: every node
+    # weighs, and an even grid starts at k0z - AXIAL_HALF_WIDTH/d_z.  Sizes
+    # divisible by 4 keep the even-index half bit for bit the rule of half the
+    # size, and a k0z = 0 grid is mirror-symmetric, so both folds (`_fold` and
+    # the oracle's bincount) are the mirror sum.  Sizes: powers of two 4..65536
+    # and odd sizes, as an oracle kz_order may be, and m 2^e with m in 5..7 and
+    # e >= 3, the others `packet.axial_nodes` gives above the 64-node floor
     pkt = GaussianPacket(d_x=1.0, d_y=1.0, d_z=d_z, k0z=k0z, dimensionality="3+1")
     kz, w = axial_grid(pkt, points)
-    exponent = d_z**2 * (kz - k0z) ** 2
-    assert np.array_equal(w == 0.0, exponent > math.log(1024.0 / np.finfo(float).eps))
-    assert np.all(w >= 0.0) and np.count_nonzero(w) > points // 2
-    step = 17.0 / (d_z * points)
-    unzeroed = d_z / math.sqrt(math.pi) * np.exp(-exponent) * step
-    assert np.sum(unzeroed[w == 0.0]) <= 1e-19 * np.sum(unzeroed)
-    kz_half, w_half = axial_grid(pkt, points // 2)
-    assert np.array_equal(kz[::2], kz_half) and np.array_equal(2.0 * w[::2], w_half)
+    centre = points // 2
+    assert np.all(w > 0.0) and kz[centre] == k0z
+    if points % 2 == 0:
+        edge = packet.AXIAL_HALF_WIDTH / d_z
+        assert abs(kz[0] - (k0z - edge)) <= 4 * np.finfo(float).eps * max(abs(k0z), edge)
+        assert math.isclose(w[0] / w[centre], np.finfo(float).eps / 1024.0, rel_tol=1e-9)
+    if points % 4 == 0:
+        kz_half, w_half = axial_grid(pkt, points // 2)
+        assert np.array_equal(kz[::2], kz_half) and np.array_equal(2.0 * w[::2], w_half)
     if k0z == 0.0:
-        centre = points // 2
-        assert np.array_equal(w[centre + 1 :], w[centre - 1 : 0 : -1]) and w[0] == 0.0
-        nodes, folded = dynamics._fold(pkt, (kz, w))
-        assert np.array_equal(nodes, -kz[centre::-1])
-        assert np.array_equal(folded[1:-1], 2.0 * w[centre + 1 :])
-        assert folded[0] == w[centre] and folded[-1] == 0.0
+        paired = slice(centre - 1, None if points % 2 else 0, -1)
+        assert np.array_equal(kz[centre + 1 :], -kz[paired])
+        assert np.array_equal(w[centre + 1 :], w[paired])
+        bucket = np.abs(np.arange(points) - centre)
+        oracle_fold = np.bincount(bucket, w)
+        assert np.array_equal(oracle_fold[1 : points - centre], 2.0 * w[centre + 1 :])
+        assert oracle_fold[0] == w[centre]
+        if points % 2 == 0:
+            nodes, folded = dynamics._fold(pkt, (kz, w))
+            assert np.array_equal(nodes, -kz[centre::-1])
+            assert np.array_equal(folded, oracle_fold) and folded[-1] == w[0]
 
 
 # node counts m 2^e, m in 5..8, that 8 divides, with 0 below the smallest
@@ -139,11 +146,11 @@ RULE_SIZES = [0] + sorted({m << e for m in range(5, 9) for e in range(40) if (m 
 
 def aliasing_bound(pkt, field, t_max, ratio):
     """The node count `axial_nodes` rounds up, from the formula of its docstring."""
-    edge = abs(pkt.k0z) + math.sqrt(packet.AXIAL_CUT) / pkt.d_z
+    edge = abs(pkt.k0z) + packet.AXIAL_HALF_WIDTH / pkt.d_z
     slope = edge * sum(1.0 / math.sqrt(1.0 + field.omega**2 * n + edge**2) for n in (0, 1))
     c = 2.0 * math.sqrt(math.log(ratio))
     tail = c * pkt.d_z if c <= 2.0 * pkt.d_z else c * c / 4.0 + pkt.d_z**2
-    return 17.0 / (2.0 * math.pi * pkt.d_z) * (slope * t_max + tail)
+    return packet.AXIAL_HALF_WIDTH / (math.pi * pkt.d_z) * (slope * t_max + tail)
 
 
 def axial_rule(pkt, field, t_max, ratio):
