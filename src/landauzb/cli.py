@@ -445,8 +445,9 @@ def cmd_oracle_check(args) -> int:
         traj = dynamics.trajectory_2p1(pkt, coeffs, field, times)
     else:
         traj = dynamics.trajectory_3p1(pkt, coeffs, field, times, kz_rtol=num["kz_rtol"])
+    guard = num["oracle_guard"]     # levels added above n_max: the band scanned for leaks
     evolved = oracle.evolve_expectations(
-        pkt, field, times, n_levels=coeffs.n_max + num["oracle_guard"]
+        pkt, field, times, n_levels=coeffs.n_max + guard, guard=guard
     )
     pos_scale = max(np.max(np.abs(evolved.x)), np.max(np.abs(evolved.y)), 1e-300)
     rows = [
@@ -459,7 +460,7 @@ def cmd_oracle_check(args) -> int:
         "channels": {name: dev for name, dev in rows},
         "position_scale": pos_scale,
         "tolerance": _ORACLE_TOL,
-        "n_levels": coeffs.n_max + num["oracle_guard"],
+        "n_levels": coeffs.n_max + guard,
         "mixing_active": bool(
             pkt.dimensionality == "3+1" and pkt.is_two_component and pkt.k0z != 0.0
         ),

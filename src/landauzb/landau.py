@@ -49,9 +49,7 @@ class SpinorWeights:
 
     components: tuple[complex, complex, complex, complex]
     levels: tuple[int, int, int, int]
-    norm_constant: float
     chi: float
-    eta: float
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.components, dtype=complex)
@@ -82,7 +80,6 @@ def jl_spinor(idx: LandauIndex, field: FieldConfig) -> SpinorWeights:
         raise BranchEdgeError("spinor norm singular at branch-edge state")
     norm = 1.0 / math.sqrt(denom)
     chi = (eps * energy + 1.0) * norm
-    eta = chi * norm
     omega_n = field.omega * math.sqrt(n)
     if s == +1:
         comps = (chi, 0.0, k_z * norm, -omega_n * norm)
@@ -92,9 +89,7 @@ def jl_spinor(idx: LandauIndex, field: FieldConfig) -> SpinorWeights:
     return SpinorWeights(
         components=tuple(complex(c) for c in comps),
         levels=(n - 1, n, n - 1, n),
-        norm_constant=norm,
         chi=chi,
-        eta=eta,
     )
 
 
@@ -104,28 +99,21 @@ class LadderElement:
 
     lowering/raising are the elements of the level-lowering and level-raising
     operators between the two states; at most one is nonzero by the selection
-    rule n' = n +- 1.  Each is also returned split into its two frequency
-    parts (positive/negative interband character).  `allowed` distinguishes a
-    selection-rule zero from a numerically zero amplitude.
+    rule n' = n +- 1.  `allowed` distinguishes a selection-rule zero from a
+    numerically zero amplitude.
     """
 
     lowering: complex
     raising: complex
-    lowering_parts: tuple[complex, complex]
-    raising_parts: tuple[complex, complex]
     allowed: bool
 
 
-def _contracted_amplitude(bra: SpinorWeights, ket: SpinorWeights, lowering: bool) -> complex:
-    """<bra| diag(a,a,a,a) |ket> (or a^dagger) contracted over spinor rows."""
+def _contracted_amplitude(bra: SpinorWeights, ket: SpinorWeights) -> complex:
+    """<bra| diag(a,a,a,a) |ket> contracted over spinor rows."""
     total = 0.0 + 0.0j
     for wb, lb, wk, lk in zip(bra.components, bra.levels, ket.components, ket.levels):
-        if lb < 0 or lk < 0:
-            continue
-        if lowering and lb == lk - 1:
+        if lb >= 0 and lb == lk - 1:
             total += wb.conjugate() * wk * math.sqrt(lk)
-        elif not lowering and lb == lk + 1:
-            total += wb.conjugate() * wk * math.sqrt(lb)
     return total
 
 
@@ -135,50 +123,33 @@ def ladder_matrix_element(
     """Explicit-form element (lowering part, raising part) at time t.
 
     Selection rules: equal k_x and k_z, ket level = bra level +- 1; no rule
-    on the branch or spin labels.  Phases are drawn from {+-E_bra +- E_ket}.
+    on the branch or spin labels.  The branch eps of the higher-level state
+    splits the element into two parts, with phases drawn from {+-E_bra +- E_ket}.
     """
-    if bra.k_x != ket.k_x or bra.k_z != ket.k_z:
-        return LadderElement(0.0, 0.0, (0.0, 0.0), (0.0, 0.0), allowed=False)
-    dn = ket.n - bra.n
-    if dn not in (+1, -1):
-        return LadderElement(0.0, 0.0, (0.0, 0.0), (0.0, 0.0), allowed=False)
+    if bra.k_x != ket.k_x or bra.k_z != ket.k_z or abs(ket.n - bra.n) != 1:
+        return LadderElement(0.0, 0.0, allowed=False)
 
     bra_w = jl_spinor(bra, field)
     ket_w = jl_spinor(ket, field)
     e_bra = landau_energy(bra.n, bra.k_z, field)
     e_ket = landau_energy(ket.n, ket.k_z, field)
 
-    if dn == +1:
-        # lowering element: split phases exp(i(eps_bra E_bra -+ E_ket) t)
-        amp = _contracted_amplitude(bra_w, ket_w, lowering=True)
-        part1 = 0.5 * (1 + ket.epsilon) * amp * np.exp(
-            1j * (bra.epsilon * e_bra - e_ket) * t
-        )
-        part2 = 0.5 * (1 - ket.epsilon) * amp * np.exp(
-            1j * (bra.epsilon * e_bra + e_ket) * t
-        )
-        return LadderElement(
-            lowering=complex(part1 + part2),
-            raising=0.0,
-            lowering_parts=(complex(part1), complex(part2)),
-            raising_parts=(0.0, 0.0),
-            allowed=True,
-        )
-    # raising element: split phases exp(i(+-E_bra - eps_ket E_ket) t)
-    amp = _contracted_amplitude(bra_w, ket_w, lowering=False)
-    part1 = 0.5 * (1 + bra.epsilon) * amp * np.exp(
-        1j * (e_bra - ket.epsilon * e_ket) * t
+    lowering = ket.n > bra.n
+    if lowering:
+        # phases exp(i(eps_bra E_bra -+ E_ket) t), split on the ket's branch
+        amp, eps = _contracted_amplitude(bra_w, ket_w), ket.epsilon
+        phases = (bra.epsilon * e_bra - e_ket, bra.epsilon * e_bra + e_ket)
+    else:
+        # <bra|a^dagger|ket> = <ket|a|bra>*; phases exp(i(+-E_bra - eps_ket E_ket) t)
+        amp, eps = _contracted_amplitude(ket_w, bra_w).conjugate(), bra.epsilon
+        phases = (e_bra - ket.epsilon * e_ket, -e_bra - ket.epsilon * e_ket)
+    value = complex(
+        0.5 * (1 + eps) * amp * np.exp(1j * phases[0] * t)
+        + 0.5 * (1 - eps) * amp * np.exp(1j * phases[1] * t)
     )
-    part2 = 0.5 * (1 - bra.epsilon) * amp * np.exp(
-        1j * (-e_bra - ket.epsilon * e_ket) * t
-    )
-    return LadderElement(
-        lowering=0.0,
-        raising=complex(part1 + part2),
-        lowering_parts=(0.0, 0.0),
-        raising_parts=(complex(part1), complex(part2)),
-        allowed=True,
-    )
+    if lowering:
+        return LadderElement(lowering=value, raising=0.0, allowed=True)
+    return LadderElement(lowering=0.0, raising=value, allowed=True)
 
 
 def heisenberg_ladder_element(
@@ -188,24 +159,9 @@ def heisenberg_ladder_element(
     base = ladder_matrix_element(0.0, bra, ket, field)
     if not base.allowed:
         return base
-    phase = np.exp(
-        1j
-        * (
-            bra.epsilon * landau_energy(bra.n, bra.k_z, field)
-            - ket.epsilon * landau_energy(ket.n, ket.k_z, field)
-        )
-        * t
-    )
+    e_bra = landau_energy(bra.n, bra.k_z, field)
+    e_ket = landau_energy(ket.n, ket.k_z, field)
+    phase = np.exp(1j * (bra.epsilon * e_bra - ket.epsilon * e_ket) * t)
     return LadderElement(
-        lowering=complex(base.lowering * phase),
-        raising=complex(base.raising * phase),
-        lowering_parts=(
-            complex(base.lowering_parts[0] * phase),
-            complex(base.lowering_parts[1] * phase),
-        ),
-        raising_parts=(
-            complex(base.raising_parts[0] * phase),
-            complex(base.raising_parts[1] * phase),
-        ),
-        allowed=True,
+        complex(base.lowering * phase), complex(base.raising * phase), allowed=True
     )

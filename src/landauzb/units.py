@@ -87,6 +87,12 @@ class FieldConfig:
     def __post_init__(self):
         if not self.magnetic_length > 0.0:
             raise UnitError("magnetic_length must be strictly positive")
+        try:    # L^4 enters the closed-form F_n and its k_x rule
+            finite = math.isfinite(self.magnetic_length**4)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise UnitError("magnetic_length is too large: its fourth power must be a finite float")
 
     @property
     def field_strength(self) -> float:

@@ -13,11 +13,13 @@ from landauzb.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_TOLERANCE,
+    _build_everything,
     _flat_items,
     _section,
     load_config,
     main,
     read_record,
+    resolve_times,
     write_record,
 )
 
@@ -368,12 +370,24 @@ def test_ion_map_flags_beside_config_rejected(tmp_path, capsys, flag, value):
 @pytest.mark.parametrize("extra", [
     ["--omega-hz", "1000", "--target-kappa", "1.0"],
     ["--omega-hz", "1000", "--delta-angstrom", "0"],
+    ["--target-kappa", "1e-320"],       # a magnetic length whose L^4 overflows
 ])
 def test_ion_map_conflicting_or_invalid_flags_rejected(tmp_path, extra):
     out = tmp_path / "ion.json"
     code = main(["ion-map", "--eta", "0.06", "--omega-tilde-hz", "68000", *extra,
                  "--output", str(out)])
     assert code == EXIT_CONFIG
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["lowfield", "sumrules", "trajectory"])
+@pytest.mark.parametrize("field", [{"kappa": 1e-320}, {"magnetic_length": 1e78}])
+def test_field_beyond_float_range_is_a_config_error(tmp_path, capsys, command, field):
+    # L = inf (0.5/kappa overflows) and a finite L whose L^4 overflows
+    out = tmp_path / "out.json"
+    cfg = write_config(tmp_path, small_config(field=field))
+    assert main([command, "--config", cfg, "--output", str(out)]) == EXIT_CONFIG
+    assert "fourth power" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -498,3 +512,79 @@ def test_main_reuses_one_parser_across_commands(tmp_path):
         )
         assert result.returncode == 0, result.stderr
         assert (tmp_path / f"inproc{m}").read_bytes() == (tmp_path / f"spawn{m}").read_bytes()
+
+
+def test_trajectory_3p1_columns_are_the_library_series(tmp_path):
+    cfg_path = str(CONFIG_DIR / "relativistic_3p1.json")
+    out = tmp_path / "traj.json"
+    assert main(["trajectory", "--config", cfg_path, "--output", str(out),
+                 "--format", "json"]) == EXIT_OK
+    _, cols, _ = read_record(str(out))
+    cfg = load_config(cfg_path)
+    field, _, pkt, num, coeffs = _build_everything(cfg)
+    traj = dynamics.trajectory_3p1(pkt, coeffs, field, resolve_times(cfg),
+                                   kz_rtol=num["kz_rtol"])
+    expected = {"t": traj.times, "x": traj.x, "y": traj.y, "vx": traj.vx, "vy": traj.vy}
+    assert set(cols) == set(expected)
+    for name, column in expected.items():
+        assert np.array_equal(cols[name], column)
+
+
+def test_trajectory_3p1_unmet_kz_rtol_is_a_tolerance_failure(tmp_path, capsys):
+    payload = json.loads((CONFIG_DIR / "lowfield_zb_3p1.json").read_text())
+    payload["numerics"] = {"kz_rtol": 7e-16}
+    out = tmp_path / "t.csv"
+    assert main(["trajectory", "--config", write_config(tmp_path, payload),
+                 "--output", str(out)]) == EXIT_TOLERANCE
+    assert "axial quadrature" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_spectrum_csv_reads_back_as_the_json_table(tmp_path):
+    cfg = write_config(tmp_path, small_config())
+    a, b = tmp_path / "spec.csv", tmp_path / "spec.json"
+    assert main(["spectrum", "--config", cfg, "--output", str(a), "--format", "csv"]) == EXIT_OK
+    assert main(["spectrum", "--config", cfg, "--output", str(b), "--format", "json"]) == EXIT_OK
+    csv_header, _, csv_spectrum = read_record(str(a))
+    json_header, _, json_spectrum = read_record(str(b))
+    assert csv_spectrum == json_spectrum and len(csv_spectrum) == json_header["lines"]
+    assert csv_header == dict(_flat_items("", json_header))
+
+
+def test_sumrules_residual_above_tolerance_still_writes_its_report(tmp_path, capsys):
+    payload = json.loads((CONFIG_DIR / "ion_trap.json").read_text())
+    payload["numerics"] = {"sum_rule_tol": 1e-16}
+    out = tmp_path / "rules.json"
+    assert main(["sumrules", "--config", write_config(tmp_path, payload),
+                 "--output", str(out)]) == EXIT_TOLERANCE
+    doc = json.loads(out.read_text())
+    assert max(doc["norm_residual"], doc["momentum_residual"]) > doc["tolerance"] == 1e-16
+    assert "sum-rule residual" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("guard", [0, 5])
+def test_oracle_guard_sets_the_leak_band(tmp_path, guard):
+    # the oracle adds oracle_guard levels above n_max and scans only those
+    # for leaked mass
+    payload = json.loads((CONFIG_DIR / "relativistic_3p1.json").read_text())
+    payload["time"] = {"t_end": 4.0, "samples": 9}
+    payload["numerics"] = {"oracle_guard": guard}
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "oracle.json"
+    assert main(["oracle-check", "--config", cfg, "--output", str(out)]) == EXIT_OK
+    doc = json.loads(out.read_text())
+    assert max(doc["channels"].values()) < 1e-6
+    assert doc["n_levels"] == _build_everything(load_config(cfg))[-1].n_max + guard
+
+
+def test_oracle_check_deviation_is_a_tolerance_failure(tmp_path, capsys):
+    # a series cut at 20 levels against an oracle without guard levels
+    payload = json.loads((CONFIG_DIR / "ion_trap.json").read_text())
+    payload["numerics"] = {"n_max": 20, "tail_tol": 0.5, "oracle_guard": 0}
+    out = tmp_path / "oracle.json"
+    assert main(["oracle-check", "--config", write_config(tmp_path, payload),
+                 "--output", str(out)]) == EXIT_TOLERANCE
+    doc = json.loads(out.read_text())
+    assert doc["n_levels"] == 20
+    assert 1e-6 < max(doc["channels"].values()) < 1e-5
+    assert "oracle deviation" in capsys.readouterr().err

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from landauzb import FieldConfig, GaussianPacket, coefficient_matrix
+from landauzb import FieldConfig, GaussianPacket, coefficient_matrix, oracle
 from landauzb.dynamics import spectral_decomposition
 from landauzb.landau import (
     BranchEdgeError,
@@ -17,6 +17,7 @@ from landauzb.landau import (
     landau_energy,
 )
 from landauzb.units import COMPTON_TIME
+from test_oracle import embedded_spinor
 
 
 def test_ground_energy_is_rest_energy(critical_field):
@@ -207,3 +208,22 @@ def test_heisenberg_equivalence_random(critical_field):
         scale = max(abs(explicit.lowering), abs(explicit.raising), 1e-30)
         assert abs(explicit.lowering - heis.lowering) <= 1e-12 * scale
         assert abs(explicit.raising - heis.raising) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("length", [1.0, 3.0, 300.0, 0.01])
+def test_ladder_amplitude_matches_dense_operator(length):
+    # the t = 0 element against v_bra^dagger (I_4 x a) v_ket (a^dagger when
+    # raising), built from the oracle's truncated basis
+    field = FieldConfig.from_magnetic_length(length)
+    rng = np.random.default_rng(29)
+    for _ in range(200):
+        bra, ket = random_level_pair(rng, n_top=40)
+        lowering = ket.n > bra.n
+        ham = oracle.build(max(bra.n, ket.n), field, k_z=bra.k_z)
+        a = np.diag(np.sqrt(np.arange(1.0, ham.n_levels + 1)), 1)
+        op = np.kron(np.eye(4), a if lowering else a.T)
+        dense = embedded_spinor(bra, ham).conj() @ op @ embedded_spinor(ket, ham)
+        elem = ladder_matrix_element(0.0, bra, ket, field)
+        value, zero = (elem.lowering, elem.raising) if lowering else (elem.raising, elem.lowering)
+        assert elem.allowed and zero == 0.0
+        assert abs(value - dense) <= 1e-14 * math.sqrt(ham.n_levels)

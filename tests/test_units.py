@@ -72,6 +72,13 @@ def test_field_invariants_rejected():
         FieldConfig(float("nan"))
     with pytest.raises(UnitError):
         FieldConfig.from_magnetic_length(-2.0)
+    # L^4 enters the closed-form F_n, so it must be a finite float
+    for length in (math.inf, 1e78, 10**400):
+        with pytest.raises(UnitError, match="fourth power"):
+            FieldConfig(length)
+    with pytest.raises(UnitError, match="fourth power"):
+        FieldConfig.from_kappa(1e-320)          # L^2 = 0.5/kappa overflows
+    assert FieldConfig(1e70).kappa == 0.5e-140
 
 
 def test_kappa_round_trip():
