@@ -1,20 +1,15 @@
 """Command-line interface: config ingestion, runs, and serialization.
 
-Commands
-    trajectory    sampled positions (and optionally velocities, spectrum)
-    spectrum      discrete line table of a 2+1 run
-    sumrules      overlap-matrix sum-rule residuals
-    oracle-check  analytic series vs brute-force evolution
-    ion-map       trap settings -> simulated parameters and laser schedule
-    lowfield      weak-field closed-form summary
-
-Exit codes: 0 success, 2 config error, 3 tolerance failure, 4 capacity error.
+One table, `_COMMANDS`, declares every command: its run, help text and
+output formats.  Exit codes: 0 success, 2 config error, 3 tolerance failure,
+4 capacity error; a run's gates fail at the first value not within its
+tolerance, a NaN included.
 One structured JSON config per run, each key declared once in `SCHEMA`.
 Every command checks the whole config, and an error names `section.key`;
 a section is required only by the commands that read it, and
-`output.include_spectrum` is 2+1 only.  trajectory and spectrum write CSV
-or JSON records whose header carries every resolved parameter, the other
-commands JSON only (--format csv there is a config error).
+`output.include_spectrum` is 2+1 only.  The commands with both formats write
+CSV or JSON records whose header carries every resolved parameter, the
+others JSON only (--format csv there is a config error).
 """
 
 from __future__ import annotations
@@ -33,7 +28,7 @@ from . import __version__, dynamics, hermite, ionmap, oracle, packet
 from .ionmap import TrapError
 from .oracle import TruncationLeakError
 from .packet import PacketError, QuadratureConvergenceError, TruncationError
-from .units import ATOMIC_MASS, FieldConfig, UnitError, UnitSystem
+from .units import ATOMIC_MASS, FieldConfig, TimeRangeError, UnitError, UnitSystem
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -364,100 +359,69 @@ def _spectrum_rows(pkt, coeffs, field) -> list[dict]:
     return [dict(vars(line)) for line in dynamics.spectral_decomposition(pkt, coeffs, field)]
 
 
-def cmd_trajectory(args) -> int:
-    cfg = load_config(args.config)
+def _trajectory(cfg: dict, built, parts: str = "all"):
+    """The series trajectory of the config's model over its time grid."""
+    field, _, pkt, num, coeffs = built
+    times = resolve_times(cfg)
+    if pkt.dimensionality == "2+1":
+        return dynamics.trajectory_2p1(pkt, coeffs, field, times, parts=parts)
+    return dynamics.trajectory_3p1(pkt, coeffs, field, times, parts=parts,
+                                   kz_rtol=num["kz_rtol"])
+
+
+def cmd_trajectory(cfg, args) -> list:
     out_cfg = _section(cfg, "output")
     if out_cfg["include_spectrum"] and cfg["model"] != "2+1":
         raise ConfigError("output.include_spectrum is defined for the 2+1 model only")
-    field, units, pkt, num, coeffs = _build_everything(cfg)
-    times = resolve_times(cfg)
-    parts = out_cfg["parts"]
-    if pkt.dimensionality == "2+1":
-        traj = dynamics.trajectory_2p1(pkt, coeffs, field, times, parts=parts)
-    else:
-        traj = dynamics.trajectory_3p1(
-            pkt, coeffs, field, times, parts=parts, kz_rtol=num["kz_rtol"]
-        )
+    built = field, units, pkt, _, coeffs = _build_everything(cfg)
+    traj = _trajectory(cfg, built, out_cfg["parts"])
     columns = {"t": traj.times, "x": traj.x, "y": traj.y}
     if out_cfg["include_velocities"]:
-        columns["vx"] = traj.vx
-        columns["vy"] = traj.vy
-    spectrum = None
-    if out_cfg["include_spectrum"]:
-        spectrum = _spectrum_rows(pkt, coeffs, field)
-    header = _header(
-        cfg, field, units, pkt, coeffs,
-        extra={
-            "parts": traj.parts,
-            "y_operator_initial": traj.y_operator_initial,
-            "subtracted_constant": traj.subtracted_constant,
-        },
-    )
+        columns.update(vx=traj.vx, vy=traj.vy)
+    spectrum = _spectrum_rows(pkt, coeffs, field) if out_cfg["include_spectrum"] else None
+    header = _header(cfg, field, units, pkt, coeffs, extra={
+        "parts": traj.parts,
+        "y_operator_initial": traj.y_operator_initial,
+        "subtracted_constant": traj.subtracted_constant,
+    })
     write_record(args.output, header, columns, spectrum, fmt=args.format)
-    return EXIT_OK
+    return []
 
 
-def cmd_spectrum(args) -> int:
-    cfg = load_config(args.config)
-    field, units, pkt, num, coeffs = _build_everything(cfg)
+def cmd_spectrum(cfg, args) -> list:
+    field, units, pkt, _, coeffs = _build_everything(cfg)
     if pkt.dimensionality != "2+1":
-        raise ConfigError("spectrum is defined for the 2+1 model")
+        raise ConfigError(f"{args.command} is defined for the 2+1 model")
     spectrum = _spectrum_rows(pkt, coeffs, field)
     header = _header(cfg, field, units, pkt, coeffs, extra={"lines": len(spectrum)})
-    if args.format == "csv":
-        write_record(args.output, header, {"t": []}, spectrum, fmt="csv")
-    else:
-        write_record(args.output, header, {}, spectrum, fmt="json")
-    return EXIT_OK
+    # a CSV record needs a column row ahead of the table
+    columns = {"t": []} if args.format == "csv" else {}
+    write_record(args.output, header, columns, spectrum, fmt=args.format)
+    return []
 
 
-def cmd_sumrules(args) -> int:
-    cfg = load_config(args.config)
-    field, units, pkt, num, coeffs = _build_everything(cfg)
+def cmd_sumrules(cfg, args) -> list:
+    field, _, pkt, num, coeffs = _build_everything(cfg)
     rep = packet.sum_rules(coeffs, pkt, field)
-    doc = {
-        "n_max": coeffs.n_max,
-        "tail_mass": rep.tail_mass,
-        "norm_sum": rep.norm_sum,
-        "norm_residual": rep.norm_residual,
-        "momentum_sum": rep.momentum_sum,
-        "momentum_expected": rep.momentum_expected,
-        "momentum_residual": rep.momentum_residual,
-        "tolerance": num["sum_rule_tol"],
-    }
-    _emit(args.output, _json_text(doc))
-    worst = max(rep.norm_residual, rep.momentum_residual)
-    if worst > num["sum_rule_tol"]:
-        print(
-            f"sum-rule residual {worst:.3e} exceeds {num['sum_rule_tol']:g} "
-            f"(tail mass {rep.tail_mass:.3e})",
-            file=sys.stderr,
-        )
-        return EXIT_TOLERANCE
-    return EXIT_OK
+    tol = num["sum_rule_tol"]
+    _emit(args.output, _json_text({**vars(rep), "n_max": coeffs.n_max, "tolerance": tol}))
+    return [("sum-rule residual (norm)", rep.norm_residual, tol),
+            ("sum-rule residual (momentum)", rep.momentum_residual, tol)]
 
 
-def cmd_oracle_check(args) -> int:
-    cfg = load_config(args.config)
-    field, units, pkt, num, coeffs = _build_everything(cfg)
-    times = resolve_times(cfg)
-    if pkt.dimensionality == "2+1":
-        traj = dynamics.trajectory_2p1(pkt, coeffs, field, times)
-    else:
-        traj = dynamics.trajectory_3p1(pkt, coeffs, field, times, kz_rtol=num["kz_rtol"])
+def cmd_oracle_check(cfg, args) -> list:
+    built = field, _, pkt, num, coeffs = _build_everything(cfg)
+    traj = _trajectory(cfg, built)
     guard = num["oracle_guard"]     # levels added above n_max: the band scanned for leaks
     evolved = oracle.evolve_expectations(
-        pkt, field, times, n_levels=coeffs.n_max + guard, guard=guard
+        pkt, field, traj.times, n_levels=coeffs.n_max + guard, guard=guard
     )
     pos_scale = max(np.max(np.abs(evolved.x)), np.max(np.abs(evolved.y)), 1e-300)
-    rows = [
-        ("x", float(np.max(np.abs(traj.x - evolved.x)) / pos_scale)),
-        ("y", float(np.max(np.abs(traj.y - evolved.y)) / pos_scale)),
-        ("vx", float(np.max(np.abs(traj.vx - evolved.vx)))),
-        ("vy", float(np.max(np.abs(traj.vy - evolved.vy)))),
-    ]
-    doc = {
-        "channels": {name: dev for name, dev in rows},
+    scales = {"x": pos_scale, "y": pos_scale, "vx": 1.0, "vy": 1.0}
+    channels = {name: float(np.max(np.abs(getattr(traj, name) - getattr(evolved, name))) / scale)
+                for name, scale in scales.items()}
+    _emit(args.output, _json_text({
+        "channels": channels,
         "position_scale": pos_scale,
         "tolerance": _ORACLE_TOL,
         "n_levels": coeffs.n_max + guard,
@@ -468,74 +432,65 @@ def cmd_oracle_check(args) -> int:
         "norm_drift": evolved.norm_drift,
         "energy_drift": evolved.energy_drift,
         "guiding_shift": evolved.guiding_shift,
-    }
-    _emit(args.output, _json_text(doc))
-    # an uncertified reference makes the channel deviations meaningless
-    if evolved.kz_residual > _ORACLE_TOL:
-        print(f"oracle k_z aliasing bound {evolved.kz_residual:.3e} exceeds "
-              f"{_ORACLE_TOL:g}", file=sys.stderr)
-        return EXIT_TOLERANCE
-    worst = max(dev for _, dev in rows)
-    if worst > _ORACLE_TOL:
-        print(f"oracle deviation {worst:.3e} exceeds {_ORACLE_TOL:g}", file=sys.stderr)
-        return EXIT_TOLERANCE
-    return EXIT_OK
+    }))
+    # an uncertified reference makes the channel deviations meaningless: its gate leads
+    return [("oracle k_z aliasing bound", evolved.kz_residual, _ORACLE_TOL)] + [
+        (f"oracle deviation ({name})", dev, _ORACLE_TOL) for name, dev in channels.items()]
 
 
-def cmd_ion_map(args) -> int:
+def cmd_ion_map(cfg, args) -> list:
     flags = {"--model": args.model, "--eta": args.eta,
              "--omega-tilde-hz": args.omega_tilde_hz, "--omega-hz": args.omega_hz,
              "--target-kappa": args.target_kappa, "--delta-angstrom": args.delta_angstrom}
-    if args.config:
+    if cfg is not None:
         given = [flag for flag, value in flags.items() if value is not None]
         if given:
-            raise ConfigError(f"ion-map reads the trap and model from --config; "
+            raise ConfigError(f"{args.command} reads the trap and model from --config; "
                               f"{', '.join(given)} would be ignored")
-        cfg = load_config(args.config)
-        trap = resolve_trap(_section(cfg, "trap"))
-        model = cfg["model"]
+        trap, model = resolve_trap(_section(cfg, "trap")), cfg["model"]
     else:
         if args.eta is None or args.omega_tilde_hz is None:
-            raise ConfigError("ion-map needs --config or --eta plus --omega-tilde-hz")
+            raise ConfigError(f"{args.command} needs --config or --eta plus --omega-tilde-hz")
         if (args.omega_hz is None) == (args.target_kappa is None):
-            raise ConfigError("ion-map needs exactly one of --omega-hz and --target-kappa")
-        if args.target_kappa is not None:
-            omega = ionmap.invert_kappa(
-                args.target_kappa, args.eta, _TWO_PI * args.omega_tilde_hz
-            )
-        else:
-            omega = _TWO_PI * args.omega_hz
+            raise ConfigError(f"{args.command} needs exactly one of --omega-hz and --target-kappa")
+        omega_tilde = _TWO_PI * args.omega_tilde_hz
         trap = ionmap.TrapParams(
             eta=args.eta,
-            omega_tilde=_TWO_PI * args.omega_tilde_hz,
-            omega_carrier=omega,
+            omega_tilde=omega_tilde,
+            omega_carrier=(_TWO_PI * args.omega_hz if args.target_kappa is None
+                           else ionmap.invert_kappa(args.target_kappa, args.eta, omega_tilde)),
             delta=96e-10 if args.delta_angstrom is None else args.delta_angstrom * 1e-10,
         )
         model = args.model or "2+1"
-    schedule = ionmap.excitation_schedule(model)
-    doc = ionmap.schedule_document(schedule, trap)
+    doc = ionmap.schedule_document(ionmap.excitation_schedule(model), trap)
     _emit(args.output, _json_text(doc))
-    return EXIT_OK
+    return []
 
 
-def cmd_lowfield(args) -> int:
-    cfg = load_config(args.config)
-    field, units, pkt, num, coeffs = _build_everything(cfg)
+def cmd_lowfield(cfg, args) -> list:
+    field, units, pkt, _, _ = _build_everything(cfg)
     summary = dynamics.lowfield_summary(pkt, field)
-    doc = {
-        "kappa": summary.kappa,
-        "cyclotron_radius": summary.cyclotron_radius,
-        "omega_cyclotron": summary.omega_cyclotron,
-        "zb_amplitude": summary.zb_amplitude,
-        "zb_carrier": summary.zb_carrier,
-    }
+    doc = {key: value for key, value in vars(summary).items() if key != "axial_width"}
     if units is not None:
         doc["cyclotron_radius_m"] = summary.cyclotron_radius * units.compton_length
         doc["zb_amplitude_m"] = summary.zb_amplitude * units.compton_length
         doc["zb_carrier_rad_s"] = summary.zb_carrier / units.compton_time
         doc["omega_cyclotron_rad_s"] = summary.omega_cyclotron / units.compton_time
     _emit(args.output, _json_text(doc))
-    return EXIT_OK
+    return []
+
+
+# name -> (run, help, formats), the first format the default.  run(cfg, args)
+# writes the command's output and returns its gates, (what, value, tolerance)
+# triples.  cmd_ion_map alone may run without --config (cfg None), from its own flags.
+_COMMANDS = {
+    "trajectory": (cmd_trajectory, "positions/velocities time series", ("csv", "json")),
+    "spectrum": (cmd_spectrum, "discrete line table (2+1)", ("csv", "json")),
+    "sumrules": (cmd_sumrules, "overlap sum-rule residuals", ("json",)),
+    "oracle-check": (cmd_oracle_check, "series vs brute-force evolution", ("json",)),
+    "ion-map": (cmd_ion_map, "trap settings -> simulated parameters", ("json",)),
+    "lowfield": (cmd_lowfield, "weak-field closed-form summary", ("json",)),
+}
 
 
 @functools.cache
@@ -546,52 +501,30 @@ def build_parser() -> argparse.ArgumentParser:
         description="Relativistic wave-packet dynamics in a magnetic field",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, fmt="csv"):
-        p.add_argument("--config", required=True, help="JSON run configuration")
+    for name, (run, text, formats) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--config", required=run is not cmd_ion_map,
+                       help="JSON run configuration")
         p.add_argument("--output", default=None, help="output path ('-' = stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default=fmt)
-        return p
-
-    common(sub.add_parser("trajectory", help="positions/velocities time series"))
-    common(sub.add_parser("spectrum", help="discrete line table (2+1)"))
-    common(sub.add_parser("sumrules", help="overlap sum-rule residuals"), "json")
-    common(sub.add_parser("oracle-check", help="series vs brute-force evolution"), "json")
-    common(sub.add_parser("lowfield", help="weak-field closed-form summary"), "json")
-
-    ion = sub.add_parser("ion-map", help="trap settings -> simulated parameters")
-    ion.add_argument("--config", default=None)
-    ion.add_argument("--output", default=None)
-    ion.add_argument("--format", choices=("csv", "json"), default="json")
-    ion.add_argument("--model", choices=("2+1", "3+1"), default=None,
-                     help="default 2+1")
-    ion.add_argument("--eta", type=float, default=None)
-    ion.add_argument("--omega-tilde-hz", type=float, default=None)
-    ion.add_argument("--omega-hz", type=float, default=None)
-    ion.add_argument("--target-kappa", type=float, default=None)
-    ion.add_argument("--delta-angstrom", type=float, default=None)
+        p.add_argument("--format", choices=("csv", "json"), default=formats[0])
+        if run is cmd_ion_map:
+            p.add_argument("--model", choices=("2+1", "3+1"), default=None, help="default 2+1")
+            for flag in ("--eta", "--omega-tilde-hz", "--omega-hz", "--target-kappa",
+                         "--delta-angstrom"):
+                p.add_argument(flag, type=float, default=None)
     return parser
-
-
-_RECORD_COMMANDS = ("trajectory", "spectrum")   # the others write JSON only
-_COMMANDS = {
-    "trajectory": cmd_trajectory,
-    "spectrum": cmd_spectrum,
-    "sumrules": cmd_sumrules,
-    "oracle-check": cmd_oracle_check,
-    "ion-map": cmd_ion_map,
-    "lowfield": cmd_lowfield,
-}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    run, _, formats = _COMMANDS[args.command]
     try:
-        if args.command not in _RECORD_COMMANDS and args.format != "json":
+        if args.format not in formats:
             raise ConfigError(f"{args.command} writes JSON only; --format {args.format} "
                               "is not supported")
-        return _COMMANDS[args.command](args)
-    except (ConfigError, PacketError, UnitError, TrapError) as exc:
+        cfg = None if args.config is None else load_config(args.config)
+        gates = run(cfg, args)
+    except (ConfigError, PacketError, UnitError, TrapError, TimeRangeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (TruncationError, QuadratureConvergenceError, TruncationLeakError) as exc:
@@ -600,6 +533,11 @@ def main(argv=None) -> int:
     except hermite.CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
+    for what, value, tol in gates:
+        if not value <= tol:        # a NaN fails too
+            print(f"{what} {value:.3e} exceeds {tol:g}", file=sys.stderr)
+            return EXIT_TOLERANCE
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -49,7 +49,7 @@ from .landau import landau_energies
 # MAX_GRID_NODES and QuadratureConvergenceError stay importable from here
 from .packet import (AXIAL_FLOOR, MAX_GRID_NODES, CoefficientSet, DimensionalityError,
                      GaussianPacket, QuadratureConvergenceError, axial_grid, axial_nodes)
-from .units import FieldConfig
+from .units import FieldConfig, TimeRangeError
 
 PREF = 1.0 / (2.0 * math.sqrt(2.0))
 TILE_ELEMENTS = 1 << 17       # line evaluator's tiles: 2 MiB, one core's share of a 4 MiB L2
@@ -238,9 +238,15 @@ def _sum_lines(
     times the next derivative row where delta != 0.  Both tables grow by
     repeated products, each row from the previous one, so a line costs three
     complex exps per tile (two from t = 0); J = 1 is the direct sum, one exp
-    per sample.  Stacked rows count against TILE_ELEMENTS.
+    per sample.  Stacked rows count against TILE_ELEMENTS.  A phase (freq +
+    carrier) t, or its anchor step's (J h <= 2 max|t|), beyond the float range
+    raises TimeRangeError before any is formed.
     """
     freq = np.ravel(freq)
+    t_max, top = float(np.max(np.abs(times))), float(np.max(freq, initial=0.0)) + carrier
+    if not math.isfinite(2.0 * t_max * top):
+        raise TimeRangeError(f"phases of lines up to {top:.3g}/t_c over {t_max:.3g} t_c "
+                             "leave the float range; shorten the time grid")
     amps = np.reshape(amps, (len(amps), freq.size))
     start, step, n_offsets, delta = _time_grid(times)
     n_anchors = -(-times.size // n_offsets)
@@ -374,7 +380,7 @@ def _axial_sums(
     n_offsets = _time_grid(times)[2]
     rounds = 4 + (-(-times.size // n_offsets) + n_offsets if n_offsets > 1 else 0)
     floor = 2.0 * rounds * np.finfo(float).eps * mass          # F eps A
-    if achieved > rtol and (2 * needed <= points or floor > rtol * scale):
+    if not achieved <= rtol and (2 * needed <= points or not floor <= rtol * scale):
         raise QuadratureConvergenceError(achieved, rtol)
     return points, fine
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import packet as packet_mod
-from .units import FieldConfig
+from .units import FieldConfig, TimeRangeError
 
 GUARD_BAND = 20
 LEAK_TOL = 1e-10
@@ -251,7 +251,7 @@ def evolve_expectations(
     factor, shift = _density_from_nodes(pkt, field, n_levels)
     size = n_levels + 1
     tail = float(np.sum(np.abs(factor.reshape(4, size, -1)[:, max(0, size - guard) :]) ** 2))
-    if tail > LEAK_TOL:
+    if not tail <= LEAK_TOL:
         raise TruncationLeakError(f"packet mass {tail:.3e} within {guard} levels of the "
                                   f"truncation edge (> {LEAK_TOL:g}); raise the level count")
     # H(k_z) = H_0 + k_z H_z: the build's only k_z entries are +-k_z, so the
@@ -309,6 +309,13 @@ def evolve_expectations(
         kz_nodes, weights = nodes, np.bincount(bucket, weights)
         for _, _, tr in ops:
             tr[0, 2] = tr[2, 0] = tr[1, 2] = tr[2, 1] = 0.0
+    # E_b^2 is convex in k_z, so its peak over the rule lies on an end node; the
+    # anchor step J h <= 2 max|t| and the pair frequencies E_ket + E_bra <= 2 E
+    k = kz_nodes[[0, -1], None]
+    e_top = math.sqrt(float(np.max(e_sq[0] + k * e_sq[1] + k * k * e_sq[2])))
+    if not math.isfinite(2.0 * e_top * t_max):
+        raise TimeRangeError(f"phases of block energies up to {e_top:.3g}/t_c over {t_max:.3g} "
+                             "t_c leave the float range; shorten the time grid")
 
     # [<A(t)>, <v_x + i v_y>(t)] x [sum, delta coefficient] x anchor x [Re, Im] x
     # offset; <A^+> = conj.  mass: the largest the sums of each operator can be

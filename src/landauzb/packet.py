@@ -16,6 +16,7 @@ the fused result is exponentiated.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field as dataclass_field
 
@@ -32,6 +33,7 @@ AUTO_TAIL = 1e-12
 AXIAL_HALF_WIDTH = math.sqrt(math.log(1024.0 / np.finfo(float).eps))
 AXIAL_FLOOR = 64            # fewest k_z nodes of a series rule
 MAX_GRID_NODES = 1 << 16
+_TINY = sys.float_info.min     # the smallest normal float
 
 
 class PacketError(ValueError):
@@ -95,6 +97,12 @@ class GaussianPacket:
         if self.dimensionality == "3+1":
             if self.d_z is None or not self.d_z > 0:
                 raise PacketError("3+1 packets need a positive axial width d_z")
+        # the closed forms square every width the model reads
+        for name in ("d_x", "d_y", "d_z") if self.dimensionality == "3+1" else ("d_x", "d_y"):
+            width = float(getattr(self, name))
+            if not _TINY <= width * width < math.inf:
+                raise PacketError(f"{name} = {width!r} is out of range: its square must be "
+                                  "a normal float")
         if self.dimensionality == "2+1" and self.k0z != 0.0:
             raise PacketError("2+1 packets have no axial momentum")
         norm = abs(self.a1) ** 2 + abs(self.a2) ** 2
@@ -166,8 +174,13 @@ def _f_closed_log(
     plus = L * L + dy * dy
     r = (L - dy) * (L + dy) / plus      # factored: no cancellation as d_y -> L
     mant, scale = hermite.normalized_hermite_table(n_max, -k_x * (L**3 / plus), r)
+    # 2 L d_x d_y / P leaves the normal floats only at the corners of the
+    # widths' range; its log is a sum of logs there
+    pref = 2.0 * L * dx * dy
+    log_pref = (math.log(pref / plus) if _TINY <= pref and _TINY <= pref / plus < math.inf
+                else math.log(2.0 * L) + math.log(dx) + math.log(dy) - math.log(plus))
     scale += (
-        0.5 * math.log(2.0 * L * dx * dy / plus)
+        0.5 * log_pref
         - 0.5 * dx**2 * (k_x - packet.k0x) ** 2
         - 0.5 * (L**4 / plus) * k_x * k_x
     )
@@ -267,7 +280,7 @@ def coefficient_matrix(
     z = z[: cut + 1]
     u = z @ z.T
     tail = 1.0 - math.fsum(np.diagonal(u).tolist())
-    if tail > tail_tol:
+    if not abs(tail) <= tail_tol:      # a diagonal sum above 1 is no tail either
         raise TruncationError(
             f"level truncation at n_max={cut} leaves tail mass {tail:.3e} "
             f"(> {tail_tol:g}); increase n_max"
@@ -276,7 +289,7 @@ def coefficient_matrix(
     # the momentum rule misses about sqrt(n_max) times the tail mass, so a
     # cut can pass tail_tol and still fail it
     drift = sum_rules(coeffs, packet, field).momentum_residual
-    if drift > tail_tol:
+    if not drift <= tail_tol:
         raise TruncationError(
             f"level truncation at n_max={cut} leaves momentum residual "
             f"{drift:.3e} (> {tail_tol:g}); increase n_max"
@@ -320,7 +333,8 @@ def axial_nodes(packet: GaussianPacket, field: FieldConfig, times, ratio: float)
     Callers raise K to AXIAL_FLOOR; K > MAX_GRID_NODES raises QuadratureConvergenceError.
     """
     d_z, edge = packet.d_z, abs(packet.k0z) + AXIAL_HALF_WIDTH / packet.d_z
-    slope = edge * np.sum(1.0 / landau_energies(1, edge, field))
+    # a float: slope * t overflows to inf, unwarned, and the cap below raises
+    slope = edge * float(np.sum(1.0 / landau_energies(1, edge, field)))
     c = 2.0 * math.sqrt(math.log(max(ratio, 1.0)))
     tail = c * d_z if c <= 2.0 * d_z else c * c / 4.0 + d_z * d_z
     bound = AXIAL_HALF_WIDTH / (math.pi * d_z) * (slope * float(np.max(np.abs(times))) + tail)

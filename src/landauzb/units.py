@@ -12,6 +12,7 @@ physical-electron runs and trapped-ion analog runs share the same core.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 # SI scales: c, e and h are exact in the 2019 SI; the masses are CODATA 2022
@@ -31,6 +32,10 @@ CRITICAL_FIELD = ELECTRON_MASS**2 * SPEED_OF_LIGHT**2 / (ELEMENTARY_CHARGE * HBA
 
 class UnitError(ValueError):
     """Non-positive or undefined unit scales."""
+
+
+class TimeRangeError(ValueError):
+    """A time grid whose phases (frequency times time) leave the float range."""
 
 
 @dataclass(frozen=True)
@@ -88,11 +93,12 @@ class FieldConfig:
         if not self.magnetic_length > 0.0:
             raise UnitError("magnetic_length must be strictly positive")
         try:    # L^4 enters the closed-form F_n and its k_x rule
-            finite = math.isfinite(self.magnetic_length**4)
+            fourth = float(self.magnetic_length) ** 4
         except OverflowError:
-            finite = False
-        if not finite:
-            raise UnitError("magnetic_length is too large: its fourth power must be a finite float")
+            fourth = math.inf
+        if not sys.float_info.min <= fourth < math.inf:
+            raise UnitError("magnetic_length is out of range: its fourth power must be "
+                            "a normal float")
 
     @property
     def field_strength(self) -> float:

@@ -1,14 +1,18 @@
+import argparse
+import dataclasses
 import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from landauzb import dynamics
+from landauzb import dynamics, oracle, packet
 from landauzb.cli import (
+    _COMMANDS,
     EXIT_CAPACITY,
     EXIT_CONFIG,
     EXIT_OK,
@@ -16,6 +20,7 @@ from landauzb.cli import (
     _build_everything,
     _flat_items,
     _section,
+    build_parser,
     load_config,
     main,
     read_record,
@@ -371,6 +376,7 @@ def test_ion_map_flags_beside_config_rejected(tmp_path, capsys, flag, value):
     ["--omega-hz", "1000", "--target-kappa", "1.0"],
     ["--omega-hz", "1000", "--delta-angstrom", "0"],
     ["--target-kappa", "1e-320"],       # a magnetic length whose L^4 overflows
+    ["--target-kappa", "1e300"],        # and one whose L^4 underflows
 ])
 def test_ion_map_conflicting_or_invalid_flags_rejected(tmp_path, extra):
     out = tmp_path / "ion.json"
@@ -381,9 +387,11 @@ def test_ion_map_conflicting_or_invalid_flags_rejected(tmp_path, extra):
 
 
 @pytest.mark.parametrize("command", ["lowfield", "sumrules", "trajectory"])
-@pytest.mark.parametrize("field", [{"kappa": 1e-320}, {"magnetic_length": 1e78}])
+@pytest.mark.parametrize("field", [{"kappa": 1e-320}, {"magnetic_length": 1e78},
+                                   {"magnetic_length": 1e-85}, {"kappa": 1e300}])
 def test_field_beyond_float_range_is_a_config_error(tmp_path, capsys, command, field):
-    # L = inf (0.5/kappa overflows) and a finite L whose L^4 overflows
+    # L = inf (0.5/kappa overflows), a finite L whose L^4 overflows, and two
+    # whose L^4 underflows
     out = tmp_path / "out.json"
     cfg = write_config(tmp_path, small_config(field=field))
     assert main([command, "--config", cfg, "--output", str(out)]) == EXIT_CONFIG
@@ -588,3 +596,106 @@ def test_oracle_check_deviation_is_a_tolerance_failure(tmp_path, capsys):
     assert doc["n_levels"] == 20
     assert 1e-6 < max(doc["channels"].values()) < 1e-5
     assert "oracle deviation" in capsys.readouterr().err
+
+
+def test_command_table_drives_the_parser(tmp_path):
+    # every subcommand is declared once, in _COMMANDS, and runs on its default format
+    parser = build_parser()
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(_COMMANDS)
+    config = str(CONFIG_DIR / "ion_trap.json")
+    for name, (_, _, formats) in _COMMANDS.items():
+        assert parser.parse_args([name, "--config", config]).format == formats[0]
+        out = tmp_path / f"{name}.out"
+        assert main([name, "--config", config, "--output", str(out)]) == EXIT_OK
+        assert out.stat().st_size > 0
+
+
+def test_sumrules_document_is_the_library_report(tmp_path):
+    cfg_path = str(CONFIG_DIR / "relativistic_3p1.json")
+    out = tmp_path / "rules.json"
+    assert main(["sumrules", "--config", cfg_path, "--output", str(out)]) == EXIT_OK
+    field, _, pkt, num, coeffs = _build_everything(load_config(cfg_path))
+    expected = {**vars(packet.sum_rules(coeffs, pkt, field)),
+                "n_max": coeffs.n_max, "tolerance": num["sum_rule_tol"]}
+    assert json.loads(out.read_text()) == expected
+
+
+@pytest.mark.parametrize("config, si", [("cyclotron_lowfield_2p1", False),
+                                        ("lowfield_zb_3p1", True), ("ion_trap", True)])
+def test_lowfield_document_is_the_library_summary(tmp_path, config, si):
+    cfg_path = str(CONFIG_DIR / f"{config}.json")
+    out = tmp_path / "low.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # ion_trap lies far above the weak-field range
+        assert main(["lowfield", "--config", cfg_path, "--output", str(out)]) == EXIT_OK
+        field, units, pkt, _, _ = _build_everything(load_config(cfg_path))
+        summary = vars(dynamics.lowfield_summary(pkt, field))
+    doc = json.loads(out.read_text())
+    si_keys = {"cyclotron_radius_m", "zb_amplitude_m", "zb_carrier_rad_s", "omega_cyclotron_rad_s"}
+    assert (units is not None) == si
+    assert set(doc) == set(summary) - {"axial_width"} | (si_keys if si else set())
+    assert all(doc[key] == value for key, value in summary.items() if key != "axial_width")
+
+
+def nan_expectations(kz_residual):
+    def evolve(pkt, field, times, **kwargs):
+        nan = np.full(times.size, math.nan)
+        return oracle.EvolvedExpectations(
+            times=times, x=nan, y=nan, vx=nan, vy=nan, y_operator_initial=0.0,
+            guiding_shift=0.0, norm_drift=0.0, energy_drift=0.0, kz_residual=kz_residual)
+    return evolve
+
+
+@pytest.mark.parametrize("kz_residual, message", [(math.nan, "oracle k_z aliasing bound nan"),
+                                                  (0.0, "oracle deviation (x) nan")])
+def test_oracle_check_nan_fails_its_gates(tmp_path, capsys, monkeypatch, kz_residual, message):
+    # `value > tol` passed a NaN: an all-NaN oracle exited 0
+    monkeypatch.setattr(oracle, "evolve_expectations", nan_expectations(kz_residual))
+    out = tmp_path / "oracle.json"
+    assert main(["oracle-check", "--config", write_config(tmp_path, small_config()),
+                 "--output", str(out)]) == EXIT_TOLERANCE
+    assert message in capsys.readouterr().err
+    assert all(math.isnan(dev) for dev in json.loads(out.read_text())["channels"].values())
+
+
+def test_sumrules_nan_residual_fails_its_gate(tmp_path, capsys, monkeypatch):
+    # max(nan, x) is nan but max(x, nan) is x: each residual is its own gate
+    rules = packet.sum_rules
+    monkeypatch.setattr(packet, "sum_rules", lambda *args: dataclasses.replace(
+        rules(*args), norm_residual=math.nan))
+    assert main(["sumrules", "--config", write_config(tmp_path, small_config()),
+                 "--output", str(tmp_path / "rules.json")]) == EXIT_TOLERANCE
+    assert "sum-rule residual (norm) nan" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["trajectory", "oracle-check"])
+@pytest.mark.parametrize("t_end", [1e308, 8e307])
+def test_phase_overflow_is_a_config_error(tmp_path, capsys, command, t_end):
+    # (w + 2) t beyond the float range wrote NaN rows and exited 0
+    cfg = write_config(tmp_path, small_config(time={"t_end": t_end, "samples": 3}))
+    out = tmp_path / "out.json"
+    assert main([command, "--config", cfg, "--output", str(out), "--format", "json"]) == EXIT_CONFIG
+    assert "float range" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["trajectory", "spectrum", "sumrules", "oracle-check",
+                                     "lowfield"])
+def test_width_beyond_float_range_is_a_config_error(tmp_path, capsys, command):
+    # d_x^2 overflowed: an OverflowError traceback on every command
+    cfg = small_config()
+    cfg["packet"] = dict(cfg["packet"], d_x=1e160)
+    assert main([command, "--config", write_config(tmp_path, cfg), "--format", "json",
+                 "--output", str(tmp_path / "out.json")]) == EXIT_CONFIG
+    assert "d_x = 1e+160" in capsys.readouterr().err
+
+
+def test_range_corner_is_a_tolerance_failure_not_a_crash(tmp_path, capsys):
+    # L^4 and every width's square are normal floats here, but 2 L d_x d_y is
+    # not: a math domain error before the prefactor became a sum of logs
+    cfg = small_config(field={"magnetic_length": 1.6e-77})
+    cfg["packet"] = dict(cfg["packet"], d_x=1.6e-154, d_y=1.6e-154, k0x=0.0)
+    assert main(["sumrules", "--config", write_config(tmp_path, cfg),
+                 "--output", str(tmp_path / "rules.json")]) == EXIT_TOLERANCE
+    assert "tail mass" in capsys.readouterr().err

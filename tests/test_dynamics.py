@@ -11,7 +11,7 @@ from landauzb import FieldConfig, GaussianPacket
 from landauzb import cli, dynamics, oracle
 from landauzb.landau import landau_energies, landau_energy
 from landauzb.packet import DimensionalityError, axial_grid, axial_nodes, coefficient_matrix
-from landauzb.units import COMPTON_LENGTH
+from landauzb.units import COMPTON_LENGTH, TimeRangeError
 from test_sum_lines import longdouble_phases
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -839,3 +839,36 @@ def test_quadrature_nonconvergence_diagnostic():
     assert f"needs {info.value.nodes_needed} k_z nodes" in message
     assert info.value.nodes_needed > dynamics.MAX_GRID_NODES
     assert "65536 (2^16)" in message
+
+
+@pytest.mark.parametrize("t_end", [1e308, 8e307])
+def test_phase_overflow_is_a_time_range_error(critical_field, packet_2p1, coeffs_2p1,
+                                              packet_3p1, coeffs_3p1, t_end):
+    # (w + 2) t beyond the float range wrote NaN rows with only a RuntimeWarning
+    times = np.linspace(0.0, t_end, 3)
+    with pytest.raises(TimeRangeError, match="float range"):
+        dynamics.trajectory_2p1(packet_2p1, coeffs_2p1, critical_field, times)
+    with pytest.raises(TimeRangeError, match="float range"):
+        dynamics._sum_lines(np.array([1.0]), np.ones((1, 1)), times, carrier=2.0)
+    # a 3+1 rule cannot be sized for such a window: its bound says so, unwarned
+    with pytest.raises(dynamics.QuadratureConvergenceError):
+        dynamics.trajectory_3p1(packet_3p1, coeffs_3p1, critical_field, times)
+    # inside the range the phases are formed without overflow
+    far = dynamics.trajectory_2p1(packet_2p1, coeffs_2p1, critical_field, times * 1e-8)
+    assert all(np.all(np.isfinite(v)) for v in (far.x, far.y, far.vx, far.vy))
+
+
+def test_axial_gate_fails_on_a_nan_residual(critical_field, packet_3p1, coeffs_3p1,
+                                            monkeypatch):
+    # a NaN half residual raises as a large one does, where `> rtol` passed it
+    series = dynamics._series
+
+    def nan_series(*args):
+        sums, mass = series(*args)
+        return sums * math.nan, mass
+
+    monkeypatch.setattr(dynamics, "_series", nan_series)
+    monkeypatch.setattr(dynamics, "axial_nodes", lambda *args: dynamics.AXIAL_FLOOR)
+    with pytest.raises(dynamics.QuadratureConvergenceError):
+        dynamics.trajectory_3p1(packet_3p1, coeffs_3p1, critical_field,
+                                np.linspace(0.0, 5.0, 9))

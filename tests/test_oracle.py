@@ -13,6 +13,7 @@ from landauzb.landau import LandauIndex, jl_spinor, landau_energy
 from landauzb import cli, dynamics, oracle
 from landauzb import packet as packet_mod
 from landauzb.packet import coefficient_matrix
+from landauzb.units import TimeRangeError
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -829,3 +830,31 @@ def test_automatic_axial_rule_is_within_its_bound_over_random_packets(kappa, d_z
     _, residual, deviation = twice_the_nodes_deviation(pkt, field, np.linspace(0.0, t_max, 41),
                                                        n_levels)
     assert deviation <= residual <= 1e-6
+
+
+def test_leak_gate_fails_on_nan(critical_field, monkeypatch):
+    # `tail > LEAK_TOL` passed a NaN mass
+    density = oracle._density_from_nodes
+
+    def nan_density(*args):
+        factor, shift = density(*args)
+        return factor * math.nan, shift
+
+    monkeypatch.setattr(oracle, "_density_from_nodes", nan_density)
+    pkt = GaussianPacket(d_x=1.5, d_y=1.2, k0x=0.5)
+    with pytest.raises(oracle.TruncationLeakError):
+        oracle.evolve_expectations(pkt, critical_field, np.linspace(0.0, 1.0, 5), 40)
+
+
+@pytest.mark.parametrize("t_end", [1e308, 8e307])
+def test_phase_overflow_is_a_time_range_error(critical_field, mixed_packet_3p1,
+                                              mixed_coeffs_3p1, t_end):
+    # E t beyond the float range made every channel NaN; the oracle checks its
+    # own block phases, with no help from the series
+    times = np.linspace(0.0, t_end, 3)
+    pkt = GaussianPacket(d_x=1.5, d_y=1.2, k0x=0.5, a1=0.6, a2=0.8)
+    with pytest.raises(TimeRangeError, match="float range"):
+        oracle.evolve_expectations(pkt, critical_field, times, 40)
+    with pytest.raises(TimeRangeError, match="float range"):
+        oracle.evolve_expectations(mixed_packet_3p1, critical_field, times,
+                                   mixed_coeffs_3p1.n_max + 20, kz_order=64)

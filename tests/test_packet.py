@@ -517,3 +517,43 @@ def test_ladder_property_over_field_and_widths(kappa, d_x, d_y, k0x):
     rep = sum_rules(ladder, pkt, field)
     assert rep.norm_residual < 1e-10
     assert rep.momentum_residual < 1e-10
+
+
+@pytest.mark.parametrize("width", [1e160, 1e-160, 1e-155])
+@pytest.mark.parametrize("name", ["d_x", "d_y", "d_z"])
+def test_width_whose_square_is_no_normal_float_rejected(name, width):
+    # d_x^2 overflowed (OverflowError) or underflowed in the closed forms
+    with pytest.raises(PacketError, match=f"{name} = .*square"):
+        GaussianPacket(**{"d_x": 1.0, "d_y": 1.0, "d_z": 1.0, name: width}, dimensionality="3+1")
+    for edge in (1e154, 1.5e-154):
+        GaussianPacket(**{"d_x": 1.0, "d_y": 1.0, "d_z": 1.0, name: edge}, dimensionality="3+1")
+
+
+def test_range_corners_keep_the_closed_form_finite():
+    # 2 L d_x d_y overflows at the top corner and underflows at the bottom one;
+    # the prefactor's log stays finite at both
+    field = FieldConfig(1e77)
+    pkt = GaussianPacket(d_x=1e154, d_y=1e77)
+    coeffs = coefficient_matrix(pkt, field)
+    report = sum_rules(coeffs, pkt, field)
+    assert max(report.norm_residual, report.momentum_residual) <= 1e-10
+    assert np.all(np.isfinite(f_table(pkt, field, 3, np.array([-1e-77, 0.0, 1e-77]))))
+    # the bottom corner is a packet far narrower than L: its levels run past 400
+    with pytest.raises(TruncationError, match="tail mass 1.000e\\+00"):
+        coefficient_matrix(GaussianPacket(d_x=1.6e-154, d_y=1.6e-154), FieldConfig(1.6e-77))
+
+
+@pytest.mark.parametrize("factor", [1.01, math.nan])
+def test_tail_gate_is_two_sided_and_fails_on_nan(critical_field, monkeypatch, factor):
+    # a diagonal sum 2 % above 1 (tail -0.02) or a NaN one certifies no cut;
+    # at k0x = 0 the momentum rule reads 0 either way and cannot catch it
+    closed = packet._f_closed_log
+
+    def scaled(*args):
+        mant, scale = closed(*args)
+        return mant * factor, scale
+
+    monkeypatch.setattr(packet, "_f_closed_log", scaled)
+    with pytest.raises(TruncationError, match="tail mass"):
+        coefficient_matrix(GaussianPacket(d_x=1.5, d_y=1.2), critical_field, n_max=10,
+                           tail_tol=1e-3)

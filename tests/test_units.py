@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 
@@ -72,13 +73,16 @@ def test_field_invariants_rejected():
         FieldConfig(float("nan"))
     with pytest.raises(UnitError):
         FieldConfig.from_magnetic_length(-2.0)
-    # L^4 enters the closed-form F_n, so it must be a finite float
-    for length in (math.inf, 1e78, 10**400):
+    # L^4 enters the closed-form F_n, so it must be a normal float: an L^4 that
+    # underflows lost F_n's normalization (a tail of -0.057 at L = 1e-85)
+    for length in (math.inf, 1e78, 10**400, 1.2e-77, 1e-80, 1e-85, 1e-150, 1e-200):
         with pytest.raises(UnitError, match="fourth power"):
             FieldConfig(length)
-    with pytest.raises(UnitError, match="fourth power"):
-        FieldConfig.from_kappa(1e-320)          # L^2 = 0.5/kappa overflows
+    for kappa in (1e-320, 1e300):       # L^2 = 0.5/kappa overflows; L^4 underflows
+        with pytest.raises(UnitError, match="fourth power"):
+            FieldConfig.from_kappa(kappa)
     assert FieldConfig(1e70).kappa == 0.5e-140
+    assert FieldConfig(1.25e-77).magnetic_length**4 >= sys.float_info.min
 
 
 def test_kappa_round_trip():
