@@ -30,6 +30,13 @@ and nested over its half: the folded rule of K/2 is every other node of K's.
 `mixing_terms` alone keeps the signed grid, so the k0z = 0 cancellation stays a
 computed one.
 
+Memory: each series call (`_axial_sums`, `mixing_terms`, a 2+1 trajectory,
+`subpackets`) owns one `_Workspace` of named slots.  `_line_blocks` fills its
+(pairs, K) energy, frequency and amplitude tables there and `_sum_lines` its
+tiles, in place, for every rung and both classes; slots are allocated while the
+first rung asks for them, and again only if a doubling needs larger ones.  No
+module global holds one, so calls on several threads share nothing.
+
 Natural units: lengths in Compton wavelengths, times in Compton times,
 velocities in c.  Positions are reported relative to the t = 0 centre, so
 every trajectory starts at the origin; the raw position-operator offset
@@ -52,9 +59,12 @@ from .packet import (AXIAL_FLOOR, MAX_GRID_NODES, CoefficientSet, Dimensionality
 from .units import FieldConfig, TimeRangeError
 
 PREF = 1.0 / (2.0 * math.sqrt(2.0))
-TILE_ELEMENTS = 1 << 17       # line evaluator's tiles: 2 MiB, one core's share of a 4 MiB L2
+# line evaluator's tiles: 2 MiB, one core's share of a 4 MiB L2; the stacked rows and
+# the offset table of one tile share it, in slots of the call's `_Workspace`
+TILE_ELEMENTS = 1 << 17
 PARTS = ("all", "intraband", "interband")
 DEFAULT_KZ_RTOL = 1e-9        # aliasing-bound target of the k_z rule, relative to the signal peak
+EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -125,6 +135,36 @@ class _Block(NamedTuple):
     carrier: float                # 2 (two rest energies) for interband lines, else 0
 
 
+class _Workspace:
+    """Scratch arrays of one series call: named slots that every rung and class refill.
+
+    `take` returns a name's slot, shaped, from the name's first request on; a name
+    asked for more than its slot gets a new one.  Slots are laid end to end in
+    chunks, each new chunk at least twice the last, so the first rung's slots cost
+    a few allocations and the later rungs none, unless a doubling asks for more.
+    Contents are whatever the last user left: every user overwrites or zeroes what
+    it reads.  A workspace lives for one call, never in a module global, so callers
+    on several threads share nothing.
+    """
+
+    def __init__(self) -> None:
+        self._chunk = np.empty(0, np.uint8)
+        self._end = 0                                  # bytes of the chunk in use
+        self._slots: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, shape: tuple[int, ...], dtype=float) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        size = math.prod(shape) * dtype.itemsize
+        slot = self._slots.get(name)
+        if slot is None or slot.size < size:
+            offset = -(-self._end // 64) * 64          # every slot on a cache line
+            if offset + size > self._chunk.size:
+                self._chunk, offset = np.empty(max(2 * self._chunk.size, size), np.uint8), 0
+            slot = self._slots[name] = self._chunk[offset : offset + size]
+            self._end = offset + size
+        return slot[:size].view(dtype).reshape(shape)
+
+
 def _line_blocks(
     packet: GaussianPacket,
     coeffs: CoefficientSet,
@@ -134,6 +174,7 @@ def _line_blocks(
     parts: str,
     channels: tuple[int, ...] = (0, 1),
     sources: tuple[float, float, complex] | None = None,
+    workspace: _Workspace | None = None,
 ) -> Iterator[_Block]:
     """Every oscillation line, one block per class and one row per level pair (n, n+1).
 
@@ -147,7 +188,8 @@ def _line_blocks(
     Rows: [0, n_max) for the second component alone, [1, n_max] for the
     first alone, else [0, n_max].  The weights default to |a2|^2, |a1|^2 and
     (L/sqrt2) a2* a1, the last 0 in 2+1 and at k0z = 0; (0, 0, 1) reads the
-    bare mixing integrals J in y.
+    bare mixing integrals J in y.  With a `workspace`, both classes' blocks
+    are the same tables filled in place: read each before asking for the next.
     """
     L = field.magnetic_length
     n_pairs = coeffs.n_max
@@ -160,43 +202,79 @@ def _line_blocks(
     w_second, w_first, w_mixing = sources
     lo = 0 if w_second or w_mixing else 1
     hi = n_pairs + 1 if w_first or w_mixing else n_pairs
-    energies = landau_energies(hi, nodes, field)[lo:]    # (hi - lo + 1, K)
-    e_lo, e_hi = energies[:-1], energies[1:]
+    scratch = workspace or _Workspace()
+    energies = landau_energies(hi, nodes, field, scratch.take("energies", (hi + 1, nodes.size)))
+    e_lo, e_hi = energies[lo:-1], energies[lo + 1:]      # (hi - lo, K) each
+    shape = e_lo.shape
+    # every term below is a chain of in-place ufuncs on these (pairs, K) tables
+    scale = scratch.take("scale", (n_pairs, nodes.size))
+    first, second = scratch.take("first", shape), scratch.take("second", shape)
+    t, v = first[:n_pairs], second[:n_pairs]         # a source's rows
     u = coeffs.u
     s_pairs = np.sqrt(np.arange(1.0, n_pairs + 1.0)) * (np.diagonal(u, 1) + np.diagonal(u, -1))
     if w_mixing:
-        j = np.diagonal(u)[:, None] * nodes * field.omega / (e_lo * e_hi) * weights
-        channel = np.array([w_mixing.imag, w_mixing.real])[list(channels), None, None]
-    # every energy difference is built from E_hi - E_lo = omega^2/(E_hi + E_lo),
-    # inline (a named (pairs, K) array held across a yield costs peak memory)
+        # J = U_nn k_z omega / (E_n E_{n+1}) times the node weights
+        j = scratch.take("mixing", shape)
+        np.multiply(np.diagonal(u)[:, None], nodes, out=j)
+        np.multiply(j, field.omega, out=j)
+        np.divide(j, np.multiply(e_lo, e_hi, out=first), out=j)
+        np.multiply(j, weights, out=j)
+        channel = np.array([w_mixing.imag, w_mixing.real])[list(channels)]
+    # every energy difference is built from E_hi - E_lo = omega^2/(E_hi + E_lo)
     omega_sq = field.omega**2
+    k_sq = nodes**2
+    n = np.arange(lo, hi)[:, None]
     for interband in (False, True):
         if parts == ("intraband" if interband else "interband"):
             continue
-        amps = np.zeros((len(channels),) + e_lo.shape, dtype=complex)
+        # without a caller's workspace every block owns its tables
+        tables = workspace or _Workspace()
+        amps = tables.take("amps", (len(channels),) + shape, complex)
+        amps[...] = 0.0
         x, y = (amps[channels.index(c)] if c in channels else None for c in (0, 1))
         for weight, shift in ((w_second, 0), (w_first, 1)):
             if weight == 0.0:
                 continue
             rows = slice(shift - lo, shift - lo + n_pairs)
             lo_e, hi_e = e_lo[rows], e_hi[rows]
-            scale = weight * PREF * L * s_pairs[:, None] * weights[None, :]
+            np.multiply(weight * PREF * L * s_pairs[:, None], weights, out=scale)
             # x sines imaginary, y cosines real; for interband lines 1/E_lo - 1/E_hi
             # and 1 - q = (E_hi - E_lo)/E_hi or -(E_hi - E_lo)/E_lo
             if x is not None:
-                x.imag[rows] += scale * (omega_sq / ((hi_e + lo_e) * lo_e * hi_e) if interband
-                                         else -(1.0 / lo_e + 1.0 / hi_e))
+                if interband:       # omega^2 / ((E_hi + E_lo) E_lo E_hi)
+                    np.add(hi_e, lo_e, out=t)
+                    np.multiply(t, lo_e, out=t)
+                    np.multiply(t, hi_e, out=t)
+                    np.divide(omega_sq, t, out=t)
+                else:               # -(1/E_lo + 1/E_hi)
+                    np.divide(1.0, lo_e, out=t)
+                    np.add(t, np.divide(1.0, hi_e, out=v), out=t)
+                    np.negative(t, out=t)
+                x.imag[rows] += np.multiply(scale, t, out=t)
             if y is not None:
-                y.real[rows] += scale * (
-                    omega_sq / ((hi_e + lo_e) * (hi_e if shift == 0 else -lo_e)) if interband
-                    else 1.0 + (lo_e / hi_e if shift == 0 else hi_e / lo_e))
+                if interband:       # omega^2 / ((E_hi + E_lo) E_hi) or its -E_lo twin
+                    np.add(hi_e, lo_e, out=t)
+                    np.multiply(t, hi_e if shift == 0 else lo_e, out=t)
+                    if shift:
+                        np.negative(t, out=t)
+                    np.divide(omega_sq, t, out=t)
+                else:               # 1 + E_lo/E_hi or 1 + E_hi/E_lo
+                    np.divide(*((lo_e, hi_e) if shift == 0 else (hi_e, lo_e)), out=t)
+                    np.add(1.0, t, out=t)
+                y.real[rows] += np.multiply(scale, t, out=t)
         if w_mixing:
-            amps.real[...] += channel * (-j if interband else j)
-        n = np.arange(lo, hi)[:, None]
-        # interband lines less the carrier: E - 1 = (omega^2 n + k_z^2)/(1 + E) has no cancellation
-        freq = (((omega_sq * (n + 1.0) + nodes**2) / (1.0 + e_hi)
-                 + (omega_sq * n + nodes**2) / (1.0 + e_lo)) if interband
-                else omega_sq / (e_hi + e_lo))
+            for row, c in zip(amps, channel):
+                row.real += np.multiply(j, -c if interband else c, out=first)
+        freq = tables.take("freq", shape)
+        if interband:
+            # lines less the carrier: E - 1 = (omega^2 n + k_z^2)/(1 + E) has no cancellation
+            np.add(omega_sq * (n + 1.0), k_sq, out=freq)
+            np.divide(freq, np.add(1.0, e_hi, out=first), out=freq)
+            np.add(omega_sq * n, k_sq, out=second)
+            np.divide(second, np.add(1.0, e_lo, out=first), out=second)
+            np.add(freq, second, out=freq)
+        else:
+            np.divide(omega_sq, np.add(e_hi, e_lo, out=freq), out=freq)
         yield _Block(freq, amps, interband, n[:, 0], 2.0 * interband)
 
 
@@ -217,14 +295,14 @@ def _time_grid(times: np.ndarray) -> tuple[float, float, int, np.ndarray]:
             head = x * 134217729.0            # 2^27 + 1: head keeps 26 bits, x - head the rest
             head -= head - x
             delta = delta - k * head - k * (x - head)
-        if np.max(np.abs(delta)) <= 64 * np.finfo(float).eps * np.max(np.abs(times)):
+        if np.max(np.abs(delta)) <= 64 * EPS * np.max(np.abs(times)):
             return start, step, n_offsets, delta
     return 0.0, 0.0, 1, np.zeros(size)
 
 
 def _sum_lines(
     freq: np.ndarray, amps: np.ndarray, times: np.ndarray, derivative: bool = False,
-    carrier: float = 0.0,
+    carrier: float = 0.0, workspace: _Workspace | None = None,
 ) -> np.ndarray:
     """Complex sums sum_rows amps[c] e^{-i (freq + carrier) t}, shape (C, T).
 
@@ -238,15 +316,18 @@ def _sum_lines(
     times the next derivative row where delta != 0.  Both tables grow by
     repeated products, each row from the previous one, so a line costs three
     complex exps per tile (two from t = 0); J = 1 is the direct sum, one exp
-    per sample.  Stacked rows count against TILE_ELEMENTS.  A phase (freq +
-    carrier) t, or its anchor step's (J h <= 2 max|t|), beyond the float range
-    raises TimeRangeError before any is formed.
+    per sample.  Stacked rows count against TILE_ELEMENTS.  The tile buffers
+    come from `workspace`, so the calls of one series reuse them; the returned
+    sums are the caller's own.  Phases (freq + carrier) t whose rounding,
+    eps (freq + carrier) max|t|, exceeds a radian raise TimeRangeError before
+    any is formed: no digit of them is correct.  That bound also keeps every
+    phase and anchor step (J h <= 2 max|t|) far inside the float range.
     """
     freq = np.ravel(freq)
     t_max, top = float(np.max(np.abs(times))), float(np.max(freq, initial=0.0)) + carrier
-    if not math.isfinite(2.0 * t_max * top):
-        raise TimeRangeError(f"phases of lines up to {top:.3g}/t_c over {t_max:.3g} t_c "
-                             "leave the float range; shorten the time grid")
+    if not EPS * top * t_max <= 1.0:      # also overflow and NaN
+        raise TimeRangeError(f"phases of lines up to {top:.3g}/t_c over {t_max:.3g} t_c round by "
+                             "more than a radian or leave the float range; shorten the time grid")
     amps = np.reshape(amps, (len(amps), freq.size))
     start, step, n_offsets, delta = _time_grid(times)
     n_anchors = -(-times.size // n_offsets)
@@ -254,17 +335,21 @@ def _sum_lines(
     orders = n_out + bool(np.any(delta))
     rows = orders * len(amps) * n_anchors
     r_step = min(freq.size, max(1, TILE_ELEMENTS // (rows + n_anchors + n_offsets)))
-    stacked = np.empty((rows, r_step), dtype=complex)
-    table = np.empty((n_offsets, r_step), dtype=complex)
+    workspace = workspace or _Workspace()
+    stacked = workspace.take("stacked", (rows, r_step), complex)
+    table = workspace.take("table", (n_offsets, r_step), complex)
     table[0] = 1.0
-    sums = np.zeros((rows, n_offsets), dtype=complex)
+    sums = workspace.take("sums", (rows, n_offsets), complex)
+    sums[...] = 0.0
     for r0 in range(0, freq.size, r_step):
         w = freq[r0 : r0 + r_step]
         tile, offsets = stacked[:, : w.size], table[:, : w.size]
         s = tile.reshape(orders, len(amps), n_anchors, w.size)
         a = amps[:, None, r0 : r0 + w.size]
         if n_offsets == 1:
-            np.multiply(a, np.exp(np.multiply.outer(-1j * times, w)), out=s[0])
+            phases = workspace.take("phases", (times.size, w.size), complex)
+            np.multiply.outer(-1j * times, w, out=phases)
+            np.multiply(a, np.exp(phases, out=phases), out=s[0])
         else:
             # three complex exps per line (two from t = 0) reduce w start,
             # w J h and w h once each; every product after them adds about
@@ -281,7 +366,7 @@ def _sum_lines(
             np.multiply(s[m - 1], -1j * w, out=s[m])
         sums += tile @ offsets.T
     sums = sums.reshape(orders, len(amps), -1)[..., : times.size]
-    out = sums[:n_out] + delta * sums[1:] if orders > n_out else sums
+    out = sums[:n_out] + delta * sums[1:] if orders > n_out else sums.copy()
     if carrier:                   # 2 t is exact, so delta needs no carrier term
         out[1:] -= 1j * carrier * out[:-1]          # derivative rows, if any
         out *= np.exp(-1j * (carrier * times))
@@ -297,12 +382,15 @@ def _series(
     parts: str = "all",
     channels: tuple[int, ...] = (0, 1),
     derivative: bool = False,
+    workspace: _Workspace | None = None,
 ) -> tuple[np.ndarray, float]:
     """(Complex line sums of `channels` (0 is x, 1 is y), then derivatives; sum of |amps|)."""
     out, mass = 0.0, 0.0
-    for block in _line_blocks(packet, coeffs, field, *rule, parts, channels):
-        out = out + _sum_lines(block.freq, block.amps, times, derivative, block.carrier)
-        mass += float(np.sum(np.abs(block.amps)))
+    workspace = workspace or _Workspace()
+    for block in _line_blocks(packet, coeffs, field, *rule, parts, channels, workspace=workspace):
+        out = out + _sum_lines(block.freq, block.amps, times, derivative, block.carrier, workspace)
+        magnitude = workspace.take("magnitude", block.amps.shape)
+        mass += float(np.sum(np.abs(block.amps, out=magnitude)))
     return out, mass
 
 
@@ -363,9 +451,11 @@ def _axial_sums(
         rule = np.zeros(1), np.ones(1)
         return 1, _series(packet, coeffs, field, times, rule, parts, channels, derivative)[0]
 
+    workspace = _Workspace()      # every rung's tables and tiles, grown if a doubling needs more
+
     def rung_sum(points, index=slice(None)):
         rule = tuple(v[index] for v in _fold(packet, axial_grid(packet, points)))
-        return _series(packet, coeffs, field, times, rule, parts, channels, derivative)
+        return _series(packet, coeffs, field, times, rule, parts, channels, derivative, workspace)
 
     needed = _first_rule(packet, field, times, rtol)
     points = needed // 2
@@ -375,11 +465,13 @@ def _axial_sums(
         points, coarse, fine, mass = 2 * points, fine, 0.5 * fine + odd, 0.5 * mass + odd_mass
         pos = fine[: len(channels)].real       # (x, y) or (y,)
         scale = max(np.max(np.abs(pos[-1] - pos[-1, 0])), np.max(np.abs(pos[:-1]), initial=1e-300))
-        needed = axial_nodes(packet, field, times, mass / (rtol * scale))
+        ratio = mass / (rtol * scale)
+        # a NaN scale sizes nothing: leave the loop for the gate below
+        needed = points if math.isnan(ratio) else axial_nodes(packet, field, times, ratio)
     achieved = float(np.max(np.abs(pos - coarse[: len(channels)].real)) / scale)
     n_offsets = _time_grid(times)[2]
     rounds = 4 + (-(-times.size // n_offsets) + n_offsets if n_offsets > 1 else 0)
-    floor = 2.0 * rounds * np.finfo(float).eps * mass          # F eps A
+    floor = 2.0 * rounds * EPS * mass          # F eps A
     if not achieved <= rtol and (2 * needed <= points or not floor <= rtol * scale):
         raise QuadratureConvergenceError(achieved, rtol)
     return points, fine
@@ -459,9 +551,12 @@ def mixing_terms(
         return MixingSeries(times, zero, zero.copy(), zero * 0j, zero * 0j)
     # the signed grid: at k0z = 0 the cancellation is computed, not assumed
     rule = axial_grid(packet, _first_rule(packet, field, times, kz_rtol))
+    workspace = _Workspace()
     j = {
-        block.interband: _sum_lines(block.freq, block.amps, times, carrier=block.carrier)[0].real
-        for block in _line_blocks(packet, coeffs, field, *rule, "all", (1,), (0.0, 0.0, 1.0))
+        block.interband: _sum_lines(block.freq, block.amps, times, carrier=block.carrier,
+                                    workspace=workspace)[0].real
+        for block in _line_blocks(packet, coeffs, field, *rule, "all", (1,), (0.0, 0.0, 1.0),
+                                  workspace)
     }
     cross = 0.5 * np.conj(packet.a2) * packet.a1 * (j[False] + j[True])
     return MixingSeries(times, j[False], j[True], cross, np.conj(cross))

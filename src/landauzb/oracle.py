@@ -46,7 +46,7 @@ KZ_ALIAS = 1e-9            # automatic k_z rule's aliasing bound over the trace 
 CHUNK_ELEMENTS = 60_000    # nodes x basis rows 4(N+1) x (anchor rows + offsets) per
                            # chunk: bounds the working set; one operator's pair tables
                            # are about three quarters of it
-EPS = np.finfo(float).eps
+EPS = float(np.finfo(float).eps)
 
 
 class TruncationLeakError(ValueError):
@@ -208,9 +208,13 @@ def _aliasing(pkt: packet_mod.GaussianPacket, e_sq: np.ndarray, pairs: list, t_m
     e_0, e_1, e_2 = e_sq[:, e_sq[2] > 0]    # E_b^2 >= 0: with no k^2 term, E_b is constant
     strip = float(np.min(np.sqrt(np.maximum(4.0 * e_0 * e_2 - e_1 * e_1, 0.0)) / (2.0 * e_2),
                          initial=np.inf))
-    k = pkt.k0z + np.array([[-1.0], [1.0]]) * packet_mod.AXIAL_HALF_WIDTH / d_z
-    slope = np.max(np.abs(e_sq[1] + 2.0 * k * e_sq[2])
-                   / (2.0 * np.sqrt(e_sq[0] + k * e_sq[1] + k * k * e_sq[2])), axis=0)
+    edge = abs(pkt.k0z) + packet_mod.AXIAL_HALF_WIDTH / d_z
+    if edge * edge < math.inf:
+        k = pkt.k0z + np.array([[-1.0], [1.0]]) * packet_mod.AXIAL_HALF_WIDTH / d_z
+        slope = np.max(np.abs(e_sq[1] + 2.0 * k * e_sq[2])
+                       / (2.0 * np.sqrt(e_sq[0] + k * e_sq[1] + k * k * e_sq[2])), axis=0)
+    else:   # k^2 leaves the float range (d_z below about 4.9e-154): |E_b'| is sqrt(S2) there
+        slope = np.sqrt(e_sq[2])
     v_t = t_max * max(float(np.max(slope[bra] + slope[ket])) for bra, ket in pairs)
     if kz_order is None:
         # ln(2/G) = X^2/(4 d_z^2) inside the strip, else X s - d_z^2 s^2 at its edge s
@@ -309,13 +313,15 @@ def evolve_expectations(
         kz_nodes, weights = nodes, np.bincount(bucket, weights)
         for _, _, tr in ops:
             tr[0, 2] = tr[2, 0] = tr[1, 2] = tr[2, 1] = 0.0
-    # E_b^2 is convex in k_z, so its peak over the rule lies on an end node; the
-    # anchor step J h <= 2 max|t| and the pair frequencies E_ket + E_bra <= 2 E
+    # E_b^2 is convex in k_z, so its peak over the rule lies on an end node.  A pair
+    # phase (E_ket + E_bra) t rounds by up to 2 eps E max|t|: past a radian no digit
+    # of it is correct, and far short of that the anchor step J h <= 2 max|t| is finite
     k = kz_nodes[[0, -1], None]
     e_top = math.sqrt(float(np.max(e_sq[0] + k * e_sq[1] + k * k * e_sq[2])))
-    if not math.isfinite(2.0 * e_top * t_max):
+    if not 2.0 * EPS * e_top * t_max <= 1.0:           # also overflow and NaN
         raise TimeRangeError(f"phases of block energies up to {e_top:.3g}/t_c over {t_max:.3g} "
-                             "t_c leave the float range; shorten the time grid")
+                             "t_c round by more than a radian or leave the float range; "
+                             "shorten the time grid")
 
     # [<A(t)>, <v_x + i v_y>(t)] x [sum, delta coefficient] x anchor x [Re, Im] x
     # offset; <A^+> = conj.  mass: the largest the sums of each operator can be

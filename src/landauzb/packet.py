@@ -330,11 +330,17 @@ def axial_nodes(packet: GaussianPacket, field: FieldConfig, times, ratio: float)
     K is that bound rounded up to a two-bit mantissa m (at most 25 % or 7 nodes over
     it); 8 | K keeps the rule of K/2 nested in it and in its fold (`dynamics._fold`).
     A doubling after the sum (`dynamics._axial_sums`) can reach 2.5 times the bound.
-    Callers raise K to AXIAL_FLOOR; K > MAX_GRID_NODES raises QuadratureConvergenceError.
+    Callers raise K to AXIAL_FLOOR; K > MAX_GRID_NODES, or a NaN ratio (no error
+    target to size for), raises QuadratureConvergenceError.
     """
+    if math.isnan(ratio):
+        raise QuadratureConvergenceError(math.nan, 1.0 / ratio)
     d_z, edge = packet.d_z, abs(packet.k0z) + AXIAL_HALF_WIDTH / packet.d_z
-    # a float: slope * t overflows to inf, unwarned, and the cap below raises
-    slope = edge * float(np.sum(1.0 / landau_energies(1, edge, field)))
+    # floats: slope * t overflows to inf, unwarned, and the cap below raises.  Where
+    # k^2 leaves the float range (d_z below about 4.9e-154) E_n overflows, while
+    # k/E_n is 1 to rounding at every field the config admits
+    slope = (edge * float(np.sum(1.0 / landau_energies(1, edge, field)))
+             if edge * edge < math.inf else 2.0)
     c = 2.0 * math.sqrt(math.log(max(ratio, 1.0)))
     tail = c * d_z if c <= 2.0 * d_z else c * c / 4.0 + d_z * d_z
     bound = AXIAL_HALF_WIDTH / (math.pi * d_z) * (slope * float(np.max(np.abs(times))) + tail)

@@ -35,7 +35,9 @@ class UnitError(ValueError):
 
 
 class TimeRangeError(ValueError):
-    """A time grid whose phases (frequency times time) leave the float range."""
+    """A time grid whose phases (frequency times time) round by more than a radian.
+
+    That covers phases beyond the float range, far past the bound."""
 
 
 @dataclass(frozen=True)

@@ -680,6 +680,18 @@ def test_phase_overflow_is_a_config_error(tmp_path, capsys, command, t_end):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["trajectory", "oracle-check"])
+@pytest.mark.parametrize("t_end", [1e200, 1e300])
+def test_phases_with_no_correct_digit_are_a_config_error(tmp_path, capsys, command, t_end):
+    # finite phases rounding by eps (w + 2) t >= 1e185 rad: trajectory wrote rows
+    # of no correct digit and exited 0, oracle-check exited 3
+    cfg = write_config(tmp_path, small_config(time={"t_end": t_end, "samples": 3}))
+    out = tmp_path / "out.json"
+    assert main([command, "--config", cfg, "--output", str(out), "--format", "json"]) == EXIT_CONFIG
+    assert "more than a radian" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["trajectory", "spectrum", "sumrules", "oracle-check",
                                      "lowfield"])
 def test_width_beyond_float_range_is_a_config_error(tmp_path, capsys, command):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -337,10 +338,10 @@ def _recording(monkeypatch, times):
     sum_lines, line_blocks = dynamics._sum_lines, dynamics._line_blocks
     seen, nodes, channels = [], [], []
 
-    def counting(freq, amps, grid, derivative=False, carrier=0.0):
+    def counting(freq, amps, grid, derivative=False, carrier=0.0, workspace=None):
         assert np.array_equal(grid, times)
         seen.append(freq.shape)
-        return sum_lines(freq, amps, grid, derivative, carrier)
+        return sum_lines(freq, amps, grid, derivative, carrier, workspace)
 
     def recording(packet, coeffs, field, kz, weights, *args, **kwargs):
         assert kz.size == weights.size and np.all(weights > 0.0), "a node of no weight is summed"
@@ -853,8 +854,11 @@ def test_phase_overflow_is_a_time_range_error(critical_field, packet_2p1, coeffs
     # a 3+1 rule cannot be sized for such a window: its bound says so, unwarned
     with pytest.raises(dynamics.QuadratureConvergenceError):
         dynamics.trajectory_3p1(packet_3p1, coeffs_3p1, critical_field, times)
-    # inside the range the phases are formed without overflow
-    far = dynamics.trajectory_2p1(packet_2p1, coeffs_2p1, critical_field, times * 1e-8)
+    # finite phases that round by eps (w + 2) t ~ 1e285 rad keep no correct digit
+    # and are refused as well; inside the bound they are formed without overflow
+    with pytest.raises(TimeRangeError, match="more than a radian"):
+        dynamics.trajectory_2p1(packet_2p1, coeffs_2p1, critical_field, times * 1e-8)
+    far = dynamics.trajectory_2p1(packet_2p1, coeffs_2p1, critical_field, times * 1e-294)
     assert all(np.all(np.isfinite(v)) for v in (far.x, far.y, far.vx, far.vy))
 
 
@@ -872,3 +876,102 @@ def test_axial_gate_fails_on_a_nan_residual(critical_field, packet_3p1, coeffs_3
     with pytest.raises(dynamics.QuadratureConvergenceError):
         dynamics.trajectory_3p1(packet_3p1, coeffs_3p1, critical_field,
                                 np.linspace(0.0, 5.0, 9))
+
+
+def test_nan_series_sums_reach_the_axial_gate(critical_field, packet_3p1, coeffs_3p1,
+                                              monkeypatch):
+    # with `axial_nodes` unpinned, a NaN scale gave it a NaN ratio and `math.ceil`
+    # raised ValueError; now the doubling stops and the NaN-safe gate raises
+    series = dynamics._series
+
+    def nan_series(*args):
+        sums, mass = series(*args)
+        return sums * math.nan, mass
+
+    monkeypatch.setattr(dynamics, "_series", nan_series)
+    with pytest.raises(dynamics.QuadratureConvergenceError) as info:
+        dynamics.trajectory_3p1(packet_3p1, coeffs_3p1, critical_field,
+                                np.linspace(0.0, 5.0, 9))
+    assert info.value.target == dynamics.DEFAULT_KZ_RTOL and math.isnan(info.value.achieved)
+
+
+@pytest.mark.parametrize("d_z", [1.5e-154, 4.8e-154])
+def test_span_squared_overflow_is_a_quadrature_error_unwarned(critical_field, d_z):
+    # squaring the k_z span 6.56/d_z warned of overflow (an error here) first
+    pkt = GaussianPacket(d_x=1.5, d_y=1.2, d_z=d_z, k0x=0.5, dimensionality="3+1")
+    with pytest.raises(dynamics.QuadratureConvergenceError, match="above the cap"):
+        dynamics.trajectory_3p1(pkt, coefficient_matrix(pkt, critical_field), critical_field,
+                                np.linspace(0.0, 5.0, 9))
+
+
+def test_phase_rounding_past_a_radian_is_a_time_range_error():
+    # finite phases whose rounding eps (w + 2) max|t| passes a radian were summed
+    # into finite rows of no correct digit: one line at w = 1 on the carrier 2,
+    # either side of the bound's edge 1/(3 eps)
+    edge = 1.0 / (3.0 * np.finfo(float).eps)
+    line = np.array([1.0]), np.ones((1, 1))
+    dynamics._sum_lines(*line, np.linspace(0.0, 0.99 * edge, 3), carrier=2.0)
+    with pytest.raises(TimeRangeError, match="more than a radian"):
+        dynamics._sum_lines(*line, np.linspace(0.0, 1.01 * edge, 3), carrier=2.0)
+
+
+def envelope_signals():
+    """analytic_signal arguments of the persistence window and the sixth 20 T decay window."""
+    field = FieldConfig.from_kappa((0.06 * 68000.0 / 12000.0) ** 2)
+    L = field.magnetic_length
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # k0x beyond the nominal velocity bound
+        pkt = GaussianPacket(d_x=L, d_y=L, d_z=L, k0x=math.sqrt(2.0) / L, a1=0.0, a2=1.0,
+                             dimensionality="3+1", relax_momentum_bound=True)
+    persistence = (pkt, coefficient_matrix(pkt, field), field, np.linspace(0.0, 1200.0, 401),
+                   "all", 1e-7)
+    field = FieldConfig.from_tesla(20.0)
+    pkt = GaussianPacket(d_x=2.0e4, d_y=1.8e4, d_z=1.5e4, k0x=8.72e7 * COMPTON_LENGTH,
+                         a1=0.0, a2=1.0, dimensionality="3+1")
+    edges = np.geomspace(2.0e9, 2.0e10, 8)
+    decay = (pkt, coefficient_matrix(pkt, field), field, np.linspace(edges[5], edges[6], 257),
+             "interband", 1e-6)
+    return persistence, decay
+
+
+def test_analytic_signal_on_two_threads_matches_serial_bit_for_bit():
+    # every call owns its workspace: concurrent calls share no scratch array
+    signals = envelope_signals()
+    serial = [dynamics.analytic_signal(*args) for args in signals]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        runs = [pool.submit(dynamics.analytic_signal, *args) for _ in range(3) for args in signals]
+        results = [run.result() for run in runs]
+    for k, got in enumerate(results):
+        assert got.tobytes() == serial[k % 2].tobytes()
+
+
+@pytest.mark.parametrize("times", [np.linspace(0.0, 40.0, 161),
+                                   np.r_[0.0, np.geomspace(0.5, 40.0, 60)]],
+                         ids=["anchored", "direct"])
+def test_workspace_carries_nothing_from_one_call_to_the_next(critical_field, mixed_packet_3p1,
+                                                             mixed_coeffs_3p1, times):
+    # a sum on slots a larger sum laid out, or one that outgrows them, equals
+    # the same sum on a fresh workspace bit for bit: x, y and derivatives, the
+    # mixing rows, both classes, and both the anchored and the direct grid
+    args = mixed_packet_3p1, mixed_coeffs_3p1, critical_field
+    small, large = axial_grid(mixed_packet_3p1, 64), axial_grid(mixed_packet_3p1, 320)
+    for first, second in ((large, small), (small, large)):
+        for derivative in (False, True):
+            workspace = dynamics._Workspace()
+            dynamics._series(*args, times, first, "all", (0, 1), derivative, workspace)
+            got = dynamics._series(*args, times, second, "all", (0, 1), derivative, workspace)
+            want = dynamics._series(*args, times, second, "all", (0, 1), derivative)
+            assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
+    # mixing_terms keeps the first class's sums while the second reuses the tiles
+    mix = dynamics.mixing_terms(*args, times)
+    rule = axial_grid(mixed_packet_3p1, dynamics._first_rule(mixed_packet_3p1, critical_field,
+                                                            times, dynamics.DEFAULT_KZ_RTOL))
+    for block in dynamics._line_blocks(*args, *rule, "all", (1,), (0.0, 0.0, 1.0)):
+        want = dynamics._sum_lines(block.freq, block.amps, times, carrier=block.carrier)[0].real
+        assert (mix.j_minus if block.interband else mix.j_plus).tobytes() == want.tobytes()
+    # the public call after a larger one equals it made alone
+    alone = dynamics.trajectory_3p1(*args, times[:41])
+    dynamics.trajectory_3p1(*args, times)
+    again = dynamics.trajectory_3p1(*args, times[:41])
+    assert all(getattr(again, f).tobytes() == getattr(alone, f).tobytes()
+               for f in ("x", "y", "vx", "vy"))

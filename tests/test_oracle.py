@@ -858,3 +858,21 @@ def test_phase_overflow_is_a_time_range_error(critical_field, mixed_packet_3p1,
     with pytest.raises(TimeRangeError, match="float range"):
         oracle.evolve_expectations(mixed_packet_3p1, critical_field, times,
                                    mixed_coeffs_3p1.n_max + 20, kz_order=64)
+
+
+@pytest.mark.parametrize("t_end", [1e200, 1e300])
+def test_phases_with_no_correct_digit_are_a_time_range_error(critical_field, t_end):
+    # finite block phases whose rounding 2 eps E max|t| passes a radian gave finite
+    # channels of no correct digit (deviation 0.70 and 0.10 from the series)
+    pkt = GaussianPacket(d_x=1.5, d_y=1.2, k0x=0.5, a1=0.6, a2=0.8)
+    with pytest.raises(TimeRangeError, match="more than a radian"):
+        oracle.evolve_expectations(pkt, critical_field, np.linspace(0.0, t_end, 3), 40)
+
+
+@pytest.mark.parametrize("d_z", [1.5e-154, 4.8e-154])
+def test_span_squared_overflow_is_a_quadrature_error_unwarned(critical_field, d_z):
+    # the oracle's own bound squared the k_z span 6.56/d_z: an overflow warning
+    # (an error here) before the QuadratureConvergenceError
+    pkt = GaussianPacket(d_x=1.5, d_y=1.2, d_z=d_z, k0x=0.5, dimensionality="3+1")
+    with pytest.raises(packet_mod.QuadratureConvergenceError, match="above the cap"):
+        oracle.evolve_expectations(pkt, critical_field, np.linspace(0.0, 5.0, 9), 40)

@@ -189,6 +189,12 @@ def test_axial_nodes_round_the_bound_to_a_two_bit_mantissa(kappa, d_z, k0z, t_ma
     assert axial_rule(pkt, field, more * t_max, ratio) >= nodes
 
 
+def test_axial_nodes_refuse_a_nan_ratio(critical_field, packet_3p1):
+    # max(nan, 1.0) kept the NaN and math.ceil raised ValueError: a traceback
+    with pytest.raises(QuadratureConvergenceError):
+        axial_nodes(packet_3p1, critical_field, np.linspace(0.0, 5.0, 9), math.nan)
+
+
 def test_g_z_rejected_for_2p1(packet_2p1):
     with pytest.raises(DimensionalityError):
         g_z(packet_2p1, 0.0)
