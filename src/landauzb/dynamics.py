@@ -24,18 +24,27 @@ Axial rule: the energies depend on k_z only through k_z^2, so for a packet
 with k0z = 0 every cyclotron and trembling line is even in k_z and the
 spin-mixing rows are odd.  The mixing rows then cancel and are not summed,
 and the signed k_z grid folds onto its k_z >= 0 half (`_fold`): K/2 + 1
-nodes for K.  `_axial_sums` sums the rule certified by the aliasing bound of
-`packet.axial_nodes`, K = m 2^e nodes with m in 5..8 and 8 | K, each node once
-and nested over its half: the folded rule of K/2 is every other node of K's.
-`mixing_terms` alone keeps the signed grid, so the k0z = 0 cancellation stays a
-computed one.
+nodes for K.  Each line class has its own rule: `_axial_sums` sums the rule
+certified by the aliasing bound of `packet.axial_nodes` for that class, K_c =
+m 2^e nodes with m in 5..8 and 8 | K_c, each node once and nested over its
+half: the folded rule of K_c/2 is every other node of K_c's.  Interband lines
+move with k_z as E_n + E_{n+1}, intraband lines only as omega^2/(E_n + E_{n+1}),
+so the intraband rule is the smaller (256 against 2560 nodes on the
+collapse-revival packet).  All classes share one error ratio, so their bounds
+add up to the target.  `mixing_terms` alone keeps the signed grid, so the
+k0z = 0 cancellation stays a computed one.
 
 Memory: each series call (`_axial_sums`, `mixing_terms`, a 2+1 trajectory,
 `subpackets`) owns one `_Workspace` of named slots.  `_line_blocks` fills its
-(pairs, K) energy, frequency and amplitude tables there and `_sum_lines` its
-tiles, in place, for every rung and both classes; slots are allocated while the
-first rung asks for them, and again only if a doubling needs larger ones.  No
-module global holds one, so calls on several threads share nothing.
+(pairs, K) tables there (every float table in one slot, the amplitudes and
+frequencies in two more) and `_sum_lines` its tiles (the stacked rows and the
+offset table in one slot), in place, for every rung and class.  The class with
+the larger rule is summed first, so its first rung sizes every slot, and later
+ones are allocated only if a doubling needs larger ones.  With few slots, each
+of the size asked, a call's largest slot holds about half its memory; glibc's
+malloc trims freed memory only above twice the largest block it has freed, so
+the next call reuses these pages instead of faulting in new ones.  No module
+global holds a workspace, so calls on several threads share nothing.
 
 Natural units: lengths in Compton wavelengths, times in Compton times,
 velocities in c.  Positions are reported relative to the t = 0 centre, so
@@ -133,23 +142,22 @@ class _Block(NamedTuple):
     interband: bool
     levels: np.ndarray            # (pairs,) lower level n of each pair (n, n+1)
     carrier: float                # 2 (two rest energies) for interband lines, else 0
+    mass: float                   # sum of |amps|, the amplitude mass
 
 
 class _Workspace:
     """Scratch arrays of one series call: named slots that every rung and class refill.
 
     `take` returns a name's slot, shaped, from the name's first request on; a name
-    asked for more than its slot gets a new one.  Slots are laid end to end in
-    chunks, each new chunk at least twice the last, so the first rung's slots cost
-    a few allocations and the later rungs none, unless a doubling asks for more.
+    asked for more than its slot gets a new one of the size asked.  `_axial_sums`
+    sums the class with the larger rule first, so its first rung sizes every slot and
+    the later rungs and classes allocate none, unless a doubling asks for more.
     Contents are whatever the last user left: every user overwrites or zeroes what
     it reads.  A workspace lives for one call, never in a module global, so callers
     on several threads share nothing.
     """
 
     def __init__(self) -> None:
-        self._chunk = np.empty(0, np.uint8)
-        self._end = 0                                  # bytes of the chunk in use
         self._slots: dict[str, np.ndarray] = {}
 
     def take(self, name: str, shape: tuple[int, ...], dtype=float) -> np.ndarray:
@@ -157,11 +165,7 @@ class _Workspace:
         size = math.prod(shape) * dtype.itemsize
         slot = self._slots.get(name)
         if slot is None or slot.size < size:
-            offset = -(-self._end // 64) * 64          # every slot on a cache line
-            if offset + size > self._chunk.size:
-                self._chunk, offset = np.empty(max(2 * self._chunk.size, size), np.uint8), 0
-            slot = self._slots[name] = self._chunk[offset : offset + size]
-            self._end = offset + size
+            slot = self._slots[name] = np.empty(size, np.uint8)
         return slot[:size].view(dtype).reshape(shape)
 
 
@@ -203,18 +207,21 @@ def _line_blocks(
     lo = 0 if w_second or w_mixing else 1
     hi = n_pairs + 1 if w_first or w_mixing else n_pairs
     scratch = workspace or _Workspace()
-    energies = landau_energies(hi, nodes, field, scratch.take("energies", (hi + 1, nodes.size)))
+    rows, base = hi - lo, hi + 1 + n_pairs
+    shape = (rows, nodes.size)
+    # every float table in one slot, blocks of rows over the K nodes: energies,
+    # the node-weight scale, two temporaries and the mixing integrals (if any)
+    stack = scratch.take("tables", (base + (3 if w_mixing else 2) * rows, nodes.size))
+    energies = landau_energies(hi, nodes, field, stack[: hi + 1])
     e_lo, e_hi = energies[lo:-1], energies[lo + 1:]      # (hi - lo, K) each
-    shape = e_lo.shape
     # every term below is a chain of in-place ufuncs on these (pairs, K) tables
-    scale = scratch.take("scale", (n_pairs, nodes.size))
-    first, second = scratch.take("first", shape), scratch.take("second", shape)
+    scale = stack[hi + 1 : base]
+    first, second, j = (stack[base + k * rows : base + (k + 1) * rows] for k in range(3))
     t, v = first[:n_pairs], second[:n_pairs]         # a source's rows
     u = coeffs.u
     s_pairs = np.sqrt(np.arange(1.0, n_pairs + 1.0)) * (np.diagonal(u, 1) + np.diagonal(u, -1))
     if w_mixing:
         # J = U_nn k_z omega / (E_n E_{n+1}) times the node weights
-        j = scratch.take("mixing", shape)
         np.multiply(np.diagonal(u)[:, None], nodes, out=j)
         np.multiply(j, field.omega, out=j)
         np.divide(j, np.multiply(e_lo, e_hi, out=first), out=j)
@@ -275,7 +282,8 @@ def _line_blocks(
             np.add(freq, second, out=freq)
         else:
             np.divide(omega_sq, np.add(e_hi, e_lo, out=freq), out=freq)
-        yield _Block(freq, amps, interband, n[:, 0], 2.0 * interband)
+        mass = sum(float(np.sum(np.abs(row, out=first))) for row in amps)
+        yield _Block(freq, amps, interband, n[:, 0], 2.0 * interband, mass)
 
 
 def _time_grid(times: np.ndarray) -> tuple[float, float, int, np.ndarray]:
@@ -336,8 +344,8 @@ def _sum_lines(
     rows = orders * len(amps) * n_anchors
     r_step = min(freq.size, max(1, TILE_ELEMENTS // (rows + n_anchors + n_offsets)))
     workspace = workspace or _Workspace()
-    stacked = workspace.take("stacked", (rows, r_step), complex)
-    table = workspace.take("table", (n_offsets, r_step), complex)
+    tiles = workspace.take("tiles", (rows + n_offsets, r_step), complex)
+    stacked, table = tiles[:rows], tiles[rows:]
     table[0] = 1.0
     sums = workspace.take("sums", (rows, n_offsets), complex)
     sums[...] = 0.0
@@ -389,8 +397,7 @@ def _series(
     workspace = workspace or _Workspace()
     for block in _line_blocks(packet, coeffs, field, *rule, parts, channels, workspace=workspace):
         out = out + _sum_lines(block.freq, block.amps, times, derivative, block.carrier, workspace)
-        magnitude = workspace.take("magnitude", block.amps.shape)
-        mass += float(np.sum(np.abs(block.amps, out=magnitude)))
+        mass += block.mass
     return out, mass
 
 
@@ -416,11 +423,25 @@ def _fold(
     return -nodes[half::-1], folded
 
 
-def _first_rule(packet: GaussianPacket, field: FieldConfig, times, rtol: float) -> int:
-    """The first k_z rule's nodes: `packet.axial_nodes` for rtol, at least AXIAL_FLOOR."""
+def _kinds(parts: str) -> tuple[str, ...]:
+    """The line classes `parts` names: 'intraband', 'interband' or both."""
+    return PARTS[1:] if parts == "all" else (parts,)
+
+
+def _first_rule(packet: GaussianPacket, field: FieldConfig, times, rtol: float, kind: str) -> int:
+    """Line class `kind`'s first k_z rule: `packet.axial_nodes` for rtol, at least AXIAL_FLOOR."""
     if not 0.0 < rtol < math.inf:
         raise ValueError(f"kz_rtol must be a positive finite number, not {rtol!r}")
-    return max(AXIAL_FLOOR, axial_nodes(packet, field, times, 1.0 / rtol))
+    return max(AXIAL_FLOOR, axial_nodes(packet, field, times, 1.0 / rtol, kind))
+
+
+def _classes(packet: GaussianPacket, field: FieldConfig, times, rtol: float,
+             parts: str) -> dict[str, int]:
+    """{line class: its first rule} for `parts`, the class with the larger rule first.
+
+    The first class's first rung then sizes every slot of the call's workspace."""
+    rules = {kind: _first_rule(packet, field, times, rtol, kind) for kind in _kinds(parts)}
+    return dict(sorted(rules.items(), key=lambda item: -item[1]))
 
 
 def _axial_sums(
@@ -432,15 +453,18 @@ def _axial_sums(
     parts: str = "all",
     channels: tuple[int, ...] = (0, 1),
     derivative: bool = False,
-) -> tuple[int, np.ndarray]:
-    """(K, `_series` sums on the axial rule of K nodes); K = 1, k_z = 0, for 2+1.
+) -> tuple[dict[str, int], np.ndarray]:
+    """({line class: K_c}, `_series` sums, each class on its axial rule of K_c nodes).
 
-    K is the rule of `packet.axial_nodes` for an error of rtol times the amplitude
-    mass A, folded (`_fold`) and summed once over its nodes, nested:
-    S_K = S_{K/2} / 2 + S_odd.  K doubles the same way while the bound, checked on
-    rtol times the scale max(|y - y[0]|, |x|) of the position channels (0, 1) or
-    (1,), needs more.  If it covers K/2 too, or the target lies below the rounding
-    floor F eps A, |S_K - S_{K/2}| > rtol raises QuadratureConvergenceError at once.
+    A 2+1 call sums each class at k_z = 0, K_c = 1.  In 3+1 each line class c of
+    `parts` has its own rule: `packet.axial_nodes` for c, for an error of rtol times
+    its amplitude mass A_c, folded (`_fold`) and summed once over its nodes, nested:
+    S_K = S_{K/2} / 2 + S_odd.  All classes share one ratio A/(rtol scale), A the sum
+    of the A_c and scale max(|y - y[0]|, |x|) of the combined position channels (0, 1)
+    or (1,), so the class bounds A_c/ratio add up to rtol times the scale; a class
+    doubles the same way while the bound on that scale needs more.  If every class's
+    bound covers its K_c/2 too, or the target lies below the rounding floor F eps A,
+    a combined |S - S_half| > rtol raises QuadratureConvergenceError at once.
     F = 2 (ceil(T/J) + J + 4) counts the roundings of about eps behind one term
     a z(t) of a sample in `_sum_lines`: three exps, ceil(T/J) - 1 anchor and J - 2
     offset products, the amplitude's, the GEMM's and the carrier's exp and product
@@ -449,32 +473,41 @@ def _axial_sums(
         raise ValueError(f"parts must be one of {PARTS}, not {parts!r}")
     if packet.dimensionality == "2+1":
         rule = np.zeros(1), np.ones(1)
-        return 1, _series(packet, coeffs, field, times, rule, parts, channels, derivative)[0]
+        return ({kind: 1 for kind in _kinds(parts)},
+                _series(packet, coeffs, field, times, rule, parts, channels, derivative)[0])
 
     workspace = _Workspace()      # every rung's tables and tiles, grown if a doubling needs more
 
-    def rung_sum(points, index=slice(None)):
+    def rung_sum(kind, points, index=slice(None)):
         rule = tuple(v[index] for v in _fold(packet, axial_grid(packet, points)))
-        return _series(packet, coeffs, field, times, rule, parts, channels, derivative, workspace)
+        return _series(packet, coeffs, field, times, rule, kind, channels, derivative, workspace)
 
-    needed = _first_rule(packet, field, times, rtol)
-    points = needed // 2
-    fine, mass = rung_sum(points)
-    while points < needed:
-        odd, odd_mass = rung_sum(2 * points, slice(1, None, 2))
-        points, coarse, fine, mass = 2 * points, fine, 0.5 * fine + odd, 0.5 * mass + odd_mass
-        pos = fine[: len(channels)].real       # (x, y) or (y,)
+    needed = _classes(packet, field, times, rtol, parts)
+    points = {kind: rule // 2 for kind, rule in needed.items()}
+    fine, mass = {}, {}
+    for kind in needed:
+        fine[kind], mass[kind] = rung_sum(kind, points[kind])
+    coarse = {}
+    while any(points[kind] < needed[kind] for kind in needed):
+        for kind in needed:
+            if points[kind] < needed[kind]:
+                odd, odd_mass = rung_sum(kind, 2 * points[kind], slice(1, None, 2))
+                points[kind], coarse[kind] = 2 * points[kind], fine[kind]
+                fine[kind], mass[kind] = 0.5 * fine[kind] + odd, 0.5 * mass[kind] + odd_mass
+        pos = sum(fine.values())[: len(channels)].real       # (x, y) or (y,)
         scale = max(np.max(np.abs(pos[-1] - pos[-1, 0])), np.max(np.abs(pos[:-1]), initial=1e-300))
-        ratio = mass / (rtol * scale)
+        ratio = sum(mass.values()) / (rtol * scale)
         # a NaN scale sizes nothing: leave the loop for the gate below
-        needed = points if math.isnan(ratio) else axial_nodes(packet, field, times, ratio)
-    achieved = float(np.max(np.abs(pos - coarse[: len(channels)].real)) / scale)
+        needed = {kind: points[kind] if math.isnan(ratio)
+                  else axial_nodes(packet, field, times, ratio, kind) for kind in needed}
+    achieved = float(np.max(np.abs(pos - sum(coarse.values())[: len(channels)].real)) / scale)
     n_offsets = _time_grid(times)[2]
     rounds = 4 + (-(-times.size // n_offsets) + n_offsets if n_offsets > 1 else 0)
-    floor = 2.0 * rounds * EPS * mass          # F eps A
-    if not achieved <= rtol and (2 * needed <= points or not floor <= rtol * scale):
+    floor = 2.0 * rounds * EPS * sum(mass.values())          # F eps A
+    covered = all(2 * needed[kind] <= points[kind] for kind in needed)
+    if not achieved <= rtol and (covered or not floor <= rtol * scale):
         raise QuadratureConvergenceError(achieved, rtol)
-    return points, fine
+    return points, sum(fine.values())
 
 
 def _trajectory(packet, coeffs, field, times, parts, kz_rtol) -> Trajectory:
@@ -542,24 +575,24 @@ def mixing_terms(
 
     The integrand is odd in the axial wavenumber, so a symmetric density
     kills it; only 3+1 packets with axial momentum produce cross terms.  The
-    mixing rows alone are summed once, on the signed grid `packet.axial_nodes`
-    gives for kz_rtol times their amplitude mass (their k0z = 0 sum is rounding).
+    mixing rows alone are summed once per line class, on the signed grid
+    `packet.axial_nodes` gives that class for kz_rtol times their amplitude mass
+    (their k0z = 0 sum is rounding).
     """
     times = np.asarray(times, dtype=float)
     if packet.dimensionality == "2+1":
         zero = np.zeros(times.size)
         return MixingSeries(times, zero, zero.copy(), zero * 0j, zero * 0j)
     # the signed grid: at k0z = 0 the cancellation is computed, not assumed
-    rule = axial_grid(packet, _first_rule(packet, field, times, kz_rtol))
     workspace = _Workspace()
-    j = {
-        block.interband: _sum_lines(block.freq, block.amps, times, carrier=block.carrier,
-                                    workspace=workspace)[0].real
-        for block in _line_blocks(packet, coeffs, field, *rule, "all", (1,), (0.0, 0.0, 1.0),
-                                  workspace)
-    }
-    cross = 0.5 * np.conj(packet.a2) * packet.a1 * (j[False] + j[True])
-    return MixingSeries(times, j[False], j[True], cross, np.conj(cross))
+    j = {}
+    for kind, points in _classes(packet, field, times, kz_rtol, "all").items():
+        (block,) = _line_blocks(packet, coeffs, field, *axial_grid(packet, points), kind, (1,),
+                                (0.0, 0.0, 1.0), workspace)
+        j[kind] = _sum_lines(block.freq, block.amps, times, carrier=block.carrier,
+                             workspace=workspace)[0].real
+    cross = 0.5 * np.conj(packet.a2) * packet.a1 * (j["intraband"] + j["interband"])
+    return MixingSeries(times, j["intraband"], j["interband"], cross, np.conj(cross))
 
 
 def subpackets(

@@ -15,6 +15,7 @@ the fused result is exponentiated.
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 import warnings
@@ -53,7 +54,10 @@ class QuadratureConvergenceError(RuntimeError):
 
     def __init__(self, achieved: float = math.inf, target: float | None = None,
                  nodes_needed: int | None = None):
-        if nodes_needed is None:
+        if target is not None and math.isnan(target):
+            message = ("axial quadrature has no error target to size a k_z rule for: the "
+                       "amplitude mass or the signal scale is NaN")
+        elif nodes_needed is None:
             message = (f"axial quadrature changed by {achieved:.3e} relative on doubling "
                        f"(target {target:.3e}); refine manually or shorten the window")
         else:
@@ -105,6 +109,10 @@ class GaussianPacket:
                                   "a normal float")
         if self.dimensionality == "2+1" and self.k0z != 0.0:
             raise PacketError("2+1 packets have no axial momentum")
+        # the line energies square every k_z node, the grid's centre k0z among them
+        if not self.k0z * self.k0z < math.inf:
+            raise PacketError(f"k0z = {self.k0z!r} is out of range: its square must be a finite "
+                              "float")
         norm = abs(self.a1) ** 2 + abs(self.a2) ** 2
         if not math.isclose(norm, 1.0, rel_tol=0.0, abs_tol=1e-12):
             raise PacketError(
@@ -316,33 +324,86 @@ def axial_grid(packet: GaussianPacket, points: int) -> tuple[np.ndarray, np.ndar
     return k, density * step
 
 
-def axial_nodes(packet: GaussianPacket, field: FieldConfig, times, ratio: float) -> int:
-    """Fewest k_z nodes K = m 2^e, m in 5..8 and 8 | K, whose rule aliases under 1/ratio.
+def _intraband_strip_slope(omega_sq: float, y: float, edge: float) -> float:
+    """max over 0 <= x <= edge of |Im w(x + i y)|/y, w = E_1 - E_0 = omega^2/(E_0 + E_1).
+
+    On x >= 0, |Im w(x + i y)| = Im (E_0 - E_1) rises from 0 to one peak and falls
+    (it is even in x): its x-derivative Im(z/E_0 - z/E_1) = omega^2 Im(z/(E_0 E_1
+    (E_0 + E_1))) changes sign once.  Pair (n, n+1) has |Im w_n| = the integral of
+    -Im(1/E)/2 over a = 1 + n omega^2 .. a + omega^2, E = sqrt(a + z^2), whose
+    integrand falls with a where Re(a + z^2) > 0, as it is in the strip: the pair
+    (0, 1) bounds every pair.  Doublings and halvings bracket the sign change
+    by a factor 2 and a bisection closes it to 1e-9 of x; at the edge the bracket
+    closes on the edge.  y = 0 takes its limit, the largest real slope |w'(x)|, at
+    y = 1e-9.
+    """
+    y = max(y, 1e-9)
+
+    def roots(x):
+        # E_0, E_1 at z = x + i y, principal roots in the strip; 1 + z^2 as
+        # (1 - y)(1 + y) + x^2 + 2 i x y keeps omega^2 where 1 + z^2 is small
+        square = complex((1.0 - y) * (1.0 + y) + x * x, 2.0 * x * y)
+        return cmath.sqrt(square), cmath.sqrt(square + omega_sq), complex(x, y)
+
+    def rising(x):
+        e0, e1, z = roots(x)
+        return (z / e0 / e1 / (e0 + e1)).imag > 0.0
+
+    hi = min(edge, 1.0)
+    while hi < edge and rising(hi):
+        hi = min(2.0 * hi, edge)
+    lo = 0.5 * hi
+    while lo > 1e-300 and not rising(lo):
+        lo, hi = 0.5 * lo, lo
+    while hi - lo > 1e-9 * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if rising(mid) else (lo, mid)
+    e0, e1, _ = roots(hi)
+    return omega_sq * (e0 + e1).imag / abs(e0 + e1) ** 2 / y
+
+
+def axial_nodes(packet: GaussianPacket, field: FieldConfig, times, ratio: float,
+                kind: str = "interband") -> int:
+    """Fewest k_z nodes K = m 2^e (m in 5..8, 8 | K) aliasing `kind`'s lines under 1/ratio.
 
     The rule of spacing h = 2 AXIAL_HALF_WIDTH/(d_z K) (`axial_grid`) adds copies
     shifted by 2 pi m/h (Poisson summation; Trefethen & Weideman, SIAM Rev. 56:385,
     2014).  Moved to Im k_z = y within the strip |y| < 1 (E_0 branches at +-i), a
     copy of lines of amplitude mass A is at most A e^{d_z^2 y^2 - (2 pi/h - v t) y}:
-    t = max |times|, and v = k (1/E_0 + 1/E_1) is the largest line slope, at the
-    grid's edge k = |k0z| + AXIAL_HALF_WIDTH/d_z.  With c = 2 sqrt(ln ratio),
-    y = c/(2 d_z) gives A/ratio once 2 pi/h - v t >= c d_z; if c > 2 d_z, y = 1
-    needs c^2/4 + d_z^2.
+    t = max |times|, and v y bounds |Im w(x + i y)| of the class's line frequencies w
+    over the grid, |x| <= edge = |k0z| + AXIAL_HALF_WIDTH/d_z.  With c = 2 sqrt(ln
+    ratio), y = c/(2 d_z) gives A/ratio once 2 pi/h - v t >= c d_z; if c > 2 d_z,
+    y = 1 needs c^2/4 + d_z^2.  Per class, v is:
+      - interband lines, w = E_n + E_{n+1} (the default, a bound on every line):
+        the largest real slope k (1/E_0 + 1/E_1), at the grid's edge k = edge;
+      - intraband lines, w = E_{n+1} - E_n = omega^2/(E_n + E_{n+1}): the slope
+        k |1/E_n - 1/E_{n+1}| peaks inside the grid, and near the strip's edge
+        it understates Im w (0.073 against 0.167 at y = 1 on the criterion-6
+        packet), so v is max |Im w(x + i y)|/y over |x| <= edge at the y above,
+        of the pair (0, 1), whose |Im w| bounds every pair's.
+    Classes summed on their own rules for one ratio keep the sum of their
+    bounds, A_c/ratio, at A/ratio.
     K is that bound rounded up to a two-bit mantissa m (at most 25 % or 7 nodes over
     it); 8 | K keeps the rule of K/2 nested in it and in its fold (`dynamics._fold`).
     A doubling after the sum (`dynamics._axial_sums`) can reach 2.5 times the bound.
     Callers raise K to AXIAL_FLOOR; K > MAX_GRID_NODES, or a NaN ratio (no error
     target to size for), raises QuadratureConvergenceError.
     """
+    if kind not in ("intraband", "interband"):
+        raise ValueError(f"kind must be 'intraband' or 'interband', not {kind!r}")
     if math.isnan(ratio):
-        raise QuadratureConvergenceError(math.nan, 1.0 / ratio)
+        raise QuadratureConvergenceError(math.nan, math.nan)
     d_z, edge = packet.d_z, abs(packet.k0z) + AXIAL_HALF_WIDTH / packet.d_z
-    # floats: slope * t overflows to inf, unwarned, and the cap below raises.  Where
-    # k^2 leaves the float range (d_z below about 4.9e-154) E_n overflows, while
-    # k/E_n is 1 to rounding at every field the config admits
-    slope = (edge * float(np.sum(1.0 / landau_energies(1, edge, field)))
-             if edge * edge < math.inf else 2.0)
     c = 2.0 * math.sqrt(math.log(max(ratio, 1.0)))
-    tail = c * d_z if c <= 2.0 * d_z else c * c / 4.0 + d_z * d_z
+    y, tail = (c / (2.0 * d_z), c * d_z) if c <= 2.0 * d_z else (1.0, c * c / 4.0 + d_z * d_z)
+    if kind == "intraband":
+        slope = _intraband_strip_slope(field.omega**2, y, edge)
+    else:
+        # floats: slope * t overflows to inf, unwarned, and the cap below raises.  Where
+        # k^2 leaves the float range (d_z below about 4.9e-154) E_n overflows, while
+        # k/E_n is 1 to rounding at every field the config admits
+        slope = (edge * float(np.sum(1.0 / landau_energies(1, edge, field)))
+                 if edge * edge < math.inf else 2.0)
     bound = AXIAL_HALF_WIDTH / (math.pi * d_z) * (slope * float(np.max(np.abs(times))) + tail)
     need = max(1, math.ceil(min(bound, 2.0**62)))     # ratio may be inf
     grain = 1 << max(3, (need - 1).bit_length() - 3)  # 2^e

@@ -703,6 +703,18 @@ def test_width_beyond_float_range_is_a_config_error(tmp_path, capsys, command):
     assert "d_x = 1e+160" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["trajectory", "oracle-check", "sumrules"])
+def test_axial_momentum_beyond_float_range_is_a_config_error(tmp_path, capsys, command):
+    # k0z^2 overflowed in the line energies: a RuntimeWarning, or inf and NaN rows
+    cfg = small_config(model="3+1")
+    cfg["packet"] = dict(cfg["packet"], d_z=1.0, k0z=1e155, relax_momentum_bound=True)
+    out = tmp_path / "out.json"
+    assert main([command, "--config", write_config(tmp_path, cfg), "--format", "json",
+                 "--output", str(out)]) == EXIT_CONFIG
+    assert "k0z = 1e+155" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_range_corner_is_a_tolerance_failure_not_a_crash(tmp_path, capsys):
     # L^4 and every width's square are normal floats here, but 2 L d_x d_y is
     # not: a math domain error before the prefactor became a sum of logs

@@ -202,31 +202,47 @@ def _bundled_3p1_cases():
     return cases + [(*signal, (1,)) for signal in _envelope_signals()]
 
 
+def _series_on_rules(pkt, coeffs, field, times, rules, channels, factor=1):
+    """The sum of every line class's `_series` on its folded rule of factor K_c nodes."""
+    return sum(dynamics._series(pkt, coeffs, field, times,
+                                dynamics._fold(pkt, axial_grid(pkt, factor * points)), kind,
+                                channels)[0]
+               for kind, points in rules.items())
+
+
 def test_accepted_axial_rungs_follow_the_aliasing_bound():
-    # the accepted rule before folding: the bound (461, 2297, 112, 2293 and
-    # 1766 nodes) rounded up to m 2^e, m in 5..8, and lowfield_zb_3p1 raised
-    # from 24 to the 64-node floor
+    # the accepted rule of each line class before folding: the interband bound
+    # (461, 2297, 112, 2293 and 1766 nodes) rounded up to m 2^e, m in 5..8, and
+    # lowfield_zb_3p1 raised from 24 to the 64-node floor.  The intraband lines
+    # move with k_z as omega^2/(E_n + E_{n+1}) and take about a tenth of the
+    # nodes; on mixing_3p1 their rule is the floor
     expected = {
-        "relativistic_3p1": 512, "collapse_revival_3p1": 2560, "mixing_3p1": 112,
-        "lowfield_zb_3p1": 64, "persistence": 2560, "decay": 1792,
+        "relativistic_3p1": {"interband": 512, "intraband": 112},
+        "collapse_revival_3p1": {"interband": 2560, "intraband": 256},
+        "mixing_3p1": {"interband": 112, "intraband": 64},
+        "lowfield_zb_3p1": {"interband": 64},
+        "persistence": {"interband": 2560, "intraband": 224},
+        "decay": {"interband": 1792},
     }
     found = {}
     for label, pkt, field, times, parts, rtol, channels in _bundled_3p1_cases():
         coeffs = coefficient_matrix(pkt, field)
         found[label] = dynamics._axial_sums(pkt, coeffs, field, times, rtol, parts, channels)[0]
     assert found == expected
+    # the class with the larger rule is summed first
+    assert all(list(rules.values()) == sorted(rules.values(), reverse=True)
+               for rules in found.values())
 
 
 def test_accepted_axial_rule_is_within_kz_rtol_of_twice_its_nodes():
     # the doubling residual, checked here instead of on every call: the
-    # returned position sums lie within kz_rtol of the rule with twice the
-    # nodes, on every sample, relative to the scale the bound is checked on
+    # returned position sums lie within kz_rtol of every class on the rule with
+    # twice its nodes, on every sample, relative to the scale the bound is
+    # checked on
     for label, pkt, field, times, parts, rtol, channels in _bundled_3p1_cases():
         coeffs = coefficient_matrix(pkt, field)
-        points, sums = dynamics._axial_sums(pkt, coeffs, field, times, rtol, parts, channels)
-        finer, _ = dynamics._series(pkt, coeffs, field, times,
-                                    dynamics._fold(pkt, axial_grid(pkt, 2 * points)), parts,
-                                    channels)
+        rules, sums = dynamics._axial_sums(pkt, coeffs, field, times, rtol, parts, channels)
+        finer = _series_on_rules(pkt, coeffs, field, times, rules, channels, 2)
         pos = sums.real
         scale = max(np.max(np.abs(pos[-1] - pos[-1, 0])), np.max(np.abs(pos[:-1]), initial=0.0))
         assert np.max(np.abs(pos - finer.real)) <= rtol * scale, label
@@ -234,7 +250,7 @@ def test_accepted_axial_rule_is_within_kz_rtol_of_twice_its_nodes():
 
 def _error_against_four_times_the_nodes(kappa, d_x, d_y, d_z, k0x, k0z, theta, phase, t_max,
                                        rtol, parts, channels):
-    """|accepted sum - the rule of four times its nodes| over rtol times the scale.
+    """|accepted sum - every class on the rule of four times its nodes| over rtol times the scale.
 
     A random 3+1 trajectory, widths and momenta in units of L, on 41 samples
     of [0, t_max]; the scale is the one `_axial_sums` checks its bound on."""
@@ -247,9 +263,8 @@ def _error_against_four_times_the_nodes(kappa, d_x, d_y, d_z, k0x, k0z, theta, p
                              dimensionality="3+1", relax_momentum_bound=True)
     coeffs = coefficient_matrix(pkt, field)
     times = np.linspace(0.0, t_max, 41)
-    points, sums = dynamics._axial_sums(pkt, coeffs, field, times, rtol, parts, channels)
-    finer, _ = dynamics._series(pkt, coeffs, field, times,
-                                dynamics._fold(pkt, axial_grid(pkt, 4 * points)), parts, channels)
+    rules, sums = dynamics._axial_sums(pkt, coeffs, field, times, rtol, parts, channels)
+    finer = _series_on_rules(pkt, coeffs, field, times, rules, channels, 4)
     pos = sums.real
     scale = max(np.max(np.abs(pos[-1] - pos[-1, 0])), np.max(np.abs(pos[:-1]), initial=0.0))
     return np.max(np.abs(pos - finer.real)) / (rtol * scale)
@@ -271,8 +286,9 @@ def _error_against_four_times_the_nodes(kappa, d_x, d_y, d_z, k0x, k0z, theta, p
 def test_accepted_axial_rule_is_within_kz_rtol_of_four_times_its_nodes(kappa, d_z, k0z, t_max,
                                                                        rtol, parts, channels,
                                                                        k0x, theta, phase):
-    # the rule the aliasing bound accepts, rounded up to m 2^e nodes, lies
-    # within kz_rtol of the rule with four times its nodes, for the (x, y) of
+    # the rules the aliasing bound accepts, one per line class, rounded up to
+    # m 2^e nodes, lie within kz_rtol of the rules with four times their nodes,
+    # each class on its own, for the (x, y) of
     # a trajectory and the y alone of `analytic_signal`.  k0x > 0: a packet at
     # rest in the plane with k0z ~ 0 moves by rounding alone, and the call
     # raises, as it should, on a target below eps A
@@ -321,8 +337,9 @@ def test_interband_lines_track_extended_precision_energies(label, tol):
     cases = {case[0]: case for case in _bundled_3p1_cases()}
     _, pkt, field, times, parts, rtol, channels = cases[label]
     coeffs = coefficient_matrix(pkt, field)
-    points = dynamics._axial_sums(pkt, coeffs, field, times, rtol, parts, channels)[0]
-    kz, weights = dynamics._fold(pkt, axial_grid(pkt, points))
+    rules = dynamics._axial_sums(pkt, coeffs, field, times, rtol, parts, channels)[0]
+    assert list(rules) == ["interband"]
+    kz, weights = dynamics._fold(pkt, axial_grid(pkt, rules["interband"]))
     got, _ = dynamics._series(pkt, coeffs, field, times, (kz, weights), parts, channels)
     (block,) = dynamics._line_blocks(pkt, coeffs, field, kz, weights, parts, channels)
     levels = np.arange(block.levels[0], block.levels[-1] + 2, dtype=np.longdouble)[:, None]
@@ -358,9 +375,10 @@ def _recording(monkeypatch, times):
 def test_axial_rungs_are_summed_once_on_the_full_grid(critical_field, packet_3p1, coeffs_3p1,
                                                       mixed_packet_3p1, mixed_coeffs_3p1,
                                                       monkeypatch):
-    # the accepted rule of K nodes (folded at k0z = 0) is summed once, nested:
-    # its half, the rule of K/2, then its odd-index nodes, every sample each
-    # time, in one call per line class with one row per level pair: n_max rows
+    # each line class's accepted rule of K_c nodes (folded at k0z = 0) is summed
+    # once, nested: its half, the rule of K_c/2, then its odd-index nodes, every
+    # sample each time, the class with the larger rule first, in one call per
+    # class and rung with one row per level pair: n_max rows
     # for the second component alone, n_max + 1 once the first component and
     # the spin-mixing rows (k0z != 0) share them.  Every node of the grid is
     # summed, and no rule above K is.  A block holds only the channels its
@@ -376,28 +394,32 @@ def test_axial_rungs_are_summed_once_on_the_full_grid(critical_field, packet_3p1
     def grid(points, index=slice(None)):
         return dynamics._fold(packet, axial_grid(packet, points))[0][index]
 
-    # the bounds ask for 461 and 565 nodes
-    for packet, coeffs, rows, rule in (
-            (packet_3p1, coeffs_3p1, coeffs_3p1.n_max, 512),
-            (mixed_packet_3p1, mixed_coeffs_3p1, mixed_coeffs_3p1.n_max + 1, 640)):
+    # the interband bounds ask for 461 and 565 nodes
+    for packet, coeffs, rows, rules in (
+            (packet_3p1, coeffs_3p1, coeffs_3p1.n_max, {"interband": 512, "intraband": 112}),
+            (mixed_packet_3p1, mixed_coeffs_3p1, mixed_coeffs_3p1.n_max + 1,
+             {"interband": 640, "intraband": 128})):
         for call, n_channels in ((dynamics.analytic_signal, (1,)), (dynamics.trajectory_3p1, (0, 1))):
             seen.clear()
             nodes.clear()
             channels.clear()
             call(packet, coeffs, critical_field, times)
-            points = rungs[packet, n_channels]
-            assert points == rule
+            assert rungs[packet, n_channels] == rules
+            assert list(rungs[packet, n_channels]) == list(rules)     # interband first
             assert channels == [len(n_channels)] * 4
-            half, odd = grid(points // 2).size, grid(points, slice(1, None, 2)).size
-            assert seen == [(rows, half)] * 2 + [(rows, odd)] * 2
-            assert np.array_equal(np.sort(np.concatenate(nodes)), grid(points))
+            halves = [grid(points // 2).size for points in rules.values()]
+            odds = [grid(points, slice(1, None, 2)).size for points in rules.values()]
+            assert seen == [(rows, size) for size in halves + odds]
+            for k, points in enumerate(rules.values()):
+                assert np.array_equal(np.sort(np.concatenate(nodes[k::2])), grid(points))
 
 
 def test_axial_rule_doubles_while_the_returned_scale_needs_more_nodes(monkeypatch):
     # kappa = 2, d_z = L over 1 t_c: the amplitude mass is 2.06 times the
-    # scale of the returned sums, so the bound checked on that scale asks for
-    # 112 nodes, above the 96 chosen for rtol times the mass.  The rule
-    # doubles, nested, and each node of the 192-node rule is summed once
+    # scale of the returned sums, so the interband bound checked on that scale
+    # asks for 112 nodes, above the 96 chosen for rtol times the mass.  Its rule
+    # doubles, nested, and each node of the 192-node rule is summed once; the
+    # intraband bound stays at 96 on either scale, so that class stops there
     field = FieldConfig.from_kappa(2.0)
     L = field.magnetic_length
     with warnings.catch_warnings():
@@ -407,26 +429,33 @@ def test_axial_rule_doubles_while_the_returned_scale_needs_more_nodes(monkeypatc
     coeffs = coefficient_matrix(pkt, field)
     times = np.linspace(0.0, 1.0, 41)
     assert axial_nodes(pkt, field, times, 1e9) == 96
+    assert axial_nodes(pkt, field, times, 1e9, "intraband") == 96
     _, nodes, _ = _recording(monkeypatch, times)
-    assert dynamics._axial_sums(pkt, coeffs, field, times, 1e-9)[0] == 192
-    assert [n.size for n in nodes] == [48, 48, 96]
-    assert np.array_equal(np.sort(np.concatenate(nodes)), axial_grid(pkt, 192)[0])
+    rules = dynamics._axial_sums(pkt, coeffs, field, times, 1e-9)[0]
+    assert rules == {"intraband": 96, "interband": 192}
+    # intraband half, interband half, both odd halves, then the interband doubling
+    assert [n.size for n in nodes] == [48, 48, 48, 48, 96]
+    intraband, interband = [nodes[0], nodes[2]], [nodes[1], nodes[3], nodes[4]]
+    assert np.array_equal(np.sort(np.concatenate(intraband)), axial_grid(pkt, 96)[0])
+    assert np.array_equal(np.sort(np.concatenate(interband)), axial_grid(pkt, 192)[0])
 
 
 def test_mixing_terms_sums_only_the_two_signed_mixing_blocks(monkeypatch):
-    # the mixing rows alone, on the signed grid of the rule the aliasing bound
-    # gives the window (the trajectory's rule for mixing_3p1), one call per
-    # class and y alone; no x/y trajectory sum runs to choose it
+    # the mixing rows alone, each class on the signed grid of the rule the
+    # aliasing bound gives it over the window (the trajectory's rules for
+    # mixing_3p1), the larger first, one call per class and y alone; no x/y
+    # trajectory sum runs to choose them
     cfg = cli.load_config(str(CONFIG_DIR / "mixing_3p1.json"))
     field, _, pkt, num, coeffs = cli._build_everything(cfg)
     times = cli.resolve_times(cfg)
-    points = dynamics._axial_sums(pkt, coeffs, field, times, num["kz_rtol"])[0]
-    assert points == 112
+    rules = dynamics._axial_sums(pkt, coeffs, field, times, num["kz_rtol"])[0]
+    assert rules == {"interband": 112, "intraband": 64}
     seen, nodes, channels = _recording(monkeypatch, times)
     dynamics.mixing_terms(pkt, coeffs, field, times, num["kz_rtol"])
-    assert len(nodes) == 1 and np.array_equal(nodes[0], axial_grid(pkt, points)[0])
-    assert channels == [1, 1]
-    assert seen == [(coeffs.n_max + 1, nodes[0].size)] * 2
+    assert len(nodes) == 2 and channels == [1, 1]
+    for kz, points in zip(nodes, rules.values(), strict=True):
+        assert np.array_equal(kz, axial_grid(pkt, points)[0])
+    assert seen == [(coeffs.n_max + 1, points) for points in rules.values()]
 
 
 def test_mixing_terms_match_the_full_frequency_sum():
@@ -437,10 +466,11 @@ def test_mixing_terms_match_the_full_frequency_sum():
     field, _, pkt, num, coeffs = cli._build_everything(cfg)
     times = cli.resolve_times(cfg)
     mix = dynamics.mixing_terms(pkt, coeffs, field, times, num["kz_rtol"])
-    kz, weights = axial_grid(pkt, dynamics._first_rule(pkt, field, times, num["kz_rtol"]))
-    energies = landau_energies(coeffs.n_max + 1, kz, field)
-    for block in dynamics._line_blocks(pkt, coeffs, field, kz, weights, "all", (1,),
-                                       (0.0, 0.0, 1.0)):
+    for kind in ("intraband", "interband"):
+        kz, weights = axial_grid(pkt, dynamics._first_rule(pkt, field, times, num["kz_rtol"], kind))
+        energies = landau_energies(coeffs.n_max + 1, kz, field)
+        (block,) = dynamics._line_blocks(pkt, coeffs, field, kz, weights, kind, (1,),
+                                         (0.0, 0.0, 1.0))
         freq = energies[1:] + energies[:-1] if block.interband else block.freq
         want = dynamics._sum_lines(freq, block.amps, times)[0].real
         got = mix.j_minus if block.interband else mix.j_plus
@@ -449,12 +479,13 @@ def test_mixing_terms_match_the_full_frequency_sum():
 
 @pytest.mark.parametrize("parts, rtol", [("all", 1e-9), ("interband", 7e-16)])
 def test_axial_rule_that_cannot_reach_kz_rtol_raises_at_once(parts, rtol, monkeypatch):
-    # lowfield_zb_3p1's rule is raised from 32 nodes to the 64-node floor.  With
+    # lowfield_zb_3p1's rules, one per class, are raised to the 64-node floor.  With
     # parts "all", y - y[0] is a 6e-5 remainder of intraband lines of 7.4e3, so
     # 1e-9 of it lies below their rounding; at 7e-16 the interband bound covers
     # the 32-node half, and the rules from 32 to 1024 nodes lie 8e-16 to 2e-15
     # from the 4096-node one.  Either way more nodes cannot help, and the half
-    # residual (2.3e-7; 1.5e-15) raises after 64 nodes, not at the 65536-node cap
+    # residual (1.1e-7; 8.1e-16) raises after 64 nodes of each class, not at
+    # the 65536-node cap
     cfg = cli.load_config(str(CONFIG_DIR / "lowfield_zb_3p1.json"))
     field, _, pkt, _, coeffs = cli._build_everything(cfg)
     times = cli.resolve_times(cfg)
@@ -462,15 +493,20 @@ def test_axial_rule_that_cannot_reach_kz_rtol_raises_at_once(parts, rtol, monkey
     with pytest.raises(dynamics.QuadratureConvergenceError) as info:
         dynamics.analytic_signal(pkt, coeffs, field, times, parts, rtol)
     assert info.value.target == rtol and info.value.achieved > rtol
-    assert np.array_equal(np.sort(np.concatenate(nodes)),
-                          dynamics._fold(pkt, axial_grid(pkt, 64))[0])
+    classes = 2 if parts == "all" else 1
+    assert len(nodes) == 2 * classes
+    for k in range(classes):
+        assert np.array_equal(np.sort(np.concatenate(nodes[k::classes])),
+                              dynamics._fold(pkt, axial_grid(pkt, 64))[0])
 
 
 def test_axial_rule_covers_narrow_axial_packets():
     # d_z = 0.39 lambda_c at kappa = 7.3: the Gaussian copies alone ask for
     # 71 nodes, and the 80-node rule misses 1e-9 (1.8e-7); the branch points
     # of E_0 at k_z = +-i bound the copies to the strip |Im k_z| < 1, which
-    # asks for 164, rounded up to 192
+    # asks for 164 interband nodes, rounded up to 192.  The intraband lines
+    # are bounded by their largest |Im w| near the strip's edge, where their
+    # real slope understates it
     field = FieldConfig.from_kappa(7.337390641135939)
     L = field.magnetic_length
     amps = dict(a1=math.cos(0.585) * np.exp(0.4j), a2=math.sin(0.585) * np.exp(1j * (0.4 + 4.706)))
@@ -478,12 +514,32 @@ def test_axial_rule_covers_narrow_axial_packets():
                          dimensionality="3+1", relax_momentum_bound=True, **amps)
     coeffs = coefficient_matrix(pkt, field)
     times = np.linspace(0.0, 5.0, 201)
-    points, sums = dynamics._axial_sums(pkt, coeffs, field, times, 1e-9, "interband")
-    assert points == 192
-    ref, _ = dynamics._series(pkt, coeffs, field, times, dynamics._fold(pkt, axial_grid(pkt, 4096)),
-                              "interband")
-    scale = max(np.max(np.abs(ref.real[1] - ref.real[1, 0])), np.max(np.abs(ref.real[0])))
-    assert np.max(np.abs(sums.real - ref.real)) <= 1e-9 * scale
+    for parts, rules in (("interband", {"interband": 192}), ("intraband", {"intraband": 128}),
+                         ("all", {"interband": 192, "intraband": 128})):
+        found, sums = dynamics._axial_sums(pkt, coeffs, field, times, 1e-9, parts)
+        assert found == rules
+        ref, _ = dynamics._series(pkt, coeffs, field, times,
+                                  dynamics._fold(pkt, axial_grid(pkt, 4096)), parts)
+        scale = max(np.max(np.abs(ref.real[1] - ref.real[1, 0])), np.max(np.abs(ref.real[0])))
+        assert np.max(np.abs(sums.real - ref.real)) <= 1e-9 * scale, parts
+
+
+def test_intraband_trajectory_sums_its_own_rule():
+    # collapse_revival_3p1 with parts "intraband": the cyclotron lines move with
+    # k_z only as omega^2/(E_n + E_{n+1}), and their rule no longer takes the
+    # 2560 nodes the trembling-motion slope asks for.  The 256 nodes it sums lie
+    # within kz_rtol of four times them
+    cfg = cli.load_config(str(CONFIG_DIR / "collapse_revival_3p1.json"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        field, _, pkt, num, coeffs = cli._build_everything(cfg)
+    times = cli.resolve_times(cfg)
+    rules, sums = dynamics._axial_sums(pkt, coeffs, field, times, num["kz_rtol"], "intraband")
+    assert list(rules) == ["intraband"] and rules["intraband"] <= 256
+    finer = _series_on_rules(pkt, coeffs, field, times, rules, (0, 1), 4)
+    pos = sums.real
+    scale = max(np.max(np.abs(pos[1] - pos[1, 0])), np.max(np.abs(pos[0])))
+    assert np.max(np.abs(pos - finer.real)) <= num["kz_rtol"] * scale
 
 
 def test_trajectory_checks_its_grid_before_any_axial_sum(critical_field, packet_3p1,
@@ -964,9 +1020,10 @@ def test_workspace_carries_nothing_from_one_call_to_the_next(critical_field, mix
             assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
     # mixing_terms keeps the first class's sums while the second reuses the tiles
     mix = dynamics.mixing_terms(*args, times)
-    rule = axial_grid(mixed_packet_3p1, dynamics._first_rule(mixed_packet_3p1, critical_field,
-                                                            times, dynamics.DEFAULT_KZ_RTOL))
-    for block in dynamics._line_blocks(*args, *rule, "all", (1,), (0.0, 0.0, 1.0)):
+    for kind in ("intraband", "interband"):
+        rule = axial_grid(mixed_packet_3p1, dynamics._first_rule(
+            mixed_packet_3p1, critical_field, times, dynamics.DEFAULT_KZ_RTOL, kind))
+        (block,) = dynamics._line_blocks(*args, *rule, kind, (1,), (0.0, 0.0, 1.0))
         want = dynamics._sum_lines(block.freq, block.amps, times, carrier=block.carrier)[0].real
         assert (mix.j_minus if block.interband else mix.j_plus).tobytes() == want.tobytes()
     # the public call after a larger one equals it made alone

@@ -153,10 +153,10 @@ def aliasing_bound(pkt, field, t_max, ratio):
     return packet.AXIAL_HALF_WIDTH / (math.pi * pkt.d_z) * (slope * t_max + tail)
 
 
-def axial_rule(pkt, field, t_max, ratio):
+def axial_rule(pkt, field, t_max, ratio, kind="interband"):
     """`axial_nodes` for the window [0, t_max], or the count it raises with above the cap."""
     try:
-        return axial_nodes(pkt, field, np.array([0.0, t_max]), ratio)
+        return axial_nodes(pkt, field, np.array([0.0, t_max]), ratio, kind)
     except QuadratureConvergenceError as info:
         return info.nodes_needed
 
@@ -190,9 +190,93 @@ def test_axial_nodes_round_the_bound_to_a_two_bit_mantissa(kappa, d_z, k0z, t_ma
 
 
 def test_axial_nodes_refuse_a_nan_ratio(critical_field, packet_3p1):
-    # max(nan, 1.0) kept the NaN and math.ceil raised ValueError: a traceback
-    with pytest.raises(QuadratureConvergenceError):
-        axial_nodes(packet_3p1, critical_field, np.linspace(0.0, 5.0, 9), math.nan)
+    # max(nan, 1.0) kept the NaN and math.ceil raised ValueError: a traceback.
+    # The doubling message then read "changed by nan relative on doubling
+    # (target nan)", naming neither a doubling nor a target
+    for kind in ("interband", "intraband"):
+        with pytest.raises(QuadratureConvergenceError) as info:
+            axial_nodes(packet_3p1, critical_field, np.linspace(0.0, 5.0, 9), math.nan, kind)
+        assert str(info.value) == ("axial quadrature has no error target to size a k_z rule "
+                                   "for: the amplitude mass or the signal scale is NaN")
+
+
+def dense_intraband_slope(field, y, edge, n):
+    """max |Im w_n(x + i y)|/y over a dense sample of 0 <= x <= edge, w_n = E_{n+1} - E_n."""
+    x = np.unique(np.concatenate([np.linspace(0.0, edge, 20001),
+                                  edge * np.geomspace(1e-9, 1.0, 4001)]))
+    z = x + 1j * y
+    omega_sq = field.omega**2
+    total = np.sqrt(1.0 + omega_sq * n + z * z) + np.sqrt(1.0 + omega_sq * (n + 1) + z * z)
+    return float(np.max(omega_sq * total.imag / np.abs(total) ** 2)) / y
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kappa=st.floats(min_value=math.log(1e-3), max_value=math.log(20.0)).map(math.exp),
+    d_z=st.floats(min_value=math.log(0.2), max_value=math.log(5.0)).map(math.exp),
+    k0z=st.one_of(st.just(0.0), st.floats(min_value=-0.8, max_value=0.8)),
+    y=st.one_of(st.just(1.0), st.floats(min_value=1e-3, max_value=1.0)),
+)
+def test_intraband_strip_bound_covers_every_pair(kappa, d_z, k0z, y):
+    # the intraband slope v, max |Im w(x + i y)|/y of the pair (0, 1) over the
+    # grid, is at least a dense sample of every pair n <= 40, on the strip's
+    # edge y = 1 (narrow packets, c > 2 d_z) and inside it (y = c/(2 d_z))
+    field = FieldConfig.from_kappa(kappa)
+    L = field.magnetic_length
+    edge = abs(k0z) / L + packet.AXIAL_HALF_WIDTH / (d_z * L)
+    bound = packet._intraband_strip_slope(field.omega**2, y, edge)
+    sample = max(dense_intraband_slope(field, y, edge, n) for n in (0, 1, 2, 5, 10, 20, 40))
+    assert sample <= bound * (1.0 + 1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kappa=st.floats(min_value=math.log(1e-3), max_value=math.log(20.0)).map(math.exp),
+    d_z=st.floats(min_value=math.log(0.2), max_value=math.log(5.0)).map(math.exp),
+    k0z=st.one_of(st.just(0.0), st.floats(min_value=-0.8, max_value=0.8)),
+    t_max=st.floats(min_value=0.0, max_value=math.log(200.0)).map(math.exp),
+    ratio=st.floats(min_value=0.0, max_value=math.log(1e14)).map(math.exp),
+    more=st.floats(min_value=1.0, max_value=64.0),
+)
+def test_intraband_rule_covers_the_dense_strip_bound(kappa, d_z, k0z, t_max, ratio, more):
+    # the intraband rule covers the bound of `axial_nodes` with v from a dense
+    # sample of the pair (0, 1) at the y the bound picks, never exceeds the
+    # interband rule, and never falls as the target ratio or the window grows
+    field = FieldConfig.from_kappa(kappa)
+    L = field.magnetic_length
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # k0z beyond the nominal velocity bound
+        pkt = GaussianPacket(d_x=L, d_y=L, d_z=d_z * L, k0z=k0z / L, dimensionality="3+1",
+                             relax_momentum_bound=True)
+    c = 2.0 * math.sqrt(math.log(ratio))
+    y, tail = ((c / (2.0 * pkt.d_z), c * pkt.d_z) if c <= 2.0 * pkt.d_z
+               else (1.0, c * c / 4.0 + pkt.d_z**2))
+    edge = abs(pkt.k0z) + packet.AXIAL_HALF_WIDTH / pkt.d_z
+    slope = dense_intraband_slope(field, max(y, 1e-9), edge, 0)
+    bound = packet.AXIAL_HALF_WIDTH / (math.pi * pkt.d_z) * (slope * t_max + tail)
+    nodes = axial_rule(pkt, field, t_max, ratio, "intraband")
+    assert nodes in RULE_SIZES and bound * (1.0 - 1e-12) <= nodes
+    assert nodes <= axial_rule(pkt, field, t_max, ratio)
+    assert axial_rule(pkt, field, t_max, more * ratio, "intraband") >= nodes
+    assert axial_rule(pkt, field, more * t_max, ratio, "intraband") >= nodes
+
+
+def test_axial_nodes_refuse_an_unknown_line_class(critical_field, packet_3p1):
+    with pytest.raises(ValueError, match="kind must be"):
+        axial_nodes(packet_3p1, critical_field, np.linspace(0.0, 5.0, 9), 1e9, "all")
+
+
+@pytest.mark.parametrize("k0z", [1e155, -1.4e154, math.inf, math.nan])
+def test_axial_momentum_whose_square_is_no_finite_float_rejected(k0z):
+    # k0z^2 past the float range overflowed in the line energies of every 3+1
+    # sum (a RuntimeWarning, an error under the test settings); a NaN k0z
+    # passed the velocity bound and gave NaN sums
+    with pytest.raises(PacketError, match="k0z = .*square"):
+        GaussianPacket(d_x=1.0, d_y=1.0, d_z=1.0, k0z=k0z, dimensionality="3+1",
+                       relax_momentum_bound=True)
+    with pytest.warns(UserWarning, match="velocity bound"):
+        GaussianPacket(d_x=1.0, d_y=1.0, d_z=1.0, k0z=math.copysign(1.3e154, k0z),
+                       dimensionality="3+1", relax_momentum_bound=True)
 
 
 def test_g_z_rejected_for_2p1(packet_2p1):
