@@ -75,6 +75,9 @@ ZERO = _Kind(lambda v: _is_number(v) and v == 0, float,
              "0 (trajectories start at the origin)")
 COUNT = _Kind(lambda v: type(v) is int and v >= 0, int, "a non-negative integer")
 SAMPLES = _Kind(lambda v: type(v) is int and v >= 2, int, "an integer of at least 2")
+# the oracle's levels above n_max, the band it scans for leaked mass: with none, it
+# shares the series' cut and no scan sees the truncation
+GUARD = _Kind(lambda v: type(v) is int and v >= 1, int, "a positive integer")
 FLAG = _Kind(lambda v: isinstance(v, bool), bool, "true or false")
 COMPLEX = _Kind(lambda v: _complex(v) is not None, _complex, "a number or [re, im] pair")
 
@@ -112,7 +115,7 @@ SCHEMA = {
         "n_max": (COUNT, None),
         "tail_tol": (POSITIVE, packet.DEFAULT_TAIL_TOL),
         "kz_rtol": (POSITIVE, dynamics.DEFAULT_KZ_RTOL),
-        "oracle_guard": (COUNT, oracle.GUARD_BAND),
+        "oracle_guard": (GUARD, oracle.GUARD_BAND),
         "sum_rule_tol": (POSITIVE, 1e-10),
     },
     "time": {

@@ -9,20 +9,26 @@ checks run once per call, on H_0, H_z and S0, S1, S2, and cover every node.
 No block is diagonalized: e^{-iH_b t} = e^{-iE_b t} P+ + e^{+iE_b t} P- with
 P+- = (I +- H_b/E_b)/2, so an observable summed over the block pairs it
 links takes four weights tr(P_bra A P_ket rho) per pair, polynomials in k_z
-over E_bra E_ket.  The density enters as a low-rank factor C of rho = C C^+.
+over E_bra E_ket.  The density is rho = (a a^+) (x) G, spin amplitudes a
+times the level Gram matrix G = F W F^T, and each pair's block of it is
+gathered from the two.  The velocity links the position's block pairs
+transposed (checked at run time), so both operators share one pair table.
 On a uniform time grid t = t_0 + a J h + j h + delta each block's phase
 e^{-iEt} is an anchor times an offset, both tables grown by repeated products
 from e^{-iE t_0}, e^{-iEJh} and e^{-iEh}, with a first-order factor
 (1 - iE delta) for the grid's float rounding delta; e^{+iEt} is the
-conjugate.  No table spans all T samples: a chunk of nodes reduces each
-operator's pair sums with one batched real GEMM of anchor rows by offset
-rows.  A k0z = 0 packet whose S1 is zero (checked at run time) has E_b
-and the axial density even in k_z: the oracle drops the k-odd trace terms,
-which cancel between +-k_z, and sums K//2 + 1 nodes |j| h with the mirror
-weights added.  The norm and energy drifts bound the propagator for every
-state: U_b = phi P+ + conj(phi) P- gives U_b^+ U_b = |phi|^2 I up to the
-square residual, so they bound |phi| from the whole anchor and offset
-tables and the largest |E delta|, and add that residual.  The series' code
+conjugate.  Each seed e^{-iEx} is the carrier e^{-ix} of its exact float x
+times e^{-i(E-1)x}, and E - 1 comes from S0 - 1 = tr(V^2)/w, V = H_0 - beta
+off the mass term beta, so a weak field's dynamics in E - 1 keep their
+digits.  No table spans all T samples: a chunk of nodes reduces each
+operator's pair sums with one batched real GEMM of the shared anchor rows by
+its own weighted offset rows.  A k0z = 0 packet whose S1 is zero (checked at
+run time) has E_b and the axial density even in k_z: the oracle drops the
+k-odd trace terms, which cancel between +-k_z, and sums K//2 + 1 nodes |j| h
+with the mirror weights added.  The norm and energy drifts bound the
+propagator for every state: U_b = phi P+ + conj(phi) P- gives U_b^+ U_b =
+|phi|^2 I up to the square residual, so they bound |phi| from the whole anchor
+and offset tables and the largest |E delta|, and add that residual.  The series' code
 stays untouched: only F_n, `packet.kx_rule` and `packet.axial_grid` are
 shared.  The k_z rule is sized and certified from the oracle's own block
 energies and trace weights (`_aliasing`): a shared bound would alias both alike.
@@ -32,6 +38,7 @@ Basis index: sigma * (N+1) + m for spinor row sigma in 0..3, level m.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -44,8 +51,8 @@ GUARD_BAND = 20
 LEAK_TOL = 1e-10
 KZ_ALIAS = 1e-9            # automatic k_z rule's aliasing bound over the trace weights' mass
 CHUNK_ELEMENTS = 60_000    # nodes x basis rows 4(N+1) x (anchor rows + offsets) per
-                           # chunk: bounds the working set; one operator's pair tables
-                           # are about three quarters of it
+                           # chunk: bounds the working set; the shared pair tables and
+                           # the weighted offset rows take about all of it
 EPS = float(np.finfo(float).eps)
 
 
@@ -142,24 +149,21 @@ def _density_from_nodes(
     pkt: packet_mod.GaussianPacket,
     field: FieldConfig,
     n_levels: int,
-) -> tuple[np.ndarray, float]:
-    """Factor C of the quadrature density rho = integral dk_x |c(k_x)><c(k_x)|
-    = C C^+ and the guiding-centre shift integral dk_x k_x L^2 |c|^2, on the
-    shared `packet.kx_rule` nodes with the oracle's own density assembly.
-    Modes of rho below eps times its largest are dropped: rho's own rounding."""
-    size = n_levels + 1
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Spin part a a^+ and level Gram matrix G = F W F^T of the quadrature density
+    rho = integral dk_x |c(k_x)><c(k_x)| = (a a^+) (x) G, a = (a1, a2, 0, 0), and the
+    guiding-centre shift integral dk_x k_x L^2 |c|^2, on the shared `packet.kx_rule`
+    nodes with the oracle's own density assembly."""
     k_nodes, log_w = packet_mod.kx_rule(pkt, field, n_levels)
     wtilde = np.exp(log_w)
 
     f_vals = packet_mod.f_table(pkt, field, n_levels, k_nodes)  # (N+1, K)
-    u, s, _ = np.linalg.svd(f_vals * np.sqrt(wtilde)[None, :], full_matrices=False)
-    keep = s > math.sqrt(np.finfo(float).eps) * s[0]
+    scaled = f_vals * np.sqrt(wtilde)[None, :]
     amps = np.array([pkt.a1, pkt.a2, 0.0, 0.0])
-    factor = (amps[:, None, None] * (u[:, keep] * s[keep])).reshape(4 * size, -1)
     shift = field.magnetic_length**2 * float(
         np.dot(wtilde, k_nodes * np.sum(f_vals**2, axis=0))
     )
-    return factor, shift
+    return np.outer(amps, amps.conj()), scaled @ scaled.T, shift
 
 
 def _split_times(times: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -232,6 +236,38 @@ def _aliasing(pkt: packet_mod.GaussianPacket, e_sq: np.ndarray, pairs: list, t_m
     return kz_order, min(2.0, alias)
 
 
+# (s/2, t/2) on D and S from c, a, b, d (`_trace_weights`)
+_SUMS = 0.25 * np.array([[1, 1, 1, 1], [1, 1, -1, -1], [1, -1, -1, 1], [1, -1, 1, -1.0]])
+
+
+def _trace_weights(coef: np.ndarray, inverse: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """beta: the pair products' weights by node, [Re, Im] row, [D, S], operator, pair.
+
+    The projector traces W_su = (c + u a + s b + su d)/4, u, s = +-1, are
+    polynomials in k over the energies: a = a'/E_ket, b = b'/E_bra and
+    d = d'/(E_bra E_ket), whose numerators c, a', b', d' are rows 1, k, k^2 of
+    `coef`, one real product for both operators; `inverse` holds 1/E_ket and
+    1/E_bra by operator and pair.  With phi^- = conj(phi^+), sum_su
+    conj(phi^s_bra) W_su phi^u_ket is W z + W' conj(z) = q Re z + i p Im z for
+    z = D = conj(phi_bra) phi_ket (W++, W--) and z = S = phi_bra phi_ket (W-+, W+-),
+    with q = W + W' = (c +- d)/2 and p = W - W' = (a +- b)/2.  Its real part is
+    Re(beta_0 z) and its imaginary part Re(beta_1 z), for beta_0 = Re q + i Im p =
+    (s + conj t)/2 and beta_1 = Im q - i Re p = i (conj t - s)/2, s = q + p, t = q - p.
+    """
+    c = len(k)
+    num = (k ** np.arange(3) @ coef).view(complex).reshape(c, 4, 2, -1)   # c, a', b', d'
+    num[:, 1:3] *= inverse
+    num[:, 3] *= inverse[:, 0] * inverse[:, 1]
+    st = np.matmul(_SUMS, num.view(float).reshape(c, 4, -1)).view(complex)
+    st = st.reshape(c, 2, 2, 2, -1)                 # [s, t] x [D, S] x operator x pair
+    np.conjugate(st[:, 1], out=st[:, 1])
+    beta = num.reshape(st.shape)
+    np.add(st[:, 0], st[:, 1], out=beta[:, 0])
+    np.subtract(st[:, 1], st[:, 0], out=beta[:, 1])
+    beta[:, 1] *= 1j
+    return beta
+
+
 def evolve_expectations(
     pkt: packet_mod.GaussianPacket,
     field: FieldConfig,
@@ -252,9 +288,9 @@ def evolve_expectations(
     """
     times = np.asarray(times, dtype=float)
     t_max = float(np.max(np.abs(times)))
-    factor, shift = _density_from_nodes(pkt, field, n_levels)
+    spin, gram, shift = _density_from_nodes(pkt, field, n_levels)
     size = n_levels + 1
-    tail = float(np.sum(np.abs(factor.reshape(4, size, -1)[:, max(0, size - guard) :]) ** 2))
+    tail = float(np.trace(spin).real * np.sum(np.diag(gram)[max(0, size - guard) :]))
     if not tail <= LEAK_TOL:
         raise TruncationLeakError(f"packet mass {tail:.3e} within {guard} levels of the "
                                   f"truncation edge (> {LEAK_TOL:g}); raise the level count")
@@ -263,45 +299,77 @@ def evolve_expectations(
     h_0 = build(n_levels, field).matrix
     h_z = build(n_levels, field, k_z=1.0).matrix - h_0
     blocks = _components((h_0 != 0) | (h_z != 0))
-    sizes = np.fromiter(map(len, blocks), int, len(blocks))
+    n_blocks = len(blocks)
+    sizes = np.fromiter(map(len, blocks), int, n_blocks)
     width = int(sizes.max())
     mask = np.arange(width) < sizes[:, None]
     index = np.zeros(mask.shape, dtype=int)
     index[mask] = np.concatenate(blocks)              # row-major: block by block
-    label, slot = np.zeros((2, factor.shape[0]), dtype=int)
+    label, slot = np.zeros((2, 4 * size), dtype=int)
     label[index[mask]], slot[index[mask]] = np.nonzero(mask)
-    c_blocks = factor[index] * mask[..., None]                      # (B, w, r)
     h_0, h_z = _block_stack(h_0, index, mask), _block_stack(h_z, index, mask)
-    # H_b(k)^2 = S0 + k S1 + k^2 S2 is E_b(k)^2 I at every k if each S_i is e_i I
+    # H_b(k)^2 = S0 + k S1 + k^2 S2 is E_b(k)^2 I at every k if each S_i is e_i I.  H_0
+    # is its diagonal beta, the mass term, plus V: beta^2 = I and {beta, V} = 0 make
+    # H_0^2 = I + V^2, so S0 - 1 = tr(V^2)/w keeps the digits that S0 rounds away
     squares = np.stack([h_0 @ h_0, h_0 @ h_z + h_z @ h_0, h_z @ h_z])     # (3, B, w, w)
     e_sq = np.trace(squares, axis1=-2, axis2=-1) / mask.sum(axis=1)      # (3, B)
     pencil = np.stack([np.eye(width) * mask[:, :, None], h_0, h_z])     # I, H_0, H_z
+    v = h_0 * (1.0 - np.eye(width))
+    v_sq = v @ v
+    s0_less_1 = np.trace(v_sq, axis1=-2, axis2=-1) / mask.sum(axis=1)
     residual = float(np.max(np.abs(squares - e_sq[..., None, None] * pencil[0])))
-    if residual > 8 * EPS * np.max(e_sq):
-        raise ValueError("an invariant block does not square to a multiple of the identity")
+    anti = float(np.max(np.abs(squares[0] - v_sq - pencil[0])))    # beta^2 - I + {beta, V}
+    if residual > 8 * EPS * np.max(e_sq) or anti > 8 * EPS * np.max(e_sq):
+        raise ValueError("an invariant block does not square to a multiple of the identity, "
+                         "or its mass term does not square to I and anticommute with the rest")
 
     m = np.arange(size)
     lower = (np.arange(4)[:, None] * size + m[1:] - 1).ravel()     # <sigma, m-1| a |sigma, m>
     # spinor rows: alpha_x + i alpha_y = 2 (|0><3| + |2><1|) carries both velocities
-    ops = []
+    links = []
     for rows, cols, values in (
         (lower, lower + 1, np.tile(np.sqrt(m[1:]), 4)),
         (np.r_[m, 2 * size + m], np.r_[3 * size + m, size + m], np.full(2 * size, 2.0)),
-    ):  # block pairs (bra, ket) the operator links, and its elements there
-        keys, which = np.unique(label[rows] * len(blocks) + label[cols], return_inverse=True)
+    ):  # block pairs bra * B + ket the operator links, and its elements there
+        keys, which = np.unique(label[rows] * n_blocks + label[cols], return_inverse=True)
         elems = np.zeros((keys.size, width, width))
         elems[which, slot[rows], slot[cols]] = values
-        bra, ket = keys // len(blocks), keys % len(blocks)
-        # tr(L A R rho_kb) for L, R in the bra's and ket's pencil, rho_kb = C_ket C_bra^+
-        rho = c_blocks[ket] @ c_blocks[bra].conj().swapaxes(-1, -2)
-        ops.append((bra, ket, np.einsum("lpij,rpji->lrp", pencil[:, bra] @ elems,
-                                        pencil[:, ket] @ rho)))
+        links.append((keys, elems))
+    (keys, elems), (flip_keys, flip_elems) = links
+    bra, ket = np.divmod(keys, n_blocks)
+    n_pairs = keys.size
+    # the velocity links the position's block pairs transposed, so one pair table
+    # serves both; its elements go in the position's pair order, its bra the ket
+    flipped = ket * n_blocks + bra
+    if not np.array_equal(np.sort(flipped), flip_keys):
+        raise ValueError("the velocity does not link the position's block pairs, transposed")
+    flip_elems = flip_elems[np.searchsorted(flip_keys, flipped)]
+    # rho_kb = rho[ket block, bra block], of elements (a a^+)[sigma, sigma'] G[m, m']
+    spinor, level = np.divmod(index, size)
+    rho = (spin[spinor[ket][:, :, None], spinor[bra][:, None, :]]
+           * gram[level[ket][:, :, None], level[bra][:, None, :]]
+           * (mask[ket][:, :, None] & mask[bra][:, None, :]))
+    # tr(L A R rho_kb) for L, R in the bra's and ket's pencil; the velocity's pair
+    # is (ket, bra), of density rho_bk = rho_kb^+
+    tr = [np.einsum("lpij,rpji->lrp", pencil[:, b] @ e, pencil[:, k] @ r) for b, k, e, r in
+          ((bra, ket, elems, rho), (ket, bra, flip_elems, rho.conj().swapaxes(-1, -2)))]
 
     if pkt.dimensionality == "2+1":
         kz_nodes, weights, alias = np.zeros(1), np.ones(1), 0.0
     else:
-        kz_order, alias = _aliasing(pkt, e_sq, [op[:2] for op in ops], t_max, kz_order)
+        kz_order, alias = _aliasing(pkt, e_sq, [(bra, ket)], t_max, kz_order)
         kz_nodes, weights = packet_mod.axial_grid(pkt, kz_order)
+    # numerators of the trace weights c, a, b, d (`_trace_weights`) as rows 1, k, k^2:
+    # c, a E_ket, b E_bra and d E_bra E_ket, by (power, weight, operator, pair).  The
+    # velocity's a, b enter as -b, -a: in the position's pair order its bra is the
+    # ket, so b takes 1/E_ket and a 1/E_bra, and its D is the position's conj(D),
+    # which swaps W and W' there, negating a + b while a - b keeps its sign
+    coef = np.zeros((3, 4, 2, n_pairs), dtype=complex)
+    for i, t in enumerate(tr):
+        coef[0, :, i] = t[0, 0], t[0, 1], t[1, 0], t[1, 1]
+        coef[1, 1:, i] = t[0, 2], t[2, 0], t[1, 2] + t[2, 1]
+        coef[2, 3, i] = t[2, 2]
+    coef[:, 1:3, 1] = -coef[:, 2:0:-1, 1]
     # k0z = 0 and S1 = 0: E_b and the axial density are both even in k_z, so the
     # k-odd trace terms cancel between +-k_z.  Sum the even part on the nodes
     # |j| h with the mirror weights added; an even rule's unpaired edge -K/2 h
@@ -311,8 +379,8 @@ def evolve_expectations(
         nodes = np.zeros(bucket.max() + 1)
         nodes[bucket] = np.abs(kz_nodes)        # exact: the node -j h is -(j h)
         kz_nodes, weights = nodes, np.bincount(bucket, weights)
-        for _, _, tr in ops:
-            tr[0, 2] = tr[2, 0] = tr[1, 2] = tr[2, 1] = 0.0
+        coef[1] = 0.0
+    coef = coef.reshape(3, -1).view(float)
     # E_b^2 is convex in k_z, so its peak over the rule lies on an end node.  A pair
     # phase (E_ket + E_bra) t rounds by up to 2 eps E max|t|: past a radian no digit
     # of it is correct, and far short of that the anchor step J h <= 2 max|t| is finite
@@ -332,69 +400,87 @@ def evolve_expectations(
     mass = np.zeros(2)
     reach = float(np.max(np.abs(delta), initial=0.0))
     norm_drift = energy_drift = 0.0
-    step = max(1, CHUNK_ELEMENTS // (factor.shape[0] * (orders * n_anchors + n_offsets)))
+    # e^{-iEx} = e^{-ix} e^{-i(E-1)x} for the exact floats x of the seeds: the carrier
+    # e^{-ix} is exact to rounding, and E - 1 = (E^2 - 1)/(1 + E) keeps the digits of
+    # a weak field's dynamics that E x would round away
+    if n_offsets == 1:
+        carrier = (np.cos(anchors) - 1j * np.sin(anchors))[:, None]
+    else:
+        jump = n_offsets * offsets[1]
+        carrier = [cmath.exp(-1j * x) for x in (anchors[0], jump, offsets[1])]
+    lookup = np.stack([[ket, ket], [bra, bra]])     # 1/E_ket, 1/E_bra by operator
+    step = min(kz_nodes.size,
+               max(1, CHUNK_ELEMENTS // (4 * size * (orders * n_anchors + n_offsets))))
+    # per-call tables, a chunk fills their leading rows
+    head = np.empty((step, n_anchors, n_blocks), dtype=complex)
+    tail = np.ones((step, n_offsets, n_blocks), dtype=complex)
+    left = np.empty((step, orders, n_anchors, 2, n_pairs), dtype=complex)
+    base = np.empty((step, n_offsets, 2, n_pairs), dtype=complex)
+    right_size = 4 * n_offsets * n_pairs          # per node: [Re, Im] row x offset x [D, S]
+    spare = np.empty(step * max(right_size, 2 * n_anchors * n_pairs), dtype=complex)
+
+    def gathered(table):
+        """phi_bra and phi_ket of every pair from a (c, rows, B) phase table, gathered
+        into the weighted offset rows' buffer, which they leave before it is filled."""
+        c, rows = table.shape[:2]
+        out = spare[: 2 * c * rows * n_pairs].reshape(2, c, rows, n_pairs)
+        for blocks, phases in zip((bra, ket), out):
+            np.take(table, blocks, axis=2, out=phases, mode="clip")
+        return out
+
     for start in range(0, kz_nodes.size, step):
         wk, k = weights[start : start + step], kz_nodes[start : start + step, None]
+        c = len(k)
         energy = np.sqrt(e_sq[0] + k * e_sq[1] + k * k * e_sq[2])       # (c, B)
-        rate = -1j * energy
+        rate = -1j * (s0_less_1 + k * e_sq[1] + k * k * e_sq[2]) / (1.0 + energy)
         # e^{-iEt} = e^{-iE t_0} (e^{-iEJh})^a (e^{-iEh})^j (1 - iE delta): anchor
         # (c, N_a, B) and offset (c, J, B) tables, each row a product of the last
-        head = np.empty((len(k), n_anchors, len(blocks)), dtype=complex)
-        tail = np.ones((len(k), n_offsets, len(blocks)), dtype=complex)
+        hd, tl = head[:c], tail[:c]
         if n_offsets == 1:
-            head[:] = np.exp(rate[:, None] * anchors[:, None])
+            np.multiply(np.exp(rate[:, None] * anchors[:, None]), carrier, out=hd)
         else:
-            head[:, 0] = np.exp(rate * anchors[0]) if anchors[0] else 1.0
-            ratio = np.exp(rate * (n_offsets * offsets[1]))
+            hd[:, 0] = np.exp(rate * anchors[0]) * carrier[0] if anchors[0] else 1.0
+            ratio = np.exp(rate * jump) * carrier[1]
             for i in range(1, n_anchors):
-                np.multiply(head[:, i - 1], ratio, out=head[:, i])
-            tail[:, 1] = np.exp(rate * offsets[1])
+                np.multiply(hd[:, i - 1], ratio, out=hd[:, i])
+            tl[:, 1] = np.exp(rate * offsets[1]) * carrier[2]
             for j in range(2, n_offsets):
-                np.multiply(tail[:, j - 1], tail[:, 1], out=tail[:, j])
-        head_c = head.conj()
-        for i, (bra, ket, tr) in enumerate(ops):
-            # np.take keeps gathers C-ordered, where x[..., idx] puts idx outermost
-            e_bra, e_ket = np.take(energy, bra, axis=1), np.take(energy, ket, axis=1)
-            a, b = (tr[0, 1] + k * tr[0, 2]) / e_ket, (tr[1, 0] + k * tr[2, 0]) / e_bra
-            d = (tr[1, 1] + k * (tr[1, 2] + tr[2, 1]) + k * k * tr[2, 2]) / (e_bra * e_ket)
-            # W_su = (c + u a + s b + su d)/4, and sum_su conj(phi^s_bra) W_su phi^u_ket
-            # with phi^- = conj(phi^+) is W z + W' conj(z) = (W + W') Re z +
-            # i (W - W') Im z for z = D = conj(phi_bra) phi_ket (W++, W--) and for
-            # z = S = phi_bra phi_ket (W-+, W+-): W + W' = (c +- d)/2, W - W' =
-            # (a +- b)/2.  With z = z_a z_j, x Re z + y Im z has real part
-            # Re(conj(z_a) r) for r = conj(Re x + i Re y) z_j, imaginary part
-            # likewise: a real GEMM of the anchor rows with two offset rows
-            q, p = np.stack([tr[0, 0] + d, tr[0, 0] - d], 1), np.stack([a + b, a - b], 1)
-            beta = 0.5 * np.stack([q.real + 1j * p.imag, q.imag - 1j * p.real], 1)[:, :, None]
-            # mass: a pair's term has real and imaginary parts Re(w z) with |w| = |beta_0|,
-            # |beta_1|; positions take z - 1, at most min(2, |Omega| t_max) in size,
-            # with Omega = E_ket -+ E_bra for z = D, S
-            omega = np.stack([e_ket - e_bra, e_ket + e_bra], 1)[:, None]
-            size = np.abs(beta[:, :, 0])                        # (c, 2, 2, P)
-            if i == 0:
-                size *= np.minimum(2.0, t_max * np.abs(omega))
-            mass[i] += np.einsum("c,cjzp->", wk, size)
-            left = np.empty((len(k), orders, n_anchors, 2, len(bra)), dtype=complex)
-            right = np.empty((len(k), 2, n_offsets, 2, len(bra)), dtype=complex)
-            zb, zk = np.take(head, bra, axis=-1), np.take(head_c, ket, axis=-1)
-            np.multiply(zb, zk, out=left[:, 0, :, 0])                  # conj(D_a)
-            np.multiply(zb.conj(), zk, out=left[:, 0, :, 1])           # conj(S_a)
-            zb, zk = np.take(tail, bra, axis=-1), np.take(tail, ket, axis=-1)
-            np.multiply(zb.conj(), zk, out=right[:, 0, :, 0])          # D_j
-            np.multiply(zb, zk, out=right[:, 0, :, 1])                 # S_j
-            np.multiply(right[:, 0], beta[:, 1], out=right[:, 1])
-            right[:, 0] *= beta[:, 0]
-            if orders > 1:
-                # z (1 - i Omega delta): the delta coefficient's anchor rows are
-                # i Omega conj(z_a)
-                np.multiply(left[:, 0], 1j * omega, out=left[:, 1])
-            grid = (left.view(float).reshape(len(k), -1, 4 * len(bra))
-                    @ right.view(float).reshape(len(k), 2 * n_offsets, -1).swapaxes(1, 2))
-            sums[i] += (wk @ grid.reshape(len(k), -1)).reshape(sums[i].shape)
+                np.multiply(tl[:, j - 1], tl[:, 1], out=tl[:, j])
+        beta = _trace_weights(coef, np.take(1.0 / energy, lookup, axis=1), k)
+        # mass: a pair's term has real and imaginary parts Re(w z) with |w| = |beta_0|,
+        # |beta_1|; positions take z - 1, at most min(2, |Omega| t_max) in size,
+        # with Omega = E_ket -+ E_bra for z = D, S
+        e_ket, e_bra = np.take(energy, ket, axis=1), np.take(energy, bra, axis=1)
+        omega = np.stack([e_ket - e_bra, e_ket + e_bra], 1)            # (c, 2, P)
+        extent = np.abs(beta)
+        extent[:, :, :, 0] *= np.minimum(2.0, t_max * np.abs(omega))[:, None]
+        mass += np.einsum("c,crzip->i", wk, extent)
+        # anchor rows conj(D_a) = phi_bra conj(phi_ket) and conj(S_a) = conj(phi_bra)
+        # conj(phi_ket), offset rows D_j = conj(phi_bra) phi_ket and S_j = phi_bra phi_ket
+        lf, bs = left[:c], base[:c]
+        zb, zk = gathered(hd)
+        np.conjugate(zk, out=zk)
+        np.multiply(zb, zk, out=lf[:, 0, :, 0])
+        np.multiply(np.conjugate(zb, out=zb), zk, out=lf[:, 0, :, 1])
+        zb, zk = gathered(tl)
+        np.multiply(zb, zk, out=bs[:, :, 1])
+        np.multiply(np.conjugate(zb, out=zb), zk, out=bs[:, :, 0])
+        if orders > 1:
+            # z (1 - i Omega delta): the delta coefficient's anchor rows are
+            # i Omega conj(z_a)
+            np.multiply(lf[:, 0], 1j * omega[:, None], out=lf[:, 1])
+        rt = spare[: right_size * c].reshape(c, 2, n_offsets, 2, n_pairs)
+        # with z = z_a z_j, Re(beta z) = Re(conj(z_a) r) for the offset row r = beta z_j:
+        # per operator, a real GEMM of the shared anchor rows by its weighted offset rows
+        for i in range(2):
+            np.multiply(bs[:, None], beta[:, :, None, :, i], out=rt)
+            grid = (lf.view(float).reshape(c, -1, 4 * n_pairs)
+                    @ rt.view(float).reshape(c, 2 * n_offsets, -1).swapaxes(1, 2))
+            sums[i] += (wk @ grid.reshape(c, -1)).reshape(sums[i].shape)
         # U_b = phi P+ + conj(phi) P- gives U_b^+ U_b = |phi|^2 I and U_b^+ H_b U_b =
         # |phi|^2 H_b up to the square residual.  |phi| = |anchor| |offset| |1 - iE delta|
         # is within u of 1, with the tables' own largest ||phi| - 1| per block
-        dev_a, dev_j = (np.max(np.abs(np.abs(t) - 1.0), axis=1) for t in (head, tail))
+        dev_a, dev_j = (np.max(np.abs(np.abs(t) - 1.0), axis=1) for t in (hd, tl))
         m = energy * reach                # |1 - i m| - 1 = m^2 / (1 + hypot(1, m))
         u = dev_a + dev_j + dev_a * dev_j + (1 + dev_a) * (1 + dev_j) * m * m / (1 + np.hypot(1, m))
         norm_drift = max(norm_drift, float(np.max(u)))
@@ -407,7 +493,7 @@ def evolve_expectations(
     sums = (sums[..., 0, :] + 1j * sums[..., 1, :]).reshape(2, orders, -1)[..., : times.size]
     out = sums[:, 0] + delta * sums[:, 1] if orders > 1 else sums[:, 0]
 
-    (alpha, vel), alpha0 = out, weights.sum() * ops[0][2][0, 0].sum()  # tr(A rho)
+    (alpha, vel), alpha0 = out, weights.sum() * tr[0][0, 0].sum()  # tr(A rho)
     scale = field.magnetic_length * math.sqrt(2.0)
     pos = scale * (alpha - alpha0)                     # y + i x
     pos_scale = max(float(np.max(np.abs(pos.real))), float(np.max(np.abs(pos.imag))), 1e-300)

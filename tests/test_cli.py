@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from landauzb import dynamics, oracle, packet
+from landauzb import cli, dynamics, oracle, packet
 from landauzb.cli import (
     _COMMANDS,
     EXIT_CAPACITY,
@@ -410,6 +410,7 @@ BAD_VALUES = [
     ("numerics", "n_max", "40"),
     ("numerics", "n_max", -1),
     ("numerics", "oracle_guard", -1),
+    ("numerics", "oracle_guard", 0),    # an oracle on the series' own cut scans no band
     ("time", "samples", "abc"),
     ("time", "samples", 10.7),
     ("time", "t_start", 5),
@@ -570,7 +571,7 @@ def test_sumrules_residual_above_tolerance_still_writes_its_report(tmp_path, cap
     assert "sum-rule residual" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("guard", [0, 5])
+@pytest.mark.parametrize("guard", [1, 5])
 def test_oracle_guard_sets_the_leak_band(tmp_path, guard):
     # the oracle adds oracle_guard levels above n_max and scans only those
     # for leaked mass
@@ -585,17 +586,34 @@ def test_oracle_guard_sets_the_leak_band(tmp_path, guard):
     assert doc["n_levels"] == _build_everything(load_config(cfg))[-1].n_max + guard
 
 
-def test_oracle_check_deviation_is_a_tolerance_failure(tmp_path, capsys):
-    # a series cut at 20 levels against an oracle without guard levels
+def test_oracle_check_deviation_is_a_tolerance_failure(tmp_path, capsys, monkeypatch):
+    # a series that misses the oracle by 1e-5 of the position scale
+    real_trajectory = cli._trajectory
+
+    def shifted_trajectory(*args):
+        traj = real_trajectory(*args)
+        return dataclasses.replace(traj, x=traj.x + 1e-5 * np.max(np.abs(traj.x)))
+
+    monkeypatch.setattr(cli, "_trajectory", shifted_trajectory)
+    out = tmp_path / "oracle.json"
+    assert main(["oracle-check", "--config", str(CONFIG_DIR / "ion_trap.json"),
+                 "--output", str(out)]) == EXIT_TOLERANCE
+    doc = json.loads(out.read_text())
+    assert 1e-6 < doc["channels"]["x"] < 1e-4
+    assert "oracle deviation (x)" in capsys.readouterr().err
+
+
+def test_series_truncation_is_an_oracle_leak(tmp_path, capsys):
+    # a series cut at 20 levels leaves 4.9e-7 of its mass above the cut; with
+    # one guard level the oracle's leak scan sees it there and refuses the run,
+    # before the truncation can show only as a channel deviation
     payload = json.loads((CONFIG_DIR / "ion_trap.json").read_text())
-    payload["numerics"] = {"n_max": 20, "tail_tol": 0.5, "oracle_guard": 0}
+    payload["numerics"] = {"n_max": 20, "tail_tol": 0.5, "oracle_guard": 1}
     out = tmp_path / "oracle.json"
     assert main(["oracle-check", "--config", write_config(tmp_path, payload),
                  "--output", str(out)]) == EXIT_TOLERANCE
-    doc = json.loads(out.read_text())
-    assert doc["n_levels"] == 20
-    assert 1e-6 < max(doc["channels"].values()) < 1e-5
-    assert "oracle deviation" in capsys.readouterr().err
+    assert "within 1 levels of the truncation edge" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_command_table_drives_the_parser(tmp_path):
