@@ -32,19 +32,24 @@ move with k_z as E_n + E_{n+1}, intraband lines only as omega^2/(E_n + E_{n+1}),
 so the intraband rule is the smaller (256 against 2560 nodes on the
 collapse-revival packet).  All classes share one error ratio, so their bounds
 add up to the target.  `mixing_terms` alone keeps the signed grid, so the
-k0z = 0 cancellation stays a computed one.
+k0z = 0 cancellation stays a computed one.  Before the time-grid GEMM each
+block of a rung drops the k_z tail lines that cannot move a digit the rule
+certifies (`_screened`): about a quarter of its lines, whose |amplitudes| add
+up to at most eps A_c / C per channel.  `mixing_terms` sums its blocks whole.
 
 Memory: each series call (`_axial_sums`, `mixing_terms`, a 2+1 trajectory,
 `subpackets`) owns one `_Workspace` of named slots.  `_line_blocks` fills its
 (pairs, K) tables there (every float table in one slot, the amplitudes and
 frequencies in two more) and `_sum_lines` its tiles (the stacked rows and the
-offset table in one slot), in place, for every rung and class.  The class with
-the larger rule is summed first, so its first rung sizes every slot, and later
-ones are allocated only if a doubling needs larger ones.  With few slots, each
-of the size asked, a call's largest slot holds about half its memory; glibc's
-malloc trims freed memory only above twice the largest block it has freed, so
-the next call reuses these pages instead of faulting in new ones.  No module
-global holds a workspace, so calls on several threads share nothing.
+offset table in one slot), in place, for every rung and class; the screen
+moves the kept lines to the front of the block's tables through tile-sized
+temporaries.  The class with the larger rule is summed first, so its first
+rung sizes every slot, and later ones are allocated only if a doubling needs
+larger ones.  With few slots, each of the size asked, a call's largest slot
+holds about half its memory; glibc's malloc trims freed memory only above
+twice the largest block it has freed, so the next call reuses these pages
+instead of faulting in new ones.  No module global holds a workspace, so
+calls on several threads share nothing.
 
 Natural units: lengths in Compton wavelengths, times in Compton times,
 velocities in c.  Positions are reported relative to the t = 0 centre, so
@@ -71,6 +76,8 @@ PREF = 1.0 / (2.0 * math.sqrt(2.0))
 # line evaluator's tiles: 2 MiB, one core's share of a 4 MiB L2; the stacked rows and
 # the offset table of one tile share it, in slots of the call's `_Workspace`
 TILE_ELEMENTS = 1 << 17
+SCREEN_TILE = TILE_ELEMENTS // 32    # lines `_screened` moves per step: its temporaries' size
+EDGES = np.ldexp(1.0, np.arange(-1022, 1024))   # 2^(b - 1022) bounds a float of biased exponent b
 PARTS = ("all", "intraband", "interband")
 DEFAULT_KZ_RTOL = 1e-9        # aliasing-bound target of the k_z rule, relative to the signal peak
 EPS = float(np.finfo(float).eps)
@@ -143,6 +150,7 @@ class _Block(NamedTuple):
     levels: np.ndarray            # (pairs,) lower level n of each pair (n, n+1)
     carrier: float                # 2 (two rest energies) for interband lines, else 0
     mass: float                   # sum of |amps|, the amplitude mass
+    peak: np.ndarray              # (pairs, K) largest |amps| over the channels, in scratch
 
 
 class _Workspace:
@@ -282,8 +290,12 @@ def _line_blocks(
             np.add(freq, second, out=freq)
         else:
             np.divide(omega_sq, np.add(e_hi, e_lo, out=freq), out=freq)
-        mass = sum(float(np.sum(np.abs(row, out=first))) for row in amps)
-        yield _Block(freq, amps, interband, n[:, 0], 2.0 * interband, mass)
+        peak = np.abs(amps[0], out=first)
+        mass = float(np.sum(peak))
+        for row in amps[1:]:
+            mass += float(np.sum(np.abs(row, out=second)))
+            np.maximum(peak, second, out=peak)
+        yield _Block(freq, amps, interband, n[:, 0], 2.0 * interband, mass, peak)
 
 
 def _time_grid(times: np.ndarray) -> tuple[float, float, int, np.ndarray]:
@@ -310,7 +322,7 @@ def _time_grid(times: np.ndarray) -> tuple[float, float, int, np.ndarray]:
 
 def _sum_lines(
     freq: np.ndarray, amps: np.ndarray, times: np.ndarray, derivative: bool = False,
-    carrier: float = 0.0, workspace: _Workspace | None = None,
+    carrier: float = 0.0, workspace: _Workspace | None = None, top: float | None = None,
 ) -> np.ndarray:
     """Complex sums sum_rows amps[c] e^{-i (freq + carrier) t}, shape (C, T).
 
@@ -329,10 +341,13 @@ def _sum_lines(
     sums are the caller's own.  Phases (freq + carrier) t whose rounding,
     eps (freq + carrier) max|t|, exceeds a radian raise TimeRangeError before
     any is formed: no digit of them is correct.  That bound also keeps every
-    phase and anchor step (J h <= 2 max|t|) far inside the float range.
+    phase and anchor step (J h <= 2 max|t|) far inside the float range.  `top`,
+    if given, stands in that check for max(freq): a screened table (`_screened`)
+    passes its whole block's, so a screen never hides a phase past the bound.
     """
     freq = np.ravel(freq)
-    t_max, top = float(np.max(np.abs(times))), float(np.max(freq, initial=0.0)) + carrier
+    top = (float(np.max(freq, initial=0.0)) if top is None else top) + carrier
+    t_max = float(np.max(np.abs(times)))
     if not EPS * top * t_max <= 1.0:      # also overflow and NaN
         raise TimeRangeError(f"phases of lines up to {top:.3g}/t_c over {t_max:.3g} t_c round by "
                              "more than a radian or leave the float range; shorten the time grid")
@@ -381,6 +396,44 @@ def _sum_lines(
     return out.reshape(-1, times.size)
 
 
+def _screened(block: _Block) -> tuple[np.ndarray, np.ndarray, float | None]:
+    """(freq, amps) of the block's lines that can move its sum, and the top frequency of all.
+
+    A 3+1 block drops its weakest lines, the k_z tails, while their |amps| in each
+    of its C channels add up to at most eps A_c / C, A_c the block's mass: C times
+    that is below the rounding floor F eps A of `_axial_sums`.  The largest such set
+    is read off a histogram of the peaks' binary exponents: a peak of biased
+    exponent b lies below 2^(b - 1022), so the bins up to the last one whose
+    count-weighted edges sum to at most the budget go.  The sum of every line
+    exceeds the budget, so one line at least is kept.  The kept lines move, in
+    order and a tile at a time, to the front of the block's own tables (temporaries
+    of SCREEN_TILE lines, no full-size copy), and the returned views of them are
+    summed in place of the block.  Blocks of one node (2+1, about 40 lines and no
+    k_z tail), those whose budget is zero, below the smallest normal float or not
+    finite (a NaN mass must reach the gates), and those with nothing to drop are
+    returned whole, with top None: `_sum_lines` then reads their own maximum.
+    """
+    freq, amps = block.freq.reshape(-1), block.amps.reshape(len(block.amps), -1)
+    budget = EPS * block.mass / len(amps)
+    if block.freq.shape[1] == 1 or not np.finfo(float).tiny <= budget < math.inf:
+        return freq, amps, None
+    bits = block.peak.reshape(-1).view(np.int64)      # non-negative floats: sign bit 0
+    np.right_shift(bits, 52, out=bits)
+    last = math.frexp(budget)[1] + 1021       # the last bin whose edge is within the budget
+    bound = np.cumsum(np.bincount(bits, minlength=last + 1)[: last + 1] * EDGES[: last + 1])
+    cut = int(np.searchsorted(bound, budget, "right")) - 1
+    if cut < 0:
+        return freq, amps, None
+    top, kept = float(np.max(freq)), 0
+    for start in range(0, bits.size, SCREEN_TILE):
+        lines = bits[start : start + SCREEN_TILE] > cut
+        for table in (freq, *amps):
+            moved = table[start : start + lines.size][lines]
+            table[kept : kept + moved.size] = moved
+        kept += moved.size
+    return freq[:kept], amps[:, :kept], top
+
+
 def _series(
     packet: GaussianPacket,
     coeffs: CoefficientSet,
@@ -392,11 +445,17 @@ def _series(
     derivative: bool = False,
     workspace: _Workspace | None = None,
 ) -> tuple[np.ndarray, float]:
-    """(Complex line sums of `channels` (0 is x, 1 is y), then derivatives; sum of |amps|)."""
+    """(Complex line sums of `channels` (0 is x, 1 is y), then derivatives; sum of |amps|).
+
+    Each block on a rule of more than one k_z node is screened first (`_screened`):
+    its weakest lines, whose |amps| add up to at most eps A_c / C in each of its C
+    channels, are not summed, while the mass A_c returned still counts them.
+    """
     out, mass = 0.0, 0.0
     workspace = workspace or _Workspace()
     for block in _line_blocks(packet, coeffs, field, *rule, parts, channels, workspace=workspace):
-        out = out + _sum_lines(block.freq, block.amps, times, derivative, block.carrier, workspace)
+        freq, amps, top = _screened(block)
+        out = out + _sum_lines(freq, amps, times, derivative, block.carrier, workspace, top)
         mass += block.mass
     return out, mass
 
@@ -468,7 +527,10 @@ def _axial_sums(
     F = 2 (ceil(T/J) + J + 4) counts the roundings of about eps behind one term
     a z(t) of a sample in `_sum_lines`: three exps, ceil(T/J) - 1 anchor and J - 2
     offset products, the amplitude's, the GEMM's and the carrier's exp and product
-    (4 in all where J = 1), twice for y - y[0]."""
+    (4 in all where J = 1), twice for y - y[0].  The lines `_series` screens out of
+    each rung move a sum by at most eps A_c / C per channel, eps A over the classes,
+    at least eight times below that floor (F >= 8); A, the ratio and the floor
+    still count every line."""
     if parts not in PARTS:
         raise ValueError(f"parts must be one of {PARTS}, not {parts!r}")
     if packet.dimensionality == "2+1":

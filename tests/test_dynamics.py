@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -355,10 +356,10 @@ def _recording(monkeypatch, times):
     sum_lines, line_blocks = dynamics._sum_lines, dynamics._line_blocks
     seen, nodes, channels = [], [], []
 
-    def counting(freq, amps, grid, derivative=False, carrier=0.0, workspace=None):
+    def counting(freq, amps, grid, derivative=False, carrier=0.0, workspace=None, top=None):
         assert np.array_equal(grid, times)
         seen.append(freq.shape)
-        return sum_lines(freq, amps, grid, derivative, carrier, workspace)
+        return sum_lines(freq, amps, grid, derivative, carrier, workspace, top)
 
     def recording(packet, coeffs, field, kz, weights, *args, **kwargs):
         assert kz.size == weights.size and np.all(weights > 0.0), "a node of no weight is summed"
@@ -372,6 +373,38 @@ def _recording(monkeypatch, times):
     return seen, nodes, channels
 
 
+def _screen_recording(monkeypatch):
+    """Patch `_screened` to record (freq, amps, mass, kept freq, kept amps) of each block."""
+    screened, records = dynamics._screened, []
+
+    def recording(block):
+        freq, amps = block.freq.copy(), block.amps.copy()
+        kept_freq, kept_amps, top = screened(block)
+        records.append((freq, amps, block.mass, kept_freq.copy(), kept_amps.copy()))
+        return kept_freq, kept_amps, top
+
+    monkeypatch.setattr(dynamics, "_screened", recording)
+    return records
+
+
+def _screened_lines(freq, amps, mass, kept_freq, kept_amps):
+    """The number of lines a screen dropped, checked against its bound.
+
+    The kept lines are the block's others, in order, and every dropped line is
+    weaker (largest |amps| over the channels) than every kept one; the dropped
+    |amps| of each channel add up to at most eps mass / C."""
+    lines = amps.reshape(len(amps), -1)
+    peak = np.max(np.abs(lines), axis=0)
+    dropped = peak.size - kept_freq.size
+    keep = peak > np.sort(peak)[dropped - 1] if dropped else np.ones(peak.size, bool)
+    assert np.count_nonzero(keep) == kept_freq.size
+    assert np.array_equal(kept_freq, freq.reshape(-1)[keep])
+    assert np.array_equal(kept_amps, lines[:, keep])
+    for row in lines[:, ~keep]:
+        assert math.fsum(np.abs(row)) <= dynamics.EPS * mass / len(lines)
+    return dropped
+
+
 def test_axial_rungs_are_summed_once_on_the_full_grid(critical_field, packet_3p1, coeffs_3p1,
                                                       mixed_packet_3p1, mixed_coeffs_3p1,
                                                       monkeypatch):
@@ -382,7 +415,9 @@ def test_axial_rungs_are_summed_once_on_the_full_grid(critical_field, packet_3p1
     # for the second component alone, n_max + 1 once the first component and
     # the spin-mixing rows (k0z != 0) share them.  Every node of the grid is
     # summed, and no rule above K is.  A block holds only the channels its
-    # caller reads: y for analytic_signal, x and y for a trajectory
+    # caller reads: y for analytic_signal, x and y for a trajectory.  Each line of
+    # a rung's rows is either summed or screened, and the screened ones stay
+    # within eps A_c / C in each channel
     times = np.linspace(0.0, 200.0, 401)
     rungs = {}
     for packet, coeffs in ((packet_3p1, coeffs_3p1), (mixed_packet_3p1, mixed_coeffs_3p1)):
@@ -390,6 +425,7 @@ def test_axial_rungs_are_summed_once_on_the_full_grid(critical_field, packet_3p1
             rungs[packet, channels] = dynamics._axial_sums(
                 packet, coeffs, critical_field, times, dynamics.DEFAULT_KZ_RTOL, "all", channels)[0]
     seen, nodes, channels = _recording(monkeypatch, times)
+    screens = _screen_recording(monkeypatch)
 
     def grid(points, index=slice(None)):
         return dynamics._fold(packet, axial_grid(packet, points))[0][index]
@@ -403,13 +439,19 @@ def test_axial_rungs_are_summed_once_on_the_full_grid(critical_field, packet_3p1
             seen.clear()
             nodes.clear()
             channels.clear()
+            screens.clear()
             call(packet, coeffs, critical_field, times)
             assert rungs[packet, n_channels] == rules
             assert list(rungs[packet, n_channels]) == list(rules)     # interband first
             assert channels == [len(n_channels)] * 4
             halves = [grid(points // 2).size for points in rules.values()]
             odds = [grid(points, slice(1, None, 2)).size for points in rules.values()]
-            assert seen == [(rows, size) for size in halves + odds]
+            sizes = halves + odds
+            assert [record[0].shape for record in screens] == [(rows, size) for size in sizes]
+            dropped = [_screened_lines(*record) for record in screens]
+            summed = [shape[0] for shape in seen]
+            lines = [rows * size for size in sizes]
+            assert [a + b for a, b in zip(summed, dropped, strict=True)] == lines
             for k, points in enumerate(rules.values()):
                 assert np.array_equal(np.sort(np.concatenate(nodes[k::2])), grid(points))
 
@@ -1032,3 +1074,117 @@ def test_workspace_carries_nothing_from_one_call_to_the_next(critical_field, mix
     again = dynamics.trajectory_3p1(*args, times[:41])
     assert all(getattr(again, f).tobytes() == getattr(alone, f).tobytes()
                for f in ("x", "y", "vx", "vy"))
+
+
+def _synthetic_block(amps):
+    """A screenable block of the given (channels, pairs, K) amplitudes."""
+    amps = np.asarray(amps, dtype=complex)
+    freq = np.linspace(0.0, 1.0, amps[0].size).reshape(amps.shape[1:])
+    return dynamics._Block(freq, amps, True, np.arange(amps.shape[1]), 2.0,
+                           float(np.sum(np.abs(amps))), np.max(np.abs(amps), axis=0))
+
+
+def _screen_of(amps):
+    """(lines dropped, lines kept) by the screen of a synthetic block, checked."""
+    block = _synthetic_block(amps)
+    freq, copy = block.freq.copy(), block.amps.copy()
+    kept_freq, kept_amps, top = dynamics._screened(block)
+    assert top in (None, 1.0)          # the phase check still reads every line
+    dropped = _screened_lines(freq, copy, block.mass, kept_freq, kept_amps)
+    return dropped, kept_freq.size
+
+
+def test_envelope_blocks_screen_a_fifth_of_their_lines_within_the_bound(monkeypatch):
+    # the k_z tails of the persistence and decay blocks carry less than eps A_c in
+    # all: a quarter of every block's lines (the band widens with the level),
+    # dropped within eps A_c / C in each channel, before the time-grid GEMM
+    screens = _screen_recording(monkeypatch)
+    for args in envelope_signals():
+        screens.clear()
+        dynamics.analytic_signal(*args)
+        assert len(screens) == (4 if args[4] == "all" else 2)
+        for record in screens:
+            assert _screened_lines(*record) >= 0.2 * record[0].size
+
+
+def test_screen_search_keeps_its_bound_on_adversarial_magnitudes():
+    rng = np.random.default_rng(7)
+    phases = np.exp(2j * np.pi * rng.random((2, 8, 64)))
+    # all equal: no line is weaker than another, and all together exceed the budget
+    assert _screen_of(0.37 * phases) == (0, 8 * 64)
+    # a single nonzero line: every other one goes
+    single = np.zeros((2, 8, 64), complex)
+    single[1, 3, 5] = 1.0
+    assert _screen_of(single) == (8 * 64 - 1, 1)
+    # subnormals alone: a budget below the smallest normal float screens nothing
+    tiny = 5e-324 * rng.integers(1, 9, (1, 8, 64))
+    assert _screen_of(tiny) == (0, 8 * 64)
+    # next to a unit line the subnormals go
+    tiny[0, 0, 0] = 1.0
+    assert _screen_of(tiny) == (8 * 64 - 1, 1)
+    # magnitudes over the whole float range: the bound holds bin by bin
+    ramp = np.ldexp(1.0, -np.arange(1, 1075)).reshape(1, 2, 537)
+    dropped, kept = _screen_of(ramp)
+    assert dropped + kept == ramp.size and 0 < dropped and kept < 60
+
+
+def test_blocks_of_zero_or_nan_mass_are_summed_whole(critical_field, packet_3p1, coeffs_3p1):
+    # no line of a zero-mass block is weaker than the budget 0, and a NaN mass must
+    # reach the gates: either block is summed whole, never as an empty table
+    zero = _synthetic_block(np.zeros((1, 4, 16)))
+    assert zero.mass == 0.0 and dynamics._screened(zero)[0].size == 4 * 16
+    nan = _synthetic_block(np.full((1, 4, 16), 1e-3))
+    nan.amps[0, 3, 15] = nan.peak[3, 15] = math.nan
+    assert dynamics._screened(nan._replace(mass=math.nan))[0].size == 4 * 16
+    kz, weights = dynamics._fold(packet_3p1, axial_grid(packet_3p1, 64))
+    times = np.linspace(0.0, 5.0, 9)
+    sums, mass = dynamics._series(packet_3p1, coeffs_3p1, critical_field, times,
+                                  (kz, np.zeros_like(weights)))
+    assert mass == 0.0 and sums.shape == (2, 9) and not np.any(sums)
+
+
+def test_a_nan_line_the_screen_would_drop_reaches_the_axial_gate(critical_field, packet_3p1,
+                                                                 coeffs_3p1, monkeypatch):
+    # a NaN amplitude at the edge of the k_z grid, the weakest line of its block
+    line_blocks = dynamics._line_blocks
+
+    def one_nan_line(*args, **kwargs):
+        for block in line_blocks(*args, **kwargs):
+            block.amps[0, -1, -1] = block.peak[-1, -1] = math.nan
+            yield block._replace(mass=math.nan)
+
+    monkeypatch.setattr(dynamics, "_line_blocks", one_nan_line)
+    with pytest.raises(dynamics.QuadratureConvergenceError) as info:
+        dynamics.trajectory_3p1(packet_3p1, coeffs_3p1, critical_field, np.linspace(0.0, 5.0, 9))
+    assert math.isnan(info.value.achieved)
+
+
+def test_screened_top_lines_still_bound_the_time_grid(critical_field, packet_3p1, coeffs_3p1):
+    # the highest interband lines lie in the k_z tail the screen drops; a grid whose
+    # phases round past a radian on them, but not on the lines kept, still raises
+    rule = dynamics._fold(packet_3p1, axial_grid(packet_3p1, 512))
+    (block,) = dynamics._line_blocks(packet_3p1, coeffs_3p1, critical_field, *rule, "interband",
+                                     (1,))
+    kept_freq, _, top = dynamics._screened(block)
+    assert top == np.max(block.freq) and np.max(kept_freq) < top
+    t_end = 2.0 / (dynamics.EPS * (top + np.max(kept_freq) + 4.0))
+    with pytest.raises(TimeRangeError, match="more than a radian"):
+        dynamics._series(packet_3p1, coeffs_3p1, critical_field, np.linspace(0.0, t_end, 3), rule,
+                         "interband", (1,))
+
+
+def test_envelope_signals_stay_within_their_memory():
+    # the envelope benchmark's two signals: the workspace slots (2 MiB of them the
+    # time-grid tiles) and the screen's tile-sized temporaries.  They peak at 2.65
+    # MiB, screened or not, and at 2.92 with the kept lines moved in one whole copy
+    signals = envelope_signals()
+    for args in signals:
+        dynamics.analytic_signal(*args)            # warm caches
+    tracemalloc.start()
+    try:
+        for args in signals:
+            dynamics.analytic_signal(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.8 * 2**20
