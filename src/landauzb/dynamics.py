@@ -77,7 +77,6 @@ PREF = 1.0 / (2.0 * math.sqrt(2.0))
 # the offset table of one tile share it, in slots of the call's `_Workspace`
 TILE_ELEMENTS = 1 << 17
 SCREEN_TILE = TILE_ELEMENTS // 32    # lines `_screened` moves per step: its temporaries' size
-EDGES = np.ldexp(1.0, np.arange(-1022, 1024))   # 2^(b - 1022) bounds a float of biased exponent b
 PARTS = ("all", "intraband", "interband")
 DEFAULT_KZ_RTOL = 1e-9        # aliasing-bound target of the k_z rule, relative to the signal peak
 EPS = float(np.finfo(float).eps)
@@ -192,16 +191,19 @@ def _line_blocks(
 
     Only the amplitudes of `channels` are built, in that order: 0 is x, 1 is y.
     A row sums the sources weighted by sources = (w_second, w_first, w_mixing)
-    at its frequency.  The second component pairs levels (n, n+1) with the
-    overlap weights S_n = sqrt(n+1) (U_{n,n+1} + U_{n+1,n}); the first runs
-    the same derivation one level up (S_{n-1} in row n) and flips which
-    energy of the pair divides the cosine ratio q.  The 3+1 spin-mixing rows
-    add Re/Im of w_mixing * J to y/x, with J_n = U_nn k_z omega / (E_n E_{n+1}).
-    Rows: [0, n_max) for the second component alone, [1, n_max] for the
-    first alone, else [0, n_max].  The weights default to |a2|^2, |a1|^2 and
-    (L/sqrt2) a2* a1, the last 0 in 2+1 and at k0z = 0; (0, 0, 1) reads the
-    bare mixing integrals J in y.  With a `workspace`, both classes' blocks
-    are the same tables filled in place: read each before asking for the next.
+    at its frequency: row n takes s2 = w_second PREF L S_n, with S_n = sqrt(n+1)
+    (U_{n,n+1} + U_{n+1,n}), and s1 = w_first PREF L S_{n-1}, the first
+    component one level up.  Each amplitude is the class's numerator N times the
+    node weight w, over the pair's energies: with N = E_hi + E_lo (intraband) or
+    E_hi - E_lo = omega^2/(E_hi + E_lo) (interband, no cancellation), upper
+    signs intraband, x (sines, imaginary) is -+N w (s2 + s1)/(E_lo E_hi) and y
+    (cosines, real) N w (s2/E_hi +- s1/E_lo).  The 3+1 spin-mixing rows add
+    +-Re/Im of w_mixing J to y/x, J_n = U_nn k_z omega w/(E_lo E_hi).  Rows: [0,
+    n_max) for the second component alone, [1, n_max] for the first alone, else
+    [0, n_max].  The weights default to |a2|^2, |a1|^2 and (L/sqrt2) a2* a1, the
+    last 0 in 2+1 and at k0z = 0; (0, 0, 1) reads the bare mixing integrals J
+    in y.  With a `workspace`, both classes' blocks are the same tables filled
+    in place: read each before asking for the next.
     """
     L = field.magnetic_length
     n_pairs = coeffs.n_max
@@ -215,71 +217,36 @@ def _line_blocks(
     lo = 0 if w_second or w_mixing else 1
     hi = n_pairs + 1 if w_first or w_mixing else n_pairs
     scratch = workspace or _Workspace()
-    rows, base = hi - lo, hi + 1 + n_pairs
+    rows = hi - lo
     shape = (rows, nodes.size)
     # every float table in one slot, blocks of rows over the K nodes: energies,
-    # the node-weight scale, two temporaries and the mixing integrals (if any)
-    stack = scratch.take("tables", (base + (3 if w_mixing else 2) * rows, nodes.size))
+    # two temporaries and the mixing integrals (if any)
+    stack = scratch.take("tables", (hi + 1 + (3 if w_mixing else 2) * rows, nodes.size))
     energies = landau_energies(hi, nodes, field, stack[: hi + 1])
-    e_lo, e_hi = energies[lo:-1], energies[lo + 1:]      # (hi - lo, K) each
-    # every term below is a chain of in-place ufuncs on these (pairs, K) tables
-    scale = stack[hi + 1 : base]
-    first, second, j = (stack[base + k * rows : base + (k + 1) * rows] for k in range(3))
-    t, v = first[:n_pairs], second[:n_pairs]         # a source's rows
+    e_lo, e_hi = energies[lo:-1], energies[lo + 1:]      # (rows, K) each
+    first, second, j = (stack[hi + 1 + k * rows : hi + 1 + (k + 1) * rows] for k in range(3))
     u = coeffs.u
-    s_pairs = np.sqrt(np.arange(1.0, n_pairs + 1.0)) * (np.diagonal(u, 1) + np.diagonal(u, -1))
+    s = np.zeros(n_pairs + 2)                             # S_{n-1} at n, 0 off the ladder
+    s[1:-1] = np.sqrt(np.arange(1.0, n_pairs + 1.0)) * (np.diagonal(u, 1) + np.diagonal(u, -1))
+    s2, s1 = (source * PREF * L * s[k : k + rows, None]
+              for source, k in ((w_second, lo + 1), (w_first, lo)))
     if w_mixing:
-        # J = U_nn k_z omega / (E_n E_{n+1}) times the node weights
         np.multiply(np.diagonal(u)[:, None], nodes, out=j)
         np.multiply(j, field.omega, out=j)
         np.divide(j, np.multiply(e_lo, e_hi, out=first), out=j)
         np.multiply(j, weights, out=j)
         channel = np.array([w_mixing.imag, w_mixing.real])[list(channels)]
-    # every energy difference is built from E_hi - E_lo = omega^2/(E_hi + E_lo)
     omega_sq = field.omega**2
     k_sq = nodes**2
     n = np.arange(lo, hi)[:, None]
     for interband in (False, True):
         if parts == ("intraband" if interband else "interband"):
             continue
+        sign = -1.0 if interband else 1.0
         # without a caller's workspace every block owns its tables
         tables = workspace or _Workspace()
         amps = tables.take("amps", (len(channels),) + shape, complex)
         amps[...] = 0.0
-        x, y = (amps[channels.index(c)] if c in channels else None for c in (0, 1))
-        for weight, shift in ((w_second, 0), (w_first, 1)):
-            if weight == 0.0:
-                continue
-            rows = slice(shift - lo, shift - lo + n_pairs)
-            lo_e, hi_e = e_lo[rows], e_hi[rows]
-            np.multiply(weight * PREF * L * s_pairs[:, None], weights, out=scale)
-            # x sines imaginary, y cosines real; for interband lines 1/E_lo - 1/E_hi
-            # and 1 - q = (E_hi - E_lo)/E_hi or -(E_hi - E_lo)/E_lo
-            if x is not None:
-                if interband:       # omega^2 / ((E_hi + E_lo) E_lo E_hi)
-                    np.add(hi_e, lo_e, out=t)
-                    np.multiply(t, lo_e, out=t)
-                    np.multiply(t, hi_e, out=t)
-                    np.divide(omega_sq, t, out=t)
-                else:               # -(1/E_lo + 1/E_hi)
-                    np.divide(1.0, lo_e, out=t)
-                    np.add(t, np.divide(1.0, hi_e, out=v), out=t)
-                    np.negative(t, out=t)
-                x.imag[rows] += np.multiply(scale, t, out=t)
-            if y is not None:
-                if interband:       # omega^2 / ((E_hi + E_lo) E_hi) or its -E_lo twin
-                    np.add(hi_e, lo_e, out=t)
-                    np.multiply(t, hi_e if shift == 0 else lo_e, out=t)
-                    if shift:
-                        np.negative(t, out=t)
-                    np.divide(omega_sq, t, out=t)
-                else:               # 1 + E_lo/E_hi or 1 + E_hi/E_lo
-                    np.divide(*((lo_e, hi_e) if shift == 0 else (hi_e, lo_e)), out=t)
-                    np.add(1.0, t, out=t)
-                y.real[rows] += np.multiply(scale, t, out=t)
-        if w_mixing:
-            for row, c in zip(amps, channel):
-                row.real += np.multiply(j, -c if interband else c, out=first)
         freq = tables.take("freq", shape)
         if interband:
             # lines less the carrier: E - 1 = (omega^2 n + k_z^2)/(1 + E) has no cancellation
@@ -288,8 +255,22 @@ def _line_blocks(
             np.add(omega_sq * n, k_sq, out=second)
             np.divide(second, np.add(1.0, e_lo, out=first), out=second)
             np.add(freq, second, out=freq)
-        else:
-            np.divide(omega_sq, np.add(e_hi, e_lo, out=freq), out=freq)
+        num = np.add(e_hi, e_lo, out=first)
+        # the intraband frequency omega^2/(E_hi + E_lo) is the interband numerator
+        np.divide(omega_sq, num, out=num if interband else freq)
+        num *= weights
+        for c, row in zip(channels, amps):
+            if c:
+                y = np.divide(sign * s1, e_lo, out=row.real)
+                y += np.divide(s2, e_hi, out=second)
+                y *= num
+            else:
+                x = np.multiply(num, -sign * (s2 + s1), out=row.imag)
+                x /= e_lo
+                x /= e_hi
+        if w_mixing:
+            for row, c in zip(amps, channel):
+                row.real += np.multiply(j, sign * c, out=first)
         peak = np.abs(amps[0], out=first)
         mass = float(np.sum(peak))
         for row in amps[1:]:
@@ -420,7 +401,8 @@ def _screened(block: _Block) -> tuple[np.ndarray, np.ndarray, float | None]:
     bits = block.peak.reshape(-1).view(np.int64)      # non-negative floats: sign bit 0
     np.right_shift(bits, 52, out=bits)
     last = math.frexp(budget)[1] + 1021       # the last bin whose edge is within the budget
-    bound = np.cumsum(np.bincount(bits, minlength=last + 1)[: last + 1] * EDGES[: last + 1])
+    counts = np.bincount(bits, minlength=last + 1)[: last + 1]
+    bound = np.cumsum(np.ldexp(counts, np.arange(-1022, last - 1021)))     # counts x bin edges
     cut = int(np.searchsorted(bound, budget, "right")) - 1
     if cut < 0:
         return freq, amps, None
@@ -557,7 +539,9 @@ def _axial_sums(
                 points[kind], coarse[kind] = 2 * points[kind], fine[kind]
                 fine[kind], mass[kind] = 0.5 * fine[kind] + odd, 0.5 * mass[kind] + odd_mass
         pos = sum(fine.values())[: len(channels)].real       # (x, y) or (y,)
-        scale = max(np.max(np.abs(pos[-1] - pos[-1, 0])), np.max(np.abs(pos[:-1]), initial=1e-300))
+        scale = max(np.max(np.abs(pos[-1] - pos[-1, 0])), np.max(np.abs(pos[:-1]), initial=0.0))
+        if scale == 0.0:          # positions that cannot move over the grid set no target
+            raise QuadratureConvergenceError(math.nan, 0.0)
         ratio = sum(mass.values()) / (rtol * scale)
         # a NaN scale sizes nothing: leave the loop for the gate below
         needed = {kind: points[kind] if math.isnan(ratio)

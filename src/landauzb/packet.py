@@ -25,7 +25,7 @@ import numpy as np
 
 from . import hermite
 from .landau import landau_energies
-from .units import FieldConfig
+from .units import FieldConfig, TimeRangeError
 
 DEFAULT_N_MAX = 400
 DEFAULT_TAIL_TOL = 1e-10
@@ -54,9 +54,10 @@ class QuadratureConvergenceError(RuntimeError):
 
     def __init__(self, achieved: float = math.inf, target: float | None = None,
                  nodes_needed: int | None = None):
-        if target is not None and math.isnan(target):
-            message = ("axial quadrature has no error target to size a k_z rule for: the "
-                       "amplitude mass or the signal scale is NaN")
+        if target is not None and not target > 0.0:     # NaN, or 0 on a zero scale
+            message = ("axial quadrature has no error target to size a k_z rule for: the " + (
+                "amplitude mass or the signal scale is NaN" if math.isnan(target) else
+                "signal scale is zero, as on a time grid the positions cannot move over"))
         elif nodes_needed is None:
             message = (f"axial quadrature changed by {achieved:.3e} relative on doubling "
                        f"(target {target:.3e}); refine manually or shorten the window")
@@ -387,10 +388,14 @@ def axial_nodes(packet: GaussianPacket, field: FieldConfig, times, ratio: float,
     it); 8 | K keeps the rule of K/2 nested in it and in its fold (`dynamics._fold`).
     A doubling after the sum (`dynamics._axial_sums`) can reach 2.5 times the bound.
     Callers raise K to AXIAL_FLOOR; K > MAX_GRID_NODES, or a NaN ratio (no error
-    target to size for), raises QuadratureConvergenceError.
+    target to size for), raises QuadratureConvergenceError, and a NaN or infinite
+    time TimeRangeError.
     """
     if kind not in ("intraband", "interband"):
         raise ValueError(f"kind must be 'intraband' or 'interband', not {kind!r}")
+    t_max = float(np.max(np.abs(times)))
+    if not t_max < math.inf:
+        raise TimeRangeError(f"a k_z rule needs finite sample times, not max |t| = {t_max}")
     if math.isnan(ratio):
         raise QuadratureConvergenceError(math.nan, math.nan)
     d_z, edge = packet.d_z, abs(packet.k0z) + AXIAL_HALF_WIDTH / packet.d_z
@@ -404,7 +409,7 @@ def axial_nodes(packet: GaussianPacket, field: FieldConfig, times, ratio: float,
         # k/E_n is 1 to rounding at every field the config admits
         slope = (edge * float(np.sum(1.0 / landau_energies(1, edge, field)))
                  if edge * edge < math.inf else 2.0)
-    bound = AXIAL_HALF_WIDTH / (math.pi * d_z) * (slope * float(np.max(np.abs(times))) + tail)
+    bound = AXIAL_HALF_WIDTH / (math.pi * d_z) * (slope * t_max + tail)
     need = max(1, math.ceil(min(bound, 2.0**62)))     # ratio may be inf
     grain = 1 << max(3, (need - 1).bit_length() - 3)  # 2^e
     nodes = grain * -(-need // grain)

@@ -156,6 +156,70 @@ def test_line_blocks_build_only_the_requested_channels(critical_field, packet_3p
                     assert np.array_equal(block.amps, ref.amps[list(channels)])
 
 
+def per_source_amplitudes(pkt, coeffs, field, kz, weights, sources):
+    """{interband: (x, y, |x terms|, |y terms|)} over rows n = 0..n_max, in np.longdouble.
+
+    Each source is its own term, as first derived: w_second on the pair (n, n+1)
+    with S_n, w_first one level up with S_{n-1} and E_lo, E_hi trading places in
+    the cosine ratio, and the mixing integrals J = U_nn k_z omega w / (E_lo E_hi)
+    added to Re x and Re y.  Inputs are the float energies and weights of
+    `_line_blocks`; x holds the complex amplitudes, i (sine terms) + mixing."""
+    ld = np.longdouble
+    w_second, w_first, w_mixing = sources
+    u = coeffs.u.astype(ld)
+    n_pairs = coeffs.n_max
+    energies = landau_energies(n_pairs + 1, kz, field).astype(ld)
+    e_lo, e_hi = energies[:-1], energies[1:]
+    omega = ld(field.omega)
+    pref = ld(field.magnetic_length) / (2 * np.sqrt(ld(2)))
+    s = np.zeros(n_pairs + 2, ld)
+    s[1:-1] = np.sqrt(np.arange(1, n_pairs + 1, dtype=ld)) * (np.diagonal(u, 1) + np.diagonal(u, -1))
+    second = ld(w_second) * pref * s[1:, None] * weights.astype(ld)
+    first = ld(w_first) * pref * s[:-1, None] * weights.astype(ld)
+    j = np.diagonal(u)[:, None] * kz.astype(ld) * omega / (e_lo * e_hi) * weights.astype(ld)
+    diff = omega**2 / (e_hi + e_lo)
+    lines = {
+        False: (-(1 / e_lo + 1 / e_hi), -(1 / e_lo + 1 / e_hi), 1 + e_lo / e_hi, 1 + e_hi / e_lo),
+        True: (diff / (e_lo * e_hi), diff / (e_lo * e_hi), diff / e_hi, -diff / e_lo),
+    }
+    out = {}
+    for interband, (x2, x1, y2, y1) in lines.items():
+        sign = -1 if interband else 1
+        x_terms = (second * x2, first * x1)
+        mix_x, mix_y = (sign * ld(c) * j for c in (np.imag(w_mixing), np.real(w_mixing)))
+        y_terms = (second * y2, first * y1, mix_y)
+        out[interband] = (1j * sum(x_terms) + mix_x, sum(y_terms),
+                          sum(map(abs, x_terms)) + abs(mix_x), sum(map(abs, y_terms)))
+    return out
+
+
+def test_line_amplitudes_match_the_per_source_formulas(critical_field, mixed_packet_3p1,
+                                                       mixed_coeffs_3p1):
+    # the closed form N r (s2 E_lo +- s1 E_hi) and its x twin, against each source's
+    # term as first derived, in extended precision: within 8 eps of the sum of the
+    # |terms| of each amplitude, for both classes, both components and the mixing rows
+    pair_2p1 = GaussianPacket(d_x=1.5, d_y=1.2, k0x=0.5, a1=0.6, a2=0.8j, dimensionality="2+1")
+    cases = [(mixed_packet_3p1, mixed_coeffs_3p1, axial_grid(mixed_packet_3p1, 64))] * 2
+    cases.append((pair_2p1, coefficient_matrix(pair_2p1, critical_field),
+                  (np.zeros(1), np.ones(1))))
+    for (pkt, coeffs, rule), given in zip(cases, (None, (0.0, 0.0, 1.0), None)):
+        L = critical_field.magnetic_length
+        mixing = pkt.dimensionality == "3+1" and pkt.k0z != 0.0
+        sources = given or (abs(pkt.a2) ** 2, abs(pkt.a1) ** 2,
+                            mixing * (L / math.sqrt(2.0)) * np.conj(pkt.a2) * pkt.a1)
+        want = per_source_amplitudes(pkt, coeffs, critical_field, *rule, sources)
+        for channels in ((0,), (1,), (0, 1)):
+            blocks = list(dynamics._line_blocks(pkt, coeffs, critical_field, *rule, "all",
+                                                channels, given))
+            assert [block.interband for block in blocks] == [False, True]
+            for block in blocks:
+                x, y, x_mass, y_mass = (v[block.levels] for v in want[block.interband])
+                assert np.all(y_mass > 0.0)
+                for c, got in zip(channels, block.amps):
+                    ref, mass = (x, x_mass) if c == 0 else (y, y_mass)
+                    assert np.all(np.abs(got - ref) <= 8 * dynamics.EPS * mass)
+
+
 def test_fold_is_identity_with_axial_momentum(mixed_packet_3p1):
     rule = axial_grid(mixed_packet_3p1, 256)
     assert dynamics._fold(mixed_packet_3p1, rule) is rule
@@ -958,6 +1022,39 @@ def test_phase_overflow_is_a_time_range_error(critical_field, packet_2p1, coeffs
         dynamics.trajectory_2p1(packet_2p1, coeffs_2p1, critical_field, times * 1e-8)
     far = dynamics.trajectory_2p1(packet_2p1, coeffs_2p1, critical_field, times * 1e-294)
     assert all(np.all(np.isfinite(v)) for v in (far.x, far.y, far.vx, far.vy))
+
+
+@pytest.mark.parametrize("times", [[0.0], [2.5], [2.5, 2.5, 2.5]])
+def test_a_grid_the_positions_cannot_move_over_sets_no_axial_target(critical_field, packet_3p1,
+                                                                    coeffs_3p1, times):
+    # a zero scale made the doubling ratio infinite (or overflowed it, warned) and
+    # the bound then asked for 2^62 k_z nodes
+    times = np.array(times)
+    calls = [dynamics.analytic_signal]
+    if times[0] == 0.0:       # a full trajectory starts at t = 0
+        calls.append(dynamics.trajectory_3p1)
+    for call in calls:
+        with pytest.raises(dynamics.QuadratureConvergenceError) as info:
+            call(packet_3p1, coeffs_3p1, critical_field, times)
+        assert str(info.value) == ("axial quadrature has no error target to size a k_z rule for: "
+                                   "the signal scale is zero, as on a time grid the positions "
+                                   "cannot move over")
+        assert info.value.nodes_needed is None
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_sample_time_that_is_not_finite_is_a_time_range_error(critical_field, packet_3p1,
+                                                                mixed_packet_3p1,
+                                                                mixed_coeffs_3p1, bad):
+    # NaN failed math.ceil in `axial_nodes` with an untyped ValueError, and an
+    # infinite time asked for 2^62 k_z nodes; the 2+1 path and the oracle refuse both
+    times = np.array([0.0, 1.0, bad])
+    for call in (dynamics.trajectory_3p1, dynamics.analytic_signal, dynamics.mixing_terms):
+        with pytest.raises(TimeRangeError, match="finite sample times"):
+            call(mixed_packet_3p1, mixed_coeffs_3p1, critical_field, times)
+    for kind in ("interband", "intraband"):
+        with pytest.raises(TimeRangeError, match="finite sample times"):
+            axial_nodes(packet_3p1, critical_field, times, 1e9, kind)
 
 
 def test_axial_gate_fails_on_a_nan_residual(critical_field, packet_3p1, coeffs_3p1,
