@@ -71,6 +71,8 @@ def _one_of(values: tuple) -> _Kind:
 
 NUMBER = _Kind(_is_number, float, "a finite number")
 POSITIVE = _Kind(lambda v: _is_number(v) and v > 0, float, "a positive number")
+TOLERANCE = _Kind(lambda v: _is_number(v) and v > 0 and 1.0 / v < math.inf, float,
+                  "a positive number with a finite reciprocal")
 ZERO = _Kind(lambda v: _is_number(v) and v == 0, float,
              "0 (trajectories start at the origin)")
 COUNT = _Kind(lambda v: type(v) is int and v >= 0, int, "a non-negative integer")
@@ -114,7 +116,7 @@ SCHEMA = {
     "numerics": {
         "n_max": (COUNT, None),
         "tail_tol": (POSITIVE, packet.DEFAULT_TAIL_TOL),
-        "kz_rtol": (POSITIVE, dynamics.DEFAULT_KZ_RTOL),
+        "kz_rtol": (TOLERANCE, dynamics.DEFAULT_KZ_RTOL),
         "oracle_guard": (GUARD, oracle.GUARD_BAND),
         "sum_rule_tol": (POSITIVE, 1e-10),
     },

@@ -471,8 +471,8 @@ def _kinds(parts: str) -> tuple[str, ...]:
 
 def _first_rule(packet: GaussianPacket, field: FieldConfig, times, rtol: float, kind: str) -> int:
     """Line class `kind`'s first k_z rule: `packet.axial_nodes` for rtol, at least AXIAL_FLOOR."""
-    if not 0.0 < rtol < math.inf:
-        raise ValueError(f"kz_rtol must be a positive finite number, not {rtol!r}")
+    if not (0.0 < rtol < math.inf and 1.0 / float(rtol) < math.inf):
+        raise ValueError(f"kz_rtol must be finite, positive and of finite reciprocal, not {rtol!r}")
     return max(AXIAL_FLOOR, axial_nodes(packet, field, times, 1.0 / rtol, kind))
 
 

@@ -2,8 +2,9 @@
 
 Certifies the analytic series.  The Hamiltonian is a matrix over four spinor
 rows times oscillator levels 0..N, linear in the axial wavenumber: the pencil
-H(k_z) = H_0 + k_z H_z, built once per call.  The union of the nonzero
-patterns of H_0 and H_z splits into small invariant blocks, and each block
+H(k_z) = H_0 + k_z H_z, one element list of both triangles per call.  Its
+pattern splits into small invariant blocks, found and filled from that list with
+no dense matrix (an O(N) set-up), and each block
 squares to a scalar, H_b^2 = S0 + k_z S1 + k_z^2 S2 = E_b(k_z)^2 I; both
 checks run once per call, on H_0, H_z and S0, S1, S2, and cover every node.
 No block is diagonalized: e^{-iH_b t} = e^{-iE_b t} P+ + e^{+iE_b t} P- with
@@ -74,31 +75,28 @@ class DenseHamiltonian:
         return self.matrix.shape[0]
 
 
-def build(n_levels: int, field: FieldConfig, k_z: float = 0.0) -> DenseHamiltonian:
-    """Assemble the Hamiltonian: diagonal +-mc^2 blocks, ladder off-blocks.
-
-    The off-diagonal 2x2 spin block is  k_z*sigma_z - omega*[[0,a],[a^+,0]].
-    """
+def _elements(n_levels: int, field: FieldConfig) -> tuple[np.ndarray, ...]:
+    """H(k_z) = H_0 + k_z H_z as one element list (rows, cols, h_0, h_z) of both triangles,
+    each element nonzero in H_0 or H_z (omega > 0): H_0 is diagonal +-mc^2 with the spin
+    block -omega*[[0,a],[a^+,0]] off it, H_z is sigma_z there, <m-1|a|m> = sqrt(m)."""
     size = n_levels + 1
-    a = np.diag(np.sqrt(np.arange(1.0, size)), 1)      # <m|a|m'> = sqrt(m') delta_{m,m'-1}
-    eye = np.eye(size)
-    omega = field.omega
+    m = np.arange(size)
+    ladder = -field.omega * np.sqrt(np.arange(1.0, size))
+    # above the diagonal: sigma_z on spinor blocks (0, 2) and (1, 3), a on (0, 3), a^+ on (1, 2)
+    rows = np.r_[m, size + m, m[:-1], size + m[1:]]
+    cols = np.r_[2 * size + m, 3 * size + m, 3 * size + m[1:], 2 * size + m[:-1]]
+    h_0 = np.r_[np.zeros(2 * size), ladder, ladder]
+    h_z = np.r_[np.ones(size), -np.ones(size), np.zeros(2 * n_levels)]
+    diag = np.arange(4 * size)
+    return (np.r_[diag, rows, cols], np.r_[diag, cols, rows],
+            np.r_[np.repeat([1.0, -1.0], 2 * size), h_0, h_0], np.r_[np.zeros(4 * size), h_z, h_z])
 
-    h = np.zeros((4 * size, 4 * size))
-    blocks = {
-        (0, 0): eye,
-        (1, 1): eye,
-        (2, 2): -eye,
-        (3, 3): -eye,
-        (0, 2): k_z * eye,
-        (1, 3): -k_z * eye,
-        (0, 3): -omega * a,
-        (1, 2): -omega * a.T,
-    }
-    for (i, j), blk in blocks.items():
-        h[i * size : (i + 1) * size, j * size : (j + 1) * size] = blk
-        if i != j:
-            h[j * size : (j + 1) * size, i * size : (i + 1) * size] = blk.T
+
+def build(n_levels: int, field: FieldConfig, k_z: float = 0.0) -> DenseHamiltonian:
+    """The dense Hamiltonian at k_z, scattered from the pencil's element list."""
+    rows, cols, h_0, h_z = _elements(n_levels, field)
+    h = np.zeros((4 * (n_levels + 1),) * 2)
+    h[rows, cols] = h_0 + k_z * h_z
     return DenseHamiltonian(n_levels=n_levels, k_z=k_z, matrix=h, field=field)
 
 
@@ -119,13 +117,12 @@ class EvolvedExpectations:
                                # relative to max(|x|, |y|), velocities in c; 0 for 2+1
 
 
-def _components(pattern: np.ndarray) -> list[np.ndarray]:
-    """Connected components of a boolean matrix's pattern graph: ascending
-    index arrays, ordered by their smallest index.  Every vertex takes the
-    smallest label among its own and its neighbours', then its label's label,
-    until no label moves: each component ends on its smallest index."""
-    rows, cols = np.nonzero(pattern | pattern.T)
-    label = np.arange(pattern.shape[0])
+def _components(rows: np.ndarray, cols: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Connected components of the graph on vertices 0..size-1 with edges (rows, cols),
+    both directions listed: (B, w) `index` rows of ascending vertices, zero-padded past
+    `mask`, by smallest vertex.  Every vertex takes the smallest label among its own and
+    its neighbours', then its label's label, until none moves."""
+    label = np.arange(size)
     while True:
         low = label.copy()
         np.minimum.at(low, rows, label[cols])
@@ -133,16 +130,25 @@ def _components(pattern: np.ndarray) -> list[np.ndarray]:
         if np.array_equal(low, label):
             break
         label = low
-    order = np.argsort(label, kind="stable")
-    return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
+    sizes = np.unique(label, return_counts=True)[1]
+    mask = np.arange(sizes.max()) < sizes[:, None]
+    index = np.zeros(mask.shape, dtype=int)
+    index[mask] = np.argsort(label, kind="stable")      # row-major: block by block
+    return index, mask
 
 
-def _block_stack(matrix: np.ndarray, index: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Blocks of `matrix` over padded `index`; raises on a nonzero outside them."""
-    out = matrix[index[:, :, None], index[:, None, :]] * (mask[:, :, None] & mask[:, None, :])
-    if np.count_nonzero(out) != np.count_nonzero(matrix):
-        raise ValueError("matrix has nonzero elements outside its invariant blocks")
-    return out
+def _block_pencil(n_levels: int, field: FieldConfig) -> tuple[np.ndarray, ...]:
+    """(index, mask, label, slot, pencil): the pencil's invariant blocks as `_components`
+    rows, each basis row's block `label` and `slot` in it, and I, H_0 and H_z as
+    (3, B, w, w) block stacks, filled by scatters of the element list."""
+    rows, cols, h_0, h_z = _elements(n_levels, field)
+    index, mask = _components(rows, cols, 4 * (n_levels + 1))
+    label, slot = np.zeros((2, 4 * (n_levels + 1)), dtype=int)
+    label[index[mask]], slot[index[mask]] = np.nonzero(mask)
+    pencil = np.zeros((3, *mask.shape, mask.shape[1]))
+    pencil[0, label, slot, slot] = 1.0
+    pencil[1:, label[rows], slot[rows], slot[cols]] = h_0, h_z
+    return index, mask, label, slot, pencil
 
 
 def _density_from_nodes(
@@ -294,26 +300,15 @@ def evolve_expectations(
     if not tail <= LEAK_TOL:
         raise TruncationLeakError(f"packet mass {tail:.3e} within {guard} levels of the "
                                   f"truncation edge (> {LEAK_TOL:g}); raise the level count")
-    # H(k_z) = H_0 + k_z H_z: the build's only k_z entries are +-k_z, so the
-    # difference is exact, and every node's pattern lies inside the union
-    h_0 = build(n_levels, field).matrix
-    h_z = build(n_levels, field, k_z=1.0).matrix - h_0
-    blocks = _components((h_0 != 0) | (h_z != 0))
-    n_blocks = len(blocks)
-    sizes = np.fromiter(map(len, blocks), int, n_blocks)
-    width = int(sizes.max())
-    mask = np.arange(width) < sizes[:, None]
-    index = np.zeros(mask.shape, dtype=int)
-    index[mask] = np.concatenate(blocks)              # row-major: block by block
-    label, slot = np.zeros((2, 4 * size), dtype=int)
-    label[index[mask]], slot[index[mask]] = np.nonzero(mask)
-    h_0, h_z = _block_stack(h_0, index, mask), _block_stack(h_z, index, mask)
+    # H(k_z) = H_0 + k_z H_z: every node's pattern lies inside the union
+    index, mask, label, slot, pencil = _block_pencil(n_levels, field)
+    n_blocks, width = mask.shape
+    h_0, h_z = pencil[1:]
     # H_b(k)^2 = S0 + k S1 + k^2 S2 is E_b(k)^2 I at every k if each S_i is e_i I.  H_0
     # is its diagonal beta, the mass term, plus V: beta^2 = I and {beta, V} = 0 make
     # H_0^2 = I + V^2, so S0 - 1 = tr(V^2)/w keeps the digits that S0 rounds away
     squares = np.stack([h_0 @ h_0, h_0 @ h_z + h_z @ h_0, h_z @ h_z])     # (3, B, w, w)
     e_sq = np.trace(squares, axis1=-2, axis2=-1) / mask.sum(axis=1)      # (3, B)
-    pencil = np.stack([np.eye(width) * mask[:, :, None], h_0, h_z])     # I, H_0, H_z
     v = h_0 * (1.0 - np.eye(width))
     v_sq = v @ v
     s0_less_1 = np.trace(v_sq, axis1=-2, axis2=-1) / mask.sum(axis=1)

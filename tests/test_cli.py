@@ -404,6 +404,7 @@ BAD_VALUES = [
     ("numerics", "kx_order", "256"),
     ("numerics", "kz_rtol", 0),
     ("numerics", "kz_rtol", -1e-9),
+    ("numerics", "kz_rtol", 1e-310),    # 1/kz_rtol overflows to inf
     ("numerics", "tail_tol", -1),
     ("numerics", "sum_rule_tol", 0),
     ("numerics", "n_max", 30.5),

@@ -912,12 +912,13 @@ def test_unknown_parts_rejected(critical_field, packet_2p1, coeffs_2p1, packet_3
                 call(parts)
 
 
-@pytest.mark.parametrize("kz_rtol", [0.0, -1e-9, math.nan, math.inf])
+@pytest.mark.parametrize("kz_rtol", [0.0, -1e-9, math.nan, math.inf, 1e-310, 5e-324])
 def test_out_of_range_kz_rtol_rejected(critical_field, mixed_packet_3p1, mixed_coeffs_3p1,
                                        kz_rtol):
     # 0 divided by zero, a negative target raised a convergence error (or
-    # passed, in mixing_terms), NaN failed an integer conversion, and inf
-    # returned the 64-node floor rule as if certified
+    # passed, in mixing_terms), NaN failed an integer conversion, inf
+    # returned the 64-node floor rule as if certified, and a subnormal target,
+    # whose reciprocal overflows, asked `packet.axial_nodes` for its 2^62 clamp
     times = np.linspace(0.0, 10.0, 21)
     for call in (dynamics.trajectory_3p1, dynamics.analytic_signal, dynamics.mixing_terms):
         with pytest.raises(ValueError, match="kz_rtol"):

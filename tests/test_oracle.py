@@ -308,7 +308,8 @@ def test_components_recover_permuted_blocks():
         mat[start : start + n, start : start + n] = blk + blk.T
         start += n
     perm = rng.permutation(mat.shape[0])
-    found = oracle._components(mat[np.ix_(perm, perm)] != 0)
+    index, mask = oracle._components(*np.nonzero(mat[np.ix_(perm, perm)]), mat.shape[0])
+    found = [row[keep] for row, keep in zip(index, mask)]
     inverse = np.argsort(perm)    # where each original index landed
     starts = np.cumsum([0] + sizes[:-1])
     expected = sorted((np.sort(inverse[s : s + n]) for s, n in zip(starts, sizes)),
@@ -316,20 +317,20 @@ def test_components_recover_permuted_blocks():
     assert [b.tolist() for b in found] == [b.tolist() for b in expected]
 
 
-def test_block_stack_rejects_an_element_outside_the_blocks(matched_field):
-    blocks = oracle._components(oracle.build(6, matched_field, k_z=0.4).matrix != 0)
-    width = max(b.size for b in blocks)
-    index = np.array([np.pad(b, (0, width - b.size)) for b in blocks])
-    mask = np.arange(width) < np.array([b.size for b in blocks])[:, None]
-    assert sorted(b.size for b in blocks) == [2, 2] + [4] * 6
-    # the k_z = 0 pattern is finer and lies inside the same blocks
-    zero = oracle.build(6, matched_field, k_z=0.0).matrix
-    stack = oracle._block_stack(zero, index, mask)
-    assert np.count_nonzero(stack) == np.count_nonzero(zero)
-    bad = zero.copy()
-    bad[0, 1] = 1e-300    # levels 0 and 1 of spinor row 0 share no block
-    with pytest.raises(ValueError, match="outside"):
-        oracle._block_stack(bad, index, mask)
+@pytest.mark.parametrize("k_z", [0.0, 0.4, -1.7])
+def test_block_stacks_rebuild_the_hamiltonian(matched_field, k_z):
+    # H_0 and H_z scattered back from their block stacks through `index` give the
+    # dense build exactly: every element lies in the block its own edge defines,
+    # and none is lost
+    index, mask, label, slot, pencil = oracle._block_pencil(6, matched_field)
+    assert sorted(mask.sum(axis=1)) == [2, 2] + [4] * 6
+    assert np.array_equal(index[label, slot], np.arange(label.size))
+    inside = mask[:, :, None] & mask[:, None, :]
+    block, i, j = np.nonzero(inside)
+    matrix = np.zeros((label.size, label.size))
+    matrix[index[block, i], index[block, j]] = (pencil[1] + k_z * pencil[2])[inside]
+    assert np.array_equal(matrix, oracle.build(6, matched_field, k_z=k_z).matrix)
+    assert not np.any((pencil[1:] != 0) & ~inside)
 
 
 def dense_operators(pkt, field, n_levels):
@@ -432,7 +433,8 @@ def test_block_oracle_tracks_extended_precision_in_a_weak_field():
     alpha = [mpmath.mpc(0)] * times.size
     with mpmath.workdps(40):
         eig = {}
-        for b in oracle._components(ham != 0):
+        for row, keep in zip(*oracle._components(*np.nonzero(ham), len(ham))):
+            b = row[keep]
             vals, vecs = mpmath.eigsy(mpmath.matrix(ham[np.ix_(b, b)].tolist()))
             eig[b[0]] = (b, vals, vecs)
         owner = {i: first for first, (b, _, _) in eig.items() for i in b}
@@ -562,7 +564,7 @@ def test_phases_cost_anchors_plus_offsets(matched_field, monkeypatch):
     assert np.all(weights > 0.0)
     node_counts = [(signed, kz_order), (folded, kz_order // 2 + 1)]
     edge = oracle.build(n_levels, matched_field, k_z=nodes[np.argmax(np.abs(nodes))])
-    blocks = len(oracle._components(edge.matrix != 0))
+    blocks = len(oracle._components(*np.nonzero(edge.matrix), edge.dimension)[0])
     geometric = PHASE_GRIDS["geometric"]
     # one phase per block, not per eigenvalue: e^{+iEt} is the conjugate of e^{-iEt}
     for times, per_block in ((uniform, 2), (uniform + 5.0, 3), (geometric, geometric.size)):
@@ -594,32 +596,43 @@ def test_pencil_reproduces_the_build_at_every_node(matched_field):
 
 
 @pytest.mark.parametrize("dims", ["2+1", "3+1"])
-def test_two_builds_per_call(matched_field, monkeypatch, dims):
-    # H_0 and H_z, whatever the number of k_z nodes
+def test_one_element_list_per_call(matched_field, monkeypatch, dims):
+    # H_0 and H_z, whatever the number of k_z nodes, and no dense build
     calls = []
-    real_build = oracle.build
+    real_elements = oracle._elements
 
-    def counting_build(*args, **kwargs):
-        calls.append(kwargs.get("k_z", 0.0))
-        return real_build(*args, **kwargs)
+    def counting_elements(*args):
+        calls.append(args)
+        return real_elements(*args)
 
-    monkeypatch.setattr(oracle, "build", counting_build)
+    def no_build(*args, **kwargs):
+        raise AssertionError("the oracle built a dense Hamiltonian")
+
+    monkeypatch.setattr(oracle, "_elements", counting_elements)
+    monkeypatch.setattr(oracle, "build", no_build)
     pkt, kz_order = phase_test_packet(dims), (16 if dims == "3+1" else None)
     oracle.evolve_expectations(pkt, matched_field, np.linspace(0.0, 10.0, 21), n_levels=10,
                                guard=0, kz_order=kz_order)
-    assert sorted(calls) == [0.0, 1.0]
+    assert calls == [(10, matched_field)]
 
 
 def patched_build(monkeypatch, change):
-    """Let change(matrix, k_z) edit every `oracle.build` matrix for the rest of a test."""
-    real_build = oracle.build
+    """Let change(matrix, k_z) edit the pencil of every `oracle._elements` list for the
+    rest of a test: the dense H at k_z = 0 and 1, rebuilt from the real elements and
+    changed, give back H_0 = H(0) and H_z = H(1) - H(0) as their nonzeros."""
+    real_elements = oracle._elements
 
-    def build(n_levels, field, k_z=0.0):
-        ham = real_build(n_levels, field, k_z=k_z)
-        change(ham.matrix, k_z)
-        return ham
+    def elements(n_levels, field):
+        rows, cols, h_0, h_z = real_elements(n_levels, field)
+        dense = np.zeros((2, 4 * (n_levels + 1), 4 * (n_levels + 1)))
+        for matrix, k_z in zip(dense, (0.0, 1.0)):
+            matrix[rows, cols] = h_0 + k_z * h_z
+            change(matrix, k_z)
+        h_0, h_z = dense[0], dense[1] - dense[0]
+        rows, cols = np.nonzero((h_0 != 0) | (h_z != 0))
+        return rows, cols, h_0[rows, cols], h_z[rows, cols]
 
-    monkeypatch.setattr(oracle, "build", build)
+    monkeypatch.setattr(oracle, "_elements", elements)
 
 
 def scale_mass_entry(matrix, k_z):
@@ -675,8 +688,13 @@ def test_square_linear_in_k_z_matches_dense_reference(matched_field, monkeypatch
     # the physical pencil has S1 = 0, so E^2 has no term linear in k_z; every
     # node shifted by 1/4 gives e1 != 0, and the block path must follow it.
     # E is then not even in k_z, so a k0z = 0 packet must keep the signed grid
-    real_build = oracle.build
-    monkeypatch.setattr(oracle, "build", lambda n, field, k_z=0.0: real_build(n, field, k_z + 0.25))
+    real_elements = oracle._elements
+
+    def shifted(n_levels, field):    # H_0 + (k_z + 1/4) H_z, for the oracle and `build`
+        rows, cols, h_0, h_z = real_elements(n_levels, field)
+        return rows, cols, h_0 + 0.25 * h_z, h_z
+
+    monkeypatch.setattr(oracle, "_elements", shifted)
     times = np.linspace(0.0, 10.0, 21)
     signed = phase_test_packet("3+1")
     for pkt in (signed, dataclasses.replace(signed, k0z=0.0)):
@@ -888,6 +906,22 @@ def test_critical_field_call_stays_within_its_memory(critical_field):
     finally:
         tracemalloc.stop()
     assert peak <= 2.2 * 2**20
+
+
+def test_set_up_is_linear_in_the_levels():
+    # a 2+1 call at 240 levels allocates no (4(N+1))^2 array: the blocks come from
+    # the element list, not a dense H_0, H_z and pattern (18.2 MiB traced peak)
+    field = FieldConfig.from_magnetic_length(1.0)
+    pkt = GaussianPacket(d_x=1.5, d_y=1.2, k0x=0.5, a1=0.6, a2=0.8)
+    times = np.linspace(0.0, 200.0, 101)
+    oracle.evolve_expectations(pkt, field, times, 240)     # warm caches
+    tracemalloc.start()
+    try:
+        oracle.evolve_expectations(pkt, field, times, 240)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 2**20
 
 
 @pytest.mark.parametrize("t_end", [1e308, 8e307])
