@@ -45,8 +45,8 @@ class ConfigError(ValueError):
 
 
 def _is_number(value) -> bool:
-    """A finite JSON number; booleans and strings are not numbers."""
-    return type(value) in (int, float) and math.isfinite(value)
+    """A JSON number within the float range; booleans and strings are not numbers."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
 def _complex(value) -> complex | None:
@@ -76,7 +76,10 @@ TOLERANCE = _Kind(lambda v: _is_number(v) and v > 0 and 1.0 / v < math.inf, floa
 ZERO = _Kind(lambda v: _is_number(v) and v == 0, float,
              "0 (trajectories start at the origin)")
 COUNT = _Kind(lambda v: type(v) is int and v >= 0, int, "a non-negative integer")
-SAMPLES = _Kind(lambda v: type(v) is int and v >= 2, int, "an integer of at least 2")
+# the largest time grid: a trajectory run holds about 0.8 kB per sample, 8 GB here
+MAX_SAMPLES = 10**7
+SAMPLES = _Kind(lambda v: type(v) is int and 2 <= v <= MAX_SAMPLES, int,
+                f"an integer from 2 to {MAX_SAMPLES:,}")
 # the oracle's levels above n_max, the band it scans for leaked mass: with none, it
 # shares the series' cut and no scan sees the truncation
 GUARD = _Kind(lambda v: type(v) is int and v >= 1, int, "a positive integer")
@@ -175,7 +178,7 @@ def load_config(path: str) -> dict:
             raw = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:     # a JSONDecodeError, or an integer of too many digits
         raise ConfigError(f"config is not valid JSON: {exc}")
     return _checked(raw, SCHEMA)
 

@@ -37,20 +37,6 @@ block of a rung drops the k_z tail lines that cannot move a digit the rule
 certifies (`_screened`): about a quarter of its lines, whose |amplitudes| add
 up to at most eps A_c / C per channel.  `mixing_terms` sums its blocks whole.
 
-Memory: each series call (`_axial_sums`, `mixing_terms`, a 2+1 trajectory,
-`subpackets`) owns one `_Workspace` of named slots.  `_line_blocks` fills its
-(pairs, K) tables there (every float table in one slot, the amplitudes and
-frequencies in two more) and `_sum_lines` its tiles (the stacked rows and the
-offset table in one slot), in place, for every rung and class; the screen
-moves the kept lines to the front of the block's tables through tile-sized
-temporaries.  The class with the larger rule is summed first, so its first
-rung sizes every slot, and later ones are allocated only if a doubling needs
-larger ones.  With few slots, each of the size asked, a call's largest slot
-holds about half its memory; glibc's malloc trims freed memory only above
-twice the largest block it has freed, so the next call reuses these pages
-instead of faulting in new ones.  No module global holds a workspace, so
-calls on several threads share nothing.
-
 Natural units: lengths in Compton wavelengths, times in Compton times,
 velocities in c.  Positions are reported relative to the t = 0 centre, so
 every trajectory starts at the origin; the raw position-operator offset
@@ -74,7 +60,7 @@ from .units import FieldConfig, TimeRangeError
 
 PREF = 1.0 / (2.0 * math.sqrt(2.0))
 # line evaluator's tiles: 2 MiB, one core's share of a 4 MiB L2; the stacked rows and
-# the offset table of one tile share it, in slots of the call's `_Workspace`
+# the offset table of one tile share it
 TILE_ELEMENTS = 1 << 17
 SCREEN_TILE = TILE_ELEMENTS // 32    # lines `_screened` moves per step: its temporaries' size
 PARTS = ("all", "intraband", "interband")
@@ -152,30 +138,6 @@ class _Block(NamedTuple):
     peak: np.ndarray              # (pairs, K) largest |amps| over the channels, in scratch
 
 
-class _Workspace:
-    """Scratch arrays of one series call: named slots that every rung and class refill.
-
-    `take` returns a name's slot, shaped, from the name's first request on; a name
-    asked for more than its slot gets a new one of the size asked.  `_axial_sums`
-    sums the class with the larger rule first, so its first rung sizes every slot and
-    the later rungs and classes allocate none, unless a doubling asks for more.
-    Contents are whatever the last user left: every user overwrites or zeroes what
-    it reads.  A workspace lives for one call, never in a module global, so callers
-    on several threads share nothing.
-    """
-
-    def __init__(self) -> None:
-        self._slots: dict[str, np.ndarray] = {}
-
-    def take(self, name: str, shape: tuple[int, ...], dtype=float) -> np.ndarray:
-        dtype = np.dtype(dtype)
-        size = math.prod(shape) * dtype.itemsize
-        slot = self._slots.get(name)
-        if slot is None or slot.size < size:
-            slot = self._slots[name] = np.empty(size, np.uint8)
-        return slot[:size].view(dtype).reshape(shape)
-
-
 def _line_blocks(
     packet: GaussianPacket,
     coeffs: CoefficientSet,
@@ -185,7 +147,6 @@ def _line_blocks(
     parts: str,
     channels: tuple[int, ...] = (0, 1),
     sources: tuple[float, float, complex] | None = None,
-    workspace: _Workspace | None = None,
 ) -> Iterator[_Block]:
     """Every oscillation line, one block per class and one row per level pair (n, n+1).
 
@@ -202,8 +163,7 @@ def _line_blocks(
     n_max) for the second component alone, [1, n_max] for the first alone, else
     [0, n_max].  The weights default to |a2|^2, |a1|^2 and (L/sqrt2) a2* a1, the
     last 0 in 2+1 and at k0z = 0; (0, 0, 1) reads the bare mixing integrals J
-    in y.  With a `workspace`, both classes' blocks are the same tables filled
-    in place: read each before asking for the next.
+    in y.
     """
     L = field.magnetic_length
     n_pairs = coeffs.n_max
@@ -216,22 +176,18 @@ def _line_blocks(
     w_second, w_first, w_mixing = sources
     lo = 0 if w_second or w_mixing else 1
     hi = n_pairs + 1 if w_first or w_mixing else n_pairs
-    scratch = workspace or _Workspace()
     rows = hi - lo
     shape = (rows, nodes.size)
-    # every float table in one slot, blocks of rows over the K nodes: energies,
-    # two temporaries and the mixing integrals (if any)
-    stack = scratch.take("tables", (hi + 1 + (3 if w_mixing else 2) * rows, nodes.size))
-    energies = landau_energies(hi, nodes, field, stack[: hi + 1])
+    energies = landau_energies(hi, nodes, field)
     e_lo, e_hi = energies[lo:-1], energies[lo + 1:]      # (rows, K) each
-    first, second, j = (stack[hi + 1 + k * rows : hi + 1 + (k + 1) * rows] for k in range(3))
+    first, second = np.empty(shape), np.empty(shape)     # temporaries of both classes
     u = coeffs.u
     s = np.zeros(n_pairs + 2)                             # S_{n-1} at n, 0 off the ladder
     s[1:-1] = np.sqrt(np.arange(1.0, n_pairs + 1.0)) * (np.diagonal(u, 1) + np.diagonal(u, -1))
     s2, s1 = (source * PREF * L * s[k : k + rows, None]
               for source, k in ((w_second, lo + 1), (w_first, lo)))
     if w_mixing:
-        np.multiply(np.diagonal(u)[:, None], nodes, out=j)
+        j = np.diagonal(u)[:, None] * nodes
         np.multiply(j, field.omega, out=j)
         np.divide(j, np.multiply(e_lo, e_hi, out=first), out=j)
         np.multiply(j, weights, out=j)
@@ -243,11 +199,8 @@ def _line_blocks(
         if parts == ("intraband" if interband else "interband"):
             continue
         sign = -1.0 if interband else 1.0
-        # without a caller's workspace every block owns its tables
-        tables = workspace or _Workspace()
-        amps = tables.take("amps", (len(channels),) + shape, complex)
-        amps[...] = 0.0
-        freq = tables.take("freq", shape)
+        amps = np.zeros((len(channels),) + shape, complex)
+        freq = np.empty(shape)
         if interband:
             # lines less the carrier: E - 1 = (omega^2 n + k_z^2)/(1 + E) has no cancellation
             np.add(omega_sq * (n + 1.0), k_sq, out=freq)
@@ -303,7 +256,7 @@ def _time_grid(times: np.ndarray) -> tuple[float, float, int, np.ndarray]:
 
 def _sum_lines(
     freq: np.ndarray, amps: np.ndarray, times: np.ndarray, derivative: bool = False,
-    carrier: float = 0.0, workspace: _Workspace | None = None, top: float | None = None,
+    carrier: float = 0.0, top: float | None = None,
 ) -> np.ndarray:
     """Complex sums sum_rows amps[c] e^{-i (freq + carrier) t}, shape (C, T).
 
@@ -317,14 +270,13 @@ def _sum_lines(
     times the next derivative row where delta != 0.  Both tables grow by
     repeated products, each row from the previous one, so a line costs three
     complex exps per tile (two from t = 0); J = 1 is the direct sum, one exp
-    per sample.  Stacked rows count against TILE_ELEMENTS.  The tile buffers
-    come from `workspace`, so the calls of one series reuse them; the returned
-    sums are the caller's own.  Phases (freq + carrier) t whose rounding,
-    eps (freq + carrier) max|t|, exceeds a radian raise TimeRangeError before
-    any is formed: no digit of them is correct.  That bound also keeps every
-    phase and anchor step (J h <= 2 max|t|) far inside the float range.  `top`,
-    if given, stands in that check for max(freq): a screened table (`_screened`)
-    passes its whole block's, so a screen never hides a phase past the bound.
+    per sample.  Stacked rows count against TILE_ELEMENTS.  Phases (freq +
+    carrier) t whose rounding, eps (freq + carrier) max|t|, exceeds a radian
+    raise TimeRangeError before any is formed: no digit of them is correct.
+    That bound also keeps every phase and anchor step (J h <= 2 max|t|) far
+    inside the float range.  `top`, if given, stands in that check for
+    max(freq): a screened table (`_screened`) passes its whole block's, so a
+    screen never hides a phase past the bound.
     """
     freq = np.ravel(freq)
     top = (float(np.max(freq, initial=0.0)) if top is None else top) + carrier
@@ -339,20 +291,19 @@ def _sum_lines(
     orders = n_out + bool(np.any(delta))
     rows = orders * len(amps) * n_anchors
     r_step = min(freq.size, max(1, TILE_ELEMENTS // (rows + n_anchors + n_offsets)))
-    workspace = workspace or _Workspace()
-    tiles = workspace.take("tiles", (rows + n_offsets, r_step), complex)
+    # the stacked rows and the offset table in one array: as two, an envelope
+    # benchmark job took about 2,070 minor page faults after warm-up, as one none
+    tiles = np.empty((rows + n_offsets, r_step), complex)
     stacked, table = tiles[:rows], tiles[rows:]
     table[0] = 1.0
-    sums = workspace.take("sums", (rows, n_offsets), complex)
-    sums[...] = 0.0
+    sums = np.zeros((rows, n_offsets), complex)
     for r0 in range(0, freq.size, r_step):
         w = freq[r0 : r0 + r_step]
         tile, offsets = stacked[:, : w.size], table[:, : w.size]
         s = tile.reshape(orders, len(amps), n_anchors, w.size)
         a = amps[:, None, r0 : r0 + w.size]
         if n_offsets == 1:
-            phases = workspace.take("phases", (times.size, w.size), complex)
-            np.multiply.outer(-1j * times, w, out=phases)
+            phases = np.multiply.outer(-1j * times, w)
             np.multiply(a, np.exp(phases, out=phases), out=s[0])
         else:
             # three complex exps per line (two from t = 0) reduce w start,
@@ -370,7 +321,7 @@ def _sum_lines(
             np.multiply(s[m - 1], -1j * w, out=s[m])
         sums += tile @ offsets.T
     sums = sums.reshape(orders, len(amps), -1)[..., : times.size]
-    out = sums[:n_out] + delta * sums[1:] if orders > n_out else sums.copy()
+    out = sums[:n_out] + delta * sums[1:] if orders > n_out else sums
     if carrier:                   # 2 t is exact, so delta needs no carrier term
         out[1:] -= 1j * carrier * out[:-1]          # derivative rows, if any
         out *= np.exp(-1j * (carrier * times))
@@ -425,7 +376,6 @@ def _series(
     parts: str = "all",
     channels: tuple[int, ...] = (0, 1),
     derivative: bool = False,
-    workspace: _Workspace | None = None,
 ) -> tuple[np.ndarray, float]:
     """(Complex line sums of `channels` (0 is x, 1 is y), then derivatives; sum of |amps|).
 
@@ -434,10 +384,9 @@ def _series(
     channels, are not summed, while the mass A_c returned still counts them.
     """
     out, mass = 0.0, 0.0
-    workspace = workspace or _Workspace()
-    for block in _line_blocks(packet, coeffs, field, *rule, parts, channels, workspace=workspace):
+    for block in _line_blocks(packet, coeffs, field, *rule, parts, channels):
         freq, amps, top = _screened(block)
-        out = out + _sum_lines(freq, amps, times, derivative, block.carrier, workspace, top)
+        out = out + _sum_lines(freq, amps, times, derivative, block.carrier, top)
         mass += block.mass
     return out, mass
 
@@ -478,11 +427,8 @@ def _first_rule(packet: GaussianPacket, field: FieldConfig, times, rtol: float, 
 
 def _classes(packet: GaussianPacket, field: FieldConfig, times, rtol: float,
              parts: str) -> dict[str, int]:
-    """{line class: its first rule} for `parts`, the class with the larger rule first.
-
-    The first class's first rung then sizes every slot of the call's workspace."""
-    rules = {kind: _first_rule(packet, field, times, rtol, kind) for kind in _kinds(parts)}
-    return dict(sorted(rules.items(), key=lambda item: -item[1]))
+    """{line class: its first rule} for `parts`."""
+    return {kind: _first_rule(packet, field, times, rtol, kind) for kind in _kinds(parts)}
 
 
 def _axial_sums(
@@ -520,11 +466,9 @@ def _axial_sums(
         return ({kind: 1 for kind in _kinds(parts)},
                 _series(packet, coeffs, field, times, rule, parts, channels, derivative)[0])
 
-    workspace = _Workspace()      # every rung's tables and tiles, grown if a doubling needs more
-
     def rung_sum(kind, points, index=slice(None)):
         rule = tuple(v[index] for v in _fold(packet, axial_grid(packet, points)))
-        return _series(packet, coeffs, field, times, rule, kind, channels, derivative, workspace)
+        return _series(packet, coeffs, field, times, rule, kind, channels, derivative)
 
     needed = _classes(packet, field, times, rtol, parts)
     points = {kind: rule // 2 for kind, rule in needed.items()}
@@ -630,13 +574,11 @@ def mixing_terms(
         zero = np.zeros(times.size)
         return MixingSeries(times, zero, zero.copy(), zero * 0j, zero * 0j)
     # the signed grid: at k0z = 0 the cancellation is computed, not assumed
-    workspace = _Workspace()
     j = {}
     for kind, points in _classes(packet, field, times, kz_rtol, "all").items():
         (block,) = _line_blocks(packet, coeffs, field, *axial_grid(packet, points), kind, (1,),
-                                (0.0, 0.0, 1.0), workspace)
-        j[kind] = _sum_lines(block.freq, block.amps, times, carrier=block.carrier,
-                             workspace=workspace)[0].real
+                                (0.0, 0.0, 1.0))
+        j[kind] = _sum_lines(block.freq, block.amps, times, carrier=block.carrier)[0].real
     cross = 0.5 * np.conj(packet.a2) * packet.a1 * (j["intraband"] + j["interband"])
     return MixingSeries(times, j["intraband"], j["interband"], cross, np.conj(cross))
 

@@ -62,14 +62,11 @@ def landau_energy(n: int, k_z: float, field: FieldConfig) -> float:
     return math.sqrt(1.0 + field.omega**2 * n + k_z * k_z)
 
 
-def landau_energies(n_max: int, k_z, field: FieldConfig,
-                    out: np.ndarray | None = None) -> np.ndarray:
-    """E_{n,k_z} for n = 0..n_max; k_z may be an array (levels on axis 0).
-
-    `out`, of shape (n_max + 1,) + k_z's shape, receives the table in place."""
+def landau_energies(n_max: int, k_z, field: FieldConfig) -> np.ndarray:
+    """E_{n,k_z} for n = 0..n_max; k_z may be an array (levels on axis 0)."""
     n = np.arange(n_max + 1, dtype=float)
     kz = np.asarray(k_z, dtype=float)
-    energies = np.add(1.0 + field.omega**2 * n[(...,) + (None,) * kz.ndim], kz * kz, out=out)
+    energies = 1.0 + field.omega**2 * n[(...,) + (None,) * kz.ndim] + kz * kz
     return np.sqrt(energies, out=energies)
 
 

@@ -196,8 +196,8 @@ def _split_times(times: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return times, np.zeros(1), np.zeros(count)
 
 
-def _aliasing(pkt: packet_mod.GaussianPacket, e_sq: np.ndarray, pairs: list, t_max: float,
-              kz_order: int | None) -> tuple[int, float]:
+def _aliasing(pkt: packet_mod.GaussianPacket, e_sq: np.ndarray, bra: np.ndarray, ket: np.ndarray,
+              t_max: float, kz_order: int | None) -> tuple[int, float]:
     """(K, G): the k_z rule's node count and its aliasing over the trace weights' mass.
 
     The rule of spacing h = 2 AXIAL_HALF_WIDTH/(d_z K) (`packet.axial_grid`) adds
@@ -225,7 +225,7 @@ def _aliasing(pkt: packet_mod.GaussianPacket, e_sq: np.ndarray, pairs: list, t_m
                        / (2.0 * np.sqrt(e_sq[0] + k * e_sq[1] + k * k * e_sq[2])), axis=0)
     else:   # k^2 leaves the float range (d_z below about 4.9e-154): |E_b'| is sqrt(S2) there
         slope = np.sqrt(e_sq[2])
-    v_t = t_max * max(float(np.max(slope[bra] + slope[ket])) for bra, ket in pairs)
+    v_t = t_max * float(np.max(slope[bra] + slope[ket]))
     if kz_order is None:
         # ln(2/G) = X^2/(4 d_z^2) inside the strip, else X s - d_z^2 s^2 at its edge s
         log_g = math.log(2.0 / KZ_ALIAS)
@@ -352,7 +352,7 @@ def evolve_expectations(
     if pkt.dimensionality == "2+1":
         kz_nodes, weights, alias = np.zeros(1), np.ones(1), 0.0
     else:
-        kz_order, alias = _aliasing(pkt, e_sq, [(bra, ket)], t_max, kz_order)
+        kz_order, alias = _aliasing(pkt, e_sq, bra, ket, t_max, kz_order)
         kz_nodes, weights = packet_mod.axial_grid(pkt, kz_order)
     # numerators of the trace weights c, a, b, d (`_trace_weights`) as rows 1, k, k^2:
     # c, a E_ket, b E_bra and d E_bra E_ket, by (power, weight, operator, pair).  The

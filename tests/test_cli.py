@@ -441,6 +441,33 @@ def test_bad_config_value_names_its_key(tmp_path, capsys, command, section, key,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, key, value", [
+    pytest.param(command, key, value, id=f"{command}-{name}")
+    for command in ("trajectory", "sumrules")
+    for key, value, name in (("t_end", 10**401, "t_end-1e401"), ("t_end", -10**401, "t_end--1e401"),
+                             ("samples", 10**30, "samples-1e30"))
+] + [pytest.param("sumrules", "samples", cli.MAX_SAMPLES + 1, id="sumrules-samples-above-max")])
+def test_integer_beyond_its_range_is_a_config_error(tmp_path, capsys, command, key, value):
+    # an integer past the float range raised OverflowError in math.isfinite, and
+    # 10**30 samples a ValueError in np.linspace: exit 1 with a traceback.  One
+    # sample above the bound is checked on sumrules, which reads no time grid
+    payload = json.loads((CONFIG_DIR / "ion_trap.json").read_text())
+    payload["time"][key] = value
+    out = tmp_path / "out.json"
+    assert main([command, "--config", write_config(tmp_path, payload), "--output", str(out),
+                 "--format", "json"]) == EXIT_CONFIG
+    assert f"time.{key} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_integer_of_too_many_digits_is_a_config_error(tmp_path, capsys):
+    # json.load raised ValueError past Python's 4300-digit integer limit
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(small_config()).replace('"t_end": 10.0', '"t_end": ' + "9" * 5000))
+    assert main(["trajectory", "--config", str(path)]) == EXIT_CONFIG
+    assert "config is not valid JSON" in capsys.readouterr().err
+
+
 def test_kz_rtol_default_is_the_library_default(tmp_path):
     cfg = load_config(write_config(tmp_path, small_config()))
     assert _section(cfg, "numerics")["kz_rtol"] == dynamics.DEFAULT_KZ_RTOL

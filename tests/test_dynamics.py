@@ -294,9 +294,6 @@ def test_accepted_axial_rungs_follow_the_aliasing_bound():
         coeffs = coefficient_matrix(pkt, field)
         found[label] = dynamics._axial_sums(pkt, coeffs, field, times, rtol, parts, channels)[0]
     assert found == expected
-    # the class with the larger rule is summed first
-    assert all(list(rules.values()) == sorted(rules.values(), reverse=True)
-               for rules in found.values())
 
 
 def test_accepted_axial_rule_is_within_kz_rtol_of_twice_its_nodes():
@@ -420,10 +417,10 @@ def _recording(monkeypatch, times):
     sum_lines, line_blocks = dynamics._sum_lines, dynamics._line_blocks
     seen, nodes, channels = [], [], []
 
-    def counting(freq, amps, grid, derivative=False, carrier=0.0, workspace=None, top=None):
+    def counting(freq, amps, grid, derivative=False, carrier=0.0, top=None):
         assert np.array_equal(grid, times)
         seen.append(freq.shape)
-        return sum_lines(freq, amps, grid, derivative, carrier, workspace, top)
+        return sum_lines(freq, amps, grid, derivative, carrier, top)
 
     def recording(packet, coeffs, field, kz, weights, *args, **kwargs):
         assert kz.size == weights.size and np.all(weights > 0.0), "a node of no weight is summed"
@@ -474,7 +471,7 @@ def test_axial_rungs_are_summed_once_on_the_full_grid(critical_field, packet_3p1
                                                       monkeypatch):
     # each line class's accepted rule of K_c nodes (folded at k0z = 0) is summed
     # once, nested: its half, the rule of K_c/2, then its odd-index nodes, every
-    # sample each time, the class with the larger rule first, in one call per
+    # sample each time, the intraband class first, in one call per
     # class and rung with one row per level pair: n_max rows
     # for the second component alone, n_max + 1 once the first component and
     # the spin-mixing rows (k0z != 0) share them.  Every node of the grid is
@@ -496,9 +493,9 @@ def test_axial_rungs_are_summed_once_on_the_full_grid(critical_field, packet_3p1
 
     # the interband bounds ask for 461 and 565 nodes
     for packet, coeffs, rows, rules in (
-            (packet_3p1, coeffs_3p1, coeffs_3p1.n_max, {"interband": 512, "intraband": 112}),
+            (packet_3p1, coeffs_3p1, coeffs_3p1.n_max, {"intraband": 112, "interband": 512}),
             (mixed_packet_3p1, mixed_coeffs_3p1, mixed_coeffs_3p1.n_max + 1,
-             {"interband": 640, "intraband": 128})):
+             {"intraband": 128, "interband": 640})):
         for call, n_channels in ((dynamics.analytic_signal, (1,)), (dynamics.trajectory_3p1, (0, 1))):
             seen.clear()
             nodes.clear()
@@ -506,7 +503,7 @@ def test_axial_rungs_are_summed_once_on_the_full_grid(critical_field, packet_3p1
             screens.clear()
             call(packet, coeffs, critical_field, times)
             assert rungs[packet, n_channels] == rules
-            assert list(rungs[packet, n_channels]) == list(rules)     # interband first
+            assert list(rungs[packet, n_channels]) == list(rules)     # intraband first
             assert channels == [len(n_channels)] * 4
             halves = [grid(points // 2).size for points in rules.values()]
             odds = [grid(points, slice(1, None, 2)).size for points in rules.values()]
@@ -549,13 +546,13 @@ def test_axial_rule_doubles_while_the_returned_scale_needs_more_nodes(monkeypatc
 def test_mixing_terms_sums_only_the_two_signed_mixing_blocks(monkeypatch):
     # the mixing rows alone, each class on the signed grid of the rule the
     # aliasing bound gives it over the window (the trajectory's rules for
-    # mixing_3p1), the larger first, one call per class and y alone; no x/y
+    # mixing_3p1), intraband first, one call per class and y alone; no x/y
     # trajectory sum runs to choose them
     cfg = cli.load_config(str(CONFIG_DIR / "mixing_3p1.json"))
     field, _, pkt, num, coeffs = cli._build_everything(cfg)
     times = cli.resolve_times(cfg)
     rules = dynamics._axial_sums(pkt, coeffs, field, times, num["kz_rtol"])[0]
-    assert rules == {"interband": 112, "intraband": 64}
+    assert list(rules.items()) == [("intraband", 64), ("interband", 112)]
     seen, nodes, channels = _recording(monkeypatch, times)
     dynamics.mixing_terms(pkt, coeffs, field, times, num["kz_rtol"])
     assert len(nodes) == 2 and channels == [1, 1]
@@ -1131,7 +1128,7 @@ def envelope_signals():
 
 
 def test_analytic_signal_on_two_threads_matches_serial_bit_for_bit():
-    # every call owns its workspace: concurrent calls share no scratch array
+    # every table is allocated by the call that fills it: concurrent calls share none
     signals = envelope_signals()
     serial = [dynamics.analytic_signal(*args) for args in signals]
     with ThreadPoolExecutor(max_workers=2) as pool:
@@ -1144,21 +1141,12 @@ def test_analytic_signal_on_two_threads_matches_serial_bit_for_bit():
 @pytest.mark.parametrize("times", [np.linspace(0.0, 40.0, 161),
                                    np.r_[0.0, np.geomspace(0.5, 40.0, 60)]],
                          ids=["anchored", "direct"])
-def test_workspace_carries_nothing_from_one_call_to_the_next(critical_field, mixed_packet_3p1,
-                                                             mixed_coeffs_3p1, times):
-    # a sum on slots a larger sum laid out, or one that outgrows them, equals
-    # the same sum on a fresh workspace bit for bit: x, y and derivatives, the
-    # mixing rows, both classes, and both the anchored and the direct grid
+def test_a_series_call_carries_nothing_to_the_next(critical_field, mixed_packet_3p1,
+                                                   mixed_coeffs_3p1, times):
+    # on the anchored and the direct grid: each class of mixing_terms equals its
+    # own block summed alone, and a public call after a larger one equals it
+    # made alone, bit for bit
     args = mixed_packet_3p1, mixed_coeffs_3p1, critical_field
-    small, large = axial_grid(mixed_packet_3p1, 64), axial_grid(mixed_packet_3p1, 320)
-    for first, second in ((large, small), (small, large)):
-        for derivative in (False, True):
-            workspace = dynamics._Workspace()
-            dynamics._series(*args, times, first, "all", (0, 1), derivative, workspace)
-            got = dynamics._series(*args, times, second, "all", (0, 1), derivative, workspace)
-            want = dynamics._series(*args, times, second, "all", (0, 1), derivative)
-            assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
-    # mixing_terms keeps the first class's sums while the second reuses the tiles
     mix = dynamics.mixing_terms(*args, times)
     for kind in ("intraband", "interband"):
         rule = axial_grid(mixed_packet_3p1, dynamics._first_rule(
@@ -1166,7 +1154,6 @@ def test_workspace_carries_nothing_from_one_call_to_the_next(critical_field, mix
         (block,) = dynamics._line_blocks(*args, *rule, kind, (1,), (0.0, 0.0, 1.0))
         want = dynamics._sum_lines(block.freq, block.amps, times, carrier=block.carrier)[0].real
         assert (mix.j_minus if block.interband else mix.j_plus).tobytes() == want.tobytes()
-    # the public call after a larger one equals it made alone
     alone = dynamics.trajectory_3p1(*args, times[:41])
     dynamics.trajectory_3p1(*args, times)
     again = dynamics.trajectory_3p1(*args, times[:41])
@@ -1272,9 +1259,8 @@ def test_screened_top_lines_still_bound_the_time_grid(critical_field, packet_3p1
 
 
 def test_envelope_signals_stay_within_their_memory():
-    # the envelope benchmark's two signals: the workspace slots (2 MiB of them the
-    # time-grid tiles) and the screen's tile-sized temporaries.  They peak at 2.65
-    # MiB, screened or not, and at 2.92 with the kept lines moved in one whole copy
+    # the envelope benchmark's two signals: one block's line tables and the 2 MiB
+    # of time-grid tiles its sum allocates.  They peak at 2.48 MiB
     signals = envelope_signals()
     for args in signals:
         dynamics.analytic_signal(*args)            # warm caches
@@ -1282,6 +1268,23 @@ def test_envelope_signals_stay_within_their_memory():
     try:
         for args in signals:
             dynamics.analytic_signal(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.8 * 2**20
+
+
+def test_critical_field_trajectory_stays_within_its_memory(critical_field):
+    # one 3+1 trajectory with its derivative rows: the criterion-2 critical-field
+    # packet at 401 samples, whose tiles stack x, y, vx and vy.  It peaks at 2.51 MiB
+    pkt = GaussianPacket(d_x=1.5, d_y=1.5, d_z=1.8, k0x=0.998, a1=0.0, a2=1.0,
+                         dimensionality="3+1")
+    times = np.linspace(0.0, 200.0, 401)
+    args = pkt, coefficient_matrix(pkt, critical_field), critical_field, times
+    dynamics.trajectory_3p1(*args)                # warm caches
+    tracemalloc.start()
+    try:
+        dynamics.trajectory_3p1(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
