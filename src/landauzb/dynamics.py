@@ -24,18 +24,24 @@ Axial rule: the energies depend on k_z only through k_z^2, so for a packet
 with k0z = 0 every cyclotron and trembling line is even in k_z and the
 spin-mixing rows are odd.  The mixing rows then cancel and are not summed,
 and the signed k_z grid folds onto its k_z >= 0 half (`_fold`): K/2 + 1
-nodes for K.  Each line class has its own rule: `_axial_sums` sums the rule
-certified by the aliasing bound of `packet.axial_nodes` for that class, K_c =
-m 2^e nodes with m in 5..8 and 8 | K_c, each node once and nested over its
-half: the folded rule of K_c/2 is every other node of K_c's.  Interband lines
-move with k_z as E_n + E_{n+1}, intraband lines only as omega^2/(E_n + E_{n+1}),
-so the intraband rule is the smaller (256 against 2560 nodes on the
-collapse-revival packet).  All classes share one error ratio, so their bounds
-add up to the target.  `mixing_terms` alone keeps the signed grid, so the
-k0z = 0 cancellation stays a computed one.  Before the time-grid GEMM each
-block of a rung drops the k_z tail lines that cannot move a digit the rule
-certifies (`_screened`): about a quarter of its lines, whose |amplitudes| add
-up to at most eps A_c / C per channel.  `mixing_terms` sums its blocks whole.
+nodes for K.  Each line class has its own rule in each time window: K_c = m 2^e
+nodes with m in 5..8 and 8 | K_c, certified by an aliasing bound, each node
+summed once and nested over its half: the folded rule of K_c/2 is every other
+node of K_c's.  Interband lines move with k_z as E_n + E_{n+1}, intraband lines
+only as omega^2/(E_n + E_{n+1}), so the intraband rule is the smaller.  On the
+real axis (`packet.axial_nodes`) a rule grows with t, since it must resolve the
+chirp e^{-i alpha k_z^2 t} of every line.  So at k0z = 0 `_windows` splits a long
+grid from its end into windows (t/8, t] and sums a class there on the ray k_z = s
+e^{-i theta} of `packet.axial_ray` wherever that needs fewer nodes: chirp and
+density merge into one Gaussian in s, and tens of nodes do (64 against 1792 in
+the 20 T decay window).  The samples near t = 0, and every grid where no window
+pays for its extra sums, stay on the real axis.  The classes of a window share
+one error ratio, so their bounds add up to the target.  `mixing_terms` alone
+keeps the signed grid, so the k0z = 0 cancellation stays a computed one.  Before
+the time-grid GEMM each real-axis block of a rung drops the k_z tail lines that
+cannot move a digit the rule certifies (`_screened`): about a quarter of its
+lines, whose |amplitudes| add up to at most eps A_c / C per channel.  Ray blocks
+and `mixing_terms` are summed whole.
 
 Natural units: lengths in Compton wavelengths, times in Compton times,
 velocities in c.  Positions are reported relative to the t = 0 centre, so
@@ -54,8 +60,9 @@ import numpy as np
 
 from .landau import landau_energies
 # MAX_GRID_NODES and QuadratureConvergenceError stay importable from here
-from .packet import (AXIAL_FLOOR, MAX_GRID_NODES, CoefficientSet, DimensionalityError,
-                     GaussianPacket, QuadratureConvergenceError, axial_grid, axial_nodes)
+from .packet import (AXIAL_FLOOR, AXIAL_HALF_WIDTH, MAX_GRID_NODES, AxialRay, CoefficientSet,
+                     DimensionalityError, GaussianPacket, QuadratureConvergenceError, axial_grid,
+                     axial_nodes, axial_ray, ray_nodes)
 from .units import FieldConfig, TimeRangeError
 
 PREF = 1.0 / (2.0 * math.sqrt(2.0))
@@ -66,6 +73,11 @@ SCREEN_TILE = TILE_ELEMENTS // 32    # lines `_screened` moves per step: its tem
 PARTS = ("all", "intraband", "interband")
 DEFAULT_KZ_RTOL = 1e-9        # aliasing-bound target of the k_z rule, relative to the signal peak
 EPS = float(np.finfo(float).eps)
+WINDOW = 0.125                # a k_z ray's time window (WINDOW t, t]
+# line evaluations (level pairs x rows x folded nodes x samples) that cost about as
+# much as the fixed work of one `_series` call: about 250 us against 0.25 ns each,
+# measured on one core
+SERIES_CALL = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -150,6 +162,8 @@ def _line_blocks(
 ) -> Iterator[_Block]:
     """Every oscillation line, one block per class and one row per level pair (n, n+1).
 
+    Complex nodes and weights (a k_z ray, `packet.axial_grid`) give complex
+    frequencies and x and y amplitudes of any phase, by the same formulas.
     Only the amplitudes of `channels` are built, in that order: 0 is x, 1 is y.
     A row sums the sources weighted by sources = (w_second, w_first, w_mixing)
     at its frequency: row n takes s2 = w_second PREF L S_n, with S_n = sqrt(n+1)
@@ -180,7 +194,8 @@ def _line_blocks(
     shape = (rows, nodes.size)
     energies = landau_energies(hi, nodes, field)
     e_lo, e_hi = energies[lo:-1], energies[lo + 1:]      # (rows, K) each
-    first, second = np.empty(shape), np.empty(shape)     # temporaries of both classes
+    ray = energies.dtype.kind == "c"                     # complex nodes on a k_z ray
+    first, second = np.empty(shape, energies.dtype), np.empty(shape, energies.dtype)
     u = coeffs.u
     s = np.zeros(n_pairs + 2)                             # S_{n-1} at n, 0 off the ladder
     s[1:-1] = np.sqrt(np.arange(1.0, n_pairs + 1.0)) * (np.diagonal(u, 1) + np.diagonal(u, -1))
@@ -200,7 +215,7 @@ def _line_blocks(
             continue
         sign = -1.0 if interband else 1.0
         amps = np.zeros((len(channels),) + shape, complex)
-        freq = np.empty(shape)
+        freq = np.empty(shape, energies.dtype)
         if interband:
             # lines less the carrier: E - 1 = (omega^2 n + k_z^2)/(1 + E) has no cancellation
             np.add(omega_sq * (n + 1.0), k_sq, out=freq)
@@ -214,21 +229,23 @@ def _line_blocks(
         num *= weights
         for c, row in zip(channels, amps):
             if c:
-                y = np.divide(sign * s1, e_lo, out=row.real)
+                y = np.divide(sign * s1, e_lo, out=row if ray else row.real)
                 y += np.divide(s2, e_hi, out=second)
                 y *= num
             else:
-                x = np.multiply(num, -sign * (s2 + s1), out=row.imag)
+                x = np.multiply(num, -sign * (s2 + s1), out=row if ray else row.imag)
                 x /= e_lo
                 x /= e_hi
+                if ray:
+                    x *= 1j
         if w_mixing:
             for row, c in zip(amps, channel):
                 row.real += np.multiply(j, sign * c, out=first)
-        peak = np.abs(amps[0], out=first)
+        peak = np.abs(amps[0], out=first.real)
         mass = float(np.sum(peak))
         for row in amps[1:]:
-            mass += float(np.sum(np.abs(row, out=second)))
-            np.maximum(peak, second, out=peak)
+            mass += float(np.sum(np.abs(row, out=second.real)))
+            np.maximum(peak, second.real, out=peak)
         yield _Block(freq, amps, interband, n[:, 0], 2.0 * interband, mass, peak)
 
 
@@ -276,10 +293,11 @@ def _sum_lines(
     That bound also keeps every phase and anchor step (J h <= 2 max|t|) far
     inside the float range.  `top`, if given, stands in that check for
     max(freq): a screened table (`_screened`) passes its whole block's, so a
-    screen never hides a phase past the bound.
+    screen never hides a phase past the bound.  A complex table (lines on a k_z ray,
+    decaying as e^{Im(w) t} for t > 0) is checked on |freq|.
     """
     freq = np.ravel(freq)
-    top = (float(np.max(freq, initial=0.0)) if top is None else top) + carrier
+    top = (float(np.max(np.abs(freq), initial=0.0)) if top is None else top) + carrier
     t_max = float(np.max(np.abs(times)))
     if not EPS * top * t_max <= 1.0:      # also overflow and NaN
         raise TimeRangeError(f"phases of lines up to {top:.3g}/t_c over {t_max:.3g} t_c round by "
@@ -343,11 +361,15 @@ def _screened(block: _Block) -> tuple[np.ndarray, np.ndarray, float | None]:
     summed in place of the block.  Blocks of one node (2+1, about 40 lines and no
     k_z tail), those whose budget is zero, below the smallest normal float or not
     finite (a NaN mass must reach the gates), and those with nothing to drop are
-    returned whole, with top None: `_sum_lines` then reads their own maximum.
+    returned whole, with top None: `_sum_lines` then reads their own maximum.  So are
+    blocks on a k_z ray: their half-width already ends where their slowest line is
+    down by eps/1024, and the histogram and moves cost about what the few tail
+    lines left would save.
     """
     freq, amps = block.freq.reshape(-1), block.amps.reshape(len(block.amps), -1)
     budget = EPS * block.mass / len(amps)
-    if block.freq.shape[1] == 1 or not np.finfo(float).tiny <= budget < math.inf:
+    if (block.freq.shape[1] == 1 or np.iscomplexobj(block.freq)
+            or not np.finfo(float).tiny <= budget < math.inf):
         return freq, amps, None
     bits = block.peak.reshape(-1).view(np.int64)      # non-negative floats: sign bit 0
     np.right_shift(bits, 52, out=bits)
@@ -357,7 +379,7 @@ def _screened(block: _Block) -> tuple[np.ndarray, np.ndarray, float | None]:
     cut = int(np.searchsorted(bound, budget, "right")) - 1
     if cut < 0:
         return freq, amps, None
-    top, kept = float(np.max(freq)), 0
+    top, kept = float(np.max(np.abs(freq))), 0
     for start in range(0, bits.size, SCREEN_TILE):
         lines = bits[start : start + SCREEN_TILE] > cut
         for table in (freq, *amps):
@@ -431,6 +453,97 @@ def _classes(packet: GaussianPacket, field: FieldConfig, times, rtol: float,
     return {kind: _first_rule(packet, field, times, rtol, kind) for kind in _kinds(parts)}
 
 
+class AxialRule(NamedTuple):
+    """One line class's k_z rule over one time window, as `_axial_sums` summed it."""
+
+    kind: str                     # 'intraband' or 'interband'
+    span: tuple[float, float]     # first and last sample time of the window
+    theta: float                  # the rule's contour k_z = s e^{-i theta}; 0 is the real axis
+    half_width: float             # the grid spans |s| <= half_width (`packet.axial_grid`)
+    nodes: int                    # K, the grid's nodes before `_fold`
+    doublings: int                # rungs past the first rule the bound chose
+
+
+@dataclass
+class _Rung:
+    """The running state of one (line class, time window) of `_axial_sums`."""
+
+    kind: str
+    index: slice | np.ndarray     # the window's samples
+    ray: AxialRay | None          # None: the real axis
+    needed: int
+    points: int = 0
+    doublings: int = -1           # the first doubling completes the first rule
+    fine: np.ndarray | None = None
+    coarse: np.ndarray | None = None
+    mass: float = 0.0
+
+
+def _windows(packet: GaussianPacket, coeffs: CoefficientSet, field: FieldConfig,
+             times: np.ndarray, rtol: float, parts: str, rows: int) -> list[list[_Rung]]:
+    """The time windows, each one rung per line class: the ray's or the real axis' first rule.
+
+    Every call first sizes each class's real-axis rule over the whole grid (the
+    checks of `_first_rule` and `axial_nodes` run there).  A k0z = 0 grid of t >= 0
+    then splits from max t down into windows (t/8, t]: each class takes the ray of
+    `packet.axial_ray` over the window where `packet.ray_nodes` needs fewer nodes
+    than the real-axis rule of the samples up to t, which is also the window's own
+    (the rule depends on max |t| alone).  A window is split off while that saves
+    more line evaluations (level pairs x channels and derivatives x folded nodes x
+    samples, a rule of K nodes summed as K/2 + 1 folded ones) than the SERIES_CALL
+    each of its two rungs per class costs; the samples below it then take the
+    real-axis rule of their own maximum.  Where even rules of AXIAL_FLOOR nodes
+    would not pay, as where the real axis is already at the floor, no ray is
+    sized.  The split stops at the first window that does not pay or where no
+    class takes the ray, and the samples left, t = 0 among them, are one window on
+    the real axis.  Where no window is split off the whole grid is one window, as
+    it was.
+    """
+    whole = [_Rung(kind, slice(None), None, points)
+             for kind, points in _classes(packet, field, times, rtol, parts).items()]
+    if packet.k0z != 0.0 or not np.min(times) >= 0.0:
+        return [whole]
+
+    def work(rules, samples):
+        return rows * (coeffs.n_max + 1) * sum(points // 2 + 1 for points in rules) * samples
+
+    windows, rest, top = [], {rung.kind: rung.needed for rung in whole}, float(np.max(times))
+    while top > 0.0:
+        index = np.flatnonzero((times > WINDOW * top) & (times <= top))
+        below = np.flatnonzero(times <= WINDOW * top)
+        left = index.size + below.size
+        calls = 2 * len(rest) * SERIES_CALL if below.size else 0
+        if work(rest.values(), left) - work([AXIAL_FLOOR] * len(rest), left) <= calls:
+            break
+        if index.size:
+            chosen = []
+            for kind, real in rest.items():
+                ray = axial_ray(packet, field, times[index], kind, coeffs.n_max)
+                nodes = max(AXIAL_FLOOR, ray_nodes(ray, 1.0 / rtol))
+                chosen.append(_Rung(kind, index, *((ray, nodes) if nodes < real else (None, real))))
+            low = ({kind: _first_rule(packet, field, times[below], rtol, kind) for kind in rest}
+                   if below.size else {})
+            saved = (work(rest.values(), left) - work([rung.needed for rung in chosen], index.size)
+                     - work(low.values(), below.size))
+            if all(rung.ray is None for rung in chosen) or saved <= calls:
+                break
+            windows, rest = windows + [chosen], low
+        top = WINDOW * top if index.size else float(np.max(times[below]))
+    if not windows:
+        return [whole]
+    index = np.flatnonzero(times <= top)
+    last = [_Rung(kind, index, None, points) for kind, points in rest.items()]
+    return windows + [last] if last else windows
+
+
+def _assembled(rungs: list[_Rung], attr: str, size: int) -> np.ndarray:
+    """The sums `attr` of the rungs, each class added in its window's samples."""
+    out = np.zeros(getattr(rungs[0], attr).shape[:1] + (size,), complex)
+    for rung in rungs:
+        out[:, rung.index] += getattr(rung, attr)
+    return out
+
+
 def _axial_sums(
     packet: GaussianPacket,
     coeffs: CoefficientSet,
@@ -440,64 +553,82 @@ def _axial_sums(
     parts: str = "all",
     channels: tuple[int, ...] = (0, 1),
     derivative: bool = False,
-) -> tuple[dict[str, int], np.ndarray]:
-    """({line class: K_c}, `_series` sums, each class on its axial rule of K_c nodes).
+) -> tuple[list[AxialRule], np.ndarray]:
+    """([one `AxialRule` per line class and window], `_series` sums on those rules).
 
-    A 2+1 call sums each class at k_z = 0, K_c = 1.  In 3+1 each line class c of
-    `parts` has its own rule: `packet.axial_nodes` for c, for an error of rtol times
-    its amplitude mass A_c, folded (`_fold`) and summed once over its nodes, nested:
-    S_K = S_{K/2} / 2 + S_odd.  All classes share one ratio A/(rtol scale), A the sum
-    of the A_c and scale max(|y - y[0]|, |x|) of the combined position channels (0, 1)
-    or (1,), so the class bounds A_c/ratio add up to rtol times the scale; a class
-    doubles the same way while the bound on that scale needs more.  If every class's
-    bound covers its K_c/2 too, or the target lies below the rounding floor F eps A,
-    a combined |S - S_half| > rtol raises QuadratureConvergenceError at once.
-    F = 2 (ceil(T/J) + J + 4) counts the roundings of about eps behind one term
-    a z(t) of a sample in `_sum_lines`: three exps, ceil(T/J) - 1 anchor and J - 2
-    offset products, the amplitude's, the GEMM's and the carrier's exp and product
-    (4 in all where J = 1), twice for y - y[0].  The lines `_series` screens out of
-    each rung move a sum by at most eps A_c / C per channel, eps A over the classes,
-    at least eight times below that floor (F >= 8); A, the ratio and the floor
-    still count every line."""
+    A 2+1 call sums each class at k_z = 0, K = 1.  In 3+1 each line class c of
+    `parts` has its own rule in each time window (`_windows`), on the real axis
+    or on its ray: `packet.axial_nodes` or `packet.ray_nodes` for an error of rtol
+    times its amplitude mass A_c, folded (`_fold`) and summed once over its nodes,
+    nested: S_K = S_{K/2} / 2 + S_odd.  All classes of a window share one ratio
+    A/(rtol scale), A the sum of their A_c and scale max(|y - y[0]|, |x|) of the
+    combined position channels (0, 1) or (1,) over the whole grid, so the class
+    bounds A_c/ratio add up to rtol times the scale at every sample; a rule doubles
+    the same way while the bound on that scale needs more.  In a window where
+    every class's bound covers its K_c/2 too, or the target lies below the
+    rounding floor F eps A, a combined |S - S_half| > rtol raises
+    QuadratureConvergenceError at once.  F = 2 (ceil(T/J) + J + 4), of the T
+    samples of the window summed (`_time_grid`'s J for them), counts the roundings
+    of about eps behind one term a z(t) of a sample in `_sum_lines`: three exps,
+    ceil(T/J) - 1 anchor and J - 2 offset products, the amplitude's, the GEMM's and
+    the carrier's exp and product (4 in all where J = 1), twice for y - y[0]; the
+    call's floor is the largest over its windows: on the persistence envelope F
+    is 84 on the ray window's 350 samples and 38 on the 51 below it (90 for its
+    401 samples as one window), and 74 on the decay window's 257.  The lines `_series` screens out
+    of each rung move a sum by at most eps A_c / C per channel, eps A over the
+    classes, at least eight times below that floor (F >= 8); A, the ratio and the
+    floor still count every line."""
     if parts not in PARTS:
         raise ValueError(f"parts must be one of {PARTS}, not {parts!r}")
     if packet.dimensionality == "2+1":
         rule = np.zeros(1), np.ones(1)
-        return ({kind: 1 for kind in _kinds(parts)},
+        span = (float(times[0]), float(times[-1])) if times.size else (0.0, 0.0)
+        return ([AxialRule(kind, span, 0.0, 0.0, 1, 0) for kind in _kinds(parts)],
                 _series(packet, coeffs, field, times, rule, parts, channels, derivative)[0])
 
-    def rung_sum(kind, points, index=slice(None)):
-        rule = tuple(v[index] for v in _fold(packet, axial_grid(packet, points)))
-        return _series(packet, coeffs, field, times, rule, kind, channels, derivative)
+    def rung_sum(rung, points, index=slice(None)):
+        rule = tuple(v[index] for v in _fold(packet, axial_grid(packet, points, rung.ray)))
+        return _series(packet, coeffs, field, times[rung.index], rule, rung.kind, channels,
+                       derivative)
 
-    needed = _classes(packet, field, times, rtol, parts)
-    points = {kind: rule // 2 for kind, rule in needed.items()}
-    fine, mass = {}, {}
-    for kind in needed:
-        fine[kind], mass[kind] = rung_sum(kind, points[kind])
-    coarse = {}
-    while any(points[kind] < needed[kind] for kind in needed):
-        for kind in needed:
-            if points[kind] < needed[kind]:
-                odd, odd_mass = rung_sum(kind, 2 * points[kind], slice(1, None, 2))
-                points[kind], coarse[kind] = 2 * points[kind], fine[kind]
-                fine[kind], mass[kind] = 0.5 * fine[kind] + odd, 0.5 * mass[kind] + odd_mass
-        pos = sum(fine.values())[: len(channels)].real       # (x, y) or (y,)
+    windows = _windows(packet, coeffs, field, times, rtol, parts, len(channels) * (1 + derivative))
+    rungs = [rung for window in windows for rung in window]
+    for rung in rungs:
+        rung.points = rung.needed // 2
+        rung.fine, rung.mass = rung_sum(rung, rung.points)
+    while any(rung.points < rung.needed for rung in rungs):
+        for rung in rungs:
+            if rung.points < rung.needed:
+                odd, odd_mass = rung_sum(rung, 2 * rung.points, slice(1, None, 2))
+                rung.points, rung.coarse = 2 * rung.points, rung.fine
+                rung.fine, rung.mass = 0.5 * rung.fine + odd, 0.5 * rung.mass + odd_mass
+                rung.doublings += 1
+        pos = _assembled(rungs, "fine", times.size)[: len(channels)].real    # (x, y) or (y,)
         scale = max(np.max(np.abs(pos[-1] - pos[-1, 0])), np.max(np.abs(pos[:-1]), initial=0.0))
         if scale == 0.0:          # positions that cannot move over the grid set no target
             raise QuadratureConvergenceError(math.nan, 0.0)
-        ratio = sum(mass.values()) / (rtol * scale)
-        # a NaN scale sizes nothing: leave the loop for the gate below
-        needed = {kind: points[kind] if math.isnan(ratio)
-                  else axial_nodes(packet, field, times, ratio, kind) for kind in needed}
-    achieved = float(np.max(np.abs(pos - sum(coarse.values())[: len(channels)].real)) / scale)
-    n_offsets = _time_grid(times)[2]
-    rounds = 4 + (-(-times.size // n_offsets) + n_offsets if n_offsets > 1 else 0)
-    floor = 2.0 * rounds * EPS * sum(mass.values())          # F eps A
-    covered = all(2 * needed[kind] <= points[kind] for kind in needed)
-    if not achieved <= rtol and (covered or not floor <= rtol * scale):
-        raise QuadratureConvergenceError(achieved, rtol)
-    return points, sum(fine.values())
+        for window in windows:
+            ratio = sum(rung.mass for rung in window) / (rtol * scale)
+            for rung in window:
+                # a NaN scale sizes nothing: leave the loop for the gate below
+                rung.needed = (rung.points if math.isnan(ratio) else
+                               ray_nodes(rung.ray, ratio) if rung.ray else
+                               axial_nodes(packet, field, times[rung.index], ratio, rung.kind))
+    error = np.abs(pos - _assembled(rungs, "coarse", times.size)[: len(channels)].real)
+    for window in windows:
+        samples = times[window[0].index]
+        achieved = float(np.max(error[:, window[0].index]) / scale)
+        n_offsets = _time_grid(samples)[2]
+        rounds = 4 + (-(-samples.size // n_offsets) + n_offsets if n_offsets > 1 else 0)
+        floor = 2.0 * rounds * EPS * sum(rung.mass for rung in window)       # F eps A
+        covered = all(2 * rung.needed <= rung.points for rung in window)
+        if not achieved <= rtol and (covered or not floor <= rtol * scale):
+            raise QuadratureConvergenceError(achieved, rtol)
+    records = [AxialRule(rung.kind, (float(times[rung.index][0]), float(times[rung.index][-1])),
+                         rung.ray.theta if rung.ray else 0.0,
+                         rung.ray.half_width if rung.ray else AXIAL_HALF_WIDTH / packet.d_z,
+                         rung.points, rung.doublings) for rung in rungs]
+    return records, _assembled(rungs, "fine", times.size)
 
 
 def _trajectory(packet, coeffs, field, times, parts, kz_rtol) -> Trajectory:

@@ -63,9 +63,14 @@ def landau_energy(n: int, k_z: float, field: FieldConfig) -> float:
 
 
 def landau_energies(n_max: int, k_z, field: FieldConfig) -> np.ndarray:
-    """E_{n,k_z} for n = 0..n_max; k_z may be an array (levels on axis 0)."""
+    """E_{n,k_z} for n = 0..n_max; k_z may be an array (levels on axis 0).
+
+    A complex k_z (a node on a rotated k_z contour) gives the principal roots;
+    any other input is taken as float.
+    """
     n = np.arange(n_max + 1, dtype=float)
-    kz = np.asarray(k_z, dtype=float)
+    kz = np.asarray(k_z)
+    kz = kz if kz.dtype.kind == "c" else kz.astype(float, copy=False)
     energies = 1.0 + field.omega**2 * n[(...,) + (None,) * kz.ndim] + kz * kz
     return np.sqrt(energies, out=energies)
 

@@ -20,6 +20,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass, field as dataclass_field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -306,7 +307,8 @@ def coefficient_matrix(
     return coeffs
 
 
-def axial_grid(packet: GaussianPacket, points: int) -> tuple[np.ndarray, np.ndarray]:
+def axial_grid(packet: GaussianPacket, points: int,
+               ray: AxialRay | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Uniform k_z rule against |g_z|^2 dk_z, nested under doubling.
 
     Nodes k0z + h (j - points/2), j < points, with h = 2 AXIAL_HALF_WIDTH/(d_z points),
@@ -315,10 +317,18 @@ def axial_grid(packet: GaussianPacket, points: int) -> tuple[np.ndarray, np.ndar
     and for `points` divisible by 4 its even-index nodes with doubled weights are
     exactly the rule with points/2 nodes.  (Symmetric grids without the centre
     node are not nested this way: for a k_z-even integrand their even-index half
-    has the same error as the full grid.)
+    has the same error as the full grid.)  With `ray` (k0z = 0) the nodes are s e^{-i
+    theta}, s = h (j - points/2) with h = 2 half_width/points, and the weights the
+    density there times e^{-i theta} h: the same rule on the contour, nested alike.
     """
     if packet.dimensionality != "3+1":
         raise DimensionalityError("axial nodes require a 3+1 packet")
+    if ray is not None:
+        turn = complex(math.cos(ray.theta), -math.sin(ray.theta))
+        step = 2.0 * ray.half_width / points
+        k = turn * (step * (np.arange(points) - points // 2))
+        density = math.sqrt(packet.d_z**2 / math.pi) * np.exp(-packet.d_z**2 * (k * k))
+        return k, density * (turn * step)
     step = 2.0 * AXIAL_HALF_WIDTH / (packet.d_z * points)
     k = packet.k0z + step * (np.arange(points) - points // 2)
     density = math.sqrt(packet.d_z**2 / math.pi) * np.exp(-packet.d_z**2 * (k - packet.k0z) ** 2)
@@ -365,8 +375,13 @@ def _intraband_strip_slope(omega_sq: float, y: float, edge: float) -> float:
 
 def axial_nodes(packet: GaussianPacket, field: FieldConfig, times, ratio: float,
                 kind: str = "interband") -> int:
-    """Fewest k_z nodes K = m 2^e (m in 5..8, 8 | K) aliasing `kind`'s lines under 1/ratio.
+    """Fewest real-axis k_z nodes K = m 2^e (m in 5..8, 8 | K) aliasing `kind`'s lines
+    under 1/ratio.
 
+    The bound grows with max |t|: the lines' chirp e^{-i alpha k_z^2 t} must be
+    resolved on the real axis.  For k0z = 0 and t > 0, `axial_ray` and `ray_nodes`
+    size a rule on the steepest-descent contour instead, whose node count does not
+    grow so; `dynamics._windows` takes whichever of the two needs fewer nodes.
     The rule of spacing h = 2 AXIAL_HALF_WIDTH/(d_z K) (`axial_grid`) adds copies
     shifted by 2 pi m/h (Poisson summation; Trefethen & Weideman, SIAM Rev. 56:385,
     2014).  Moved to Im k_z = y within the strip |y| < 1 (E_0 branches at +-i), a
@@ -409,13 +424,103 @@ def axial_nodes(packet: GaussianPacket, field: FieldConfig, times, ratio: float,
         # k/E_n is 1 to rounding at every field the config admits
         slope = (edge * float(np.sum(1.0 / landau_energies(1, edge, field)))
                  if edge * edge < math.inf else 2.0)
-    bound = AXIAL_HALF_WIDTH / (math.pi * d_z) * (slope * t_max + tail)
+    return _rule_size(AXIAL_HALF_WIDTH / (math.pi * d_z) * (slope * t_max + tail))
+
+
+def _rule_size(bound: float) -> int:
+    """The fewest nodes K = m 2^e (m in 5..8, 8 | K) at or above `bound`, at most MAX_GRID_NODES."""
     need = max(1, math.ceil(min(bound, 2.0**62)))     # ratio may be inf
     grain = 1 << max(3, (need - 1).bit_length() - 3)  # 2^e
     nodes = grain * -(-need // grain)
     if nodes > MAX_GRID_NODES:
         raise QuadratureConvergenceError(nodes_needed=nodes)
     return nodes
+
+
+# `axial_ray`'s half-widths, from the density's own down by 2^(-1/16) steps, its
+# shifts Im s, from the largest down by sqrt 2 steps, and its points along the line
+_RAY_LADDER = 2.0 ** (-np.arange(161) / 16.0)
+_RAY_SHIFTS = 2.0 ** (-0.5 * np.arange(8))
+_RAY_LINE = np.linspace(-1.0, 1.0, 33)
+
+
+class AxialRay(NamedTuple):
+    """The k_z contour k = s e^{-i theta}, |s| <= half_width, and its aliasing costs."""
+
+    theta: float
+    half_width: float
+    costs: tuple[tuple[float, float], ...]    # (y, C): a copy moved to Im s = +-y grows by e^C
+
+
+def _ray_growth(field: FieldConfig, kind: str, pairs, k: np.ndarray) -> np.ndarray:
+    """Im w(k) of `kind`'s lines of the pairs (n, n+1), n in `pairs`: (pairs,) + k.shape."""
+    n = np.reshape(np.asarray(pairs, dtype=float), (-1,) + (1,) * k.ndim)
+    k_sq = k * k
+    e_lo = np.sqrt(1.0 + field.omega**2 * n + k_sq)
+    e_hi = np.sqrt(1.0 + field.omega**2 * (n + 1.0) + k_sq)
+    return (e_lo + e_hi if kind == "interband" else field.omega**2 / (e_lo + e_hi)).imag
+
+
+def axial_ray(packet: GaussianPacket, field: FieldConfig, times, kind: str,
+              n_max: int) -> AxialRay:
+    """The steepest-descent k_z contour of `kind`'s lines over sample times t > 0 (k0z = 0).
+
+    Near k_z = 0 a line e^{-i w t} is a chirp e^{-i alpha k^2 t}, alpha = dw/d(k^2)
+    at 0: (1/E_n + 1/E_{n+1})/2 > 0 interband, -omega^2 (1/E_n + 1/E_{n+1})/(2 (E_n
+    + E_{n+1})^2) < 0 intraband.  On k = s e^{-i theta}, theta = arg(d_z^2 + i alpha_c
+    t_w)/2 (alpha_c and t_w the geometric means of the pairs (0, 1) and (n_max,
+    n_max + 1) and of the window's ends), chirp and density e^{-d_z^2 k^2} merge into
+    one real Gaussian in s (Huybrechs & Vandewalle, SIAM J. Numer. Anal. 44:1026,
+    2006), and every line decays: Im w < 0 for s != 0, t > 0, since theta has the
+    sign of alpha.  The principal roots E_n are analytic in |arg(+-k)| < pi/4, where
+    the density falls, so by Cauchy's theorem the ray keeps every integral.
+    |Im w| falls with n (`_intraband_strip_slope`), so the pair (n_max, n_max + 1)
+    at the earliest time decays slowest: the ray ends at the first s of a ladder
+    2^(-j/16) below the density's own width where that line is down by eps/1024,
+    like `axial_grid`'s edge.  Moved to Im s = y inside the strip |y| < cos theta,
+    which keeps the branch points of E_0 at k = +-i off the line, the integrand is
+    at most e^M, M(y) the largest t Im w - d_z^2 Re k^2 over |x| <= half_width on
+    33 points, over both ends of the window (it is linear in t) and both pairs
+    above (the extremes of Im w in n).  The integral over the line, its two copies
+    m = +-1 and the sum over |m| then lie within P e^{M(y)} of the amplitude mass,
+    P = 8 half_width d_z sqrt(cos(2 theta)/pi), the mass of the lines on the ray
+    being that of their density |e^{-d_z^2 k^2}|.  The costs are C = M + ln P on
+    eight y a factor sqrt 2 apart from min(cos theta, 0.75 half_width) down, where
+    the optimum sqrt(ln ratio/G) of a Gaussian e^{-G s^2} this wide falls.
+    """
+    t_lo, t_hi = float(np.min(times)), float(np.max(times))
+    d_sq, omega_sq = packet.d_z**2, field.omega**2
+    e = [math.sqrt(1.0 + omega_sq * n) for n in (0.0, 1.0, n_max, n_max + 1.0)]
+    rates = [0.5 * (1.0 / a + 1.0 / b) * (1.0 if kind == "interband" else -omega_sq / (a + b) ** 2)
+             for a, b in (e[:2], e[2:])]
+    theta = 0.5 * math.atan2(math.copysign(math.sqrt(rates[0] * rates[1]), rates[0])
+                             * math.sqrt(t_lo * t_hi), d_sq)
+    turn, cos_2 = complex(math.cos(theta), -math.sin(theta)), math.cos(2.0 * theta)
+    s = AXIAL_HALF_WIDTH / (packet.d_z * math.sqrt(cos_2)) * _RAY_LADDER
+    k = turn * s
+    fall = d_sq * (k * k).real - t_lo * _ray_growth(field, kind, (n_max,), k)[0]
+    half_width = float(s[max(np.count_nonzero(fall >= AXIAL_HALF_WIDTH**2) - 1, 0)])
+    y = min(math.cos(theta), 0.75 * half_width) * _RAY_SHIFTS
+    k = turn * (half_width * _RAY_LINE + 1j * y[:, None])
+    growth = _ray_growth(field, kind, (0, n_max), k)
+    log = np.maximum(t_lo * growth, t_hi * growth) - d_sq * (k * k).real
+    spread = math.log(8.0 * half_width * packet.d_z * math.sqrt(cos_2 / math.pi))
+    costs = np.max(log, axis=(0, 2)) + spread
+    return AxialRay(theta, half_width, tuple(zip(y.tolist(), costs.tolist())))
+
+
+def ray_nodes(ray: AxialRay, ratio: float) -> int:
+    """Fewest nodes K = m 2^e (8 | K) on `ray` aliasing its lines under 1/ratio of their mass.
+
+    Spacing h = 2 half_width/K puts a copy at most e^{C(y) - 2 pi y/h} of the
+    mass (`axial_ray`): K >= half_width (ln ratio + C(y))/(pi y), at the best y
+    of the ray's costs, rounded as in `axial_nodes`.
+    """
+    if math.isnan(ratio):
+        raise QuadratureConvergenceError(math.nan, math.nan)
+    log_ratio = math.log(max(ratio, 1.0))
+    return _rule_size(min(ray.half_width * (log_ratio + cost) / (math.pi * y)
+                          for y, cost in ray.costs))
 
 
 @dataclass(frozen=True)

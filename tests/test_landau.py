@@ -57,6 +57,25 @@ def test_energies_table_matches_scalar(critical_field):
     assert math.isclose(table[7, 1], landau_energy(7, 0.4, critical_field), rel_tol=1e-15)
 
 
+def test_complex_axial_wavenumbers_give_principal_roots(critical_field):
+    # nodes on a rotated k_z contour: each energy is the principal root of
+    # 1 + omega^2 n + k_z^2, where a float cast kept only Re k_z (k_z = 0.5 e^{-0.3 i}
+    # gave 1.108 and 1.797 with a ComplexWarning); a real table stays bit for bit
+    kz = np.array([0.5, 1.0, 1.5]) * np.exp(-1j * np.array([0.3, 0.7, -0.7]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = landau_energies(6, kz, critical_field)
+        real = landau_energies(6, kz.real, critical_field)
+    assert table.dtype == complex and real.dtype == float
+    for n in range(7):
+        for k, value in zip(kz, table[n]):
+            want = cmath.sqrt(1.0 + critical_field.omega**2 * n + k * k)
+            assert abs(value - want) <= 4 * np.finfo(float).eps * abs(want)
+    n = np.arange(7.0)[:, None]
+    assert real.tobytes() == np.sqrt(1.0 + critical_field.omega**2 * n + kz.real**2).tobytes()
+    assert landau_energies(2, 0.5, critical_field).dtype == float
+
+
 def line_frequencies(field, d_x, d_y, k0x):
     """Intraband and interband line frequencies by level, as the 2+1 series
     (k_z = 0) sums them, for the levels this packet populates."""

@@ -6,6 +6,7 @@ the sum it replaces, one exp per (line, sample), written out here.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from landauzb import dynamics
 from landauzb.dynamics import _sum_lines, _time_grid
+from landauzb.units import TimeRangeError
 
 EPS = np.finfo(float).eps
 
@@ -192,3 +194,18 @@ def test_sweep_matches_direct_sum(times, phase_scale, count, channels, derivativ
     rows = np.concatenate([amps, -1j * full * amps] if derivative else [amps])
     bound = np.abs(rows) @ (1e-13 + 16 * EPS * full * t_max)
     assert np.all(np.max(np.abs(got - want), axis=1) <= bound)
+
+
+def test_a_complex_line_table_is_checked_on_its_modulus():
+    # lines on a k_z ray have complex frequencies w, each decaying as e^{Im(w) t}:
+    # a phase rounds by eps |w| t, so the range check reads |w|.  Here eps Re(w) t
+    # stays below 1e-3 rad while eps |w| t passes a radian; max(freq) of a complex
+    # table ordered it by Re w and float() of it dropped Im w with a ComplexWarning
+    freq, amps = np.array([1.0 - 1.0e3j]), np.ones((1, 1), complex)
+    edge = 1.0 / (EPS * abs(freq[0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        inside = _sum_lines(freq, amps, np.linspace(0.0, 0.5 * edge, 3))
+        assert inside[0, 0] == 1.0 and np.all(np.isfinite(inside))
+        with pytest.raises(TimeRangeError, match=r"lines up to 1e\+03/t_c"):
+            _sum_lines(freq, amps, np.linspace(0.0, 2.0 * edge, 3))
