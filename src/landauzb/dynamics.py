@@ -12,7 +12,8 @@ cosine line has a real amplitude a, a sine line carries i a.  Velocities are
 the Heisenberg time derivatives, so a velocity line has amplitude -i w a at
 the same frequency.  `_line_blocks` derives the amplitudes of the channels
 a caller reads, x (0) and y (1), all sources of a level pair and class in one
-row, and `_sum_lines` evaluates every phase.  Interband lines are summed as a
+row, and `_sum_lines` evaluates every phase, of all the tables a time window
+sums in a round, in one call.  Interband lines are summed as a
 beat r = (E_hi - 1) + (E_lo - 1) on an exact carrier of two rest energies, so
 a phase rounds by about eps r t, not eps (2 + r) t.
 On a uniform grid t = start + c J h + j h, two arithmetic progressions (plus,
@@ -27,7 +28,10 @@ and the signed k_z grid folds onto its k_z >= 0 half (`_fold`): K/2 + 1
 nodes for K.  Each line class has its own rule in each time window: K_c = m 2^e
 nodes with m in 5..8 and 8 | K_c, certified by an aliasing bound, each node
 summed once and nested over its half: the folded rule of K_c/2 is every other
-node of K_c's.  Interband lines move with k_z as E_n + E_{n+1}, intraband lines
+node of K_c's, so one `_line_blocks` pass over K_c's grid yields both (`split`).
+One `_sum_lines` call sums every class of a window: the halves and odd nodes of
+the first rules, then in each doubling round the odd nodes of every class still
+doubling.  Interband lines move with k_z as E_n + E_{n+1}, intraband lines
 only as omega^2/(E_n + E_{n+1}), so the intraband rule is the smaller.  On the
 real axis (`packet.axial_nodes`) a rule grows with t, since it must resolve the
 chirp e^{-i alpha k_z^2 t} of every line.  So at k0z = 0 `_windows` splits a long
@@ -54,7 +58,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -67,16 +71,18 @@ from .units import FieldConfig, TimeRangeError
 
 PREF = 1.0 / (2.0 * math.sqrt(2.0))
 # line evaluator's tiles: 2 MiB, one core's share of a 4 MiB L2; the stacked rows and
-# the offset table of one tile share it
+# the offset table of one tile share it, and a tile holds consecutive pieces of the
+# tables of a call
 TILE_ELEMENTS = 1 << 17
 SCREEN_TILE = TILE_ELEMENTS // 32    # lines `_screened` moves per step: its temporaries' size
 PARTS = ("all", "intraband", "interband")
 DEFAULT_KZ_RTOL = 1e-9        # aliasing-bound target of the k_z rule, relative to the signal peak
 EPS = float(np.finfo(float).eps)
 WINDOW = 0.125                # a k_z ray's time window (WINDOW t, t]
-# line evaluations (level pairs x rows x folded nodes x samples) that cost about as
-# much as the fixed work of one `_series` call: about 250 us against 0.25 ns each,
-# measured on one core
+# line evaluations (level pairs x rows x folded nodes x samples) that `_windows` charges
+# for each extra rung sum of a class: the fixed work of one `_series` call when each rung
+# sum was one, about 250 us against 0.25 ns each, measured on one core.  A window's
+# sums are now one `_sum_lines` call per round; the value stays, and so does every rule
 SERIES_CALL = 1 << 20
 
 
@@ -159,6 +165,7 @@ def _line_blocks(
     parts: str,
     channels: tuple[int, ...] = (0, 1),
     sources: tuple[float, float, complex] | None = None,
+    split: bool = False,
 ) -> Iterator[_Block]:
     """Every oscillation line, one block per class and one row per level pair (n, n+1).
 
@@ -177,8 +184,16 @@ def _line_blocks(
     n_max) for the second component alone, [1, n_max] for the first alone, else
     [0, n_max].  The weights default to |a2|^2, |a1|^2 and (L/sqrt2) a2* a1, the
     last 0 in 2+1 and at k0z = 0; (0, 0, 1) reads the bare mixing integrals J
-    in y.
+    in y.  With split=True the nodes are a rule of K (`axial_grid`, folded or not)
+    and each class yields two blocks from one pass over them: the even-index
+    nodes with doubled weights, which are the rule of K/2, then the odd-index
+    nodes.  Each has its own tables, mass and peak, bit for bit those of a call
+    on its nodes alone.
     """
+    half = -(-nodes.size // 2)
+    if split:
+        nodes = np.concatenate((nodes[::2], nodes[1::2]))
+        weights = np.concatenate((2.0 * weights[::2], weights[1::2]))
     L = field.magnetic_length
     n_pairs = coeffs.n_max
     if sources is None:
@@ -241,12 +256,17 @@ def _line_blocks(
         if w_mixing:
             for row, c in zip(amps, channel):
                 row.real += np.multiply(j, sign * c, out=first)
-        peak = np.abs(amps[0], out=first.real)
-        mass = float(np.sum(peak))
-        for row in amps[1:]:
-            mass += float(np.sum(np.abs(row, out=second.real)))
-            np.maximum(peak, second.real, out=peak)
-        yield _Block(freq, amps, interband, n[:, 0], 2.0 * interband, mass, peak)
+        for cols in (slice(None, half), slice(half, None)) if split else (slice(None),):
+            lines, table, peak, other = freq[:, cols], amps[..., cols], first.real, second.real
+            if split:             # contiguous, so that each mass is summed as alone
+                lines, table = np.ascontiguousarray(lines), np.ascontiguousarray(table)
+                peak, other = (np.empty(lines.shape, energies.dtype).real for _ in range(2))
+            np.abs(table[0], out=peak)
+            mass = float(np.sum(peak))
+            for row in table[1:]:
+                mass += float(np.sum(np.abs(row, out=other)))
+                np.maximum(peak, other, out=peak)
+            yield _Block(lines, table, interband, n[:, 0], 2.0 * interband, mass, peak)
 
 
 def _time_grid(times: np.ndarray) -> tuple[float, float, int, np.ndarray]:
@@ -272,63 +292,87 @@ def _time_grid(times: np.ndarray) -> tuple[float, float, int, np.ndarray]:
 
 
 def _sum_lines(
-    freq: np.ndarray, amps: np.ndarray, times: np.ndarray, derivative: bool = False,
-    carrier: float = 0.0, top: float | None = None,
-) -> np.ndarray:
-    """Complex sums sum_rows amps[c] e^{-i (freq + carrier) t}, shape (C, T).
+    tables: list[tuple[np.ndarray, np.ndarray, float, float | None]], times: np.ndarray,
+    derivative: bool = False,
+) -> list[np.ndarray]:
+    """Complex sums sum_rows amps[c] e^{-i (freq + carrier) t}, shape (C, T), one per table.
 
-    With derivative=True the C time derivatives (amplitudes -i (freq + carrier)
-    amps) follow as C more rows.  The tables below hold freq alone: their sums
-    S take e^{-i carrier t} of the exact samples at the end, and S' gains
-    -i carrier S.  With t = start + c J h + j h + delta (`_time_grid`),
+    Each table (freq, amps, carrier, top) has the same C channels.  With
+    derivative=True the C time derivatives (amplitudes -i (freq + carrier) amps)
+    follow as C more rows.  The tables below hold freq alone: their sums S take
+    e^{-i carrier t} of the exact samples at the end, and S' gains -i carrier S.
+    With t = start + c J h + j h + delta (`_time_grid`),
     e^{-i w t} = e^{-i w start} (e^{-i w J h})^c (e^{-i w h})^j (1 - i w delta):
-    a tile of lines is one GEMM of a e^{-i w start} (e^{-i w J h})^c, stacked
-    over (row, anchor c), with the offset table (e^{-i w h})^j, plus delta
-    times the next derivative row where delta != 0.  Both tables grow by
-    repeated products, each row from the previous one, so a line costs three
-    complex exps per tile (two from t = 0); J = 1 is the direct sum, one exp
-    per sample.  Stacked rows count against TILE_ELEMENTS.  Phases (freq +
-    carrier) t whose rounding, eps (freq + carrier) max|t|, exceeds a radian
-    raise TimeRangeError before any is formed: no digit of them is correct.
-    That bound also keeps every phase and anchor step (J h <= 2 max|t|) far
-    inside the float range.  `top`, if given, stands in that check for
-    max(freq): a screened table (`_screened`) passes its whole block's, so a
-    screen never hides a phase past the bound.  A complex table (lines on a k_z ray,
-    decaying as e^{Im(w) t} for t > 0) is checked on |freq|.
+    a tile of lines is one GEMM per table piece of a e^{-i w start} (e^{-i w J h})^c,
+    stacked over (row, anchor c), with the offset table (e^{-i w h})^j, plus delta
+    times the next derivative row where delta != 0.  Both tables grow by repeated
+    products, each row from the previous one, so a line costs three complex exps
+    (two from t = 0); J = 1 is the direct sum, one exp per sample.  Stacked rows
+    count against TILE_ELEMENTS: each table is cut every r_max lines from its own
+    start, and consecutive pieces share a tile while they fit, so every sum is bit
+    for bit that of its table summed alone.  Phases (freq + carrier) t
+    whose rounding, eps (freq + carrier) max|t|, exceeds a radian raise
+    TimeRangeError before any is formed: no digit of them is correct.  That bound
+    also keeps every phase and anchor step (J h <= 2 max|t|) far inside the float
+    range.  `top`, if given, stands in that check for max(freq): a screened table
+    (`_screened`) passes its whole block's, so a screen never hides a phase past
+    the bound.  A complex table (lines on a k_z ray, decaying as e^{Im(w) t} for
+    t > 0) is checked on |freq|.
     """
-    freq = np.ravel(freq)
-    top = (float(np.max(np.abs(freq), initial=0.0)) if top is None else top) + carrier
     t_max = float(np.max(np.abs(times)))
-    if not EPS * top * t_max <= 1.0:      # also overflow and NaN
-        raise TimeRangeError(f"phases of lines up to {top:.3g}/t_c over {t_max:.3g} t_c round by "
-                             "more than a radian or leave the float range; shorten the time grid")
-    amps = np.reshape(amps, (len(amps), freq.size))
+    lines = []
+    for freq, amps, carrier, top in tables:
+        freq = np.ravel(freq)
+        top = (float(np.max(np.abs(freq), initial=0.0)) if top is None else top) + carrier
+        if not EPS * top * t_max <= 1.0:      # also overflow and NaN
+            raise TimeRangeError(f"phases of lines up to {top:.3g}/t_c over {t_max:.3g} t_c round "
+                                 "by more than a radian or leave the float range; shorten the "
+                                 "time grid")
+        lines.append((freq, np.reshape(amps, (len(amps), freq.size))))
     start, step, n_offsets, delta = _time_grid(times)
     n_anchors = -(-times.size // n_offsets)
     n_out = 2 if derivative else 1
     orders = n_out + bool(np.any(delta))
-    rows = orders * len(amps) * n_anchors
-    r_step = min(freq.size, max(1, TILE_ELEMENTS // (rows + n_anchors + n_offsets)))
+    channels = len(lines[0][1])
+    rows = orders * channels * n_anchors
+    r_max = max(1, TILE_ELEMENTS // (rows + n_anchors + n_offsets))
+    groups, width = [], r_max     # tiles of pieces: (table, its lines, their tile columns)
+    for i, (freq, _) in enumerate(lines):
+        for r0 in range(0, freq.size, r_max):
+            size = min(r_max, freq.size - r0)
+            # numpy runs a one-line tile's products through its strided loops, which
+            # round complex products differently: a one-line piece keeps its own tile
+            if width + size > r_max or 1 in (size, width):
+                groups.append([])
+                width = 0
+            groups[-1].append((i, slice(r0, r0 + size), slice(width, width + size)))
+            width += size
     # the stacked rows and the offset table in one array: as two, an envelope
     # benchmark job took about 2,070 minor page faults after warm-up, as one none
-    tiles = np.empty((rows + n_offsets, r_step), complex)
+    tiles = np.empty((rows + n_offsets, min(r_max, sum(freq.size for freq, _ in lines))), complex)
     stacked, table = tiles[:rows], tiles[rows:]
     table[0] = 1.0
-    sums = np.zeros((rows, n_offsets), complex)
-    for r0 in range(0, freq.size, r_step):
-        w = freq[r0 : r0 + r_step]
+    sums = np.zeros((len(lines), rows, n_offsets), complex)
+    for group in groups:
+        w = np.concatenate([lines[i][0][part] for i, part, _ in group])
         tile, offsets = stacked[:, : w.size], table[:, : w.size]
-        s = tile.reshape(orders, len(amps), n_anchors, w.size)
-        a = amps[:, None, r0 : r0 + w.size]
+        s = tile.reshape(orders, channels, n_anchors, w.size)
         if n_offsets == 1:
             phases = np.multiply.outer(-1j * times, w)
-            np.multiply(a, np.exp(phases, out=phases), out=s[0])
+            np.exp(phases, out=phases)
+            for i, part, cols in group:
+                np.multiply(lines[i][1][:, None, part], phases[:, cols], out=s[0, ..., cols])
         else:
             # three complex exps per line (two from t = 0) reduce w start,
             # w J h and w h once each; every product after them adds about
             # eps, so a chain of at most J or ceil(T/J) rows stays at the
             # eps w t floor
-            s[0, :, 0] = a[:, 0] * np.exp(-1j * start * w) if start else a[:, 0]
+            turn = np.exp(-1j * start * w) if start else None
+            for i, part, cols in group:
+                if start:
+                    np.multiply(lines[i][1][:, part], turn[cols], out=s[0, :, 0, cols])
+                else:
+                    s[0, :, 0, cols] = lines[i][1][:, part]
             ratio = np.exp(-1j * (n_offsets * step) * w)
             for c in range(1, n_anchors):
                 np.multiply(s[0, :, c - 1], ratio, out=s[0, :, c])
@@ -337,17 +381,20 @@ def _sum_lines(
                 np.multiply(offsets[j - 1], offsets[1], out=offsets[j])
         for m in range(1, orders):
             np.multiply(s[m - 1], -1j * w, out=s[m])
-        sums += tile @ offsets.T
-    sums = sums.reshape(orders, len(amps), -1)[..., : times.size]
-    out = sums[:n_out] + delta * sums[1:] if orders > n_out else sums
-    if carrier:                   # 2 t is exact, so delta needs no carrier term
-        out[1:] -= 1j * carrier * out[:-1]          # derivative rows, if any
-        out *= np.exp(-1j * (carrier * times))
-    return out.reshape(-1, times.size)
+        for i, _, cols in group:
+            sums[i] += tile[:, cols] @ offsets[:, cols].T
+    sums = sums.reshape(len(lines), orders, channels, -1)[..., : times.size]
+    out = sums[:, :n_out] + delta * sums[:, 1:] if orders > n_out else sums
+    for sums_i, (_, _, carrier, _) in zip(out, tables):
+        if carrier:               # 2 t is exact, so delta needs no carrier term
+            sums_i[1:] -= 1j * carrier * sums_i[:-1]          # derivative rows, if any
+            sums_i *= np.exp(-1j * (carrier * times))
+    return [sums_i.reshape(-1, times.size) for sums_i in out]
 
 
-def _screened(block: _Block) -> tuple[np.ndarray, np.ndarray, float | None]:
-    """(freq, amps) of the block's lines that can move its sum, and the top frequency of all.
+def _screened(block: _Block) -> tuple[np.ndarray, np.ndarray, float, float | None]:
+    """The `_sum_lines` table (freq, amps, carrier, top) of the block's lines that can move its
+    sum, with the top frequency of all.
 
     A 3+1 block drops its weakest lines, the k_z tails, while their |amps| in each
     of its C channels add up to at most eps A_c / C, A_c the block's mass: C times
@@ -370,7 +417,7 @@ def _screened(block: _Block) -> tuple[np.ndarray, np.ndarray, float | None]:
     budget = EPS * block.mass / len(amps)
     if (block.freq.shape[1] == 1 or np.iscomplexobj(block.freq)
             or not np.finfo(float).tiny <= budget < math.inf):
-        return freq, amps, None
+        return freq, amps, block.carrier, None
     bits = block.peak.reshape(-1).view(np.int64)      # non-negative floats: sign bit 0
     np.right_shift(bits, 52, out=bits)
     last = math.frexp(budget)[1] + 1021       # the last bin whose edge is within the budget
@@ -378,7 +425,7 @@ def _screened(block: _Block) -> tuple[np.ndarray, np.ndarray, float | None]:
     bound = np.cumsum(np.ldexp(counts, np.arange(-1022, last - 1021)))     # counts x bin edges
     cut = int(np.searchsorted(bound, budget, "right")) - 1
     if cut < 0:
-        return freq, amps, None
+        return freq, amps, block.carrier, None
     top, kept = float(np.max(np.abs(freq))), 0
     for start in range(0, bits.size, SCREEN_TILE):
         lines = bits[start : start + SCREEN_TILE] > cut
@@ -386,7 +433,7 @@ def _screened(block: _Block) -> tuple[np.ndarray, np.ndarray, float | None]:
             moved = table[start : start + lines.size][lines]
             table[kept : kept + moved.size] = moved
         kept += moved.size
-    return freq[:kept], amps[:, :kept], top
+    return freq[:kept], amps[:, :kept], block.carrier, top
 
 
 def _series(
@@ -403,14 +450,25 @@ def _series(
 
     Each block on a rule of more than one k_z node is screened first (`_screened`):
     its weakest lines, whose |amps| add up to at most eps A_c / C in each of its C
-    channels, are not summed, while the mass A_c returned still counts them.
+    channels, are not summed, while the mass A_c returned still counts them.  The
+    classes are summed in one `_sum_lines` call.
     """
     out, mass = 0.0, 0.0
-    for block in _line_blocks(packet, coeffs, field, *rule, parts, channels):
-        freq, amps, top = _screened(block)
-        out = out + _sum_lines(freq, amps, times, derivative, block.carrier, top)
-        mass += block.mass
+    for sums, block_mass in _summed(_line_blocks(packet, coeffs, field, *rule, parts, channels),
+                                    times, derivative):
+        out = out + sums
+        mass += block_mass
     return out, mass
+
+
+def _summed(blocks: Iterable[_Block], times: np.ndarray,
+            derivative: bool) -> list[tuple[np.ndarray, float]]:
+    """(sums, mass) of each block, every block screened as it comes, all summed in one call."""
+    tables, masses = [], []
+    for block in blocks:          # a block's peak is scratch the next one may reuse
+        tables.append(_screened(block))
+        masses.append(block.mass)
+    return list(zip(_sum_lines(tables, times, derivative), masses))
 
 
 def _fold(
@@ -445,12 +503,6 @@ def _first_rule(packet: GaussianPacket, field: FieldConfig, times, rtol: float, 
     if not (0.0 < rtol < math.inf and 1.0 / float(rtol) < math.inf):
         raise ValueError(f"kz_rtol must be finite, positive and of finite reciprocal, not {rtol!r}")
     return max(AXIAL_FLOOR, axial_nodes(packet, field, times, 1.0 / rtol, kind))
-
-
-def _classes(packet: GaussianPacket, field: FieldConfig, times, rtol: float,
-             parts: str) -> dict[str, int]:
-    """{line class: its first rule} for `parts`."""
-    return {kind: _first_rule(packet, field, times, rtol, kind) for kind in _kinds(parts)}
 
 
 class AxialRule(NamedTuple):
@@ -488,20 +540,32 @@ def _windows(packet: GaussianPacket, coeffs: CoefficientSet, field: FieldConfig,
     then splits from max t down into windows (t/8, t]: each class takes the ray of
     `packet.axial_ray` over the window where `packet.ray_nodes` needs fewer nodes
     than the real-axis rule of the samples up to t, which is also the window's own
-    (the rule depends on max |t| alone).  A window is split off while that saves
-    more line evaluations (level pairs x channels and derivatives x folded nodes x
-    samples, a rule of K nodes summed as K/2 + 1 folded ones) than the SERIES_CALL
-    each of its two rungs per class costs; the samples below it then take the
-    real-axis rule of their own maximum.  Where even rules of AXIAL_FLOOR nodes
+    (the rule depends on max |t| alone).  There a real-axis rule past
+    MAX_GRID_NODES only sets the baseline, the nodes it needs: QuadratureConvergenceError
+    is raised if no window splits off or a real-axis window needs that many (a ray's
+    rule past the cap raises in `packet.ray_nodes`).  A window is split off while
+    that saves more line evaluations (level pairs x channels and derivatives x
+    folded nodes x samples, a rule of K nodes summed as K/2 + 1 folded ones) than
+    the 2 SERIES_CALL charged per class for its extra sums; the samples below it
+    then take the real-axis rule of their own maximum.  Where even rules of AXIAL_FLOOR nodes
     would not pay, as where the real axis is already at the floor, no ray is
     sized.  The split stops at the first window that does not pay or where no
     class takes the ray, and the samples left, t = 0 among them, are one window on
     the real axis.  Where no window is split off the whole grid is one window, as
     it was.
     """
-    whole = [_Rung(kind, slice(None), None, points)
-             for kind, points in _classes(packet, field, times, rtol, parts).items()]
-    if packet.k0z != 0.0 or not np.min(times) >= 0.0:
+    split = packet.k0z == 0.0 and np.min(times) >= 0.0
+
+    def real_rule(samples, kind):
+        try:
+            return _first_rule(packet, field, samples, rtol, kind)
+        except QuadratureConvergenceError as error:
+            if not split or error.nodes_needed is None:
+                raise
+            return error.nodes_needed         # past the cap: raised below if it is summed
+
+    whole = [_Rung(kind, slice(None), None, real_rule(times, kind)) for kind in _kinds(parts)]
+    if not split:
         return [whole]
 
     def work(rules, samples):
@@ -521,19 +585,20 @@ def _windows(packet: GaussianPacket, coeffs: CoefficientSet, field: FieldConfig,
                 ray = axial_ray(packet, field, times[index], kind, coeffs.n_max)
                 nodes = max(AXIAL_FLOOR, ray_nodes(ray, 1.0 / rtol))
                 chosen.append(_Rung(kind, index, *((ray, nodes) if nodes < real else (None, real))))
-            low = ({kind: _first_rule(packet, field, times[below], rtol, kind) for kind in rest}
-                   if below.size else {})
+            low = {kind: real_rule(times[below], kind) for kind in rest} if below.size else {}
             saved = (work(rest.values(), left) - work([rung.needed for rung in chosen], index.size)
                      - work(low.values(), below.size))
             if all(rung.ray is None for rung in chosen) or saved <= calls:
                 break
             windows, rest = windows + [chosen], low
         top = WINDOW * top if index.size else float(np.max(times[below]))
-    if not windows:
-        return [whole]
     index = np.flatnonzero(times <= top)
     last = [_Rung(kind, index, None, points) for kind, points in rest.items()]
-    return windows + [last] if last else windows
+    windows = (windows + [last] if last else windows) if windows else [whole]
+    for rung in (rung for window in windows for rung in window):
+        if rung.needed > MAX_GRID_NODES:      # a real-axis rule: `ray_nodes` raises itself
+            raise QuadratureConvergenceError(nodes_needed=rung.needed)
+    return windows
 
 
 def _assembled(rungs: list[_Rung], attr: str, size: int) -> np.ndarray:
@@ -554,7 +619,7 @@ def _axial_sums(
     channels: tuple[int, ...] = (0, 1),
     derivative: bool = False,
 ) -> tuple[list[AxialRule], np.ndarray]:
-    """([one `AxialRule` per line class and window], `_series` sums on those rules).
+    """([one `AxialRule` per line class and window], the line sums on those rules).
 
     A 2+1 call sums each class at k_z = 0, K = 1.  In 3+1 each line class c of
     `parts` has its own rule in each time window (`_windows`), on the real axis
@@ -574,32 +639,38 @@ def _axial_sums(
     the carrier's exp and product (4 in all where J = 1), twice for y - y[0]; the
     call's floor is the largest over its windows: on the persistence envelope F
     is 84 on the ray window's 350 samples and 38 on the 51 below it (90 for its
-    401 samples as one window), and 74 on the decay window's 257.  The lines `_series` screens out
-    of each rung move a sum by at most eps A_c / C per channel, eps A over the
+    401 samples as one window), and 74 on the decay window's 257.  The lines screened out
+    of each rung (`_screened`) move a sum by at most eps A_c / C per channel, eps A over the
     classes, at least eight times below that floor (F >= 8); A, the ratio and the
     floor still count every line."""
     if parts not in PARTS:
         raise ValueError(f"parts must be one of {PARTS}, not {parts!r}")
     if packet.dimensionality == "2+1":
         rule = np.zeros(1), np.ones(1)
-        span = (float(times[0]), float(times[-1])) if times.size else (0.0, 0.0)
+        span = (float(times[0]), float(times[-1]))
         return ([AxialRule(kind, span, 0.0, 0.0, 1, 0) for kind in _kinds(parts)],
                 _series(packet, coeffs, field, times, rule, parts, channels, derivative)[0])
 
-    def rung_sum(rung, points, index=slice(None)):
-        rule = tuple(v[index] for v in _fold(packet, axial_grid(packet, points, rung.ray)))
-        return _series(packet, coeffs, field, times[rung.index], rule, rung.kind, channels,
-                       derivative)
+    def blocks(rung):
+        # the first rule as its half and its odd nodes, then each doubling's odd nodes
+        split = not rung.points
+        rule = _fold(packet, axial_grid(packet, 2 * rung.points or rung.needed, rung.ray))
+        return _line_blocks(packet, coeffs, field, *(v if split else v[1::2] for v in rule),
+                            rung.kind, channels, split=split)
 
     windows = _windows(packet, coeffs, field, times, rtol, parts, len(channels) * (1 + derivative))
     rungs = [rung for window in windows for rung in window]
-    for rung in rungs:
-        rung.points = rung.needed // 2
-        rung.fine, rung.mass = rung_sum(rung, rung.points)
     while any(rung.points < rung.needed for rung in rungs):
-        for rung in rungs:
-            if rung.points < rung.needed:
-                odd, odd_mass = rung_sum(rung, 2 * rung.points, slice(1, None, 2))
+        for window in windows:
+            doubling = [rung for rung in window if rung.points < rung.needed]
+            if not doubling:
+                continue
+            found = iter(_summed((block for rung in doubling for block in blocks(rung)),
+                                 times[window[0].index], derivative))
+            for rung in doubling:
+                if not rung.points:
+                    rung.points, (rung.fine, rung.mass) = rung.needed // 2, next(found)
+                odd, odd_mass = next(found)
                 rung.points, rung.coarse = 2 * rung.points, rung.fine
                 rung.fine, rung.mass = 0.5 * rung.fine + odd, 0.5 * rung.mass + odd_mass
                 rung.doublings += 1
@@ -631,8 +702,16 @@ def _axial_sums(
     return records, _assembled(rungs, "fine", times.size)
 
 
-def _trajectory(packet, coeffs, field, times, parts, kz_rtol) -> Trajectory:
+def _sample_times(times) -> np.ndarray:
+    """`times` as a float array; an empty grid is a TimeRangeError."""
     times = np.asarray(times, dtype=float)
+    if not times.size:
+        raise TimeRangeError("the time grid is empty; give at least one sample time")
+    return times
+
+
+def _trajectory(packet, coeffs, field, times, parts, kz_rtol) -> Trajectory:
+    times = _sample_times(times)
     if parts == "all" and times[0] != 0.0:
         raise ValueError("time grids must start at t = 0")
     _, sums = _axial_sums(packet, coeffs, field, times, kz_rtol, parts, derivative=True)
@@ -700,18 +779,19 @@ def mixing_terms(
     `packet.axial_nodes` gives that class for kz_rtol times their amplitude mass
     (their k0z = 0 sum is rounding).
     """
-    times = np.asarray(times, dtype=float)
+    times = _sample_times(times)
     if packet.dimensionality == "2+1":
         zero = np.zeros(times.size)
         return MixingSeries(times, zero, zero.copy(), zero * 0j, zero * 0j)
     # the signed grid: at k0z = 0 the cancellation is computed, not assumed
-    j = {}
-    for kind, points in _classes(packet, field, times, kz_rtol, "all").items():
-        (block,) = _line_blocks(packet, coeffs, field, *axial_grid(packet, points), kind, (1,),
-                                (0.0, 0.0, 1.0))
-        j[kind] = _sum_lines(block.freq, block.amps, times, carrier=block.carrier)[0].real
-    cross = 0.5 * np.conj(packet.a2) * packet.a1 * (j["intraband"] + j["interband"])
-    return MixingSeries(times, j["intraband"], j["interband"], cross, np.conj(cross))
+    rules = [(kind, _first_rule(packet, field, times, kz_rtol, kind)) for kind in PARTS[1:]]
+    blocks = [block for kind, points in rules
+              for block in _line_blocks(packet, coeffs, field, *axial_grid(packet, points), kind,
+                                        (1,), (0.0, 0.0, 1.0))]
+    j_plus, j_minus = (sums[0].real for sums in _sum_lines(
+        [(block.freq, block.amps, block.carrier, None) for block in blocks], times))
+    cross = 0.5 * np.conj(packet.a2) * packet.a1 * (j_plus + j_minus)
+    return MixingSeries(times, j_plus, j_minus, cross, np.conj(cross))
 
 
 def subpackets(
@@ -733,7 +813,7 @@ def subpackets(
         raise DimensionalityError("subpackets are defined for the 2+1 model")
     if packet.a1 != 0:
         raise ValueError("subpackets need a pure second-component packet")
-    times = np.asarray(times, dtype=float)
+    times = _sample_times(times)
     (x, y), _ = _series(packet, coeffs, field, times, (np.zeros(1), np.ones(1)))
     lowering_1 = (PREF / field.magnetic_length) * (y + 1j * x)
     raising_2 = (PREF / field.magnetic_length) * (y - 1j * x)
@@ -788,7 +868,7 @@ def analytic_signal(
     envelope varies on beat timescales only, so collapse/revival and decay
     analyses can sample far more sparsely than the carrier would require.
     """
-    times = np.asarray(times, dtype=float)
+    times = _sample_times(times)
     return _axial_sums(packet, coeffs, field, times, kz_rtol, parts, (1,))[1][0]
 
 

@@ -293,6 +293,8 @@ def evolve_expectations(
     Positions are relative to the t=0 centre, as in the analytic series.
     """
     times = np.asarray(times, dtype=float)
+    if not times.size:
+        raise TimeRangeError("the time grid is empty; give at least one sample time")
     t_max = float(np.max(np.abs(times)))
     spin, gram, shift = _density_from_nodes(pkt, field, n_levels)
     size = n_levels + 1

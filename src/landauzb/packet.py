@@ -486,7 +486,9 @@ def axial_ray(packet: GaussianPacket, field: FieldConfig, times, kind: str,
     P = 8 half_width d_z sqrt(cos(2 theta)/pi), the mass of the lines on the ray
     being that of their density |e^{-d_z^2 k^2}|.  The costs are C = M + ln P on
     eight y a factor sqrt 2 apart from min(cos theta, 0.75 half_width) down, where
-    the optimum sqrt(ln ratio/G) of a Gaussian e^{-G s^2} this wide falls.
+    the optimum sqrt(ln ratio/G) of a Gaussian e^{-G s^2} this wide falls.  A half-width
+    whose square leaves the float range (d_z near its lower bound) costs C = inf, so
+    `ray_nodes` asks for more than the cap.
     """
     t_lo, t_hi = float(np.min(times)), float(np.max(times))
     d_sq, omega_sq = packet.d_z**2, field.omega**2
@@ -497,6 +499,8 @@ def axial_ray(packet: GaussianPacket, field: FieldConfig, times, kind: str,
                              * math.sqrt(t_lo * t_hi), d_sq)
     turn, cos_2 = complex(math.cos(theta), -math.sin(theta)), math.cos(2.0 * theta)
     s = AXIAL_HALF_WIDTH / (packet.d_z * math.sqrt(cos_2)) * _RAY_LADDER
+    if not float(s[0]) * float(s[0]) < math.inf:     # k^2 leaves the float range: no finite rule
+        return AxialRay(theta, float(s[0]), ((1.0, math.inf),))
     k = turn * s
     fall = d_sq * (k * k).real - t_lo * _ray_growth(field, kind, (n_max,), k)[0]
     half_width = float(s[max(np.count_nonzero(fall >= AXIAL_HALF_WIDTH**2) - 1, 0)])

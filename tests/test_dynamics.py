@@ -458,19 +458,22 @@ def test_interband_lines_track_extended_precision_energies(label, tol):
 
 
 def _recording(monkeypatch, times, grids=None):
-    """Patch `_sum_lines` and `_line_blocks` to record (sum shapes, nodes, channels).
+    """Patch `_sum_lines` and `_line_blocks` to record (table shapes, nodes, channels).
 
-    Every sum runs over `times`, or is appended to `grids` if that is given."""
+    `seen` gets the freq shape of every table summed, in call order, `nodes` the
+    k_z nodes of every `_line_blocks` call (a split rule whole) and `channels` those
+    of every block.  Every sum runs over `times`, or each call's grid is appended
+    to `grids` if that is given."""
     sum_lines, line_blocks = dynamics._sum_lines, dynamics._line_blocks
     seen, nodes, channels = [], [], []
 
-    def counting(freq, amps, grid, derivative=False, carrier=0.0, top=None):
+    def counting(tables, grid, derivative=False):
         if grids is None:
             assert np.array_equal(grid, times)
         else:
             grids.append(grid)
-        seen.append(freq.shape)
-        return sum_lines(freq, amps, grid, derivative, carrier, top)
+        seen.extend(np.shape(table[0]) for table in tables)
+        return sum_lines(tables, grid, derivative)
 
     def recording(packet, coeffs, field, kz, weights, *args, **kwargs):
         assert kz.size == weights.size and np.all(np.abs(weights) > 0.0), \
@@ -491,9 +494,9 @@ def _screen_recording(monkeypatch):
 
     def recording(block):
         freq, amps = block.freq.copy(), block.amps.copy()
-        kept_freq, kept_amps, top = screened(block)
-        records.append((freq, amps, block.mass, kept_freq.copy(), kept_amps.copy()))
-        return kept_freq, kept_amps, top
+        table = screened(block)
+        records.append((freq, amps, block.mass, table[0].copy(), table[1].copy()))
+        return table
 
     monkeypatch.setattr(dynamics, "_screened", recording)
     return records
@@ -521,17 +524,18 @@ def test_axial_rungs_are_summed_once_on_the_full_grid(critical_field, packet_3p1
                                                       mixed_packet_3p1, mixed_coeffs_3p1,
                                                       monkeypatch):
     # the rule record lists exactly the nodes summed.  Each (line class, window)
-    # rule of K nodes on its contour (folded at k0z = 0) is summed once, nested: its
-    # half, the rule of K/2, then its odd-index nodes, over the window's samples,
-    # each class of a window in turn (intraband first), in one call per class and
-    # rung with one row per level pair: n_max rows for the second component alone,
-    # n_max + 1 once the first component and the spin-mixing rows (k0z != 0) share
-    # them.  Every node of each grid is summed, and no other node is.  A block holds
-    # only the channels its caller reads: y for analytic_signal, x and y for a
-    # trajectory.  Each line of a real-axis rung's rows is either summed or screened,
-    # the screened ones within eps A_c / C in each channel; a ray's block is summed
-    # whole.  At k0z = 0 the critical-field trajectory splits: rays over (25, 200],
-    # the real axis below; with k0z != 0 it is one real-axis window
+    # rule of K nodes on its contour (folded at k0z = 0) is summed once, nested: one
+    # `_line_blocks` call on its grid yields its half, the rule of K/2, then its
+    # odd-index nodes, each class of a window in turn (intraband first), with one
+    # row per level pair: n_max rows for the second component alone, n_max + 1 once
+    # the first component and the spin-mixing rows (k0z != 0) share them.  One
+    # `_sum_lines` call per window sums every block of it over the window's samples.
+    # A block holds only the channels its caller reads: y for analytic_signal, x
+    # and y for a trajectory.  Each line of a real-axis block's rows is either
+    # summed or screened, the screened ones within eps A_c / C in each channel; a
+    # ray's block is summed whole.  At k0z = 0 the critical-field trajectory splits:
+    # rays over (25, 200], the real axis below; with k0z != 0 it is one real-axis
+    # window
     times = np.linspace(0.0, 200.0, 401)
     grids = []
     seen, nodes, channels = _recording(monkeypatch, times, grids)
@@ -553,21 +557,22 @@ def test_axial_rungs_are_summed_once_on_the_full_grid(critical_field, packet_3p1
                     (25.5, True), (25.5, True), (0.0, False), (0.0, False)]
             assert [r.kind for r in records] == ["intraband", "interband"] * (len(records) // 2)
             assert all(r.doublings == 0 for r in records)
-            count = len(records)
-            assert channels == [len(n_channels)] * 2 * count
-            for k, record in enumerate(records):
+            assert channels == [len(n_channels)] * 2 * len(records)
+            halves = []
+            for record, kz in zip(records, nodes, strict=True):
                 grid = _record_grid(packet, record)[0]
-                summed = np.concatenate(nodes[k::count])
-                assert np.array_equal(np.sort_complex(summed), np.sort_complex(grid))
-                assert [n.size for n in nodes[k::count]] == [grid[::2].size, grid[1::2].size]
-                for window in grids[k::count]:
-                    assert np.array_equal(window, times[_window(times, record)])
-            assert [record[0].shape for record in screens] == [(rows, n.size) for n in nodes]
+                assert np.array_equal(kz, grid)
+                halves += [grid[::2], grid[1::2]]
+            windows = list({record.span: record for record in records}.values())
+            assert len(grids) == len(windows)          # one `_sum_lines` call per window
+            for grid, record in zip(grids, windows):
+                assert np.array_equal(grid, times[_window(times, record)])
+            assert [record[0].shape for record in screens] == [(rows, n.size) for n in halves]
             dropped = [_screened_lines(*record) for record in screens]
-            assert all(d == 0 for d, n in zip(dropped, nodes) if np.iscomplexobj(n))
+            assert all(d == 0 for d, n in zip(dropped, halves) if np.iscomplexobj(n))
             summed = [shape[0] for shape in seen]
             assert [a + b for a, b in zip(summed, dropped, strict=True)] == [rows * n.size
-                                                                           for n in nodes]
+                                                                           for n in halves]
 
 
 def _nested(pkt, coeffs, field, times, rules, channels):
@@ -634,7 +639,8 @@ def test_axial_rule_doubles_while_the_returned_scale_needs_more_nodes(monkeypatc
     # scale of the returned sums, so the interband bound checked on that scale
     # asks for 112 nodes, above the 96 chosen for rtol times the mass.  Its rule
     # doubles, nested, and each node of the 192-node rule is summed once; the
-    # intraband bound stays at 96 on either scale, so that class stops there
+    # intraband bound stays at 96 on either scale, so that class stops there.  Each
+    # round is one `_sum_lines` call
     field = FieldConfig.from_kappa(2.0)
     L = field.magnetic_length
     with warnings.catch_warnings():
@@ -645,29 +651,35 @@ def test_axial_rule_doubles_while_the_returned_scale_needs_more_nodes(monkeypatc
     times = np.linspace(0.0, 1.0, 41)
     assert axial_nodes(pkt, field, times, 1e9) == 96
     assert axial_nodes(pkt, field, times, 1e9, "intraband") == 96
-    _, nodes, _ = _recording(monkeypatch, times)
+    grids = []
+    seen, nodes, _ = _recording(monkeypatch, times, grids)
     rules = _one_window(dynamics._axial_sums(pkt, coeffs, field, times, 1e-9)[0])
     assert rules == {"intraband": 96, "interband": 192}
-    # intraband half, interband half, both odd halves, then the interband doubling
-    assert [n.size for n in nodes] == [48, 48, 48, 48, 96]
-    intraband, interband = [nodes[0], nodes[2]], [nodes[1], nodes[3], nodes[4]]
-    assert np.array_equal(np.sort(np.concatenate(intraband)), axial_grid(pkt, 96)[0])
-    assert np.array_equal(np.sort(np.concatenate(interband)), axial_grid(pkt, 192)[0])
+    # each class's first rule, split into its half and odd nodes, then the
+    # interband doubling's odd nodes
+    assert [n.size for n in nodes] == [96, 96, 96]
+    assert len(seen) == 5     # tables: both halves and odd nodes, then the doubling's
+    assert len(grids) == 2 and all(np.array_equal(grid, times) for grid in grids)
+    assert np.array_equal(nodes[0], axial_grid(pkt, 96)[0])
+    assert np.array_equal(nodes[1], axial_grid(pkt, 96)[0])
+    assert np.array_equal(np.sort(np.concatenate(nodes[1:])), axial_grid(pkt, 192)[0])
 
 
 def test_mixing_terms_sums_only_the_two_signed_mixing_blocks(monkeypatch):
     # the mixing rows alone, each class on the signed grid of the rule the
     # aliasing bound gives it over the window (the trajectory's rules for
-    # mixing_3p1), intraband first, one call per class and y alone; no x/y
-    # trajectory sum runs to choose them
+    # mixing_3p1), intraband first, one `_line_blocks` call per class and y alone,
+    # both summed in one `_sum_lines` call; no x/y trajectory sum runs to choose them
     cfg = cli.load_config(str(CONFIG_DIR / "mixing_3p1.json"))
     field, _, pkt, num, coeffs = cli._build_everything(cfg)
     times = cli.resolve_times(cfg)
     rules = _one_window(dynamics._axial_sums(pkt, coeffs, field, times, num["kz_rtol"])[0])
     assert list(rules.items()) == [("intraband", 64), ("interband", 112)]
-    seen, nodes, channels = _recording(monkeypatch, times)
+    grids = []
+    seen, nodes, channels = _recording(monkeypatch, times, grids)
     dynamics.mixing_terms(pkt, coeffs, field, times, num["kz_rtol"])
     assert len(nodes) == 2 and channels == [1, 1]
+    assert len(grids) == 1 and np.array_equal(grids[0], times)
     for kz, points in zip(nodes, rules.values(), strict=True):
         assert np.array_equal(kz, axial_grid(pkt, points)[0])
     assert seen == [(coeffs.n_max + 1, points) for points in rules.values()]
@@ -687,7 +699,7 @@ def test_mixing_terms_match_the_full_frequency_sum():
         (block,) = dynamics._line_blocks(pkt, coeffs, field, kz, weights, kind, (1,),
                                          (0.0, 0.0, 1.0))
         freq = energies[1:] + energies[:-1] if block.interband else block.freq
-        want = dynamics._sum_lines(freq, block.amps, times)[0].real
+        want = dynamics._sum_lines([(freq, block.amps, 0.0, None)], times)[0][0].real
         got = mix.j_minus if block.interband else mix.j_plus
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -708,11 +720,9 @@ def test_axial_rule_that_cannot_reach_kz_rtol_raises_at_once(parts, rtol, monkey
     with pytest.raises(dynamics.QuadratureConvergenceError) as info:
         dynamics.analytic_signal(pkt, coeffs, field, times, parts, rtol)
     assert info.value.target == rtol and info.value.achieved > rtol
-    classes = 2 if parts == "all" else 1
-    assert len(nodes) == 2 * classes
-    for k in range(classes):
-        assert np.array_equal(np.sort(np.concatenate(nodes[k::classes])),
-                              dynamics._fold(pkt, axial_grid(pkt, 64))[0])
+    assert len(nodes) == (2 if parts == "all" else 1)
+    for kz in nodes:
+        assert np.array_equal(kz, dynamics._fold(pkt, axial_grid(pkt, 64))[0])
 
 
 def test_axial_rule_covers_narrow_axial_packets():
@@ -1122,7 +1132,7 @@ def test_phase_overflow_is_a_time_range_error(critical_field, packet_2p1, coeffs
     with pytest.raises(TimeRangeError, match="float range"):
         dynamics.trajectory_2p1(packet_2p1, coeffs_2p1, critical_field, times)
     with pytest.raises(TimeRangeError, match="float range"):
-        dynamics._sum_lines(np.array([1.0]), np.ones((1, 1)), times, carrier=2.0)
+        dynamics._sum_lines([(np.array([1.0]), np.ones((1, 1)), 2.0, None)], times)
     # a 3+1 rule cannot be sized for such a window: its bound says so, unwarned
     with pytest.raises(dynamics.QuadratureConvergenceError):
         dynamics.trajectory_3p1(packet_3p1, coeffs_3p1, critical_field, times)
@@ -1170,13 +1180,12 @@ def test_a_sample_time_that_is_not_finite_is_a_time_range_error(critical_field, 
 def test_axial_gate_fails_on_a_nan_residual(critical_field, packet_3p1, coeffs_3p1,
                                             monkeypatch):
     # a NaN half residual raises as a large one does, where `> rtol` passed it
-    series = dynamics._series
+    sum_lines = dynamics._sum_lines
 
-    def nan_series(*args):
-        sums, mass = series(*args)
-        return sums * math.nan, mass
+    def nan_sums(*args, **kwargs):
+        return [sums * math.nan for sums in sum_lines(*args, **kwargs)]
 
-    monkeypatch.setattr(dynamics, "_series", nan_series)
+    monkeypatch.setattr(dynamics, "_sum_lines", nan_sums)
     monkeypatch.setattr(dynamics, "axial_nodes", lambda *args: dynamics.AXIAL_FLOOR)
     with pytest.raises(dynamics.QuadratureConvergenceError):
         dynamics.trajectory_3p1(packet_3p1, coeffs_3p1, critical_field,
@@ -1187,13 +1196,12 @@ def test_nan_series_sums_reach_the_axial_gate(critical_field, packet_3p1, coeffs
                                               monkeypatch):
     # with `axial_nodes` unpinned, a NaN scale gave it a NaN ratio and `math.ceil`
     # raised ValueError; now the doubling stops and the NaN-safe gate raises
-    series = dynamics._series
+    sum_lines = dynamics._sum_lines
 
-    def nan_series(*args):
-        sums, mass = series(*args)
-        return sums * math.nan, mass
+    def nan_sums(*args, **kwargs):
+        return [sums * math.nan for sums in sum_lines(*args, **kwargs)]
 
-    monkeypatch.setattr(dynamics, "_series", nan_series)
+    monkeypatch.setattr(dynamics, "_sum_lines", nan_sums)
     with pytest.raises(dynamics.QuadratureConvergenceError) as info:
         dynamics.trajectory_3p1(packet_3p1, coeffs_3p1, critical_field,
                                 np.linspace(0.0, 5.0, 9))
@@ -1214,10 +1222,10 @@ def test_phase_rounding_past_a_radian_is_a_time_range_error():
     # into finite rows of no correct digit: one line at w = 1 on the carrier 2,
     # either side of the bound's edge 1/(3 eps)
     edge = 1.0 / (3.0 * np.finfo(float).eps)
-    line = np.array([1.0]), np.ones((1, 1))
-    dynamics._sum_lines(*line, np.linspace(0.0, 0.99 * edge, 3), carrier=2.0)
+    line = [(np.array([1.0]), np.ones((1, 1)), 2.0, None)]
+    dynamics._sum_lines(line, np.linspace(0.0, 0.99 * edge, 3))
     with pytest.raises(TimeRangeError, match="more than a radian"):
-        dynamics._sum_lines(*line, np.linspace(0.0, 1.01 * edge, 3), carrier=2.0)
+        dynamics._sum_lines(line, np.linspace(0.0, 1.01 * edge, 3))
 
 
 def envelope_signals():
@@ -1264,7 +1272,8 @@ def test_a_series_call_carries_nothing_to_the_next(critical_field, mixed_packet_
         rule = axial_grid(mixed_packet_3p1, dynamics._first_rule(
             mixed_packet_3p1, critical_field, times, dynamics.DEFAULT_KZ_RTOL, kind))
         (block,) = dynamics._line_blocks(*args, *rule, kind, (1,), (0.0, 0.0, 1.0))
-        want = dynamics._sum_lines(block.freq, block.amps, times, carrier=block.carrier)[0].real
+        want = dynamics._sum_lines([(block.freq, block.amps, block.carrier, None)],
+                                   times)[0][0].real
         assert (mix.j_minus if block.interband else mix.j_plus).tobytes() == want.tobytes()
     alone = dynamics.trajectory_3p1(*args, times[:41])
     dynamics.trajectory_3p1(*args, times)
@@ -1285,8 +1294,8 @@ def _screen_of(amps):
     """(lines dropped, lines kept) by the screen of a synthetic block, checked."""
     block = _synthetic_block(amps)
     freq, copy = block.freq.copy(), block.amps.copy()
-    kept_freq, kept_amps, top = dynamics._screened(block)
-    assert top in (None, 1.0)          # the phase check still reads every line
+    kept_freq, kept_amps, carrier, top = dynamics._screened(block)
+    assert carrier == block.carrier and top in (None, 1.0)   # the phase check reads every line
     dropped = _screened_lines(freq, copy, block.mass, kept_freq, kept_amps)
     return dropped, kept_freq.size
 
@@ -1371,7 +1380,7 @@ def test_screened_top_lines_still_bound_the_time_grid(critical_field, packet_3p1
     rule = dynamics._fold(packet_3p1, axial_grid(packet_3p1, 512))
     (block,) = dynamics._line_blocks(packet_3p1, coeffs_3p1, critical_field, *rule, "interband",
                                      (1,))
-    kept_freq, _, top = dynamics._screened(block)
+    kept_freq, _, _, top = dynamics._screened(block)
     assert top == np.max(block.freq) and np.max(kept_freq) < top
     t_end = 2.0 / (dynamics.EPS * (top + np.max(kept_freq) + 4.0))
     with pytest.raises(TimeRangeError, match="more than a radian"):
@@ -1410,3 +1419,105 @@ def test_critical_field_trajectory_stays_within_its_memory(critical_field):
     finally:
         tracemalloc.stop()
     assert peak <= 2.8 * 2**20
+
+
+@pytest.mark.parametrize("grid", ["real axis", "ray", "signed"])
+def test_a_split_rule_yields_the_blocks_of_its_half_and_its_odd_nodes(
+        grid, critical_field, packet_3p1, coeffs_3p1, mixed_packet_3p1, mixed_coeffs_3p1):
+    # one `_line_blocks` pass over a rule of K nodes yields, per class, the block of
+    # its even-index nodes with doubled weights, which are the rule of K/2, then that
+    # of its odd-index nodes: tables, mass and peak bit for bit those of a call on
+    # those nodes alone.  On the folded real axis and a folded ray (k0z = 0), and on
+    # the signed grid of a k0z != 0 packet, whose blocks carry the spin-mixing rows
+    pkt, coeffs = ((mixed_packet_3p1, mixed_coeffs_3p1) if grid == "signed"
+                   else (packet_3p1, coeffs_3p1))
+    ray = (axial_ray(pkt, critical_field, np.linspace(25.0, 200.0, 8), "interband",
+                     coeffs.n_max) if grid == "ray" else None)
+    full, half = (dynamics._fold(pkt, axial_grid(pkt, points, ray)) for points in (128, 64))
+    assert np.array_equal(half[0], full[0][::2]) and np.array_equal(half[1], 2.0 * full[1][::2])
+    odd = tuple(v[1::2] for v in full)
+    for channels in ((1,), (0, 1)):
+        split = list(dynamics._line_blocks(pkt, coeffs, critical_field, *full, "all", channels,
+                                           split=True))
+        alone = [block for kind in dynamics._kinds("all") for rule in (half, odd)
+                 for block in dynamics._line_blocks(pkt, coeffs, critical_field, *rule, kind,
+                                                    channels)]
+        assert len(split) == len(alone) == 4
+        for got, want in zip(split, alone):
+            assert (got.interband, got.carrier, got.mass) == (want.interband, want.carrier,
+                                                               want.mass)
+            assert np.array_equal(got.levels, want.levels)
+            for field in ("freq", "amps", "peak"):
+                mine, theirs = getattr(got, field), getattr(want, field)
+                assert mine.shape == theirs.shape and np.array_equal(mine, theirs), field
+                assert mine.tobytes() == np.ascontiguousarray(theirs).tobytes(), field
+
+
+def test_envelope_signals_make_one_kernel_call_per_window(monkeypatch):
+    # per time window one `_sum_lines` call sums every class's half and odd nodes,
+    # built by one `_line_blocks` call per class: the persistence signal's two
+    # windows two calls of four tables, the decay window one call of two
+    sum_lines, line_blocks = dynamics._sum_lines, dynamics._line_blocks
+    tables, builds = [], []
+
+    def counting_sums(found, *args, **kwargs):
+        tables.append(len(found))
+        return sum_lines(found, *args, **kwargs)
+
+    def counting_blocks(*args, **kwargs):
+        builds.append(kwargs.get("split", False))
+        return line_blocks(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "_sum_lines", counting_sums)
+    monkeypatch.setattr(dynamics, "_line_blocks", counting_blocks)
+    for (label, pkt, field, times, parts, rtol), calls, rungs in zip(_envelope_signals(),
+                                                                     ([4, 4], [2]), (4, 1)):
+        coeffs = coefficient_matrix(pkt, field)
+        tables.clear()
+        builds.clear()
+        records, _ = dynamics._axial_sums(pkt, coeffs, field, times, rtol, parts, (1,))
+        assert len(records) == rungs and all(record.doublings == 0 for record in records)
+        assert tables == calls and builds == [True] * rungs, label
+
+
+def test_a_grid_past_the_real_axis_cap_is_summed_on_its_rays():
+    # the persistence packet over 1.2e5 t_c: its whole-grid real-axis rule needs
+    # 229,376 nodes, past the 2^16 cap, while its windows need a few hundred to a few
+    # thousand each.  The call returns, and each window's sums lie within kz_rtol
+    # of the same windows on twice their nodes
+    pkt, field, _, parts, rtol = _envelope_signals()[0][1:]
+    times = np.linspace(0.0, 1.2e5, 401)
+    coeffs = coefficient_matrix(pkt, field)
+    with pytest.raises(dynamics.QuadratureConvergenceError) as info:
+        dynamics._first_rule(pkt, field, times, rtol, "interband")
+    assert info.value.nodes_needed == 229376
+    records, sums = dynamics._axial_sums(pkt, coeffs, field, times, rtol, parts, (1,))
+    assert len(records) > 2 and max(record.nodes for record in records) <= dynamics.MAX_GRID_NODES
+    assert sums.tobytes() == dynamics.analytic_signal(pkt, coeffs, field, times, parts,
+                                                      rtol).tobytes()
+    finer = _series_on_rules(pkt, coeffs, field, times, records, (1,), 2)
+    scale = np.max(np.abs(sums.real[0] - sums.real[0, 0]))
+    for record in records:
+        index = _window(times, record)
+        assert np.max(np.abs(sums.real[0, index] - finer.real[0, index])) <= rtol * scale
+
+
+@pytest.mark.parametrize("name", ["ion_trap", "relativistic_3p1"])
+def test_an_empty_time_grid_is_a_time_range_error(name):
+    # an indexing IndexError (trajectories) or numpy's zero-size ValueError
+    cfg = cli.load_config(str(CONFIG_DIR / f"{name}.json"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        field, _, pkt, num, coeffs = cli._build_everything(cfg)
+    empty = np.array([])
+    trajectory = (dynamics.trajectory_3p1 if pkt.dimensionality == "3+1"
+                  else dynamics.trajectory_2p1)
+    calls = [lambda: trajectory(pkt, coeffs, field, empty),
+             lambda: dynamics.analytic_signal(pkt, coeffs, field, empty),
+             lambda: dynamics.mixing_terms(pkt, coeffs, field, empty),
+             lambda: oracle.evolve_expectations(pkt, field, empty, coeffs.n_max + 21)]
+    if pkt.dimensionality == "2+1" and pkt.a1 == 0:
+        calls.append(lambda: dynamics.subpackets(pkt, coeffs, field, empty))
+    for call in calls:
+        with pytest.raises(TimeRangeError, match="time grid is empty"):
+            call()

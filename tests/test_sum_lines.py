@@ -2,7 +2,8 @@
 
 `_sum_lines` factorizes uniform time grids into anchors and offsets and
 corrects the float grid's rounding to first order; these tests hold it to
-the sum it replaces, one exp per (line, sample), written out here.
+the sum it replaces, one exp per (line, sample), written out here, and each
+table of a call on several to the call on that table alone, bit for bit.
 """
 
 import math
@@ -14,10 +15,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from landauzb import dynamics
-from landauzb.dynamics import _sum_lines, _time_grid
+from landauzb.dynamics import _time_grid
 from landauzb.units import TimeRangeError
 
 EPS = np.finfo(float).eps
+
+
+def sum_one(freq, amps, times, derivative=False, carrier=0.0, top=None):
+    """`_sum_lines` on the one table (freq, amps, carrier, top)."""
+    (sums,) = dynamics._sum_lines([(freq, amps, carrier, top)], times, derivative)
+    return sums
 
 
 def direct_sum(freq, amps, times, derivative=False):
@@ -46,7 +53,7 @@ def test_uniform_grid_matches_direct_sum(samples, derivative):
     freq, amps = lines(rng, 700, channels=3)
     times = np.linspace(0.0, 20.0, samples)
     assert _time_grid(times)[2] == math.ceil(math.sqrt(samples))
-    got = _sum_lines(freq, amps, times, derivative)
+    got = sum_one(freq, amps, times, derivative)
     assert got.shape == ((6 if derivative else 3), samples)
     assert peak_deviation(got, direct_sum(freq, amps, times, derivative)) <= 1e-13
 
@@ -59,7 +66,7 @@ def test_nonuniform_grids_take_the_direct_sum(derivative):
     probe = full[np.unique(np.linspace(0, full.size - 1, 9).astype(int))]
     for times in (probe, np.geomspace(0.5, 40.0, 60)):
         assert _time_grid(times)[2] == 1
-        got = _sum_lines(freq, amps, times, derivative)
+        got = sum_one(freq, amps, times, derivative)
         assert peak_deviation(got, direct_sum(freq, amps, times, derivative)) <= 1e-13
 
 
@@ -74,12 +81,12 @@ def test_carrier_matches_direct_sum_at_the_full_frequency(derivative):
     for times, n_offsets in ((uniform, 21), (uniform + 7.0, 21), (np.geomspace(0.5, 40.0, 60), 1)):
         _, _, offsets, delta = _time_grid(times)
         assert offsets == n_offsets and (offsets == 1 or np.any(delta))
-        got = _sum_lines(freq, amps, times, derivative, 2.0)
+        got = sum_one(freq, amps, times, derivative, 2.0)
         assert peak_deviation(got, direct_sum(freq + 2.0, amps, times, derivative)) <= 1e-13
 
 
 def count_complex_exps(monkeypatch, *args):
-    """_sum_lines(*args), and the number of complex elements np.exp was asked for."""
+    """sum_one(*args), and the number of complex elements np.exp was asked for."""
     counted = []
     real_exp = np.exp
 
@@ -89,7 +96,7 @@ def count_complex_exps(monkeypatch, *args):
         return real_exp(x, *rest, **kwargs)
 
     monkeypatch.setattr(dynamics.np, "exp", counting_exp)
-    _sum_lines(*args)
+    sum_one(*args)
     monkeypatch.undo()
     return sum(counted)
 
@@ -145,7 +152,7 @@ def test_decay_window_rounding_correction():
     assert np.any(_time_grid(times)[3])
     want = amps @ phases
     assert np.min(np.abs(want)) > 0.9 * np.max(np.abs(want))
-    assert peak_deviation(_sum_lines(freq, amps, times), want) <= 1e-6
+    assert peak_deviation(sum_one(freq, amps, times), want) <= 1e-6
 
 
 @st.composite
@@ -188,7 +195,7 @@ def test_sweep_matches_direct_sum(times, phase_scale, count, channels, derivativ
     t_max = float(np.max(np.abs(times))) or 1.0
     freq, amps = lines(rng, count, channels, 0.5, 1.0)
     freq *= 10.0**phase_scale / t_max
-    got = _sum_lines(freq, amps, times, derivative, carrier)
+    got = sum_one(freq, amps, times, derivative, carrier)
     full = freq + carrier
     want = direct_sum(full, amps, times, derivative)
     rows = np.concatenate([amps, -1j * full * amps] if derivative else [amps])
@@ -205,7 +212,115 @@ def test_a_complex_line_table_is_checked_on_its_modulus():
     edge = 1.0 / (EPS * abs(freq[0]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        inside = _sum_lines(freq, amps, np.linspace(0.0, 0.5 * edge, 3))
+        inside = sum_one(freq, amps, np.linspace(0.0, 0.5 * edge, 3))
         assert inside[0, 0] == 1.0 and np.all(np.isfinite(inside))
         with pytest.raises(TimeRangeError, match=r"lines up to 1e\+03/t_c"):
-            _sum_lines(freq, amps, np.linspace(0.0, 2.0 * edge, 3))
+            sum_one(freq, amps, np.linspace(0.0, 2.0 * edge, 3))
+
+
+def tile_lines(times, channels, derivative):
+    """r_max: the lines of one tile, where each table is cut from its own start."""
+    _, _, n_offsets, delta = _time_grid(times)
+    n_anchors = -(-times.size // n_offsets)
+    orders = (2 if derivative else 1) + bool(np.any(delta))
+    return dynamics.TILE_ELEMENTS // (orders * channels * n_anchors + n_anchors + n_offsets)
+
+
+GRIDS = {
+    "from zero": np.linspace(0.0, 30.0, 401),
+    "shifted": np.linspace(0.0, 30.0, 401) + 7.0,
+    "direct": np.geomspace(0.5, 40.0, 60),         # J = 1
+}
+
+
+@pytest.mark.parametrize("grid", list(GRIDS))
+@pytest.mark.parametrize("derivative", [False, True])
+def test_each_table_of_a_call_is_summed_as_alone(grid, derivative):
+    # one call on many tables: two longer than r_max (cut from their own start,
+    # so the second shares its first tile with the first one's tail), short ones
+    # sharing a tile, carriers 0 and 2, real and complex (k_z ray) tables side by
+    # side, (pairs, K) block shapes, and a screened table's top.  Each table's
+    # sum is that of its call alone, bit for bit
+    times = GRIDS[grid]
+    assert (_time_grid(times)[2] == 1) == (grid == "direct")
+    rng = np.random.default_rng(17)
+    cut = tile_lines(times, 2, derivative)
+    tables = []
+    for k, size in enumerate([2 * cut + 17, cut + 3, 40, 3, 1, cut - 1, 12 * 5]):
+        freq, amps = lines(rng, size, channels=2, low=1e-3, high=0.5)
+        if k % 3 == 1:
+            freq = freq - 1j * rng.uniform(0.0, 1e-2, size)
+        if k == 6:
+            freq, amps = freq.reshape(12, 5), amps.reshape(2, 12, 5)
+        top = 0.6 if k == 3 else None
+        tables.append((freq, amps, 2.0 * (k % 2), top))
+    got = dynamics._sum_lines(tables, times, derivative)
+    assert len(got) == len(tables)
+    for sums, table in zip(got, tables):
+        alone = sum_one(table[0], table[1], times, derivative, *table[2:])
+        assert sums.shape == alone.shape == ((4 if derivative else 2), times.size)
+        assert sums.tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize("derivative", [False, True])
+def test_tables_that_share_a_tile_share_its_exps(derivative, monkeypatch):
+    # five short tables of one call fit one tile: the anchor and offset steps are
+    # one np.exp each over all their lines (on a grid from t = 0), and each table
+    # on the carrier takes one exp per sample
+    times = np.linspace(0.0, 30.0, 401)
+    rng = np.random.default_rng(2)
+    tables = [(*lines(rng, 50, channels=1), carrier, None) for carrier in (0.0, 2.0, 2.0, 0.0, 2.0)]
+    assert 5 * 50 <= tile_lines(times, 1, derivative)
+    calls = []
+    real_exp = np.exp
+
+    def counting_exp(x, *rest, **kwargs):
+        calls.append(np.size(x))
+        return real_exp(x, *rest, **kwargs)
+
+    monkeypatch.setattr(dynamics.np, "exp", counting_exp)
+    got = dynamics._sum_lines(tables, times, derivative)
+    monkeypatch.undo()
+    assert sorted(calls) == [5 * 50] * 2 + [times.size] * 3
+    for sums, table in zip(got, tables):
+        assert sums.tobytes() == sum_one(table[0], table[1], times, derivative,
+                                         table[2]).tobytes()
+
+
+def test_every_table_is_range_checked_before_any_phase():
+    # a table past the phase bound raises with its own top, whatever its place
+    edge = 1.0 / (EPS * 3.0)
+    times = np.linspace(0.0, 0.5 * edge, 3)
+    fine = (np.array([0.5]), np.ones((1, 1)), 0.0, None)
+    far = (np.array([5.0]), np.ones((1, 1)), 2.0, None)
+    with pytest.raises(TimeRangeError, match=r"lines up to 7/t_c"):
+        dynamics._sum_lines([fine, far, fine], times)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    times=grids(),
+    sizes=st.lists(st.sampled_from(["1", "2", "cut-1", "cut", "cut+1", "2cut+1", "17"]),
+                   min_size=1, max_size=6),
+    kinds=st.lists(st.booleans(), min_size=6, max_size=6),
+    channels=st.integers(1, 3),
+    derivative=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sweep_each_table_is_summed_as_alone(times, sizes, kinds, channels, derivative, seed):
+    """Tables of one line, around r_max and past it, real and complex, carriers 0 and 2."""
+    rng = np.random.default_rng(seed)
+    t_max = float(np.max(np.abs(times))) or 1.0
+    cut = tile_lines(times, channels, derivative)
+    count = {"1": 1, "2": 2, "cut-1": cut - 1, "cut": cut, "cut+1": cut + 1,
+             "2cut+1": 2 * cut + 1, "17": 17}
+    tables = []
+    for k, size in enumerate(sizes):
+        freq, amps = lines(rng, max(1, count[size]), channels, 0.5, 1.0)
+        freq = freq * (10.0 / t_max)
+        if kinds[k]:
+            freq = freq - 1j * rng.uniform(0.0, 0.1, freq.size) / t_max
+        tables.append((freq, amps, 2.0 * (k % 2), None))
+    got = dynamics._sum_lines(tables, times, derivative)
+    for sums, (freq, amps, carrier, top) in zip(got, tables, strict=True):
+        assert sums.tobytes() == sum_one(freq, amps, times, derivative, carrier, top).tobytes()
