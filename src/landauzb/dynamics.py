@@ -41,11 +41,7 @@ density merge into one Gaussian in s, and tens of nodes do (64 against 1792 in
 the 20 T decay window).  The samples near t = 0, and every grid where no window
 pays for its extra sums, stay on the real axis.  The classes of a window share
 one error ratio, so their bounds add up to the target.  `mixing_terms` alone
-keeps the signed grid, so the k0z = 0 cancellation stays a computed one.  Before
-the time-grid GEMM each real-axis block of a rung drops the k_z tail lines that
-cannot move a digit the rule certifies (`_screened`): about a quarter of its
-lines, whose |amplitudes| add up to at most eps A_c / C per channel.  Ray blocks
-and `mixing_terms` are summed whole.
+keeps the signed grid, so the k0z = 0 cancellation stays a computed one.
 
 Natural units: lengths in Compton wavelengths, times in Compton times,
 velocities in c.  Positions are reported relative to the t = 0 centre, so
@@ -74,7 +70,6 @@ PREF = 1.0 / (2.0 * math.sqrt(2.0))
 # the offset table of one tile share it, and a tile holds consecutive pieces of the
 # tables of a call
 TILE_ELEMENTS = 1 << 17
-SCREEN_TILE = TILE_ELEMENTS // 32    # lines `_screened` moves per step: its temporaries' size
 PARTS = ("all", "intraband", "interband")
 DEFAULT_KZ_RTOL = 1e-9        # aliasing-bound target of the k_z rule, relative to the signal peak
 EPS = float(np.finfo(float).eps)
@@ -153,7 +148,6 @@ class _Block(NamedTuple):
     levels: np.ndarray            # (pairs,) lower level n of each pair (n, n+1)
     carrier: float                # 2 (two rest energies) for interband lines, else 0
     mass: float                   # sum of |amps|, the amplitude mass
-    peak: np.ndarray              # (pairs, K) largest |amps| over the channels, in scratch
 
 
 def _line_blocks(
@@ -187,8 +181,8 @@ def _line_blocks(
     in y.  With split=True the nodes are a rule of K (`axial_grid`, folded or not)
     and each class yields two blocks from one pass over them: the even-index
     nodes with doubled weights, which are the rule of K/2, then the odd-index
-    nodes.  Each has its own tables, mass and peak, bit for bit those of a call
-    on its nodes alone.
+    nodes.  Each has its own tables and mass, bit for bit those of a call on its
+    nodes alone.
     """
     half = -(-nodes.size // 2)
     if split:
@@ -257,16 +251,12 @@ def _line_blocks(
             for row, c in zip(amps, channel):
                 row.real += np.multiply(j, sign * c, out=first)
         for cols in (slice(None, half), slice(half, None)) if split else (slice(None),):
-            lines, table, peak, other = freq[:, cols], amps[..., cols], first.real, second.real
+            lines, table, scratch = freq[:, cols], amps[..., cols], first.real
             if split:             # contiguous, so that each mass is summed as alone
                 lines, table = np.ascontiguousarray(lines), np.ascontiguousarray(table)
-                peak, other = (np.empty(lines.shape, energies.dtype).real for _ in range(2))
-            np.abs(table[0], out=peak)
-            mass = float(np.sum(peak))
-            for row in table[1:]:
-                mass += float(np.sum(np.abs(row, out=other)))
-                np.maximum(peak, other, out=peak)
-            yield _Block(lines, table, interband, n[:, 0], 2.0 * interband, mass, peak)
+                scratch = np.empty(lines.shape)
+            mass = sum(float(np.sum(np.abs(row, out=scratch))) for row in table)
+            yield _Block(lines, table, interband, n[:, 0], 2.0 * interband, mass)
 
 
 def _time_grid(times: np.ndarray) -> tuple[float, float, int, np.ndarray]:
@@ -292,12 +282,12 @@ def _time_grid(times: np.ndarray) -> tuple[float, float, int, np.ndarray]:
 
 
 def _sum_lines(
-    tables: list[tuple[np.ndarray, np.ndarray, float, float | None]], times: np.ndarray,
+    tables: list[tuple[np.ndarray, np.ndarray, float]], times: np.ndarray,
     derivative: bool = False,
 ) -> list[np.ndarray]:
     """Complex sums sum_rows amps[c] e^{-i (freq + carrier) t}, shape (C, T), one per table.
 
-    Each table (freq, amps, carrier, top) has the same C channels.  With
+    Each table (freq, amps, carrier) has the same C channels.  With
     derivative=True the C time derivatives (amplitudes -i (freq + carrier) amps)
     follow as C more rows.  The tables below hold freq alone: their sums S take
     e^{-i carrier t} of the exact samples at the end, and S' gains -i carrier S.
@@ -314,16 +304,14 @@ def _sum_lines(
     whose rounding, eps (freq + carrier) max|t|, exceeds a radian raise
     TimeRangeError before any is formed: no digit of them is correct.  That bound
     also keeps every phase and anchor step (J h <= 2 max|t|) far inside the float
-    range.  `top`, if given, stands in that check for max(freq): a screened table
-    (`_screened`) passes its whole block's, so a screen never hides a phase past
-    the bound.  A complex table (lines on a k_z ray, decaying as e^{Im(w) t} for
+    range.  A complex table (lines on a k_z ray, decaying as e^{Im(w) t} for
     t > 0) is checked on |freq|.
     """
     t_max = float(np.max(np.abs(times)))
     lines = []
-    for freq, amps, carrier, top in tables:
+    for freq, amps, carrier in tables:
         freq = np.ravel(freq)
-        top = (float(np.max(np.abs(freq), initial=0.0)) if top is None else top) + carrier
+        top = float(np.max(np.abs(freq), initial=0.0)) + carrier
         if not EPS * top * t_max <= 1.0:      # also overflow and NaN
             raise TimeRangeError(f"phases of lines up to {top:.3g}/t_c over {t_max:.3g} t_c round "
                                  "by more than a radian or leave the float range; shorten the "
@@ -385,55 +373,11 @@ def _sum_lines(
             sums[i] += tile[:, cols] @ offsets[:, cols].T
     sums = sums.reshape(len(lines), orders, channels, -1)[..., : times.size]
     out = sums[:, :n_out] + delta * sums[:, 1:] if orders > n_out else sums
-    for sums_i, (_, _, carrier, _) in zip(out, tables):
+    for sums_i, (_, _, carrier) in zip(out, tables):
         if carrier:               # 2 t is exact, so delta needs no carrier term
             sums_i[1:] -= 1j * carrier * sums_i[:-1]          # derivative rows, if any
             sums_i *= np.exp(-1j * (carrier * times))
     return [sums_i.reshape(-1, times.size) for sums_i in out]
-
-
-def _screened(block: _Block) -> tuple[np.ndarray, np.ndarray, float, float | None]:
-    """The `_sum_lines` table (freq, amps, carrier, top) of the block's lines that can move its
-    sum, with the top frequency of all.
-
-    A 3+1 block drops its weakest lines, the k_z tails, while their |amps| in each
-    of its C channels add up to at most eps A_c / C, A_c the block's mass: C times
-    that is below the rounding floor F eps A of `_axial_sums`.  The largest such set
-    is read off a histogram of the peaks' binary exponents: a peak of biased
-    exponent b lies below 2^(b - 1022), so the bins up to the last one whose
-    count-weighted edges sum to at most the budget go.  The sum of every line
-    exceeds the budget, so one line at least is kept.  The kept lines move, in
-    order and a tile at a time, to the front of the block's own tables (temporaries
-    of SCREEN_TILE lines, no full-size copy), and the returned views of them are
-    summed in place of the block.  Blocks of one node (2+1, about 40 lines and no
-    k_z tail), those whose budget is zero, below the smallest normal float or not
-    finite (a NaN mass must reach the gates), and those with nothing to drop are
-    returned whole, with top None: `_sum_lines` then reads their own maximum.  So are
-    blocks on a k_z ray: their half-width already ends where their slowest line is
-    down by eps/1024, and the histogram and moves cost about what the few tail
-    lines left would save.
-    """
-    freq, amps = block.freq.reshape(-1), block.amps.reshape(len(block.amps), -1)
-    budget = EPS * block.mass / len(amps)
-    if (block.freq.shape[1] == 1 or np.iscomplexobj(block.freq)
-            or not np.finfo(float).tiny <= budget < math.inf):
-        return freq, amps, block.carrier, None
-    bits = block.peak.reshape(-1).view(np.int64)      # non-negative floats: sign bit 0
-    np.right_shift(bits, 52, out=bits)
-    last = math.frexp(budget)[1] + 1021       # the last bin whose edge is within the budget
-    counts = np.bincount(bits, minlength=last + 1)[: last + 1]
-    bound = np.cumsum(np.ldexp(counts, np.arange(-1022, last - 1021)))     # counts x bin edges
-    cut = int(np.searchsorted(bound, budget, "right")) - 1
-    if cut < 0:
-        return freq, amps, block.carrier, None
-    top, kept = float(np.max(np.abs(freq))), 0
-    for start in range(0, bits.size, SCREEN_TILE):
-        lines = bits[start : start + SCREEN_TILE] > cut
-        for table in (freq, *amps):
-            moved = table[start : start + lines.size][lines]
-            table[kept : kept + moved.size] = moved
-        kept += moved.size
-    return freq[:kept], amps[:, :kept], block.carrier, top
 
 
 def _series(
@@ -448,10 +392,7 @@ def _series(
 ) -> tuple[np.ndarray, float]:
     """(Complex line sums of `channels` (0 is x, 1 is y), then derivatives; sum of |amps|).
 
-    Each block on a rule of more than one k_z node is screened first (`_screened`):
-    its weakest lines, whose |amps| add up to at most eps A_c / C in each of its C
-    channels, are not summed, while the mass A_c returned still counts them.  The
-    classes are summed in one `_sum_lines` call.
+    The classes are summed in one `_sum_lines` call.
     """
     out, mass = 0.0, 0.0
     for sums, block_mass in _summed(_line_blocks(packet, coeffs, field, *rule, parts, channels),
@@ -462,13 +403,12 @@ def _series(
 
 
 def _summed(blocks: Iterable[_Block], times: np.ndarray,
-            derivative: bool) -> list[tuple[np.ndarray, float]]:
-    """(sums, mass) of each block, every block screened as it comes, all summed in one call."""
-    tables, masses = [], []
-    for block in blocks:          # a block's peak is scratch the next one may reuse
-        tables.append(_screened(block))
-        masses.append(block.mass)
-    return list(zip(_sum_lines(tables, times, derivative), masses))
+            derivative: bool = False) -> list[tuple[np.ndarray, float]]:
+    """(sums, mass) of each block, all summed in one `_sum_lines` call."""
+    blocks = list(blocks)
+    sums = _sum_lines([(block.freq, block.amps, block.carrier) for block in blocks], times,
+                      derivative)
+    return list(zip(sums, (block.mass for block in blocks)))
 
 
 def _fold(
@@ -639,10 +579,7 @@ def _axial_sums(
     the carrier's exp and product (4 in all where J = 1), twice for y - y[0]; the
     call's floor is the largest over its windows: on the persistence envelope F
     is 84 on the ray window's 350 samples and 38 on the 51 below it (90 for its
-    401 samples as one window), and 74 on the decay window's 257.  The lines screened out
-    of each rung (`_screened`) move a sum by at most eps A_c / C per channel, eps A over the
-    classes, at least eight times below that floor (F >= 8); A, the ratio and the
-    floor still count every line."""
+    401 samples as one window), and 74 on the decay window's 257."""
     if parts not in PARTS:
         raise ValueError(f"parts must be one of {PARTS}, not {parts!r}")
     if packet.dimensionality == "2+1":
@@ -703,8 +640,11 @@ def _axial_sums(
 
 
 def _sample_times(times) -> np.ndarray:
-    """`times` as a float array; an empty grid is a TimeRangeError."""
+    """`times` as a float array; an empty grid, or one not one-dimensional, is a TimeRangeError."""
     times = np.asarray(times, dtype=float)
+    if times.ndim != 1:
+        raise TimeRangeError(f"the time grid has shape {times.shape}; give a one-dimensional "
+                             "array of sample times")
     if not times.size:
         raise TimeRangeError("the time grid is empty; give at least one sample time")
     return times
@@ -785,11 +725,10 @@ def mixing_terms(
         return MixingSeries(times, zero, zero.copy(), zero * 0j, zero * 0j)
     # the signed grid: at k0z = 0 the cancellation is computed, not assumed
     rules = [(kind, _first_rule(packet, field, times, kz_rtol, kind)) for kind in PARTS[1:]]
-    blocks = [block for kind, points in rules
+    blocks = (block for kind, points in rules
               for block in _line_blocks(packet, coeffs, field, *axial_grid(packet, points), kind,
-                                        (1,), (0.0, 0.0, 1.0))]
-    j_plus, j_minus = (sums[0].real for sums in _sum_lines(
-        [(block.freq, block.amps, block.carrier, None) for block in blocks], times))
+                                        (1,), (0.0, 0.0, 1.0)))
+    j_plus, j_minus = (sums[0].real for sums, _ in _summed(blocks, times))
     cross = 0.5 * np.conj(packet.a2) * packet.a1 * (j_plus + j_minus)
     return MixingSeries(times, j_plus, j_minus, cross, np.conj(cross))
 

@@ -293,6 +293,9 @@ def evolve_expectations(
     Positions are relative to the t=0 centre, as in the analytic series.
     """
     times = np.asarray(times, dtype=float)
+    if times.ndim != 1:
+        raise TimeRangeError(f"the time grid has shape {times.shape}; give a one-dimensional "
+                             "array of sample times")
     if not times.size:
         raise TimeRangeError("the time grid is empty; give at least one sample time")
     t_max = float(np.max(np.abs(times)))

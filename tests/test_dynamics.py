@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -488,38 +489,6 @@ def _recording(monkeypatch, times, grids=None):
     return seen, nodes, channels
 
 
-def _screen_recording(monkeypatch):
-    """Patch `_screened` to record (freq, amps, mass, kept freq, kept amps) of each block."""
-    screened, records = dynamics._screened, []
-
-    def recording(block):
-        freq, amps = block.freq.copy(), block.amps.copy()
-        table = screened(block)
-        records.append((freq, amps, block.mass, table[0].copy(), table[1].copy()))
-        return table
-
-    monkeypatch.setattr(dynamics, "_screened", recording)
-    return records
-
-
-def _screened_lines(freq, amps, mass, kept_freq, kept_amps):
-    """The number of lines a screen dropped, checked against its bound.
-
-    The kept lines are the block's others, in order, and every dropped line is
-    weaker (largest |amps| over the channels) than every kept one; the dropped
-    |amps| of each channel add up to at most eps mass / C."""
-    lines = amps.reshape(len(amps), -1)
-    peak = np.max(np.abs(lines), axis=0)
-    dropped = peak.size - kept_freq.size
-    keep = peak > np.sort(peak)[dropped - 1] if dropped else np.ones(peak.size, bool)
-    assert np.count_nonzero(keep) == kept_freq.size
-    assert np.array_equal(kept_freq, freq.reshape(-1)[keep])
-    assert np.array_equal(kept_amps, lines[:, keep])
-    for row in lines[:, ~keep]:
-        assert math.fsum(np.abs(row)) <= dynamics.EPS * mass / len(lines)
-    return dropped
-
-
 def test_axial_rungs_are_summed_once_on_the_full_grid(critical_field, packet_3p1, coeffs_3p1,
                                                       mixed_packet_3p1, mixed_coeffs_3p1,
                                                       monkeypatch):
@@ -531,15 +500,13 @@ def test_axial_rungs_are_summed_once_on_the_full_grid(critical_field, packet_3p1
     # the first component and the spin-mixing rows (k0z != 0) share them.  One
     # `_sum_lines` call per window sums every block of it over the window's samples.
     # A block holds only the channels its caller reads: y for analytic_signal, x
-    # and y for a trajectory.  Each line of a real-axis block's rows is either
-    # summed or screened, the screened ones within eps A_c / C in each channel; a
-    # ray's block is summed whole.  At k0z = 0 the critical-field trajectory splits:
+    # and y for a trajectory.  Every block reaches `_sum_lines` whole, real-axis and
+    # ray blocks alike.  At k0z = 0 the critical-field trajectory splits:
     # rays over (25, 200], the real axis below; with k0z != 0 it is one real-axis
     # window
     times = np.linspace(0.0, 200.0, 401)
     grids = []
     seen, nodes, channels = _recording(monkeypatch, times, grids)
-    screens = _screen_recording(monkeypatch)
     for packet, coeffs, rows in ((packet_3p1, coeffs_3p1, coeffs_3p1.n_max),
                                  (mixed_packet_3p1, mixed_coeffs_3p1, mixed_coeffs_3p1.n_max + 1)):
         for call, n_channels, derivative in ((dynamics.analytic_signal, (1,), False),
@@ -547,7 +514,7 @@ def test_axial_rungs_are_summed_once_on_the_full_grid(critical_field, packet_3p1
             records = dynamics._axial_sums(packet, coeffs, critical_field, times,
                                            dynamics.DEFAULT_KZ_RTOL, "all", n_channels,
                                            derivative)[0]
-            for found in (seen, nodes, channels, screens, grids):
+            for found in (seen, nodes, channels, grids):
                 found.clear()
             call(packet, coeffs, critical_field, times)
             if packet.k0z:
@@ -567,12 +534,7 @@ def test_axial_rungs_are_summed_once_on_the_full_grid(critical_field, packet_3p1
             assert len(grids) == len(windows)          # one `_sum_lines` call per window
             for grid, record in zip(grids, windows):
                 assert np.array_equal(grid, times[_window(times, record)])
-            assert [record[0].shape for record in screens] == [(rows, n.size) for n in halves]
-            dropped = [_screened_lines(*record) for record in screens]
-            assert all(d == 0 for d, n in zip(dropped, halves) if np.iscomplexobj(n))
-            summed = [shape[0] for shape in seen]
-            assert [a + b for a, b in zip(summed, dropped, strict=True)] == [rows * n.size
-                                                                           for n in halves]
+            assert seen == [(rows, n.size) for n in halves]
 
 
 def _nested(pkt, coeffs, field, times, rules, channels):
@@ -699,7 +661,7 @@ def test_mixing_terms_match_the_full_frequency_sum():
         (block,) = dynamics._line_blocks(pkt, coeffs, field, kz, weights, kind, (1,),
                                          (0.0, 0.0, 1.0))
         freq = energies[1:] + energies[:-1] if block.interband else block.freq
-        want = dynamics._sum_lines([(freq, block.amps, 0.0, None)], times)[0][0].real
+        want = dynamics._sum_lines([(freq, block.amps, 0.0)], times)[0][0].real
         got = mix.j_minus if block.interband else mix.j_plus
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -1132,7 +1094,7 @@ def test_phase_overflow_is_a_time_range_error(critical_field, packet_2p1, coeffs
     with pytest.raises(TimeRangeError, match="float range"):
         dynamics.trajectory_2p1(packet_2p1, coeffs_2p1, critical_field, times)
     with pytest.raises(TimeRangeError, match="float range"):
-        dynamics._sum_lines([(np.array([1.0]), np.ones((1, 1)), 2.0, None)], times)
+        dynamics._sum_lines([(np.array([1.0]), np.ones((1, 1)), 2.0)], times)
     # a 3+1 rule cannot be sized for such a window: its bound says so, unwarned
     with pytest.raises(dynamics.QuadratureConvergenceError):
         dynamics.trajectory_3p1(packet_3p1, coeffs_3p1, critical_field, times)
@@ -1222,7 +1184,7 @@ def test_phase_rounding_past_a_radian_is_a_time_range_error():
     # into finite rows of no correct digit: one line at w = 1 on the carrier 2,
     # either side of the bound's edge 1/(3 eps)
     edge = 1.0 / (3.0 * np.finfo(float).eps)
-    line = [(np.array([1.0]), np.ones((1, 1)), 2.0, None)]
+    line = [(np.array([1.0]), np.ones((1, 1)), 2.0)]
     dynamics._sum_lines(line, np.linspace(0.0, 0.99 * edge, 3))
     with pytest.raises(TimeRangeError, match="more than a radian"):
         dynamics._sum_lines(line, np.linspace(0.0, 1.01 * edge, 3))
@@ -1272,7 +1234,7 @@ def test_a_series_call_carries_nothing_to_the_next(critical_field, mixed_packet_
         rule = axial_grid(mixed_packet_3p1, dynamics._first_rule(
             mixed_packet_3p1, critical_field, times, dynamics.DEFAULT_KZ_RTOL, kind))
         (block,) = dynamics._line_blocks(*args, *rule, kind, (1,), (0.0, 0.0, 1.0))
-        want = dynamics._sum_lines([(block.freq, block.amps, block.carrier, None)],
+        want = dynamics._sum_lines([(block.freq, block.amps, block.carrier)],
                                    times)[0][0].real
         assert (mix.j_minus if block.interband else mix.j_plus).tobytes() == want.tobytes()
     alone = dynamics.trajectory_3p1(*args, times[:41])
@@ -1282,90 +1244,31 @@ def test_a_series_call_carries_nothing_to_the_next(critical_field, mixed_packet_
                for f in ("x", "y", "vx", "vy"))
 
 
-def _synthetic_block(amps):
-    """A screenable block of the given (channels, pairs, K) amplitudes."""
-    amps = np.asarray(amps, dtype=complex)
-    freq = np.linspace(0.0, 1.0, amps[0].size).reshape(amps.shape[1:])
-    return dynamics._Block(freq, amps, True, np.arange(amps.shape[1]), 2.0,
-                           float(np.sum(np.abs(amps))), np.max(np.abs(amps), axis=0))
-
-
-def _screen_of(amps):
-    """(lines dropped, lines kept) by the screen of a synthetic block, checked."""
-    block = _synthetic_block(amps)
-    freq, copy = block.freq.copy(), block.amps.copy()
-    kept_freq, kept_amps, carrier, top = dynamics._screened(block)
-    assert carrier == block.carrier and top in (None, 1.0)   # the phase check reads every line
-    dropped = _screened_lines(freq, copy, block.mass, kept_freq, kept_amps)
-    return dropped, kept_freq.size
-
-
-def test_envelope_blocks_screen_a_fifth_of_their_lines_within_the_bound(monkeypatch):
-    # the k_z tails of the real-axis blocks of the envelope signals (the
-    # persistence signal's samples up to 150 t_c) carry less than eps A_c in all: a
-    # quarter of every such block's lines (the band widens with the level), dropped
-    # within eps A_c / C in each channel, before the time-grid GEMM.  A ray's block
-    # is summed whole: its half-width ends where its slowest line is down by
-    # eps/1024, so its tails are short (a quarter of the intraband ray's lines would
-    # go, none of the interband ray's)
-    screens = _screen_recording(monkeypatch)
-    for args in envelope_signals():
-        screens.clear()
-        dynamics.analytic_signal(*args)
-        real = [record for record in screens if not np.iscomplexobj(record[0])]
-        assert len(real) == (4 if args[4] == "all" else 0)
-        for record in screens:
-            dropped = _screened_lines(*record)
-            if np.iscomplexobj(record[0]):
-                assert dropped == 0
-            else:
-                assert dropped >= 0.2 * record[0].size
-
-
-def test_screen_search_keeps_its_bound_on_adversarial_magnitudes():
-    rng = np.random.default_rng(7)
-    phases = np.exp(2j * np.pi * rng.random((2, 8, 64)))
-    # all equal: no line is weaker than another, and all together exceed the budget
-    assert _screen_of(0.37 * phases) == (0, 8 * 64)
-    # a single nonzero line: every other one goes
-    single = np.zeros((2, 8, 64), complex)
-    single[1, 3, 5] = 1.0
-    assert _screen_of(single) == (8 * 64 - 1, 1)
-    # subnormals alone: a budget below the smallest normal float screens nothing
-    tiny = 5e-324 * rng.integers(1, 9, (1, 8, 64))
-    assert _screen_of(tiny) == (0, 8 * 64)
-    # next to a unit line the subnormals go
-    tiny[0, 0, 0] = 1.0
-    assert _screen_of(tiny) == (8 * 64 - 1, 1)
-    # magnitudes over the whole float range: the bound holds bin by bin
-    ramp = np.ldexp(1.0, -np.arange(1, 1075)).reshape(1, 2, 537)
-    dropped, kept = _screen_of(ramp)
-    assert dropped + kept == ramp.size and 0 < dropped and kept < 60
-
-
 def test_blocks_of_zero_or_nan_mass_are_summed_whole(critical_field, packet_3p1, coeffs_3p1):
-    # no line of a zero-mass block is weaker than the budget 0, and a NaN mass must
-    # reach the gates: either block is summed whole, never as an empty table
-    zero = _synthetic_block(np.zeros((1, 4, 16)))
-    assert zero.mass == 0.0 and dynamics._screened(zero)[0].size == 4 * 16
-    nan = _synthetic_block(np.full((1, 4, 16), 1e-3))
-    nan.amps[0, 3, 15] = nan.peak[3, 15] = math.nan
-    assert dynamics._screened(nan._replace(mass=math.nan))[0].size == 4 * 16
+    # a rule of zero weights sums to zeros of the full shape, of zero mass; a block
+    # with one NaN amplitude sums to NaN rows, so a NaN mass and NaN sums reach the
+    # gates together
     kz, weights = dynamics._fold(packet_3p1, axial_grid(packet_3p1, 64))
     times = np.linspace(0.0, 5.0, 9)
     sums, mass = dynamics._series(packet_3p1, coeffs_3p1, critical_field, times,
                                   (kz, np.zeros_like(weights)))
     assert mass == 0.0 and sums.shape == (2, 9) and not np.any(sums)
+    (block,) = dynamics._line_blocks(packet_3p1, coeffs_3p1, critical_field, kz, weights,
+                                     "interband")
+    block.amps[0, -1, -1] = math.nan
+    ((sums, mass),) = dynamics._summed([block._replace(mass=math.nan)], times)
+    assert math.isnan(mass) and sums.shape == (2, 9) and np.all(np.isnan(sums[0]))
 
 
 def test_a_nan_line_the_screen_would_drop_reaches_the_axial_gate(critical_field, packet_3p1,
                                                                  coeffs_3p1, monkeypatch):
-    # a NaN amplitude at the edge of the k_z grid, the weakest line of its block
+    # a NaN amplitude at the edge of the k_z grid, the weakest line of its block and
+    # the first a cut of the k_z tails would drop
     line_blocks = dynamics._line_blocks
 
     def one_nan_line(*args, **kwargs):
         for block in line_blocks(*args, **kwargs):
-            block.amps[0, -1, -1] = block.peak[-1, -1] = math.nan
+            block.amps[0, -1, -1] = math.nan
             yield block._replace(mass=math.nan)
 
     monkeypatch.setattr(dynamics, "_line_blocks", one_nan_line)
@@ -1374,15 +1277,17 @@ def test_a_nan_line_the_screen_would_drop_reaches_the_axial_gate(critical_field,
     assert math.isnan(info.value.achieved)
 
 
-def test_screened_top_lines_still_bound_the_time_grid(critical_field, packet_3p1, coeffs_3p1):
-    # the highest interband lines lie in the k_z tail the screen drops; a grid whose
-    # phases round past a radian on them, but not on the lines kept, still raises
+def test_the_highest_kz_tail_interband_line_bounds_the_time_grid(critical_field, packet_3p1,
+                                                                  coeffs_3p1):
+    # the highest interband line sits at the k_z grid's edge, where its amplitude is
+    # down by eps of the block's mass; a grid whose phases round past a radian on it,
+    # but not on the rest of the top level's row, still raises
     rule = dynamics._fold(packet_3p1, axial_grid(packet_3p1, 512))
     (block,) = dynamics._line_blocks(packet_3p1, coeffs_3p1, critical_field, *rule, "interband",
                                      (1,))
-    kept_freq, _, _, top = dynamics._screened(block)
-    assert top == np.max(block.freq) and np.max(kept_freq) < top
-    t_end = 2.0 / (dynamics.EPS * (top + np.max(kept_freq) + 4.0))
+    top, below = block.freq[-1, -1], block.freq[-1, -2]
+    assert top == np.max(block.freq) and abs(block.amps[0, -1, -1]) <= dynamics.EPS * block.mass
+    t_end = 2.0 / (dynamics.EPS * (top + below + 4.0))
     with pytest.raises(TimeRangeError, match="more than a radian"):
         dynamics._series(packet_3p1, coeffs_3p1, critical_field, np.linspace(0.0, t_end, 3), rule,
                          "interband", (1,))
@@ -1390,7 +1295,7 @@ def test_screened_top_lines_still_bound_the_time_grid(critical_field, packet_3p1
 
 def test_envelope_signals_stay_within_their_memory():
     # the envelope benchmark's two signals: one block's line tables and the 2 MiB
-    # of time-grid tiles its sum allocates.  They peak at 2.48 MiB
+    # of time-grid tiles its sum allocates.  They peak at 1.76 MiB
     signals = envelope_signals()
     for args in signals:
         dynamics.analytic_signal(*args)            # warm caches
@@ -1406,7 +1311,7 @@ def test_envelope_signals_stay_within_their_memory():
 
 def test_critical_field_trajectory_stays_within_its_memory(critical_field):
     # one 3+1 trajectory with its derivative rows: the criterion-2 critical-field
-    # packet at 401 samples, whose tiles stack x, y, vx and vy.  It peaks at 2.51 MiB
+    # packet at 401 samples, whose tiles stack x, y, vx and vy.  It peaks at 2.44 MiB
     pkt = GaussianPacket(d_x=1.5, d_y=1.5, d_z=1.8, k0x=0.998, a1=0.0, a2=1.0,
                          dimensionality="3+1")
     times = np.linspace(0.0, 200.0, 401)
@@ -1426,8 +1331,8 @@ def test_a_split_rule_yields_the_blocks_of_its_half_and_its_odd_nodes(
         grid, critical_field, packet_3p1, coeffs_3p1, mixed_packet_3p1, mixed_coeffs_3p1):
     # one `_line_blocks` pass over a rule of K nodes yields, per class, the block of
     # its even-index nodes with doubled weights, which are the rule of K/2, then that
-    # of its odd-index nodes: tables, mass and peak bit for bit those of a call on
-    # those nodes alone.  On the folded real axis and a folded ray (k0z = 0), and on
+    # of its odd-index nodes: tables and mass bit for bit those of a call on those
+    # nodes alone.  On the folded real axis and a folded ray (k0z = 0), and on
     # the signed grid of a k0z != 0 packet, whose blocks carry the spin-mixing rows
     pkt, coeffs = ((mixed_packet_3p1, mixed_coeffs_3p1) if grid == "signed"
                    else (packet_3p1, coeffs_3p1))
@@ -1447,7 +1352,7 @@ def test_a_split_rule_yields_the_blocks_of_its_half_and_its_odd_nodes(
             assert (got.interband, got.carrier, got.mass) == (want.interband, want.carrier,
                                                                want.mass)
             assert np.array_equal(got.levels, want.levels)
-            for field in ("freq", "amps", "peak"):
+            for field in ("freq", "amps"):
                 mine, theirs = getattr(got, field), getattr(want, field)
                 assert mine.shape == theirs.shape and np.array_equal(mine, theirs), field
                 assert mine.tobytes() == np.ascontiguousarray(theirs).tobytes(), field
@@ -1521,3 +1426,21 @@ def test_an_empty_time_grid_is_a_time_range_error(name):
     for call in calls:
         with pytest.raises(TimeRangeError, match="time grid is empty"):
             call()
+
+
+@pytest.mark.parametrize("grid", [np.float64(0.0), np.zeros((2, 4))], ids=["scalar", "2x4"])
+@pytest.mark.parametrize("entry", ["trajectory_2p1", "trajectory_3p1", "analytic_signal",
+                                   "subpackets", "evolve_expectations"])
+def test_a_time_grid_that_is_not_one_dimensional_is_a_time_range_error(
+        entry, grid, critical_field, packet_2p1, coeffs_2p1, packet_3p1, coeffs_3p1):
+    # a scalar failed with an IndexError, a (2, 4) grid with numpy's truth-value
+    # ValueError (trajectories) or a 0-d conversion TypeError; none named the grid
+    if entry == "evolve_expectations":
+        call = lambda: oracle.evolve_expectations(packet_2p1, critical_field, grid,
+                                                  coeffs_2p1.n_max + 21)
+    elif entry == "trajectory_3p1":
+        call = lambda: dynamics.trajectory_3p1(packet_3p1, coeffs_3p1, critical_field, grid)
+    else:
+        call = lambda: getattr(dynamics, entry)(packet_2p1, coeffs_2p1, critical_field, grid)
+    with pytest.raises(TimeRangeError, match=re.escape(f"time grid has shape {grid.shape}")):
+        call()

@@ -21,9 +21,9 @@ from landauzb.units import TimeRangeError
 EPS = np.finfo(float).eps
 
 
-def sum_one(freq, amps, times, derivative=False, carrier=0.0, top=None):
-    """`_sum_lines` on the one table (freq, amps, carrier, top)."""
-    (sums,) = dynamics._sum_lines([(freq, amps, carrier, top)], times, derivative)
+def sum_one(freq, amps, times, derivative=False, carrier=0.0):
+    """`_sum_lines` on the one table (freq, amps, carrier)."""
+    (sums,) = dynamics._sum_lines([(freq, amps, carrier)], times, derivative)
     return sums
 
 
@@ -239,8 +239,8 @@ def test_each_table_of_a_call_is_summed_as_alone(grid, derivative):
     # one call on many tables: two longer than r_max (cut from their own start,
     # so the second shares its first tile with the first one's tail), short ones
     # sharing a tile, carriers 0 and 2, real and complex (k_z ray) tables side by
-    # side, (pairs, K) block shapes, and a screened table's top.  Each table's
-    # sum is that of its call alone, bit for bit
+    # side, and (pairs, K) block shapes.  Each table's sum is that of its call
+    # alone, bit for bit
     times = GRIDS[grid]
     assert (_time_grid(times)[2] == 1) == (grid == "direct")
     rng = np.random.default_rng(17)
@@ -252,8 +252,7 @@ def test_each_table_of_a_call_is_summed_as_alone(grid, derivative):
             freq = freq - 1j * rng.uniform(0.0, 1e-2, size)
         if k == 6:
             freq, amps = freq.reshape(12, 5), amps.reshape(2, 12, 5)
-        top = 0.6 if k == 3 else None
-        tables.append((freq, amps, 2.0 * (k % 2), top))
+        tables.append((freq, amps, 2.0 * (k % 2)))
     got = dynamics._sum_lines(tables, times, derivative)
     assert len(got) == len(tables)
     for sums, table in zip(got, tables):
@@ -269,7 +268,7 @@ def test_tables_that_share_a_tile_share_its_exps(derivative, monkeypatch):
     # on the carrier takes one exp per sample
     times = np.linspace(0.0, 30.0, 401)
     rng = np.random.default_rng(2)
-    tables = [(*lines(rng, 50, channels=1), carrier, None) for carrier in (0.0, 2.0, 2.0, 0.0, 2.0)]
+    tables = [(*lines(rng, 50, channels=1), carrier) for carrier in (0.0, 2.0, 2.0, 0.0, 2.0)]
     assert 5 * 50 <= tile_lines(times, 1, derivative)
     calls = []
     real_exp = np.exp
@@ -288,11 +287,11 @@ def test_tables_that_share_a_tile_share_its_exps(derivative, monkeypatch):
 
 
 def test_every_table_is_range_checked_before_any_phase():
-    # a table past the phase bound raises with its own top, whatever its place
+    # a table past the phase bound raises with its own top line, whatever its place
     edge = 1.0 / (EPS * 3.0)
     times = np.linspace(0.0, 0.5 * edge, 3)
-    fine = (np.array([0.5]), np.ones((1, 1)), 0.0, None)
-    far = (np.array([5.0]), np.ones((1, 1)), 2.0, None)
+    fine = (np.array([0.5]), np.ones((1, 1)), 0.0)
+    far = (np.array([5.0]), np.ones((1, 1)), 2.0)
     with pytest.raises(TimeRangeError, match=r"lines up to 7/t_c"):
         dynamics._sum_lines([fine, far, fine], times)
 
@@ -320,7 +319,7 @@ def test_sweep_each_table_is_summed_as_alone(times, sizes, kinds, channels, deri
         freq = freq * (10.0 / t_max)
         if kinds[k]:
             freq = freq - 1j * rng.uniform(0.0, 0.1, freq.size) / t_max
-        tables.append((freq, amps, 2.0 * (k % 2), None))
+        tables.append((freq, amps, 2.0 * (k % 2)))
     got = dynamics._sum_lines(tables, times, derivative)
-    for sums, (freq, amps, carrier, top) in zip(got, tables, strict=True):
-        assert sums.tobytes() == sum_one(freq, amps, times, derivative, carrier, top).tobytes()
+    for sums, (freq, amps, carrier) in zip(got, tables, strict=True):
+        assert sums.tobytes() == sum_one(freq, amps, times, derivative, carrier).tobytes()
