@@ -476,7 +476,9 @@ def cmd_ion_map(cfg, args) -> list:
 
 
 def cmd_lowfield(cfg, args) -> list:
-    field, units, pkt, _, _ = _build_everything(cfg)
+    # a closed form in the packet and field: no level table, so no truncation gate
+    field, units = resolve_field(cfg)
+    pkt = resolve_packet(cfg, field)
     summary = dynamics.lowfield_summary(pkt, field)
     doc = {key: value for key, value in vars(summary).items() if key != "axial_width"}
     if units is not None:

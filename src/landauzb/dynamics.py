@@ -61,8 +61,8 @@ import numpy as np
 from .landau import landau_energies
 # MAX_GRID_NODES and QuadratureConvergenceError stay importable from here
 from .packet import (AXIAL_FLOOR, AXIAL_HALF_WIDTH, MAX_GRID_NODES, AxialRay, CoefficientSet,
-                     DimensionalityError, GaussianPacket, QuadratureConvergenceError, axial_grid,
-                     axial_nodes, axial_ray, ray_nodes)
+                     DimensionalityError, GaussianPacket, QuadratureConvergenceError, _axial_sizer,
+                     axial_grid, axial_nodes, axial_ray, ray_nodes)
 from .units import FieldConfig, TimeRangeError
 
 PREF = 1.0 / (2.0 * math.sqrt(2.0))
@@ -283,7 +283,7 @@ def _time_grid(times: np.ndarray) -> tuple[float, float, int, np.ndarray]:
 
 def _sum_lines(
     tables: list[tuple[np.ndarray, np.ndarray, float]], times: np.ndarray,
-    derivative: bool = False,
+    derivative: bool = False, progressions: tuple[float, float, int, np.ndarray] | None = None,
 ) -> list[np.ndarray]:
     """Complex sums sum_rows amps[c] e^{-i (freq + carrier) t}, shape (C, T), one per table.
 
@@ -305,7 +305,8 @@ def _sum_lines(
     TimeRangeError before any is formed: no digit of them is correct.  That bound
     also keeps every phase and anchor step (J h <= 2 max|t|) far inside the float
     range.  A complex table (lines on a k_z ray, decaying as e^{Im(w) t} for
-    t > 0) is checked on |freq|.
+    t > 0) is checked on |freq|.  `progressions` is `_time_grid(times)` where the
+    caller has it already.
     """
     t_max = float(np.max(np.abs(times)))
     lines = []
@@ -317,7 +318,7 @@ def _sum_lines(
                                  "by more than a radian or leave the float range; shorten the "
                                  "time grid")
         lines.append((freq, np.reshape(amps, (len(amps), freq.size))))
-    start, step, n_offsets, delta = _time_grid(times)
+    start, step, n_offsets, delta = _time_grid(times) if progressions is None else progressions
     n_anchors = -(-times.size // n_offsets)
     n_out = 2 if derivative else 1
     orders = n_out + bool(np.any(delta))
@@ -373,10 +374,13 @@ def _sum_lines(
             sums[i] += tile[:, cols] @ offsets[:, cols].T
     sums = sums.reshape(len(lines), orders, channels, -1)[..., : times.size]
     out = sums[:, :n_out] + delta * sums[:, 1:] if orders > n_out else sums
+    turns = {}                    # e^{-i carrier t} of each carrier, formed once
     for sums_i, (_, _, carrier) in zip(out, tables):
         if carrier:               # 2 t is exact, so delta needs no carrier term
             sums_i[1:] -= 1j * carrier * sums_i[:-1]          # derivative rows, if any
-            sums_i *= np.exp(-1j * (carrier * times))
+            if carrier not in turns:
+                turns[carrier] = np.exp(-1j * (carrier * times))
+            sums_i *= turns[carrier]
     return [sums_i.reshape(-1, times.size) for sums_i in out]
 
 
@@ -402,12 +406,13 @@ def _series(
     return out, mass
 
 
-def _summed(blocks: Iterable[_Block], times: np.ndarray,
-            derivative: bool = False) -> list[tuple[np.ndarray, float]]:
+def _summed(blocks: Iterable[_Block], times: np.ndarray, derivative: bool = False,
+            progressions: tuple[float, float, int, np.ndarray] | None = None,
+            ) -> list[tuple[np.ndarray, float]]:
     """(sums, mass) of each block, all summed in one `_sum_lines` call."""
     blocks = list(blocks)
     sums = _sum_lines([(block.freq, block.amps, block.carrier) for block in blocks], times,
-                      derivative)
+                      derivative, progressions)
     return list(zip(sums, (block.mass for block in blocks)))
 
 
@@ -440,9 +445,15 @@ def _kinds(parts: str) -> tuple[str, ...]:
 
 def _first_rule(packet: GaussianPacket, field: FieldConfig, times, rtol: float, kind: str) -> int:
     """Line class `kind`'s first k_z rule: `packet.axial_nodes` for rtol, at least AXIAL_FLOOR."""
+    return _first_rules(packet, field, rtol, kind)(times)
+
+
+def _first_rules(packet: GaussianPacket, field: FieldConfig, rtol: float, kind: str):
+    """`_first_rule` as a function of the sample times, its bound's slope found once."""
     if not (0.0 < rtol < math.inf and 1.0 / float(rtol) < math.inf):
         raise ValueError(f"kz_rtol must be finite, positive and of finite reciprocal, not {rtol!r}")
-    return max(AXIAL_FLOOR, axial_nodes(packet, field, times, 1.0 / rtol, kind))
+    nodes = _axial_sizer(packet, field, 1.0 / rtol, kind)
+    return lambda times: max(AXIAL_FLOOR, nodes(times))
 
 
 class AxialRule(NamedTuple):
@@ -495,10 +506,11 @@ def _windows(packet: GaussianPacket, coeffs: CoefficientSet, field: FieldConfig,
     it was.
     """
     split = packet.k0z == 0.0 and np.min(times) >= 0.0
+    first_rules = {kind: _first_rules(packet, field, rtol, kind) for kind in _kinds(parts)}
 
     def real_rule(samples, kind):
         try:
-            return _first_rule(packet, field, samples, rtol, kind)
+            return first_rules[kind](samples)
         except QuadratureConvergenceError as error:
             if not split or error.nodes_needed is None:
                 raise
@@ -597,13 +609,14 @@ def _axial_sums(
 
     windows = _windows(packet, coeffs, field, times, rtol, parts, len(channels) * (1 + derivative))
     rungs = [rung for window in windows for rung in window]
+    progressions = [_time_grid(times[window[0].index]) for window in windows]
     while any(rung.points < rung.needed for rung in rungs):
-        for window in windows:
+        for window, grid in zip(windows, progressions):
             doubling = [rung for rung in window if rung.points < rung.needed]
             if not doubling:
                 continue
             found = iter(_summed((block for rung in doubling for block in blocks(rung)),
-                                 times[window[0].index], derivative))
+                                 times[window[0].index], derivative, grid))
             for rung in doubling:
                 if not rung.points:
                     rung.points, (rung.fine, rung.mass) = rung.needed // 2, next(found)
@@ -623,11 +636,9 @@ def _axial_sums(
                                ray_nodes(rung.ray, ratio) if rung.ray else
                                axial_nodes(packet, field, times[rung.index], ratio, rung.kind))
     error = np.abs(pos - _assembled(rungs, "coarse", times.size)[: len(channels)].real)
-    for window in windows:
-        samples = times[window[0].index]
+    for window, (_, _, n_offsets, delta) in zip(windows, progressions):
         achieved = float(np.max(error[:, window[0].index]) / scale)
-        n_offsets = _time_grid(samples)[2]
-        rounds = 4 + (-(-samples.size // n_offsets) + n_offsets if n_offsets > 1 else 0)
+        rounds = 4 + (-(-delta.size // n_offsets) + n_offsets if n_offsets > 1 else 0)
         floor = 2.0 * rounds * EPS * sum(rung.mass for rung in window)       # F eps A
         covered = all(2 * rung.needed <= rung.points for rung in window)
         if not achieved <= rtol and (covered or not floor <= rtol * scale):

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 MAX_GH_ORDER = 512
+FIRST_ROWS = 64     # rows a `HermiteRows` buffer holds at first; it doubles as it grows
 
 
 class CapacityError(ValueError):
@@ -83,33 +84,86 @@ def normalized_hermite_table(
 ) -> tuple[np.ndarray, np.ndarray]:
     """K_n(z; s)/C_n for n <= n_max as (mantissa, log scale), value = m * e^scale.
 
+    The whole table of `HermiteRows`, its scales spread over their rows.
+    """
+    rows = HermiteRows(z, s, n_max + 1)
+    rows.grow(n_max + 1)
+    scale = np.empty((n_max + 1, rows.z.size))
+    for start, stop, run in rows.runs(0, n_max + 1):
+        scale[start:stop] = rows.scales[run]
+    return rows.m, scale
+
+
+class HermiteRows:
+    """Rows K_n(z; s)/C_n, n < capacity, of one recurrence, built on demand by `grow`.
+
     K_n(z; s) = s^{n/2} H_n(z/sqrt(s)) obeys K_{n+1} = 2z K_n - 2n s K_{n-1}
     (DLMF 18.9), real for every real s: s = 1 gives H_n, s = -1 gives G_n with
     H_n(iz) = i^n G_n(z), s = 0 gives (2z)^n.  For |s| <= 1 a step grows the
     table by at most |z| + 1, so renormalizing the last two rows once per
     900/log2(2 + max|z|) steps cannot overflow; entries ~700 e-folds below
-    their column's peak may underflow to 0.
+    their column's peak may underflow to 0.  Row n is m[n] e^{scales[j]}, j the
+    last run with starts[j] <= n: a renormalization starts a run of rows that
+    share one scale.  Every row is that of the table of all `capacity` rows.
     """
-    if not -1.0 <= s <= 1.0:
-        raise ValueError(f"s must lie in [-1, 1], got {s!r}")
-    z = np.asarray(z, dtype=float)
-    m = np.empty((n_max + 1, z.size))
-    scale = np.zeros((n_max + 1, z.size))
-    m[0] = np.pi ** -0.25
-    if n_max >= 1:
-        np.multiply(z, math.sqrt(2.0) * m[0], out=m[1])
-    block = max(1, int(900.0 / math.log2(2.0 + float(np.max(np.abs(z), initial=0.0)))))
-    peak, work = np.empty(z.size), np.empty(z.size)
-    for k in range(1, n_max):
-        if k % block == 0:
-            # rows k-1 and k share one scale; the new one runs to the next block
-            np.maximum(np.abs(m[k - 1], out=peak), np.abs(m[k], out=work), out=peak)
-            peak[peak == 0.0] = 1.0
-            m[k - 1 : k + 1] /= peak
-            scale[k - 1 : k + block + 1] = scale[k - 1] + np.log(peak)
-        # the Hermite recurrence, scaled by s in its second term
-        np.multiply(z, math.sqrt(2.0 / (k + 1)), out=m[k + 1])
-        m[k + 1] *= m[k]
-        np.multiply(m[k - 1], s * math.sqrt(k / (k + 1.0)), out=work)
-        m[k + 1] -= work
-    return m, scale
+
+    def __init__(self, z: np.ndarray, s: float, capacity: int):
+        if not -1.0 <= s <= 1.0:
+            raise ValueError(f"s must lie in [-1, 1], got {s!r}")
+        z = np.asarray(z, dtype=float)
+        self.capacity = capacity
+        self.m = np.empty((min(capacity, FIRST_ROWS), z.size))
+        self.m[0] = np.pi ** -0.25
+        if capacity > 1:
+            np.multiply(z, math.sqrt(2.0) * self.m[0], out=self.m[1])
+        self.built = min(capacity, 2)       # rows computed so far
+        self.starts, self.scales = [0], [np.zeros(z.size)]
+        self.z, self.s = z, s
+        self._block = max(1, int(900.0 / math.log2(2.0 + float(np.max(np.abs(z), initial=0.0)))))
+
+    def grow(self, rows: int) -> None:
+        """Run the recurrence until rows 0..rows-1 are final.
+
+        Step k renormalizes rows k-1 and k (k a multiple of the block, k <
+        capacity - 1) and builds row k+1, so row rows-1 is final once the
+        step k = rows has run wherever it renormalizes.
+        """
+        last = rows - 2
+        for k in (rows - 1, rows):
+            if k <= self.capacity - 2 and k % self._block == 0:
+                last = k
+        first = self.built - 1
+        if last < first:
+            return
+        if last + 2 > len(self.m):
+            grown = np.empty((min(self.capacity, max(2 * len(self.m), last + 2)), self.z.size))
+            grown[: self.built] = self.m[: self.built]
+            self.m = grown
+        m, z, s, block, work = self.m, self.z, self.s, self._block, np.empty(self.z.size)
+        steps = np.arange(first, last + 1)
+        # each step's z sqrt(2/(k+1)), formed up front in the row the step builds
+        np.multiply(np.sqrt(2.0 / (steps + 1))[:, None], z, out=m[first + 1 : last + 2])
+        views = list(m[first - 1 : last + 2])
+        for k, back, older, row, new in zip(steps.tolist(),
+                                            (s * np.sqrt(steps / (steps + 1.0))).tolist(),
+                                            views, views[1:], views[2:]):
+            if k % block == 0:
+                # rows k-1 and k share one scale; the new one runs to the next block
+                peak = np.maximum(np.abs(older), np.abs(row, out=work))
+                peak[peak == 0.0] = 1.0
+                m[k - 1 : k + 1] /= peak
+                self.starts.append(k - 1)
+                self.scales.append(self.scales[-1] + np.log(peak))
+            # the Hermite recurrence, scaled by s in its second term
+            np.multiply(new, row, new)
+            np.multiply(older, back, work)
+            np.subtract(new, work, new)
+        self.built = last + 2
+
+    def runs(self, lo: int, hi: int):
+        """(start, stop, j): the rows start..stop-1 of lo..hi-1 that share scales[j]."""
+        ends = self.starts[1:] + [hi]
+        for j, (start, stop) in enumerate(zip(self.starts, ends)):
+            start, stop = max(start, lo), min(stop, hi)
+            if start < stop:
+                yield start, stop, j

@@ -16,6 +16,7 @@ the fused result is exponentiated.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 import warnings
@@ -35,6 +36,7 @@ AUTO_TAIL = 1e-12
 AXIAL_HALF_WIDTH = math.sqrt(math.log(1024.0 / np.finfo(float).eps))
 AXIAL_FLOOR = 64            # fewest k_z nodes of a series rule
 MAX_GRID_NODES = 1 << 16
+ROW_BLOCK = 16                # F_n rows the automatic cut builds between its checks
 _TINY = sys.float_info.min     # the smallest normal float
 
 
@@ -170,31 +172,32 @@ def g_z(packet: GaussianPacket, k_z):
 
 
 def _f_closed_log(
-    packet: GaussianPacket, field: FieldConfig, n_max: int, k_x: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """F_n(k_x) = m e^scale for n <= n_max as (m, scale), shape (n_max+1, K) each.
+    packet: GaussianPacket, field: FieldConfig, k_x: np.ndarray, levels: int
+) -> tuple[hermite.HermiteRows, np.ndarray]:
+    """F_n(k_x), n < levels, as (rows, column): F_n = m_n e^{scale_n + column}.
 
     F_n = sqrt(2 L d_x d_y/P) e^{-d_x^2 (k - k0x)^2/2 - L^4 k^2/(2P)} K_n(x; r)/C_n
     with P = L^2 + d_y^2, r = (L^2 - d_y^2)/P and x = -k L^3/P, where the
     scaled Hermite kernel K_n(x; r) = r^{n/2} H_n(x/sqrt r) is real and regular
-    for every width: r = 0 (d_y = L) gives (-k L)^n.
+    for every width: r = 0 (d_y = L) gives (-k L)^n.  Its rows m_n e^{scale_n}
+    are `hermite.HermiteRows`, not yet grown; column is the log of the rest.
     """
     L = field.magnetic_length
     dx, dy = packet.d_x, packet.d_y
     plus = L * L + dy * dy
     r = (L - dy) * (L + dy) / plus      # factored: no cancellation as d_y -> L
-    mant, scale = hermite.normalized_hermite_table(n_max, -k_x * (L**3 / plus), r)
+    rows = hermite.HermiteRows(-k_x * (L**3 / plus), r, levels)
     # 2 L d_x d_y / P leaves the normal floats only at the corners of the
     # widths' range; its log is a sum of logs there
     pref = 2.0 * L * dx * dy
     log_pref = (math.log(pref / plus) if _TINY <= pref and _TINY <= pref / plus < math.inf
                 else math.log(2.0 * L) + math.log(dx) + math.log(dy) - math.log(plus))
-    scale += (
+    column = (
         0.5 * log_pref
         - 0.5 * dx**2 * (k_x - packet.k0x) ** 2
         - 0.5 * (L**4 / plus) * k_x * k_x
     )
-    return mant, scale
+    return rows, column
 
 
 def f_n(packet: GaussianPacket, field: FieldConfig, n: int, k_x):
@@ -209,9 +212,15 @@ def f_n(packet: GaussianPacket, field: FieldConfig, n: int, k_x):
 def f_table(
     packet: GaussianPacket, field: FieldConfig, n_max: int, k_x: np.ndarray
 ) -> np.ndarray:
-    """F_n(k_x) for all n <= n_max; shape (n_max+1, K)."""
-    mant, scale = _f_closed_log(packet, field, n_max, np.asarray(k_x, dtype=float))
-    return mant * np.exp(scale)
+    """F_n(k_x) for all n <= n_max; shape (n_max+1, K).
+
+    Each run of rows that share one log scale takes its exponential once per node.
+    """
+    rows, column = _f_closed_log(packet, field, np.asarray(k_x, dtype=float), n_max + 1)
+    rows.grow(n_max + 1)
+    for start, stop, run in rows.runs(0, n_max + 1):
+        rows.m[start:stop] *= np.exp(rows.scales[run] + column)
+    return rows.m
 
 
 def kx_rule(
@@ -252,7 +261,7 @@ class CoefficientSet:
     def momentum_sum(self) -> float:
         """sum_n sqrt(n+1) U_{n+1,n}; equals -k0x L / sqrt(2)."""
         sub = np.diagonal(self.u, offset=-1)
-        terms = [math.sqrt(n + 1.0) * sub[n] for n in range(sub.size)]
+        terms = [math.sqrt(n + 1.0) * value for n, value in enumerate(sub.tolist())]
         return math.fsum(terms)
 
 
@@ -267,26 +276,22 @@ def coefficient_matrix(
     F_m F_n is a Gaussian times a polynomial of degree m + n, so an order-N
     k_x rule is exact for levels below N and the only truncation is the
     level cutoff.  With n_max omitted the cutoff is placed where the running
-    diagonal sum first reaches 1 - AUTO_TAIL: levels are built in rungs of
-    64, 128, 256 and 401 (the 256-node rule, then MAX_GH_ORDER), and a rung
-    is doubled only while the crossing lies beyond it.  Each rung's diagonal
-    is exact, so the cut is the one the 401-level build would place.  A cut,
-    automatic or explicit, whose tail mass or momentum sum-rule residual
-    exceeds tail_tol raises TruncationError; n_max >= 512 raises
+    diagonal sum first reaches 1 - AUTO_TAIL: the rows sqrt(w) F_n of the
+    256-node rule grow ROW_BLOCK at a time on one recurrence, the sum checked
+    after each block, up to 256 levels; only a crossing beyond them starts
+    over on the MAX_GH_ORDER rule, up to 401 levels.  Each row is that of
+    the rule's full table, so the cut is the one a full build would place.
+    A cut, automatic or explicit, whose tail mass or momentum sum-rule
+    residual exceeds tail_tol raises TruncationError; n_max >= 512 raises
     CapacityError (see kx_rule).
     """
     auto = n_max is None
-    rungs = (63, 127, 255, DEFAULT_N_MAX) if auto else (n_max,)
-    for cut in rungs:
-        k_nodes, log_w = kx_rule(packet, field, cut)
-        mant, scale = _f_closed_log(packet, field, cut, k_nodes)
-        z = mant * np.exp(scale + 0.5 * log_w)
-        if auto:
-            running = np.cumsum(np.einsum("ij,ij->i", z, z))
-            captured = np.flatnonzero(running >= 1.0 - AUTO_TAIL)
-            if captured.size:
-                cut = max(int(captured[0]), 1)
-                break
+    for top in (255, DEFAULT_N_MAX) if auto else (n_max,):
+        k_nodes, log_w = kx_rule(packet, field, top)
+        z, cut = _weighted_rows(packet, field, k_nodes, log_w, top + 1, auto)
+        if cut is not None:
+            break
+    cut = top if cut is None else cut
     z = z[: cut + 1]
     u = z @ z.T
     tail = 1.0 - math.fsum(np.diagonal(u).tolist())
@@ -305,6 +310,37 @@ def coefficient_matrix(
             f"{drift:.3e} (> {tail_tol:g}); increase n_max"
         )
     return coeffs
+
+
+def _weighted_rows(
+    packet: GaussianPacket, field: FieldConfig, k_nodes: np.ndarray, log_w: np.ndarray,
+    levels: int, auto: bool,
+) -> tuple[np.ndarray, int | None]:
+    """(z, cut): rows z_n = sqrt(w) F_n on the rule (k_nodes, log_w), n < levels.
+
+    With auto the rows grow ROW_BLOCK at a time until the running diagonal sum
+    first reaches 1 - AUTO_TAIL, at row cut (at least 1), and z holds the rows up
+    to that block; cut is None where no row reaches it, or without auto, where z
+    holds every row.  Each run of rows that share one log scale takes its
+    exponential once per node.
+    """
+    rows, column = _f_closed_log(packet, field, k_nodes, levels)
+    z, diagonal, factors = np.empty((levels, k_nodes.size)), np.empty(levels), {}
+    half_log_w = 0.5 * log_w
+    step = ROW_BLOCK if auto else levels
+    for lo in range(0, levels, step):
+        hi = min(lo + step, levels)
+        rows.grow(hi)
+        for start, stop, run in rows.runs(lo, hi):
+            if run not in factors:
+                factors[run] = np.exp(rows.scales[run] + column + half_log_w)
+            np.multiply(rows.m[start:stop], factors[run], out=z[start:stop])
+        if auto:
+            diagonal[lo:hi] = np.einsum("ij,ij->i", z[lo:hi], z[lo:hi])
+            crossed = np.cumsum(diagonal[:hi]) >= 1.0 - AUTO_TAIL
+            if crossed.any():
+                return z[:hi], max(int(crossed.argmax()), 1)
+    return z, None
 
 
 def axial_grid(packet: GaussianPacket, points: int,
@@ -406,25 +442,41 @@ def axial_nodes(packet: GaussianPacket, field: FieldConfig, times, ratio: float,
     target to size for), raises QuadratureConvergenceError, and a NaN or infinite
     time TimeRangeError.
     """
+    return _axial_sizer(packet, field, ratio, kind)(times)
+
+
+def _axial_sizer(packet: GaussianPacket, field: FieldConfig, ratio: float, kind: str):
+    """`axial_nodes` at one ratio and line class, as a function of the sample times.
+
+    Its slope v and tail depend on neither the times nor t_max, so they are found
+    once, at the first call.
+    """
     if kind not in ("intraband", "interband"):
         raise ValueError(f"kind must be 'intraband' or 'interband', not {kind!r}")
-    t_max = float(np.max(np.abs(times)))
-    if not t_max < math.inf:
-        raise TimeRangeError(f"a k_z rule needs finite sample times, not max |t| = {t_max}")
-    if math.isnan(ratio):
-        raise QuadratureConvergenceError(math.nan, math.nan)
     d_z, edge = packet.d_z, abs(packet.k0z) + AXIAL_HALF_WIDTH / packet.d_z
-    c = 2.0 * math.sqrt(math.log(max(ratio, 1.0)))
-    y, tail = (c / (2.0 * d_z), c * d_z) if c <= 2.0 * d_z else (1.0, c * c / 4.0 + d_z * d_z)
-    if kind == "intraband":
-        slope = _intraband_strip_slope(field.omega**2, y, edge)
-    else:
+
+    @functools.cache
+    def bound() -> tuple[float, float]:
+        c = 2.0 * math.sqrt(math.log(max(ratio, 1.0)))
+        y, tail = (c / (2.0 * d_z), c * d_z) if c <= 2.0 * d_z else (1.0, c * c / 4.0 + d_z * d_z)
+        if kind == "intraband":
+            return _intraband_strip_slope(field.omega**2, y, edge), tail
         # floats: slope * t overflows to inf, unwarned, and the cap below raises.  Where
         # k^2 leaves the float range (d_z below about 4.9e-154) E_n overflows, while
         # k/E_n is 1 to rounding at every field the config admits
-        slope = (edge * float(np.sum(1.0 / landau_energies(1, edge, field)))
-                 if edge * edge < math.inf else 2.0)
-    return _rule_size(AXIAL_HALF_WIDTH / (math.pi * d_z) * (slope * t_max + tail))
+        return (edge * float(np.sum(1.0 / landau_energies(1, edge, field)))
+                if edge * edge < math.inf else 2.0), tail
+
+    def nodes(times) -> int:
+        t_max = float(np.max(np.abs(times)))
+        if not t_max < math.inf:
+            raise TimeRangeError(f"a k_z rule needs finite sample times, not max |t| = {t_max}")
+        if math.isnan(ratio):
+            raise QuadratureConvergenceError(math.nan, math.nan)
+        slope, tail = bound()
+        return _rule_size(AXIAL_HALF_WIDTH / (math.pi * d_z) * (slope * t_max + tail))
+
+    return nodes
 
 
 def _rule_size(bound: float) -> int:
@@ -452,13 +504,14 @@ class AxialRay(NamedTuple):
     costs: tuple[tuple[float, float], ...]    # (y, C): a copy moved to Im s = +-y grows by e^C
 
 
-def _ray_growth(field: FieldConfig, kind: str, pairs, k: np.ndarray) -> np.ndarray:
-    """Im w(k) of `kind`'s lines of the pairs (n, n+1), n in `pairs`: (pairs,) + k.shape."""
-    n = np.reshape(np.asarray(pairs, dtype=float), (-1,) + (1,) * k.ndim)
-    k_sq = k * k
-    e_lo = np.sqrt(1.0 + field.omega**2 * n + k_sq)
-    e_hi = np.sqrt(1.0 + field.omega**2 * (n + 1.0) + k_sq)
-    return (e_lo + e_hi if kind == "interband" else field.omega**2 / (e_lo + e_hi)).imag
+def _ray_growth(omega_sq: float, kind: str, levels: np.ndarray, k_sq: np.ndarray) -> np.ndarray:
+    """Im w(k) of `kind`'s lines of the level pairs (n, n+1) at k^2 = k_sq: (pairs,) + k_sq.shape.
+
+    levels[p] is (E_n^2, E_{n+1}^2) at k = 0, 1 + omega^2 (n, n + 1), of pair p.
+    """
+    energies = np.sqrt(np.reshape(levels, levels.shape + (1,) * k_sq.ndim) + k_sq)
+    total = energies[:, 0] + energies[:, 1]
+    return (total if kind == "interband" else omega_sq / total).imag
 
 
 def axial_ray(packet: GaussianPacket, field: FieldConfig, times, kind: str,
@@ -492,7 +545,8 @@ def axial_ray(packet: GaussianPacket, field: FieldConfig, times, kind: str,
     """
     t_lo, t_hi = float(np.min(times)), float(np.max(times))
     d_sq, omega_sq = packet.d_z**2, field.omega**2
-    e = [math.sqrt(1.0 + omega_sq * n) for n in (0.0, 1.0, n_max, n_max + 1.0)]
+    levels = 1.0 + omega_sq * np.array([(0.0, 1.0), (n_max, n_max + 1.0)])    # E^2 at k = 0
+    e = np.sqrt(levels).ravel().tolist()
     rates = [0.5 * (1.0 / a + 1.0 / b) * (1.0 if kind == "interband" else -omega_sq / (a + b) ** 2)
              for a, b in (e[:2], e[2:])]
     theta = 0.5 * math.atan2(math.copysign(math.sqrt(rates[0] * rates[1]), rates[0])
@@ -502,12 +556,14 @@ def axial_ray(packet: GaussianPacket, field: FieldConfig, times, kind: str,
     if not float(s[0]) * float(s[0]) < math.inf:     # k^2 leaves the float range: no finite rule
         return AxialRay(theta, float(s[0]), ((1.0, math.inf),))
     k = turn * s
-    fall = d_sq * (k * k).real - t_lo * _ray_growth(field, kind, (n_max,), k)[0]
+    k_sq = k * k
+    fall = d_sq * k_sq.real - t_lo * _ray_growth(omega_sq, kind, levels[1:], k_sq)[0]
     half_width = float(s[max(np.count_nonzero(fall >= AXIAL_HALF_WIDTH**2) - 1, 0)])
     y = min(math.cos(theta), 0.75 * half_width) * _RAY_SHIFTS
     k = turn * (half_width * _RAY_LINE + 1j * y[:, None])
-    growth = _ray_growth(field, kind, (0, n_max), k)
-    log = np.maximum(t_lo * growth, t_hi * growth) - d_sq * (k * k).real
+    k_sq = k * k
+    growth = _ray_growth(omega_sq, kind, levels, k_sq)
+    log = np.maximum(t_lo * growth, t_hi * growth) - d_sq * k_sq.real
     spread = math.log(8.0 * half_width * packet.d_z * math.sqrt(cos_2 / math.pi))
     costs = np.max(log, axis=(0, 2)) + spread
     return AxialRay(theta, half_width, tuple(zip(y.tolist(), costs.tolist())))

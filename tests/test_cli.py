@@ -684,6 +684,21 @@ def test_lowfield_document_is_the_library_summary(tmp_path, config, si):
     assert all(doc[key] == value for key, value in summary.items() if key != "axial_width")
 
 
+def test_lowfield_builds_no_level_table(tmp_path, monkeypatch):
+    calls, built = [], packet.coefficient_matrix
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return built(*args, **kwargs)
+
+    monkeypatch.setattr(packet, "coefficient_matrix", counting)
+    cfg_path = str(CONFIG_DIR / "lowfield_zb_3p1.json")
+    assert main(["lowfield", "--config", cfg_path, "--output", str(tmp_path / "low.json")]) == EXIT_OK
+    assert calls == []
+    assert main(["sumrules", "--config", cfg_path, "--output", str(tmp_path / "rules.json")]) == EXIT_OK
+    assert len(calls) == 1
+
+
 def nan_expectations(kz_residual):
     def evolve(pkt, field, times, **kwargs):
         nan = np.full(times.size, math.nan)

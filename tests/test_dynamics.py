@@ -468,13 +468,13 @@ def _recording(monkeypatch, times, grids=None):
     sum_lines, line_blocks = dynamics._sum_lines, dynamics._line_blocks
     seen, nodes, channels = [], [], []
 
-    def counting(tables, grid, derivative=False):
+    def counting(tables, grid, derivative=False, progressions=None):
         if grids is None:
             assert np.array_equal(grid, times)
         else:
             grids.append(grid)
         seen.extend(np.shape(table[0]) for table in tables)
-        return sum_lines(tables, grid, derivative)
+        return sum_lines(tables, grid, derivative, progressions)
 
     def recording(packet, coeffs, field, kz, weights, *args, **kwargs):
         assert kz.size == weights.size and np.all(np.abs(weights) > 0.0), \

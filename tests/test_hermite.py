@@ -184,3 +184,20 @@ def test_normalized_hermite_table_matches_extended_precision():
                     for n in range(n_max + 1)
                 )
                 assert err <= 1e-12 * peak, (s, zj, float(err / peak))
+
+
+@pytest.mark.parametrize("s", [1.0, 0.37, -1.0])
+def test_rows_grown_in_pieces_are_those_of_the_whole_table(s):
+    # z = 2.5e5 renormalizes every 50 steps: pieces that end on a block edge,
+    # one row before or after it, must expose only rows no later step rescales
+    n_max = 300
+    z = np.array([0.0, 0.3, 40.0, 2.5e5])
+    mant, scale = hermite.normalized_hermite_table(n_max, z, s=s)
+    rows = hermite.HermiteRows(z, s, n_max + 1)
+    for size in (1, 2, 3, 16, 49, 50, 51, 99, 100, 101, 150, 256, 299, 300, 301):
+        rows.grow(size)
+        assert size <= rows.built <= min(size + 2, n_max + 1)
+        assert np.array_equal(rows.m[:size], mant[:size])
+        for start, stop, run in rows.runs(0, size):
+            assert np.array_equal(np.broadcast_to(rows.scales[run], (stop - start, z.size)),
+                                  scale[start:stop])

@@ -28,6 +28,8 @@ from u_reference import (
     ClosedFormUnavailable,
     f_quadrature,
     full_build,
+    full_rows,
+    rung_build,
     u_closed_equal_width,
     u_closed_general,
 )
@@ -499,26 +501,54 @@ def assert_matches_full_build(ladder, full):
 
 
 def built_levels(monkeypatch):
-    """Level counts of every F_n table built from now on, in call order."""
-    seen = []
+    """Reads the rows built by every F_n recurrence started from now on, in call order."""
+    tables = []
     closed_log = packet._f_closed_log
 
-    def counting(pkt, field, n_max, k_x):
-        seen.append(n_max + 1)
-        return closed_log(pkt, field, n_max, k_x)
+    def recording(pkt, field, k_x, levels):
+        rows, column = closed_log(pkt, field, k_x, levels)
+        tables.append(rows)
+        return rows, column
 
-    monkeypatch.setattr(packet, "_f_closed_log", counting)
-    return seen
+    monkeypatch.setattr(packet, "_f_closed_log", recording)
+    return lambda: [rows.built for rows in tables]
+
+
+def rows_to_cut(cut):
+    """The rows an automatic cut at `cut` builds on its rule: whole blocks up to it."""
+    return packet.ROW_BLOCK * (cut // packet.ROW_BLOCK + 1)
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda path: path.stem)
 def test_ladder_matches_full_build_on_bundled_configs(path, monkeypatch):
     pkt, field = bundled(path)
-    seen = built_levels(monkeypatch)
+    built = built_levels(monkeypatch)
     ladder = coefficient_matrix(pkt, field)
-    assert seen == [64]
+    assert built() == [rows_to_cut(ladder.n_max)]
     assert_matches_full_build(ladder, full_build(pkt, field))
     assert ladder.kx_order == 256
+
+
+@pytest.mark.parametrize("case", [pytest.param(path, id=path.stem) for path in CONFIGS] + [
+    pytest.param(widths, id=f"cut-{cut}")
+    for widths, cut in CLIMBING + [((1.0, 1.0, k0x), cut) for k0x, cut in RUNG_EDGES]])
+def test_ladder_is_bit_identical_to_whole_tables_of_its_rule(critical_field, case):
+    # rows grown in blocks, exponentiated once per run of rows sharing a scale,
+    # against the whole 256- or 401-row table of the same rule
+    pkt, field = bundled(case) if isinstance(case, Path) else (scaled_packet(*case), critical_field)
+    ladder, whole = coefficient_matrix(pkt, field), rung_build(pkt, field)
+    assert np.array_equal(ladder.u, whole.u)
+    assert ladder.tail_mass == whole.tail_mass
+    assert ladder.n_max == whole.n_max
+    assert ladder.kx_order == whole.kx_order
+
+
+def test_a_cut_of_26_builds_two_blocks_of_rows(monkeypatch):
+    # the 20 T packet of lowfield_zb_3p1: a first rung of 64 rows built twice as many
+    pkt, field = bundled(next(path for path in CONFIGS if path.stem == "lowfield_zb_3p1"))
+    built = built_levels(monkeypatch)
+    assert coefficient_matrix(pkt, field).n_max == 26
+    assert built() == [32]
 
 
 @pytest.mark.parametrize("widths, cut", CLIMBING + [((1.0, 1.0, k0x), cut) for k0x, cut in RUNG_EDGES])
@@ -557,24 +587,24 @@ def test_truncation_counts_the_momentum_rule(critical_field):
 @pytest.mark.parametrize("n_max", [40, 255, 256, 400])
 def test_explicit_n_max_builds_every_level(critical_field, packet_2p1, n_max):
     coeffs = coefficient_matrix(packet_2p1, critical_field, n_max=n_max)
-    k_nodes, log_w = kx_rule(packet_2p1, critical_field, n_max)
-    mant, scale = packet._f_closed_log(packet_2p1, critical_field, n_max, k_nodes)
-    z = mant * np.exp(scale + 0.5 * log_w)
+    z, _ = full_rows(packet_2p1, critical_field, n_max)
     assert coeffs.n_max == n_max
     assert coeffs.kx_order == (256 if n_max < 256 else 512)
     assert np.array_equal(coeffs.u, z @ z.T)
 
 
 @pytest.mark.parametrize("widths, rungs", [
-    ((1.0, 1.0, 4.375), [64]),                  # cut 63: the first rung's last level
-    ((1.0, 1.0, 4.531), [64, 128]),             # cut 64
-    (CLIMBING[0][0], [64, 128, 256]),           # cut 160
-    (CLIMBING[-1][0], [64, 128, 256, 401]),     # cut 390
+    ((1.0, 1.0, 4.375), [64]),                  # cut 63: the fourth block's last row
+    ((1.0, 1.0, 4.531), [80]),                  # cut 64
+    (CLIMBING[0][0], [176]),                    # cut 160
+    (CLIMBING[-1][0], [256, 400]),              # cut 390, past the 256-node rule
 ])
 def test_ladder_doubles_only_past_the_crossing(critical_field, widths, rungs, monkeypatch):
-    seen = built_levels(monkeypatch)
+    # rows grow to the crossing's block; only a crossing past the 256 rows of
+    # the 256-node rule starts over on the 512-node rule
+    built = built_levels(monkeypatch)
     coefficient_matrix(scaled_packet(*widths), critical_field)
-    assert seen == rungs
+    assert built() == rungs
 
 
 WIDTH = st.one_of(
@@ -640,8 +670,8 @@ def test_tail_gate_is_two_sided_and_fails_on_nan(critical_field, monkeypatch, fa
     closed = packet._f_closed_log
 
     def scaled(*args):
-        mant, scale = closed(*args)
-        return mant * factor, scale
+        rows, column = closed(*args)
+        return rows, column + math.log(factor)
 
     monkeypatch.setattr(packet, "_f_closed_log", scaled)
     with pytest.raises(TruncationError, match="tail mass"):

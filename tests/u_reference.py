@@ -5,7 +5,9 @@ U_{m,n} = integral F_m F_n dk_x.
 coordinate: the independent cross-check of the closed form in `packet`.
 `full_build` is the automatic cutoff placed on one 401-level build on the
 512-node k_x rule, with the same truncation check: the reference for
-`coefficient_matrix`'s level ladder.
+`coefficient_matrix`'s level ladder.  `rung_build` places it on whole tables
+of each k_x rule, 256 rows on the 256-node rule and then 401 on the 512-node
+one: the bit-for-bit reference for the rows the ladder grows block by block.
 Two closed forms cross-check the k_x quadrature element by element: one for
 equal widths (d_y = L) through a single Hermite value, and one for distinct
 widths through a finite binomial sum.  Each covers its own width window only.
@@ -87,19 +89,41 @@ def f_quadrature(
     )
 
 
+def full_rows(
+    packet: GaussianPacket, field: FieldConfig, n_max: int
+) -> tuple[np.ndarray, int]:
+    """(z, K): sqrt(w) F_n for n <= n_max on kx_rule's K nodes, from one whole table."""
+    k_nodes, log_w = kx_rule(packet, field, n_max)
+    rows, column = _f_closed_log(packet, field, k_nodes, n_max + 1)
+    mant, scale = hermite.normalized_hermite_table(n_max, rows.z, rows.s)
+    scale += column
+    return mant * np.exp(scale + 0.5 * log_w), k_nodes.size
+
+
+def rung_build(packet: GaussianPacket, field: FieldConfig) -> CoefficientSet:
+    """The automatic cutoff over whole tables: 256 rows on the 256-node rule, then 401."""
+    for n_max in (255, DEFAULT_N_MAX):
+        z, order = full_rows(packet, field, n_max)
+        captured = np.flatnonzero(np.cumsum(np.einsum("ij,ij->i", z, z)) >= 1.0 - AUTO_TAIL)
+        if captured.size:
+            break
+    cut = max(int(captured[0]), 1) if captured.size else DEFAULT_N_MAX
+    u = z[: cut + 1] @ z[: cut + 1].T
+    return CoefficientSet(n_max=cut, u=u, tail_mass=1.0 - math.fsum(np.diagonal(u).tolist()),
+                          kx_order=order)
+
+
 def full_build(
     packet: GaussianPacket, field: FieldConfig, tail_tol: float = DEFAULT_TAIL_TOL
 ) -> CoefficientSet:
     """The automatic cutoff over the full 401 x 401 U on the 512-node rule."""
-    k_nodes, log_w = kx_rule(packet, field, DEFAULT_N_MAX)
-    mant, scale = _f_closed_log(packet, field, DEFAULT_N_MAX, k_nodes)
-    z = mant * np.exp(scale + 0.5 * log_w)
+    z, order = full_rows(packet, field, DEFAULT_N_MAX)
     u_full = z @ z.T
     captured = np.nonzero(np.cumsum(np.diagonal(u_full)) >= 1.0 - AUTO_TAIL)[0]
     cut = max(int(captured[0]) if captured.size else DEFAULT_N_MAX, 1)
     u = np.ascontiguousarray(u_full[: cut + 1, : cut + 1])
     tail = 1.0 - math.fsum(np.diagonal(u).tolist())
-    coeffs = CoefficientSet(n_max=cut, u=u, tail_mass=tail, kx_order=k_nodes.size)
+    coeffs = CoefficientSet(n_max=cut, u=u, tail_mass=tail, kx_order=order)
     if max(tail, sum_rules(coeffs, packet, field).momentum_residual) > tail_tol:
         raise TruncationError(f"level truncation at n_max={cut} leaves too much")
     return coeffs
