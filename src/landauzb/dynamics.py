@@ -26,14 +26,15 @@ with k0z = 0 every cyclotron and trembling line is even in k_z and the
 spin-mixing rows are odd.  The mixing rows then cancel and are not summed,
 and the signed k_z grid folds onto its k_z >= 0 half (`_fold`): K/2 + 1
 nodes for K.  Each line class has its own rule in each time window: K_c = m 2^e
-nodes with m in 5..8 and 8 | K_c, certified by an aliasing bound, each node
+nodes with m in 5..8 and 8 | K_c, certified by the aliasing bound of its k_z
+contour (`packet.ray_nodes` on a `packet.AxialRay`), each node
 summed once and nested over its half: the folded rule of K_c/2 is every other
 node of K_c's, so one `_line_blocks` pass over K_c's grid yields both (`split`).
 One `_sum_lines` call sums every class of a window: the halves and odd nodes of
 the first rules, then in each doubling round the odd nodes of every class still
 doubling.  Interband lines move with k_z as E_n + E_{n+1}, intraband lines
 only as omega^2/(E_n + E_{n+1}), so the intraband rule is the smaller.  On the
-real axis (`packet.axial_nodes`) a rule grows with t, since it must resolve the
+real axis, the contour at theta = 0, a rule grows with t, since it must resolve the
 chirp e^{-i alpha k_z^2 t} of every line.  So at k0z = 0 `_windows` splits a long
 grid from its end into windows (t/8, t] and sums a class there on the ray k_z = s
 e^{-i theta} of `packet.axial_ray` wherever that needs fewer nodes: chirp and
@@ -60,9 +61,9 @@ import numpy as np
 
 from .landau import landau_energies
 # MAX_GRID_NODES and QuadratureConvergenceError stay importable from here
-from .packet import (AXIAL_FLOOR, AXIAL_HALF_WIDTH, MAX_GRID_NODES, AxialRay, CoefficientSet,
-                     DimensionalityError, GaussianPacket, QuadratureConvergenceError, _axial_sizer,
-                     axial_grid, axial_nodes, axial_ray, ray_nodes)
+from .packet import (AXIAL_FLOOR, MAX_GRID_NODES, AxialRay, CoefficientSet, DimensionalityError,
+                     GaussianPacket, QuadratureConvergenceError, _axis_ray, _axis_tables,
+                     axial_grid, axial_ray, ray_nodes)
 from .units import FieldConfig, TimeRangeError
 
 PREF = 1.0 / (2.0 * math.sqrt(2.0))
@@ -443,17 +444,11 @@ def _kinds(parts: str) -> tuple[str, ...]:
     return PARTS[1:] if parts == "all" else (parts,)
 
 
-def _first_rule(packet: GaussianPacket, field: FieldConfig, times, rtol: float, kind: str) -> int:
-    """Line class `kind`'s first k_z rule: `packet.axial_nodes` for rtol, at least AXIAL_FLOOR."""
-    return _first_rules(packet, field, rtol, kind)(times)
-
-
-def _first_rules(packet: GaussianPacket, field: FieldConfig, rtol: float, kind: str):
-    """`_first_rule` as a function of the sample times, its bound's slope found once."""
+def _first_ratio(rtol: float) -> float:
+    """1/rtol, the error ratio every first k_z rule is sized for."""
     if not (0.0 < rtol < math.inf and 1.0 / float(rtol) < math.inf):
         raise ValueError(f"kz_rtol must be finite, positive and of finite reciprocal, not {rtol!r}")
-    nodes = _axial_sizer(packet, field, 1.0 / rtol, kind)
-    return lambda times: max(AXIAL_FLOOR, nodes(times))
+    return 1.0 / rtol
 
 
 class AxialRule(NamedTuple):
@@ -473,7 +468,7 @@ class _Rung:
 
     kind: str
     index: slice | np.ndarray     # the window's samples
-    ray: AxialRay | None          # None: the real axis
+    ray: AxialRay                 # the contour; theta = 0 is the real axis
     needed: int
     points: int = 0
     doublings: int = -1           # the first doubling completes the first rule
@@ -484,68 +479,72 @@ class _Rung:
 
 def _windows(packet: GaussianPacket, coeffs: CoefficientSet, field: FieldConfig,
              times: np.ndarray, rtol: float, parts: str, rows: int) -> list[list[_Rung]]:
-    """The time windows, each one rung per line class: the ray's or the real axis' first rule.
+    """The time windows, each one rung per line class: its k_z contour and first rule.
 
-    Every call first sizes each class's real-axis rule over the whole grid (the
-    checks of `_first_rule` and `axial_nodes` run there).  A k0z = 0 grid of t >= 0
-    then splits from max t down into windows (t/8, t]: each class takes the ray of
-    `packet.axial_ray` over the window where `packet.ray_nodes` needs fewer nodes
-    than the real-axis rule of the samples up to t, which is also the window's own
-    (the rule depends on max |t| alone).  There a real-axis rule past
-    MAX_GRID_NODES only sets the baseline, the nodes it needs: QuadratureConvergenceError
-    is raised if no window splits off or a real-axis window needs that many (a ray's
-    rule past the cap raises in `packet.ray_nodes`).  A window is split off while
-    that saves more line evaluations (level pairs x channels and derivatives x
-    folded nodes x samples, a rule of K nodes summed as K/2 + 1 folded ones) than
-    the 2 SERIES_CALL charged per class for its extra sums; the samples below it
-    then take the real-axis rule of their own maximum.  Where even rules of AXIAL_FLOOR nodes
-    would not pay, as where the real axis is already at the floor, no ray is
-    sized.  The split stops at the first window that does not pay or where no
-    class takes the ray, and the samples left, t = 0 among them, are one window on
-    the real axis.  Where no window is split off the whole grid is one window, as
-    it was.
+    Every first rule is `packet.ray_nodes` for 1/rtol on the rung's `AxialRay`,
+    at least AXIAL_FLOOR.  Each class is first sized on the real axis over the
+    whole grid, from real-axis tables (`packet._axis_tables`) built once per call
+    and read at each set of samples' max |t|.  A k0z = 0 grid of t >= 0 then
+    splits from max t down into windows (t/8, t]: each class takes the ray of
+    `packet.axial_ray` over the window where that needs fewer nodes than the real
+    axis over the samples up to t.  A window is split off while that saves more
+    line evaluations (level pairs x channels and derivatives x folded nodes x
+    samples, a rule of K nodes summed as K/2 + 1 folded ones) than the 2
+    SERIES_CALL charged per class for its extra sums; the samples below it then
+    take the real axis over their own maximum.  No ray is sized where even rules
+    of AXIAL_FLOOR nodes would not pay, and the split stops at the first window
+    that does not pay or where no class takes the ray: the samples left, t = 0
+    among them, are one real-axis window, and with no split the whole grid is.
+    A real-axis rule past MAX_GRID_NODES only sets the baseline where the grid
+    splits; QuadratureConvergenceError is raised if such a rule is summed (a
+    ray's rule past the cap raises in `packet.ray_nodes`).
     """
+    ratio = _first_ratio(rtol)
     split = packet.k0z == 0.0 and np.min(times) >= 0.0
-    first_rules = {kind: _first_rules(packet, field, rtol, kind) for kind in _kinds(parts)}
+    tables = _axis_tables(packet, field)
 
-    def real_rule(samples, kind):
+    def real(samples, kind):
+        ray = _axis_ray(packet, tables, kind, float(np.max(np.abs(samples))))
         try:
-            return first_rules[kind](samples)
+            return ray, max(AXIAL_FLOOR, ray_nodes(ray, ratio))
         except QuadratureConvergenceError as error:
             if not split or error.nodes_needed is None:
                 raise
-            return error.nodes_needed         # past the cap: raised below if it is summed
+            return ray, error.nodes_needed        # past the cap: raised below if it is summed
 
-    whole = [_Rung(kind, slice(None), None, real_rule(times, kind)) for kind in _kinds(parts)]
+    rest = {kind: real(times, kind) for kind in _kinds(parts)}
+    whole = [_Rung(kind, slice(None), *rule) for kind, rule in rest.items()]
     if not split:
         return [whole]
 
     def work(rules, samples):
         return rows * (coeffs.n_max + 1) * sum(points // 2 + 1 for points in rules) * samples
 
-    windows, rest, top = [], {rung.kind: rung.needed for rung in whole}, float(np.max(times))
+    windows, top = [], float(np.max(times))
     while top > 0.0:
         index = np.flatnonzero((times > WINDOW * top) & (times <= top))
         below = np.flatnonzero(times <= WINDOW * top)
         left = index.size + below.size
         calls = 2 * len(rest) * SERIES_CALL if below.size else 0
-        if work(rest.values(), left) - work([AXIAL_FLOOR] * len(rest), left) <= calls:
+        needed = [points for _, points in rest.values()]
+        if work(needed, left) - work([AXIAL_FLOOR] * len(rest), left) <= calls:
             break
         if index.size:
             chosen = []
-            for kind, real in rest.items():
+            for kind, (axis, points) in rest.items():
                 ray = axial_ray(packet, field, times[index], kind, coeffs.n_max)
-                nodes = max(AXIAL_FLOOR, ray_nodes(ray, 1.0 / rtol))
-                chosen.append(_Rung(kind, index, *((ray, nodes) if nodes < real else (None, real))))
-            low = {kind: real_rule(times[below], kind) for kind in rest} if below.size else {}
-            saved = (work(rest.values(), left) - work([rung.needed for rung in chosen], index.size)
-                     - work(low.values(), below.size))
-            if all(rung.ray is None for rung in chosen) or saved <= calls:
+                nodes = max(AXIAL_FLOOR, ray_nodes(ray, ratio))
+                rule = (ray, nodes) if nodes < points else (axis, points)
+                chosen.append(_Rung(kind, index, *rule))
+            low = {kind: real(times[below], kind) for kind in rest} if below.size else {}
+            saved = (work(needed, left) - work([rung.needed for rung in chosen], index.size)
+                     - work([points for _, points in low.values()], below.size))
+            if all(rung.ray.theta == 0.0 for rung in chosen) or saved <= calls:
                 break
             windows, rest = windows + [chosen], low
         top = WINDOW * top if index.size else float(np.max(times[below]))
     index = np.flatnonzero(times <= top)
-    last = [_Rung(kind, index, None, points) for kind, points in rest.items()]
+    last = [_Rung(kind, index, *rule) for kind, rule in rest.items()]
     windows = (windows + [last] if last else windows) if windows else [whole]
     for rung in (rung for window in windows for rung in window):
         if rung.needed > MAX_GRID_NODES:      # a real-axis rule: `ray_nodes` raises itself
@@ -575,7 +574,7 @@ def _axial_sums(
 
     A 2+1 call sums each class at k_z = 0, K = 1.  In 3+1 each line class c of
     `parts` has its own rule in each time window (`_windows`), on the real axis
-    or on its ray: `packet.axial_nodes` or `packet.ray_nodes` for an error of rtol
+    or on its ray: `packet.ray_nodes` on the rung's contour for an error of rtol
     times its amplitude mass A_c, folded (`_fold`) and summed once over its nodes,
     nested: S_K = S_{K/2} / 2 + S_odd.  All classes of a window share one ratio
     A/(rtol scale), A the sum of their A_c and scale max(|y - y[0]|, |x|) of the
@@ -632,9 +631,7 @@ def _axial_sums(
             ratio = sum(rung.mass for rung in window) / (rtol * scale)
             for rung in window:
                 # a NaN scale sizes nothing: leave the loop for the gate below
-                rung.needed = (rung.points if math.isnan(ratio) else
-                               ray_nodes(rung.ray, ratio) if rung.ray else
-                               axial_nodes(packet, field, times[rung.index], ratio, rung.kind))
+                rung.needed = rung.points if math.isnan(ratio) else ray_nodes(rung.ray, ratio)
     error = np.abs(pos - _assembled(rungs, "coarse", times.size)[: len(channels)].real)
     for window, (_, _, n_offsets, delta) in zip(windows, progressions):
         achieved = float(np.max(error[:, window[0].index]) / scale)
@@ -644,9 +641,8 @@ def _axial_sums(
         if not achieved <= rtol and (covered or not floor <= rtol * scale):
             raise QuadratureConvergenceError(achieved, rtol)
     records = [AxialRule(rung.kind, (float(times[rung.index][0]), float(times[rung.index][-1])),
-                         rung.ray.theta if rung.ray else 0.0,
-                         rung.ray.half_width if rung.ray else AXIAL_HALF_WIDTH / packet.d_z,
-                         rung.points, rung.doublings) for rung in rungs]
+                         rung.ray.theta, rung.ray.half_width, rung.points, rung.doublings)
+               for rung in rungs]
     return records, _assembled(rungs, "fine", times.size)
 
 
@@ -726,16 +722,19 @@ def mixing_terms(
 
     The integrand is odd in the axial wavenumber, so a symmetric density
     kills it; only 3+1 packets with axial momentum produce cross terms.  The
-    mixing rows alone are summed once per line class, on the signed grid
-    `packet.axial_nodes` gives that class for kz_rtol times their amplitude mass
-    (their k0z = 0 sum is rounding).
+    mixing rows alone are summed once per line class, on the signed grid of the
+    real axis' rule for that class (`packet.ray_nodes` at theta = 0) for kz_rtol
+    times their amplitude mass (their k0z = 0 sum is rounding).
     """
     times = _sample_times(times)
     if packet.dimensionality == "2+1":
         zero = np.zeros(times.size)
         return MixingSeries(times, zero, zero.copy(), zero * 0j, zero * 0j)
     # the signed grid: at k0z = 0 the cancellation is computed, not assumed
-    rules = [(kind, _first_rule(packet, field, times, kz_rtol, kind)) for kind in PARTS[1:]]
+    ratio, t_max = _first_ratio(kz_rtol), float(np.max(np.abs(times)))
+    tables = _axis_tables(packet, field)
+    rules = [(kind, max(AXIAL_FLOOR, ray_nodes(_axis_ray(packet, tables, kind, t_max), ratio)))
+             for kind in PARTS[1:]]
     blocks = (block for kind, points in rules
               for block in _line_blocks(packet, coeffs, field, *axial_grid(packet, points), kind,
                                         (1,), (0.0, 0.0, 1.0)))

@@ -11,10 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from landauzb import FieldConfig, GaussianPacket
-from landauzb import cli, dynamics, oracle
+from landauzb import cli, dynamics, oracle, packet as packet_mod
 from landauzb.landau import landau_energies, landau_energy
 from landauzb.packet import (AXIAL_HALF_WIDTH, AxialRay, DimensionalityError, axial_grid,
-                             axial_nodes, axial_ray, coefficient_matrix, ray_nodes)
+                             axial_ray, coefficient_matrix, ray_nodes)
 from landauzb.units import COMPTON_LENGTH, TimeRangeError
 from test_sum_lines import longdouble_phases
 
@@ -229,7 +229,7 @@ def test_fold_is_identity_with_axial_momentum(mixed_packet_3p1):
 
 def test_folded_rule_nests_bit_for_bit(packet_3p1):
     # even-index nodes of the folded 2K rule, weights doubled, are the folded K
-    # rule, for every K = m 2^e (m in 5..8) that `packet.axial_nodes` gives
+    # rule, for every K = m 2^e (m in 5..8) that `packet.ray_nodes` gives
     for points in (m << e for m in range(5, 9) for e in (3, 7)):
         kz, w = dynamics._fold(packet_3p1, axial_grid(packet_3p1, 2 * points))
         kz_half, w_half = dynamics._fold(packet_3p1, axial_grid(packet_3p1, points))
@@ -269,6 +269,16 @@ def _bundled_3p1_cases():
     return cases + [(*signal, (1,)) for signal in _envelope_signals()]
 
 
+def real_axis_rule(pkt, field, samples, rtol, kind):
+    """The first rule of `kind` on the real axis over `samples`, at least the 64-node floor.
+
+    The real axis is `packet.axial_ray`'s theta = 0 contour, that of the window
+    [0, max |t|]."""
+    ray = axial_ray(pkt, field, (0.0, float(np.max(np.abs(samples)))), kind, 0)
+    assert ray.theta == 0.0
+    return max(64, ray_nodes(ray, 1.0 / rtol))
+
+
 def _one_window(records):
     """{line class: K} of a call summed as one window on the real axis."""
     assert len({record.span for record in records}) == 1
@@ -283,7 +293,7 @@ def _window(times, record):
 
 def _record_grid(pkt, record, points=None):
     """The folded grid of `record`'s rule, or of `points` nodes on its contour."""
-    ray = AxialRay(record.theta, record.half_width, ()) if record.theta else None
+    ray = AxialRay(record.theta, record.half_width, ())
     return dynamics._fold(pkt, axial_grid(pkt, points or record.nodes, ray))
 
 
@@ -310,7 +320,7 @@ def test_accepted_axial_rungs_follow_the_aliasing_bound():
     # (collapse_revival_3p1, persistence) and 1792 (decay) nodes
     expected = {
         "relativistic_3p1": [("intraband", 25.5, 96), ("interband", 25.5, 160),
-                             ("intraband", 0.0, 64), ("interband", 0.0, 96)],
+                             ("intraband", 0.0, 64), ("interband", 0.0, 80)],
         "collapse_revival_3p1": [("intraband", 150.5, 160), ("interband", 150.5, 112),
                                  ("intraband", 0.0, 64), ("interband", 0.0, 320)],
         "mixing_3p1": [("intraband", 0.0, 64), ("interband", 0.0, 112)],
@@ -333,8 +343,27 @@ def test_accepted_axial_rungs_follow_the_aliasing_bound():
                 assert record.nodes == max(64, ray_nodes(ray, 1.0 / rtol))
             else:
                 assert record.half_width == AXIAL_HALF_WIDTH / pkt.d_z
-                assert record.nodes == max(64, axial_nodes(pkt, field, window, 1.0 / rtol,
-                                                           record.kind))
+                assert record.nodes == real_axis_rule(pkt, field, times[times <= window[-1]],
+                                                      rtol, record.kind)
+
+
+def test_ray_rules_equal_their_dense_line_rules(monkeypatch):
+    # a ray (theta != 0) takes each shifted line's supremum from 33 points.  On the
+    # six rays of the bundled 3+1 configs and the envelope signals every rule
+    # equals the one from an 8193-point line, though on random windows 33 points
+    # can leave a rule one grain short of it
+    rays = []
+    for label, pkt, field, times, parts, rtol, channels in _bundled_3p1_cases():
+        coeffs = coefficient_matrix(pkt, field)
+        records = dynamics._axial_sums(pkt, coeffs, field, times, rtol, parts, channels)[0]
+        rays += [(label, pkt, field, coeffs.n_max, times[_window(times, record)], rtol, record)
+                 for record in records if record.theta]
+    assert len(rays) == 6
+    monkeypatch.setattr(packet_mod, "_RAY_LINE", np.linspace(-1.0, 1.0, 8193))
+    for label, pkt, field, n_max, window, rtol, record in rays:
+        dense = axial_ray(pkt, field, window, record.kind, n_max)
+        assert dense[:2] == (record.theta, record.half_width), label
+        assert max(64, ray_nodes(dense, 1.0 / rtol)) == record.nodes, label
 
 
 def test_accepted_axial_rule_is_within_kz_rtol_of_twice_its_nodes():
@@ -589,7 +618,7 @@ def test_ray_windows_agree_with_the_real_axis():
             assert label in ("mixing_3p1", "lowfield_zb_3p1")
             continue
         real = _nested(pkt, coeffs, field, times,
-                       {kind: 2 * dynamics._first_rule(pkt, field, times, rtol, kind)
+                       {kind: 2 * real_axis_rule(pkt, field, times, rtol, kind)
                         for kind in dynamics._kinds(parts)}, channels)
         pos = sums.real
         scale = max(np.max(np.abs(pos[-1] - pos[-1, 0])), np.max(np.abs(pos[:-1]), initial=0.0))
@@ -597,12 +626,12 @@ def test_ray_windows_agree_with_the_real_axis():
 
 
 def test_axial_rule_doubles_while_the_returned_scale_needs_more_nodes(monkeypatch):
-    # kappa = 2, d_z = L over 1 t_c: the amplitude mass is 2.06 times the
-    # scale of the returned sums, so the interband bound checked on that scale
-    # asks for 112 nodes, above the 96 chosen for rtol times the mass.  Its rule
-    # doubles, nested, and each node of the 192-node rule is summed once; the
-    # intraband bound stays at 96 on either scale, so that class stops there.  Each
-    # round is one `_sum_lines` call
+    # kappa = 2, d_z = L over 2.065 t_c: the interband bound for rtol times the
+    # mass is 111.93 nodes, and the amplitude mass is 1.023 times the scale of
+    # the returned sums, so the bound checked on that scale asks for 128 nodes,
+    # above the 112 chosen.  Its rule doubles, nested, and each node of the
+    # 224-node rule is summed once; the intraband bound stays at 112 on either
+    # scale, so that class stops there.  Each round is one `_sum_lines` call
     field = FieldConfig.from_kappa(2.0)
     L = field.magnetic_length
     with warnings.catch_warnings():
@@ -610,21 +639,21 @@ def test_axial_rule_doubles_while_the_returned_scale_needs_more_nodes(monkeypatc
         pkt = GaussianPacket(d_x=1.5 * L, d_y=1.5 * L, d_z=L, k0x=0.7 / L, k0z=0.3,
                              dimensionality="3+1", relax_momentum_bound=True)
     coeffs = coefficient_matrix(pkt, field)
-    times = np.linspace(0.0, 1.0, 41)
-    assert axial_nodes(pkt, field, times, 1e9) == 96
-    assert axial_nodes(pkt, field, times, 1e9, "intraband") == 96
+    times = np.linspace(0.0, 2.065, 41)
+    assert real_axis_rule(pkt, field, times, 1e-9, "interband") == 112
+    assert real_axis_rule(pkt, field, times, 1e-9, "intraband") == 112
     grids = []
     seen, nodes, _ = _recording(monkeypatch, times, grids)
     rules = _one_window(dynamics._axial_sums(pkt, coeffs, field, times, 1e-9)[0])
-    assert rules == {"intraband": 96, "interband": 192}
+    assert rules == {"intraband": 112, "interband": 224}
     # each class's first rule, split into its half and odd nodes, then the
     # interband doubling's odd nodes
-    assert [n.size for n in nodes] == [96, 96, 96]
+    assert [n.size for n in nodes] == [112, 112, 112]
     assert len(seen) == 5     # tables: both halves and odd nodes, then the doubling's
     assert len(grids) == 2 and all(np.array_equal(grid, times) for grid in grids)
-    assert np.array_equal(nodes[0], axial_grid(pkt, 96)[0])
-    assert np.array_equal(nodes[1], axial_grid(pkt, 96)[0])
-    assert np.array_equal(np.sort(np.concatenate(nodes[1:])), axial_grid(pkt, 192)[0])
+    assert np.array_equal(nodes[0], axial_grid(pkt, 112)[0])
+    assert np.array_equal(nodes[1], axial_grid(pkt, 112)[0])
+    assert np.array_equal(np.sort(np.concatenate(nodes[1:])), axial_grid(pkt, 224)[0])
 
 
 def test_mixing_terms_sums_only_the_two_signed_mixing_blocks(monkeypatch):
@@ -656,7 +685,7 @@ def test_mixing_terms_match_the_full_frequency_sum():
     times = cli.resolve_times(cfg)
     mix = dynamics.mixing_terms(pkt, coeffs, field, times, num["kz_rtol"])
     for kind in ("intraband", "interband"):
-        kz, weights = axial_grid(pkt, dynamics._first_rule(pkt, field, times, num["kz_rtol"], kind))
+        kz, weights = axial_grid(pkt, real_axis_rule(pkt, field, times, num["kz_rtol"], kind))
         energies = landau_energies(coeffs.n_max + 1, kz, field)
         (block,) = dynamics._line_blocks(pkt, coeffs, field, kz, weights, kind, (1,),
                                          (0.0, 0.0, 1.0))
@@ -691,9 +720,9 @@ def test_axial_rule_covers_narrow_axial_packets():
     # d_z = 0.39 lambda_c at kappa = 7.3: the Gaussian copies alone ask for
     # 71 nodes, and the 80-node rule misses 1e-9 (1.8e-7); the branch points
     # of E_0 at k_z = +-i bound the copies to the strip |Im k_z| < 1, which
-    # asks for 164 interband nodes, rounded up to 192.  The intraband lines
-    # are bounded by their largest |Im w| near the strip's edge, where their
-    # real slope understates it
+    # asks for 192 interband nodes.  The intraband lines are bounded by their
+    # largest |Im w| near the strip's edge, where their real slope understates
+    # it: 160 nodes
     field = FieldConfig.from_kappa(7.337390641135939)
     L = field.magnetic_length
     amps = dict(a1=math.cos(0.585) * np.exp(0.4j), a2=math.sin(0.585) * np.exp(1j * (0.4 + 4.706)))
@@ -701,8 +730,8 @@ def test_axial_rule_covers_narrow_axial_packets():
                          dimensionality="3+1", relax_momentum_bound=True, **amps)
     coeffs = coefficient_matrix(pkt, field)
     times = np.linspace(0.0, 5.0, 201)
-    for parts, rules in (("interband", {"interband": 192}), ("intraband", {"intraband": 128}),
-                         ("all", {"interband": 192, "intraband": 128})):
+    for parts, rules in (("interband", {"interband": 192}), ("intraband", {"intraband": 160}),
+                         ("all", {"interband": 192, "intraband": 160})):
         found, sums = dynamics._axial_sums(pkt, coeffs, field, times, 1e-9, parts)
         assert _one_window(found) == rules
         ref, _ = dynamics._series(pkt, coeffs, field, times,
@@ -1136,7 +1165,7 @@ def test_a_sample_time_that_is_not_finite_is_a_time_range_error(critical_field, 
             call(mixed_packet_3p1, mixed_coeffs_3p1, critical_field, times)
     for kind in ("interband", "intraband"):
         with pytest.raises(TimeRangeError, match="finite sample times"):
-            axial_nodes(packet_3p1, critical_field, times, 1e9, kind)
+            axial_ray(packet_3p1, critical_field, times, kind, 40)
 
 
 def test_axial_gate_fails_on_a_nan_residual(critical_field, packet_3p1, coeffs_3p1,
@@ -1148,7 +1177,7 @@ def test_axial_gate_fails_on_a_nan_residual(critical_field, packet_3p1, coeffs_3
         return [sums * math.nan for sums in sum_lines(*args, **kwargs)]
 
     monkeypatch.setattr(dynamics, "_sum_lines", nan_sums)
-    monkeypatch.setattr(dynamics, "axial_nodes", lambda *args: dynamics.AXIAL_FLOOR)
+    monkeypatch.setattr(dynamics, "ray_nodes", lambda *args: dynamics.AXIAL_FLOOR)
     with pytest.raises(dynamics.QuadratureConvergenceError):
         dynamics.trajectory_3p1(packet_3p1, coeffs_3p1, critical_field,
                                 np.linspace(0.0, 5.0, 9))
@@ -1156,7 +1185,7 @@ def test_axial_gate_fails_on_a_nan_residual(critical_field, packet_3p1, coeffs_3
 
 def test_nan_series_sums_reach_the_axial_gate(critical_field, packet_3p1, coeffs_3p1,
                                               monkeypatch):
-    # with `axial_nodes` unpinned, a NaN scale gave it a NaN ratio and `math.ceil`
+    # with `ray_nodes` unpinned, a NaN scale gave it a NaN ratio and `math.ceil`
     # raised ValueError; now the doubling stops and the NaN-safe gate raises
     sum_lines = dynamics._sum_lines
 
@@ -1231,7 +1260,7 @@ def test_a_series_call_carries_nothing_to_the_next(critical_field, mixed_packet_
     args = mixed_packet_3p1, mixed_coeffs_3p1, critical_field
     mix = dynamics.mixing_terms(*args, times)
     for kind in ("intraband", "interband"):
-        rule = axial_grid(mixed_packet_3p1, dynamics._first_rule(
+        rule = axial_grid(mixed_packet_3p1, real_axis_rule(
             mixed_packet_3p1, critical_field, times, dynamics.DEFAULT_KZ_RTOL, kind))
         (block,) = dynamics._line_blocks(*args, *rule, kind, (1,), (0.0, 0.0, 1.0))
         want = dynamics._sum_lines([(block.freq, block.amps, block.carrier)],
@@ -1394,7 +1423,7 @@ def test_a_grid_past_the_real_axis_cap_is_summed_on_its_rays():
     times = np.linspace(0.0, 1.2e5, 401)
     coeffs = coefficient_matrix(pkt, field)
     with pytest.raises(dynamics.QuadratureConvergenceError) as info:
-        dynamics._first_rule(pkt, field, times, rtol, "interband")
+        real_axis_rule(pkt, field, times, rtol, "interband")
     assert info.value.nodes_needed == 229376
     records, sums = dynamics._axial_sums(pkt, coeffs, field, times, rtol, parts, (1,))
     assert len(records) > 2 and max(record.nodes for record in records) <= dynamics.MAX_GRID_NODES

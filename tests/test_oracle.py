@@ -73,7 +73,8 @@ def test_oracle_imports_no_series_module():
 
 def test_oracle_never_reads_the_series_axial_bound():
     # a k_z rule too coarse for both sides would alias both alike, and criterion
-    # 2 could not see it: the oracle sizes its rule from its own block energies
+    # 2 could not see it: the oracle sizes its rule from its own block energies and
+    # names none of the series' k_z sizers
     tree = ast.parse(open(oracle.__file__, encoding="utf-8").read())
     names = set()
     for node in ast.walk(tree):
@@ -84,8 +85,10 @@ def test_oracle_never_reads_the_series_axial_bound():
         elif isinstance(node, ast.alias):
             names.add(node.name.split(".")[-1])
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            names.add(node.value)                   # getattr(packet, "axial_nodes")
-    assert "axial_nodes" not in names
+            names.add(node.value)                   # getattr(packet, "axial_ray")
+    sizers = {"axial_ray", "ray_nodes", "AxialRay", "_ray_growth", "_rule_size", "AXIAL_FLOOR",
+              "_axis_tables", "_axis_ray"}
+    assert not names & sizers, names & sizers
 
 
 def test_minimal_hamiltonian_spectrum():

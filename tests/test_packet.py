@@ -15,13 +15,14 @@ from landauzb.packet import (
     QuadratureConvergenceError,
     TruncationError,
     axial_grid,
-    axial_nodes,
+    axial_ray,
     coefficient_matrix,
     f_n,
     f_table,
     g_xy,
     g_z,
     kx_rule,
+    ray_nodes,
     sum_rules,
 )
 from u_reference import (
@@ -116,7 +117,7 @@ def test_axial_grid_floor_property(d_z, k0z, points):
     # size, and a k0z = 0 grid is mirror-symmetric, so both folds (`_fold` and
     # the oracle's bincount) are the mirror sum.  Sizes: powers of two 4..65536
     # and odd sizes, as an oracle kz_order may be, and m 2^e with m in 5..7 and
-    # e >= 3, the others `packet.axial_nodes` gives above the 64-node floor
+    # e >= 3, the others `packet.ray_nodes` gives above the 64-node floor
     pkt = GaussianPacket(d_x=1.0, d_y=1.0, d_z=d_z, k0z=k0z, dimensionality="3+1")
     kz, w = axial_grid(pkt, points)
     centre = points // 2
@@ -146,21 +147,33 @@ def test_axial_grid_floor_property(d_z, k0z, points):
 RULE_SIZES = [0] + sorted({m << e for m in range(5, 9) for e in range(40) if (m << e) % 8 == 0})
 
 
-def aliasing_bound(pkt, field, t_max, ratio):
-    """The node count `axial_nodes` rounds up, from the formula of its docstring."""
-    edge = abs(pkt.k0z) + packet.AXIAL_HALF_WIDTH / pkt.d_z
-    slope = edge * sum(1.0 / math.sqrt(1.0 + field.omega**2 * n + edge**2) for n in (0, 1))
-    c = 2.0 * math.sqrt(math.log(ratio))
-    tail = c * pkt.d_z if c <= 2.0 * pkt.d_z else c * c / 4.0 + pkt.d_z**2
-    return packet.AXIAL_HALF_WIDTH / (math.pi * pkt.d_z) * (slope * t_max + tail)
+def real_axis(pkt, field, t_max, kind="interband"):
+    """`axial_ray` of the window [0, t_max]: its theta = 0 contour, the real axis."""
+    return axial_ray(pkt, field, np.array([0.0, t_max]), kind, 40)
+
+
+def aliasing_bound(ray, ratio):
+    """The node count `ray_nodes` rounds up, from the formula of its docstring."""
+    return min(ray.half_width * (math.log(ratio) + cost) / (math.pi * y) for y, cost in ray.costs)
 
 
 def axial_rule(pkt, field, t_max, ratio, kind="interband"):
-    """`axial_nodes` for the window [0, t_max], or the count it raises with above the cap."""
+    """`ray_nodes` on the real axis of [0, t_max], or the count it raises with above the cap."""
     try:
-        return axial_nodes(pkt, field, np.array([0.0, t_max]), ratio, kind)
+        return ray_nodes(real_axis(pkt, field, t_max, kind), ratio)
     except QuadratureConvergenceError as info:
         return info.nodes_needed
+
+
+def strip_packet(kappa, d_z, k0z):
+    """(field, 3+1 packet) with widths and axial momentum in units of L."""
+    field = FieldConfig.from_kappa(kappa)
+    L = field.magnetic_length
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # k0z beyond the nominal velocity bound
+        pkt = GaussianPacket(d_x=L, d_y=L, d_z=d_z * L, k0z=k0z / L, dimensionality="3+1",
+                             relax_momentum_bound=True)
+    return field, pkt
 
 
 @settings(max_examples=80, deadline=None)
@@ -172,18 +185,14 @@ def axial_rule(pkt, field, t_max, ratio, kind="interband"):
     ratio=st.floats(min_value=0.0, max_value=math.log(1e14)).map(math.exp),
     more=st.floats(min_value=1.0, max_value=64.0),
 )
-def test_axial_nodes_round_the_bound_to_a_two_bit_mantissa(kappa, d_z, k0z, t_max, ratio, more):
+def test_real_axis_rule_rounds_the_bound_to_a_two_bit_mantissa(kappa, d_z, k0z, t_max, ratio,
+                                                               more):
     # K = m 2^e with m in 5..8 and 8 | K, the smallest at least the bound: at
     # most 25 % over it, or 7 nodes where the grain is 8.  K never falls as the
     # target ratio or the window grows
-    field = FieldConfig.from_kappa(kappa)
-    L = field.magnetic_length
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")     # k0z beyond the nominal velocity bound
-        pkt = GaussianPacket(d_x=L, d_y=L, d_z=d_z * L, k0z=k0z / L, dimensionality="3+1",
-                             relax_momentum_bound=True)
+    field, pkt = strip_packet(kappa, d_z, k0z)
     nodes = axial_rule(pkt, field, t_max, ratio)
-    bound = aliasing_bound(pkt, field, t_max, ratio)
+    bound = aliasing_bound(real_axis(pkt, field, t_max), ratio)
     assert nodes in RULE_SIZES
     assert RULE_SIZES[RULE_SIZES.index(nodes) - 1] < bound * (1.0 + 1e-12)
     assert bound * (1.0 - 1e-12) <= nodes < 1.25 * bound + 8.0
@@ -191,44 +200,70 @@ def test_axial_nodes_round_the_bound_to_a_two_bit_mantissa(kappa, d_z, k0z, t_ma
     assert axial_rule(pkt, field, more * t_max, ratio) >= nodes
 
 
-def test_axial_nodes_refuse_a_nan_ratio(critical_field, packet_3p1):
+def test_real_axis_rule_refuses_a_nan_ratio(critical_field, packet_3p1):
     # max(nan, 1.0) kept the NaN and math.ceil raised ValueError: a traceback.
     # The doubling message then read "changed by nan relative on doubling
     # (target nan)", naming neither a doubling nor a target
     for kind in ("interband", "intraband"):
         with pytest.raises(QuadratureConvergenceError) as info:
-            axial_nodes(packet_3p1, critical_field, np.linspace(0.0, 5.0, 9), math.nan, kind)
+            ray_nodes(axial_ray(packet_3p1, critical_field, np.linspace(0.0, 5.0, 9), kind, 40),
+                      math.nan)
         assert str(info.value) == ("axial quadrature has no error target to size a k_z rule "
                                    "for: the amplitude mass or the signal scale is NaN")
 
 
-def dense_intraband_slope(field, y, edge, n):
-    """max |Im w_n(x + i y)|/y over a dense sample of 0 <= x <= edge, w_n = E_{n+1} - E_n."""
-    x = np.unique(np.concatenate([np.linspace(0.0, edge, 20001),
-                                  edge * np.geomspace(1e-9, 1.0, 4001)]))
-    z = x + 1j * y
+def dense_costs(pkt, field, t_max, kind, ray):
+    """`ray`'s costs, its y each, from an 8193-point line of |x| <= half_width and pairs n <= 40.
+
+    M(y) = d_z^2 y^2 + max(t_max |Im w_n(k0z + x + i y)| - d_z^2 x^2), plus ln P."""
+    x = ray.half_width * np.linspace(-1.0, 1.0, 8193)
     omega_sq = field.omega**2
-    total = np.sqrt(1.0 + omega_sq * n + z * z) + np.sqrt(1.0 + omega_sq * (n + 1) + z * z)
-    return float(np.max(omega_sq * total.imag / np.abs(total) ** 2)) / y
+    spread = math.log(8.0 * ray.half_width * pkt.d_z / math.sqrt(math.pi))
+    costs = []
+    for y, _ in ray.costs:
+        z = pkt.k0z + x + 1j * y
+        log = -math.inf
+        for n in (0, 1, 2, 5, 10, 20, 40):
+            total = np.sqrt(1.0 + omega_sq * n + z * z) + np.sqrt(1.0 + omega_sq * (n + 1) + z * z)
+            w = total if kind == "interband" else omega_sq / total
+            log = max(log, float(np.max(t_max * np.abs(w.imag) - (pkt.d_z * x) ** 2)))
+        costs.append((y, (pkt.d_z * y) ** 2 + log + spread))
+    return ray._replace(costs=tuple(costs))
 
 
-@settings(max_examples=40, deadline=None)
-@given(
+def covers_a_dense_line(kind, kappa, d_z, k0z, t_max):
+    """Each theta = 0 cost is at least that of the dense line, so the rule is too."""
+    field, pkt = strip_packet(kappa, d_z, k0z)
+    ray = real_axis(pkt, field, t_max, kind)
+    dense = dense_costs(pkt, field, t_max, kind, ray)
+    assert ray.theta == 0.0 and ray.half_width == packet.AXIAL_HALF_WIDTH / pkt.d_z
+    for (y, cost), (_, sample) in zip(ray.costs, dense.costs, strict=True):
+        assert sample <= cost + 1e-12 * max(1.0, abs(cost)), y
+    return pkt, field, dense
+
+
+STRIP = dict(
     kappa=st.floats(min_value=math.log(1e-3), max_value=math.log(20.0)).map(math.exp),
     d_z=st.floats(min_value=math.log(0.2), max_value=math.log(5.0)).map(math.exp),
     k0z=st.one_of(st.just(0.0), st.floats(min_value=-0.8, max_value=0.8)),
-    y=st.one_of(st.just(1.0), st.floats(min_value=1e-3, max_value=1.0)),
+    t_max=st.one_of(st.just(0.0),
+                    st.floats(min_value=0.0, max_value=math.log(200.0)).map(math.exp)),
 )
-def test_intraband_strip_bound_covers_every_pair(kappa, d_z, k0z, y):
-    # the intraband slope v, max |Im w(x + i y)|/y of the pair (0, 1) over the
-    # grid, is at least a dense sample of every pair n <= 40, on the strip's
-    # edge y = 1 (narrow packets, c > 2 d_z) and inside it (y = c/(2 d_z))
-    field = FieldConfig.from_kappa(kappa)
-    L = field.magnetic_length
-    edge = abs(k0z) / L + packet.AXIAL_HALF_WIDTH / (d_z * L)
-    bound = packet._intraband_strip_slope(field.omega**2, y, edge)
-    sample = max(dense_intraband_slope(field, y, edge, n) for n in (0, 1, 2, 5, 10, 20, 40))
-    assert sample <= bound * (1.0 + 1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**STRIP)
+def test_intraband_strip_bound_covers_every_pair(kappa, d_z, k0z, t_max):
+    # the real axis' cost at each of its shifts y, up to the strip's edge y = 1
+    # (narrow packets) and inside the strip, bounds the line between its points:
+    # at least the cost from a dense sample of every pair n <= 40
+    covers_a_dense_line("intraband", kappa, d_z, k0z, t_max)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**STRIP)
+def test_interband_strip_bound_covers_every_pair(kappa, d_z, k0z, t_max):
+    covers_a_dense_line("interband", kappa, d_z, k0z, t_max)
 
 
 @settings(max_examples=40, deadline=None)
@@ -241,31 +276,23 @@ def test_intraband_strip_bound_covers_every_pair(kappa, d_z, k0z, y):
     more=st.floats(min_value=1.0, max_value=64.0),
 )
 def test_intraband_rule_covers_the_dense_strip_bound(kappa, d_z, k0z, t_max, ratio, more):
-    # the intraband rule covers the bound of `axial_nodes` with v from a dense
-    # sample of the pair (0, 1) at the y the bound picks, never exceeds the
-    # interband rule, and never falls as the target ratio or the window grows
-    field = FieldConfig.from_kappa(kappa)
-    L = field.magnetic_length
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")     # k0z beyond the nominal velocity bound
-        pkt = GaussianPacket(d_x=L, d_y=L, d_z=d_z * L, k0z=k0z / L, dimensionality="3+1",
-                             relax_momentum_bound=True)
-    c = 2.0 * math.sqrt(math.log(ratio))
-    y, tail = ((c / (2.0 * pkt.d_z), c * pkt.d_z) if c <= 2.0 * pkt.d_z
-               else (1.0, c * c / 4.0 + pkt.d_z**2))
-    edge = abs(pkt.k0z) + packet.AXIAL_HALF_WIDTH / pkt.d_z
-    slope = dense_intraband_slope(field, max(y, 1e-9), edge, 0)
-    bound = packet.AXIAL_HALF_WIDTH / (math.pi * pkt.d_z) * (slope * t_max + tail)
+    # the intraband rule covers the rule of the dense line's costs, never exceeds
+    # the interband rule, and never falls as the target ratio or the window grows
+    pkt, field, dense = covers_a_dense_line("intraband", kappa, d_z, k0z, t_max)
     nodes = axial_rule(pkt, field, t_max, ratio, "intraband")
-    assert nodes in RULE_SIZES and bound * (1.0 - 1e-12) <= nodes
+    try:
+        assert nodes >= ray_nodes(dense, ratio)
+    except QuadratureConvergenceError as info:
+        assert nodes >= info.nodes_needed
+    assert nodes in RULE_SIZES
     assert nodes <= axial_rule(pkt, field, t_max, ratio)
     assert axial_rule(pkt, field, t_max, more * ratio, "intraband") >= nodes
     assert axial_rule(pkt, field, more * t_max, ratio, "intraband") >= nodes
 
 
-def test_axial_nodes_refuse_an_unknown_line_class(critical_field, packet_3p1):
+def test_axial_ray_refuses_an_unknown_line_class(critical_field, packet_3p1):
     with pytest.raises(ValueError, match="kind must be"):
-        axial_nodes(packet_3p1, critical_field, np.linspace(0.0, 5.0, 9), 1e9, "all")
+        axial_ray(packet_3p1, critical_field, np.linspace(0.0, 5.0, 9), "all", 40)
 
 
 @pytest.mark.parametrize("k0z", [1e155, -1.4e154, math.inf, math.nan])
