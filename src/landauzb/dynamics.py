@@ -7,19 +7,9 @@ level-overlap amplitudes.  The 3+1 model integrates each line over the axial
 momentum density, which damps the motion; the 2+1 model keeps the discrete
 sum and stays persistent.
 
-Line convention: each position channel reads Re sum_lines a e^{-i w t}.  A
-cosine line has a real amplitude a, a sine line carries i a.  Velocities are
-the Heisenberg time derivatives, so a velocity line has amplitude -i w a at
-the same frequency.  `_line_blocks` derives the amplitudes of the channels
-a caller reads, x (0) and y (1), all sources of a level pair and class in one
-row, and `_sum_lines` evaluates every phase, of all the tables a time window
-sums in a round, in one call.  Interband lines are summed as a
-beat r = (E_hi - 1) + (E_lo - 1) on an exact carrier of two rest energies, so
-a phase rounds by about eps r t, not eps (2 + r) t.
-On a uniform grid t = start + c J h + j h, two arithmetic progressions (plus,
-to first order, the float rounding), so a line's phases are repeated
-products of three exps: e^{-i w start}, e^{-i w J h} and e^{-i w h} (the
-first is 1 on a grid from t = 0).
+The line table and its sum over a time grid are `lines._line_blocks` and
+`lines._sum_lines` (the line convention, the interband carrier and the
+anchor-offset factorization are in `lines`).
 
 Axial rule: the energies depend on k_z only through k_z^2, so for a packet
 with k0z = 0 every cyclotron and trembling line is even in k_z and the
@@ -29,7 +19,9 @@ nodes for K.  Each line class has its own rule in each time window: K_c = m 2^e
 nodes with m in 5..8 and 8 | K_c, certified by the aliasing bound of its k_z
 contour (`packet.ray_nodes` on a `packet.AxialRay`), each node
 summed once and nested over its half: the folded rule of K_c/2 is every other
-node of K_c's, so one `_line_blocks` pass over K_c's grid yields both (`split`).
+node of K_c's, so one `_line_blocks` pass over K_c's grid yields both (`split`);
+on a large call each row keeps only the run of nodes whose lines can change a
+digit (`lines._runs`), the density's tails being at most eps/1024 of its peak.
 One `_sum_lines` call sums every class of a window: the halves and odd nodes of
 the first rules, then in each doubling round the odd nodes of every class still
 doubling.  Interband lines move with k_z as E_n + E_{n+1}, intraband lines
@@ -55,31 +47,29 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .landau import landau_energies
-# MAX_GRID_NODES and QuadratureConvergenceError stay importable from here
+# TILE_ELEMENTS, MAX_GRID_NODES and QuadratureConvergenceError stay importable from here
+from .lines import EPS, PREF, TILE_ELEMENTS, TRIM, _Block, _line_blocks, _sum_lines, _time_grid
 from .packet import (AXIAL_FLOOR, MAX_GRID_NODES, AxialRay, CoefficientSet, DimensionalityError,
                      GaussianPacket, QuadratureConvergenceError, _axis_ray, _axis_tables,
                      axial_grid, axial_ray, ray_nodes)
 from .units import FieldConfig, TimeRangeError
 
-PREF = 1.0 / (2.0 * math.sqrt(2.0))
-# line evaluator's tiles: 2 MiB, one core's share of a 4 MiB L2; the stacked rows and
-# the offset table of one tile share it, and a tile holds consecutive pieces of the
-# tables of a call
-TILE_ELEMENTS = 1 << 17
 PARTS = ("all", "intraband", "interband")
 DEFAULT_KZ_RTOL = 1e-9        # aliasing-bound target of the k_z rule, relative to the signal peak
-EPS = float(np.finfo(float).eps)
 WINDOW = 0.125                # a k_z ray's time window (WINDOW t, t]
 # line evaluations (level pairs x rows x folded nodes x samples) that `_windows` charges
-# for each extra rung sum of a class: the fixed work of one `_series` call when each rung
-# sum was one, about 250 us against 0.25 ns each, measured on one core.  A window's
-# sums are now one `_sum_lines` call per round; the value stays, and so does every rule
+# for each extra rung sum of a class, a value from when each rung sum was a call.  On
+# one core (critical-field packet, x, y and derivatives at 101 samples) an evaluation
+# costs 0.48-0.50 ns on the real axis and 0.63-0.65 ns on a ray, and a window's first
+# round on 64-node rules 830-870 us, 260-315 us (about 2^19 evaluations) of it fixed
 SERIES_CALL = 1 << 20
+# line evaluations of a `_line_blocks` call from which its rows are trimmed: the runs and
+# the inputs gathered for them cost about 100 us, repaid only on larger calls
+TRIM_WORK = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -138,251 +128,6 @@ class SubPacketSeries:
     lowering_2: np.ndarray
     raising_1: np.ndarray
     raising_2: np.ndarray
-
-
-class _Block(NamedTuple):
-    """One frequency class of lines over (level pair, k_z node)."""
-
-    freq: np.ndarray              # (pairs, K) line frequencies less `carrier`
-    amps: np.ndarray              # (channels, pairs, K) amplitudes of the requested channels
-    interband: bool
-    levels: np.ndarray            # (pairs,) lower level n of each pair (n, n+1)
-    carrier: float                # 2 (two rest energies) for interband lines, else 0
-    mass: float                   # sum of |amps|, the amplitude mass
-
-
-def _line_blocks(
-    packet: GaussianPacket,
-    coeffs: CoefficientSet,
-    field: FieldConfig,
-    nodes: np.ndarray,
-    weights: np.ndarray,
-    parts: str,
-    channels: tuple[int, ...] = (0, 1),
-    sources: tuple[float, float, complex] | None = None,
-    split: bool = False,
-) -> Iterator[_Block]:
-    """Every oscillation line, one block per class and one row per level pair (n, n+1).
-
-    Complex nodes and weights (a k_z ray, `packet.axial_grid`) give complex
-    frequencies and x and y amplitudes of any phase, by the same formulas.
-    Only the amplitudes of `channels` are built, in that order: 0 is x, 1 is y.
-    A row sums the sources weighted by sources = (w_second, w_first, w_mixing)
-    at its frequency: row n takes s2 = w_second PREF L S_n, with S_n = sqrt(n+1)
-    (U_{n,n+1} + U_{n+1,n}), and s1 = w_first PREF L S_{n-1}, the first
-    component one level up.  Each amplitude is the class's numerator N times the
-    node weight w, over the pair's energies: with N = E_hi + E_lo (intraband) or
-    E_hi - E_lo = omega^2/(E_hi + E_lo) (interband, no cancellation), upper
-    signs intraband, x (sines, imaginary) is -+N w (s2 + s1)/(E_lo E_hi) and y
-    (cosines, real) N w (s2/E_hi +- s1/E_lo).  The 3+1 spin-mixing rows add
-    +-Re/Im of w_mixing J to y/x, J_n = U_nn k_z omega w/(E_lo E_hi).  Rows: [0,
-    n_max) for the second component alone, [1, n_max] for the first alone, else
-    [0, n_max].  The weights default to |a2|^2, |a1|^2 and (L/sqrt2) a2* a1, the
-    last 0 in 2+1 and at k0z = 0; (0, 0, 1) reads the bare mixing integrals J
-    in y.  With split=True the nodes are a rule of K (`axial_grid`, folded or not)
-    and each class yields two blocks from one pass over them: the even-index
-    nodes with doubled weights, which are the rule of K/2, then the odd-index
-    nodes.  Each has its own tables and mass, bit for bit those of a call on its
-    nodes alone.
-    """
-    half = -(-nodes.size // 2)
-    if split:
-        nodes = np.concatenate((nodes[::2], nodes[1::2]))
-        weights = np.concatenate((2.0 * weights[::2], weights[1::2]))
-    L = field.magnetic_length
-    n_pairs = coeffs.n_max
-    if sources is None:
-        # the mixing rows are odd in k_z: the k0z = 0 density cancels them pair
-        # by pair, while the folded rule of `_fold` would double them
-        mixing = packet.dimensionality == "3+1" and packet.k0z != 0.0
-        sources = (abs(packet.a2) ** 2, abs(packet.a1) ** 2,
-                   mixing * (L / math.sqrt(2.0)) * np.conj(packet.a2) * packet.a1)
-    w_second, w_first, w_mixing = sources
-    lo = 0 if w_second or w_mixing else 1
-    hi = n_pairs + 1 if w_first or w_mixing else n_pairs
-    rows = hi - lo
-    shape = (rows, nodes.size)
-    energies = landau_energies(hi, nodes, field)
-    e_lo, e_hi = energies[lo:-1], energies[lo + 1:]      # (rows, K) each
-    ray = energies.dtype.kind == "c"                     # complex nodes on a k_z ray
-    first, second = np.empty(shape, energies.dtype), np.empty(shape, energies.dtype)
-    u = coeffs.u
-    s = np.zeros(n_pairs + 2)                             # S_{n-1} at n, 0 off the ladder
-    s[1:-1] = np.sqrt(np.arange(1.0, n_pairs + 1.0)) * (np.diagonal(u, 1) + np.diagonal(u, -1))
-    s2, s1 = (source * PREF * L * s[k : k + rows, None]
-              for source, k in ((w_second, lo + 1), (w_first, lo)))
-    if w_mixing:
-        j = np.diagonal(u)[:, None] * nodes
-        np.multiply(j, field.omega, out=j)
-        np.divide(j, np.multiply(e_lo, e_hi, out=first), out=j)
-        np.multiply(j, weights, out=j)
-        channel = np.array([w_mixing.imag, w_mixing.real])[list(channels)]
-    omega_sq = field.omega**2
-    k_sq = nodes**2
-    n = np.arange(lo, hi)[:, None]
-    for interband in (False, True):
-        if parts == ("intraband" if interband else "interband"):
-            continue
-        sign = -1.0 if interband else 1.0
-        amps = np.zeros((len(channels),) + shape, complex)
-        freq = np.empty(shape, energies.dtype)
-        if interband:
-            # lines less the carrier: E - 1 = (omega^2 n + k_z^2)/(1 + E) has no cancellation
-            np.add(omega_sq * (n + 1.0), k_sq, out=freq)
-            np.divide(freq, np.add(1.0, e_hi, out=first), out=freq)
-            np.add(omega_sq * n, k_sq, out=second)
-            np.divide(second, np.add(1.0, e_lo, out=first), out=second)
-            np.add(freq, second, out=freq)
-        num = np.add(e_hi, e_lo, out=first)
-        # the intraband frequency omega^2/(E_hi + E_lo) is the interband numerator
-        np.divide(omega_sq, num, out=num if interband else freq)
-        num *= weights
-        for c, row in zip(channels, amps):
-            if c:
-                y = np.divide(sign * s1, e_lo, out=row if ray else row.real)
-                y += np.divide(s2, e_hi, out=second)
-                y *= num
-            else:
-                x = np.multiply(num, -sign * (s2 + s1), out=row if ray else row.imag)
-                x /= e_lo
-                x /= e_hi
-                if ray:
-                    x *= 1j
-        if w_mixing:
-            for row, c in zip(amps, channel):
-                row.real += np.multiply(j, sign * c, out=first)
-        for cols in (slice(None, half), slice(half, None)) if split else (slice(None),):
-            lines, table, scratch = freq[:, cols], amps[..., cols], first.real
-            if split:             # contiguous, so that each mass is summed as alone
-                lines, table = np.ascontiguousarray(lines), np.ascontiguousarray(table)
-                scratch = np.empty(lines.shape)
-            mass = sum(float(np.sum(np.abs(row, out=scratch))) for row in table)
-            yield _Block(lines, table, interband, n[:, 0], 2.0 * interband, mass)
-
-
-def _time_grid(times: np.ndarray) -> tuple[float, float, int, np.ndarray]:
-    """Progressions (start, step, J) and residuals delta: t_k = start + c J step + j step + delta_k.
-
-    Sample k = c J + j.  On a uniform grid J = ceil(sqrt(T)) and delta is the
-    grid's float rounding, measured exactly against the progressions (the
-    Veltkamp split makes every integer-times-step product exact).  On any
-    other grid J = 1, delta = 0 and each sample is its own anchor.
-    """
-    size = times.size
-    if size > 1:
-        n_offsets = math.isqrt(size - 1) + 1
-        start, step = float(times[0]), float(times[-1] - times[0]) / (size - 1)
-        delta = times - start
-        for k, x in zip(np.divmod(np.arange(size), n_offsets), (n_offsets * step, step)):
-            head = x * 134217729.0            # 2^27 + 1: head keeps 26 bits, x - head the rest
-            head -= head - x
-            delta = delta - k * head - k * (x - head)
-        if np.max(np.abs(delta)) <= 64 * EPS * np.max(np.abs(times)):
-            return start, step, n_offsets, delta
-    return 0.0, 0.0, 1, np.zeros(size)
-
-
-def _sum_lines(
-    tables: list[tuple[np.ndarray, np.ndarray, float]], times: np.ndarray,
-    derivative: bool = False, progressions: tuple[float, float, int, np.ndarray] | None = None,
-) -> list[np.ndarray]:
-    """Complex sums sum_rows amps[c] e^{-i (freq + carrier) t}, shape (C, T), one per table.
-
-    Each table (freq, amps, carrier) has the same C channels.  With
-    derivative=True the C time derivatives (amplitudes -i (freq + carrier) amps)
-    follow as C more rows.  The tables below hold freq alone: their sums S take
-    e^{-i carrier t} of the exact samples at the end, and S' gains -i carrier S.
-    With t = start + c J h + j h + delta (`_time_grid`),
-    e^{-i w t} = e^{-i w start} (e^{-i w J h})^c (e^{-i w h})^j (1 - i w delta):
-    a tile of lines is one GEMM per table piece of a e^{-i w start} (e^{-i w J h})^c,
-    stacked over (row, anchor c), with the offset table (e^{-i w h})^j, plus delta
-    times the next derivative row where delta != 0.  Both tables grow by repeated
-    products, each row from the previous one, so a line costs three complex exps
-    (two from t = 0); J = 1 is the direct sum, one exp per sample.  Stacked rows
-    count against TILE_ELEMENTS: each table is cut every r_max lines from its own
-    start, and consecutive pieces share a tile while they fit, so every sum is bit
-    for bit that of its table summed alone.  Phases (freq + carrier) t
-    whose rounding, eps (freq + carrier) max|t|, exceeds a radian raise
-    TimeRangeError before any is formed: no digit of them is correct.  That bound
-    also keeps every phase and anchor step (J h <= 2 max|t|) far inside the float
-    range.  A complex table (lines on a k_z ray, decaying as e^{Im(w) t} for
-    t > 0) is checked on |freq|.  `progressions` is `_time_grid(times)` where the
-    caller has it already.
-    """
-    t_max = float(np.max(np.abs(times)))
-    lines = []
-    for freq, amps, carrier in tables:
-        freq = np.ravel(freq)
-        top = float(np.max(np.abs(freq), initial=0.0)) + carrier
-        if not EPS * top * t_max <= 1.0:      # also overflow and NaN
-            raise TimeRangeError(f"phases of lines up to {top:.3g}/t_c over {t_max:.3g} t_c round "
-                                 "by more than a radian or leave the float range; shorten the "
-                                 "time grid")
-        lines.append((freq, np.reshape(amps, (len(amps), freq.size))))
-    start, step, n_offsets, delta = _time_grid(times) if progressions is None else progressions
-    n_anchors = -(-times.size // n_offsets)
-    n_out = 2 if derivative else 1
-    orders = n_out + bool(np.any(delta))
-    channels = len(lines[0][1])
-    rows = orders * channels * n_anchors
-    r_max = max(1, TILE_ELEMENTS // (rows + n_anchors + n_offsets))
-    groups, width = [], r_max     # tiles of pieces: (table, its lines, their tile columns)
-    for i, (freq, _) in enumerate(lines):
-        for r0 in range(0, freq.size, r_max):
-            size = min(r_max, freq.size - r0)
-            # numpy runs a one-line tile's products through its strided loops, which
-            # round complex products differently: a one-line piece keeps its own tile
-            if width + size > r_max or 1 in (size, width):
-                groups.append([])
-                width = 0
-            groups[-1].append((i, slice(r0, r0 + size), slice(width, width + size)))
-            width += size
-    # the stacked rows and the offset table in one array: as two, an envelope
-    # benchmark job took about 2,070 minor page faults after warm-up, as one none
-    tiles = np.empty((rows + n_offsets, min(r_max, sum(freq.size for freq, _ in lines))), complex)
-    stacked, table = tiles[:rows], tiles[rows:]
-    table[0] = 1.0
-    sums = np.zeros((len(lines), rows, n_offsets), complex)
-    for group in groups:
-        w = np.concatenate([lines[i][0][part] for i, part, _ in group])
-        tile, offsets = stacked[:, : w.size], table[:, : w.size]
-        s = tile.reshape(orders, channels, n_anchors, w.size)
-        if n_offsets == 1:
-            phases = np.multiply.outer(-1j * times, w)
-            np.exp(phases, out=phases)
-            for i, part, cols in group:
-                np.multiply(lines[i][1][:, None, part], phases[:, cols], out=s[0, ..., cols])
-        else:
-            # three complex exps per line (two from t = 0) reduce w start,
-            # w J h and w h once each; every product after them adds about
-            # eps, so a chain of at most J or ceil(T/J) rows stays at the
-            # eps w t floor
-            turn = np.exp(-1j * start * w) if start else None
-            for i, part, cols in group:
-                if start:
-                    np.multiply(lines[i][1][:, part], turn[cols], out=s[0, :, 0, cols])
-                else:
-                    s[0, :, 0, cols] = lines[i][1][:, part]
-            ratio = np.exp(-1j * (n_offsets * step) * w)
-            for c in range(1, n_anchors):
-                np.multiply(s[0, :, c - 1], ratio, out=s[0, :, c])
-            offsets[1] = np.exp(-1j * step * w)
-            for j in range(2, n_offsets):
-                np.multiply(offsets[j - 1], offsets[1], out=offsets[j])
-        for m in range(1, orders):
-            np.multiply(s[m - 1], -1j * w, out=s[m])
-        for i, _, cols in group:
-            sums[i] += tile[:, cols] @ offsets[:, cols].T
-    sums = sums.reshape(len(lines), orders, channels, -1)[..., : times.size]
-    out = sums[:, :n_out] + delta * sums[:, 1:] if orders > n_out else sums
-    turns = {}                    # e^{-i carrier t} of each carrier, formed once
-    for sums_i, (_, _, carrier) in zip(out, tables):
-        if carrier:               # 2 t is exact, so delta needs no carrier term
-            sums_i[1:] -= 1j * carrier * sums_i[:-1]          # derivative rows, if any
-            if carrier not in turns:
-                turns[carrier] = np.exp(-1j * (carrier * times))
-            sums_i *= turns[carrier]
-    return [sums_i.reshape(-1, times.size) for sums_i in out]
 
 
 def _series(
@@ -590,7 +335,10 @@ def _axial_sums(
     the carrier's exp and product (4 in all where J = 1), twice for y - y[0]; the
     call's floor is the largest over its windows: on the persistence envelope F
     is 84 on the ray window's 350 samples and 38 on the 51 below it (90 for its
-    401 samples as one window), and 74 on the decay window's 257."""
+    401 samples as one window), and 74 on the decay window's 257.  Where a
+    `_line_blocks` call's line evaluations reach TRIM_WORK its rows are trimmed to
+    their k_z runs, each block dropping at most TRIM = 2^-6 eps of its mass, so
+    the floor is (F eps + 2 TRIM) A."""
     if parts not in PARTS:
         raise ValueError(f"parts must be one of {PARTS}, not {parts!r}")
     if packet.dimensionality == "2+1":
@@ -599,14 +347,17 @@ def _axial_sums(
         return ([AxialRule(kind, span, 0.0, 0.0, 1, 0) for kind in _kinds(parts)],
                 _series(packet, coeffs, field, times, rule, parts, channels, derivative)[0])
 
-    def blocks(rung):
+    def blocks(rung, samples):
         # the first rule as its half and its odd nodes, then each doubling's odd nodes
         split = not rung.points
         rule = _fold(packet, axial_grid(packet, 2 * rung.points or rung.needed, rung.ray))
-        return _line_blocks(packet, coeffs, field, *(v if split else v[1::2] for v in rule),
-                            rung.kind, channels, split=split)
+        rule = rule if split else tuple(v[1::2] for v in rule)
+        trim = rows * (coeffs.n_max + 1) * rule[0].size * samples >= TRIM_WORK
+        return _line_blocks(packet, coeffs, field, *rule, rung.kind, channels, split=split,
+                            trim=trim, derivative=derivative)
 
-    windows = _windows(packet, coeffs, field, times, rtol, parts, len(channels) * (1 + derivative))
+    rows = len(channels) * (1 + derivative)
+    windows = _windows(packet, coeffs, field, times, rtol, parts, rows)
     rungs = [rung for window in windows for rung in window]
     progressions = [_time_grid(times[window[0].index]) for window in windows]
     while any(rung.points < rung.needed for rung in rungs):
@@ -614,7 +365,8 @@ def _axial_sums(
             doubling = [rung for rung in window if rung.points < rung.needed]
             if not doubling:
                 continue
-            found = iter(_summed((block for rung in doubling for block in blocks(rung)),
+            found = iter(_summed((block for rung in doubling
+                                  for block in blocks(rung, grid[3].size)),
                                  times[window[0].index], derivative, grid))
             for rung in doubling:
                 if not rung.points:
@@ -636,7 +388,7 @@ def _axial_sums(
     for window, (_, _, n_offsets, delta) in zip(windows, progressions):
         achieved = float(np.max(error[:, window[0].index]) / scale)
         rounds = 4 + (-(-delta.size // n_offsets) + n_offsets if n_offsets > 1 else 0)
-        floor = 2.0 * rounds * EPS * sum(rung.mass for rung in window)       # F eps A
+        floor = 2.0 * (rounds * EPS + TRIM) * sum(rung.mass for rung in window)
         covered = all(2 * rung.needed <= rung.points for rung in window)
         if not achieved <= rtol and (covered or not floor <= rtol * scale):
             raise QuadratureConvergenceError(achieved, rtol)

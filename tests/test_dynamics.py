@@ -17,6 +17,7 @@ from landauzb.packet import (AXIAL_HALF_WIDTH, AxialRay, DimensionalityError, ax
                              axial_ray, coefficient_matrix, ray_nodes)
 from landauzb.units import COMPTON_LENGTH, TimeRangeError
 from test_sum_lines import longdouble_phases
+from u_reference import untrimmed_blocks
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -529,8 +530,9 @@ def test_axial_rungs_are_summed_once_on_the_full_grid(critical_field, packet_3p1
     # the first component and the spin-mixing rows (k0z != 0) share them.  One
     # `_sum_lines` call per window sums every block of it over the window's samples.
     # A block holds only the channels its caller reads: y for analytic_signal, x
-    # and y for a trajectory.  Every block reaches `_sum_lines` whole, real-axis and
-    # ray blocks alike.  At k0z = 0 the critical-field trajectory splits:
+    # and y for a trajectory.  A block reaches `_sum_lines` whole, real-axis and
+    # ray blocks alike, or, where its call's line evaluations reach TRIM_WORK, flat
+    # with each row cut to its k_z run.  At k0z = 0 the critical-field trajectory splits:
     # rays over (25, 200], the real axis below; with k0z != 0 it is one real-axis
     # window
     times = np.linspace(0.0, 200.0, 401)
@@ -563,47 +565,54 @@ def test_axial_rungs_are_summed_once_on_the_full_grid(critical_field, packet_3p1
             assert len(grids) == len(windows)          # one `_sum_lines` call per window
             for grid, record in zip(grids, windows):
                 assert np.array_equal(grid, times[_window(times, record)])
-            assert seen == [(rows, n.size) for n in halves]
+            for shape, n in zip(seen, halves, strict=True):
+                assert shape == (rows, n.size) or len(shape) == 1 and shape[0] < rows * n.size
 
 
-def _nested(pkt, coeffs, field, times, rules, channels):
-    """Each class on the real axis as one window sums it: S_K = S_{K/2}/2 + S_odd."""
+def _nested(pkt, coeffs, field, times, rules, channels, trim=False):
+    """Each class on the real axis as one window sums it: S_K = S_{K/2}/2 + S_odd.
+
+    With trim=True each half is summed on rows cut to their k_z runs, as a
+    `_line_blocks` call on its nodes alone cuts them."""
     out = 0
     for kind, points in rules.items():
         full = dynamics._fold(pkt, axial_grid(pkt, points))
-        half, odd = (dynamics._series(pkt, coeffs, field, times, rule, kind, channels)[0]
-                     for rule in (dynamics._fold(pkt, axial_grid(pkt, points // 2)),
-                                  tuple(v[1::2] for v in full)))
+        half, odd = (sums for rule in (dynamics._fold(pkt, axial_grid(pkt, points // 2)),
+                                       tuple(v[1::2] for v in full))
+                     for sums, _ in dynamics._summed(dynamics._line_blocks(
+                         pkt, coeffs, field, *rule, kind, channels, trim=trim), times))
         out = out + (0.5 * half + odd)
     return out
 
 
-def test_windows_the_ray_does_not_pay_for_are_summed_as_before():
+def test_windows_the_ray_does_not_pay_for_are_summed_as_before(monkeypatch):
     # the real axis runs the single-window arithmetic, S_K = S_{K/2}/2 + S_odd on
     # the whole grid, bit for bit: on lowfield_zb_3p1 (d_z^2/(alpha t) about 1e4,
     # every rule at the floor), on a grid with negative times, and on the
     # persistence signal's first window (up to 150 t_c), whose sums are those of
-    # a call on its samples alone
+    # a call on its samples alone.  With every block built whole, and with every
+    # block's rows cut to their k_z runs, each half as a call on its nodes alone
     cases = {case[0]: case for case in _bundled_3p1_cases()}
-    _, pkt, field, times, parts, rtol, channels = cases["lowfield_zb_3p1"]
     persistence = cases["persistence"][1:]
     symmetric = (*persistence[:2], np.linspace(-1200.0, 1200.0, 801), *persistence[3:])
-    for pkt, field, times, parts, rtol, channels in (cases["lowfield_zb_3p1"][1:], symmetric):
+    for trim in (False, True):
+        monkeypatch.setattr(dynamics, "TRIM_WORK", 0 if trim else math.inf)
+        for pkt, field, times, parts, rtol, channels in (cases["lowfield_zb_3p1"][1:], symmetric):
+            coeffs = coefficient_matrix(pkt, field)
+            records, sums = dynamics._axial_sums(pkt, coeffs, field, times, rtol, parts, channels)
+            assert all(record.doublings == 0 for record in records)
+            want = _nested(pkt, coeffs, field, times, _one_window(records), channels, trim)
+            assert sums.tobytes() == want.tobytes()
+        pkt, field, times, parts, rtol, channels = persistence
         coeffs = coefficient_matrix(pkt, field)
         records, sums = dynamics._axial_sums(pkt, coeffs, field, times, rtol, parts, channels)
-        assert all(record.doublings == 0 for record in records)
-        want = _nested(pkt, coeffs, field, times, _one_window(records), channels)
-        assert sums.tobytes() == want.tobytes()
-    pkt, field, times, parts, rtol, channels = persistence
-    coeffs = coefficient_matrix(pkt, field)
-    records, sums = dynamics._axial_sums(pkt, coeffs, field, times, rtol, parts, channels)
-    first = [record for record in records if record.span[0] == 0.0]
-    assert [record.theta for record in first] == [0.0, 0.0] and first[0].span[1] == 150.0
-    index = _window(times, first[0])
-    alone, alone_sums = dynamics._axial_sums(pkt, coeffs, field, times[index], rtol, parts,
-                                             channels)
-    assert alone == first
-    assert sums[:, index].tobytes() == alone_sums.tobytes()
+        first = [record for record in records if record.span[0] == 0.0]
+        assert [record.theta for record in first] == [0.0, 0.0] and first[0].span[1] == 150.0
+        index = _window(times, first[0])
+        alone, alone_sums = dynamics._axial_sums(pkt, coeffs, field, times[index], rtol, parts,
+                                                 channels)
+        assert alone == first
+        assert sums[:, index].tobytes() == alone_sums.tobytes()
 
 
 def test_ray_windows_agree_with_the_real_axis():
@@ -1289,6 +1298,20 @@ def test_blocks_of_zero_or_nan_mass_are_summed_whole(critical_field, packet_3p1,
     assert math.isnan(mass) and sums.shape == (2, 9) and np.all(np.isnan(sums[0]))
 
 
+def test_a_nan_weight_keeps_a_trimmed_call_whole(critical_field, packet_3p1, coeffs_3p1):
+    # the trim's bounds read every weight: a NaN one, here at the grid's edge where
+    # the tail would go, leaves every row whole, so its NaN lines and mass reach the gate
+    kz, weights = dynamics._fold(packet_3p1, axial_grid(packet_3p1, 512))
+    (trimmed,) = dynamics._line_blocks(packet_3p1, coeffs_3p1, critical_field, kz, weights,
+                                       "interband", trim=True, derivative=True)
+    assert trimmed.freq.ndim == 1 and trimmed.freq.size < coeffs_3p1.n_max * kz.size
+    weights = weights.copy()
+    weights[-1] = math.nan
+    (block,) = dynamics._line_blocks(packet_3p1, coeffs_3p1, critical_field, kz, weights,
+                                     "interband", trim=True, derivative=True)
+    assert block.freq.shape == (coeffs_3p1.n_max, kz.size) and math.isnan(block.mass)
+
+
 def test_a_nan_line_the_screen_would_drop_reaches_the_axial_gate(critical_field, packet_3p1,
                                                                  coeffs_3p1, monkeypatch):
     # a NaN amplitude at the edge of the k_z grid, the weakest line of its block and
@@ -1320,6 +1343,88 @@ def test_the_highest_kz_tail_interband_line_bounds_the_time_grid(critical_field,
     with pytest.raises(TimeRangeError, match="more than a radian"):
         dynamics._series(packet_3p1, coeffs_3p1, critical_field, np.linspace(0.0, t_end, 3), rule,
                          "interband", (1,))
+
+
+BUDGET = 2.0**-6 * np.finfo(float).eps      # the k_z tail mass a trimmed block may drop
+
+
+def _trim_cases():
+    """(label, packet, field, times, parts, kz_rtol, channels, derivative): the certify packet's
+    trajectory, the four bundled 3+1 trajectories, both envelope signals, and a k0z != 0
+    packet of one spinor component, whose signed grid is trimmed at both ends."""
+    field = FieldConfig.from_magnetic_length(1.0)
+    certify = GaussianPacket(d_x=1.5, d_y=1.5, d_z=1.8, k0x=0.998, a1=0.0, a2=1.0,
+                             dimensionality="3+1")
+    signed = GaussianPacket(d_x=1.5, d_y=1.3, d_z=1.5, k0x=0.55, k0z=0.3, a1=0.0, a2=1.0,
+                            dimensionality="3+1")
+    cases = [("certify", certify, field, np.linspace(0.0, 200.0, 101), "all",
+              dynamics.DEFAULT_KZ_RTOL, (0, 1), True),
+             ("signed", signed, field, np.linspace(0.0, 40.0, 161), "all",
+              dynamics.DEFAULT_KZ_RTOL, (0, 1), True)]
+    for label, pkt, field, times, parts, rtol, channels in _bundled_3p1_cases():
+        cases.append((label, pkt, field, times, parts, rtol, channels, channels == (0, 1)))
+    return cases
+
+
+def _line_masses(block, derivative):
+    """|amplitude| of each line summed over channels, then times |w + carrier| if derivative."""
+    mass = np.sum(np.abs(block.amps), axis=0).ravel()
+    return mass * np.abs(np.ravel(block.freq) + block.carrier) if derivative else mass
+
+
+@pytest.mark.parametrize("gate", ["TRIM_WORK", "every call"])
+def test_trimmed_blocks_drop_at_most_their_budget(gate, monkeypatch):
+    # every `_line_blocks` call of these `_axial_sums` calls, made again with every row
+    # whole: the lines a trimmed block keeps are bit for bit lines of the whole block,
+    # and those it drops sum to at most 2^-6 eps of its amplitude mass (of its
+    # derivative mass too, where derivative rows are summed).  The sums lie within that
+    # budget plus the rounding floor F eps of the sums on whole blocks, and every
+    # `AxialRule` is unchanged.  With the gate, or with every call trimmed
+    assert dynamics.TRIM == BUDGET
+    if gate == "every call":
+        monkeypatch.setattr(dynamics, "TRIM_WORK", 0)
+    line_blocks = dynamics._line_blocks
+    whole = untrimmed_blocks(line_blocks)
+    calls = []
+
+    def recording(*args, **kwargs):
+        blocks = list(line_blocks(*args, **kwargs))
+        calls.append((blocks, list(whole(*args, **kwargs))))
+        return iter(blocks)
+
+    trimmed = {}
+    for label, pkt, field, times, parts, rtol, channels, derivative in _trim_cases():
+        coeffs = coefficient_matrix(pkt, field)
+        args = pkt, coeffs, field, times, rtol, parts, channels, derivative
+        calls.clear()
+        monkeypatch.setattr(dynamics, "_line_blocks", recording)
+        records, sums = dynamics._axial_sums(*args)
+        monkeypatch.setattr(dynamics, "_line_blocks", whole)
+        whole_records, whole_sums = dynamics._axial_sums(*args)
+        monkeypatch.setattr(dynamics, "_line_blocks", line_blocks)
+        assert records == whole_records, label
+        masses = [0.0, 0.0]
+        for blocks, wholes in calls:
+            for block, full in zip(blocks, wholes, strict=True):
+                assert (block.interband, block.carrier) == (full.interband, full.carrier)
+                trimmed[label] = trimmed.get(label, 0) + (block.freq.size < full.freq.size)
+                for order in range(1 + derivative):
+                    kept, every = _line_masses(block, order), _line_masses(full, order)
+                    dropped = math.fsum(np.concatenate((every, -kept)))
+                    assert 0.0 <= dropped <= BUDGET * math.fsum(every), (label, order)
+                    masses[order] += math.fsum(every)
+        # y - y[0] and x: twice the roundings of a sum, as `_axial_sums` counts its floor
+        _, _, n_offsets, delta = dynamics._time_grid(times)
+        floor = 2.0 * (4 + (-(-times.size // n_offsets) + n_offsets if n_offsets > 1 else 0))
+        for order in range(1 + derivative):
+            rows = slice(order * len(channels), (order + 1) * len(channels))
+            gap = np.max(np.abs(sums[rows] - whole_sums[rows]))
+            assert gap <= (floor * dynamics.EPS + BUDGET) * masses[order], (label, order)
+    if gate == "every call":
+        assert all(trimmed.get(label, 0) for label in ("certify", "signed", "persistence",
+                                                       "relativistic_3p1")), trimmed
+    else:
+        assert trimmed.get("certify") and not trimmed.get("decay"), trimmed
 
 
 def test_envelope_signals_stay_within_their_memory():

@@ -223,7 +223,38 @@ def tile_lines(times, channels, derivative):
     _, _, n_offsets, delta = _time_grid(times)
     n_anchors = -(-times.size // n_offsets)
     orders = (2 if derivative else 1) + bool(np.any(delta))
-    return dynamics.TILE_ELEMENTS // (orders * channels * n_anchors + n_anchors + n_offsets)
+    return dynamics.TILE_ELEMENTS // (channels * n_anchors + orders * n_offsets + n_anchors)
+
+
+def tile_shapes(monkeypatch, *args):
+    """sum_one(*args), and the shape of each complex array np.empty was asked for."""
+    shapes = []
+    real_empty = np.empty
+
+    def recording(shape, *rest, **kwargs):
+        shapes.append(shape)
+        return real_empty(shape, *rest, **kwargs)
+
+    monkeypatch.setattr(dynamics.np, "empty", recording)
+    sum_one(*args)
+    monkeypatch.undo()
+    return shapes
+
+
+@pytest.mark.parametrize("grid", ["from zero", "shifted"])
+def test_derivative_rows_ride_on_the_offset_table(grid, monkeypatch):
+    # the orders (-i w)^m, the derivative and the next one that delta needs, multiply
+    # the offset table's rows, not the stacked anchor rows: with derivative=True the
+    # tile holds the C ceil(T/J) stacked rows of derivative=False and J more offset rows
+    times = GRIDS[grid]
+    _, _, n_offsets, delta = _time_grid(times)
+    assert n_offsets == 21 and np.any(delta)
+    n_anchors = -(-times.size // n_offsets)
+    freq, amps = lines(np.random.default_rng(3), 700, channels=3)
+    (plain,), (both,) = (tile_shapes(monkeypatch, freq, amps, times, derivative)
+                         for derivative in (False, True))
+    assert plain[0] == 3 * n_anchors + 2 * n_offsets
+    assert both[0] == 3 * n_anchors + 3 * n_offsets
 
 
 GRIDS = {

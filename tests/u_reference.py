@@ -11,6 +11,8 @@ one: the bit-for-bit reference for the rows the ladder grows block by block.
 Two closed forms cross-check the k_x quadrature element by element: one for
 equal widths (d_y = L) through a single Hermite value, and one for distinct
 widths through a finite binomial sum.  Each covers its own width window only.
+`untrimmed_blocks` is the series line table with every row over its whole k_z
+grid: the reference for the k_z tails a trimmed table drops.
 """
 
 import math
@@ -231,3 +233,15 @@ def u_closed_general(
         - log_norm_constant(n)
     )
     return math.exp(log_pref + log_amp) * total
+
+
+def untrimmed_blocks(line_blocks):
+    """`line_blocks` (`lines._line_blocks`) with every row over its whole grid.
+
+    The wrapped call yields the blocks of the same call made with trim=False:
+    each a (pairs, K) table that drops no k_z tail, whatever the caller asked.
+    """
+    def whole(*args, **kwargs):
+        return line_blocks(*args, **{**kwargs, "trim": False})
+
+    return whole
